@@ -14,7 +14,6 @@ import dataclasses
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 from typing import Optional
 
@@ -506,13 +505,7 @@ def _sweep_row(cfg, scan_row):
         row["gap"] = rep.gap
 
         equilibrium = stepper_equilibrium(model, cfg.grid)
-        sim = SimulationConfig(
-            grid=cfg.grid, model=model, kernel=cfg.kernel,
-            t_end=cfg.t_end, record_every=cfg.record_every,
-            fixed_point_tol=cfg.fixed_point_tol,
-            fixed_point_max_iter=cfg.fixed_point_max_iter,
-            q=cfg.q, tau=cfg.tau,
-            allow_zero_kappa0=cfg.allow_zero_kappa0)
+        sim = dataclasses.replace(cfg.simulation_config(), model=model)
         trace = run(sim, preset_density(cfg.grid, cfg.f0),
                     steady=equilibrium)
         w0, w1 = cfg.window
@@ -537,9 +530,7 @@ def _cmd_sweep(args):
     if not cfg.lambdas:
         raise ConfigError(["sweep.lambdas: must be nonempty for a sweep"])
     scan = regime_scan(cfg.model, list(cfg.lambdas), cfg.grid)
-    workers = min(8, len(scan))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(lambda sr: _sweep_row(cfg, sr), scan))
+    rows = [_sweep_row(cfg, scan_row) for scan_row in scan]
     csv_rows = []
     for row in rows:
         unique = row["unique"]

@@ -99,25 +99,6 @@ def kappa0(model, grid, f0):
     return float(np.dot(model.rate(grid.midpoints, 0.0), values)) * grid.dx
 
 
-def _activity_quadrature(model, grid, values):
-    """Return G with G(mu) = int k(x, lam*mu) f(x) dx on the midpoint
-    mesh.  Step rates get an exact cumulative-sum evaluation so the
-    fixed-point loop costs O(log n) per call."""
-    mids = grid.midpoints
-    dx = grid.dx
-    if isinstance(model, StepRate):
-        csum = np.concatenate(([0.0], np.cumsum(values))) * dx
-        total = csum[-1]
-
-        def G(mu):
-            idx = np.searchsorted(mids, model.threshold(mu), side="right")
-            return total - csum[idx]
-    else:
-        def G(mu):
-            return float(np.dot(model.rate(mids, mu), values)) * dx
-    return G
-
-
 def _continuous_roots(G, lo, hi, n_scan, tol):
     """All mu in (lo, hi] where Phi(mu) = G(mu) - mu crosses zero
     continuously.  Sign changes across a jump of G are refined and then
@@ -162,12 +143,13 @@ def solve_activity_implicit(model, grid, values, bracket=None, tol=1e-12,
     """Solve the implicit activity m = int k(x, lam*m) f(x) dx for a
     density of mass approx 1.
 
-    Damped fixed-point iteration first; on a stall, bisection over the
-    bracket left by the last oscillation, then a full scan of the
-    bracket (default (0, k1]) that reports every continuous root.
-    Zero roots means the model violates its own bounds; several roots
-    make the dynamics ambiguous and both cases raise."""
-    G = _activity_quadrature(model, grid, values)
+    Iterates the model's activity_map G.  Damped fixed-point iteration
+    first; on a stall, bisection over the bracket left by the last
+    oscillation, then a full scan of the bracket (default (0, k1]) that
+    reports every continuous root.  Zero roots means the model violates
+    its own bounds; several roots make the dynamics ambiguous and both
+    cases raise."""
+    G = model.activity_map(grid, values)
     k1 = model.k1
     lo, hi = (0.0, k1) if bracket is None else map(float, bracket)
     if not 0.0 <= lo < hi:

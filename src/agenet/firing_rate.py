@@ -8,6 +8,11 @@ internally, so every caller passes the unscaled activity.
 All families are nonnegative, nondecreasing in both age and activity,
 and bounded by k1.  k0 is the resting rate of an old neuron
 (the large-age limit of k(., 0)).
+
+Each family computes its own closed forms behind one protocol: rate,
+cumulative K(x, mu) = int_0^x k, cumulative_over (K at one age for an
+array of activities), activity_map (mu -> int k(x, lam*mu) f dx on the
+midpoint mesh) and lipschitz_known (whether estimate_xi can trust xi).
 """
 
 from __future__ import annotations
@@ -29,49 +34,30 @@ __all__ = [
     "moment_tail_constant",
 ]
 
-# 5-point Gauss-Legendre rule on [-1, 1]; composite panels of this rule
-# integrate the smooth rate families to machine precision.
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(5)
-
 
 def _check_domain(x, mu):
     if np.ndim(mu) != 0:
         raise ValueError("activity mu must be a scalar")
-    if float(mu) < 0.0:
-        raise ValueError("activity mu must be nonnegative")
+    if not 0.0 <= float(mu) < math.inf:
+        raise ValueError("activity mu must be finite and nonnegative")
     if np.any(np.asarray(x) < 0.0):
         raise ValueError("age x must be nonnegative")
+
+
+def _check_over(x, mus):
+    mus = np.asarray(mus, dtype=float)
+    if np.ndim(x) != 0 or mus.ndim != 1:
+        raise ValueError("need one age x and a 1-d array of activities")
+    if not float(x) >= 0.0:
+        raise ValueError("age x must be nonnegative")
+    if not np.all((mus >= 0.0) & (mus < math.inf)):
+        raise ValueError("activities mu must be finite and nonnegative")
+    return float(x), mus
 
 
 def _match_shape(x, out):
     # scalar in, scalar out; array in, array out
     return float(out) if np.ndim(x) == 0 else out
-
-
-def _panel_cumulative(rate_at, xs, panel=0.05):
-    """Cumulative integral of rate_at over [0, x] for each x in xs.
-
-    Consecutive sorted targets are bridged with Gauss panels no wider
-    than `panel`, and the panel integrals are accumulated.  xs is a 1d
-    float array; rate_at must accept a flat array of ages.
-    """
-    order = np.argsort(xs, kind="stable")
-    edges = np.concatenate([[0.0], xs[order]])
-    gaps = np.diff(edges)
-    n_panels = np.maximum(np.ceil(gaps / panel).astype(int), 1)
-    widths = gaps / n_panels
-    starts = np.repeat(edges[:-1], n_panels)
-    pw = np.repeat(widths, n_panels)
-    first = np.concatenate([[0], np.cumsum(n_panels)[:-1]])
-    within = np.arange(int(n_panels.sum())) - np.repeat(first, n_panels)
-    a = starts + within * pw
-    nodes = a[:, None] + (pw[:, None] * 0.5) * (_GL_X[None, :] + 1.0)
-    vals = rate_at(nodes.ravel()).reshape(nodes.shape)
-    panel_ints = (pw * 0.5) * (vals @ _GL_W)
-    seg_ints = np.add.reduceat(panel_ints, first)
-    out = np.empty_like(xs)
-    out[order] = np.cumsum(seg_ints)
-    return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -80,6 +66,7 @@ class ConstantRate:
 
     k0: float
     lam: float = 0.0
+    lipschitz_known = True      # a class constant, not a field
 
     def __post_init__(self):
         if self.k0 <= 0.0:
@@ -100,6 +87,14 @@ class ConstantRate:
         _check_domain(x, mu)
         return _match_shape(x, self.k0 * np.asarray(x, dtype=float))
 
+    def cumulative_over(self, x, mus):
+        x, mus = _check_over(x, mus)
+        return np.full(mus.shape, self.k0 * x)
+
+    def activity_map(self, grid, values):
+        total = self.k0 * float(np.sum(values)) * grid.dx
+        return lambda mu: total
+
 
 @dataclasses.dataclass(frozen=True)
 class SmoothSaturatingRate:
@@ -115,6 +110,7 @@ class SmoothSaturatingRate:
     lam: float = 0.0
     mu_scale: float = 1.0
     x_scale: float = 1.0
+    lipschitz_known = True      # a class constant, not a field
 
     def __post_init__(self):
         if self.k0 <= 0.0:
@@ -130,6 +126,10 @@ class SmoothSaturatingRate:
         mu_eff = self.lam * float(mu)
         return self.k0 - (self.k1 - self.k0) * math.expm1(-mu_eff / self.mu_scale)
 
+    def _age_integral(self, x):
+        # int_0^x (1 - exp(-y/x_scale)) dy in closed form
+        return x + self.x_scale * np.expm1(-x / self.x_scale)
+
     def rate(self, x, mu):
         _check_domain(x, mu)
         xs = np.asarray(x, dtype=float)
@@ -137,11 +137,21 @@ class SmoothSaturatingRate:
         return _match_shape(x, out)
 
     def cumulative(self, x, mu):
-        # composite Gauss quadrature; no closed form is assumed here
         _check_domain(x, mu)
-        flat = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
-        out = _panel_cumulative(lambda z: self.rate(z, mu), flat)
-        return _match_shape(x, out.reshape(np.shape(x)))
+        out = self.gain(mu) * self._age_integral(np.asarray(x, dtype=float))
+        return _match_shape(x, out)
+
+    def cumulative_over(self, x, mus):
+        x, mus = _check_over(x, mus)
+        gains = self.k0 - (self.k1 - self.k0) * np.expm1(
+            -(self.lam * mus) / self.mu_scale)
+        return gains * self._age_integral(x)
+
+    def activity_map(self, grid, values):
+        # separable: one dot product per density, then O(1) per mu
+        shape = -np.expm1(-grid.midpoints / self.x_scale)
+        weight = float(np.dot(shape, values)) * grid.dx
+        return lambda mu: self.gain(mu) * weight
 
 
 @dataclasses.dataclass(frozen=True)
@@ -154,9 +164,10 @@ class StepRate:
     sigma(mu) = sigma_minus + (sigma_plus - sigma_minus)*exp(-decay*mu).
 
     A custom `sigma` callable may be supplied.  Pass `sigma_modulus`
-    (a bound on |sigma'|) along with it; without one, regime
-    estimation reports the Lipschitz modulus as unknown (xi = inf).
-    The indicator is evaluated exactly, never smoothed.
+    (a bound on |sigma'|) along with it; without one, lipschitz_known
+    is False and regime estimation reports the Lipschitz modulus as
+    unknown (xi = inf).  The indicator is evaluated exactly, never
+    smoothed.
     """
 
     sigma_plus: float = 0.5
@@ -184,6 +195,10 @@ class StepRate:
     def k1(self):
         return 1.0
 
+    @property
+    def lipschitz_known(self):
+        return self.sigma is None or self.sigma_modulus is not None
+
     def threshold(self, mu):
         """Firing threshold sigma(lam*mu)."""
         mu_eff = self.lam * float(mu)
@@ -202,6 +217,23 @@ class StepRate:
         xs = np.asarray(x, dtype=float)
         out = np.maximum(0.0, xs - self.threshold(mu))
         return _match_shape(x, out)
+
+    def cumulative_over(self, x, mus):
+        x, mus = _check_over(x, mus)
+        # the scalar map, so each entry equals cumulative(x, mu) exactly
+        thresholds = np.array([self.threshold(mu) for mu in mus.tolist()])
+        return np.maximum(0.0, x - thresholds)
+
+    def activity_map(self, grid, values):
+        # cells past the threshold fire at rate 1: an exact tail sum
+        mids = grid.midpoints
+        csum = np.concatenate(([0.0], np.cumsum(values))) * grid.dx
+        total = csum[-1]
+
+        def G(mu):
+            idx = np.searchsorted(mids, self.threshold(mu), side="right")
+            return total - csum[idx]
+        return G
 
 
 @dataclasses.dataclass(frozen=True)
@@ -225,9 +257,11 @@ def _xi_sampled(model, x_max, lo, hi, samples):
     # Monotonicity in mu makes |k(., b) - k(., a)| single-signed, so the
     # L1 difference collapses to |K(x_max, b) - K(x_max, a)|.
     mus = np.linspace(lo, hi, samples)
-    kx = np.array([model.cumulative(x_max, m) for m in mus])
-    i, j = np.triu_indices(samples, k=1)
-    return float(np.max(np.abs(kx[j] - kx[i]) / (mus[j] - mus[i])))
+    kx = model.cumulative_over(x_max, mus)
+    dmu = mus[None, :] - mus[:, None]
+    dk = np.abs(kx[None, :] - kx[:, None])
+    pairs = dmu > 0.0                 # each pair i < j once: mus increase
+    return float(np.max(dk[pairs] / dmu[pairs]))
 
 
 def _contraction(model, lam, x_max, lo, hi, samples, f_inf_scale):
@@ -254,9 +288,8 @@ def estimate_xi(model, x_max=10.0, mu_range=(0.0, 1.0), samples=33,
         raise ValueError("mu_range must be nondegenerate and nonnegative")
     if samples < 2:
         raise ValueError("need at least two activity samples")
-    if isinstance(model, StepRate) and model.sigma is not None \
-            and model.sigma_modulus is None:
-        # custom threshold map with no declared modulus: cannot certify
+    if not model.lipschitz_known:
+        # e.g. a custom threshold map with no declared modulus
         return RegimeEstimate(xi=math.inf, lambda_weak=0.0,
                               lambda_strong=math.inf)
 

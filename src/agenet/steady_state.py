@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -160,14 +159,13 @@ class ScanRow:
 
 
 def regime_scan(model, lambdas, grid, bracket=None, tol=1e-12,
-                scan_points=400, max_workers=None):
+                scan_points=400):
     """Stationary-activity roots for each coupling in lambdas.
 
     Each row reports every bracketed root of the normalization
     residual on (0, k1] and whether it is unique.  An empty root list
     is a legal outcome and worth the user's attention, so it is
-    reported rather than raised.  Rows are independent and computed in
-    parallel threads.
+    reported rather than raised.  Rows come in the order of lambdas.
     """
     lambdas = list(lambdas)
     if not lambdas:
@@ -178,15 +176,11 @@ def regime_scan(model, lambdas, grid, bracket=None, tol=1e-12,
         bracket = (1e-6, model.k1)
     lo, hi = float(bracket[0]), float(bracket[1])
 
-    def scan_one(lam):
+    rows = []
+    for lam in lambdas:
         probe = dataclasses.replace(model, lam=lam)
-
-        def g(M):
-            return _normalization_residual(probe, grid, M)
-
-        roots = _scan_roots(g, lo, hi, scan_points, tol)
-        return ScanRow(lam=lam, roots=tuple(roots), unique=len(roots) == 1)
-
-    workers = max_workers or min(8, len(lambdas))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(scan_one, lambdas))
+        roots = _scan_roots(lambda M: _normalization_residual(probe, grid, M),
+                            lo, hi, scan_points, tol)
+        rows.append(ScanRow(lam=lam, roots=tuple(roots),
+                            unique=len(roots) == 1))
+    return rows

@@ -191,6 +191,25 @@ def test_sweep_constant_family(tmp_path, capsys):
     assert float(rows[0][5]) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_sweep_is_deterministic_in_input_order(tmp_path, capsys):
+    path = tmp_path / "step.json"
+    path.write_text(json.dumps({
+        "grid": {"dx": 0.01, "x_max": 4.0},
+        "model": {"kind": "step", "sigma_plus": 0.5, "sigma_minus": 0.25},
+        "run": {"t_end": 3.0, "record_every": 10, "window": [0.5, 3.0]},
+        "sweep": {"lambdas": [0.8, 0.0, 0.3]},
+    }))
+    outs = []
+    for name in ("first.csv", "second.csv"):
+        out = tmp_path / name
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    rows = [line.split(",") for line in outs[0].decode().splitlines()[1:]]
+    assert [r[0] for r in rows] == ["0.8", "0", "0.3"]
+    assert all(r[7] == "ok" for r in rows)
+
+
 def test_sweep_requires_lambdas(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     assert main(["sweep", "--config", str(cfg),

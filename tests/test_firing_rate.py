@@ -4,10 +4,65 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, optimize
 
-from agenet import (ConstantRate, SmoothSaturatingRate, StepRate, estimate_xi,
-                    half_rate_age, moment_tail_constant, weight_threshold_age)
+from agenet import (AgeGrid, ConstantRate, SmoothSaturatingRate, StepRate,
+                    estimate_xi, half_rate_age, moment_tail_constant,
+                    preset_density, weight_threshold_age)
+
+# 5-point Gauss-Legendre rule on [-1, 1]; composite panels of this rule
+# integrate the smooth rate family to machine precision.
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(5)
+
+
+def _panel_cumulative(rate_at, xs, panel=0.05):
+    """Cumulative integral of rate_at over [0, x] for each x in xs, the
+    quadrature oracle for closed-form cumulatives.
+
+    Consecutive sorted targets are bridged with Gauss panels no wider
+    than `panel`, and the panel integrals are accumulated.  xs is a 1d
+    float array; rate_at must accept a flat array of ages.
+    """
+    order = np.argsort(xs, kind="stable")
+    edges = np.concatenate([[0.0], xs[order]])
+    gaps = np.diff(edges)
+    n_panels = np.maximum(np.ceil(gaps / panel).astype(int), 1)
+    widths = gaps / n_panels
+    starts = np.repeat(edges[:-1], n_panels)
+    pw = np.repeat(widths, n_panels)
+    first = np.concatenate([[0], np.cumsum(n_panels)[:-1]])
+    within = np.arange(int(n_panels.sum())) - np.repeat(first, n_panels)
+    a = starts + within * pw
+    nodes = a[:, None] + (pw[:, None] * 0.5) * (_GL_X[None, :] + 1.0)
+    vals = rate_at(nodes.ravel()).reshape(nodes.shape)
+    panel_ints = (pw * 0.5) * (vals @ _GL_W)
+    seg_ints = np.add.reduceat(panel_ints, first)
+    out = np.empty_like(xs)
+    out[order] = np.cumsum(seg_ints)
+    return out
+
+
+def _random_smooth(rng):
+    return SmoothSaturatingRate(
+        k0=float(rng.uniform(0.2, 1.0)),
+        k1=float(rng.uniform(1.0, 3.0)),
+        lam=float(rng.uniform(0.0, 1.5)),
+        mu_scale=float(rng.uniform(0.5, 2.0)),
+        x_scale=float(rng.uniform(0.5, 2.0)))
+
+
+# one model per family, the step family with and without a custom map
+FAMILIES = [
+    ConstantRate(k0=1.7, lam=0.4),
+    SmoothSaturatingRate(k0=0.5, k1=2.0, lam=0.8, mu_scale=0.7,
+                         x_scale=1.3),
+    StepRate(sigma_plus=0.5, sigma_minus=0.25, lam=1.3, decay=2.0),
+    StepRate(sigma_plus=0.5, sigma_minus=0.25, lam=2.0,
+             sigma=lambda u: 0.6 / (1.0 + u), sigma_modulus=0.6),
+]
+FAMILY_IDS = ["constant", "smooth", "step", "step-custom-sigma"]
 
 
 def test_constant_rate_values():
@@ -43,6 +98,12 @@ def test_domain_checks():
         model.rate(0.5, -0.1)
     with pytest.raises(ValueError):
         model.rate(0.5, np.array([0.1, 0.2]))
+    for family in FAMILIES:
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                family.rate(0.5, bad)
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                family.cumulative(0.5, bad)
 
 
 def test_smooth_rate_shape_and_bounds():
@@ -60,17 +121,23 @@ def test_smooth_rate_shape_and_bounds():
 def test_smooth_cumulative_matches_quadrature():
     rng = np.random.default_rng(7)
     for _ in range(5):
-        model = SmoothSaturatingRate(
-            k0=float(rng.uniform(0.2, 1.0)),
-            k1=float(rng.uniform(1.0, 3.0)),
-            lam=float(rng.uniform(0.0, 1.5)),
-            mu_scale=float(rng.uniform(0.5, 2.0)),
-            x_scale=float(rng.uniform(0.5, 2.0)))
+        model = _random_smooth(rng)
         mu = float(rng.uniform(0.0, 1.0))
         x = float(rng.uniform(0.5, 8.0))
         ref, _ = integrate.quad(lambda z: model.rate(z, mu), 0.0, x,
                                 epsabs=1e-13, epsrel=1e-13)
-        assert abs(model.cumulative(x, mu) - ref) < 1e-10
+        assert abs(model.cumulative(x, mu) - ref) < 1e-12
+
+
+def test_smooth_cumulative_matches_gauss_panels():
+    rng = np.random.default_rng(11)
+    xs = np.concatenate([[0.0, 1e-3, 0.05], rng.uniform(0.0, 10.0, 40)])
+    for _ in range(5):
+        model = _random_smooth(rng)
+        mu = float(rng.uniform(0.0, 2.0))
+        ref = _panel_cumulative(lambda z: model.rate(z, mu), xs)
+        np.testing.assert_allclose(model.cumulative(xs, mu), ref,
+                                   rtol=0.0, atol=1e-12)
 
 
 def test_smooth_cumulative_handles_arrays_and_order():
@@ -119,9 +186,19 @@ def test_estimate_xi_frozen_step_values():
     assert 0.0 < est.lambda_weak < est.lambda_strong
 
 
+def test_estimate_xi_frozen_smooth_values():
+    # values of the Gauss-panel cumulative that the closed form replaced
+    model = SmoothSaturatingRate(k0=0.5, k1=2.0, lam=0.05)
+    est = estimate_xi(model)
+    assert est.xi == pytest.approx(0.6744763331369086, rel=1e-9)
+    assert est.lambda_weak == pytest.approx(0.006173403812575334, rel=1e-9)
+    assert est.lambda_strong == pytest.approx(39.245251120748364, rel=1e-9)
+
+
 def test_estimate_xi_custom_sigma_without_modulus():
     model = StepRate(sigma_plus=0.5, sigma_minus=0.25, lam=1.0,
                      sigma=lambda u: 0.4)
+    assert not model.lipschitz_known
     est = estimate_xi(model)
     assert math.isinf(est.xi)
     assert est.lambda_weak == 0.0
@@ -165,3 +242,86 @@ def test_moment_tail_constant_formula():
     x0 = weight_threshold_age(model, q)
     expected = 2.0 * x0 ** q * (1.0 + model.k1 / model.k0)
     assert moment_tail_constant(model, q) == pytest.approx(expected, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the per-family fast paths against the scalar and generic definitions
+
+@pytest.mark.parametrize("model", FAMILIES, ids=FAMILY_IDS)
+def test_cumulative_over_matches_scalar_calls(model):
+    mus = np.concatenate([[0.0], np.random.default_rng(3).uniform(0.0, 3.0,
+                                                                   500)])
+    for x in (0.0, 0.2, 0.49, 2.0, 10.0):
+        fast = model.cumulative_over(x, mus)
+        slow = np.array([model.cumulative(x, mu) for mu in mus])
+        if isinstance(model, SmoothSaturatingRate):
+            np.testing.assert_allclose(fast, slow, rtol=1e-14, atol=0.0)
+        else:
+            assert np.array_equal(fast, slow)
+
+
+@pytest.mark.parametrize("model", FAMILIES, ids=FAMILY_IDS)
+def test_activity_map_matches_generic_quadrature(model):
+    grid = AgeGrid(dx=0.01, n_cells=1000)
+    rng = np.random.default_rng(5)
+    densities = [preset_density(grid, name).values
+                 for name in ("uniform01", "exp2", "spike")]
+    densities.append(rng.uniform(0.0, 0.2, grid.n_cells))
+    for values in densities:
+        G = model.activity_map(grid, values)
+        for mu in np.concatenate([[0.0], rng.uniform(0.0, 3.0, 20)]):
+            ref = float(np.dot(model.rate(grid.midpoints, mu), values)) \
+                * grid.dx
+            assert G(mu) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("model", FAMILIES, ids=FAMILY_IDS)
+def test_cumulative_over_validation(model):
+    with pytest.raises(ValueError, match="age"):
+        model.cumulative_over(-0.1, [0.1, 0.2])
+    for bad in ([0.1, -0.2], [0.1, math.nan], [math.inf]):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            model.cumulative_over(1.0, bad)
+    with pytest.raises(ValueError, match="1-d"):
+        model.cumulative_over(1.0, np.ones((2, 2)))
+    with pytest.raises(ValueError, match="1-d"):
+        model.cumulative_over(np.array([1.0, 2.0]), [0.1])
+
+
+# ---------------------------------------------------------------------------
+# properties of K over random family parameters
+
+@st.composite
+def rate_models(draw):
+    positive = st.floats(0.05, 5.0)
+    lam = draw(st.floats(0.0, 5.0))
+    kind = draw(st.sampled_from(["constant", "smooth", "step"]))
+    if kind == "constant":
+        return ConstantRate(k0=draw(positive), lam=lam)
+    if kind == "smooth":
+        k0 = draw(positive)
+        return SmoothSaturatingRate(
+            k0=k0, k1=k0 + draw(st.floats(0.0, 5.0)), lam=lam,
+            mu_scale=draw(positive), x_scale=draw(positive))
+    sigma_minus = draw(st.floats(0.01, 0.5))
+    return StepRate(sigma_plus=sigma_minus + draw(st.floats(0.01, 0.48)),
+                    sigma_minus=sigma_minus, lam=lam,
+                    decay=draw(positive))
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=rate_models(),
+       xs=st.lists(st.floats(0.0, 50.0), min_size=2, max_size=12),
+       mus=st.lists(st.floats(0.0, 10.0), min_size=2, max_size=12))
+def test_cumulative_properties(model, xs, mus):
+    xs, mus = np.sort(xs), np.sort(mus)
+    # rounding allowance: a few ulps of the largest value K can take
+    slack = 8.0 * np.finfo(float).eps * model.k1 * max(1.0, xs[-1])
+    for mu in mus:
+        assert model.cumulative(0.0, mu) == 0.0
+        K = model.cumulative(xs, mu)
+        assert np.all(np.diff(K) >= -slack)
+        assert np.all(K >= -slack)
+        assert np.all(K <= model.k1 * xs + slack)
+    for x in xs:
+        assert np.all(np.diff(model.cumulative_over(x, mus)) >= -slack)
