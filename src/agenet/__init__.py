@@ -9,7 +9,7 @@ from .firing_rate import (ConstantRate, RegimeEstimate, SmoothSaturatingRate,
                           moment_tail_constant, weight_threshold_age)
 from .grid import AgeGrid, DensityState, preset_density
 from .steady_state import SteadyState, regime_scan, solve_steady_state
-from .delay_kernel import DelayKernel, DischargeHistory, convolve
+from .delay_kernel import DelayKernel, DischargeHistory
 from .evolution import (ActivitySolution, DecayFit, SimulationConfig,
                         SimulationTrace, decay_fit, kappa0, run,
                         solve_activity_implicit, step, stepper_equilibrium)
@@ -26,7 +26,7 @@ __all__ = [
     "estimate_xi", "half_rate_age", "weight_threshold_age",
     "moment_tail_constant",
     "SteadyState", "solve_steady_state", "regime_scan",
-    "DelayKernel", "DischargeHistory", "convolve",
+    "DelayKernel", "DischargeHistory",
     "SimulationConfig", "SimulationTrace", "ActivitySolution", "DecayFit",
     "solve_activity_implicit", "kappa0", "step", "run", "decay_fit",
     "stepper_equilibrium",

@@ -17,7 +17,7 @@ from scipy import stats
 
 from .errors import ConfigError
 
-__all__ = ["DelayKernel", "DischargeHistory", "convolve"]
+__all__ = ["DelayKernel", "DischargeHistory"]
 
 _QUANTILE = 1.0 - 1e-6  # the history buffer must cover this much of b
 
@@ -197,10 +197,3 @@ class DischargeHistory:
                 "before the run starts"])
         return self._buf[:count]
 
-
-def convolve(kernel, history):
-    """The activity m = sum_j w_j p(t - y_j); current p for Dirac."""
-    if kernel.is_dirac:
-        return history.current
-    _, w = kernel.weights(history.dt)
-    return float(w @ history.lagged(w.size))

@@ -17,10 +17,11 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
+from . import _roots
 from .delay_kernel import DelayKernel, DischargeHistory
 from .errors import (AmbiguousActivityError, DegenerateInputError,
                      InvariantViolationError, ModelInconsistencyError)
-from .firing_rate import StepRate, estimate_xi, half_rate_age
+from .firing_rate import estimate_xi, half_rate_age
 from .grid import AgeGrid, DensityState
 
 __all__ = [
@@ -99,56 +100,18 @@ def kappa0(model, grid, f0):
     return float(np.dot(model.rate(grid.midpoints, 0.0), values)) * grid.dx
 
 
-def _continuous_roots(G, lo, hi, n_scan, tol):
-    """All mu in (lo, hi] where Phi(mu) = G(mu) - mu crosses zero
-    continuously.  Sign changes across a jump of G are refined and then
-    discarded when |Phi| stays above tol."""
-    mus = np.linspace(lo, hi, n_scan)
-    phis = np.array([G(mu) - mu for mu in mus])
-    if not np.all(np.isfinite(phis)):
-        raise ModelInconsistencyError("activity map returned non-finite "
-                                      "values during the root scan")
-    roots = []
-    for i in range(n_scan - 1):
-        a, b = mus[i], mus[i + 1]
-        fa, fb = phis[i], phis[i + 1]
-        if fa == 0.0:
-            roots.append(a)
-            continue
-        if fa * fb < 0.0:
-            for _ in range(200):
-                mid = 0.5 * (a + b)
-                fm = G(mid) - mid
-                if fm == 0.0 or (b - a) < 1e-17:
-                    break
-                if fa * fm < 0.0:
-                    b, fb = mid, fm
-                else:
-                    a, fa = mid, fm
-            root = 0.5 * (a + b)
-            if abs(G(root) - root) <= max(tol, 1e-9):
-                roots.append(root)
-    if phis[-1] == 0.0:
-        roots.append(mus[-1])
-    # collapse near-duplicates from adjacent scan cells
-    out = []
-    for r in roots:
-        if not out or abs(r - out[-1]) > 1e-9 * max(1.0, hi):
-            out.append(r)
-    return out
-
-
 def solve_activity_implicit(model, grid, values, bracket=None, tol=1e-12,
                             max_iter=200, warm_start=None):
     """Solve the implicit activity m = int k(x, lam*m) f(x) dx for a
     density of mass approx 1.
 
-    Iterates the model's activity_map G.  Damped fixed-point iteration
-    first; on a stall, bisection over the bracket left by the last
-    oscillation, then a full scan of the bracket (default (0, k1]) that
-    reports every continuous root.  Zero roots means the model violates
-    its own bounds; several roots make the dynamics ambiguous and both
-    cases raise."""
+    Iterates the model's activity_map G from warm_start (default G(0)).
+    G is nondecreasing, so the iterates move monotonically toward a
+    root and never cross it.  If they have not settled within tol after
+    max_iter steps, a scan of the bracket (default (0, k1]) on a mesh of
+    model.activity_scan_size(grid) points reports every continuous
+    root.  Zero roots means the model violates its own bounds; several
+    roots make the dynamics ambiguous and both cases raise."""
     G = model.activity_map(grid, values)
     k1 = model.k1
     lo, hi = (0.0, k1) if bracket is None else map(float, bracket)
@@ -157,55 +120,18 @@ def solve_activity_implicit(model, grid, values, bracket=None, tol=1e-12,
 
     mu = G(0.0) if warm_start is None else float(warm_start)
     mu = min(max(mu, lo), hi)
-    prev_delta = None
-    osc_lo, osc_hi = None, None
     for it in range(1, max_iter + 1):
         target = G(mu)
-        delta = target - mu
-        if abs(delta) <= tol:
+        if abs(target - mu) <= tol:
             return ActivitySolution(m=mu, iterations=it, method="fixed-point")
-        if prev_delta is not None and delta * prev_delta < 0.0:
-            # oscillating: remember the straddle and damp the update
-            a, b = (mu, mu + delta) if delta > 0 else (mu + delta, mu)
-            osc_lo, osc_hi = a, b
-            mu = mu + 0.5 * delta
-        else:
-            mu = target
-        mu = min(max(mu, lo), hi)
-        prev_delta = delta
+        mu = min(max(target, lo), hi)
 
-    # stalled; try the oscillation bracket first
-    if osc_lo is not None:
-        a, b = osc_lo, osc_hi
-        fa, fb = G(a) - a, G(b) - b
-        if fa == 0.0:
-            return ActivitySolution(m=a, iterations=max_iter, method="bisect")
-        if fa * fb < 0.0:
-            for _ in range(200):
-                mid = 0.5 * (a + b)
-                fm = G(mid) - mid
-                if fm == 0.0:
-                    a = b = mid
-                    break
-                if fa * fm < 0.0:
-                    b, fb = mid, fm
-                else:
-                    a, fa = mid, fm
-            root = 0.5 * (a + b)
-            if abs(G(root) - root) <= max(tol, 1e-9):
-                return ActivitySolution(m=root, iterations=max_iter,
-                                        method="bisect")
-
-    # last resort: exhaustive scan, which also detects ambiguity
-    n_scan = 1024
-    if isinstance(model, StepRate):
-        lam = abs(model.lam)
-        modulus = model.sigma_modulus
-        if modulus is None:
-            modulus = (model.sigma_plus - model.sigma_minus) * model.decay
-        jumps = lam * modulus * k1 / grid.dx
-        n_scan = int(min(2e5, max(1024, 4.0 * jumps)))
-    roots = _continuous_roots(G, lo, hi, n_scan, tol)
+    # stalled: an exhaustive scan, which also detects ambiguity
+    roots = _roots.scan(
+        lambda mu: G(mu) - mu, lo, hi, model.activity_scan_size(grid),
+        max(tol, 1e-9), ModelInconsistencyError(
+            "activity map returned non-finite values during the root scan"),
+        width=1e-17)
     if not roots:
         raise ModelInconsistencyError(
             "no continuous solution of m = int k(x, lam*m) f dx in "
@@ -447,20 +373,11 @@ def stepper_equilibrium(model, grid, tol=1e-13):
         f = profile(m)
         return float(np.dot(model.rate(mids, m), f)) * dx - m
 
-    a, b = 0.0, model.k1
-    fa = phi(a)
+    fa = phi(0.0)
     if fa <= 0.0:
-        m_star = a
+        m_star = 0.0
     else:
-        for _ in range(200):
-            mid = 0.5 * (a + b)
-            fm = phi(mid)
-            if fm == 0.0 or (b - a) < tol * max(1.0, mid):
-                break
-            if fm > 0.0:
-                a = mid
-            else:
-                b = mid
+        a, b = _roots.bisect(phi, 0.0, model.k1, fa, width=tol)
         m_star = 0.5 * (a + b)
     F = profile(m_star)
     k_mid = np.asarray(model.rate(mids, m_star))

@@ -12,7 +12,9 @@ and bounded by k1.  k0 is the resting rate of an old neuron
 Each family computes its own closed forms behind one protocol: rate,
 cumulative K(x, mu) = int_0^x k, cumulative_over (K at one age for an
 array of activities), activity_map (mu -> int k(x, lam*mu) f dx on the
-midpoint mesh) and lipschitz_known (whether estimate_xi can trust xi).
+midpoint mesh), activity_scan_size (the mesh the implicit activity
+solve scans when its iteration stalls) and lipschitz_known (whether
+estimate_xi can trust xi).
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ import math
 from typing import Callable, Optional
 
 import numpy as np
+
+from . import _roots
 
 __all__ = [
     "ConstantRate",
@@ -95,6 +99,9 @@ class ConstantRate:
         total = self.k0 * float(np.sum(values)) * grid.dx
         return lambda mu: total
 
+    def activity_scan_size(self, grid):
+        return 1024
+
 
 @dataclasses.dataclass(frozen=True)
 class SmoothSaturatingRate:
@@ -152,6 +159,9 @@ class SmoothSaturatingRate:
         shape = -np.expm1(-grid.midpoints / self.x_scale)
         weight = float(np.dot(shape, values)) * grid.dx
         return lambda mu: self.gain(mu) * weight
+
+    def activity_scan_size(self, grid):
+        return 1024
 
 
 @dataclasses.dataclass(frozen=True)
@@ -235,6 +245,15 @@ class StepRate:
             return total - csum[idx]
         return G
 
+    def activity_scan_size(self, grid):
+        # about four mesh points per plateau of the staircase G, whose
+        # jumps come every dx / (lam * |sigma'|) in mu
+        modulus = self.sigma_modulus
+        if modulus is None:
+            modulus = (self.sigma_plus - self.sigma_minus) * self.decay
+        jumps = abs(self.lam) * modulus * self.k1 / grid.dx
+        return int(min(2e5, max(1024, 4.0 * jumps)))
+
 
 @dataclasses.dataclass(frozen=True)
 class RegimeEstimate:
@@ -253,32 +272,16 @@ class RegimeEstimate:
     lambda_strong: float
 
 
-def _xi_sampled(model, x_max, lo, hi, samples):
-    # Monotonicity in mu makes |k(., b) - k(., a)| single-signed, so the
-    # L1 difference collapses to |K(x_max, b) - K(x_max, a)|.
-    mus = np.linspace(lo, hi, samples)
-    kx = model.cumulative_over(x_max, mus)
-    dmu = mus[None, :] - mus[:, None]
-    dk = np.abs(kx[None, :] - kx[:, None])
-    pairs = dmu > 0.0                 # each pair i < j once: mus increase
-    return float(np.max(dk[pairs] / dmu[pairs]))
-
-
-def _contraction(model, lam, x_max, lo, hi, samples, f_inf_scale):
-    probe = dataclasses.replace(model, lam=lam)
-    xi = _xi_sampled(probe, x_max, lo, hi, samples)
-    return 2.0 * model.k1 * xi * (f_inf_scale + model.k1)
-
-
 def estimate_xi(model, x_max=10.0, mu_range=(0.0, 1.0), samples=33,
                 f_inf_scale=1.0, mu_inf=None, lam_cap=1e4):
     """Estimate the L1-in-age Lipschitz modulus of mu -> k(., lam*mu).
 
     xi is the largest sampled difference quotient
         |K(x_max, mu2) - K(x_max, mu1)| / |mu2 - mu1|
-    over all pairs drawn from mu_range (the integral is truncated at
-    the horizon x_max).  lambda_weak and lambda_strong are found by
-    bisection on the contraction factor
+    over adjacent samples of mu_range (the integral is truncated at
+    the horizon x_max); K is nondecreasing in mu, so a wider pair's
+    quotient is a weighted mean of adjacent ones.  lambda_weak and
+    lambda_strong are found by bisection on the contraction factor
         2 * k1 * xi(lam) * (f_inf_scale + k1) < 1,
     sampled over (0, mu_range[1]) for the weak side and over
     (mu_inf, k1) for the strong side (mu_inf defaults to k1/10).
@@ -292,48 +295,44 @@ def estimate_xi(model, x_max=10.0, mu_range=(0.0, 1.0), samples=33,
         # e.g. a custom threshold map with no declared modulus
         return RegimeEstimate(xi=math.inf, lambda_weak=0.0,
                               lambda_strong=math.inf)
-
-    xi = _xi_sampled(model, x_max, lo, hi, samples)
     k1 = model.k1
+    unit = dataclasses.replace(model, lam=1.0)
 
-    def weak_factor(lam):
-        return _contraction(model, lam, x_max, 0.0, hi, samples, f_inf_scale)
+    def xi_at(lam, mus):
+        # Monotonicity in mu makes |k(., b) - k(., a)| single-signed, so
+        # the L1 difference collapses to |K(x_max, b) - K(x_max, a)|.
+        kx = unit.cumulative_over(x_max, lam * mus)
+        return float(np.max(np.abs(np.diff(kx)) / np.diff(mus)))
 
-    if weak_factor(lam_cap) < 1.0:
+    def factor(lam, mus):
+        return 2.0 * k1 * xi_at(lam, mus) * (f_inf_scale + k1)
+
+    xi = xi_at(model.lam, np.linspace(lo, hi, samples))
+
+    weak_mus = np.linspace(0.0, hi, samples)
+    if factor(lam_cap, weak_mus) < 1.0:
         lambda_weak = math.inf
     else:
-        a, b = 0.0, lam_cap
-        for _ in range(60):
-            mid = 0.5 * (a + b)
-            if weak_factor(mid) < 1.0:
-                a = mid
-            else:
-                b = mid
-        lambda_weak = a
+        # the width of 60 halvings of [0, lam_cap], 1e-14 at the
+        # default cap; the 1.5 keeps rounding from adding or dropping one
+        lambda_weak, _ = _roots.bisect(
+            lambda lam: -1.0 if factor(lam, weak_mus) < 1.0 else 1.0,
+            0.0, lam_cap, -1.0, width=1.5 * lam_cap * 2.0 ** -60)
 
     m_inf = (k1 / 10.0) if mu_inf is None else float(mu_inf)
-    hi_strong = k1 if k1 > m_inf else 2.0 * m_inf
-
-    def strong_factor(lam):
-        return _contraction(model, lam, x_max, m_inf, hi_strong, samples,
-                            f_inf_scale)
-
+    strong_mus = np.linspace(m_inf, k1 if k1 > m_inf else 2.0 * m_inf,
+                             samples)
     lams = np.geomspace(1e-3, lam_cap, 49)
-    facs = np.array([strong_factor(l) for l in lams])
+    facs = np.array([factor(l, strong_mus) for l in lams])
     if np.all(facs < 1.0):
         lambda_strong = 0.0
     elif facs[-1] >= 1.0:
         lambda_strong = math.inf
     else:
         j = int(np.max(np.nonzero(facs >= 1.0)[0]))
-        a, b = lams[j], lams[j + 1]
-        for _ in range(60):
-            mid = 0.5 * (a + b)
-            if strong_factor(mid) >= 1.0:
-                a = mid
-            else:
-                b = mid
-        lambda_strong = b
+        _, lambda_strong = _roots.bisect(
+            lambda lam: -1.0 if factor(lam, strong_mus) < 1.0 else 1.0,
+            lams[j], lams[j + 1], 1.0)
 
     return RegimeEstimate(xi=float(xi), lambda_weak=float(lambda_weak),
                           lambda_strong=float(lambda_strong))
@@ -348,14 +347,9 @@ def _rising_threshold(fn, target, x_cap=1e6):
         hi *= 2.0
         if hi > x_cap:
             raise ValueError("rate never reaches the requested level")
-    lo = 0.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if fn(mid) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    # a sign, not fn - target: fn may sit on target over several floats
+    return _roots.bisect(lambda x: 1.0 if fn(x) >= target else -1.0,
+                         0.0, hi, -1.0)[1]
 
 
 def half_rate_age(model):

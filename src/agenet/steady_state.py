@@ -15,6 +15,7 @@ import warnings
 
 import numpy as np
 
+from . import _roots
 from .errors import BracketError
 
 __all__ = ["SteadyState", "ScanRow", "solve_steady_state", "regime_scan"]
@@ -59,56 +60,26 @@ def _normalization_residual(model, grid, M):
     return M * (float(cell_int.sum()) + tail) - 1.0
 
 
-def _bisect_root(g, a, b, ga, gb):
-    if ga == 0.0:
-        return a
-    if gb == 0.0:
-        return b
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        gm = g(mid)
-        if gm == 0.0 or (b - a) < 1e-16 * max(1.0, abs(mid)):
-            return mid
-        if (ga < 0.0) == (gm < 0.0):
-            a, ga = mid, gm
-        else:
-            b, gb = mid, gm
-    return 0.5 * (a + b)
-
-
-def _scan_roots(g, lo, hi, scan_points, tol):
-    """All continuous roots of g on [lo, hi] found by a stride scan."""
-    Ms = np.linspace(lo, hi, scan_points + 1)
-    gs = np.array([g(M) for M in Ms])
-    if not np.all(np.isfinite(gs)):
-        raise BracketError("normalization integral diverges on the bracket; "
-                           "the rate may vanish at the horizon")
-    roots = []
-    for i in range(scan_points):
-        if gs[i] == 0.0:
-            roots.append(float(Ms[i]))
-        elif gs[i] * gs[i + 1] < 0.0:
-            root = _bisect_root(g, float(Ms[i]), float(Ms[i + 1]),
-                                float(gs[i]), float(gs[i + 1]))
-            if abs(g(root)) <= tol:
-                roots.append(root)
-    # a root can sit exactly on the upper endpoint (M = k1 for a
-    # constant rate); rounding then hides the sign change
-    if abs(gs[-1]) <= tol and (
-            not roots or hi - roots[-1] > (hi - lo) / scan_points):
-        roots.append(float(Ms[-1]))
-    return roots
+def _stationary_roots(model, grid, lo, hi, scan_points, tol):
+    """Every root of the normalization residual on [lo, hi], found on
+    a mesh of scan_points cells."""
+    return _roots.scan(
+        lambda M: _normalization_residual(model, grid, M), lo, hi,
+        scan_points + 1, tol, BracketError(
+            "normalization integral diverges on the bracket; the rate "
+            "may vanish at the horizon"), width=1e-16)
 
 
 def solve_steady_state(model, grid, bracket=None, tol=1e-12, scan_points=200):
     """Solve for the stationary pair (F, M) on the given grid.
 
-    Bisection on g(M) = M * int exp(-K(x, lam*M)) dx - 1 over the
-    bracket (default (1e-6, k1]; the stationary activity can never
-    exceed k1).  Bisection rather than Newton because K is not
-    differentiable in M for step rates.  A coarse pre-scan detects
-    multiple roots; when several exist a warning lists them all and
-    the smallest is returned.
+    Roots of g(M) = M * int exp(-K(x, lam*M)) dx - 1 over the bracket
+    (default (1e-6, k1]; the stationary activity can never exceed k1):
+    g is sampled on scan_points cells and each sign change is bisected
+    until its ends are adjacent floats or 1e-16 apart.  Bisection
+    rather than Newton because K is not differentiable in M for step
+    rates.  The scan finds every root; when several exist a warning
+    lists them all and the smallest is returned.
     """
     if bracket is None:
         bracket = (1e-6, model.k1)
@@ -120,10 +91,7 @@ def solve_steady_state(model, grid, bracket=None, tol=1e-12, scan_points=200):
     if tol <= 0.0:
         raise ValueError("tol must be positive")
 
-    def g(M):
-        return _normalization_residual(model, grid, M)
-
-    roots = _scan_roots(g, lo, hi, scan_points, tol)
+    roots = _stationary_roots(model, grid, lo, hi, scan_points, tol)
     if not roots:
         raise BracketError(
             f"no sign change of the normalization residual on "
@@ -178,9 +146,8 @@ def regime_scan(model, lambdas, grid, bracket=None, tol=1e-12,
 
     rows = []
     for lam in lambdas:
-        probe = dataclasses.replace(model, lam=lam)
-        roots = _scan_roots(lambda M: _normalization_residual(probe, grid, M),
-                            lo, hi, scan_points, tol)
+        roots = _stationary_roots(dataclasses.replace(model, lam=lam), grid,
+                                  lo, hi, scan_points, tol)
         rows.append(ScanRow(lam=lam, roots=tuple(roots),
                             unique=len(roots) == 1))
     return rows

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from agenet import ConfigError, DelayKernel, DischargeHistory, convolve
+from agenet import ConfigError, DelayKernel, DischargeHistory
 
 
 def test_dirac_kernel():
@@ -117,25 +117,17 @@ def test_discharge_history():
         DischargeHistory(np.ones((2, 2)), dt=0.1)
 
 
-def test_convolve_constant_history_is_exact():
+def test_weights_convolve_constant_history_exactly():
+    # m = weights @ history.lagged(weights.size) is how run() applies a
+    # delay kernel
     k = DelayKernel.exponential(theta=2.0)
     dt = 0.01
     _, w = k.weights(dt)
     h = DischargeHistory.constant(0.7, w.size, dt)
     # the weights sum to exactly 1, so a constant history convolves to
     # the constant with no mesh error at all
-    assert convolve(k, h) == 0.7
-
-
-def test_convolve_dirac_reads_current():
-    h = DischargeHistory(np.array([0.3, 0.9]), dt=0.1)
-    assert convolve(DelayKernel.dirac(), h) == 0.3
-
-
-def test_convolve_weighs_recent_history_more():
-    k = DelayKernel.exponential(theta=2.0)
-    dt = 0.05
-    _, w = k.weights(dt)
+    assert w @ h.lagged(w.size) == 0.7
+    # and recent discharges weigh more than old ones
     ramp_up = DischargeHistory(np.linspace(1.0, 0.0, w.size), dt)
     ramp_down = DischargeHistory(np.linspace(0.0, 1.0, w.size), dt)
-    assert convolve(k, ramp_up) > convolve(k, ramp_down)
+    assert w @ ramp_up.lagged(w.size) > w @ ramp_down.lagged(w.size)

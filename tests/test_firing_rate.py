@@ -275,6 +275,20 @@ def test_activity_map_matches_generic_quadrature(model):
             assert G(mu) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
+def test_activity_scan_size():
+    grid = AgeGrid(dx=1.0 / 128.0, n_cells=1280)
+    assert ConstantRate(k0=2.0, lam=3.0).activity_scan_size(grid) == 1024
+    assert SmoothSaturatingRate(k0=0.5, k1=2.0, lam=3.0) \
+        .activity_scan_size(grid) == 1024
+    # four points per staircase jump, lam * |sigma'| * k1 / dx jumps,
+    # clamped to [1024, 2e5]
+    assert StepRate(lam=0.5).activity_scan_size(grid) == 1024
+    assert StepRate(lam=20.0).activity_scan_size(grid) == 4 * 640
+    assert StepRate(lam=20.0, sigma=lambda u: 0.3, sigma_modulus=3.0) \
+        .activity_scan_size(grid) == 4 * 7680
+    assert StepRate(lam=1e4).activity_scan_size(grid) == 200_000
+
+
 @pytest.mark.parametrize("model", FAMILIES, ids=FAMILY_IDS)
 def test_cumulative_over_validation(model):
     with pytest.raises(ValueError, match="age"):

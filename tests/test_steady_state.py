@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate, optimize
 
 from agenet import (AgeGrid, BracketError, ConstantRate, SmoothSaturatingRate,
-                    StepRate, regime_scan, solve_steady_state)
+                    StepRate, regime_scan, solve_steady_state, steady_state)
 
 
 def _grid(dx=1e-3, x_max=10.0):
@@ -70,6 +70,23 @@ def test_smooth_rate_against_continuum_root():
             epsabs=1e-12, epsrel=1e-12, limit=200)[0] - 1.0,
         1e-6, 2.0, xtol=1e-13)
     assert abs(ss0.M - ref0) < 1e-6
+
+
+def test_smooth_solve_needs_few_residual_evaluations(monkeypatch):
+    # 201 scan points, then bisection of the one sign change until its
+    # ends are adjacent floats (about 50 halvings), then one check.  At
+    # this coupling the residual never hits an exact zero near M, and
+    # a bisection that ran on after its ends met took 402.
+    calls = []
+    residual = steady_state._normalization_residual
+
+    def counted(model, grid, M):
+        calls.append(M)
+        return residual(model, grid, M)
+    monkeypatch.setattr(steady_state, "_normalization_residual", counted)
+    model = SmoothSaturatingRate(k0=0.5, k1=2.0, lam=0.5)
+    solve_steady_state(model, _grid(dx=1e-3))
+    assert 201 < len(calls) <= 260
 
 
 def test_profile_is_a_probability_density():
