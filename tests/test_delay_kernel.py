@@ -117,7 +117,7 @@ def test_discharge_history():
         DischargeHistory(np.ones((2, 2)), dt=0.1)
 
 
-def test_weights_convolve_constant_history_exactly():
+def test_convolve_constant_history_is_exact():
     # m = weights @ history.lagged(weights.size) is how run() applies a
     # delay kernel
     k = DelayKernel.exponential(theta=2.0)
@@ -127,7 +127,13 @@ def test_weights_convolve_constant_history_exactly():
     # the weights sum to exactly 1, so a constant history convolves to
     # the constant with no mesh error at all
     assert w @ h.lagged(w.size) == 0.7
-    # and recent discharges weigh more than old ones
+
+
+def test_convolve_weighs_recent_history_more():
+    k = DelayKernel.exponential(theta=2.0)
+    dt = 0.01
+    _, w = k.weights(dt)
+    # lagged() returns the newest discharge first
     ramp_up = DischargeHistory(np.linspace(1.0, 0.0, w.size), dt)
     ramp_down = DischargeHistory(np.linspace(0.0, 1.0, w.size), dt)
     assert w @ ramp_up.lagged(w.size) > w @ ramp_down.lagged(w.size)
