@@ -24,12 +24,11 @@ lambdas = [0.0, 0.2, 0.5, 0.8, 1.0, 1.5, 2.0]
 rows = regime_scan(base, lambdas, grid)
 
 print(f"{'lam':>5}  {'M':>9}  {'threshold':>9}  {'gap':>8}  unique")
-spec_grid = AgeGrid(dx=0.01, n_cells=800)
 for row in rows:
     model = dataclasses.replace(base, lam=row.lam)
     M = row.roots[0]
-    ss = solve_steady_state(model, spec_grid)
-    gap = spectrum(build_generator(model, spec_grid, ss)).gap
+    ss = solve_steady_state(model, grid)
+    gap = spectrum(build_generator(model, grid, ss)).gap
     print(f"{row.lam:5.2f}  {M:9.6f}  {model.threshold(M):9.6f}  "
           f"{gap:8.4f}  {'yes' if row.unique else 'NO'}")
 

@@ -3,7 +3,7 @@ integration on exact characteristics, and linear stability analysis."""
 
 from .errors import (AmbiguousActivityError, BracketError, ConfigError,
                      DegenerateInputError, InvariantViolationError,
-                     ModelInconsistencyError)
+                     ModelInconsistencyError, SpectrumCountError)
 from .firing_rate import (ConstantRate, RegimeEstimate, SmoothSaturatingRate,
                           StepRate, estimate_xi, half_rate_age,
                           moment_tail_constant, weight_threshold_age)
@@ -35,5 +35,5 @@ __all__ = [
     "build_delay_system", "delay_spectrum", "activity_readout",
     "ConfigError", "BracketError", "AmbiguousActivityError",
     "ModelInconsistencyError", "InvariantViolationError",
-    "DegenerateInputError",
+    "DegenerateInputError", "SpectrumCountError",
 ]

@@ -5,7 +5,7 @@ measured numbers: conservation, closed-form steady states, density
 and activity bounds, the linear spectral gap, nonlinear relaxation in
 the weak regime, delay/no-delay agreement, first-order grid
 convergence, and the implicit-activity contract.  Heavy intermediates
-(long runs, dense spectra) are cached so `agenet accept` and the test
+(the long relaxation runs) are cached so `agenet accept` and the test
 suite can share them within one process.
 
 Every tolerance here is fixed; a failing criterion prints its numbers
@@ -86,8 +86,8 @@ def _weak_step_material():
 
     The trace is measured against the discrete stepper equilibrium, the
     profile the scheme actually relaxes to; the spectral gap comes from
-    the generator on a coarser mesh that keeps the dense eigensolve
-    within desk scale.
+    the generator on the 5e-3 mesh this criterion has always used, so
+    its printed line stays comparable across versions.
     """
     model = StepRate(sigma_plus=0.5, sigma_minus=0.25, lam=0.05)
     grid = _grid()

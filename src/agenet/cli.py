@@ -1,8 +1,9 @@
 """Command-line front end: one JSON config per run, CSV out.
 
-Exit codes: 0 on success, 1 for usage or config problems, 2 when a
-running invariant of the scheme fails, 3 when the activity solver
-finds no root or several.  All CSV floats are written with 12
+Exit codes: 0 on success, 1 for usage or config problems and for
+numerical failures (no bracket, a spectrum that cannot be certified),
+2 when a running invariant of the scheme fails, 3 when the activity
+solver finds no root or several.  All CSV floats are written with 12
 significant digits and no wall-clock data, so identical configs give
 byte-identical files.
 """
@@ -22,7 +23,7 @@ import numpy as np
 from .delay_kernel import DelayKernel
 from .errors import (AmbiguousActivityError, BracketError, ConfigError,
                      DegenerateInputError, InvariantViolationError,
-                     ModelInconsistencyError)
+                     ModelInconsistencyError, SpectrumCountError)
 from .evolution import (SimulationConfig, decay_fit, run,
                         stepper_equilibrium)
 from .firing_rate import (ConstantRate, SmoothSaturatingRate, StepRate,
@@ -35,7 +36,6 @@ from .steady_state import regime_scan, solve_steady_state
 __all__ = ["RunConfig", "parse_config", "default_config", "main"]
 
 _PRESETS = ("uniform01", "exp2", "spike")
-_SPECTRUM_CELL_CAP = 4000
 
 _MODEL_DEFAULTS = {
     "constant": {"k0": 1.0, "lambda": 0.0},
@@ -444,28 +444,13 @@ def _cmd_spectrum(args):
     grid = cfg.grid
     ss = solve_steady_state(cfg.model, grid)
     if cfg.kernel.is_dirac:
-        n_total = grid.n_cells
-        if n_total > _SPECTRUM_CELL_CAP:
-            raise ConfigError([
-                f"grid: {n_total} cells exceeds the dense-eigensolve cap "
-                f"({_SPECTRUM_CELL_CAP}); raise grid.dx for spectra"])
         rep = spectrum(build_generator(cfg.model, grid, ss))
-        kernel_x = grid.midpoints
-        kernel_v = rep.kernel_vector
     else:
         horizon = cfg.kernel.memory_horizon()
         n_lag = int(math.ceil(horizon / grid.dx))
         y_grid = AgeGrid(dx=grid.dx, n_cells=n_lag)
-        n_total = grid.n_cells + n_lag
-        if n_total > _SPECTRUM_CELL_CAP:
-            raise ConfigError([
-                f"grid: {grid.n_cells} age cells plus {n_lag} lag cells "
-                f"exceed the dense-eigensolve cap ({_SPECTRUM_CELL_CAP}); "
-                "raise grid.dx for spectra"])
         system = build_delay_system(cfg.model, grid, ss, cfg.kernel, y_grid)
         rep = delay_spectrum(system)
-        kernel_x = grid.midpoints
-        kernel_v = rep.kernel_vector[:grid.n_cells]
         print(f"lag transport eigenvalue = {_fmt(rep.lag_eigenvalue)}")
         print(f"age-block gap = {_fmt(rep.age_gap)}")
     print(f"eigenvalue nearest 0: {_fmt(rep.zero_eigenvalue.real)} + "
@@ -477,7 +462,8 @@ def _cmd_spectrum(args):
         _write_csv(args.eigs_out, ["re", "im"], rows)
         print(f"wrote {args.eigs_out}: {len(rows)} eigenvalues")
     if args.kernel_out:
-        rows = [[_fmt(x), _fmt(v)] for x, v in zip(kernel_x, kernel_v)]
+        age_block = rep.kernel_vector[:grid.n_cells]
+        rows = [[_fmt(x), _fmt(v)] for x, v in zip(grid.midpoints, age_block)]
         _write_csv(args.kernel_out, ["x", "v"], rows)
         print(f"wrote {args.kernel_out}: {len(rows)} cells")
     return 0
@@ -497,12 +483,8 @@ def _sweep_row(cfg, scan_row):
         row["M"] = scan_row.roots[0]
         row["xi"] = estimate_xi(model).xi
 
-        x_max = cfg.grid.x_max
-        n_spec = min(cfg.grid.n_cells, 2000)
-        spec_grid = AgeGrid(dx=x_max / n_spec, n_cells=n_spec)
-        ss = solve_steady_state(model, spec_grid)
-        rep = spectrum(build_generator(model, spec_grid, ss))
-        row["gap"] = rep.gap
+        ss = solve_steady_state(model, cfg.grid)
+        row["gap"] = spectrum(build_generator(model, cfg.grid, ss)).gap
 
         equilibrium = stepper_equilibrium(model, cfg.grid)
         sim = dataclasses.replace(cfg.simulation_config(), model=model)
@@ -520,7 +502,7 @@ def _sweep_row(cfg, scan_row):
         row["status"] = "no-root"
     except InvariantViolationError:
         row["status"] = "invariant-violation"
-    except (DegenerateInputError, ValueError):
+    except (DegenerateInputError, ValueError, SpectrumCountError):
         row["status"] = "error"
     return row
 
@@ -619,10 +601,10 @@ def _build_parser():
     p.add_argument("--config", required=True, help="JSON run config")
     p.add_argument("--out", help="profile CSV path (x, F)")
 
-    p = sub.add_parser("spectrum", help="dense spectrum of the "
+    p = sub.add_parser("spectrum", help="leading spectrum of the "
                        "linearization at the steady state")
     p.add_argument("--config", required=True, help="JSON run config")
-    p.add_argument("--eigs-out", help="eigenvalue CSV path (re, im)")
+    p.add_argument("--eigs-out", help="leading-eigenvalue CSV path (re, im)")
     p.add_argument("--kernel-out", help="zero-mode CSV path (x, v)")
 
     p = sub.add_parser("sweep", help="per-coupling summary over "
@@ -672,7 +654,7 @@ def main(argv=None):
     except (AmbiguousActivityError, ModelInconsistencyError) as exc:
         print(f"activity solver: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, BracketError, OSError) as exc:
+    except (ValueError, BracketError, SpectrumCountError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -180,10 +180,6 @@ class DischargeHistory:
     def __len__(self):
         return self._buf.size
 
-    @property
-    def current(self):
-        return float(self._buf[0])
-
     def push(self, p):
         self._buf[1:] = self._buf[:-1]
         self._buf[0] = p

@@ -37,3 +37,10 @@ class InvariantViolationError(RuntimeError):
 
 class DegenerateInputError(ValueError):
     """Initial data outside the admissible class for the requested run."""
+
+
+class SpectrumCountError(RuntimeError):
+    """The roots of the renewal characteristic function located right of
+    a line do not add up to the argument-principle count there, so the
+    leading modes are not certified.  It means a root could not be
+    isolated or polished, e.g. a multiple or nearly multiple mode."""

@@ -1,22 +1,48 @@
 """Linearized dynamics around a stationary profile.
 
-The generator acts on cell averages with upwind transport at speed 1,
+The linearized generator freezes the rates at the stationary activity
+M: it acts on cell averages with upwind transport at speed 1,
 absorption at the frozen rates k(x, lam*M), and a boundary row that
 books every absorbed or advected unit of mass back into the youngest
-cell.  Columns then sum to zero exactly, so the generator conserves
+cell.  The feedback of the activity on the rates (the d_m k term) is
+left out.  Columns sum to zero exactly, so the generator conserves
 mass and 0 is one of its eigenvalues, mirroring the conservation law
 of the flow itself.
+
+The generator is A = L + e0 c^T: L is lower bidiagonal (diagonal
+-1/dx - k_j, subdiagonal 1/dx) and c is the boundary row (the rates,
+plus 1/dx in the last cell for mass advected past the age horizon).
+By the matrix determinant lemma its eigenvalues are the roots of the
+renewal characteristic function
+
+    chi(lam) = 1 - c^T (lam - L)^{-1} e0,
+
+and (lam - L)^{-1} e0 is one cumulative product, so chi costs O(n).
+Its only poles are -1/dx - k_j, left of every line searched here, and
+chi -> 1 as |Im lam| grows.  `spectrum` therefore runs no eigensolver:
+
+- it counts the roots with Re > sigma by the argument principle along
+  the line Re = sigma, in steps limited by |chi|/|chi'| over which
+  arg chi turns by less than pi/4;
+- it takes the real roots from a sign scan of chi on [sigma, 0), and
+  the complex ones from argument-principle rectangles, bisected until
+  each holds one root, which Newton's iteration then polishes;
+- it raises SpectrumCountError when the roots it located do not add
+  up to the count, so a report always holds certified modes.
 """
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
+import math
 import warnings
 
 import numpy as np
-from scipy import linalg
+from scipy import sparse
 
-from .errors import ConfigError
+from . import _roots
+from .errors import ConfigError, SpectrumCountError
 from .grid import AgeGrid
 
 __all__ = [
@@ -25,10 +51,26 @@ __all__ = [
     "build_delay_system", "delay_spectrum", "activity_readout",
 ]
 
+_SIGMA_STEP = 0.5       # each count line sits this far left of the last
+_MAX_GROWTH = 20.0      # largest log |v_j| on a count line: bounds the
+                        # rounding error of chi by about 1e-16 * e^20
+_THETA = 0.3            # first-order relative change of chi per step
+_MAX_TURN = math.pi / 4  # largest turn of arg chi accepted in a step
+_TAIL = 0.5             # past sum_j |c_j v_j| < _TAIL, chi cannot wind
+_ETA = 1e-6             # the rectangles start this far above the axis;
+                        # a pair closer to it fails the count check
+_REAL_MESH = 128        # sign-scan cells on [sigma, 0)
+
 
 @dataclasses.dataclass(frozen=True)
 class GeneratorMatrix:
-    A: np.ndarray
+    """The linearized generator at the stationary pair (F, M), with the
+    rates frozen at k(x, lam*M).  Its structure takes O(n) memory: the
+    rates and the grid's dx fix L and the boundary row c (the rates
+    plus 1/dx in the last cell); `A` is the same operator assembled as
+    a scipy.sparse matrix."""
+
+    A: sparse.csr_matrix
     grid: AgeGrid
     lam: float
     M: float
@@ -38,8 +80,20 @@ class GeneratorMatrix:
 
 @dataclasses.dataclass(frozen=True)
 class SpectrumReport:
-    eigenvalues: np.ndarray   # sorted by descending real part
-    zero_eigenvalue: complex  # the eigenvalue closest to 0
+    """The leading modes of a linearized generator.
+
+    `eigenvalues` holds the k_eigs modes of largest real part, sorted
+    by descending real part with conjugate pairs kept whole (so one
+    more when the last pair would split), or every mode right of the
+    search floor when there are fewer.  They are certified: a
+    half-plane count by the argument principle says how many modes lie
+    right of the line the search stopped at, and all of them were
+    located.  The zero eigenvalue is exact, and `gap` is the largest
+    real part among the other modes (negative for a stable profile).
+    """
+
+    eigenvalues: np.ndarray   # leading modes, by descending real part
+    zero_eigenvalue: complex  # the conservation mode, exactly 0
     gap: float                # largest real part among the others
     kernel_vector: np.ndarray  # zero-mode eigenvector, unit L1 mass
     kernel_match: float       # L1 distance to the stationary profile
@@ -47,7 +101,11 @@ class SpectrumReport:
 
 @dataclasses.dataclass(frozen=True)
 class DelaySystem:
-    A: np.ndarray
+    """The delay block system [[A, 0], [B, T]] (see build_delay_system),
+    assembled as a scipy.sparse matrix, with the age block's frozen
+    rates and grid, from which delay_spectrum works."""
+
+    A: sparse.csr_matrix
     n_age: int
     n_lag: int
     dy: float
@@ -61,6 +119,10 @@ class DelaySystem:
 
 @dataclasses.dataclass(frozen=True)
 class DelaySpectrumReport:
+    """The leading modes of a delay block system: those of the age
+    block, certified as in SpectrumReport, merged with the lag
+    transport mode -1/dy when it ranks among them."""
+
     eigenvalues: np.ndarray
     zero_eigenvalue: complex
     gap: float
@@ -70,8 +132,27 @@ class DelaySpectrumReport:
     age_gap: float
 
 
+def _boundary_row(rates, dx):
+    c = np.array(rates, dtype=float)
+    c[-1] += 1.0 / dx
+    return c
+
+
+def _bidiagonal(diagonal, sub):
+    n = diagonal.size
+    return sparse.diags([diagonal, np.full(n - 1, sub)], [0, -1],
+                        format="csr")
+
+
+def _first_row(values, n):
+    return sparse.csr_matrix(
+        (values, (np.zeros(values.size, dtype=int), np.arange(values.size))),
+        shape=(n, values.size))
+
+
 def build_generator(model, grid, steady):
-    """Generator matrix at the stationary pair (F, M).
+    """Linearized generator at the stationary pair (F, M), the rates
+    frozen at k(x, lam*M).
 
     Stencil per column j: 1/dx to cell j+1 (transport), -1/dx - k_j on
     the diagonal, k_j added to row 0 (the discharge functional feeding
@@ -85,58 +166,361 @@ def build_generator(model, grid, steady):
     k = np.asarray(model.rate(grid.midpoints, steady.M), dtype=float)
     n = grid.n_cells
     dx = grid.dx
-    A = np.zeros((n, n))
-    idx = np.arange(n)
-    A[idx, idx] = -1.0 / dx - k
-    A[idx[1:], idx[:-1]] = 1.0 / dx
-    A[0, :] += k
-    A[0, -1] += 1.0 / dx
+    A = _bidiagonal(-1.0 / dx - k, 1.0 / dx) \
+        + _first_row(_boundary_row(k, dx), n)
     return GeneratorMatrix(A=A, grid=grid, lam=float(model.lam),
                            M=float(steady.M), F=np.array(steady.F),
                            rates=k)
 
 
-def _eig_sorted(A):
-    w, V = linalg.eig(A)
-    order = np.lexsort((np.abs(w.imag), -w.real))
-    return w[order], V[:, order]
+# ---------------------------------------------------------------------------
+# the renewal characteristic function and its roots
+
+class _OnPath(Exception):
+    """chi nearly vanishes on a path, so arg chi is not defined there."""
 
 
-def _kernel_vector(w, V, dx, n_norm=None):
-    """Eigenvector for the eigenvalue nearest 0, phase-fixed to be real
-    and scaled to unit L1 mass (positive orientation) over its first
-    n_norm entries."""
-    i0 = int(np.argmin(np.abs(w)))
-    v = V[:, i0]
-    pivot = v[np.argmax(np.abs(v))]
-    v = (v / pivot).real
-    head = v if n_norm is None else v[:n_norm]
-    mass = float(head.sum()) * dx
-    if mass < 0.0:
-        v = -v
-        mass = -mass
-    if mass == 0.0:
-        raise ValueError("kernel eigenvector carries no mass")
-    return i0, v / mass
+class _Chi:
+    """chi(lam) = 1 - sum_j c_j v_j(lam) with v = (lam - L)^{-1} e0,
+    that is v_j = dx prod_{i<=j} 1/(1 + dx (lam + k_i))."""
+
+    def __init__(self, rates, dx):
+        self.one_dxk = 1.0 + dx * rates
+        self.dx = dx
+        self.cdx = _boundary_row(rates, dx) * dx
+
+    def at(self, z):
+        """chi(z), chi'(z) and the tail bound sum_j |c_j v_j(z)|, which
+        only falls as Re z or |Im z| grows."""
+        r = 1.0 / (self.one_dxk + self.dx * z)
+        cv = self.cdx * np.cumprod(r)
+        return (complex(1.0 - cv.sum()),
+                complex(self.dx * (cv @ np.cumsum(r))),
+                float(np.abs(cv).sum()))
+
+    def reaches(self, sigma):
+        """Whether a count line at Re = sigma lies right of every pole
+        and meets no |v_j| above e^_MAX_GROWTH (the largest are on the
+        real axis)."""
+        d = self.one_dxk + self.dx * sigma
+        return bool(np.all(d > 0.0)) \
+            and float(np.max(-np.cumsum(np.log(d)))) <= _MAX_GROWTH
 
 
-def spectrum(gen, k_eigs=None):
-    """Dense eigendecomposition of the generator.
+class _Path:
+    """arg chi along a horizontal or vertical segment, as a continuous
+    function of the moving coordinate s in [lo, hi].
 
-    Reports the eigenvalues sorted by descending real part (all of
-    them, or the k_eigs leading ones), the one nearest 0, the spectral
-    gap (largest real part among the remaining modes, negative for a
-    stable profile), the zero-mode eigenvector normalized as a density,
-    and its L1 distance to the stationary profile."""
-    w, V = _eig_sorted(gen.A)
-    i0, v = _kernel_vector(w, V, gen.grid.dx)
-    rest = np.delete(w, i0)
-    gap = float(np.max(rest.real)) if rest.size else float("-inf")
-    F_unit = gen.F / (float(gen.F.sum()) * gen.grid.dx)
-    match = gen.grid.l1_distance(v, F_unit)
-    eigs = w if k_eigs is None else w[:int(k_eigs)]
-    return SpectrumReport(eigenvalues=eigs, zero_eigenvalue=complex(w[i0]),
-                          gap=gap, kernel_vector=v, kernel_match=match)
+    The segment is walked in steps h = _THETA |chi|/|chi'|, halved
+    until arg chi turns by at most _MAX_TURN and |chi| changes by at
+    most half.  With hi None the walk goes on until the tail bound
+    drops below _TAIL, where |chi - 1| < 1/2 from there on, and hi is
+    where it stopped.  An unwalked path (walk=False) lies where the
+    tail bound is below _TAIL throughout, so the principal arg is the
+    continuous one.
+    """
+
+    def __init__(self, chi, fixed, lo, hi, vertical, walk=True):
+        self.chi, self.fixed, self.vertical = chi, fixed, vertical
+        self.hi = hi
+        self.s = None
+        if not walk:
+            return
+        s = lo
+        f, df, tail = chi.at(self.point(s))
+        if f == 0.0:
+            raise _OnPath
+        ss, fs, args = [s], [f], [cmath.phase(f)]
+        while (tail >= _TAIL) if hi is None else (s < hi):
+            h = _THETA * abs(f) / abs(df) if df else math.inf
+            h = min(h, max(1.0, s - lo)) if hi is None else min(h, hi - s)
+            while True:
+                if h <= 1e-12 * max(1.0, abs(self.point(s))):
+                    raise _OnPath
+                s_next = s + h if hi is None or s + h < hi else hi
+                g, dg, tail_g = chi.at(self.point(s_next))
+                q = g / f
+                turn = cmath.phase(q)
+                if abs(turn) <= _MAX_TURN and abs(q - 1.0) <= 0.5:
+                    break
+                h *= 0.5
+            s, f, df, tail = s_next, g, dg, tail_g
+            ss.append(s)
+            fs.append(f)
+            args.append(args[-1] + turn)
+        self.hi = s
+        self.s, self.f, self.args = np.array(ss), fs, args
+
+    def point(self, s):
+        return complex(self.fixed, s) if self.vertical \
+            else complex(s, self.fixed)
+
+    def phase(self, s):
+        """The continuous arg chi at coordinate s."""
+        if self.s is not None and s == self.s[-1]:
+            return self.args[-1]
+        f = self.chi.at(self.point(s))[0]
+        if self.s is None:
+            return cmath.phase(f)
+        i = int(np.searchsorted(self.s, s, side="right")) - 1
+        return self.args[i] + cmath.phase(f / self.f[i])
+
+
+@dataclasses.dataclass(frozen=True)
+class _Box:
+    """The rectangle [x0, x1] x [y0, y1] and the paths its sides lie on."""
+
+    x0: float
+    x1: float
+    y0: float
+    y1: float
+    bottom: _Path
+    right: _Path
+    top: _Path
+    left: _Path
+
+    def winding(self):
+        """The number of roots of chi inside, by the argument principle."""
+        turns = (self.bottom.phase(self.x1) - self.bottom.phase(self.x0)
+                 + self.right.phase(self.y1) - self.right.phase(self.y0)
+                 - self.top.phase(self.x1) + self.top.phase(self.x0)
+                 - self.left.phase(self.y1) + self.left.phase(self.y0))
+        n = round(turns / (2.0 * math.pi))
+        if abs(turns - 2.0 * math.pi * n) > 0.5 or n < 0:
+            raise SpectrumCountError(
+                f"arg chi turns by {turns:.6g} around the rectangle "
+                f"[{self.x0:.6g}, {self.x1:.6g}] x [{self.y0:.6g}, "
+                f"{self.y1:.6g}], not a whole number of times")
+        return n
+
+    def holds(self, z):
+        pad = 1e-9 * max(1.0, abs(z))
+        return (self.x0 - pad <= z.real <= self.x1 + pad
+                and self.y0 - pad <= z.imag <= self.y1 + pad)
+
+    def split(self, chi):
+        """The two halves across the longer side.  The cut moves off the
+        middle when a root sits on it."""
+        w, h = self.x1 - self.x0, self.y1 - self.y0
+        for share in (0.5, 0.4, 0.6, 0.3, 0.7):
+            try:
+                if h >= w:
+                    ym = self.y0 + share * h
+                    cut = _Path(chi, ym, self.x0, self.x1, vertical=False)
+                    return (dataclasses.replace(self, y1=ym, top=cut),
+                            dataclasses.replace(self, y0=ym, bottom=cut))
+                xm = self.x0 + share * w
+                cut = _Path(chi, xm, self.y0, self.y1, vertical=True)
+                return (dataclasses.replace(self, x1=xm, right=cut),
+                        dataclasses.replace(self, x0=xm, left=cut))
+            except _OnPath:
+                continue
+        raise SpectrumCountError(
+            f"roots of chi sit on every cut tried across [{self.x0:.6g}, "
+            f"{self.x1:.6g}] x [{self.y0:.6g}, {self.y1:.6g}]")
+
+
+def _newton(chi, box):
+    """Newton's iteration on chi from the middle of the box: the root it
+    settles on, or None when it leaves the box or does not settle.  It
+    stops at a step below 1e-15 relative, or once steps below 1e-9
+    relative stop halving: that is the rounding floor of chi."""
+    z = complex(0.5 * (box.x0 + box.x1), 0.5 * (box.y0 + box.y1))
+    last = math.inf
+    for _ in range(60):
+        f, df, _ = chi.at(z)
+        if df == 0.0:
+            return None
+        dz = f / df
+        z -= dz
+        if not box.holds(z):
+            return None
+        step, scale = abs(dz), max(1.0, abs(z))
+        if step <= 1e-15 * scale or (step <= 1e-9 * scale
+                                     and step > 0.5 * last):
+            return z
+        last = step
+    return None
+
+
+def _count_line(chi, sigma):
+    """The number of roots of chi with Re > sigma, and the walked path
+    up the line Re = sigma from the real axis that it was read from.
+
+    Along the line from +i inf to -i inf the region Re > sigma is on
+    the left; chi is real on the axis and conjugate-symmetric, and
+    its arg ends at 0 (mod 2 pi) far up the line, so the count is
+    (arg chi(sigma) - arg chi(sigma + i inf)) / pi on the upper half.
+    """
+    line = _Path(chi, sigma, 0.0, None, vertical=True)
+    start = 0.0 if line.f[0].real > 0.0 else math.pi
+    end = line.args[-1] - line.args[0] + start - cmath.phase(line.f[-1])
+    turns = (start - end) / math.pi
+    n = round(turns)
+    if abs(turns - n) > 0.25 or n < 0:
+        raise SpectrumCountError(
+            f"arg chi along Re = {sigma:.6g} turns by {turns:.6g} pi, not "
+            "a whole multiple of pi")
+    return n, line
+
+
+def _half_plane(chi, need):
+    """(sigma, count, line) for the first line Re = sigma, in steps of
+    _SIGMA_STEP leftwards from 0, with at least `need` roots right of
+    it, or for the deepest line chi.reaches when none has that many.
+    A line with a root on it is moved a little further left."""
+    best = None
+    sigma = 0.0
+    while chi.reaches(sigma - _SIGMA_STEP):
+        sigma -= _SIGMA_STEP
+        for shift in (0.0, 0.013, 0.031):
+            try:
+                count, line = _count_line(chi, sigma - shift)
+                break
+            except _OnPath:
+                continue
+        else:
+            raise SpectrumCountError(
+                f"roots of chi sit on every count line tried near Re = "
+                f"{sigma:.6g}")
+        best = (sigma - shift, count, line)
+        if count >= need:
+            break
+    if best is None:
+        raise SpectrumCountError(
+            "no count line fits between 0 and the poles of chi; refine "
+            "the grid")
+    return best
+
+
+def _real_roots(chi, sigma):
+    """The real roots of chi in (sigma, 0]: 0 itself, where the zero
+    column sums put one, and a root in each cell of a uniform mesh on
+    [sigma, 0) whose ends differ in sign, bisected to adjacent floats.
+    chi'(0) > 0, so chi is negative just left of 0 and the last cell
+    ends on that sign."""
+    def f(x):
+        return chi.at(x)[0].real
+
+    xs = np.linspace(sigma, 0.0, _REAL_MESH + 1)
+    fs = [f(x) for x in xs[:-1]] + [-1.0]
+    roots = [0.0]
+    for i in range(_REAL_MESH):
+        if (fs[i] < 0.0) != (fs[i + 1] < 0.0):
+            a, b = _roots.bisect(f, xs[i], xs[i + 1], fs[i])
+            roots.append(0.5 * (a + b))
+    return roots
+
+
+def _complex_roots(chi, sigma, line):
+    """The roots of chi with Re > sigma and Im > _ETA, one per box: the
+    rectangle [sigma, x_r] x [_ETA, line.hi] bisected until each part
+    holds one root and Newton's iteration from its middle stays in it.
+    Right of x_r and above line.hi the tail bound is below _TAIL, so
+    those two sides need no walk and no root lies beyond them."""
+    x_r = 1.0
+    while chi.at(x_r)[2] >= _TAIL:
+        x_r *= 2.0
+    y_top = line.hi
+    box = _Box(sigma, x_r, _ETA, y_top,
+               bottom=_Path(chi, _ETA, sigma, x_r, vertical=False),
+               right=_Path(chi, x_r, 0.0, y_top, vertical=True, walk=False),
+               top=_Path(chi, y_top, sigma, x_r, vertical=False, walk=False),
+               left=line)
+    roots = []
+    stack = [(box, box.winding())]
+    while stack:
+        box, n = stack.pop()
+        if n == 0:
+            continue
+        if n == 1:
+            z = _newton(chi, box)
+            if z is not None:
+                roots.append(z)
+                continue
+        if max(box.x1 - box.x0, box.y1 - box.y0) < 1e-9:
+            raise SpectrumCountError(
+                f"{n} roots of chi stay inside [{box.x0:.12g}, "
+                f"{box.x1:.12g}] x [{box.y0:.12g}, {box.y1:.12g}]; a "
+                "multiple root cannot be separated")
+        low, high = box.split(chi)
+        n_low = low.winding()
+        if n_low > n:
+            raise SpectrumCountError(
+                f"a part of a rectangle holding {n} roots of chi counts "
+                f"{n_low}")
+        stack += [(low, n_low), (high, n - n_low)]
+    return roots
+
+
+def _modes(rates, dx, k_eigs):
+    """Every root of chi right of the line the search stopped at, by
+    descending real part with the upper member of a pair first, and
+    that line's sigma.  Raises SpectrumCountError unless the located
+    roots match the argument-principle count."""
+    k_eigs = int(k_eigs)
+    if k_eigs < 1:
+        raise ValueError(f"k_eigs must be at least 1, got {k_eigs}")
+    chi = _Chi(rates, dx)
+    sigma, count, line = _half_plane(chi, max(k_eigs, 2))
+    real = _real_roots(chi, sigma)
+    upper = _complex_roots(chi, sigma, line)
+    if len(real) + 2 * len(upper) != count:
+        raise SpectrumCountError(
+            f"the argument principle counts {count} roots of chi with Re > "
+            f"{sigma:.6g}, but {len(real)} real and {len(upper)} conjugate "
+            "pairs were located")
+    w = np.array(real + upper + [z.conjugate() for z in upper], dtype=complex)
+    return w[np.lexsort((-w.imag, np.abs(w.imag), -w.real))], sigma
+
+
+def _leading(w, k_eigs):
+    """The first k_eigs of the sorted modes w, one more when the last
+    would split a conjugate pair."""
+    k = min(int(k_eigs), w.size)
+    if k < w.size and w[k - 1].imag > 0.0 and w[k] == w[k - 1].conjugate():
+        k += 1
+    return w[:k]
+
+
+def _gap(w):
+    """The largest real part among the modes other than the exact 0."""
+    rest = w[w != 0.0]
+    return float(rest.real.max()) if rest.size else float("-inf")
+
+
+def _zero_mode(rates, dx):
+    """The kernel of the generator in closed form, unit L1 mass: at
+    lam = 0, v = dx cumprod(1/(1 + dx k)) solves -L v = e0 and the zero
+    column sums give c^T v = 1, so A v = L v + e0 = 0."""
+    v = np.cumprod(1.0 / (1.0 + dx * rates))
+    return v / (float(v.sum()) * dx)
+
+
+def _profile_match(grid, F, v):
+    F_unit = F / (float(F.sum()) * grid.dx)
+    return grid.l1_distance(v, F_unit)
+
+
+def spectrum(gen, k_eigs=16):
+    """The k_eigs leading modes of the linearized generator (rates frozen
+    at M), from the roots of its renewal characteristic function.
+
+    Reports the modes sorted by descending real part, with conjugate
+    pairs kept whole (see SpectrumReport), the exact zero eigenvalue,
+    the spectral gap (largest real part among the other modes, negative
+    for a stable profile), the zero-mode eigenvector in closed form
+    normalized as a density, and its L1 distance to the stationary
+    profile.  The modes are certified by a half-plane count; raises
+    SpectrumCountError when the located roots do not match it, which
+    means a root could not be isolated or polished (a multiple or
+    nearly multiple mode), never a wrong answer returned silently."""
+    w, _ = _modes(gen.rates, gen.grid.dx, k_eigs)
+    v = _zero_mode(gen.rates, gen.grid.dx)
+    return SpectrumReport(eigenvalues=_leading(w, k_eigs),
+                          zero_eigenvalue=0j, gap=_gap(w),
+                          kernel_vector=v,
+                          kernel_match=_profile_match(gen.grid, gen.F, v))
 
 
 def build_delay_system(model, grid, steady, kernel, y_grid):
@@ -144,7 +528,7 @@ def build_delay_system(model, grid, steady, kernel, y_grid):
     discharge history: [[A, 0], [B, T]] with A the plain generator,
     B feeding the discharge into the youngest lag cell, and T pure
     transport in the lag variable (history older than the lag horizon
-    just leaves).
+    just leaves).  Assembled as a scipy.sparse matrix.
 
     The activity readout applies the kernel density sampled on the lag
     mesh, renormalized to unit sum, to the lag block of a state
@@ -162,13 +546,9 @@ def build_delay_system(model, grid, steady, kernel, y_grid):
     gen = build_generator(model, grid, steady)
     n_age, n_lag = grid.n_cells, y_grid.n_cells
     dy = y_grid.dx
-    A21 = np.zeros((n_lag, n_age))
-    A21[0, :] = gen.rates * grid.dx / dy
-    A22 = np.zeros((n_lag, n_lag))
-    li = np.arange(n_lag)
-    A22[li, li] = -1.0 / dy
-    A22[li[1:], li[:-1]] = 1.0 / dy
-    A = np.block([[gen.A, np.zeros((n_age, n_lag))], [A21, A22]])
+    B = _first_row(gen.rates * grid.dx / dy, n_lag)
+    T = _bidiagonal(np.full(n_lag, -1.0 / dy), 1.0 / dy)
+    A = sparse.bmat([[gen.A, None], [B, T]], format="csr")
     w = kernel.density(y_grid.midpoints) * dy
     total = float(w.sum())
     if total <= 0.0:
@@ -189,26 +569,32 @@ def activity_readout(system, v):
     return float(system.readout @ v)
 
 
-def delay_spectrum(system, k_eigs=None):
-    """Dense spectrum of the delay block system.
+def delay_spectrum(system, k_eigs=16):
+    """The k_eigs leading modes of the delay block system.
 
     The block triangular structure makes the exact spectrum the union
-    of the age-block eigenvalues and -1/dy (an n_lag-fold defective
-    transport mode, which dense solvers scatter into a cluster left of
-    the age gap).  The age gap is therefore also computed from the age
-    block alone and reported separately."""
-    w, V = _eig_sorted(system.A)
-    i0, v = _kernel_vector(w, V, system.grid.dx, n_norm=system.n_age)
-    rest = np.delete(w, i0)
-    gap = float(np.max(rest.real)) if rest.size else float("-inf")
-    F_unit = system.F / (float(system.F.sum()) * system.grid.dx)
-    match = system.grid.l1_distance(v[:system.n_age], F_unit)
-    w_age, _ = _eig_sorted(system.A[:system.n_age, :system.n_age])
-    j0 = int(np.argmin(np.abs(w_age)))
-    rest_age = np.delete(w_age, j0)
-    age_gap = float(np.max(rest_age.real)) if rest_age.size else float("-inf")
-    eigs = w if k_eigs is None else w[:int(k_eigs)]
+    of the age-block modes and -1/dy, an n_lag-fold defective transport
+    mode.  So the age block's modes come from `spectrum`'s certified
+    root search, and -1/dy joins them when it lies right of the line
+    that search stopped at; no matrix of order n_age + n_lag is ever
+    decomposed.  The age gap is reported separately from the gap of
+    the whole system.  The zero mode is the age block's, extended by
+    the lag block of T h = -B f, the constant discharge of f; raises
+    SpectrumCountError as `spectrum` does."""
+    dx = system.grid.dx
+    w_age, sigma = _modes(system.rates, dx, k_eigs)
+    lag = -1.0 / system.dy
+    age_gap = _gap(w_age)
+    w = w_age
+    if lag > sigma:
+        w = np.concatenate([w_age, np.full(system.n_lag, lag)])
+        w = w[np.lexsort((-w.imag, np.abs(w.imag), -w.real))]
+    f = _zero_mode(system.rates, dx)
+    # B feeds only the youngest lag cell and T is pure transport, so the
+    # forward substitution of T h = -B f leaves the discharge everywhere
+    h = np.full(system.n_lag, float(system.rates @ f) * dx)
     return DelaySpectrumReport(
-        eigenvalues=eigs, zero_eigenvalue=complex(w[i0]), gap=gap,
-        kernel_vector=v, kernel_match=match,
-        lag_eigenvalue=-1.0 / system.dy, age_gap=age_gap)
+        eigenvalues=_leading(w, k_eigs), zero_eigenvalue=0j,
+        gap=max(age_gap, lag), kernel_vector=np.concatenate([f, h]),
+        kernel_match=_profile_match(system.grid, system.F, f),
+        lag_eigenvalue=lag, age_gap=age_gap)

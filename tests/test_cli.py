@@ -1,12 +1,14 @@
 """Command-line interface: config validation, outputs, exit codes."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from agenet import (AgeGrid, ConfigError, ConstantRate, DelayKernel,
-                    InvariantViolationError, StepRate)
+                    InvariantViolationError, SpectrumCountError, StepRate)
 from agenet import cli
 from agenet.cli import RunConfig, _fmt, default_config, main, parse_config
 from agenet.steady_state import ScanRow
@@ -153,7 +155,11 @@ def test_spectrum_command_plain(tmp_path, capsys):
                  "--kernel-out", str(kern)]) == 0
     printed = capsys.readouterr().out
     assert "spectral gap = " in printed
-    assert len(eigs.read_text().splitlines()) == 81
+    # the 16 leading modes, one more to keep the last conjugate pair
+    # whole, the exact zero mode first
+    lines = eigs.read_text().splitlines()
+    assert len(lines) == 18
+    assert lines[1] == "0,0"
     assert len(kern.read_text().splitlines()) == 81
 
 
@@ -167,10 +173,58 @@ def test_spectrum_command_with_delay(tmp_path, capsys):
     assert "age-block gap = " in printed
 
 
-def test_spectrum_refuses_oversized_grids(tmp_path, capsys):
-    cfg = _write_config(tmp_path, {"grid": {"dx": 0.001, "x_max": 10.0}})
-    assert main(["spectrum", "--config", str(cfg)]) == 1
-    assert "cap" in capsys.readouterr().err
+def test_spectrum_runs_on_the_default_grid(tmp_path, capsys):
+    cfg = tmp_path / "defaults.json"
+    cfg.write_text(json.dumps(default_config()))
+    eigs = tmp_path / "eigs.csv"
+    assert main(["spectrum", "--config", str(cfg),
+                 "--eigs-out", str(eigs)]) == 0
+    lines = eigs.read_text().splitlines()
+    assert lines[0] == "re,im" and lines[1] == "0,0"
+    assert 16 <= len(lines) - 1 <= 17
+    assert "wrote" in capsys.readouterr().out
+
+
+def _load_benchmark_oracle():
+    # the benchmark's independent spectrum check, loaded read-only from
+    # perfbench/ (not a package)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _read_csv(path):
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    return np.array([[float(v) for v in row] for row in rows])
+
+
+@pytest.mark.parametrize("model, dx, kernel", [
+    ({"kind": "step", "sigma_plus": 0.5, "sigma_minus": 0.25,
+      "lambda": 0.3, "decay": 1.0}, 0.01, None),
+    ({"kind": "smooth", "k0": 0.5, "k1": 2.0, "lambda": 0.6,
+      "mu_scale": 1.0, "x_scale": 1.0}, 0.01, None),
+    ({"kind": "smooth", "k0": 0.5, "k1": 2.0, "lambda": 0.55,
+      "mu_scale": 1.0, "x_scale": 1.0}, 0.016,
+     {"kind": "exponential", "theta": 2.8}),
+], ids=["step", "smooth", "smooth-delay"])
+def test_spectrum_passes_the_benchmark_oracle(tmp_path, capsys, model, dx,
+                                              kernel):
+    # shaped like the benchmark's spectrum cases: 1000 cells, and a
+    # delay system of order 625 + 309
+    cfg = tmp_path / "spectrum.json"
+    cfg.write_text(json.dumps({"grid": {"dx": dx, "x_max": 10.0},
+                               "model": model,
+                               "kernel": kernel or {"kind": "dirac"}}))
+    eigs, kern = tmp_path / "eigs.csv", tmp_path / "kernel.csv"
+    assert main(["spectrum", "--config", str(cfg), "--eigs-out", str(eigs),
+                 "--kernel-out", str(kern)]) == 0
+    table = _read_csv(eigs)
+    problems = _load_benchmark_oracle().check_spectrum(
+        model, dx, round(10.0 / dx), table[:, 0] + 1j * table[:, 1],
+        _read_csv(kern)[:, 1])
+    assert problems == []
 
 
 def test_sweep_constant_family(tmp_path, capsys):
@@ -255,6 +309,21 @@ def test_sweep_row_statuses():
     # ambiguity wipes every numeric column, including ones already set
     assert all(row[k] is None
                for k in ("M", "xi", "gap", "alpha", "r2", "unique"))
+
+
+def test_uncertified_spectrum_exits_1_and_marks_the_sweep_row(
+        tmp_path, capsys, monkeypatch):
+    def uncertified(gen, k_eigs=16):
+        raise SpectrumCountError("the argument principle counts 5 roots")
+
+    monkeypatch.setattr(cli, "spectrum", uncertified)
+    cfg = _write_config(tmp_path)
+    assert main(["spectrum", "--config", str(cfg)]) == 1
+    assert "error: the argument principle" in capsys.readouterr().err
+    grid = AgeGrid(dx=0.01, n_cells=400)
+    row = cli._sweep_row(_crafted_config(ConstantRate(k0=1.0), grid),
+                         ScanRow(lam=0.0, roots=(1.0,), unique=True))
+    assert row["status"] == "error"
 
 
 def test_decay_fit_command(tmp_path, capsys):

@@ -105,9 +105,9 @@ def test_sampled_kernel_validation():
 def test_discharge_history():
     h = DischargeHistory.constant(0.7, 5, dt=0.1)
     assert len(h) == 5
-    assert h.current == 0.7
+    assert h.lagged(1)[0] == 0.7
     h.push(1.0)
-    assert h.current == 1.0
+    assert h.lagged(1)[0] == 1.0
     assert np.array_equal(h.lagged(3), [1.0, 0.7, 0.7])
     with pytest.raises(ConfigError):
         h.lagged(6)

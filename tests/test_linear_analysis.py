@@ -1,12 +1,22 @@
-"""Generator assembly, spectra, and the delay block system."""
+"""Generator assembly, spectra, and the delay block system.
+
+Dense `scipy.linalg` eigensolves at small n are the oracle for the
+root search on the renewal characteristic function."""
+
+import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy import linalg
 
 from agenet import (AgeGrid, ConfigError, ConstantRate, DelayKernel,
-                    SmoothSaturatingRate, SteadyState, StepRate,
-                    activity_readout, build_delay_system, build_generator,
-                    delay_spectrum, solve_steady_state, spectrum)
+                    SmoothSaturatingRate, SpectrumCountError, SteadyState,
+                    StepRate, activity_readout, build_delay_system,
+                    build_generator, delay_spectrum, solve_steady_state,
+                    spectrum)
+from agenet import linear_analysis
 
 
 def _steady_stub(grid, M=1.0):
@@ -27,7 +37,7 @@ def test_generator_matrix_written_out():
         [2.0, -3.0, 0.0],
         [0.0, 2.0, -3.0],
     ])
-    assert np.array_equal(gen.A, expected)
+    assert np.array_equal(gen.A.toarray(), expected)
 
 
 def test_generator_columns_sum_to_zero_exactly():
@@ -39,7 +49,7 @@ def test_generator_columns_sum_to_zero_exactly():
                                      k1=float(rng.uniform(1.0, 3.0)),
                                      lam=float(rng.uniform(0.0, 1.0)))
         gen = build_generator(model, grid, _steady_stub(grid, M=0.4))
-        assert np.max(np.abs(gen.A.sum(axis=0))) < 1e-12
+        assert np.max(np.abs(gen.A.toarray().sum(axis=0))) < 1e-12
 
 
 def test_generator_shape_mismatch():
@@ -96,12 +106,13 @@ def test_delay_system_block_structure():
     with pytest.warns(UserWarning, match="memory horizon"):
         system = build_delay_system(model, grid, steady, kernel, y_grid)
     gen = build_generator(model, grid, steady)
-    assert np.array_equal(system.A[:3, :3], gen.A)
-    assert np.all(system.A[:3, 3:] == 0.0)
+    A = system.A.toarray()
+    assert np.array_equal(A[:3, :3], gen.A.toarray())
+    assert np.all(A[:3, 3:] == 0.0)
     # discharge feeds the youngest lag cell: rates * dx / dy
-    assert np.array_equal(system.A[3, :3], gen.rates * grid.dx / y_grid.dx)
-    assert np.all(system.A[4, :3] == 0.0)
-    assert np.array_equal(system.A[3:, 3:], [[-2.0, 0.0], [2.0, -2.0]])
+    assert np.array_equal(A[3, :3], gen.rates * grid.dx / y_grid.dx)
+    assert np.all(A[4, :3] == 0.0)
+    assert np.array_equal(A[3:, 3:], [[-2.0, 0.0], [2.0, -2.0]])
     # readout lives on the lag block only and sums to 1
     assert np.all(system.readout[:3] == 0.0)
     assert system.readout[3:].sum() == pytest.approx(1.0, abs=1e-12)
@@ -157,3 +168,127 @@ def test_delay_system_needs_kernel_mass_on_the_lag_grid():
         with pytest.raises(ConfigError):
             build_delay_system(ConstantRate(k0=1.0), grid,
                                _steady_stub(grid), kernel, y_grid)
+
+
+# ---------------------------------------------------------------------------
+# the root search against dense eigensolves
+
+_MODELS = {
+    "constant": ConstantRate(k0=2.0),
+    "step": StepRate(sigma_plus=0.5, sigma_minus=0.25, lam=0.3),
+    "smooth": SmoothSaturatingRate(k0=0.5, k1=2.0, lam=0.6),
+}
+
+
+def _generator(model, dx, x_max):
+    grid = AgeGrid(dx=dx, n_cells=int(round(x_max / dx)))
+    return build_generator(model, grid, solve_steady_state(model, grid))
+
+
+def _dense_sorted(A):
+    w = linalg.eigvals(A.toarray())
+    return w[np.lexsort((-w.imag, np.abs(w.imag), -w.real))]
+
+
+@pytest.mark.parametrize("family", sorted(_MODELS))
+@pytest.mark.parametrize("dx, x_max", [(0.02, 10.0), (0.05, 6.0)])
+def test_leading_modes_match_dense_eigenvalues(family, dx, x_max):
+    gen = _generator(_MODELS[family], dx, x_max)
+    rep = spectrum(gen)
+    dense = _dense_sorted(gen.A)
+    lead = rep.eigenvalues
+    assert lead.size in (16, 17)
+    # the same set as the dense leading modes, each within 1e-9
+    assert max(np.min(np.abs(dense - z)) for z in lead) < 1e-9
+    assert max(np.min(np.abs(lead - z)) for z in dense[:lead.size]) < 1e-9
+    # conjugate pairs stay whole
+    upper = lead[lead.imag > 0.0]
+    assert all(np.any(lead == z.conjugate()) for z in upper)
+    assert rep.zero_eigenvalue == 0.0
+    rest = dense[np.abs(dense) > 1e-8]
+    assert rep.gap == pytest.approx(float(np.max(rest.real)), abs=1e-9)
+
+
+def test_zero_mode_matches_the_dense_null_vector():
+    gen = _generator(_MODELS["step"], 0.02, 10.0)
+    w, V = linalg.eig(gen.A.toarray())
+    v = V[:, np.argmin(np.abs(w))].real
+    v /= v.sum() * gen.grid.dx
+    rep = spectrum(gen)
+    assert np.max(np.abs(rep.kernel_vector - v)) < 1e-10
+    assert np.max(np.abs(gen.A @ rep.kernel_vector)) < 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(sorted(_MODELS)),
+       lam=st.floats(0.0, 1.0), n=st.integers(20, 200),
+       x_max=st.floats(3.0, 10.0), sigma=st.floats(-3.0, -0.05))
+def test_half_plane_count_matches_the_dense_count(family, lam, n, x_max,
+                                                   sigma):
+    model = dataclasses.replace(_MODELS[family], lam=lam)
+    gen = _generator(model, x_max / n, x_max)
+    chi = linear_analysis._Chi(gen.rates, gen.grid.dx)
+    assume(chi.reaches(sigma))
+    dense = linalg.eigvals(gen.A.toarray())
+    # a mode on the line leaves the count undefined
+    assume(np.min(np.abs(dense.real - sigma)) > 1e-6)
+    count, _ = linear_analysis._count_line(chi, sigma)
+    assert count == int(np.sum(dense.real > sigma))
+
+
+def test_delay_spectrum_against_the_dense_block_system():
+    model = _MODELS["smooth"]
+    grid = AgeGrid(dx=0.05, n_cells=120)
+    ss = solve_steady_state(model, grid)
+    kernel = DelayKernel.exponential(theta=2.0)
+    y_grid = AgeGrid(dx=0.1, n_cells=int(np.ceil(kernel.memory_horizon()
+                                                 / 0.1)))
+    system = build_delay_system(model, grid, ss, kernel, y_grid)
+    rep = delay_spectrum(system)
+    w, V = linalg.eig(system.A.toarray())
+    # the dense solver scatters the defective -1/dy mode into a cluster;
+    # away from it the dense modes are the age block's
+    age = w[w.real > rep.lag_eigenvalue + 2.0]
+    lead = rep.eigenvalues
+    assert np.all(lead.real > rep.lag_eigenvalue)
+    assert max(np.min(np.abs(age - z)) for z in lead) < 1e-9
+    assert rep.age_gap == pytest.approx(
+        float(np.max(age[np.abs(age) > 1e-8].real)), abs=1e-9)
+    assert rep.gap == rep.age_gap
+    # the zero mode of the whole block system, age block at unit mass
+    v = V[:, np.argmin(np.abs(w))].real
+    v /= v[:system.n_age].sum() * grid.dx
+    assert np.max(np.abs(rep.kernel_vector - v)) < 1e-9
+    assert np.max(np.abs(system.A @ rep.kernel_vector)) < 1e-9
+
+
+def test_delay_spectrum_keeps_the_lag_mode_when_it_leads():
+    # a lag mesh so coarse that -1/dy lies right of the age block's modes
+    model = ConstantRate(k0=2.0)
+    grid = AgeGrid(dx=0.05, n_cells=80)
+    ss = solve_steady_state(model, grid)
+    kernel = DelayKernel.exponential(theta=2.0)
+    y_grid = AgeGrid(dx=1.0, n_cells=int(np.ceil(kernel.memory_horizon())))
+    system = build_delay_system(model, grid, ss, kernel, y_grid)
+    rep = delay_spectrum(system, k_eigs=4)
+    assert np.array_equal(rep.eigenvalues[1:4], [-1.0, -1.0, -1.0])
+    assert rep.gap == -1.0
+    assert rep.age_gap < -1.0
+
+
+def test_a_dropped_root_is_an_error(monkeypatch):
+    gen = _generator(_MODELS["step"], 0.02, 10.0)
+    found = linear_analysis._complex_roots
+
+    def drop_one(*args):
+        return found(*args)[:-1]
+
+    monkeypatch.setattr(linear_analysis, "_complex_roots", drop_one)
+    with pytest.raises(SpectrumCountError, match="argument principle"):
+        spectrum(gen)
+
+
+def test_k_eigs_must_be_positive():
+    gen = _generator(_MODELS["constant"], 0.05, 4.0)
+    with pytest.raises(ValueError):
+        spectrum(gen, k_eigs=0)
