@@ -24,11 +24,16 @@ chi -> 1 as |Im lam| grows.  `spectrum` therefore runs no eigensolver:
 - it counts the roots with Re > sigma by the argument principle along
   the line Re = sigma, in steps limited by |chi|/|chi'| over which
   arg chi turns by less than pi/4;
+- it moves sigma left until enough roots lie right of the line, but
+  no further than chi is accurate: v_j grows like e^((-sigma - k) x)
+  with the age x, so on a long age horizon the deepest usable line
+  sits just left of the slowest rates;
 - it takes the real roots from a sign scan of chi on [sigma, 0), and
   the complex ones from argument-principle rectangles, bisected until
   each holds one root, which Newton's iteration then polishes;
 - it raises SpectrumCountError when the roots it located do not add
-  up to the count, so a report always holds certified modes.
+  up to the count, or when no mode but 0 lies right of the deepest
+  line, so a report always holds certified modes and a finite gap.
 """
 
 from __future__ import annotations
@@ -51,15 +56,18 @@ __all__ = [
     "build_delay_system", "delay_spectrum", "activity_readout",
 ]
 
-_SIGMA_STEP = 0.5       # each count line sits this far left of the last
 _MAX_GROWTH = 20.0      # largest log |v_j| on a count line: bounds the
                         # rounding error of chi by about 1e-16 * e^20
+_SIGMA_STEP = 0.5       # the first count lines sit at -0.5, -1, -1.5, ...
+_SPARE = 8              # a line with over _SPARE * need roots right of it
+_SPLITS = 8             # is moved right, by at most _SPLITS bisections
 _THETA = 0.3            # first-order relative change of chi per step
 _MAX_TURN = math.pi / 4  # largest turn of arg chi accepted in a step
 _TAIL = 0.5             # past sum_j |c_j v_j| < _TAIL, chi cannot wind
 _ETA = 1e-6             # the rectangles start this far above the axis;
                         # a pair closer to it fails the count check
-_REAL_MESH = 128        # sign-scan cells on [sigma, 0)
+_REAL_MESH = 128        # first sign-scan mesh on [sigma, 0), doubled up
+_REAL_MESH_MAX = 4096   # to this while real roots are missing
 
 
 @dataclasses.dataclass(frozen=True)
@@ -188,6 +196,7 @@ class _Chi:
         self.one_dxk = 1.0 + dx * rates
         self.dx = dx
         self.cdx = _boundary_row(rates, dx) * dx
+        self.pole = -float(self.one_dxk.min()) / dx   # rightmost pole
 
     def at(self, z):
         """chi(z), chi'(z) and the tail bound sum_j |c_j v_j(z)|, which
@@ -198,13 +207,19 @@ class _Chi:
                 complex(self.dx * (cv @ np.cumsum(r))),
                 float(np.abs(cv).sum()))
 
-    def reaches(self, sigma):
-        """Whether a count line at Re = sigma lies right of every pole
-        and meets no |v_j| above e^_MAX_GROWTH (the largest are on the
-        real axis)."""
-        d = self.one_dxk + self.dx * sigma
-        return bool(np.all(d > 0.0)) \
-            and float(np.max(-np.cumsum(np.log(d)))) <= _MAX_GROWTH
+    def floor(self):
+        """The deepest line Re = sigma < 0 that lies right of every pole
+        and on which no |v_j| exceeds e^_MAX_GROWTH (the largest are on
+        the real axis); every line between it and 0 does too.  On a
+        long age horizon this is what bounds the search: left of
+        -k(x), |v_j| grows like e^((-sigma - k) x)."""
+        def excess(sigma):
+            d = self.one_dxk + self.dx * sigma
+            if not np.all(d > 0.0):
+                return math.inf
+            return float(np.max(-np.cumsum(np.log(d)))) - _MAX_GROWTH
+
+        return _roots.bisect(excess, self.pole, 0.0, 1.0, width=1e-9)[1]
 
 
 class _Path:
@@ -237,7 +252,8 @@ class _Path:
             while True:
                 if h <= 1e-12 * max(1.0, abs(self.point(s))):
                     raise _OnPath
-                s_next = s + h if hi is None or s + h < hi else hi
+                # s + (hi - s) can round below hi, leaving a sliver
+                s_next = hi if hi is not None and h >= hi - s else s + h
                 g, dg, tail_g = chi.at(self.point(s_next))
                 q = g / f
                 turn = cmath.phase(q)
@@ -364,52 +380,81 @@ def _count_line(chi, sigma):
     return n, line
 
 
+def _count_near(chi, sigma):
+    """(sigma', count, line) for a count line at sigma' = sigma, or a
+    little right of it when a root sits on the line."""
+    for shift in (0.0, 0.013, 0.031):
+        moved = sigma * (1.0 - shift)
+        try:
+            count, line = _count_line(chi, moved)
+        except _OnPath:
+            continue
+        return moved, count, line
+    raise SpectrumCountError(
+        f"roots of chi sit on every count line tried near Re = "
+        f"{sigma:.6g}")
+
+
 def _half_plane(chi, need):
-    """(sigma, count, line) for the first line Re = sigma, in steps of
-    _SIGMA_STEP leftwards from 0, with at least `need` roots right of
-    it, or for the deepest line chi.reaches when none has that many.
-    A line with a root on it is moved a little further left."""
-    best = None
-    sigma = 0.0
-    while chi.reaches(sigma - _SIGMA_STEP):
-        sigma -= _SIGMA_STEP
-        for shift in (0.0, 0.013, 0.031):
-            try:
-                count, line = _count_line(chi, sigma - shift)
-                break
-            except _OnPath:
-                continue
-        else:
-            raise SpectrumCountError(
-                f"roots of chi sit on every count line tried near Re = "
-                f"{sigma:.6g}")
-        best = (sigma - shift, count, line)
-        if count >= need:
+    """(sigma, count, line) for a line Re = sigma with at least `need`
+    roots right of it, or with every root right of chi.floor() when
+    fewer lie there.
+
+    The lines step left from 0 by _SIGMA_STEP, the last step stopping
+    at the floor.  When the first line with `need` roots holds more
+    than _SPARE * need, the step that reached it is bisected, keeping
+    a line with at least `need`, so that fewer roots are located.
+    Raises SpectrumCountError when only the zero mode lies right of
+    the floor, as then no gap can be reported."""
+    floor = chi.floor()
+    step = 0.0
+    right = 0.0   # a line with fewer than `need` roots right of it
+    while True:
+        step = max(step - _SIGMA_STEP, floor)
+        left = _count_near(chi, step)
+        if left[1] >= need or step == floor:
             break
-    if best is None:
+        right = left[0]
+    for _ in range(_SPLITS):
+        if left[1] <= _SPARE * need:
+            break
+        mid = _count_near(chi, 0.5 * (left[0] + right))
+        if mid[1] >= need:
+            left = mid
+        else:
+            right = mid[0]
+    if left[1] < 2:
         raise SpectrumCountError(
-            "no count line fits between 0 and the poles of chi; refine "
-            "the grid")
-    return best
+            f"only the zero mode lies right of Re = {left[0]:.6g}, the "
+            f"deepest line on which chi is evaluated accurately: left of "
+            f"it |v_j| passes e^{_MAX_GROWTH:g} (the rightmost pole of chi "
+            f"is at -1/dx - min k = {chi.pole:.6g}); the spectral gap is "
+            "below it")
+    return left
 
 
-def _real_roots(chi, sigma):
+def _real_roots(chi, sigma, expected):
     """The real roots of chi in (sigma, 0]: 0 itself, where the zero
     column sums put one, and a root in each cell of a uniform mesh on
     [sigma, 0) whose ends differ in sign, bisected to adjacent floats.
     chi'(0) > 0, so chi is negative just left of 0 and the last cell
-    ends on that sign."""
+    ends on that sign.  Two roots in one cell show no sign change, so
+    the mesh is doubled while fewer than `expected` roots turn up."""
     def f(x):
         return chi.at(x)[0].real
 
-    xs = np.linspace(sigma, 0.0, _REAL_MESH + 1)
-    fs = [f(x) for x in xs[:-1]] + [-1.0]
-    roots = [0.0]
-    for i in range(_REAL_MESH):
-        if (fs[i] < 0.0) != (fs[i + 1] < 0.0):
-            a, b = _roots.bisect(f, xs[i], xs[i + 1], fs[i])
-            roots.append(0.5 * (a + b))
-    return roots
+    cells = _REAL_MESH
+    while True:
+        xs = np.linspace(sigma, 0.0, cells + 1)
+        fs = [f(x) for x in xs[:-1]] + [-1.0]
+        roots = [0.0]
+        for i in range(cells):
+            if (fs[i] < 0.0) != (fs[i + 1] < 0.0):
+                a, b = _roots.bisect(f, xs[i], xs[i + 1], fs[i])
+                roots.append(0.5 * (a + b))
+        if len(roots) >= expected or cells >= _REAL_MESH_MAX:
+            return roots
+        cells *= 2
 
 
 def _complex_roots(chi, sigma, line):
@@ -463,8 +508,8 @@ def _modes(rates, dx, k_eigs):
         raise ValueError(f"k_eigs must be at least 1, got {k_eigs}")
     chi = _Chi(rates, dx)
     sigma, count, line = _half_plane(chi, max(k_eigs, 2))
-    real = _real_roots(chi, sigma)
     upper = _complex_roots(chi, sigma, line)
+    real = _real_roots(chi, sigma, count - 2 * len(upper))
     if len(real) + 2 * len(upper) != count:
         raise SpectrumCountError(
             f"the argument principle counts {count} roots of chi with Re > "
@@ -485,8 +530,7 @@ def _leading(w, k_eigs):
 
 def _gap(w):
     """The largest real part among the modes other than the exact 0."""
-    rest = w[w != 0.0]
-    return float(rest.real.max()) if rest.size else float("-inf")
+    return float(w[w != 0.0].real.max())
 
 
 def _zero_mode(rates, dx):
@@ -511,10 +555,13 @@ def spectrum(gen, k_eigs=16):
     the spectral gap (largest real part among the other modes, negative
     for a stable profile), the zero-mode eigenvector in closed form
     normalized as a density, and its L1 distance to the stationary
-    profile.  The modes are certified by a half-plane count; raises
+    profile.  The modes are certified by a half-plane count.  Raises
     SpectrumCountError when the located roots do not match it, which
     means a root could not be isolated or polished (a multiple or
-    nearly multiple mode), never a wrong answer returned silently."""
+    nearly multiple mode), or when no mode but 0 lies right of the
+    deepest line on which chi is accurate (a grid so coarse that a
+    pole of chi, at -1/dx - k, lies right of the gap); never a wrong
+    answer returned silently."""
     w, _ = _modes(gen.rates, gen.grid.dx, k_eigs)
     v = _zero_mode(gen.rates, gen.grid.dx)
     return SpectrumReport(eigenvalues=_leading(w, k_eigs),

@@ -185,6 +185,21 @@ def test_spectrum_runs_on_the_default_grid(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("k0", [1.0, 0.1])
+def test_spectrum_on_a_long_age_horizon(tmp_path, capsys, k0):
+    # x_max = 50 is the 5/k0 rule of thumb at k0 = 0.1; the nonzero
+    # modes sit just left of Re = -k0
+    cfg = _write_config(tmp_path, {"grid": {"dx": 0.1, "x_max": 50.0},
+                                   "model": {"kind": "constant", "k0": k0}})
+    eigs = tmp_path / "eigs.csv"
+    assert main(["spectrum", "--config", str(cfg),
+                 "--eigs-out", str(eigs)]) == 0
+    printed = capsys.readouterr().out
+    gap = float(printed.split("spectral gap = ")[1].split()[0])
+    assert -k0 - 0.01 < gap < -k0
+    assert 16 <= len(eigs.read_text().splitlines()) - 1 <= 17
+
+
 def _load_benchmark_oracle():
     # the benchmark's independent spectrum check, loaded read-only from
     # perfbench/ (not a package)

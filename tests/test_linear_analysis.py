@@ -7,7 +7,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import linalg
 
@@ -190,11 +190,7 @@ def _dense_sorted(A):
     return w[np.lexsort((-w.imag, np.abs(w.imag), -w.real))]
 
 
-@pytest.mark.parametrize("family", sorted(_MODELS))
-@pytest.mark.parametrize("dx, x_max", [(0.02, 10.0), (0.05, 6.0)])
-def test_leading_modes_match_dense_eigenvalues(family, dx, x_max):
-    gen = _generator(_MODELS[family], dx, x_max)
-    rep = spectrum(gen)
+def _assert_leading_match(gen, rep):
     dense = _dense_sorted(gen.A)
     lead = rep.eigenvalues
     assert lead.size in (16, 17)
@@ -209,6 +205,53 @@ def test_leading_modes_match_dense_eigenvalues(family, dx, x_max):
     assert rep.gap == pytest.approx(float(np.max(rest.real)), abs=1e-9)
 
 
+@pytest.mark.parametrize("family", sorted(_MODELS))
+@pytest.mark.parametrize("dx, x_max", [(0.02, 10.0), (0.05, 6.0)])
+def test_leading_modes_match_dense_eigenvalues(family, dx, x_max):
+    gen = _generator(_MODELS[family], dx, x_max)
+    _assert_leading_match(gen, spectrum(gen))
+
+
+@pytest.mark.parametrize("k0", [1.0, 0.1])
+@pytest.mark.parametrize("dx", [0.1, 0.25])
+def test_long_age_horizons_match_dense_eigenvalues(k0, dx):
+    # x_max = 50 is the 5/k0 rule of thumb at k0 = 0.1.  The nonzero
+    # modes hug Re = -k0, and left of it v_j grows like
+    # e^((-sigma - k0) x), so the count lines must stay close to -k0
+    gen = _generator(ConstantRate(k0=k0), dx, 50.0)
+    rep = spectrum(gen)
+    _assert_leading_match(gen, rep)
+    assert -k0 - 0.01 < rep.gap < -k0
+
+
+def test_a_crowded_count_line_is_moved_right(monkeypatch):
+    # at x_max = 50 the floor line holds about 45 modes; with no room to
+    # spare the last step is bisected towards the first 16
+    gen = _generator(ConstantRate(k0=1.0), 0.1, 50.0)
+    crowded, floor = linear_analysis._modes(gen.rates, gen.grid.dx, 16)
+    monkeypatch.setattr(linear_analysis, "_SPARE", 1)
+    w, sigma = linear_analysis._modes(gen.rates, gen.grid.dx, 16)
+    assert floor < sigma and 16 <= w.size < crowded.size
+    dense = linalg.eigvals(gen.A.toarray())
+    right = dense[dense.real > sigma]
+    assert w.size == right.size
+    assert max(np.min(np.abs(dense - z)) for z in w) < 1e-9
+    _assert_leading_match(gen, spectrum(gen))
+
+
+def test_only_the_zero_mode_right_of_the_floor_is_an_error():
+    # dx = 1.1 and a rate that vanishes in the first cell put a pole of
+    # chi at -1/dx, right of the modes near -1, so no count line reaches
+    # a nonzero mode
+    model = StepRate(sigma_plus=0.9, sigma_minus=0.6)
+    gen = _generator(model, 1.1, 44.0)
+    assert gen.rates[0] == 0.0
+    dense = linalg.eigvals(gen.A.toarray())
+    assert np.max(dense[np.abs(dense) > 1e-8].real) < -1.0 / 1.1
+    with pytest.raises(SpectrumCountError, match="only the zero mode"):
+        spectrum(gen)
+
+
 def test_zero_mode_matches_the_dense_null_vector():
     gen = _generator(_MODELS["step"], 0.02, 10.0)
     w, V = linalg.eig(gen.A.toarray())
@@ -219,21 +262,47 @@ def test_zero_mode_matches_the_dense_null_vector():
     assert np.max(np.abs(gen.A @ rep.kernel_vector)) < 1e-10
 
 
+# slow rates and long age horizons (up to x_max = 100 at k0 = 0.05)
+# among them, where the deepest usable count line nears -k0
+_RATES = st.one_of(
+    st.builds(ConstantRate, k0=st.floats(0.05, 3.0)),
+    st.builds(lambda k0, lam: SmoothSaturatingRate(k0=k0, k1=k0 + 1.5,
+                                                   lam=lam),
+              st.floats(0.05, 1.0), st.floats(0.0, 1.0)),
+    st.builds(lambda lam: StepRate(sigma_plus=0.5, sigma_minus=0.25,
+                                   lam=lam),
+              st.floats(0.0, 1.0)))
+
+
 @settings(max_examples=40, deadline=None)
-@given(family=st.sampled_from(sorted(_MODELS)),
-       lam=st.floats(0.0, 1.0), n=st.integers(20, 200),
-       x_max=st.floats(3.0, 10.0), sigma=st.floats(-3.0, -0.05))
-def test_half_plane_count_matches_the_dense_count(family, lam, n, x_max,
-                                                   sigma):
-    model = dataclasses.replace(_MODELS[family], lam=lam)
-    gen = _generator(model, x_max / n, x_max)
+@given(model=_RATES, dx=st.floats(0.05, 0.4), n=st.integers(20, 250),
+       depth=st.floats(0.01, 1.0))
+def test_half_plane_count_matches_the_dense_count(model, dx, n, depth):
+    gen = _generator(model, dx, n * dx)
     chi = linear_analysis._Chi(gen.rates, gen.grid.dx)
-    assume(chi.reaches(sigma))
+    sigma = depth * chi.floor()
     dense = linalg.eigvals(gen.A.toarray())
     # a mode on the line leaves the count undefined
     assume(np.min(np.abs(dense.real - sigma)) > 1e-6)
     count, _ = linear_analysis._count_line(chi, sigma)
     assert count == int(np.sum(dense.real > sigma))
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=_RATES, dx=st.floats(0.05, 0.4), n=st.integers(20, 250))
+# once failed: a cut across a rectangle ended where s + (hi - s) rounds
+# below hi
+@example(model=ConstantRate(k0=0.96875), dx=0.11328125, n=72)
+def test_located_modes_are_the_dense_modes_right_of_the_line(model, dx, n):
+    gen = _generator(model, dx, n * dx)
+    w, sigma = linear_analysis._modes(gen.rates, gen.grid.dx, 16)
+    dense = linalg.eigvals(gen.A.toarray())
+    right = dense[dense.real > sigma]
+    assert w.size >= 2 and w.size == right.size
+    assert max(np.min(np.abs(dense - z)) / max(1.0, abs(z))
+               for z in w) < 1e-9
+    assert max(np.min(np.abs(w - z)) / max(1.0, abs(z))
+               for z in right) < 1e-9
 
 
 def test_delay_spectrum_against_the_dense_block_system():
@@ -274,6 +343,17 @@ def test_delay_spectrum_keeps_the_lag_mode_when_it_leads():
     assert np.array_equal(rep.eigenvalues[1:4], [-1.0, -1.0, -1.0])
     assert rep.gap == -1.0
     assert rep.age_gap < -1.0
+
+
+def test_the_real_scan_refines_until_every_counted_root_turns_up():
+    # two real roots 1e-3 apart share a cell of the first 128-cell mesh
+    # on [-1.5, 0), so chi shows no sign change across it
+    class TwoRoots:
+        def at(self, x):
+            return complex(x * (x + 0.5) * (x + 0.501)), 0j, 0.0
+
+    roots = linear_analysis._real_roots(TwoRoots(), -1.5, 3)
+    assert sorted(roots) == pytest.approx([-0.501, -0.5, 0.0], abs=1e-12)
 
 
 def test_a_dropped_root_is_an_error(monkeypatch):
