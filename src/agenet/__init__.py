@@ -11,8 +11,9 @@ from .grid import AgeGrid, DensityState, preset_density
 from .steady_state import SteadyState, regime_scan, solve_steady_state
 from .delay_kernel import DelayKernel, DischargeHistory
 from .evolution import (ActivitySolution, DecayFit, SimulationConfig,
-                        SimulationTrace, decay_fit, kappa0, run,
-                        solve_activity_implicit, step, stepper_equilibrium)
+                        SimulationTrace, SolverCounts, decay_fit, kappa0,
+                        run, solve_activity_implicit, step,
+                        stepper_equilibrium)
 from .linear_analysis import (DelaySpectrumReport, DelaySystem,
                               GeneratorMatrix, SpectrumReport,
                               activity_readout, build_delay_system,
@@ -27,9 +28,9 @@ __all__ = [
     "moment_tail_constant",
     "SteadyState", "solve_steady_state", "regime_scan",
     "DelayKernel", "DischargeHistory",
-    "SimulationConfig", "SimulationTrace", "ActivitySolution", "DecayFit",
-    "solve_activity_implicit", "kappa0", "step", "run", "decay_fit",
-    "stepper_equilibrium",
+    "SimulationConfig", "SimulationTrace", "ActivitySolution", "SolverCounts",
+    "DecayFit", "solve_activity_implicit", "kappa0", "step", "run",
+    "decay_fit", "stepper_equilibrium",
     "GeneratorMatrix", "SpectrumReport", "DelaySystem",
     "DelaySpectrumReport", "build_generator", "spectrum",
     "build_delay_system", "delay_spectrum", "activity_readout",

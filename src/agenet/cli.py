@@ -388,6 +388,11 @@ def _fmt(x):
     return "%.12g" % x
 
 
+def _csv_text(text):
+    # free text as one CSV field: no separators, no line breaks
+    return " ".join(text.replace(",", ";").split())
+
+
 def _write_csv(path, header, rows):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
@@ -470,13 +475,16 @@ def _cmd_spectrum(args):
 
 
 def _sweep_row(cfg, scan_row):
-    """One sweep row; every numeric failure is folded into the status."""
+    """One sweep row.  A numeric failure sets the status from its type
+    and keeps its message in the detail."""
     lam = scan_row.lam
     row = {"lambda": lam, "M": None, "xi": None, "gap": None,
-           "alpha": None, "r2": None, "unique": None, "status": "ok"}
+           "alpha": None, "r2": None, "unique": None, "status": "ok",
+           "detail": ""}
     try:
         if not scan_row.roots:
             row["status"] = "no-steady-state"
+            row["detail"] = "no stationary activity at this coupling"
             return row
         row["unique"] = scan_row.unique
         model = dataclasses.replace(cfg.model, lam=lam)
@@ -495,15 +503,15 @@ def _sweep_row(cfg, scan_row):
         fit = decay_fit(trace, (w0, w1))
         row["alpha"] = fit.alpha
         row["r2"] = fit.r2
-    except AmbiguousActivityError:
+    except AmbiguousActivityError as exc:
         row.update(M=None, xi=None, gap=None, alpha=None, r2=None,
-                   unique=None, status="ambiguous")
-    except (ModelInconsistencyError, BracketError):
-        row["status"] = "no-root"
-    except InvariantViolationError:
-        row["status"] = "invariant-violation"
-    except (DegenerateInputError, ValueError, SpectrumCountError):
-        row["status"] = "error"
+                   unique=None, status="ambiguous", detail=str(exc))
+    except (ModelInconsistencyError, BracketError) as exc:
+        row.update(status="no-root", detail=str(exc))
+    except InvariantViolationError as exc:
+        row.update(status="invariant-violation", detail=str(exc))
+    except (DegenerateInputError, ValueError, SpectrumCountError) as exc:
+        row.update(status="error", detail=str(exc))
     return row
 
 
@@ -519,9 +527,10 @@ def _cmd_sweep(args):
         csv_rows.append([
             _fmt(row["lambda"]), _fmt(row["M"]), _fmt(row["xi"]),
             _fmt(row["gap"]), _fmt(row["alpha"]), _fmt(row["r2"]),
-            "" if unique is None else str(int(unique)), row["status"]])
+            "" if unique is None else str(int(unique)), row["status"],
+            _csv_text(row["detail"])])
     _write_csv(args.out, ["lambda", "M", "xi", "gap", "alpha", "r2",
-                          "unique", "status"], csv_rows)
+                          "unique", "status", "detail"], csv_rows)
     n_ok = sum(1 for row in rows if row["status"] == "ok")
     print(f"wrote {args.out}: {len(rows)} rows, {n_ok} ok")
     return 0

@@ -163,14 +163,21 @@ class DelayKernel:
 class DischargeHistory:
     """Rolling record of past discharge values on the time mesh.
 
-    Entry j holds p(t - j*dt); push() advances the window one step.
-    Owned by a single simulation, never shared.
+    Entry j of the window holds p(t - j*dt); push() advances the window
+    one step.  The record is a mirrored ring: a buffer of 2N entries in
+    which entries i and i + N are equal, so the window is always one
+    contiguous slice, push() writes two entries, and lagged() returns a
+    view without copying.  A view from lagged() is valid until the next
+    push().  Owned by a single simulation, never shared.
     """
 
     def __init__(self, values, dt):
-        self._buf = np.array(values, dtype=float)
-        if self._buf.ndim != 1 or self._buf.size == 0:
+        values = np.array(values, dtype=float)
+        if values.ndim != 1 or values.size == 0:
             raise ValueError("history must be a nonempty 1d array")
+        self._size = values.size
+        self._ring = np.concatenate((values, values))
+        self._head = 0              # the window is _ring[_head:_head + N]
         self.dt = float(dt)
 
     @classmethod
@@ -178,18 +185,22 @@ class DischargeHistory:
         return cls(np.full(length, float(value)), dt)
 
     def __len__(self):
-        return self._buf.size
+        return self._size
 
     def push(self, p):
-        self._buf[1:] = self._buf[:-1]
-        self._buf[0] = p
+        head = (self._head - 1) % self._size
+        self._ring[head] = p
+        self._ring[head + self._size] = p
+        self._head = head
 
     def lagged(self, count):
-        """The most recent `count` values, newest first."""
-        if count > self._buf.size:
+        """The most recent `count` values, newest first: a read-only
+        view, valid until the next push()."""
+        if count > self._size:
             raise ConfigError([
-                f"history of length {self._buf.size} is shorter than the "
+                f"history of length {self._size} is shorter than the "
                 f"kernel support ({count} mesh points); enlarge the buffer "
                 "before the run starts"])
-        return self._buf[:count]
-
+        view = self._ring[self._head:self._head + count]
+        view.flags.writeable = False
+        return view

@@ -5,7 +5,9 @@ Each step: decay the density by the survival factor exp(-k dt), book
 the absorbed mass plus the mass advected past the age horizon as the
 discharge p, shift the density one cell toward older ages, and reinject
 p in the youngest cell.  Cell mass is conserved to rounding by
-construction.
+construction.  step() and run() share one kernel, _advance; run() steps
+inside two preallocated buffers and takes the factors exp(-k dt) from
+the rate family's survival().
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from .firing_rate import estimate_xi, half_rate_age
 from .grid import AgeGrid, DensityState
 
 __all__ = [
-    "SimulationConfig", "SimulationTrace", "ActivitySolution", "DecayFit",
-    "solve_activity_implicit", "kappa0", "step", "run", "decay_fit",
-    "stepper_equilibrium",
+    "SimulationConfig", "SimulationTrace", "ActivitySolution", "SolverCounts",
+    "DecayFit", "solve_activity_implicit", "kappa0", "step", "run",
+    "decay_fit", "stepper_equilibrium",
 ]
 
 
@@ -70,6 +72,17 @@ class ActivitySolution:
 
 
 @dataclasses.dataclass(frozen=True)
+class SolverCounts:
+    """Which path each implicit activity solve of a run took: the
+    solves settled by fixed-point iteration, the solves that fell back
+    to the root scan, and the most iterations any solve used."""
+
+    fixed_point: int
+    scan: int
+    max_iterations: int
+
+
+@dataclasses.dataclass(frozen=True)
 class SimulationTrace:
     times: np.ndarray
     m_series: np.ndarray
@@ -81,6 +94,7 @@ class SimulationTrace:
     final_state: DensityState
     kappa0: float
     dt: float
+    activity_solves: SolverCounts
 
 
 @dataclasses.dataclass(frozen=True)
@@ -144,25 +158,36 @@ def solve_activity_implicit(model, grid, values, bracket=None, tol=1e-12,
     return ActivitySolution(m=roots[0], iterations=max_iter, method="scan")
 
 
+def _advance(values, total, survival, out, dx, t, m):
+    """The transport kernel of step() and run().
+
+    values is the density and total its cell sum.  The survivors go to
+    out[1:], one cell older, and the discharge p to out[0], so out has
+    one cell more than values and out[:-1] is the new density.  Returns
+    p and the new cell sum."""
+    survived = out[1:]
+    np.multiply(values, survival, out=survived)
+    absorbed = (total - float(survived.sum())) * dx
+    outflow = float(survived[-1]) * dx
+    p = (absorbed + outflow) / dx
+    out[0] = p
+    if p < 0.0 or out[-2] < 0.0:
+        raise InvariantViolationError(
+            "negative density produced by a transport step",
+            {"t": t, "p": p, "m": m})
+    return p, float(out[:-1].sum())
+
+
 def step(state, m, config):
     """One transport step at activity m.  Returns (new_state, p)."""
     grid = config.grid
-    dt = grid.dx
     values = state.values
-    rates = config.model.rate(grid.midpoints, m)
-    survived = values * np.exp(-rates * dt)
-    absorbed = (float(values.sum()) - float(survived.sum())) * grid.dx
-    outflow = float(survived[-1]) * grid.dx
-    p = (absorbed + outflow) / dt
-    new = np.empty_like(values)
-    new[1:] = survived[:-1]
-    new[0] = p
-    if p < 0.0 or new[-1] < 0.0:
-        raise InvariantViolationError(
-            "negative density produced by a transport step",
-            {"t": state.t, "p": p, "m": m})
-    mass = float(new.sum()) * grid.dx
-    return DensityState(values=new, mass=mass, m=m, p=p, t=state.t + dt), p
+    out = np.empty(grid.n_cells + 1)
+    p, total = _advance(values, float(values.sum()),
+                        config.model.survival(grid, m), out, grid.dx,
+                        state.t, m)
+    return DensityState(values=out[:-1], mass=total * grid.dx, m=m, p=p,
+                        t=state.t + grid.dx), p
 
 
 def _check_strong_regime_gate(config, k0_mass):
@@ -187,9 +212,11 @@ def run(config, f0, steady=None):
     of age.  If steady is given (a SteadyState), the trace records the
     L1 distance to its profile at every sample.
 
-    Running checks on every recorded sample: unit mass within 1e-10,
-    sup bound, p <= k1, m in [0, k1], and for kappa0 > 0 the uniform
-    activity floor once t passes the half-rate age.
+    Every step checks that the density stays nonnegative and that m
+    and p stay finite.  Running checks on every recorded sample: unit
+    mass within 1e-10, sup bound, p <= k1, m in [0, k1], and for
+    kappa0 > 0 the uniform activity floor once t passes the half-rate
+    age.  The trace counts the path each activity solve took.
     """
     grid, model, kernel = config.grid, config.model, config.kernel
     dt = config.dt
@@ -210,11 +237,20 @@ def run(config, f0, steady=None):
 
     # initial activity: the self-consistent discharge of f0, which also
     # pads the pre-history for delayed kernels
-    sol = solve_activity_implicit(model, grid, state.values,
-                         tol=config.fixed_point_tol,
-                         max_iter=config.fixed_point_max_iter)
-    m0 = sol.m
-    state = dataclasses.replace(state, m=m0, p=m0)
+    solves = {"fixed-point": 0, "scan": 0}
+    most_iterations = 0
+
+    def _solve(values, warm_start=None):
+        nonlocal most_iterations
+        sol = solve_activity_implicit(model, grid, values,
+                                      tol=config.fixed_point_tol,
+                                      max_iter=config.fixed_point_max_iter,
+                                      warm_start=warm_start)
+        solves[sol.method] += 1
+        most_iterations = max(most_iterations, sol.iterations)
+        return sol.m
+
+    m0 = _solve(state.values)
 
     history = None
     weights = None
@@ -228,35 +264,33 @@ def run(config, f0, steady=None):
 
     F = steady.F if steady is not None else None
 
-    times = [0.0]
-    m_series = [m0]
-    p_series = [m0]
-    mass_series = [state.mass]
-    linf_series = [float(np.max(state.values))]
-    l1q_series = [grid.l1q_norm(state.values, config.q)]
-    dist_series = None
-    if F is not None:
-        dist_series = [grid.l1_distance(state.values, F)]
+    times = []
+    m_series = []
+    p_series = []
+    mass_series = []
+    linf_series = []
+    l1q_series = []
+    dist_series = None if F is None else []
 
-    def _record(t, st, m, p):
+    def _record(t, values, mass, m, p):
         times.append(t)
         m_series.append(m)
         p_series.append(p)
-        mass_series.append(st.mass)
-        linf_series.append(float(np.max(st.values)))
-        l1q_series.append(grid.l1q_norm(st.values, config.q))
+        mass_series.append(mass)
+        linf_series.append(float(np.max(values)))
+        l1q_series.append(grid.l1q_norm(values, config.q))
         if dist_series is not None:
-            dist_series.append(grid.l1_distance(st.values, F))
-        _check_running(t, st, m, p)
+            dist_series.append(grid.l1_distance(values, F))
+        _check_running(t, values, mass, m, p)
 
-    def _check_running(t, st, m, p):
-        diag = {"t": t, "m": m, "p": p, "mass": st.mass}
+    def _check_running(t, values, mass, m, p):
+        diag = {"t": t, "m": m, "p": p, "mass": mass}
         if not (math.isfinite(m) and math.isfinite(p)
-                and math.isfinite(st.mass)):
+                and math.isfinite(mass)):
             raise InvariantViolationError("non-finite state", diag)
-        if abs(st.mass - 1.0) > 1e-10:
+        if abs(mass - 1.0) > 1e-10:
             raise InvariantViolationError("mass drifted off 1", diag)
-        if np.max(st.values) > sup_bound:
+        if np.max(values) > sup_bound:
             diag["sup_bound"] = sup_bound
             raise InvariantViolationError("density exceeded its sup bound",
                                           diag)
@@ -269,33 +303,41 @@ def run(config, f0, steady=None):
             raise InvariantViolationError(
                 "activity fell below its uniform lower bound", diag)
 
-    _check_running(0.0, state, m0, m0)
+    _record(0.0, state.values, state.mass, m0, m0)
 
-    warm = m0
+    # the density lives in cur[:cells]; each step writes the next one
+    # into nxt and the two swap, so the loop allocates no cell arrays
+    cells = grid.n_cells
+    cur = np.empty(cells + 1)
+    nxt = np.empty(cells + 1)
+    cur[:cells] = state.values
+    total = float(state.values.sum())
+    t = state.t
+    m = p = m0
     for n in range(1, n_steps + 1):
+        values = cur[:cells]
         if kernel.is_dirac:
             try:
-                sol = solve_activity_implicit(model, grid, state.values,
-                                     tol=config.fixed_point_tol,
-                                     max_iter=config.fixed_point_max_iter,
-                                     warm_start=warm)
+                m = _solve(values, warm_start=m)
             except AmbiguousActivityError as exc:
-                exc.t = state.t
+                exc.t = t
                 raise
-            m = sol.m
-            warm = m
         else:
             m = float(weights @ history.lagged(weights.size))
-        state, p = step(state, m, config)
-        state = dataclasses.replace(state, t=n * dt)
+        p, total = _advance(values, total, model.survival(grid, m), nxt,
+                            grid.dx, t, m)
+        cur, nxt = nxt, cur
+        t = n * dt
         if history is not None:
             history.push(p)
         if not (math.isfinite(p) and math.isfinite(m)):
             raise InvariantViolationError(
-                "non-finite step output", {"t": n * dt, "m": m, "p": p})
+                "non-finite step output", {"t": t, "m": m, "p": p})
         if n % config.record_every == 0 or n == n_steps:
-            _record(n * dt, state, m, p)
+            _record(t, cur[:cells], total * grid.dx, m, p)
 
+    final = DensityState(values=cur[:cells].copy(), mass=total * grid.dx,
+                         m=m, p=p, t=t)
     return SimulationTrace(
         times=np.asarray(times),
         m_series=np.asarray(m_series),
@@ -304,9 +346,12 @@ def run(config, f0, steady=None):
         linf_series=np.asarray(linf_series),
         l1q_series=np.asarray(l1q_series),
         l1_dist_to_F=None if dist_series is None else np.asarray(dist_series),
-        final_state=state,
+        final_state=final,
         kappa0=k0_mass,
         dt=dt,
+        activity_solves=SolverCounts(
+            fixed_point=solves["fixed-point"], scan=solves["scan"],
+            max_iterations=most_iterations),
     )
 
 
@@ -363,7 +408,7 @@ def stepper_equilibrium(model, grid, tol=1e-13):
     dx = grid.dx
 
     def profile(m):
-        s = np.exp(-model.rate(mids, m) * dx)
+        s = model.survival(grid, m)
         f = np.empty(grid.n_cells)
         f[0] = 1.0
         np.cumprod(s[:-1], out=f[1:])

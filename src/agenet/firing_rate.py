@@ -11,15 +11,20 @@ and bounded by k1.  k0 is the resting rate of an old neuron
 
 Each family computes its own closed forms behind one protocol: rate,
 cumulative K(x, mu) = int_0^x k, cumulative_over (K at one age for an
-array of activities), activity_map (mu -> int k(x, lam*mu) f dx on the
-midpoint mesh), activity_scan_size (the mesh the implicit activity
-solve scans when its iteration stalls) and lipschitz_known (whether
-estimate_xi can trust xi).
+array of activities), survival (the one-step factors
+exp(-k(x_j, lam*mu) dx) on the midpoint mesh), activity_map
+(mu -> int k(x, lam*mu) f dx on the midpoint mesh), activity_scan_size
+(the mesh the implicit activity solve scans when its iteration stalls)
+and lipschitz_known (whether estimate_xi can trust xi).
+
+Age profiles on a mesh depend only on the family's shape parameters
+and the grid, so they are computed once and cached, read-only.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Callable, Optional
 
@@ -39,11 +44,16 @@ __all__ = [
 ]
 
 
-def _check_domain(x, mu):
-    if np.ndim(mu) != 0:
+def _check_mu(mu):
+    # a Python float is a scalar; skip the slower ndim test for it
+    if not isinstance(mu, float) and np.ndim(mu) != 0:
         raise ValueError("activity mu must be a scalar")
     if not 0.0 <= float(mu) < math.inf:
         raise ValueError("activity mu must be finite and nonnegative")
+
+
+def _check_domain(x, mu):
+    _check_mu(mu)
     if np.any(np.asarray(x) < 0.0):
         raise ValueError("age x must be nonnegative")
 
@@ -62,6 +72,34 @@ def _check_over(x, mus):
 def _match_shape(x, out):
     # scalar in, scalar out; array in, array out
     return float(out) if np.ndim(x) == 0 else out
+
+
+# Per-grid profiles, keyed on the frozen AgeGrid.  Each cache keeps at
+# most this many vectors of one float per cell, so memory stays bounded.
+_PROFILE_CACHE = 16
+
+
+def _frozen(values):
+    values.flags.writeable = False
+    return values
+
+
+@functools.lru_cache(maxsize=_PROFILE_CACHE)
+def _constant_survival(k0, grid):
+    # computed as np.exp(-rate(midpoints, mu) * dx) computes it
+    return _frozen(np.exp(-np.full(grid.n_cells, k0) * grid.dx))
+
+
+@functools.lru_cache(maxsize=_PROFILE_CACHE)
+def _unit_decay(grid):
+    # exp(-1 * dx), taken from a vector exp like the full expression
+    return float(np.exp(-np.ones(1) * grid.dx)[0])
+
+
+@functools.lru_cache(maxsize=_PROFILE_CACHE)
+def _saturating_shape(x_scale, grid):
+    # the age factor 1 - exp(-x/x_scale) of the smooth family
+    return _frozen(-np.expm1(-grid.midpoints / x_scale))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -94,6 +132,10 @@ class ConstantRate:
     def cumulative_over(self, x, mus):
         x, mus = _check_over(x, mus)
         return np.full(mus.shape, self.k0 * x)
+
+    def survival(self, grid, mu):
+        _check_mu(mu)
+        return _constant_survival(self.k0, grid)
 
     def activity_map(self, grid, values):
         total = self.k0 * float(np.sum(values)) * grid.dx
@@ -154,9 +196,14 @@ class SmoothSaturatingRate:
             -(self.lam * mus) / self.mu_scale)
         return gains * self._age_integral(x)
 
+    def survival(self, grid, mu):
+        _check_mu(mu)
+        shape = _saturating_shape(self.x_scale, grid)
+        return np.exp(-(self.gain(mu) * shape) * grid.dx)
+
     def activity_map(self, grid, values):
         # separable: one dot product per density, then O(1) per mu
-        shape = -np.expm1(-grid.midpoints / self.x_scale)
+        shape = _saturating_shape(self.x_scale, grid)
         weight = float(np.dot(shape, values)) * grid.dx
         return lambda mu: self.gain(mu) * weight
 
@@ -233,6 +280,16 @@ class StepRate:
         # the scalar map, so each entry equals cumulative(x, mu) exactly
         thresholds = np.array([self.threshold(mu) for mu in mus.tolist()])
         return np.maximum(0.0, x - thresholds)
+
+    def survival(self, grid, mu):
+        # cells past the threshold decay by exp(-dx), the rest by 1
+        _check_mu(mu)
+        idx = np.searchsorted(grid.midpoints, self.threshold(mu),
+                              side="right")
+        out = np.empty(grid.n_cells)
+        out[:idx] = 1.0
+        out[idx:] = _unit_decay(grid)
+        return out
 
     def activity_map(self, grid, values):
         # cells past the threshold fire at rate 1: an exact tail sum

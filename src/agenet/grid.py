@@ -105,8 +105,9 @@ class AgeGrid:
 class DensityState:
     """Density snapshot: cell averages plus the scalar observables.
 
-    Value object; evolution steps allocate a fresh state, so instances
-    can be shared freely.
+    Value object.  step() returns a state with its own array, and run()
+    steps inside private buffers and hands out a copy as its final
+    state, so no later step writes into a state's values.
     """
 
     values: np.ndarray

@@ -247,7 +247,7 @@ def test_sweep_constant_family(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == "lambda,M,xi,gap,alpha,r2,unique,status"
+    assert lines[0] == "lambda,M,xi,gap,alpha,r2,unique,status,detail"
     assert len(lines) == 3
     rows = [line.split(",") for line in lines[1:]]
     assert [r[0] for r in rows] == ["0", "0.7"]
@@ -255,6 +255,7 @@ def test_sweep_constant_family(tmp_path, capsys):
     assert rows[0][1:] == rows[1][1:]
     assert rows[0][1] == "1"  # M = k0
     assert rows[0][6] == "1" and rows[0][7] == "ok"
+    assert rows[0][8] == ""   # an ok row carries no detail
     # the discrete relaxation rate of a constant rate is exactly -k0
     assert float(rows[0][4]) == pytest.approx(-1.0, abs=1e-9)
     assert float(rows[0][5]) == pytest.approx(1.0, abs=1e-9)
@@ -313,6 +314,7 @@ def test_sweep_row_statuses():
     cfg = _crafted_config(ConstantRate(k0=1.0), grid)
     row = cli._sweep_row(cfg, ScanRow(lam=0.3, roots=(), unique=False))
     assert row["status"] == "no-steady-state"
+    assert row["detail"] == "no stationary activity at this coupling"
     assert row["M"] is None and row["alpha"] is None
 
     amb_cfg = _crafted_config(_four_plateau_model(),
@@ -321,6 +323,7 @@ def test_sweep_row_statuses():
         row = cli._sweep_row(amb_cfg, ScanRow(lam=1.0, roots=(0.5,),
                                               unique=True))
     assert row["status"] == "ambiguous"
+    assert row["detail"].startswith("the implicit activity admits")
     # ambiguity wipes every numeric column, including ones already set
     assert all(row[k] is None
                for k in ("M", "xi", "gap", "alpha", "r2", "unique"))
@@ -329,7 +332,8 @@ def test_sweep_row_statuses():
 def test_uncertified_spectrum_exits_1_and_marks_the_sweep_row(
         tmp_path, capsys, monkeypatch):
     def uncertified(gen, k_eigs=16):
-        raise SpectrumCountError("the argument principle counts 5 roots")
+        raise SpectrumCountError(
+            "the argument principle counts 5 roots,\nNewton locates 4")
 
     monkeypatch.setattr(cli, "spectrum", uncertified)
     cfg = _write_config(tmp_path)
@@ -339,6 +343,17 @@ def test_uncertified_spectrum_exits_1_and_marks_the_sweep_row(
     row = cli._sweep_row(_crafted_config(ConstantRate(k0=1.0), grid),
                          ScanRow(lam=0.0, roots=(1.0,), unique=True))
     assert row["status"] == "error"
+    assert row["detail"] == ("the argument principle counts 5 roots,\n"
+                             "Newton locates 4")
+    # the sweep CSV keeps the message on one line, in one field
+    cfg = _write_config(tmp_path, {"sweep": {"lambdas": [0.0]}})
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    header, line = out.read_text().splitlines()
+    row = dict(zip(header.split(","), line.split(",")))
+    assert row["status"] == "error"
+    assert row["detail"] == ("the argument principle counts 5 roots; "
+                             "Newton locates 4")
 
 
 def test_decay_fit_command(tmp_path, capsys):

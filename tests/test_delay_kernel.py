@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from agenet import ConfigError, DelayKernel, DischargeHistory
@@ -115,6 +117,25 @@ def test_discharge_history():
         DischargeHistory([], dt=0.1)
     with pytest.raises(ValueError):
         DischargeHistory(np.ones((2, 2)), dt=0.1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(initial=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=12),
+       pushes=st.lists(st.tuples(st.floats(0.0, 10.0), st.integers(0, 12)),
+                       max_size=40))
+def test_ring_history_matches_a_shift_buffer(initial, pushes):
+    history = DischargeHistory(initial, dt=0.1)
+    reference = np.array(initial, dtype=float)
+    for p, count in pushes:
+        history.push(p)
+        reference[1:] = reference[:-1]
+        reference[0] = p
+        count = min(count, reference.size)
+        view = history.lagged(count)
+        assert np.array_equal(view, reference[:count])
+        assert not view.flags.writeable
+    assert len(history) == reference.size
+    assert np.array_equal(history.lagged(len(history)), reference)
 
 
 def test_convolve_constant_history_is_exact():

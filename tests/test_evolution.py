@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from agenet import (AgeGrid, AmbiguousActivityError, ConstantRate,
-                    DegenerateInputError, ModelInconsistencyError,
+                    DegenerateInputError, DischargeHistory,
+                    InvariantViolationError, ModelInconsistencyError,
                     SimulationConfig, SmoothSaturatingRate, StepRate,
-                    DelayKernel, decay_fit, kappa0, preset_density, run,
+                    DelayKernel, DensityState, decay_fit, kappa0,
+                    preset_density, run,
                     solve_activity_implicit, step, stepper_equilibrium)
 
 
@@ -201,6 +203,108 @@ def test_run_with_distributed_delay():
     assert np.all(np.isfinite(trace.m_series))
     # the constant pre-history keeps the early activity near its start
     assert abs(trace.m_series[1] - trace.m_series[0]) < 5e-3
+
+
+KERNELS = [DelayKernel.dirac(), DelayKernel.exponential(theta=2.0)]
+KERNEL_IDS = ["dirac", "exponential"]
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
+@pytest.mark.parametrize("model", [
+    StepRate(sigma_plus=0.5, sigma_minus=0.25, lam=0.3),
+    SmoothSaturatingRate(k0=0.5, k1=2.0, lam=0.6)], ids=["step", "smooth"])
+def test_run_matches_a_loop_of_public_steps(model, kernel):
+    grid = _grid()
+    cfg = SimulationConfig(grid=grid, model=model, kernel=kernel, t_end=1.0,
+                           record_every=1)
+    f0 = preset_density(grid, "exp2")
+    trace = run(cfg, f0)
+
+    state = f0
+    m = solve_activity_implicit(model, grid, f0.values).m
+    ms, ps = [m], [m]
+    if not kernel.is_dirac:
+        _, w = kernel.weights(grid.dx)
+        history = DischargeHistory.constant(m, w.size, grid.dx)
+    for _ in range(trace.times.size - 1):
+        if kernel.is_dirac:
+            m = solve_activity_implicit(model, grid, state.values,
+                                        warm_start=m).m
+        else:
+            m = float(w @ history.lagged(w.size))
+        state, p = step(state, m, cfg)
+        if not kernel.is_dirac:
+            history.push(p)
+        ms.append(m)
+        ps.append(p)
+    assert np.array_equal(trace.m_series, ms)
+    assert np.array_equal(trace.p_series, ps)
+    assert np.array_equal(trace.final_state.values, state.values)
+    assert trace.final_state.mass == state.mass
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
+def test_run_steps_on_survival_factors_not_rates(kernel, monkeypatch):
+    # the step loop asks the family for its one-step factors once per
+    # step and never for the rates themselves
+    calls = {"rate": 0, "survival": 0}
+
+    def counting(name):
+        method = getattr(StepRate, name)
+
+        def counted(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(StepRate, name, counting(name))
+    grid = _grid()
+    model = StepRate(sigma_plus=0.5, sigma_minus=0.25, lam=0.3)
+
+    def calls_over(t_end):
+        calls.update(rate=0, survival=0)
+        run(SimulationConfig(grid=grid, model=model, kernel=kernel,
+                             t_end=t_end), preset_density(grid, "uniform01"))
+        return dict(calls)
+
+    short, long = calls_over(0.5), calls_over(1.0)
+    assert short["survival"] == 50 and long["survival"] == 100
+    assert long["rate"] == short["rate"]
+
+
+def test_step_checks_positivity_on_every_step():
+    # a negative cell between two recorded samples is caught by the
+    # step that produces it
+    grid = _grid()
+    config = SimulationConfig(grid=grid, model=ConstantRate(k0=1.0))
+    state = preset_density(grid, "uniform01")
+    values = state.values.copy()
+    values[-2] = -1e-3
+    bad = DensityState(values=values, mass=state.mass, m=0.0, p=0.0, t=0.0)
+    with pytest.raises(InvariantViolationError, match="negative density"):
+        step(bad, 0.0, config)
+
+
+def test_run_counts_the_activity_solver_paths():
+    grid = _grid()
+    model = SmoothSaturatingRate(k0=0.5, k1=2.0, lam=0.6)
+    f0 = preset_density(grid, "uniform01")
+    solves = run(SimulationConfig(grid=grid, model=model, t_end=0.5),
+                 f0).activity_solves
+    assert (solves.fixed_point, solves.scan) == (51, 0)
+    assert 1 <= solves.max_iterations < 200
+    # one iteration cannot settle a coupled activity: the scan takes over
+    forced = run(SimulationConfig(grid=grid, model=model, t_end=0.5,
+                                  fixed_point_max_iter=1), f0).activity_solves
+    assert forced.scan > 0
+    assert forced.fixed_point + forced.scan == 51
+    assert forced.max_iterations == 1
+    # a delayed kernel solves once, for the initial activity
+    delayed = run(SimulationConfig(grid=grid, model=model, t_end=0.5,
+                                   kernel=DelayKernel.exponential(2.0)),
+                  f0).activity_solves
+    assert delayed.fixed_point + delayed.scan == 1
 
 
 def test_run_refuses_zero_rest_mass_in_strong_regime():

@@ -261,6 +261,28 @@ def test_cumulative_over_matches_scalar_calls(model):
 
 
 @pytest.mark.parametrize("model", FAMILIES, ids=FAMILY_IDS)
+def test_survival_equals_the_rate_expression(model):
+    # the transport step used np.exp(-rate(midpoints, mu) * dx); the
+    # family's factors must reproduce it bit for bit
+    grid = AgeGrid(dx=0.01, n_cells=1000)
+    mus = np.concatenate([[0.0], np.random.default_rng(7).uniform(0.0, 3.0,
+                                                                   499)])
+    for mu in mus:
+        expected = np.exp(-model.rate(grid.midpoints, mu) * grid.dx)
+        assert np.array_equal(model.survival(grid, mu), expected)
+
+
+@pytest.mark.parametrize("model", FAMILIES, ids=FAMILY_IDS)
+def test_survival_validates_the_activity(model):
+    grid = AgeGrid(dx=0.1, n_cells=20)
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            model.survival(grid, bad)
+    with pytest.raises(ValueError, match="scalar"):
+        model.survival(grid, np.array([0.1, 0.2]))
+
+
+@pytest.mark.parametrize("model", FAMILIES, ids=FAMILY_IDS)
 def test_activity_map_matches_generic_quadrature(model):
     grid = AgeGrid(dx=0.01, n_cells=1000)
     rng = np.random.default_rng(5)
@@ -339,3 +361,16 @@ def test_cumulative_properties(model, xs, mus):
         assert np.all(K <= model.k1 * xs + slack)
     for x in xs:
         assert np.all(np.diff(model.cumulative_over(x, mus)) >= -slack)
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=rate_models(), dx=st.floats(1e-3, 0.5),
+       n_cells=st.integers(2, 300),
+       mus=st.lists(st.floats(0.0, 10.0), min_size=2, max_size=8))
+def test_survival_properties(model, dx, n_cells, mus):
+    grid = AgeGrid(dx=dx, n_cells=n_cells)
+    factors = np.array([model.survival(grid, mu) for mu in sorted(mus)])
+    assert np.all(factors > 0.0) and np.all(factors <= 1.0)
+    # rates rise with age and with activity, so the factors fall
+    assert np.all(np.diff(factors, axis=1) <= 0.0)
+    assert np.all(np.diff(factors, axis=0) <= 0.0)
