@@ -29,8 +29,7 @@ from .evolution import (SimulationConfig, decay_fit, run,
 from .firing_rate import (ConstantRate, SmoothSaturatingRate, StepRate,
                           estimate_xi)
 from .grid import AgeGrid, preset_density
-from .linear_analysis import (build_delay_system, build_generator,
-                              delay_spectrum, spectrum)
+from .linear_analysis import build_generator, spectrum
 from .steady_state import regime_scan, solve_steady_state
 
 __all__ = ["RunConfig", "parse_config", "default_config", "main"]
@@ -447,17 +446,12 @@ def _cmd_steady_state(args):
 def _cmd_spectrum(args):
     cfg = parse_config(args.config)
     grid = cfg.grid
+    if not cfg.kernel.is_dirac:
+        print(f"note: the {cfg.kernel.kind} delay kernel does not enter the "
+              "linearization with the rates frozen at M, so the spectrum is "
+              "the Dirac kernel's (see ROADMAP item 2)", file=sys.stderr)
     ss = solve_steady_state(cfg.model, grid)
-    if cfg.kernel.is_dirac:
-        rep = spectrum(build_generator(cfg.model, grid, ss))
-    else:
-        horizon = cfg.kernel.memory_horizon()
-        n_lag = int(math.ceil(horizon / grid.dx))
-        y_grid = AgeGrid(dx=grid.dx, n_cells=n_lag)
-        system = build_delay_system(cfg.model, grid, ss, cfg.kernel, y_grid)
-        rep = delay_spectrum(system)
-        print(f"lag transport eigenvalue = {_fmt(rep.lag_eigenvalue)}")
-        print(f"age-block gap = {_fmt(rep.age_gap)}")
+    rep = spectrum(build_generator(cfg.model, grid, ss))
     print(f"eigenvalue nearest 0: {_fmt(rep.zero_eigenvalue.real)} + "
           f"{_fmt(rep.zero_eigenvalue.imag)}i")
     print(f"spectral gap = {_fmt(rep.gap)}")
@@ -467,8 +461,8 @@ def _cmd_spectrum(args):
         _write_csv(args.eigs_out, ["re", "im"], rows)
         print(f"wrote {args.eigs_out}: {len(rows)} eigenvalues")
     if args.kernel_out:
-        age_block = rep.kernel_vector[:grid.n_cells]
-        rows = [[_fmt(x), _fmt(v)] for x, v in zip(grid.midpoints, age_block)]
+        rows = [[_fmt(x), _fmt(v)]
+                for x, v in zip(grid.midpoints, rep.kernel_vector)]
         _write_csv(args.kernel_out, ["x", "v"], rows)
         print(f"wrote {args.kernel_out}: {len(rows)} cells")
     return 0
@@ -519,6 +513,11 @@ def _cmd_sweep(args):
     cfg = parse_config(args.config)
     if not cfg.lambdas:
         raise ConfigError(["sweep.lambdas: must be nonempty for a sweep"])
+    if cfg.window[0] >= cfg.t_end:
+        raise ConfigError([
+            f"run.window: the fit window starts at {_fmt(cfg.window[0])}, "
+            f"not before run.t_end = {_fmt(cfg.t_end)}, so no sweep row "
+            "would have samples to fit; lower the start or raise run.t_end"])
     scan = regime_scan(cfg.model, list(cfg.lambdas), cfg.grid)
     rows = [_sweep_row(cfg, scan_row) for scan_row in scan]
     csv_rows = []

@@ -13,7 +13,7 @@ import math
 from typing import Optional
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import ConfigError
 
@@ -115,7 +115,11 @@ class DelayKernel:
         if self.kind == "exponential":
             return self.theta * np.exp(-self.theta * y)
         if self.kind == "gamma":
-            return stats.gamma.pdf(y, a=self.shape, scale=1.0 / self.theta)
+            # the Gamma(shape, rate) density, term for term as
+            # scipy.stats.gamma.pdf forms it with scale s = 1/rate
+            s = 1.0 / self.theta
+            return np.exp(special.xlogy(self.shape - 1.0, y / s) - y / s
+                          - special.gammaln(self.shape)) / s
         return np.interp(y, self.y_samples, self.b_samples, left=0.0,
                          right=0.0)
 
@@ -127,8 +131,8 @@ class DelayKernel:
         if self.kind == "exponential":
             return -math.log(1.0 - _QUANTILE) / self.theta
         if self.kind == "gamma":
-            return float(stats.gamma.ppf(_QUANTILE, a=self.shape,
-                                         scale=1.0 / self.theta))
+            return float(special.gammaincinv(self.shape, _QUANTILE)
+                         * (1.0 / self.theta))
         return float(self.y_samples[-1])
 
     def weights(self, dt):

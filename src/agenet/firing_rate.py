@@ -39,8 +39,6 @@ __all__ = [
     "RegimeEstimate",
     "estimate_xi",
     "half_rate_age",
-    "weight_threshold_age",
-    "moment_tail_constant",
 ]
 
 
@@ -417,24 +415,3 @@ def half_rate_age(model):
     """
     return _rising_threshold(lambda x: model.rate(x, 0.0), model.k0 / 2.0)
 
-
-def weight_threshold_age(model, q):
-    """Smallest age x0 >= 1 with k(x, 0) - q/x >= k0/2 for all x >= x0.
-
-    This is the pivot used by the moment bound below; both sides of
-    the inequality are monotone, so a doubling bracket plus bisection
-    finds it.
-    """
-    if q < 0.0:
-        raise ValueError("moment exponent q must be nonnegative")
-    x0 = _rising_threshold(
-        lambda x: model.rate(x, 0.0) - (q / x if x > 0.0 else math.inf),
-        model.k0 / 2.0)
-    return max(1.0, x0)
-
-
-def moment_tail_constant(model, q):
-    """The additive constant K_q in the running moment bound
-    ||f_t||_{L1,q} <= ||f_0||_{L1,q} + K_q, with K_q = 2*x0^q*(1+k1/k0)."""
-    x0 = weight_threshold_age(model, q)
-    return 2.0 * x0 ** q * (1.0 + model.k1 / model.k0)

@@ -5,7 +5,9 @@ M: it acts on cell averages with upwind transport at speed 1,
 absorption at the frozen rates k(x, lam*M), and a boundary row that
 books every absorbed or advected unit of mass back into the youngest
 cell.  The feedback of the activity on the rates (the d_m k term) is
-left out.  Columns sum to zero exactly, so the generator conserves
+left out, and the delay kernel enters the linearization only through
+that term, so the generator and its spectrum are the same for every
+kernel.  Columns sum to zero exactly, so the generator conserves
 mass and 0 is one of its eigenvalues, mirroring the conservation law
 of the flow itself.
 
@@ -41,7 +43,6 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import math
-import warnings
 
 import numpy as np
 from scipy import sparse
@@ -50,11 +51,7 @@ from . import _roots
 from .errors import ConfigError, SpectrumCountError
 from .grid import AgeGrid
 
-__all__ = [
-    "GeneratorMatrix", "SpectrumReport", "DelaySystem",
-    "DelaySpectrumReport", "build_generator", "spectrum",
-    "build_delay_system", "delay_spectrum", "activity_readout",
-]
+__all__ = ["GeneratorMatrix", "SpectrumReport", "build_generator", "spectrum"]
 
 _MAX_GROWTH = 20.0      # largest log |v_j| on a count line: bounds the
                         # rounding error of chi by about 1e-16 * e^20
@@ -107,55 +104,10 @@ class SpectrumReport:
     kernel_match: float       # L1 distance to the stationary profile
 
 
-@dataclasses.dataclass(frozen=True)
-class DelaySystem:
-    """The delay block system [[A, 0], [B, T]] (see build_delay_system),
-    assembled as a scipy.sparse matrix, with the age block's frozen
-    rates and grid, from which delay_spectrum works."""
-
-    A: sparse.csr_matrix
-    n_age: int
-    n_lag: int
-    dy: float
-    readout: np.ndarray
-    grid: AgeGrid
-    lam: float
-    M: float
-    F: np.ndarray
-    rates: np.ndarray
-
-
-@dataclasses.dataclass(frozen=True)
-class DelaySpectrumReport:
-    """The leading modes of a delay block system: those of the age
-    block, certified as in SpectrumReport, merged with the lag
-    transport mode -1/dy when it ranks among them."""
-
-    eigenvalues: np.ndarray
-    zero_eigenvalue: complex
-    gap: float
-    kernel_vector: np.ndarray  # age block unit L1 mass, lag block constant
-    kernel_match: float
-    lag_eigenvalue: float     # -1/dy, the (defective) lag transport mode
-    age_gap: float
-
-
 def _boundary_row(rates, dx):
     c = np.array(rates, dtype=float)
     c[-1] += 1.0 / dx
     return c
-
-
-def _bidiagonal(diagonal, sub):
-    n = diagonal.size
-    return sparse.diags([diagonal, np.full(n - 1, sub)], [0, -1],
-                        format="csr")
-
-
-def _first_row(values, n):
-    return sparse.csr_matrix(
-        (values, (np.zeros(values.size, dtype=int), np.arange(values.size))),
-        shape=(n, values.size))
 
 
 def build_generator(model, grid, steady):
@@ -174,8 +126,11 @@ def build_generator(model, grid, steady):
     k = np.asarray(model.rate(grid.midpoints, steady.M), dtype=float)
     n = grid.n_cells
     dx = grid.dx
-    A = _bidiagonal(-1.0 / dx - k, 1.0 / dx) \
-        + _first_row(_boundary_row(k, dx), n)
+    A = sparse.diags([-1.0 / dx - k, np.full(n - 1, 1.0 / dx)], [0, -1],
+                     format="csr") \
+        + sparse.csr_matrix((_boundary_row(k, dx),
+                             (np.zeros(n, dtype=int), np.arange(n))),
+                            shape=(n, n))
     return GeneratorMatrix(A=A, grid=grid, lam=float(model.lam),
                            M=float(steady.M), F=np.array(steady.F),
                            rates=k)
@@ -568,80 +523,3 @@ def spectrum(gen, k_eigs=16):
                           zero_eigenvalue=0j, gap=_gap(w),
                           kernel_vector=v,
                           kernel_match=_profile_match(gen.grid, gen.F, v))
-
-
-def build_delay_system(model, grid, steady, kernel, y_grid):
-    """Block system coupling the age density to the transported
-    discharge history: [[A, 0], [B, T]] with A the plain generator,
-    B feeding the discharge into the youngest lag cell, and T pure
-    transport in the lag variable (history older than the lag horizon
-    just leaves).  Assembled as a scipy.sparse matrix.
-
-    The activity readout applies the kernel density sampled on the lag
-    mesh, renormalized to unit sum, to the lag block of a state
-    vector."""
-    if kernel.is_dirac:
-        raise ConfigError([
-            "the Dirac kernel carries no history; analyze the plain "
-            "generator instead of a delay system"])
-    horizon = kernel.memory_horizon()
-    if y_grid.x_max < horizon:
-        warnings.warn(
-            f"lag grid covers [0, {y_grid.x_max:g}] but the kernel's "
-            f"memory horizon is {horizon:g}; the truncated tail is "
-            "dropped", stacklevel=2)
-    gen = build_generator(model, grid, steady)
-    n_age, n_lag = grid.n_cells, y_grid.n_cells
-    dy = y_grid.dx
-    B = _first_row(gen.rates * grid.dx / dy, n_lag)
-    T = _bidiagonal(np.full(n_lag, -1.0 / dy), 1.0 / dy)
-    A = sparse.bmat([[gen.A, None], [B, T]], format="csr")
-    w = kernel.density(y_grid.midpoints) * dy
-    total = float(w.sum())
-    if total <= 0.0:
-        raise ConfigError(["kernel density vanishes on the lag grid"])
-    w /= total
-    readout = np.concatenate([np.zeros(n_age), w])
-    return DelaySystem(A=A, n_age=n_age, n_lag=n_lag, dy=dy,
-                       readout=readout, grid=grid, lam=gen.lam, M=gen.M,
-                       F=gen.F, rates=gen.rates)
-
-
-def activity_readout(system, v):
-    """Activity carried by a state vector of the delay system: the
-    renormalized kernel weights applied to its lag block."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (system.n_age + system.n_lag,):
-        raise ValueError("state vector has the wrong length")
-    return float(system.readout @ v)
-
-
-def delay_spectrum(system, k_eigs=16):
-    """The k_eigs leading modes of the delay block system.
-
-    The block triangular structure makes the exact spectrum the union
-    of the age-block modes and -1/dy, an n_lag-fold defective transport
-    mode.  So the age block's modes come from `spectrum`'s certified
-    root search, and -1/dy joins them when it lies right of the line
-    that search stopped at; no matrix of order n_age + n_lag is ever
-    decomposed.  The age gap is reported separately from the gap of
-    the whole system.  The zero mode is the age block's, extended by
-    the lag block of T h = -B f, the constant discharge of f; raises
-    SpectrumCountError as `spectrum` does."""
-    dx = system.grid.dx
-    w_age, sigma = _modes(system.rates, dx, k_eigs)
-    lag = -1.0 / system.dy
-    age_gap = _gap(w_age)
-    w = w_age
-    if lag > sigma:
-        w = np.concatenate([w_age, np.full(system.n_lag, lag)])
-        w = w[np.lexsort((-w.imag, np.abs(w.imag), -w.real))]
-    f = _zero_mode(system.rates, dx)
-    # B feeds only the youngest lag cell and T is pure transport, so the
-    # forward substitution of T h = -B f leaves the discharge everywhere
-    h = np.full(system.n_lag, float(system.rates @ f) * dx)
-    return DelaySpectrumReport(
-        eigenvalues=_leading(w, k_eigs), zero_eigenvalue=0j,
-        gap=max(age_gap, lag), kernel_vector=np.concatenate([f, h]),
-        kernel_match=_profile_match(system.grid, system.F, f),
-        lag_eigenvalue=lag, age_gap=age_gap)

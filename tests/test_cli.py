@@ -2,11 +2,15 @@
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import agenet
 from agenet import (AgeGrid, ConfigError, ConstantRate, DelayKernel,
                     InvariantViolationError, SpectrumCountError, StepRate)
 from agenet import cli
@@ -28,6 +32,18 @@ def _write_config(tmp_path, overrides=None, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return path
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    # scipy.stats costs most of a second to import; the gamma kernel uses
+    # scipy.special instead, and nothing on the CLI path may pull it in
+    src = str(Path(agenet.__file__).resolve().parents[1])
+    code = ("import sys, agenet.cli; "
+            "assert 'scipy.stats' not in sys.modules, 'scipy.stats loaded'")
+    done = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -163,14 +179,28 @@ def test_spectrum_command_plain(tmp_path, capsys):
     assert len(kern.read_text().splitlines()) == 81
 
 
-def test_spectrum_command_with_delay(tmp_path, capsys):
-    cfg = _write_config(tmp_path, {
-        "grid": {"dx": 0.05, "x_max": 4.0},
-        "kernel": {"kind": "exponential", "theta": 2.0}})
-    assert main(["spectrum", "--config", str(cfg)]) == 0
-    printed = capsys.readouterr().out
-    assert "lag transport eigenvalue = -20" in printed
-    assert "age-block gap = " in printed
+@pytest.mark.parametrize("kernel", [
+    {"kind": "exponential", "theta": 2.0},
+    {"kind": "gamma", "shape": 2.0, "rate": 4.0},
+], ids=["exponential", "gamma"])
+def test_spectrum_command_with_delay_matches_dirac(tmp_path, capsys, kernel):
+    # with the rates frozen at M the delay kernel never feeds back, so a
+    # delayed config has the Dirac config's spectrum, byte for byte
+    eigs, kern = tmp_path / "eigs.csv", tmp_path / "kernel.csv"
+    outputs = []
+    for name, block in (("dirac", {"kind": "dirac"}), ("delay", kernel)):
+        cfg = _write_config(tmp_path, {"grid": {"dx": 0.05, "x_max": 4.0},
+                                       "kernel": block}, name=f"{name}.json")
+        assert main(["spectrum", "--config", str(cfg), "--eigs-out",
+                     str(eigs), "--kernel-out", str(kern)]) == 0
+        captured = capsys.readouterr()
+        outputs.append((eigs.read_bytes(), kern.read_bytes(), captured.out,
+                        captured.err))
+    (d_eigs, d_kern, d_out, d_err), (eigs_b, kern_b, out, err) = outputs
+    assert (eigs_b, kern_b, out) == (d_eigs, d_kern, d_out)
+    assert d_err == ""
+    assert err.startswith(f"note: the {kernel['kind']} delay kernel")
+    assert "ROADMAP item 2" in err
 
 
 def test_spectrum_runs_on_the_default_grid(tmp_path, capsys):
@@ -227,7 +257,7 @@ def _read_csv(path):
 def test_spectrum_passes_the_benchmark_oracle(tmp_path, capsys, model, dx,
                                               kernel):
     # shaped like the benchmark's spectrum cases: 1000 cells, and a
-    # delay system of order 625 + 309
+    # delayed config on 625 cells
     cfg = tmp_path / "spectrum.json"
     cfg.write_text(json.dumps({"grid": {"dx": dx, "x_max": 10.0},
                                "model": model,
@@ -285,6 +315,30 @@ def test_sweep_requires_lambdas(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg),
                  "--out", str(tmp_path / "s.csv")]) == 1
     assert "sweep.lambdas" in capsys.readouterr().err
+
+
+def test_sweep_rejects_a_window_after_t_end_before_any_run(
+        tmp_path, capsys, monkeypatch):
+    # x_max 8 past t_end 5: no mass reaches the age horizon in simulate
+    cfg = _write_config(tmp_path, {"grid": {"dx": 0.01, "x_max": 8.0},
+                                   "run": {"t_end": 5.0,
+                                           "window": [12.0, 30.0]},
+                                   "sweep": {"lambdas": [0.0, 0.7]}})
+    out = tmp_path / "s.csv"
+
+    def never(*args, **kwargs):
+        raise AssertionError("the sweep simulated a bad window")
+
+    monkeypatch.setattr(cli, "regime_scan", never)
+    monkeypatch.setattr(cli, "run", never)
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "run.window" in err and "run.t_end" in err
+    assert not out.exists()
+    # simulate ignores the window, so the same config is valid there
+    monkeypatch.undo()
+    assert main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path / "t.csv")]) == 0
 
 
 def _crafted_config(model, grid):

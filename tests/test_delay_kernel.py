@@ -54,6 +54,24 @@ def test_gamma_kernel():
         DelayKernel.gamma(shape=2.0, rate=0.0)
 
 
+def test_gamma_closed_forms_match_scipy_stats_bit_for_bit():
+    # the density and the memory horizon are written with scipy.special
+    # so that importing agenet does not load scipy.stats; they must give
+    # the same floats as scipy.stats.gamma, so gamma-kernel CSVs do not move
+    for shape in (1.0, 1.5, 2.0, 3.7, 7.0, 10.0):
+        for rate in (0.3, 1.0, 2.0, 2.8, 4.0, 11.0, 25.0):
+            k = DelayKernel.gamma(shape=shape, rate=rate)
+            scale = 1.0 / rate
+            horizon = stats.gamma.ppf(1.0 - 1e-6, a=shape, scale=scale)
+            assert k.memory_horizon() == float(horizon)
+            y = np.linspace(0.0, horizon, 20001)
+            assert np.array_equal(k.density(y),
+                                  stats.gamma.pdf(y, a=shape, scale=scale))
+            lags, _ = k.weights(0.01)
+            assert np.array_equal(k.density(lags),
+                                  stats.gamma.pdf(lags, a=shape, scale=scale))
+
+
 def test_weights_sum_to_one_exactly():
     for k in (DelayKernel.exponential(theta=2.0),
               DelayKernel.gamma(shape=2.0, rate=2.0)):

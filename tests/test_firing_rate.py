@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, optimize
+from scipy import integrate
 
 from agenet import (AgeGrid, ConstantRate, SmoothSaturatingRate, StepRate,
-                    estimate_xi, half_rate_age, moment_tail_constant,
-                    preset_density, weight_threshold_age)
+                    estimate_xi, half_rate_age, preset_density)
 
 # 5-point Gauss-Legendre rule on [-1, 1]; composite panels of this rule
 # integrate the smooth rate family to machine precision.
@@ -222,26 +221,6 @@ def test_half_rate_age():
     smooth = SmoothSaturatingRate(k0=0.5, k1=2.0)
     # rate(x, 0) = k0 (1 - e^{-x}) reaches k0/2 at ln 2
     assert half_rate_age(smooth) == pytest.approx(math.log(2.0), abs=1e-9)
-
-
-def test_weight_threshold_age_against_direct_root():
-    model = SmoothSaturatingRate(k0=0.5, k1=2.0)
-    x0 = weight_threshold_age(model, 1.0)
-    ref = optimize.brentq(
-        lambda x: 0.5 * (1.0 - math.exp(-x)) - 1.0 / x - 0.25, 1.0, 50.0,
-        xtol=1e-13)
-    assert x0 == pytest.approx(ref, abs=1e-9)
-    assert weight_threshold_age(ConstantRate(k0=1.0), 0.0) == 1.0
-    with pytest.raises(ValueError):
-        weight_threshold_age(model, -1.0)
-
-
-def test_moment_tail_constant_formula():
-    model = SmoothSaturatingRate(k0=0.5, k1=2.0)
-    q = 1.0
-    x0 = weight_threshold_age(model, q)
-    expected = 2.0 * x0 ** q * (1.0 + model.k1 / model.k0)
-    assert moment_tail_constant(model, q) == pytest.approx(expected, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

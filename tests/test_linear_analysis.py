@@ -1,9 +1,7 @@
-"""Generator assembly, spectra, and the delay block system.
+"""Generator assembly and spectra.
 
 Dense `scipy.linalg` eigensolves at small n are the oracle for the
 root search on the renewal characteristic function."""
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -11,11 +9,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import linalg
 
-from agenet import (AgeGrid, ConfigError, ConstantRate, DelayKernel,
-                    SmoothSaturatingRate, SpectrumCountError, SteadyState,
-                    StepRate, activity_readout, build_delay_system,
-                    build_generator, delay_spectrum, solve_steady_state,
-                    spectrum)
+from agenet import (AgeGrid, ConfigError, ConstantRate, SmoothSaturatingRate,
+                    SpectrumCountError, SteadyState, StepRate,
+                    build_generator, solve_steady_state, spectrum)
 from agenet import linear_analysis
 
 
@@ -95,79 +91,6 @@ def test_zero_mode_is_in_the_kernel():
     gen = build_generator(model, grid, ss)
     rep = spectrum(gen)
     assert grid.integrate(np.abs(gen.A @ rep.kernel_vector)) < 1e-8
-
-
-def test_delay_system_block_structure():
-    grid = AgeGrid(dx=0.5, n_cells=3)
-    y_grid = AgeGrid(dx=0.5, n_cells=2)
-    model = ConstantRate(k0=1.0)
-    steady = _steady_stub(grid)
-    kernel = DelayKernel.exponential(theta=2.0)
-    with pytest.warns(UserWarning, match="memory horizon"):
-        system = build_delay_system(model, grid, steady, kernel, y_grid)
-    gen = build_generator(model, grid, steady)
-    A = system.A.toarray()
-    assert np.array_equal(A[:3, :3], gen.A.toarray())
-    assert np.all(A[:3, 3:] == 0.0)
-    # discharge feeds the youngest lag cell: rates * dx / dy
-    assert np.array_equal(A[3, :3], gen.rates * grid.dx / y_grid.dx)
-    assert np.all(A[4, :3] == 0.0)
-    assert np.array_equal(A[3:, 3:], [[-2.0, 0.0], [2.0, -2.0]])
-    # readout lives on the lag block only and sums to 1
-    assert np.all(system.readout[:3] == 0.0)
-    assert system.readout[3:].sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_delay_system_rejects_dirac():
-    grid = AgeGrid(dx=0.5, n_cells=3)
-    with pytest.raises(ConfigError):
-        build_delay_system(ConstantRate(k0=1.0), grid, _steady_stub(grid),
-                           DelayKernel.dirac(), grid)
-
-
-def test_activity_readout_of_constant_history():
-    grid = AgeGrid(dx=0.05, n_cells=80)
-    kernel = DelayKernel.exponential(theta=2.0)
-    horizon = kernel.memory_horizon()
-    y_grid = AgeGrid(dx=0.05, n_cells=int(np.ceil(horizon / 0.05)))
-    model = ConstantRate(k0=2.0)
-    ss = solve_steady_state(model, grid)
-    system = build_delay_system(model, grid, ss, kernel, y_grid)
-    state = np.concatenate([np.zeros(system.n_age),
-                            np.full(system.n_lag, 0.7)])
-    assert activity_readout(system, state) == pytest.approx(0.7, abs=1e-12)
-    with pytest.raises(ValueError):
-        activity_readout(system, np.zeros(system.n_age))
-
-
-def test_delay_spectrum_reports_both_blocks():
-    grid = AgeGrid(dx=0.05, n_cells=80)
-    model = ConstantRate(k0=2.0)
-    ss = solve_steady_state(model, grid)
-    kernel = DelayKernel.exponential(theta=2.0)
-    y_grid = AgeGrid(dx=0.05,
-                     n_cells=int(np.ceil(kernel.memory_horizon() / 0.05)))
-    system = build_delay_system(model, grid, ss, kernel, y_grid)
-    rep = delay_spectrum(system)
-    assert rep.lag_eigenvalue == -1.0 / y_grid.dx
-    assert abs(rep.zero_eigenvalue) < 1e-8
-    # the age block is untouched by the coupling, so its gap matches
-    # the plain generator's
-    plain = spectrum(build_generator(model, grid, ss))
-    assert rep.age_gap == pytest.approx(plain.gap, abs=1e-9)
-    assert rep.kernel_match <= 10.0 * grid.dx
-
-
-def test_delay_system_needs_kernel_mass_on_the_lag_grid():
-    grid = AgeGrid(dx=0.5, n_cells=3)
-    # a sampled kernel supported on [5, 6] puts no density on a lag
-    # grid that ends at 1
-    kernel = DelayKernel.sampled([5.0, 5.5, 6.0], [0.0, 2.0, 0.0])
-    y_grid = AgeGrid(dx=0.5, n_cells=2)
-    with pytest.warns(UserWarning, match="memory horizon"):
-        with pytest.raises(ConfigError):
-            build_delay_system(ConstantRate(k0=1.0), grid,
-                               _steady_stub(grid), kernel, y_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -303,46 +226,6 @@ def test_located_modes_are_the_dense_modes_right_of_the_line(model, dx, n):
                for z in w) < 1e-9
     assert max(np.min(np.abs(w - z)) / max(1.0, abs(z))
                for z in right) < 1e-9
-
-
-def test_delay_spectrum_against_the_dense_block_system():
-    model = _MODELS["smooth"]
-    grid = AgeGrid(dx=0.05, n_cells=120)
-    ss = solve_steady_state(model, grid)
-    kernel = DelayKernel.exponential(theta=2.0)
-    y_grid = AgeGrid(dx=0.1, n_cells=int(np.ceil(kernel.memory_horizon()
-                                                 / 0.1)))
-    system = build_delay_system(model, grid, ss, kernel, y_grid)
-    rep = delay_spectrum(system)
-    w, V = linalg.eig(system.A.toarray())
-    # the dense solver scatters the defective -1/dy mode into a cluster;
-    # away from it the dense modes are the age block's
-    age = w[w.real > rep.lag_eigenvalue + 2.0]
-    lead = rep.eigenvalues
-    assert np.all(lead.real > rep.lag_eigenvalue)
-    assert max(np.min(np.abs(age - z)) for z in lead) < 1e-9
-    assert rep.age_gap == pytest.approx(
-        float(np.max(age[np.abs(age) > 1e-8].real)), abs=1e-9)
-    assert rep.gap == rep.age_gap
-    # the zero mode of the whole block system, age block at unit mass
-    v = V[:, np.argmin(np.abs(w))].real
-    v /= v[:system.n_age].sum() * grid.dx
-    assert np.max(np.abs(rep.kernel_vector - v)) < 1e-9
-    assert np.max(np.abs(system.A @ rep.kernel_vector)) < 1e-9
-
-
-def test_delay_spectrum_keeps_the_lag_mode_when_it_leads():
-    # a lag mesh so coarse that -1/dy lies right of the age block's modes
-    model = ConstantRate(k0=2.0)
-    grid = AgeGrid(dx=0.05, n_cells=80)
-    ss = solve_steady_state(model, grid)
-    kernel = DelayKernel.exponential(theta=2.0)
-    y_grid = AgeGrid(dx=1.0, n_cells=int(np.ceil(kernel.memory_horizon())))
-    system = build_delay_system(model, grid, ss, kernel, y_grid)
-    rep = delay_spectrum(system, k_eigs=4)
-    assert np.array_equal(rep.eigenvalues[1:4], [-1.0, -1.0, -1.0])
-    assert rep.gap == -1.0
-    assert rep.age_gap < -1.0
 
 
 def test_the_real_scan_refines_until_every_counted_root_turns_up():
