@@ -1,9 +1,9 @@
-"""Bracketed scalar roots: the stationary activity M, the implicit
-activity m and the regime couplings all come from here.
+"""Bracketed scalar roots: the stationary activity M, the smooth
+family's implicit activity m and the regime couplings come from here.
 
-Plain bisection, because the functions involved (step-rate activity
-maps and their cumulatives) are not differentiable in the unknown and
-may jump.
+Plain bisection, because the functions involved (step-rate
+cumulatives and contraction factors) are not differentiable in the
+unknown and may jump.
 """
 
 from __future__ import annotations

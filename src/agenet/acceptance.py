@@ -273,47 +273,13 @@ def _draw_weak_model(rng, f_sup):
     return dataclasses.replace(probe, lam=lam)
 
 
-def _step_discrete_roots(model, grid, f):
-    """Every fixed point of the midpoint-quadrature activity map for a
-    built-in step rate.
-
-    The quadrature sees the threshold through cell midpoints, so the
-    map is a staircase in m and its plateau boundaries sit where the
-    threshold crosses a midpoint; each plateau holds a root exactly
-    when its value falls inside the plateau interval.  Enumerating
-    them is exact, needs no iteration, and flags configs where the
-    discretization splits the continuum root into a close pair.
-    """
-    csum = np.concatenate(([0.0], np.cumsum(f))) * grid.dx
-    total = csum[-1]
-    mids = grid.midpoints
-    k1 = model.k1
-    lam = model.lam
-    if lam == 0.0:
-        bounds = np.array([0.0, k1])
-    else:
-        span = model.sigma_plus - model.sigma_minus
-        sel = (mids > model.sigma_minus) & (mids < model.sigma_plus)
-        u = -np.log((mids[sel] - model.sigma_minus) / span) / model.decay
-        m_bounds = u / lam
-        m_bounds = m_bounds[(m_bounds > 0.0) & (m_bounds < k1)]
-        bounds = np.unique(np.concatenate(([0.0], m_bounds, [k1])))
-    roots = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        mc = 0.5 * (a + b)
-        idx = int(np.searchsorted(mids, model.threshold(mc), side="right"))
-        g = total - csum[idx]
-        if a <= g <= b and (not roots or g - roots[-1] > 1e-12):
-            roots.append(float(g))
-    return roots
-
-
 def criterion_implicit_activity():
     """Residual and oracle agreement over random weak-regime draws.
 
-    Step-rate draws whose staircase quadrature happens to split the
-    continuum root into a close pair (a discretization accident, not a
-    regime property) are redrawn; the redraw count is reported.
+    Draws whose activity map has more than one fixed point are redrawn:
+    the step family's staircase quadrature can split the continuum root
+    into a close pair (a discretization accident, not a regime
+    property).  The redraw count is reported.
     """
     rng = np.random.default_rng(20260822)
     grid = _grid(dx=0.02)
@@ -327,9 +293,7 @@ def criterion_implicit_activity():
         f /= f.sum() * dx
         for attempt in range(50):
             model = _draw_weak_model(rng, float(f.max()))
-            if not isinstance(model, StepRate):
-                break
-            if len(_step_discrete_roots(model, grid, f)) == 1:
+            if len(model.activity_roots(grid, f)) == 1:
                 break
             redraws += 1
         else:

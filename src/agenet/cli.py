@@ -16,7 +16,6 @@ import json
 import math
 import sys
 from types import SimpleNamespace
-from typing import Optional
 
 import numpy as np
 
@@ -52,7 +51,7 @@ _KERNEL_KEYS = {
 _RUN_DEFAULTS = {
     "t_end": 10.0, "record_every": 10, "f0": "uniform01",
     "fixed_point_tol": 1e-12, "fixed_point_max_iter": 200,
-    "window": [5.0, 30.0], "tau": None, "allow_zero_kappa0": False,
+    "window": [5.0, 30.0], "allow_zero_kappa0": False,
 }
 
 
@@ -80,7 +79,6 @@ class RunConfig:
     fixed_point_tol: float
     fixed_point_max_iter: int
     window: tuple
-    tau: Optional[float]
     allow_zero_kappa0: bool
     lambdas: tuple
     q: float
@@ -92,7 +90,7 @@ class RunConfig:
             record_every=self.record_every,
             fixed_point_tol=self.fixed_point_tol,
             fixed_point_max_iter=self.fixed_point_max_iter,
-            q=self.q, tau=self.tau,
+            q=self.q,
             allow_zero_kappa0=self.allow_zero_kappa0)
 
 
@@ -302,11 +300,6 @@ def _validate_run(block, errors):
         out["window"] = None
     else:
         out["window"] = (float(window[0]), float(window[1]))
-    tau = merged["tau"]
-    if tau is not None and (not _is_number(tau) or float(tau) < 0.0):
-        errors.append("run.tau: must be null or a nonnegative number")
-        tau = None
-    out["tau"] = None if tau is None else float(tau)
     flag = merged["allow_zero_kappa0"]
     if not isinstance(flag, bool):
         errors.append("run.allow_zero_kappa0: must be true or false")
@@ -373,7 +366,7 @@ def parse_config(path):
                      f0=run_block["f0"],
                      fixed_point_tol=run_block["fixed_point_tol"],
                      fixed_point_max_iter=run_block["fixed_point_max_iter"],
-                     window=run_block["window"], tau=run_block["tau"],
+                     window=run_block["window"],
                      allow_zero_kappa0=run_block["allow_zero_kappa0"],
                      lambdas=lambdas, q=float(q))
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import warnings
-from typing import Callable, Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -43,7 +43,6 @@ class SimulationConfig:
     fixed_point_tol: float = 1e-12
     fixed_point_max_iter: int = 200
     q: float = 1.0
-    tau: Optional[float] = None
     allow_zero_kappa0: bool = False
 
     def __post_init__(self):
@@ -75,7 +74,8 @@ class ActivitySolution:
 class SolverCounts:
     """Which path each implicit activity solve of a run took: the
     solves settled by fixed-point iteration, the solves that fell back
-    to the root scan, and the most iterations any solve used."""
+    to the family's activity_roots (labelled "scan"), and the most
+    iterations any solve used."""
 
     fixed_point: int
     scan: int
@@ -114,41 +114,37 @@ def kappa0(model, grid, f0):
     return float(np.dot(model.rate(grid.midpoints, 0.0), values)) * grid.dx
 
 
-def solve_activity_implicit(model, grid, values, bracket=None, tol=1e-12,
-                            max_iter=200, warm_start=None):
+def solve_activity_implicit(model, grid, values, tol=1e-12, max_iter=200,
+                            warm_start=None):
     """Solve the implicit activity m = int k(x, lam*m) f(x) dx for a
     density of mass approx 1.
 
-    Iterates the model's activity_map G from warm_start (default G(0)).
-    G is nondecreasing, so the iterates move monotonically toward a
-    root and never cross it.  If they have not settled within tol after
-    max_iter steps, a scan of the bracket (default (0, k1]) on a mesh of
-    model.activity_scan_size(grid) points reports every continuous
-    root.  Zero roots means the model violates its own bounds; several
-    roots make the dynamics ambiguous and both cases raise."""
+    Iterates the model's activity_map G from warm_start (default G(0)),
+    clamped to [0, k1].  G is nondecreasing, so the iterates move
+    monotonically toward a root and never cross it.  If they have not
+    settled within tol after max_iter steps, model.activity_roots lists
+    every fixed point of G: zero roots means the model violates its own
+    bounds, several make the dynamics ambiguous, and both cases raise.
+
+    Ambiguity is detected only on that stalled path: an iteration that
+    settles returns the root it reached, even when the step family's
+    staircase G holds a second one a few cells away."""
     G = model.activity_map(grid, values)
     k1 = model.k1
-    lo, hi = (0.0, k1) if bracket is None else map(float, bracket)
-    if not 0.0 <= lo < hi:
-        raise ValueError("bracket must satisfy 0 <= lo < hi")
 
     mu = G(0.0) if warm_start is None else float(warm_start)
-    mu = min(max(mu, lo), hi)
+    mu = min(max(mu, 0.0), k1)
     for it in range(1, max_iter + 1):
         target = G(mu)
         if abs(target - mu) <= tol:
             return ActivitySolution(m=mu, iterations=it, method="fixed-point")
-        mu = min(max(target, lo), hi)
+        mu = min(max(target, 0.0), k1)
 
-    # stalled: an exhaustive scan, which also detects ambiguity
-    roots = _roots.scan(
-        lambda mu: G(mu) - mu, lo, hi, model.activity_scan_size(grid),
-        max(tol, 1e-9), ModelInconsistencyError(
-            "activity map returned non-finite values during the root scan"),
-        width=1e-17)
+    # stalled: the family lists every root, which also detects ambiguity
+    roots = model.activity_roots(grid, values)
     if not roots:
         raise ModelInconsistencyError(
-            "no continuous solution of m = int k(x, lam*m) f dx in "
+            "no solution of m = int k(x, lam*m) f dx in "
             f"[0, {k1!r}]; the rate family breaks its stated bounds")
     if len(roots) > 1:
         raise AmbiguousActivityError(
@@ -214,9 +210,12 @@ def run(config, f0, steady=None):
 
     Every step checks that the density stays nonnegative and that m
     and p stay finite.  Running checks on every recorded sample: unit
-    mass within 1e-10, sup bound, p <= k1, m in [0, k1], and for
+    mass within 1e-10, sup bound, p >= 0 with its absorbed part (p less
+    the outflow past x_max) at most k1, m in [0, k1], and for
     kappa0 > 0 the uniform activity floor once t passes the half-rate
-    age.  The trace counts the path each activity solve took.
+    age.  Under a delay kernel m is a mean of past p, so its cap is the
+    largest p pushed instead of k1.  The trace counts the path each
+    activity solve took.
     """
     grid, model, kernel = config.grid, config.model, config.kernel
     dt = config.dt
@@ -231,7 +230,6 @@ def run(config, f0, steady=None):
         _check_strong_regime_gate(config, k0_mass)
 
     x0 = half_rate_age(model)
-    tau = x0 if config.tau is None else config.tau
     sup_bound = float(np.max(state.values)) + k1 + 10.0 * grid.dx
     m_floor = min(k0_mass, 0.5 * k0) * math.exp(-k1 * x0) - 10.0 * grid.dx
 
@@ -272,7 +270,7 @@ def run(config, f0, steady=None):
     l1q_series = []
     dist_series = None if F is None else []
 
-    def _record(t, values, mass, m, p):
+    def _record(t, values, mass, m, p, absorbed):
         times.append(t)
         m_series.append(m)
         p_series.append(p)
@@ -281,9 +279,6 @@ def run(config, f0, steady=None):
         l1q_series.append(grid.l1q_norm(values, config.q))
         if dist_series is not None:
             dist_series.append(grid.l1_distance(values, F))
-        _check_running(t, values, mass, m, p)
-
-    def _check_running(t, values, mass, m, p):
         diag = {"t": t, "m": m, "p": p, "mass": mass}
         if not (math.isfinite(m) and math.isfinite(p)
                 and math.isfinite(mass)):
@@ -294,16 +289,19 @@ def run(config, f0, steady=None):
             diag["sup_bound"] = sup_bound
             raise InvariantViolationError("density exceeded its sup bound",
                                           diag)
-        if p > k1 * (1.0 + 1e-12) or p < 0.0:
+        if absorbed > k1 * (1.0 + 1e-12) or p < 0.0:
+            diag["absorbed"] = absorbed
             raise InvariantViolationError("discharge left [0, k1]", diag)
-        if m > k1 * (1.0 + 1e-12) or m < 0.0:
-            raise InvariantViolationError("activity left [0, k1]", diag)
-        if k0_mass > 0.0 and t >= max(tau, x0) and m < m_floor:
+        if m > m_cap * (1.0 + 1e-12) or m < 0.0:
+            diag["cap"] = m_cap
+            raise InvariantViolationError("activity left [0, cap]", diag)
+        if k0_mass > 0.0 and t >= x0 and m < m_floor:
             diag["floor"] = m_floor
             raise InvariantViolationError(
                 "activity fell below its uniform lower bound", diag)
 
-    _record(0.0, state.values, state.mass, m0, m0)
+    m_cap = k1 if history is None else m0
+    _record(0.0, state.values, state.mass, m0, m0, m0)
 
     # the density lives in cur[:cells]; each step writes the next one
     # into nxt and the two swap, so the loop allocates no cell arrays
@@ -330,11 +328,13 @@ def run(config, f0, steady=None):
         t = n * dt
         if history is not None:
             history.push(p)
+            m_cap = max(m_cap, p)
         if not (math.isfinite(p) and math.isfinite(m)):
             raise InvariantViolationError(
                 "non-finite step output", {"t": t, "m": m, "p": p})
         if n % config.record_every == 0 or n == n_steps:
-            _record(t, cur[:cells], total * grid.dx, m, p)
+            _record(t, cur[:cells], total * grid.dx, m, p,
+                    p - float(cur[cells]))
 
     final = DensityState(values=cur[:cells].copy(), mass=total * grid.dx,
                          m=m, p=p, t=t)

@@ -13,9 +13,10 @@ Each family computes its own closed forms behind one protocol: rate,
 cumulative K(x, mu) = int_0^x k, cumulative_over (K at one age for an
 array of activities), survival (the one-step factors
 exp(-k(x_j, lam*mu) dx) on the midpoint mesh), activity_map
-(mu -> int k(x, lam*mu) f dx on the midpoint mesh), activity_scan_size
-(the mesh the implicit activity solve scans when its iteration stalls)
-and lipschitz_known (whether estimate_xi can trust xi).
+(mu -> int k(x, lam*mu) f dx on the midpoint mesh), activity_roots
+(every fixed point of that map, for the implicit activity solve when
+its iteration stalls) and lipschitz_known (whether estimate_xi can
+trust xi).
 
 Age profiles on a mesh depend only on the family's shape parameters
 and the grid, so they are computed once and cached, read-only.
@@ -82,6 +83,11 @@ def _frozen(values):
     return values
 
 
+def _cell_sums(grid, values):
+    # shared by StepRate's map and roots, so plateaus and roots agree
+    return np.concatenate(([0.0], np.cumsum(values))) * grid.dx
+
+
 @functools.lru_cache(maxsize=_PROFILE_CACHE)
 def _constant_survival(k0, grid):
     # computed as np.exp(-rate(midpoints, mu) * dx) computes it
@@ -139,8 +145,8 @@ class ConstantRate:
         total = self.k0 * float(np.sum(values)) * grid.dx
         return lambda mu: total
 
-    def activity_scan_size(self, grid):
-        return 1024
+    def activity_roots(self, grid, values):
+        return [self.activity_map(grid, values)(0.0)]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -205,8 +211,13 @@ class SmoothSaturatingRate:
         weight = float(np.dot(shape, values)) * grid.dx
         return lambda mu: self.gain(mu) * weight
 
-    def activity_scan_size(self, grid):
-        return 1024
+    def activity_roots(self, grid, values):
+        # gain is concave, so G(mu) - mu has at most one root
+        G = self.activity_map(grid, values)
+        if G(self.k1) > self.k1:
+            return []
+        a, b = _roots.bisect(lambda mu: G(mu) - mu, 0.0, self.k1, G(0.0))
+        return [0.5 * (a + b)]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -292,7 +303,7 @@ class StepRate:
     def activity_map(self, grid, values):
         # cells past the threshold fire at rate 1: an exact tail sum
         mids = grid.midpoints
-        csum = np.concatenate(([0.0], np.cumsum(values))) * grid.dx
+        csum = _cell_sums(grid, values)
         total = csum[-1]
 
         def G(mu):
@@ -300,14 +311,15 @@ class StepRate:
             return total - csum[idx]
         return G
 
-    def activity_scan_size(self, grid):
-        # about four mesh points per plateau of the staircase G, whose
-        # jumps come every dx / (lam * |sigma'|) in mu
-        modulus = self.sigma_modulus
-        if modulus is None:
-            modulus = (self.sigma_plus - self.sigma_minus) * self.decay
-        jumps = abs(self.lam) * modulus * self.k1 / grid.dx
-        return int(min(2e5, max(1024, 4.0 * jumps)))
+    def activity_roots(self, grid, values):
+        # G is a staircase: while the threshold falls in cell j it takes
+        # the value tails[j], which is a root exactly when its own
+        # threshold falls in cell j too
+        csum = _cell_sums(grid, values)
+        tails = csum[-1] - csum
+        thresholds = [self.threshold(g) for g in tails.tolist()]
+        cells = np.searchsorted(grid.midpoints, thresholds, side="right")
+        return sorted(tails[cells == np.arange(tails.size)].tolist())
 
 
 @dataclasses.dataclass(frozen=True)

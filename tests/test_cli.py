@@ -345,7 +345,7 @@ def _crafted_config(model, grid):
     return RunConfig(grid=grid, model=model, kernel=DelayKernel.dirac(),
                      t_end=1.0, record_every=10, f0="uniform01",
                      fixed_point_tol=1e-12, fixed_point_max_iter=200,
-                     window=(0.2, 1.0), tau=None, allow_zero_kappa0=False,
+                     window=(0.2, 1.0), allow_zero_kappa0=False,
                      lambdas=(1.0,), q=1.0)
 
 

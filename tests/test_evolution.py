@@ -74,14 +74,6 @@ def test_activity_residual_over_random_weak_draws():
         assert abs(residual) < 1e-10
 
 
-def test_activity_bracket_validation():
-    grid = _grid()
-    f = preset_density(grid, "uniform01")
-    with pytest.raises(ValueError):
-        solve_activity_implicit(ConstantRate(k0=1.0), grid, f.values,
-                                bracket=(0.5, 0.2))
-
-
 def test_ambiguous_activity_reports_both_roots():
     # a threshold map with two stable plateaus puts two exact fixed
     # points on the quadrature staircase: G = 0.85 on [0.6, 0.9) and
@@ -117,6 +109,17 @@ def test_inconsistent_activity_raises():
     f = preset_density(grid, "uniform01")
     with pytest.raises(ModelInconsistencyError):
         solve_activity_implicit(model, grid, f.values)
+
+
+def test_stalled_solve_reports_two_roots_inside_one_activity_cell():
+    # the staircase holds two fixed points 7.8e-4 apart
+    grid = AgeGrid(dx=1e-3, n_cells=10000)
+    model = StepRate(sigma_plus=0.5, sigma_minus=0.25, lam=0.3)
+    f = preset_density(grid, "exp2")
+    with pytest.raises(AmbiguousActivityError) as exc_info:
+        solve_activity_implicit(model, grid, f.values, max_iter=1)
+    assert exc_info.value.roots == pytest.approx(
+        [0.388291084345, 0.389068443618], abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +308,45 @@ def test_run_counts_the_activity_solver_paths():
                                    kernel=DelayKernel.exponential(2.0)),
                   f0).activity_solves
     assert delayed.fixed_point + delayed.scan == 1
+
+
+@pytest.mark.parametrize("kernel", [DelayKernel.dirac(),
+                                    DelayKernel.exponential(2.0)],
+                         ids=["dirac", "exponential"])
+def test_outflow_past_the_horizon_passes_the_discharge_check(kernel):
+    # uniform01 mass reaches x_max = 4 at t = 3; from then on p also
+    # books the outflow past the horizon and exceeds k1 = 1, while its
+    # absorbed part stays below k1
+    grid = _grid()
+    cfg = SimulationConfig(grid=grid, model=ConstantRate(k0=1.0),
+                           kernel=kernel, t_end=3.05)
+    trace = run(cfg, preset_density(grid, "uniform01"))
+    assert np.max(trace.p_series) > 1.0
+
+
+def test_discharge_check_catches_a_rate_above_k1():
+    class Overfiring(ConstantRate):
+        # fires at 2 k0 while its k1 claims k0
+        def survival(self, grid, mu):
+            return super().survival(grid, mu) ** 2
+
+    grid = _grid()
+    cfg = SimulationConfig(grid=grid, model=Overfiring(k0=1.0), t_end=1.0)
+    with pytest.raises(InvariantViolationError, match="discharge left"):
+        run(cfg, preset_density(grid, "uniform01"))
+
+
+def test_delayed_activity_is_capped_by_the_largest_discharge(monkeypatch):
+    # weights that sum to 1.5 lift m above every past p
+    grid = _grid()
+    kernel = DelayKernel.exponential(2.0)
+    lags, w = kernel.weights(grid.dx)
+    monkeypatch.setattr(DelayKernel, "weights",
+                        lambda self, dt: (lags, 1.5 * w))
+    cfg = SimulationConfig(grid=grid, model=ConstantRate(k0=1.0),
+                           kernel=kernel, t_end=1.0)
+    with pytest.raises(InvariantViolationError, match="activity left"):
+        run(cfg, preset_density(grid, "uniform01"))
 
 
 def test_run_refuses_zero_rest_mass_in_strong_regime():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, optimize
 
 from agenet import (AgeGrid, ConstantRate, SmoothSaturatingRate, StepRate,
                     estimate_xi, half_rate_age, preset_density)
@@ -276,18 +276,93 @@ def test_activity_map_matches_generic_quadrature(model):
             assert G(mu) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
-def test_activity_scan_size():
-    grid = AgeGrid(dx=1.0 / 128.0, n_cells=1280)
-    assert ConstantRate(k0=2.0, lam=3.0).activity_scan_size(grid) == 1024
-    assert SmoothSaturatingRate(k0=0.5, k1=2.0, lam=3.0) \
-        .activity_scan_size(grid) == 1024
-    # four points per staircase jump, lam * |sigma'| * k1 / dx jumps,
-    # clamped to [1024, 2e5]
-    assert StepRate(lam=0.5).activity_scan_size(grid) == 1024
-    assert StepRate(lam=20.0).activity_scan_size(grid) == 4 * 640
-    assert StepRate(lam=20.0, sigma=lambda u: 0.3, sigma_modulus=3.0) \
-        .activity_scan_size(grid) == 4 * 7680
-    assert StepRate(lam=1e4).activity_scan_size(grid) == 200_000
+@pytest.mark.parametrize("model", FAMILIES, ids=FAMILY_IDS)
+def test_activity_roots_are_fixed_points_of_the_activity_map(model):
+    grid = AgeGrid(dx=0.01, n_cells=1000)
+    rng = np.random.default_rng(6)
+    densities = [preset_density(grid, name).values
+                 for name in ("uniform01", "exp2", "spike")]
+    noise = rng.gamma(2.0, size=grid.n_cells) + 1e-3
+    densities.append(noise / (noise.sum() * grid.dx))
+    for values in densities:
+        G = model.activity_map(grid, values)
+        roots = model.activity_roots(grid, values)
+        assert roots == sorted(roots) and len(roots) >= 1
+        for r in roots:
+            assert 0.0 <= r <= model.k1 * (1.0 + 1e-12)
+            if not isinstance(model, SmoothSaturatingRate):
+                assert G(r) == r
+                continue
+            # bisection ends on adjacent floats, so the smooth root is
+            # a fixed point to rounding, and the only one
+            assert G(r) == pytest.approx(r, rel=4e-16, abs=0.0)
+            oracle = optimize.brentq(lambda mu: G(mu) - mu, 0.0, model.k1,
+                                     xtol=1e-15)
+            assert roots == [pytest.approx(oracle, abs=1e-14)]
+
+
+def test_smooth_activity_roots_leave_out_a_root_above_k1():
+    # three units of mass lift G(k1) = gain(k1) * 3/e above k1 = 1
+    grid = AgeGrid(dx=0.01, n_cells=200)
+    values = 3.0 * preset_density(grid, "uniform01").values
+    model = SmoothSaturatingRate(k0=1.0, k1=1.0)
+    assert model.activity_map(grid, values)(1.0) > 1.0
+    assert model.activity_roots(grid, values) == []
+
+
+def _step_discrete_roots(model, grid, f):
+    """Every fixed point of the midpoint-quadrature activity map for a
+    built-in step rate, by inverting its threshold formula.
+
+    The map is a staircase in m whose plateau boundaries sit where the
+    threshold crosses a midpoint; each plateau holds a root exactly
+    when its value falls inside the plateau interval.
+    """
+    csum = np.concatenate(([0.0], np.cumsum(f))) * grid.dx
+    total = csum[-1]
+    mids = grid.midpoints
+    k1 = model.k1
+    lam = model.lam
+    if lam == 0.0:
+        bounds = np.array([0.0, k1])
+    else:
+        span = model.sigma_plus - model.sigma_minus
+        sel = (mids > model.sigma_minus) & (mids < model.sigma_plus)
+        u = -np.log((mids[sel] - model.sigma_minus) / span) / model.decay
+        m_bounds = u / lam
+        m_bounds = m_bounds[(m_bounds > 0.0) & (m_bounds < k1)]
+        bounds = np.unique(np.concatenate(([0.0], m_bounds, [k1])))
+    roots = []
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        mc = 0.5 * (a + b)
+        idx = int(np.searchsorted(mids, model.threshold(mc), side="right"))
+        g = total - csum[idx]
+        if a <= g <= b and (not roots or g - roots[-1] > 1e-12):
+            roots.append(float(g))
+    return roots
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       dx=st.sampled_from([0.02, 0.01, 1e-3]),
+       x_max=st.floats(2.0, 10.0),
+       sigma_minus=st.floats(0.05, 0.45),
+       spread=st.floats(0.01, 0.5),
+       decay=st.floats(0.1, 5.0),
+       lam=st.one_of(st.just(0.0), st.floats(0.1, 316.0)))
+def test_step_activity_roots_match_the_threshold_inversion(
+        seed, dx, x_max, sigma_minus, spread, decay, lam):
+    grid = AgeGrid(dx=dx, n_cells=int(round(x_max / dx)))
+    rng = np.random.default_rng(seed)
+    f = (rng.gamma(2.0, size=grid.n_cells) + 1e-3) \
+        * np.exp(-rng.uniform(0.0, 3.0) * grid.midpoints)
+    f /= f.sum() * dx
+    model = StepRate(sigma_plus=sigma_minus + spread,
+                     sigma_minus=sigma_minus, lam=lam, decay=decay)
+    roots = model.activity_roots(grid, f)
+    assert roots == _step_discrete_roots(model, grid, f)
+    G = model.activity_map(grid, f)
+    assert all(G(r) == r for r in roots)
 
 
 @pytest.mark.parametrize("model", FAMILIES, ids=FAMILY_IDS)
