@@ -275,7 +275,8 @@ def run(config, f0, steady=None):
         m_series.append(m)
         p_series.append(p)
         mass_series.append(mass)
-        linf_series.append(float(np.max(values)))
+        sup = float(np.max(values))
+        linf_series.append(sup)
         l1q_series.append(grid.l1q_norm(values, config.q))
         if dist_series is not None:
             dist_series.append(grid.l1_distance(values, F))
@@ -285,7 +286,7 @@ def run(config, f0, steady=None):
             raise InvariantViolationError("non-finite state", diag)
         if abs(mass - 1.0) > 1e-10:
             raise InvariantViolationError("mass drifted off 1", diag)
-        if np.max(values) > sup_bound:
+        if sup > sup_bound:
             diag["sup_bound"] = sup_bound
             raise InvariantViolationError("density exceeded its sup bound",
                                           diag)

@@ -19,7 +19,8 @@ its iteration stalls) and lipschitz_known (whether estimate_xi can
 trust xi).
 
 Age profiles on a mesh depend only on the family's shape parameters
-and the grid, so they are computed once and cached, read-only.
+and the grid (and the step family's survival only on its threshold
+cell), so they are computed once and cached, read-only.
 """
 
 from __future__ import annotations
@@ -83,11 +84,6 @@ def _frozen(values):
     return values
 
 
-def _cell_sums(grid, values):
-    # shared by StepRate's map and roots, so plateaus and roots agree
-    return np.concatenate(([0.0], np.cumsum(values))) * grid.dx
-
-
 @functools.lru_cache(maxsize=_PROFILE_CACHE)
 def _constant_survival(k0, grid):
     # computed as np.exp(-rate(midpoints, mu) * dx) computes it
@@ -104,6 +100,21 @@ def _unit_decay(grid):
 def _saturating_shape(x_scale, grid):
     # the age factor 1 - exp(-x/x_scale) of the smooth family
     return _frozen(-np.expm1(-grid.midpoints / x_scale))
+
+
+# A relaxing run moves the step threshold through neighbouring cells
+# and settles in one, so a few step profiles suffice.
+_STEP_SURVIVAL_CACHE = 4
+
+
+@functools.lru_cache(maxsize=_STEP_SURVIVAL_CACHE)
+def _step_survival(grid, idx):
+    # cells from idx on lie past the threshold and decay by exp(-dx),
+    # the rest by 1
+    out = np.empty(grid.n_cells)
+    out[:idx] = 1.0
+    out[idx:] = _unit_decay(grid)
+    return _frozen(out)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -202,8 +213,11 @@ class SmoothSaturatingRate:
 
     def survival(self, grid, mu):
         _check_mu(mu)
-        shape = _saturating_shape(self.x_scale, grid)
-        return np.exp(-(self.gain(mu) * shape) * grid.dx)
+        # in place, bit for bit np.exp(-(gain * shape) * dx): negation
+        # is exact
+        out = _saturating_shape(self.x_scale, grid) * self.gain(mu)
+        out *= -grid.dx
+        return np.exp(out, out=out)
 
     def activity_map(self, grid, values):
         # separable: one dot product per density, then O(1) per mu
@@ -291,32 +305,43 @@ class StepRate:
         return np.maximum(0.0, x - thresholds)
 
     def survival(self, grid, mu):
-        # cells past the threshold decay by exp(-dx), the rest by 1
+        # one cached, read-only profile per threshold cell
         _check_mu(mu)
         idx = np.searchsorted(grid.midpoints, self.threshold(mu),
                               side="right")
-        out = np.empty(grid.n_cells)
-        out[:idx] = 1.0
-        out[idx:] = _unit_decay(grid)
-        return out
+        return _step_survival(grid, int(idx))
+
+    def _tail_sums(self, grid, values):
+        # G(mu) is the mass past the threshold, total - heads[idx].  The
+        # built-in sigma is nonincreasing, so no threshold passes
+        # threshold(0) and the prefix sums stop at its cell; a custom
+        # sigma may go anywhere and keeps them all.
+        reach = grid.n_cells
+        if self.sigma is None:
+            reach = int(np.searchsorted(grid.midpoints, self.threshold(0.0),
+                                        side="right"))
+        total = float(values.sum()) * grid.dx
+        heads = np.concatenate(([0.0], np.cumsum(values[:reach]))) * grid.dx
+        return total, heads
 
     def activity_map(self, grid, values):
-        # cells past the threshold fire at rate 1: an exact tail sum
+        # cells past the threshold fire at rate 1: an exact tail sum,
+        # O(1) per mu >= 0
         mids = grid.midpoints
-        csum = _cell_sums(grid, values)
-        total = csum[-1]
+        total, heads = self._tail_sums(grid, values)
 
         def G(mu):
             idx = np.searchsorted(mids, self.threshold(mu), side="right")
-            return total - csum[idx]
+            return total - heads[idx]
         return G
 
     def activity_roots(self, grid, values):
         # G is a staircase: while the threshold falls in cell j it takes
         # the value tails[j], which is a root exactly when its own
-        # threshold falls in cell j too
-        csum = _cell_sums(grid, values)
-        tails = csum[-1] - csum
+        # threshold falls in cell j too, so j never passes the cells
+        # that heads covers
+        total, heads = self._tail_sums(grid, values)
+        tails = total - heads
         thresholds = [self.threshold(g) for g in tails.tolist()]
         cells = np.searchsorted(grid.midpoints, thresholds, side="right")
         return sorted(tails[cells == np.arange(tails.size)].tolist())

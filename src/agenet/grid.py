@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import warnings
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -65,7 +65,7 @@ class AgeGrid:
         values = np.asarray(values)
         if values.shape != (self.n_cells,):
             raise ValueError("length mismatch")
-        weight = 1.0 + self.midpoints ** q
+        weight = _moment_weight(self, q)
         return float(np.sum(weight * np.abs(values)) * self.dx)
 
     def project(self, f0):
@@ -99,6 +99,14 @@ class AgeGrid:
                 "tenth of the grid; consider a larger x_max", stacklevel=2)
         return DensityState(values=values, mass=self.integrate(values),
                             m=0.0, p=0.0, t=0.0)
+
+
+@lru_cache(maxsize=16)
+def _moment_weight(grid, q):
+    # 1 + x^q on the midpoints, read-only; a run records with one q
+    weight = 1.0 + grid.midpoints ** q
+    weight.flags.writeable = False
+    return weight
 
 
 @dataclasses.dataclass(frozen=True)

@@ -319,7 +319,7 @@ def _step_discrete_roots(model, grid, f):
     when its value falls inside the plateau interval.
     """
     csum = np.concatenate(([0.0], np.cumsum(f))) * grid.dx
-    total = csum[-1]
+    total = float(f.sum()) * grid.dx      # one pairwise sum, as in the map
     mids = grid.midpoints
     k1 = model.k1
     lam = model.lam
@@ -363,6 +363,107 @@ def test_step_activity_roots_match_the_threshold_inversion(
     assert roots == _step_discrete_roots(model, grid, f)
     G = model.activity_map(grid, f)
     assert all(G(r) == r for r in roots)
+
+
+def _plateau_sigma(levels):
+    # a non-monotone custom threshold map: one level per third of a unit
+    # of effective activity, repeating
+    return lambda u: levels[int(3.0 * u) % len(levels)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       dx=st.sampled_from([0.02, 0.01, 1e-3]),
+       x_max=st.floats(2.0, 10.0),
+       sigma_minus=st.floats(0.05, 0.45),
+       spread=st.floats(0.01, 0.5),
+       decay=st.floats(0.1, 5.0),
+       lam=st.one_of(st.just(0.0), st.floats(0.1, 316.0)),
+       levels=st.one_of(st.none(), st.lists(st.floats(0.05, 0.95),
+                                            min_size=2, max_size=4)))
+def test_step_activity_map_equals_an_independent_tail_sum(
+        seed, dx, x_max, sigma_minus, spread, decay, lam, levels):
+    grid = AgeGrid(dx=dx, n_cells=int(round(x_max / dx)))
+    rng = np.random.default_rng(seed)
+    f = (rng.gamma(2.0, size=grid.n_cells) + 1e-3) \
+        * np.exp(-rng.uniform(0.0, 3.0) * grid.midpoints)
+    f /= f.sum() * dx
+    sigma = None if levels is None else _plateau_sigma(levels)
+    model = StepRate(sigma_plus=sigma_minus + spread,
+                     sigma_minus=sigma_minus, lam=lam, decay=decay,
+                     sigma=sigma, sigma_modulus=None if sigma is None else 1.0)
+    G = model.activity_map(grid, f)
+    # mu = 0 puts the built-in threshold at its highest cell
+    for mu in np.concatenate([[0.0], rng.uniform(0.0, 3.0, 30)]):
+        idx = np.searchsorted(grid.midpoints, model.threshold(mu),
+                              side="right")
+        tail = float(f[idx:].sum()) * dx
+        assert G(mu) == pytest.approx(tail, rel=1e-13, abs=0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sigma_minus=st.floats(0.01, 0.9),
+       spread=st.floats(1e-6, 0.09),
+       decay=st.floats(1e-3, 50.0),
+       lam=st.floats(0.0, 1e4),
+       mu=st.floats(0.0, 1e6))
+def test_builtin_threshold_never_passes_its_value_at_rest(
+        sigma_minus, spread, decay, lam, mu):
+    # the step map's prefix sums stop at the cell of threshold(0)
+    model = StepRate(sigma_plus=sigma_minus + spread,
+                     sigma_minus=sigma_minus, lam=lam, decay=decay)
+    assert model.threshold(mu) <= model.threshold(0.0)
+
+
+def _full_mesh_step_roots(model, grid, f):
+    """Every fixed point of the step map by a scan of every cell: the
+    plateau value past cell j is a root when its threshold lies in j."""
+    csum = np.concatenate(([0.0], np.cumsum(f))) * grid.dx
+    tails = float(f.sum()) * grid.dx - csum
+    roots = []
+    for j, g in enumerate(tails.tolist()):
+        if np.searchsorted(grid.midpoints, model.threshold(g),
+                           side="right") == j:
+            roots.append(g)
+    return sorted(roots)
+
+
+# at lam = 0.3 the exp2 map has two roots one activity cell apart
+@pytest.mark.parametrize("lam", [0.0, 0.3, 1.3, 40.0])
+def test_step_activity_roots_equal_a_full_mesh_scan(lam):
+    grid = AgeGrid(dx=1e-3, n_cells=10_000)
+    rng = np.random.default_rng(11)
+    noise = rng.gamma(2.0, size=grid.n_cells) * np.exp(-grid.midpoints)
+    densities = [preset_density(grid, name).values
+                 for name in ("uniform01", "exp2", "spike")]
+    densities.append(noise / (noise.sum() * grid.dx))
+    found = 0
+    for f in densities:
+        model = StepRate(sigma_plus=0.5, sigma_minus=0.25, lam=lam)
+        roots = model.activity_roots(grid, f)
+        assert roots == _full_mesh_step_roots(model, grid, f)
+        found += len(roots)
+    assert found >= len(densities)
+
+
+@pytest.mark.parametrize("model", [FAMILIES[0], FAMILIES[2], FAMILIES[3]],
+                         ids=["constant", "step", "step-custom-sigma"])
+def test_cached_survival_profiles_are_read_only(model):
+    grid = AgeGrid(dx=0.01, n_cells=300)
+    first = model.survival(grid, 0.4)
+    with pytest.raises(ValueError, match="read-only"):
+        first[0] = 0.5
+    if isinstance(model, StepRate):
+        # a second activity with its threshold in the same cell
+        cell = np.searchsorted(grid.midpoints, model.threshold(0.4),
+                               side="right")
+        mu = 0.4 + 1e-9
+        assert np.searchsorted(grid.midpoints, model.threshold(mu),
+                               side="right") == cell
+    else:
+        mu = 2.0
+    assert model.survival(grid, mu) is first
+    assert model.survival(grid, 0.4) is first
 
 
 @pytest.mark.parametrize("model", FAMILIES, ids=FAMILY_IDS)

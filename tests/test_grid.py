@@ -43,6 +43,19 @@ def test_l1_distance_and_weighted_norm():
         grid.l1q_norm(np.ones(3))
 
 
+@pytest.mark.parametrize("q", [0.0, 0.5, 1.0, 2.0, 2.7])
+def test_weighted_norm_matches_its_formula_on_repeat_calls(q):
+    # the weight 1 + x^q is cached per grid and q; the norm must stay
+    # the formula's bit for bit
+    grid = AgeGrid(dx=1e-3, n_cells=10_000)
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        u = rng.normal(size=grid.n_cells)
+        expected = float(np.sum((1.0 + grid.midpoints ** q) * np.abs(u))
+                         * grid.dx)
+        assert grid.l1q_norm(u, q=q) == expected
+
+
 def test_project_normalizes_callable_and_array():
     grid = AgeGrid(dx=0.01, n_cells=400)
     state = grid.project(lambda x: np.exp(-x))
