@@ -115,7 +115,7 @@ def kappa0(model, grid, f0):
 
 
 def solve_activity_implicit(model, grid, values, tol=1e-12, max_iter=200,
-                            warm_start=None):
+                            warm_start=None, total=None):
     """Solve the implicit activity m = int k(x, lam*m) f(x) dx for a
     density of mass approx 1.
 
@@ -128,8 +128,11 @@ def solve_activity_implicit(model, grid, values, tol=1e-12, max_iter=200,
 
     Ambiguity is detected only on that stalled path: an iteration that
     settles returns the root it reached, even when the step family's
-    staircase G holds a second one a few cells away."""
-    G = model.activity_map(grid, values)
+    staircase G holds a second one a few cells away.
+
+    total, if given, must be the cell sum float(values.sum()); the
+    family then takes it instead of summing the density again."""
+    G = model.activity_map(grid, values, total)
     k1 = model.k1
 
     mu = G(0.0) if warm_start is None else float(warm_start)
@@ -141,7 +144,7 @@ def solve_activity_implicit(model, grid, values, tol=1e-12, max_iter=200,
         mu = min(max(target, 0.0), k1)
 
     # stalled: the family lists every root, which also detects ambiguity
-    roots = model.activity_roots(grid, values)
+    roots = model.activity_roots(grid, values, total)
     if not roots:
         raise ModelInconsistencyError(
             "no solution of m = int k(x, lam*m) f dx in "
@@ -238,17 +241,20 @@ def run(config, f0, steady=None):
     solves = {"fixed-point": 0, "scan": 0}
     most_iterations = 0
 
-    def _solve(values, warm_start=None):
+    def _solve(values, total, warm_start=None):
         nonlocal most_iterations
         sol = solve_activity_implicit(model, grid, values,
                                       tol=config.fixed_point_tol,
                                       max_iter=config.fixed_point_max_iter,
-                                      warm_start=warm_start)
+                                      warm_start=warm_start, total=total)
         solves[sol.method] += 1
         most_iterations = max(most_iterations, sol.iterations)
         return sol.m
 
-    m0 = _solve(state.values)
+    # the density's cell sum; _advance returns the next one, and each
+    # solve hands it to the activity map
+    total = float(state.values.sum())
+    m0 = _solve(state.values, total)
 
     history = None
     weights = None
@@ -310,14 +316,13 @@ def run(config, f0, steady=None):
     cur = np.empty(cells + 1)
     nxt = np.empty(cells + 1)
     cur[:cells] = state.values
-    total = float(state.values.sum())
     t = state.t
     m = p = m0
     for n in range(1, n_steps + 1):
         values = cur[:cells]
         if kernel.is_dirac:
             try:
-                m = _solve(values, warm_start=m)
+                m = _solve(values, total, warm_start=m)
             except AmbiguousActivityError as exc:
                 exc.t = t
                 raise

@@ -16,7 +16,12 @@ exp(-k(x_j, lam*mu) dx) on the midpoint mesh), activity_map
 (mu -> int k(x, lam*mu) f dx on the midpoint mesh), activity_roots
 (every fixed point of that map, for the implicit activity solve when
 its iteration stalls) and lipschitz_known (whether estimate_xi can
-trust xi).
+trust xi).  activity_map and activity_roots take the density's cell
+sum as an optional third argument: a caller that already holds it
+passes it, and the family does not sum the density again.  The step
+family's map costs one sequential prefix sum over the cells below
+sigma_plus per density, then one searchsorted and one subtraction
+per mu.
 
 Age profiles on a mesh depend only on the family's shape parameters
 and the grid (and the step family's survival only on its threshold
@@ -154,12 +159,14 @@ class ConstantRate:
         _check_mu(mu)
         return _constant_survival(self.k0, grid)
 
-    def activity_map(self, grid, values):
-        total = self.k0 * float(np.sum(values)) * grid.dx
-        return lambda mu: total
+    def activity_map(self, grid, values, total=None):
+        if total is None:
+            total = float(values.sum())
+        mass = self.k0 * total * grid.dx
+        return lambda mu: mass
 
-    def activity_roots(self, grid, values):
-        return [self.activity_map(grid, values)(0.0)]
+    def activity_roots(self, grid, values, total=None):
+        return [self.activity_map(grid, values, total)(0.0)]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -221,13 +228,14 @@ class SmoothSaturatingRate:
         out *= -grid.dx
         return np.exp(out, out=out)
 
-    def activity_map(self, grid, values):
-        # separable: one dot product per density, then O(1) per mu
+    def activity_map(self, grid, values, total=None):
+        # separable: one dot product per density, then O(1) per mu; the
+        # cell sum does not enter
         shape = _saturating_shape(self.x_scale, grid)
         weight = float(np.dot(shape, values)) * grid.dx
         return lambda mu: self.gain(mu) * weight
 
-    def activity_roots(self, grid, values):
+    def activity_roots(self, grid, values, total=None):
         # gain is concave, so G(mu) - mu has at most one root
         G = self.activity_map(grid, values)
         if G(self.k1) > self.k1:
@@ -309,42 +317,51 @@ class StepRate:
     def survival(self, grid, mu):
         # one cached, read-only profile per threshold cell
         _check_mu(mu)
-        idx = np.searchsorted(grid.midpoints, self.threshold(mu),
-                              side="right")
+        idx = grid.midpoints.searchsorted(self.threshold(mu), side="right")
         return _step_survival(grid, int(idx))
 
-    def _tails(self, grid, values):
-        # tails[j] is the mass past cell j: the total (one pairwise sum)
-        # minus the sequential prefix sums.  The two round differently,
-        # so a tail with no mass can come out a hair below zero; it is
-        # clamped there.  The built-in sigma is nonincreasing, so no
-        # threshold passes threshold(0) and the prefix sums stop at its
-        # cell; a custom sigma may go anywhere and keeps them all.
+    def _heads(self, grid, values, total):
+        # The mass (total, one pairwise sum, times dx) and heads, the
+        # sequential prefix sums: the tail mass past cell j is the mass
+        # less heads[j-1]*dx.  The two sums round differently, so a tail
+        # with no mass can come out a hair below zero; both readers clamp
+        # it there.  The built-in sigma is nonincreasing, so no threshold
+        # passes threshold(0) and heads stops at its cell; a custom sigma
+        # may go anywhere and keeps every cell.
         reach = grid.n_cells
         if self.sigma is None:
-            reach = int(np.searchsorted(grid.midpoints, self.threshold(0.0),
-                                        side="right"))
-        total = float(values.sum()) * grid.dx
-        heads = np.concatenate(([0.0], np.cumsum(values[:reach]))) * grid.dx
-        return np.maximum(total - heads, 0.0)
+            reach = int(grid.midpoints.searchsorted(self.threshold(0.0),
+                                                    side="right"))
+        if total is None:
+            total = float(values.sum())
+        return total * grid.dx, values[:reach].cumsum()
 
-    def activity_map(self, grid, values):
+    def _tails(self, grid, values, total=None):
+        # every plateau of activity_map at once: entry j is G(mu) while
+        # the threshold falls in cell j, bit for bit
+        mass, heads = self._heads(grid, values, total)
+        return np.maximum(mass - np.concatenate(([0.0], heads)) * grid.dx,
+                          0.0)
+
+    def activity_map(self, grid, values, total=None):
         # cells past the threshold fire at rate 1: an exact tail sum,
         # O(1) per mu >= 0
         mids = grid.midpoints
-        tails = self._tails(grid, values)
+        dx = grid.dx
+        threshold = self.threshold
+        mass, heads = self._heads(grid, values, total)
 
         def G(mu):
-            return tails[np.searchsorted(mids, self.threshold(mu),
-                                         side="right")]
+            idx = mids.searchsorted(threshold(mu), side="right")
+            return max(mass - heads[idx - 1] * dx, 0.0) if idx else mass
         return G
 
-    def activity_roots(self, grid, values):
+    def activity_roots(self, grid, values, total=None):
         # G is a staircase: while the threshold falls in cell j it takes
         # the value tails[j], which is a root exactly when its own
         # threshold falls in cell j too, so j never passes the cells
         # that tails covers
-        tails = self._tails(grid, values)
+        tails = self._tails(grid, values, total)
         thresholds = [self.threshold(g) for g in tails.tolist()]
         cells = np.searchsorted(grid.midpoints, thresholds, side="right")
         return sorted(tails[cells == np.arange(tails.size)].tolist())

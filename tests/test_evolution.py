@@ -1,5 +1,6 @@
 """Time stepping, the implicit activity solve, and relaxation fits."""
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -215,7 +216,8 @@ KERNEL_IDS = ["dirac", "exponential"]
 @pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
 @pytest.mark.parametrize("model", [
     StepRate(sigma_plus=0.5, sigma_minus=0.25, lam=0.3),
-    SmoothSaturatingRate(k0=0.5, k1=2.0, lam=0.6)], ids=["step", "smooth"])
+    SmoothSaturatingRate(k0=0.5, k1=2.0, lam=0.6),
+    ConstantRate(k0=1.0)], ids=["step", "smooth", "constant"])
 def test_run_matches_a_loop_of_public_steps(model, kernel):
     grid = _grid()
     cfg = SimulationConfig(grid=grid, model=model, kernel=kernel, t_end=1.0,
@@ -244,6 +246,29 @@ def test_run_matches_a_loop_of_public_steps(model, kernel):
     assert np.array_equal(trace.p_series, ps)
     assert np.array_equal(trace.final_state.values, state.values)
     assert trace.final_state.mass == state.mass
+
+
+@pytest.mark.parametrize("family", [
+    StepRate(sigma_plus=0.5, sigma_minus=0.25, lam=0.3),
+    SmoothSaturatingRate(k0=0.5, k1=2.0, lam=0.6),
+    ConstantRate(k0=1.0)], ids=["step", "smooth", "constant"])
+def test_run_hands_the_activity_map_the_exact_cell_sum(family):
+    # the transport step has just summed the new density; each Dirac
+    # step hands that very sum to the map instead of summing again
+    sums = []
+
+    class Recording(type(family)):
+        def activity_map(self, grid, values, total=None):
+            assert total == float(values.sum())
+            sums.append(total)
+            return super().activity_map(grid, values, total)
+
+    grid = _grid()
+    model = Recording(**dataclasses.asdict(family))
+    cfg = SimulationConfig(grid=grid, model=model, t_end=1.0)
+    run(cfg, preset_density(grid, "exp2"))
+    # the initial solve and one per step
+    assert len(sums) == 1 + round(cfg.t_end / grid.dx)
 
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)

@@ -373,7 +373,8 @@ def _plateau_sigma(levels):
 
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1),
-       dx=st.sampled_from([0.02, 0.01, 1e-3]),
+       # at dx = 0.2 a threshold can fall before the first midpoint
+       dx=st.sampled_from([0.2, 0.02, 0.01, 1e-3]),
        x_max=st.floats(2.0, 10.0),
        sigma_minus=st.floats(0.05, 0.45),
        spread=st.floats(0.01, 0.5),
@@ -393,12 +394,17 @@ def test_step_activity_map_equals_an_independent_tail_sum(
                      sigma_minus=sigma_minus, lam=lam, decay=decay,
                      sigma=sigma, sigma_modulus=None if sigma is None else 1.0)
     G = model.activity_map(grid, f)
+    # a caller that holds the cell sum passes it; the map must not care
+    G_given = model.activity_map(grid, f, float(f.sum()))
+    # activity_roots reads these plateaus
+    tails = model._tails(grid, f)
     # mu = 0 puts the built-in threshold at its highest cell
     for mu in np.concatenate([[0.0], rng.uniform(0.0, 3.0, 30)]):
         idx = np.searchsorted(grid.midpoints, model.threshold(mu),
                               side="right")
         tail = float(f[idx:].sum()) * dx
         assert G(mu) == pytest.approx(tail, rel=1e-13, abs=0.0)
+        assert G(mu) == G_given(mu) == tails[idx]
 
 
 @settings(max_examples=300, deadline=None)
