@@ -13,7 +13,6 @@ import math
 from typing import Optional
 
 import numpy as np
-from scipy import special
 
 from .errors import ConfigError
 
@@ -116,7 +115,10 @@ class DelayKernel:
             return self.theta * np.exp(-self.theta * y)
         if self.kind == "gamma":
             # the Gamma(shape, rate) density, term for term as
-            # scipy.stats.gamma.pdf forms it with scale s = 1/rate
+            # scipy.stats.gamma.pdf forms it with scale s = 1/rate;
+            # scipy.special is imported here, so that only the gamma
+            # kernel pays for loading it
+            from scipy import special
             s = 1.0 / self.theta
             return np.exp(special.xlogy(self.shape - 1.0, y / s) - y / s
                           - special.gammaln(self.shape)) / s
@@ -131,6 +133,7 @@ class DelayKernel:
         if self.kind == "exponential":
             return -math.log(1.0 - _QUANTILE) / self.theta
         if self.kind == "gamma":
+            from scipy import special
             return float(special.gammaincinv(self.shape, _QUANTILE)
                          * (1.0 / self.theta))
         return float(self.y_samples[-1])

@@ -36,16 +36,21 @@ chi -> 1 as |Im lam| grows.  `spectrum` therefore runs no eigensolver:
 - it raises SpectrumCountError when the roots it located do not add
   up to the count, or when no mode but 0 lies right of the deepest
   line, so a report always holds certified modes and a finite gap.
+
+Since chi needs only the rates and dx, `GeneratorMatrix` holds those
+and not the matrix.  It assembles A as a scipy.sparse matrix when a
+caller first reads `.A`; `spectrum` never does, so the spectrum path
+loads no scipy.
 """
 
 from __future__ import annotations
 
 import cmath
 import dataclasses
+import functools
 import math
 
 import numpy as np
-from scipy import sparse
 
 from . import _roots
 from .errors import ConfigError, SpectrumCountError
@@ -72,15 +77,32 @@ class GeneratorMatrix:
     """The linearized generator at the stationary pair (F, M), with the
     rates frozen at k(x, lam*M).  Its structure takes O(n) memory: the
     rates and the grid's dx fix L and the boundary row c (the rates
-    plus 1/dx in the last cell); `A` is the same operator assembled as
-    a scipy.sparse matrix."""
+    plus 1/dx in the last cell), and `spectrum` reads nothing else.
+    `A` is the same operator as a scipy.sparse CSR matrix, assembled
+    from the rates on first access; only then is scipy imported."""
 
-    A: sparse.csr_matrix
     grid: AgeGrid
     lam: float
     M: float
     F: np.ndarray
     rates: np.ndarray
+
+    @functools.cached_property
+    def A(self):
+        """Stencil per column j: 1/dx to cell j+1 (transport), -1/dx -
+        k_j on the diagonal, k_j added to row 0 (the discharge
+        functional feeding the boundary), and 1/dx from the last column
+        into row 0 (mass advected past the age horizon re-enters,
+        keeping the truncated operator conservative)."""
+        from scipy import sparse
+        k = self.rates
+        n = self.grid.n_cells
+        dx = self.grid.dx
+        return sparse.diags([-1.0 / dx - k, np.full(n - 1, 1.0 / dx)],
+                            [0, -1], format="csr") \
+            + sparse.csr_matrix((_boundary_row(k, dx),
+                                 (np.zeros(n, dtype=int), np.arange(n))),
+                                shape=(n, n))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -112,26 +134,13 @@ def _boundary_row(rates, dx):
 
 def build_generator(model, grid, steady):
     """Linearized generator at the stationary pair (F, M), the rates
-    frozen at k(x, lam*M).
-
-    Stencil per column j: 1/dx to cell j+1 (transport), -1/dx - k_j on
-    the diagonal, k_j added to row 0 (the discharge functional feeding
-    the boundary), and 1/dx from the last column into row 0 (mass
-    advected past the age horizon re-enters, keeping the truncated
-    operator conservative)."""
+    frozen at k(x, lam*M); its stencil is given on `GeneratorMatrix.A`."""
     if steady.F.shape != (grid.n_cells,):
         raise ConfigError([
             f"steady profile has {steady.F.shape[0]} cells but the grid "
             f"has {grid.n_cells}; recompute the steady state on this grid"])
     k = np.asarray(model.rate(grid.midpoints, steady.M), dtype=float)
-    n = grid.n_cells
-    dx = grid.dx
-    A = sparse.diags([-1.0 / dx - k, np.full(n - 1, 1.0 / dx)], [0, -1],
-                     format="csr") \
-        + sparse.csr_matrix((_boundary_row(k, dx),
-                             (np.zeros(n, dtype=int), np.arange(n))),
-                            shape=(n, n))
-    return GeneratorMatrix(A=A, grid=grid, lam=float(model.lam),
+    return GeneratorMatrix(grid=grid, lam=float(model.lam),
                            M=float(steady.M), F=np.array(steady.F),
                            rates=k)
 

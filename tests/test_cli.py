@@ -34,16 +34,68 @@ def _write_config(tmp_path, overrides=None, name="config.json"):
     return path
 
 
-def test_importing_the_cli_leaves_scipy_stats_unloaded():
-    # scipy.stats costs most of a second to import; the gamma kernel uses
-    # scipy.special instead, and nothing on the CLI path may pull it in
+def _fresh_python(code, *args):
+    """Run `code` in a fresh interpreter that imports this agenet; return
+    the last line it prints."""
     src = str(Path(agenet.__file__).resolve().parents[1])
-    code = ("import sys, agenet.cli; "
-            "assert 'scipy.stats' not in sys.modules, 'scipy.stats loaded'")
-    done = subprocess.run([sys.executable, "-c", code],
+    done = subprocess.run([sys.executable, "-c", code, *args],
                           env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    return done.stdout.strip().splitlines()[-1]
+
+
+_SCIPY_LOADED = ("sorted(m for m in sys.modules "
+                 "if m == 'scipy' or m.startswith('scipy.'))")
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy costs more than the rest of the import together; the gamma
+    # kernel and GeneratorMatrix.A load it when they need it
+    code = ("import json, sys, agenet, agenet.cli; "
+            f"print(json.dumps({_SCIPY_LOADED}))")
+    assert json.loads(_fresh_python(code)) == []
+
+
+_MAIN_THEN_SCIPY = ("import json, sys; from agenet.cli import main; "
+                    "code = main(sys.argv[1:]); "
+                    f"print(json.dumps([code, {_SCIPY_LOADED}]))")
+
+
+_KERNEL_BLOCKS = {"dirac": {"kind": "dirac"},
+                  "exponential": {"kind": "exponential", "theta": 2.0},
+                  "gamma": {"kind": "gamma", "shape": 2.0, "rate": 4.0}}
+
+
+@pytest.mark.parametrize("command, kernel", [
+    ("simulate", "dirac"), ("simulate", "exponential"), ("simulate", "gamma"),
+    ("decay-fit", "dirac"), ("steady-state", "dirac"), ("spectrum", "dirac"),
+    ("sweep", "dirac")])
+def test_subcommands_load_scipy_only_for_the_gamma_kernel(
+        tmp_path, command, kernel):
+    cfg = _write_config(tmp_path, {"grid": {"dx": 0.05, "x_max": 4.0},
+                                   "kernel": _KERNEL_BLOCKS[kernel],
+                                   "sweep": {"lambdas": [0.0, 0.7]}})
+    out = tmp_path / "out.csv"
+    if command == "decay-fit":
+        trace = tmp_path / "trace.csv"
+        trace.write_text("t,l1_dist\n" + "".join(
+            f"{t},{np.exp(-0.5 * t)}\n" for t in np.linspace(0.0, 10.0, 21)))
+        argv = ["decay-fit", "--trace", str(trace), "--out", str(out)]
+    elif command == "spectrum":
+        argv = ["spectrum", "--config", str(cfg), "--eigs-out", str(out)]
+    else:
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+    code, loaded = json.loads(_fresh_python(_MAIN_THEN_SCIPY, *argv))
+    assert code == 0
+    assert out.is_file()
+    if kernel == "gamma":
+        assert "scipy.special" in loaded
+        subpackages = {".".join(m.split(".")[:2]) for m in loaded}
+        assert subpackages.isdisjoint(
+            {"scipy.stats", "scipy.sparse", "scipy.optimize"})
+    else:
+        assert loaded == []
 
 
 # ---------------------------------------------------------------------------

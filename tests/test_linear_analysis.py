@@ -25,9 +25,11 @@ def _steady_stub(grid, M=1.0):
 def test_generator_matrix_written_out():
     # three cells, dx = 1/2, constant unit rate: transport 2 on the
     # subdiagonal, -2 - 1 on the diagonal, the rate row plus the
-    # horizon reinjection folded into row 0
+    # horizon reinjection folded into row 0; the matrix is assembled on
+    # first access, not by build_generator
     grid = AgeGrid(dx=0.5, n_cells=3)
     gen = build_generator(ConstantRate(k0=1.0), grid, _steady_stub(grid))
+    assert "A" not in vars(gen)
     expected = np.array([
         [-2.0, 1.0, 3.0],
         [2.0, -3.0, 0.0],
