@@ -6,7 +6,7 @@ from .errors import (AmbiguousActivityError, BracketError, ConfigError,
                      ModelInconsistencyError, SpectrumCountError)
 from .firing_rate import (ConstantRate, RegimeEstimate, SmoothSaturatingRate,
                           StepRate, estimate_xi, half_rate_age)
-from .grid import AgeGrid, DensityState, preset_density
+from .grid import AgeGrid, DensityState, cell_sum, preset_density
 from .steady_state import SteadyState, regime_scan, solve_steady_state
 from .delay_kernel import DelayKernel, DischargeHistory
 from .evolution import (ActivitySolution, DecayFit, SimulationConfig,
@@ -19,7 +19,7 @@ from .linear_analysis import (GeneratorMatrix, SpectrumReport,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgeGrid", "DensityState", "preset_density",
+    "AgeGrid", "DensityState", "cell_sum", "preset_density",
     "ConstantRate", "SmoothSaturatingRate", "StepRate", "RegimeEstimate",
     "estimate_xi", "half_rate_age",
     "SteadyState", "solve_steady_state", "regime_scan",

@@ -1,13 +1,16 @@
 """Time integration of the age-structured network on the locked mesh
 dt = dx (exact transport characteristics).
 
-Each step: decay the density by the survival factor exp(-k dt), book
-the absorbed mass plus the mass advected past the age horizon as the
-discharge p, shift the density one cell toward older ages, and reinject
-p in the youngest cell.  Cell mass is conserved to rounding by
-construction.  step() and run() share one kernel, _advance; run() steps
-inside two preallocated buffers and takes the factors exp(-k dt) from
-the rate family's survival().
+Each step: decay the density by the survival factor exp(-k dt), shift
+the survivors one cell toward older ages, and reinject in the youngest
+cell the discharge p, the mass the survivors no longer hold on the
+mesh: the absorbed mass plus the mass advected past the age horizon.
+So p is the cell sum less the survivors that stay, one full sum per
+step, and the new cell sum is p plus those survivors: mass is
+conserved by construction.  step() and run() share one kernel,
+_advance; run() steps inside two preallocated buffers, carries the cell
+sum from step to step, and takes the factors exp(-k dt) from the rate
+family's survival().
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .delay_kernel import DelayKernel, DischargeHistory
 from .errors import (AmbiguousActivityError, DegenerateInputError,
                      InvariantViolationError, ModelInconsistencyError)
 from .firing_rate import estimate_xi, half_rate_age
-from .grid import AgeGrid, DensityState
+from .grid import AgeGrid, DensityState, cell_sum
 
 __all__ = [
     "SimulationConfig", "SimulationTrace", "ActivitySolution", "SolverCounts",
@@ -119,20 +122,30 @@ def solve_activity_implicit(model, grid, values, tol=1e-12, max_iter=200,
     """Solve the implicit activity m = int k(x, lam*m) f(x) dx for a
     density of mass approx 1.
 
-    Iterates the model's activity_map G from warm_start (default G(0)),
-    clamped to [0, k1].  G is nondecreasing, so the iterates move
-    monotonically toward a root and never cross it.  If they have not
-    settled within tol after max_iter steps, model.activity_roots lists
-    every fixed point of G: zero roots means the model violates its own
-    bounds, several make the dynamics ambiguous, and both cases raise.
+    Iterates on the model's activity_map G from warm_start (default
+    G(0)), clamped to [0, k1], until |G(mu) - mu| <= tol.  Where the
+    family gives G a slope (model.activity_slope), each step is a
+    Newton step on G(mu) - mu; elsewhere, and wherever that slope is
+    1 or more, it is the fixed-point step mu -> G(mu).  G is
+    nondecreasing, so the fixed-point iterates move monotonically
+    toward a root and never cross it.  The smooth family's G is concave
+    too, so Newton's iterates lie above the root after the first step
+    and then fall to it monotonically.  If they have not settled after
+    max_iter steps, model.activity_roots lists every fixed point of G:
+    zero roots means the model violates its own bounds, several make
+    the dynamics ambiguous, and both cases raise.  Either kind of step
+    counts as method "fixed-point".
 
     Ambiguity is detected only on that stalled path: an iteration that
     settles returns the root it reached, even when the step family's
     staircase G holds a second one a few cells away.
 
-    total, if given, must be the cell sum float(values.sum()); the
-    family then takes it instead of summing the density again."""
+    total, if given, must be the density's cell sum, cell_sum(values),
+    which the transport step returns; the family then takes it instead
+    of summing the density again.  Without it, a family whose map reads
+    the cell sum takes cell_sum(values) itself."""
     G = model.activity_map(grid, values, total)
+    slope = model.activity_slope(G)
     k1 = model.k1
 
     mu = G(0.0) if warm_start is None else float(warm_start)
@@ -141,6 +154,10 @@ def solve_activity_implicit(model, grid, values, tol=1e-12, max_iter=200,
         target = G(mu)
         if abs(target - mu) <= tol:
             return ActivitySolution(m=mu, iterations=it, method="fixed-point")
+        if slope is not None:
+            s = slope(mu)
+            if s < 1.0:
+                target = mu + (target - mu) / (1.0 - s)
         mu = min(max(target, 0.0), k1)
 
     # stalled: the family lists every root, which also detects ambiguity
@@ -157,36 +174,45 @@ def solve_activity_implicit(model, grid, values, tol=1e-12, max_iter=200,
     return ActivitySolution(m=roots[0], iterations=max_iter, method="scan")
 
 
-def _advance(values, total, survival, out, dx, t, m):
+def _advance(values, total, survival, out, t, m):
     """The transport kernel of step() and run().
 
-    values is the density and total its cell sum.  The survivors go to
-    out[1:], one cell older, and the discharge p to out[0], so out has
-    one cell more than values and out[:-1] is the new density.  Returns
-    p and the new cell sum."""
+    values is the density and total its cell sum, cell_sum(values).
+    The survivors go to out[1:], one cell older, and the discharge p to
+    out[0], so out has one cell more than values and out[:-1] is the
+    new density.  p is total less rest, the survivors that stay on the
+    mesh: the absorbed mass plus the outflow past x_max, per dx.
+    Returns p and the new density's cell sum p + rest, which is total
+    up to one rounding."""
     survived = out[1:]
     np.multiply(values, survival, out=survived)
-    absorbed = (total - float(survived.sum())) * dx
-    outflow = float(survived[-1]) * dx
-    p = (absorbed + outflow) / dx
+    rest = float(out[1:-1].sum())
+    p = total - rest
+    if p < 0.0:
+        # total and rest are summed on different trees, so where nothing
+        # fires p can land an ulp below zero.  On one tree, survival <= 1
+        # keeps the recount >= 0.
+        p = ((float(values.sum()) - float(survived.sum()))
+             + float(survived[-1]))
     out[0] = p
     if p < 0.0 or out[-2] < 0.0:
         raise InvariantViolationError(
             "negative density produced by a transport step",
             {"t": t, "p": p, "m": m})
-    return p, float(out[:-1].sum())
+    return p, p + rest
 
 
 def step(state, m, config):
-    """One transport step at activity m.  Returns (new_state, p)."""
+    """One transport step at activity m.  Returns (new_state, p); the
+    new state's mass is a fresh sum of its cells."""
     grid = config.grid
     values = state.values
     out = np.empty(grid.n_cells + 1)
-    p, total = _advance(values, float(values.sum()),
-                        config.model.survival(grid, m), out, grid.dx,
-                        state.t, m)
-    return DensityState(values=out[:-1], mass=total * grid.dx, m=m, p=p,
-                        t=state.t + grid.dx), p
+    p, _ = _advance(values, cell_sum(values), config.model.survival(grid, m),
+                    out, state.t, m)
+    new = out[:-1]
+    return DensityState(values=new, mass=float(new.sum()) * grid.dx, m=m,
+                        p=p, t=state.t + grid.dx), p
 
 
 def _check_strong_regime_gate(config, k0_mass):
@@ -216,9 +242,11 @@ def run(config, f0, steady=None):
     mass within 1e-10, sup bound, p >= 0 with its absorbed part (p less
     the outflow past x_max) at most k1, m in [0, k1], and for
     kappa0 > 0 the uniform activity floor once t passes the half-rate
-    age.  Under a delay kernel m is a mean of past p, so its cap is the
-    largest p pushed instead of k1.  The trace counts the path each
-    activity solve took.
+    age.  The recorded mass is a fresh sum of the cells, not the cell
+    sum that the steps carry, which they conserve exactly.  Under a
+    delay kernel m is a mean of past p, so its cap is the largest p
+    pushed instead of k1.  The trace counts the path each activity
+    solve took.
     """
     grid, model, kernel = config.grid, config.model, config.kernel
     dt = config.dt
@@ -253,7 +281,7 @@ def run(config, f0, steady=None):
 
     # the density's cell sum; _advance returns the next one, and each
     # solve hands it to the activity map
-    total = float(state.values.sum())
+    total = cell_sum(state.values)
     m0 = _solve(state.values, total)
 
     history = None
@@ -276,7 +304,8 @@ def run(config, f0, steady=None):
     l1q_series = []
     dist_series = None if F is None else []
 
-    def _record(t, values, mass, m, p, absorbed):
+    def _record(t, values, m, p, absorbed):
+        mass = float(values.sum()) * grid.dx
         times.append(t)
         m_series.append(m)
         p_series.append(p)
@@ -308,7 +337,7 @@ def run(config, f0, steady=None):
                 "activity fell below its uniform lower bound", diag)
 
     m_cap = k1 if history is None else m0
-    _record(0.0, state.values, state.mass, m0, m0, m0)
+    _record(0.0, state.values, m0, m0, m0)
 
     # the density lives in cur[:cells]; each step writes the next one
     # into nxt and the two swap, so the loop allocates no cell arrays
@@ -328,8 +357,8 @@ def run(config, f0, steady=None):
                 raise
         else:
             m = float(weights @ history.lagged(weights.size))
-        p, total = _advance(values, total, model.survival(grid, m), nxt,
-                            grid.dx, t, m)
+        p, total = _advance(values, total, model.survival(grid, m), nxt, t,
+                            m)
         cur, nxt = nxt, cur
         t = n * dt
         if history is not None:
@@ -339,10 +368,10 @@ def run(config, f0, steady=None):
             raise InvariantViolationError(
                 "non-finite step output", {"t": t, "m": m, "p": p})
         if n % config.record_every == 0 or n == n_steps:
-            _record(t, cur[:cells], total * grid.dx, m, p,
-                    p - float(cur[cells]))
+            _record(t, cur[:cells], m, p, p - float(cur[cells]))
 
-    final = DensityState(values=cur[:cells].copy(), mass=total * grid.dx,
+    # the last step is always recorded, with a fresh mass
+    final = DensityState(values=cur[:cells].copy(), mass=mass_series[-1],
                          m=m, p=p, t=t)
     return SimulationTrace(
         times=np.asarray(times),

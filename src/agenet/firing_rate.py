@@ -13,12 +13,15 @@ Each family computes its own closed forms behind one protocol: rate,
 cumulative K(x, mu) = int_0^x k, cumulative_over (K at one age for an
 array of activities), survival (the one-step factors
 exp(-k(x_j, lam*mu) dx) on the midpoint mesh), activity_map
-(mu -> int k(x, lam*mu) f dx on the midpoint mesh), activity_roots
-(every fixed point of that map, for the implicit activity solve when
-its iteration stalls) and lipschitz_known (whether estimate_xi can
-trust xi).  activity_map and activity_roots take the density's cell
-sum as an optional third argument: a caller that already holds it
-passes it, and the family does not sum the density again.  The step
+(mu -> int k(x, lam*mu) f dx on the midpoint mesh), activity_slope
+(that map's slope in closed form, or None where it has none to
+follow; the implicit activity solve takes Newton steps on it),
+activity_roots (every fixed point of that map, for the implicit
+activity solve when its iteration stalls) and lipschitz_known
+(whether estimate_xi can trust xi).  activity_map and activity_roots
+take the density's cell sum, grid.cell_sum(values), as an optional
+third argument: a caller that already holds it passes it, and the
+family does not sum the density again.  The step
 family's map costs one sequential prefix sum over the cells below
 sigma_plus per density, then one searchsorted and one subtraction
 per mu.
@@ -38,6 +41,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _roots
+from .grid import cell_sum
 
 __all__ = [
     "ConstantRate",
@@ -161,9 +165,12 @@ class ConstantRate:
 
     def activity_map(self, grid, values, total=None):
         if total is None:
-            total = float(values.sum())
+            total = cell_sum(values)
         mass = self.k0 * total * grid.dx
         return lambda mu: mass
+
+    def activity_slope(self, G):
+        return None     # the map is a constant
 
     def activity_roots(self, grid, values, total=None):
         return [self.activity_map(grid, values, total)(0.0)]
@@ -234,6 +241,15 @@ class SmoothSaturatingRate:
         shape = _saturating_shape(self.x_scale, grid)
         weight = float(np.dot(shape, values)) * grid.dx
         return lambda mu: self.gain(mu) * weight
+
+    def activity_slope(self, G):
+        # G = gain * w with gain(0) = k0, so w = G(0)/k0, and
+        # gain'(mu) = (k1 - k0)(lam/mu_scale) exp(-lam*mu/mu_scale)
+        rate = self.lam / self.mu_scale
+        scale = (self.k1 - self.k0) * rate * (G(0.0) / self.k0)
+        if scale == 0.0:
+            return None     # uncoupled or a flat gain: G is a constant
+        return lambda mu: scale * math.exp(-rate * mu)
 
     def activity_roots(self, grid, values, total=None):
         # gain is concave, so G(mu) - mu has at most one root
@@ -333,7 +349,7 @@ class StepRate:
             reach = int(grid.midpoints.searchsorted(self.threshold(0.0),
                                                     side="right"))
         if total is None:
-            total = float(values.sum())
+            total = cell_sum(values)
         return total * grid.dx, values[:reach].cumsum()
 
     def _tails(self, grid, values, total=None):
@@ -355,6 +371,9 @@ class StepRate:
             idx = mids.searchsorted(threshold(mu), side="right")
             return max(mass - heads[idx - 1] * dx, 0.0) if idx else mass
         return G
+
+    def activity_slope(self, G):
+        return None     # a staircase: flat between its jumps
 
     def activity_roots(self, grid, values, total=None):
         # G is a staircase: while the threshold falls in cell j it takes

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DegenerateInputError
 
-__all__ = ["AgeGrid", "DensityState", "preset_density"]
+__all__ = ["AgeGrid", "DensityState", "cell_sum", "preset_density"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -99,6 +99,15 @@ class AgeGrid:
                 "tenth of the grid; consider a larger x_max", stacklevel=2)
         return DensityState(values=values, mass=self.integrate(values),
                             m=0.0, p=0.0, t=0.0)
+
+
+def cell_sum(values):
+    """The cell sum values[0] + sum(values[1:]) of a density.
+
+    The transport step builds the next density's cell sum this way,
+    from its discharge and its survivors, and every other reader of a
+    cell sum takes it the same way, so that they agree bit for bit."""
+    return float(values[0]) + float(values[1:].sum())
 
 
 @lru_cache(maxsize=16)

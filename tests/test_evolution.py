@@ -6,12 +6,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import optimize
 
 from agenet import (AgeGrid, AmbiguousActivityError, ConstantRate,
                     DegenerateInputError, DischargeHistory,
                     InvariantViolationError, ModelInconsistencyError,
                     SimulationConfig, SmoothSaturatingRate, StepRate,
-                    DelayKernel, DensityState, decay_fit, kappa0,
+                    DelayKernel, DensityState, cell_sum, decay_fit, kappa0,
                     preset_density, run,
                     solve_activity_implicit, step, stepper_equilibrium)
 
@@ -73,6 +76,43 @@ def test_activity_residual_over_random_weak_draws():
         sol = solve_activity_implicit(model, grid, f)
         residual = float(np.dot(model.rate(mids, sol.m), f)) * grid.dx - sol.m
         assert abs(residual) < 1e-10
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       k0=st.floats(0.1, 2.0),
+       spread=st.floats(0.0, 5.0),
+       lam=st.one_of(st.just(0.0), st.floats(1e-3, 30.0)),
+       mu_scale=st.floats(0.2, 5.0),
+       x_scale=st.floats(0.1, 3.0),
+       warm=st.one_of(st.none(), st.floats(0.0, 1.0)))
+def test_smooth_activity_solve_equals_brentq(seed, k0, spread, lam, mu_scale,
+                                             x_scale, warm):
+    # the smooth solve takes Newton steps on the family's closed-form
+    # slope; it must land on the one root of G(mu) - mu, cold or warm
+    grid = _grid(dx=0.01, x_max=4.0)
+    rng = np.random.default_rng(seed)
+    f = (rng.gamma(2.0, size=grid.n_cells) + 1e-3) \
+        * np.exp(-rng.uniform(0.0, 3.0) * grid.midpoints)
+    f /= f.sum() * grid.dx
+    model = SmoothSaturatingRate(k0=k0, k1=k0 + spread, lam=lam,
+                                 mu_scale=mu_scale, x_scale=x_scale)
+    G = model.activity_map(grid, f)
+    slope = model.activity_slope(G)
+    if slope is not None:
+        for mu in rng.uniform(0.0, model.k1, 5):
+            h = 1e-5 * max(1.0, mu)
+            difference = (G(mu + h) - G(abs(mu - h))) / (mu + h - abs(mu - h))
+            # the difference quotient loses about eps * k1 / h
+            assert slope(mu) == pytest.approx(difference, rel=1e-5,
+                                              abs=1e-9)
+    # G(0) = k0 w > 0 and G(k1) <= k1 w < k1: one sign change
+    root = optimize.brentq(lambda mu: G(mu) - mu, 0.0, model.k1,
+                           xtol=1e-15)
+    sol = solve_activity_implicit(
+        model, grid, f, warm_start=None if warm is None else warm * model.k1)
+    assert sol.method == "fixed-point"
+    assert abs(sol.m - root) <= 1e-12
 
 
 def test_ambiguous_activity_reports_both_roots():
@@ -248,18 +288,87 @@ def test_run_matches_a_loop_of_public_steps(model, kernel):
     assert trace.final_state.mass == state.mass
 
 
+def _public_steps(model, kernel, f0, cfg, n_steps):
+    # the activities, discharges and final state of a loop of public
+    # steps, started as run() starts
+    grid = cfg.grid
+    state = f0
+    m = solve_activity_implicit(model, grid, f0.values).m
+    ms, ps = [m], [m]
+    if not kernel.is_dirac:
+        _, w = kernel.weights(grid.dx)
+        history = DischargeHistory.constant(m, w.size, grid.dx)
+    for _ in range(n_steps):
+        if kernel.is_dirac:
+            m = solve_activity_implicit(model, grid, state.values,
+                                        warm_start=m).m
+        else:
+            m = float(w @ history.lagged(w.size))
+        state, p = step(state, m, cfg)
+        if not kernel.is_dirac:
+            history.push(p)
+        ms.append(m)
+        ps.append(p)
+    return ms, ps, state
+
+
+_FAMILIES = st.one_of(
+    st.builds(ConstantRate, k0=st.floats(0.1, 3.0)),
+    st.builds(StepRate, sigma_plus=st.floats(0.3, 0.9),
+              sigma_minus=st.floats(0.05, 0.29), lam=st.floats(0.0, 0.9),
+              decay=st.floats(0.2, 3.0)),
+    st.builds(SmoothSaturatingRate, k0=st.floats(0.1, 2.0),
+              k1=st.floats(2.0, 4.0), lam=st.floats(0.0, 3.0),
+              x_scale=st.floats(0.1, 2.0)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=_FAMILIES,
+       seed=st.integers(0, 2 ** 32 - 1),
+       dx=st.sampled_from([0.02, 0.005, 1e-3]),
+       # an age past which f0 vanishes; below about 0.05 no step
+       # threshold is reached within the run
+       support=st.one_of(st.floats(0.002, 0.05), st.floats(0.05, 8.0)),
+       dirac=st.booleans())
+def test_run_keeps_p_and_mass_and_matches_public_steps(model, seed, dx,
+                                                       support, dirac):
+    grid = AgeGrid(dx=dx, n_cells=300)
+    rng = np.random.default_rng(seed)
+    # the last tenth of the grid stays empty, as project() asks
+    cells = min(max(1, int(support / dx)), 270)
+    values = np.zeros(grid.n_cells)
+    values[:cells] = rng.uniform(0.0, 1.0, cells)
+    values[0] += 1e-3
+    f0 = grid.project(values)
+    kernel = DelayKernel.dirac() if dirac else DelayKernel.exponential(2.0)
+    n_steps = 40
+    cfg = SimulationConfig(grid=grid, model=model, kernel=kernel,
+                           t_end=n_steps * dx, record_every=1,
+                           allow_zero_kappa0=True)
+    trace = run(cfg, f0)
+    assert np.all(trace.p_series >= 0.0)
+    assert np.max(np.abs(trace.mass_series - 1.0)) <= 1e-12
+    ms, ps, state = _public_steps(model, kernel, f0, cfg, n_steps)
+    assert np.array_equal(trace.m_series, ms)
+    assert np.array_equal(trace.p_series, ps)
+    assert np.array_equal(trace.final_state.values, state.values)
+    assert trace.final_state.mass == state.mass
+
+
 @pytest.mark.parametrize("family", [
     StepRate(sigma_plus=0.5, sigma_minus=0.25, lam=0.3),
     SmoothSaturatingRate(k0=0.5, k1=2.0, lam=0.6),
     ConstantRate(k0=1.0)], ids=["step", "smooth", "constant"])
 def test_run_hands_the_activity_map_the_exact_cell_sum(family):
-    # the transport step has just summed the new density; each Dirac
-    # step hands that very sum to the map instead of summing again
+    # the transport step builds the new density's cell sum from its
+    # discharge and its survivors; each Dirac step hands that very sum
+    # to the map, and it is the sum that cell_sum takes of the density
     sums = []
 
     class Recording(type(family)):
         def activity_map(self, grid, values, total=None):
-            assert total == float(values.sum())
+            assert total == values[0] + float(values[1:].sum())
+            assert total == cell_sum(values)
             sums.append(total)
             return super().activity_map(grid, values, total)
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import integrate, optimize
 
 from agenet import (AgeGrid, ConstantRate, SmoothSaturatingRate, StepRate,
-                    estimate_xi, half_rate_age, preset_density)
+                    cell_sum, estimate_xi, half_rate_age, preset_density)
 
 # 5-point Gauss-Legendre rule on [-1, 1]; composite panels of this rule
 # integrate the smooth rate family to machine precision.
@@ -319,7 +319,7 @@ def _step_discrete_roots(model, grid, f):
     when its value falls inside the plateau interval.
     """
     csum = np.concatenate(([0.0], np.cumsum(f))) * grid.dx
-    total = float(f.sum()) * grid.dx      # one pairwise sum, as in the map
+    total = cell_sum(f) * grid.dx      # the cell sum, as in the map
     mids = grid.midpoints
     k1 = model.k1
     lam = model.lam
@@ -395,7 +395,7 @@ def test_step_activity_map_equals_an_independent_tail_sum(
                      sigma=sigma, sigma_modulus=None if sigma is None else 1.0)
     G = model.activity_map(grid, f)
     # a caller that holds the cell sum passes it; the map must not care
-    G_given = model.activity_map(grid, f, float(f.sum()))
+    G_given = model.activity_map(grid, f, cell_sum(f))
     # activity_roots reads these plateaus
     tails = model._tails(grid, f)
     # mu = 0 puts the built-in threshold at its highest cell
@@ -426,7 +426,7 @@ def _full_mesh_step_roots(model, grid, f):
     plateau value past cell j is a root when its threshold lies in j."""
     csum = np.concatenate(([0.0], np.cumsum(f))) * grid.dx
     # a mass: the map clamps the rounding below zero of an empty tail
-    tails = np.maximum(float(f.sum()) * grid.dx - csum, 0.0)
+    tails = np.maximum(cell_sum(f) * grid.dx - csum, 0.0)
     roots = []
     for j, g in enumerate(tails.tolist()):
         if np.searchsorted(grid.midpoints, model.threshold(g),
