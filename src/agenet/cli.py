@@ -35,12 +35,32 @@ __all__ = ["RunConfig", "parse_config", "default_config", "main"]
 
 _PRESETS = ("uniform01", "exp2", "spike")
 
-_MODEL_DEFAULTS = {
-    "constant": {"k0": 1.0, "lambda": 0.0},
-    "smooth": {"k0": 0.5, "k1": 2.0, "lambda": 0.0, "mu_scale": 1.0,
-               "x_scale": 1.0},
-    "step": {"sigma_plus": 0.5, "sigma_minus": 0.25, "lambda": 0.0,
-             "decay": 1.0},
+
+@dataclasses.dataclass(frozen=True)
+class RunConfig(SimulationConfig):
+    """A parsed config: what run() takes, plus the subcommands' own
+    keys, the initial preset f0, sweep's fit window and couplings."""
+
+    f0: str = "uniform01"
+    window: tuple = (5.0, 30.0)
+    lambdas: tuple = ()
+
+
+# the run block's keys in the order --print-defaults writes them; their
+# defaults, and q's, are the RunConfig fields'
+_RUN_KEYS = ("t_end", "record_every", "f0", "fixed_point_tol",
+             "fixed_point_max_iter", "window", "allow_zero_kappa0")
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+
+# kind: (rate family, its keys and their defaults); model.lambda is the
+# family's lam, nonnegative, and every other key must be positive
+_MODELS = {
+    "constant": (ConstantRate, {"k0": 1.0, "lambda": 0.0}),
+    "smooth": (SmoothSaturatingRate,
+               {"k0": 0.5, "k1": 2.0, "lambda": 0.0, "mu_scale": 1.0,
+                "x_scale": 1.0}),
+    "step": (StepRate, {"sigma_plus": 0.5, "sigma_minus": 0.25,
+                        "lambda": 0.0, "decay": 1.0}),
 }
 _KERNEL_KEYS = {
     "dirac": (),
@@ -48,50 +68,21 @@ _KERNEL_KEYS = {
     "gamma": ("shape", "rate", "delta"),
     "sampled": ("y", "b", "delta"),
 }
-_RUN_DEFAULTS = {
-    "t_end": 10.0, "record_every": 10, "f0": "uniform01",
-    "fixed_point_tol": 1e-12, "fixed_point_max_iter": 200,
-    "window": [5.0, 30.0], "allow_zero_kappa0": False,
-}
 
 
 def default_config():
     """The complete default config; `--print-defaults` emits it and it
     parses back unchanged."""
+    run = {key: _DEFAULTS[key] for key in _RUN_KEYS}
+    run["window"] = list(run["window"])
     return {
         "grid": {"dx": 1e-3, "x_max": 10.0},
-        "model": {"kind": "constant", **_MODEL_DEFAULTS["constant"]},
+        "model": {"kind": "constant", **_MODELS["constant"][1]},
         "kernel": {"kind": "dirac"},
-        "run": dict(_RUN_DEFAULTS),
-        "sweep": {"lambdas": []},
-        "q": 1.0,
+        "run": run,
+        "sweep": {"lambdas": list(_DEFAULTS["lambdas"])},
+        "q": _DEFAULTS["q"],
     }
-
-
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    grid: AgeGrid
-    model: object
-    kernel: DelayKernel
-    t_end: float
-    record_every: int
-    f0: str
-    fixed_point_tol: float
-    fixed_point_max_iter: int
-    window: tuple
-    allow_zero_kappa0: bool
-    lambdas: tuple
-    q: float
-
-    def simulation_config(self, t_end=None):
-        return SimulationConfig(
-            grid=self.grid, model=self.model, kernel=self.kernel,
-            t_end=self.t_end if t_end is None else t_end,
-            record_every=self.record_every,
-            fixed_point_tol=self.fixed_point_tol,
-            fixed_point_max_iter=self.fixed_point_max_iter,
-            q=self.q,
-            allow_zero_kappa0=self.allow_zero_kappa0)
 
 
 def _is_number(v):
@@ -164,50 +155,34 @@ def _validate_grid(block, errors):
 
 def _validate_model(block, errors):
     kind = block.get("kind", "constant")
-    if kind not in _MODEL_DEFAULTS:
-        known = ", ".join(sorted(_MODEL_DEFAULTS))
+    if kind not in _MODELS:
+        known = ", ".join(sorted(_MODELS))
         errors.append(f"model.kind: unknown kind {kind!r} (known: {known})")
         return None
+    family, defaults = _MODELS[kind]
     merged = _merge("model", {k: v for k, v in block.items() if k != "kind"},
-                    _MODEL_DEFAULTS[kind], errors)
+                    defaults, errors)
     before = len(errors)
-    lam = _number(merged, "model", "lambda", errors, nonnegative=True)
-    if kind == "constant":
-        k0 = _number(merged, "model", "k0", errors, positive=True)
-        if len(errors) > before:
-            return None
-        return ConstantRate(k0=k0, lam=lam)
-    if kind == "smooth":
-        k0 = _number(merged, "model", "k0", errors, positive=True)
-        k1 = _number(merged, "model", "k1", errors, positive=True)
-        mu_scale = _number(merged, "model", "mu_scale", errors,
-                           positive=True)
-        x_scale = _number(merged, "model", "x_scale", errors, positive=True)
-        if k0 is not None and k1 is not None and k1 < k0:
-            errors.append(f"model.k1: saturated rate {k1:g} must be at "
-                          f"least the rest rate model.k0 = {k0:g}")
-        if len(errors) > before:
-            return None
-        return SmoothSaturatingRate(k0=k0, k1=k1, lam=lam,
-                                    mu_scale=mu_scale, x_scale=x_scale)
-    sigma_plus = _number(merged, "model", "sigma_plus", errors,
-                         positive=True)
-    sigma_minus = _number(merged, "model", "sigma_minus", errors,
-                          positive=True)
-    decay = _number(merged, "model", "decay", errors, positive=True)
-    if sigma_plus is not None and sigma_minus is not None:
-        if not sigma_minus < sigma_plus:
+    params = {"lam": _number(merged, "model", "lambda", errors,
+                             nonnegative=True)}
+    for key in defaults:
+        if key != "lambda":
+            params[key] = _number(merged, "model", key, errors,
+                                  positive=True)
+    k0, k1 = params.get("k0"), params.get("k1")
+    if None not in (k0, k1) and k1 < k0:
+        errors.append(f"model.k1: saturated rate {k1:g} must be at "
+                      f"least the rest rate model.k0 = {k0:g}")
+    low, high = params.get("sigma_minus"), params.get("sigma_plus")
+    if None not in (low, high):
+        if not low < high:
             errors.append(
-                f"model.sigma_minus: rest threshold {sigma_minus:g} must "
-                f"be strictly below the excited threshold "
-                f"model.sigma_plus = {sigma_plus:g}")
-        elif sigma_plus >= 1.0:
-            errors.append(f"model.sigma_plus: must be below 1, got "
-                          f"{sigma_plus:g}")
-    if len(errors) > before:
-        return None
-    return StepRate(sigma_plus=sigma_plus, sigma_minus=sigma_minus,
-                    lam=lam, decay=decay)
+                f"model.sigma_minus: rest threshold {low:g} must be "
+                f"strictly below the excited threshold model.sigma_plus = "
+                f"{high:g}")
+        elif high >= 1.0:
+            errors.append(f"model.sigma_plus: must be below 1, got {high:g}")
+    return None if len(errors) > before else family(**params)
 
 
 def _validate_kernel(block, errors):
@@ -222,39 +197,29 @@ def _validate_kernel(block, errors):
     before = len(errors)
     if kind == "dirac":
         return DelayKernel.dirac() if len(errors) == before else None
-
-    def opt_delta(upper, upper_name):
+    if kind != "sampled":
+        # a positive rate, a gamma shape, and an optional delta below
+        # the rate
+        params = {}
+        if kind == "gamma":
+            params["shape"] = block.get("shape", 2.0)
+            if not _is_number(params["shape"]) or params["shape"] < 1.0:
+                errors.append("kernel.shape: must be a number >= 1")
+        key = "theta" if kind == "exponential" else "rate"
+        params[key] = block.get(key, 2.0)
+        if not _is_number(params[key]) or params[key] <= 0.0:
+            errors.append(f"kernel.{key}: must be a positive number")
+        if len(errors) > before:
+            return None
         delta = block.get("delta")
-        if delta is None:
+        if delta is not None and (not _is_number(delta)
+                                  or not 0.0 < delta < params[key]):
+            errors.append(f"kernel.delta: must lie in (0, kernel.{key})")
             return None
-        if not _is_number(delta) or not 0.0 < float(delta) < upper:
-            errors.append(f"kernel.delta: must lie in (0, {upper_name})")
-            return None
-        return float(delta)
-
-    if kind == "exponential":
-        theta = block.get("theta", 2.0)
-        if not _is_number(theta) or theta <= 0.0:
-            errors.append("kernel.theta: must be a positive number")
-            return None
-        delta = opt_delta(float(theta), "kernel.theta")
-        if len(errors) > before:
-            return None
-        return DelayKernel.exponential(theta=float(theta), delta=delta)
-    if kind == "gamma":
-        shape = block.get("shape", 2.0)
-        rate = block.get("rate", 2.0)
-        if not _is_number(shape) or shape < 1.0:
-            errors.append("kernel.shape: must be a number >= 1")
-        if not _is_number(rate) or rate <= 0.0:
-            errors.append("kernel.rate: must be a positive number")
-        if len(errors) > before:
-            return None
-        delta = opt_delta(float(rate), "kernel.rate")
-        if len(errors) > before:
-            return None
-        return DelayKernel.gamma(shape=float(shape), rate=float(rate),
-                                 delta=delta)
+        params = {k: float(v) for k, v in params.items()}
+        make = (DelayKernel.exponential if kind == "exponential"
+                else DelayKernel.gamma)
+        return make(**params, delta=delta)
     y = block.get("y")
     b = block.get("b")
     for key, arr in (("y", y), ("b", b)):
@@ -278,33 +243,30 @@ def _validate_kernel(block, errors):
 
 
 def _validate_run(block, errors):
-    merged = _merge("run", block, _RUN_DEFAULTS, errors)
-    out = {}
-    out["t_end"] = _number(merged, "run", "t_end", errors, positive=True)
-    out["record_every"] = _integer(merged, "run", "record_every", errors)
-    out["fixed_point_tol"] = _number(merged, "run", "fixed_point_tol",
-                                     errors, positive=True)
-    out["fixed_point_max_iter"] = _integer(merged, "run",
-                                           "fixed_point_max_iter", errors)
-    f0 = merged["f0"]
-    if f0 not in _PRESETS:
-        errors.append(f"run.f0: unknown preset {f0!r} (known: "
+    merged = _merge("run", block, {key: _DEFAULTS[key] for key in _RUN_KEYS},
+                    errors)
+    out = {
+        "t_end": _number(merged, "run", "t_end", errors, positive=True),
+        "record_every": _integer(merged, "run", "record_every", errors),
+        "fixed_point_tol": _number(merged, "run", "fixed_point_tol", errors,
+                                   positive=True),
+        "fixed_point_max_iter": _integer(merged, "run",
+                                         "fixed_point_max_iter", errors),
+        "f0": merged["f0"],
+        "allow_zero_kappa0": merged["allow_zero_kappa0"],
+    }
+    if out["f0"] not in _PRESETS:
+        errors.append(f"run.f0: unknown preset {out['f0']!r} (known: "
                       + ", ".join(_PRESETS) + ")")
-        f0 = None
-    out["f0"] = f0
     window = merged["window"]
     if (not isinstance(window, (list, tuple)) or len(window) != 2
             or not all(_is_number(v) for v in window)
             or not 0.0 <= float(window[0]) < float(window[1])):
         errors.append("run.window: expected [t0, t1] with 0 <= t0 < t1")
-        out["window"] = None
     else:
         out["window"] = (float(window[0]), float(window[1]))
-    flag = merged["allow_zero_kappa0"]
-    if not isinstance(flag, bool):
+    if not isinstance(out["allow_zero_kappa0"], bool):
         errors.append("run.allow_zero_kappa0: must be true or false")
-        flag = False
-    out["allow_zero_kappa0"] = flag
     return out
 
 
@@ -353,22 +315,14 @@ def parse_config(path):
     kernel = _validate_kernel(raw.get("kernel", {}), errors)
     run_block = _validate_run(raw.get("run", {}), errors)
     lambdas = _validate_sweep(raw.get("sweep", {}), errors)
-    q = raw.get("q", 1.0)
+    q = raw.get("q", _DEFAULTS["q"])
     if not _is_number(q) or float(q) < 0.0:
         errors.append("q: moment exponent must be a nonnegative number")
-        q = 1.0
 
     if errors:
         raise ConfigError(errors)
-    return RunConfig(grid=grid, model=model, kernel=kernel,
-                     t_end=run_block["t_end"],
-                     record_every=run_block["record_every"],
-                     f0=run_block["f0"],
-                     fixed_point_tol=run_block["fixed_point_tol"],
-                     fixed_point_max_iter=run_block["fixed_point_max_iter"],
-                     window=run_block["window"],
-                     allow_zero_kappa0=run_block["allow_zero_kappa0"],
-                     lambdas=lambdas, q=float(q))
+    return RunConfig(grid=grid, model=model, kernel=kernel, lambdas=lambdas,
+                     q=float(q), **run_block)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +358,7 @@ def _cmd_simulate(args):
         print(f"note: no equilibrium reference ({exc}); the l1_dist "
               "column will be empty", file=sys.stderr)
         steady = None
-    trace = run(cfg.simulation_config(), f0, steady=steady)
+    trace = run(cfg, f0, steady=steady)
     dist = trace.l1_dist_to_F
     rows = []
     for i in range(trace.times.size):
@@ -482,9 +436,8 @@ def _sweep_row(cfg, scan_row):
         row["gap"] = spectrum(build_generator(model, cfg.grid, ss)).gap
 
         equilibrium = stepper_equilibrium(model, cfg.grid)
-        sim = dataclasses.replace(cfg.simulation_config(), model=model)
-        trace = run(sim, preset_density(cfg.grid, cfg.f0),
-                    steady=equilibrium)
+        trace = run(dataclasses.replace(cfg, model=model),
+                    preset_density(cfg.grid, cfg.f0), steady=equilibrium)
         w0, w1 = cfg.window
         w1 = min(w1, cfg.t_end)
         fit = decay_fit(trace, (w0, w1))

@@ -130,7 +130,12 @@ def solve_activity_implicit(model, grid, values, tol=1e-12, max_iter=200,
     nondecreasing, so the fixed-point iterates move monotonically
     toward a root and never cross it.  The smooth family's G is concave
     too, so Newton's iterates lie above the root after the first step
-    and then fall to it monotonically.  If they have not settled after
+    and then fall to it monotonically.  A settled Newton solve returns
+    the clamped Newton update mu + (G(mu) - mu)/(1 - G'(mu)), not mu:
+    mu can sit up to tol/(1 - G'(mu)) off the root, while the update's
+    error is second order in that, and it costs no further map
+    evaluation.  A settled fixed-point solve returns mu.  If the
+    iterates have not settled after
     max_iter steps, model.activity_roots lists every fixed point of G:
     zero roots means the model violates its own bounds, several make
     the dynamics ambiguous, and both cases raise.  Either kind of step
@@ -152,13 +157,15 @@ def solve_activity_implicit(model, grid, values, tol=1e-12, max_iter=200,
     mu = min(max(mu, 0.0), k1)
     for it in range(1, max_iter + 1):
         target = G(mu)
-        if abs(target - mu) <= tol:
+        settled = abs(target - mu) <= tol
+        s = 1.0 if slope is None else slope(mu)
+        if s < 1.0:
+            target = mu + (target - mu) / (1.0 - s)
+        elif settled:
             return ActivitySolution(m=mu, iterations=it, method="fixed-point")
-        if slope is not None:
-            s = slope(mu)
-            if s < 1.0:
-                target = mu + (target - mu) / (1.0 - s)
         mu = min(max(target, 0.0), k1)
+        if settled:
+            return ActivitySolution(m=mu, iterations=it, method="fixed-point")
 
     # stalled: the family lists every root, which also detects ambiguity
     roots = model.activity_roots(grid, values, total)
@@ -202,11 +209,23 @@ def _advance(values, total, survival, out, t, m):
     return p, p + rest
 
 
+def _check_nonnegative(values, t):
+    """Refuse a density with a negative cell.  _advance then keeps every
+    cell nonnegative, since its survival factors lie in (0, 1], so its
+    own check reads only p and the last cell kept."""
+    low = int(np.argmin(values))
+    if values[low] < 0.0:
+        raise InvariantViolationError(
+            "negative density in the input state",
+            {"t": t, "cell": low, "value": float(values[low])})
+
+
 def step(state, m, config):
     """One transport step at activity m.  Returns (new_state, p); the
     new state's mass is a fresh sum of its cells."""
     grid = config.grid
     values = state.values
+    _check_nonnegative(values, state.t)
     out = np.empty(grid.n_cells + 1)
     p, _ = _advance(values, cell_sum(values), config.model.survival(grid, m),
                     out, state.t, m)
@@ -237,12 +256,15 @@ def run(config, f0, steady=None):
     of age.  If steady is given (a SteadyState), the trace records the
     L1 distance to its profile at every sample.
 
-    Every step checks that the density stays nonnegative and that m
-    and p stay finite.  Running checks on every recorded sample: unit
-    mass within 1e-10, sup bound, p >= 0 with its absorbed part (p less
-    the outflow past x_max) at most k1, m in [0, k1], and for
-    kappa0 > 0 the uniform activity floor once t passes the half-rate
-    age.  The recorded mass is a fresh sum of the cells, not the cell
+    A DensityState f0 with a negative cell raises
+    InvariantViolationError up front (project() refuses a negative
+    array or callable).  From a nonnegative density, survival factors
+    in (0, 1] keep every survivor nonnegative, so each step checks only
+    p and the last cell kept on the mesh, and that m and p stay finite.
+    Running checks on every recorded sample: unit mass within 1e-10,
+    sup bound, p >= 0 with its absorbed part (p less the outflow past
+    x_max) at most k1, m in [0, k1], and for kappa0 > 0 the uniform
+    activity floor once t passes the half-rate age.  The recorded mass is a fresh sum of the cells, not the cell
     sum that the steps carry, which they conserve exactly.  Under a
     delay kernel m is a mean of past p, so its cap is the largest p
     pushed instead of k1.  The trace counts the path each activity
@@ -253,6 +275,7 @@ def run(config, f0, steady=None):
     if not isinstance(f0, DensityState):
         f0 = grid.project(f0)
     state = f0
+    _check_nonnegative(state.values, state.t)
     k1 = model.k1
     k0 = model.k0
 

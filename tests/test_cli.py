@@ -12,7 +12,8 @@ import pytest
 
 import agenet
 from agenet import (AgeGrid, ConfigError, ConstantRate, DelayKernel,
-                    InvariantViolationError, SpectrumCountError, StepRate)
+                    InvariantViolationError, SmoothSaturatingRate,
+                    SpectrumCountError, StepRate)
 from agenet import cli
 from agenet.cli import RunConfig, _fmt, default_config, main, parse_config
 from agenet.steady_state import ScanRow
@@ -145,6 +146,225 @@ def test_parse_collects_every_problem_at_once(tmp_path):
     assert "q: moment exponent" in text
     assert "mystery: unknown section" in text
     assert len(exc_info.value.errors) >= 9
+
+
+_INF = float("inf")   # json writes Infinity, which json.load reads back
+_KNOWN_RUN = ("allow_zero_kappa0, f0, fixed_point_max_iter, "
+              "fixed_point_tol, record_every, t_end, window")
+
+# a broken config and the exact problems it yields, text and order
+_CONFIG_ERRORS = [
+    # each model kind: a bad value, a wrong type, an unknown key
+    ({"model": {"kind": "constant", "k0": -1.0}},
+     ["model.k0: must be positive, got -1"]),
+    ({"model": {"kind": "constant", "k0": "fast"}},
+     ["model.k0: expected a number, got 'fast'"]),
+    ({"model": {"kind": "constant", "k1": 2.0}},
+     ["model.k1: unknown key (known: k0, lambda)"]),
+    ({"model": {"kind": "smooth", "x_scale": 0.0}},
+     ["model.x_scale: must be positive, got 0"]),
+    ({"model": {"kind": "smooth", "mu_scale": [1.0]}},
+     ["model.mu_scale: expected a number, got [1.0]"]),
+    ({"model": {"kind": "smooth", "sigma_plus": 0.5}},
+     ["model.sigma_plus: unknown key (known: k0, k1, lambda, mu_scale, "
+      "x_scale)"]),
+    ({"model": {"kind": "step", "decay": -2.0}},
+     ["model.decay: must be positive, got -2"]),
+    ({"model": {"kind": "step", "sigma_plus": True}},
+     ["model.sigma_plus: expected a number, got True"]),
+    ({"model": {"kind": "step", "k0": 1.0}},
+     ["model.k0: unknown key (known: decay, lambda, sigma_minus, "
+      "sigma_plus)"]),
+    ({"model": {"kind": "linear"}},
+     ["model.kind: unknown kind 'linear' (known: constant, smooth, step)"]),
+    # model.lambda is checked before the family's own keys
+    ({"model": {"kind": "constant", "lambda": -0.5, "k0": _INF}},
+     ["model.lambda: must be nonnegative, got -0.5",
+      "model.k0: must be finite"]),
+    ({"model": {"kind": "step", "lambda": "strong", "sigma_plus": -0.5,
+                "bogus": 1}},
+     ["model.bogus: unknown key (known: decay, lambda, sigma_minus, "
+      "sigma_plus)",
+      "model.lambda: expected a number, got 'strong'",
+      "model.sigma_plus: must be positive, got -0.5"]),
+    ({"model": {"kind": "smooth", "k0": -1.0, "k1": -2.0, "lambda": -1.0,
+                "mu_scale": 0, "x_scale": None}},
+     ["model.lambda: must be nonnegative, got -1",
+      "model.k0: must be positive, got -1",
+      "model.k1: must be positive, got -2",
+      "model.mu_scale: must be positive, got 0",
+      "model.x_scale: expected a number, got None"]),
+    # the checks across keys
+    ({"model": {"kind": "smooth", "k0": 2.0, "k1": 1.5}},
+     ["model.k1: saturated rate 1.5 must be at least the rest rate "
+      "model.k0 = 2"]),
+    ({"model": {"kind": "smooth", "k0": 2.0, "k1": 1.5, "lambda": -1.0}},
+     ["model.lambda: must be nonnegative, got -1",
+      "model.k1: saturated rate 1.5 must be at least the rest rate "
+      "model.k0 = 2"]),
+    ({"model": {"kind": "step", "sigma_plus": 0.3, "sigma_minus": 0.3}},
+     ["model.sigma_minus: rest threshold 0.3 must be strictly below the "
+      "excited threshold model.sigma_plus = 0.3"]),
+    ({"model": {"kind": "step", "sigma_plus": 1.0, "sigma_minus": 0.25}},
+     ["model.sigma_plus: must be below 1, got 1"]),
+    ({"model": {"kind": "step", "sigma_plus": 1.5, "sigma_minus": 2.0,
+                "decay": 0.0}},
+     ["model.decay: must be positive, got 0",
+      "model.sigma_minus: rest threshold 2 must be strictly below the "
+      "excited threshold model.sigma_plus = 1.5"]),
+    # exponential and gamma kernels: rate, shape and delta
+    ({"kernel": {"kind": "exponential", "theta": 0.0}},
+     ["kernel.theta: must be a positive number"]),
+    ({"kernel": {"kind": "exponential", "theta": "2"}},
+     ["kernel.theta: must be a positive number"]),
+    ({"kernel": {"kind": "exponential", "theta": 2.0, "delta": 2.0}},
+     ["kernel.delta: must lie in (0, kernel.theta)"]),
+    ({"kernel": {"kind": "exponential", "delta": -1.0}},
+     ["kernel.delta: must lie in (0, kernel.theta)"]),
+    ({"kernel": {"kind": "exponential", "theta": -1.0, "delta": 5.0,
+                 "shape": 2.0}},
+     ["kernel.shape: unknown key for kind 'exponential'",
+      "kernel.theta: must be a positive number"]),
+    ({"kernel": {"kind": "gamma", "shape": 0.5}},
+     ["kernel.shape: must be a number >= 1"]),
+    ({"kernel": {"kind": "gamma", "rate": 0.0}},
+     ["kernel.rate: must be a positive number"]),
+    ({"kernel": {"kind": "gamma", "shape": "two", "rate": -1.0,
+                 "delta": 0.5}},
+     ["kernel.shape: must be a number >= 1",
+      "kernel.rate: must be a positive number"]),
+    ({"kernel": {"kind": "gamma", "rate": 3.0, "delta": 3.0}},
+     ["kernel.delta: must lie in (0, kernel.rate)"]),
+    ({"kernel": {"kind": "gamma", "delta": "small", "theta": 1.0}},
+     ["kernel.theta: unknown key for kind 'gamma'",
+      "kernel.delta: must lie in (0, kernel.rate)"]),
+    ({"kernel": {"kind": "cauchy"}},
+     ["kernel.kind: unknown kind 'cauchy' (known: dirac, exponential, "
+      "gamma, sampled)"]),
+    ({"kernel": {"kind": "dirac", "theta": 1.0}},
+     ["kernel.theta: unknown key for kind 'dirac'"]),
+    # sampled kernels: y, b and delta
+    ({"kernel": {"kind": "sampled", "b": [0.0, 1.0, 0.0]}},
+     ["kernel.y: expected a list of at least two numbers"]),
+    ({"kernel": {"kind": "sampled", "y": [0.0, 1.0, 2.0], "b": [1.0]}},
+     ["kernel.b: expected a list of at least two numbers"]),
+    ({"kernel": {"kind": "sampled", "y": "0 1 2", "b": [0.0, "1", 0.0]}},
+     ["kernel.y: expected a list of at least two numbers",
+      "kernel.b: expected a list of at least two numbers"]),
+    ({"kernel": {"kind": "sampled", "y": [0.0, 1.0, 2.0],
+                 "b": [0.0, 1.0, 0.0], "delta": 0.0}},
+     ["kernel.delta: must be a positive number"]),
+    ({"kernel": {"kind": "sampled", "y": [0.0, 1.0, 2.0],
+                 "b": [0.0, 1.0, 0.0], "delta": "one"}},
+     ["kernel.delta: must be a positive number"]),
+    ({"kernel": {"kind": "sampled", "y": [0.0, 1.0], "b": [0.0, 1.0, 0.0]}},
+     ["kernel: need matching 1d arrays of at least 2 samples"]),
+    ({"kernel": {"kind": "sampled", "y": [0.0, 1.0, 2.0],
+                 "b": [0.0, 1.0, 0.0], "theta": 1.0}},
+     ["kernel.theta: unknown key for kind 'sampled'"]),
+    # every run key, one at a time and all at once
+    ({"run": {"t_end": 0.0}}, ["run.t_end: must be positive, got 0"]),
+    ({"run": {"t_end": "long"}},
+     ["run.t_end: expected a number, got 'long'"]),
+    ({"run": {"record_every": 0}},
+     ["run.record_every: must be at least 1, got 0"]),
+    ({"run": {"record_every": 2.5}},
+     ["run.record_every: expected an integer, got 2.5"]),
+    ({"run": {"record_every": True}},
+     ["run.record_every: expected an integer, got True"]),
+    ({"run": {"f0": "gauss"}},
+     ["run.f0: unknown preset 'gauss' (known: uniform01, exp2, spike)"]),
+    ({"run": {"fixed_point_tol": -1e-12}},
+     ["run.fixed_point_tol: must be positive, got -1e-12"]),
+    ({"run": {"fixed_point_max_iter": 0}},
+     ["run.fixed_point_max_iter: must be at least 1, got 0"]),
+    ({"run": {"fixed_point_max_iter": 10.0}},
+     ["run.fixed_point_max_iter: expected an integer, got 10.0"]),
+    ({"run": {"window": [30.0, 5.0]}},
+     ["run.window: expected [t0, t1] with 0 <= t0 < t1"]),
+    ({"run": {"window": [-1.0, 5.0]}},
+     ["run.window: expected [t0, t1] with 0 <= t0 < t1"]),
+    ({"run": {"window": "all"}},
+     ["run.window: expected [t0, t1] with 0 <= t0 < t1"]),
+    ({"run": {"allow_zero_kappa0": 1}},
+     ["run.allow_zero_kappa0: must be true or false"]),
+    ({"run": {"dt": 0.1}}, [f"run.dt: unknown key (known: {_KNOWN_RUN})"]),
+    ({"run": {"t_end": -1.0, "record_every": 0, "f0": 3,
+              "fixed_point_tol": 0.0, "fixed_point_max_iter": -5,
+              "window": [1.0], "allow_zero_kappa0": "no", "seed": 7}},
+     [f"run.seed: unknown key (known: {_KNOWN_RUN})",
+      "run.t_end: must be positive, got -1",
+      "run.record_every: must be at least 1, got 0",
+      "run.fixed_point_tol: must be positive, got 0",
+      "run.fixed_point_max_iter: must be at least 1, got -5",
+      "run.f0: unknown preset 3 (known: uniform01, exp2, spike)",
+      "run.window: expected [t0, t1] with 0 <= t0 < t1",
+      "run.allow_zero_kappa0: must be true or false"]),
+    # the other sections, then a problem in every section at once
+    ({"grid": {"dx": 0.0, "x_max": "ten"}},
+     ["grid.dx: must be positive, got 0",
+      "grid.x_max: expected a number, got 'ten'"]),
+    ({"grid": {"dx": 0.5, "x_max": 0.5}},
+     ["grid.x_max: must cover at least two cells of width dx = 0.5"]),
+    ({"sweep": {"lambdas": 0.5}},
+     ["sweep.lambdas: expected a list of couplings"]),
+    ({"sweep": {"lambdas": [0.1, _INF]}, "q": "one"},
+     ["sweep.lambdas: entries must be finite and nonnegative, got [inf]",
+      "q: moment exponent must be a nonnegative number"]),
+    ({"model": [], "kernel": 3, "run": None},
+     ["model: expected an object", "kernel: expected an object",
+      "run: expected an object"]),
+    ({"grid": {"dx": -1.0}, "model": {"kind": "step", "lambda": -1.0},
+      "kernel": {"kind": "gamma", "shape": 0.0}, "run": {"t_end": 0.0},
+      "sweep": {"lambdas": [-1.0]}, "q": -1.0, "extra": {}},
+     ["extra: unknown section (known: grid, kernel, model, q, run, sweep)",
+      "grid.dx: must be positive, got -1",
+      "model.lambda: must be nonnegative, got -1",
+      "kernel.shape: must be a number >= 1",
+      "run.t_end: must be positive, got 0",
+      "sweep.lambdas: entries must be finite and nonnegative, got [-1.0]",
+      "q: moment exponent must be a nonnegative number"]),
+]
+
+
+@pytest.mark.parametrize("raw, problems", _CONFIG_ERRORS)
+def test_config_error_corpus(tmp_path, raw, problems):
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ConfigError) as exc_info:
+        parse_config(path)
+    assert exc_info.value.errors == problems
+
+
+@pytest.mark.parametrize("block, model", [
+    ({"kind": "constant", "k0": 1.5, "lambda": 0.25},
+     ConstantRate(k0=1.5, lam=0.25)),
+    ({"kind": "smooth", "k0": 0.4, "k1": 2.5, "lambda": 0.7,
+      "mu_scale": 1.3, "x_scale": 0.8},
+     SmoothSaturatingRate(k0=0.4, k1=2.5, lam=0.7, mu_scale=1.3,
+                          x_scale=0.8)),
+    ({"kind": "step", "sigma_plus": 0.6, "sigma_minus": 0.2, "lambda": 0.3,
+      "decay": 2.0},
+     StepRate(sigma_plus=0.6, sigma_minus=0.2, lam=0.3, decay=2.0)),
+], ids=["constant", "smooth", "step"])
+def test_every_model_key_reaches_the_dataclass(tmp_path, block, model):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"model": block}))
+    assert parse_config(path).model == model
+
+
+@pytest.mark.parametrize("block, kernel", [
+    ({"kind": "exponential", "theta": 3.0, "delta": 1.0},
+     DelayKernel.exponential(theta=3.0, delta=1.0)),
+    ({"kind": "exponential"}, DelayKernel.exponential(theta=2.0)),
+    ({"kind": "gamma", "shape": 3.0, "rate": 1.5, "delta": 0.5},
+     DelayKernel.gamma(shape=3.0, rate=1.5, delta=0.5)),
+    ({"kind": "gamma"}, DelayKernel.gamma(shape=2.0, rate=2.0)),
+], ids=["exponential", "exponential-defaults", "gamma", "gamma-defaults"])
+def test_every_kernel_key_reaches_the_dataclass(tmp_path, block, kernel):
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps({"kernel": block}))
+    assert parse_config(path).kernel == kernel
 
 
 def test_parse_rejects_malformed_json_and_geometry(tmp_path):

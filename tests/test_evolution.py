@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
@@ -86,6 +86,10 @@ def test_activity_residual_over_random_weak_draws():
        mu_scale=st.floats(0.2, 5.0),
        x_scale=st.floats(0.1, 3.0),
        warm=st.one_of(st.none(), st.floats(0.0, 1.0)))
+# a settled solve that returned its last iterate, not the Newton update
+# from it, missed the root by 1.08e-12 here
+@example(seed=63, k0=2.0, spread=1.1953125, lam=1.0, mu_scale=1.0,
+         x_scale=1.96875, warm=None)
 def test_smooth_activity_solve_equals_brentq(seed, k0, spread, lam, mu_scale,
                                              x_scale, warm):
     # the smooth solve takes Newton steps on the family's closed-form
@@ -410,17 +414,40 @@ def test_run_steps_on_survival_factors_not_rates(kernel, monkeypatch):
     assert long["rate"] == short["rate"]
 
 
-def test_step_checks_positivity_on_every_step():
-    # a negative cell between two recorded samples is caught by the
-    # step that produces it
-    grid = _grid()
-    config = SimulationConfig(grid=grid, model=ConstantRate(k0=1.0))
+_NEGATIVE_CELLS = pytest.mark.parametrize(
+    "cell", [0, 5, -2], ids=["first", "interior", "last-kept"])
+
+
+def _with_negative_cell(grid, cell):
+    # uniform01 with one cell at -1e-3 and its neighbour raised to keep
+    # the mass at 1
     state = preset_density(grid, "uniform01")
     values = state.values.copy()
-    values[-2] = -1e-3
-    bad = DensityState(values=values, mass=state.mass, m=0.0, p=0.0, t=0.0)
+    nudge = values[cell] + 1e-3
+    values[cell] -= nudge
+    values[cell + 1 if cell >= 0 else cell - 1] += nudge
+    return DensityState(values=values, mass=grid.integrate(values), m=0.0,
+                        p=0.0, t=0.0)
+
+
+@_NEGATIVE_CELLS
+def test_step_checks_positivity_on_every_step(cell):
+    # a negative cell anywhere in the input is refused, not carried on
+    grid = _grid()
+    config = SimulationConfig(grid=grid, model=ConstantRate(k0=1.0))
     with pytest.raises(InvariantViolationError, match="negative density"):
-        step(bad, 0.0, config)
+        step(_with_negative_cell(grid, cell), 0.0, config)
+
+
+@_NEGATIVE_CELLS
+def test_run_refuses_a_negative_initial_cell(cell):
+    grid = _grid()
+    bad = _with_negative_cell(grid, cell)
+    assert abs(bad.mass - 1.0) < 1e-12
+    config = SimulationConfig(grid=grid, model=ConstantRate(k0=1.0),
+                              t_end=1.0)
+    with pytest.raises(InvariantViolationError, match="negative density"):
+        run(config, bad)
 
 
 def test_run_counts_the_activity_solver_paths():
