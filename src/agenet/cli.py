@@ -205,10 +205,14 @@ def _validate_kernel(block, errors):
             params["shape"] = block.get("shape", 2.0)
             if not _is_number(params["shape"]) or params["shape"] < 1.0:
                 errors.append("kernel.shape: must be a number >= 1")
+            elif not math.isfinite(params["shape"]):
+                errors.append("kernel.shape: must be finite")
         key = "theta" if kind == "exponential" else "rate"
         params[key] = block.get(key, 2.0)
         if not _is_number(params[key]) or params[key] <= 0.0:
             errors.append(f"kernel.{key}: must be a positive number")
+        elif not math.isfinite(params[key]):
+            errors.append(f"kernel.{key}: must be finite")
         if len(errors) > before:
             return None
         delta = block.get("delta")

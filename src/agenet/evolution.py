@@ -264,11 +264,11 @@ def run(config, f0, steady=None):
     Running checks on every recorded sample: unit mass within 1e-10,
     sup bound, p >= 0 with its absorbed part (p less the outflow past
     x_max) at most k1, m in [0, k1], and for kappa0 > 0 the uniform
-    activity floor once t passes the half-rate age.  The recorded mass is a fresh sum of the cells, not the cell
-    sum that the steps carry, which they conserve exactly.  Under a
-    delay kernel m is a mean of past p, so its cap is the largest p
-    pushed instead of k1.  The trace counts the path each activity
-    solve took.
+    activity floor once t passes the half-rate age.  The recorded mass
+    is a fresh sum of the cells, not the cell sum that the steps carry,
+    which they conserve exactly.  Under a delay kernel m is a mean of
+    past p, so its cap is the largest p pushed instead of k1.  The
+    trace counts the path each activity solve took.
     """
     grid, model, kernel = config.grid, config.model, config.kernel
     dt = config.dt

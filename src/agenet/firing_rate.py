@@ -327,7 +327,16 @@ class StepRate:
     def cumulative_over(self, x, mus):
         x, mus = _check_over(x, mus)
         # the scalar map, so each entry equals cumulative(x, mu) exactly
-        thresholds = np.array([self.threshold(mu) for mu in mus.tolist()])
+        if self.sigma is not None:
+            thresholds = np.array([self.threshold(mu) for mu in mus.tolist()])
+        else:
+            # threshold's expression, one rounding per operation as
+            # there, with math.exp: np.exp rounds differently on some
+            # arguments
+            powers = (-self.decay * (self.lam * mus)).tolist()
+            span = self.sigma_plus - self.sigma_minus
+            thresholds = self.sigma_minus + span * np.fromiter(
+                map(math.exp, powers), float, len(powers))
         return np.maximum(0.0, x - thresholds)
 
     def survival(self, grid, mu):
@@ -415,7 +424,11 @@ def estimate_xi(model, x_max=10.0, mu_range=(0.0, 1.0), samples=33,
     lambda_strong are found by bisection on the contraction factor
         2 * k1 * xi(lam) * (f_inf_scale + k1) < 1,
     sampled over (0, mu_range[1]) for the weak side and over
-    (mu_inf, k1) for the strong side (mu_inf defaults to k1/10).
+    (mu_inf, k1) for the strong side (mu_inf defaults to k1/10).  The
+    factor is computed for a batch of couplings at once, from one
+    cumulative_over call on every product lam * mu: the 49 couplings
+    of the strong side's scan, or the 2**d - 1 midpoints of a
+    bisection's next d halvings (d = _roots._DEPTH; see _roots.walk).
     """
     lo, hi = float(mu_range[0]), float(mu_range[1])
     if not (0.0 <= lo < hi):
@@ -429,41 +442,53 @@ def estimate_xi(model, x_max=10.0, mu_range=(0.0, 1.0), samples=33,
     k1 = model.k1
     unit = dataclasses.replace(model, lam=1.0)
 
-    def xi_at(lam, mus):
-        # Monotonicity in mu makes |k(., b) - k(., a)| single-signed, so
-        # the L1 difference collapses to |K(x_max, b) - K(x_max, a)|.
-        kx = unit.cumulative_over(x_max, lam * mus)
-        return float(np.max(np.abs(np.diff(kx)) / np.diff(mus)))
+    def slopes(mus):
+        # lams -> xi(lam) for each coupling, from one cumulative_over
+        # call on every product lam * mu.  Monotonicity in mu makes
+        # |k(., b) - k(., a)| single-signed, so the L1 difference
+        # collapses to |K(x_max, b) - K(x_max, a)|.
+        gaps = np.diff(mus)
 
-    def factor(lam, mus):
-        return 2.0 * k1 * xi_at(lam, mus) * (f_inf_scale + k1)
+        def xis(lams):
+            lams = np.asarray(lams, dtype=float)
+            kx = unit.cumulative_over(x_max, (lams[:, None] * mus).ravel())
+            kx = kx.reshape(lams.size, mus.size)
+            return np.max(np.abs(kx[:, 1:] - kx[:, :-1]) / gaps, axis=1)
+        return xis
 
-    xi = xi_at(model.lam, np.linspace(lo, hi, samples))
+    def contraction(mus):
+        # lams -> the factor 2 k1 xi(lam) (f_inf_scale + k1) for each
+        xis = slopes(mus)
+        return lambda lams: 2.0 * k1 * xis(lams) * (f_inf_scale + k1)
 
-    weak_mus = np.linspace(0.0, hi, samples)
-    if factor(lam_cap, weak_mus) < 1.0:
+    def signs(factors):
+        # -1 where the factor is below 1, +1 elsewhere (NaN included)
+        return lambda lams: np.where(factors(lams) < 1.0, -1.0, 1.0)
+
+    xi = slopes(np.linspace(lo, hi, samples))([model.lam])[0]
+
+    weak = contraction(np.linspace(0.0, hi, samples))
+    if weak([lam_cap])[0] < 1.0:
         lambda_weak = math.inf
     else:
         # the width of 60 halvings of [0, lam_cap], 1e-14 at the
         # default cap; the 1.5 keeps rounding from adding or dropping one
-        lambda_weak, _ = _roots.bisect(
-            lambda lam: -1.0 if factor(lam, weak_mus) < 1.0 else 1.0,
-            0.0, lam_cap, -1.0, width=1.5 * lam_cap * 2.0 ** -60)
+        lambda_weak, _ = _roots.walk(signs(weak), 0.0, lam_cap, -1.0,
+                                     width=1.5 * lam_cap * 2.0 ** -60)
 
     m_inf = (k1 / 10.0) if mu_inf is None else float(mu_inf)
-    strong_mus = np.linspace(m_inf, k1 if k1 > m_inf else 2.0 * m_inf,
-                             samples)
+    strong = contraction(np.linspace(
+        m_inf, k1 if k1 > m_inf else 2.0 * m_inf, samples))
     lams = np.geomspace(1e-3, lam_cap, 49)
-    facs = np.array([factor(l, strong_mus) for l in lams])
+    facs = strong(lams)
     if np.all(facs < 1.0):
         lambda_strong = 0.0
     elif facs[-1] >= 1.0:
         lambda_strong = math.inf
     else:
         j = int(np.max(np.nonzero(facs >= 1.0)[0]))
-        _, lambda_strong = _roots.bisect(
-            lambda lam: -1.0 if factor(lam, strong_mus) < 1.0 else 1.0,
-            lams[j], lams[j + 1], 1.0)
+        _, lambda_strong = _roots.walk(signs(strong), lams[j], lams[j + 1],
+                                       1.0)
 
     return RegimeEstimate(xi=float(xi), lambda_weak=float(lambda_weak),
                           lambda_strong=float(lambda_strong))

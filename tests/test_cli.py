@@ -149,6 +149,7 @@ def test_parse_collects_every_problem_at_once(tmp_path):
 
 
 _INF = float("inf")   # json writes Infinity, which json.load reads back
+_NAN = float("nan")   # and NaN
 _KNOWN_RUN = ("allow_zero_kappa0, f0, fixed_point_max_iter, "
               "fixed_point_tol, record_every, t_end, window")
 
@@ -235,6 +236,16 @@ _CONFIG_ERRORS = [
       "kernel.rate: must be a positive number"]),
     ({"kernel": {"kind": "gamma", "rate": 3.0, "delta": 3.0}},
      ["kernel.delta: must lie in (0, kernel.rate)"]),
+    ({"kernel": {"kind": "exponential", "theta": _INF}},
+     ["kernel.theta: must be finite"]),
+    ({"kernel": {"kind": "exponential", "theta": _NAN}},
+     ["kernel.theta: must be finite"]),
+    ({"kernel": {"kind": "gamma", "rate": _INF}},
+     ["kernel.rate: must be finite"]),
+    ({"kernel": {"kind": "gamma", "shape": _INF}},
+     ["kernel.shape: must be finite"]),
+    ({"kernel": {"kind": "gamma", "shape": _NAN}},
+     ["kernel.shape: must be finite"]),
     ({"kernel": {"kind": "gamma", "delta": "small", "theta": 1.0}},
      ["kernel.theta: unknown key for kind 'gamma'",
       "kernel.delta: must lie in (0, kernel.rate)"]),

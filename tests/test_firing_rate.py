@@ -1,5 +1,6 @@
 """Rate families, their closed-form pieces, and the regime estimates."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,8 @@ from scipy import integrate, optimize
 
 from agenet import (AgeGrid, ConstantRate, SmoothSaturatingRate, StepRate,
                     cell_sum, estimate_xi, half_rate_age, preset_density)
+from agenet import _roots
+from agenet.firing_rate import RegimeEstimate
 
 # 5-point Gauss-Legendre rule on [-1, 1]; composite panels of this rule
 # integrate the smooth rate family to machine precision.
@@ -212,6 +215,89 @@ def test_estimate_xi_validation():
         estimate_xi(model, mu_range=(-0.1, 1.0))
     with pytest.raises(ValueError):
         estimate_xi(model, samples=1)
+
+
+def _estimate_xi_one_coupling_at_a_time(model, x_max, mu_range, samples,
+                                        f_inf_scale, mu_inf, lam_cap=1e4):
+    # estimate_xi as a loop over couplings: one cumulative_over call per
+    # contraction factor and one scalar evaluation per halving
+    k1 = model.k1
+    unit = dataclasses.replace(model, lam=1.0)
+
+    def factor(lam, mus):
+        kx = unit.cumulative_over(x_max, lam * mus)
+        xi = float(np.max(np.abs(np.diff(kx)) / np.diff(mus)))
+        return 2.0 * k1 * xi * (f_inf_scale + k1)
+
+    lo, hi = mu_range
+    mus = np.linspace(lo, hi, samples)
+    kx = unit.cumulative_over(x_max, model.lam * mus)
+    xi = float(np.max(np.abs(np.diff(kx)) / np.diff(mus)))
+
+    weak_mus = np.linspace(0.0, hi, samples)
+    if factor(lam_cap, weak_mus) < 1.0:
+        lambda_weak = math.inf
+    else:
+        lambda_weak, _ = _roots.bisect(
+            lambda lam: -1.0 if factor(lam, weak_mus) < 1.0 else 1.0,
+            0.0, lam_cap, -1.0, width=1.5 * lam_cap * 2.0 ** -60)
+
+    m_inf = (k1 / 10.0) if mu_inf is None else float(mu_inf)
+    strong_mus = np.linspace(m_inf, k1 if k1 > m_inf else 2.0 * m_inf,
+                             samples)
+    lams = np.geomspace(1e-3, lam_cap, 49)
+    facs = np.array([factor(lam, strong_mus) for lam in lams])
+    if np.all(facs < 1.0):
+        lambda_strong = 0.0
+    elif facs[-1] >= 1.0:
+        lambda_strong = math.inf
+    else:
+        j = int(np.max(np.nonzero(facs >= 1.0)[0]))
+        _, lambda_strong = _roots.bisect(
+            lambda lam: -1.0 if factor(lam, strong_mus) < 1.0 else 1.0,
+            lams[j], lams[j + 1], 1.0)
+    return RegimeEstimate(xi=xi, lambda_weak=float(lambda_weak),
+                          lambda_strong=float(lambda_strong))
+
+
+_positive = st.floats(0.05, 5.0)
+
+
+@st.composite
+def _regime_models(draw):
+    kind = draw(st.sampled_from(["constant", "smooth", "step",
+                                 "step-custom-sigma"]))
+    lam = draw(st.floats(0.0, 3.0))
+    if kind == "constant":
+        return ConstantRate(k0=draw(_positive), lam=lam)
+    if kind == "smooth":
+        k0 = draw(_positive)
+        return SmoothSaturatingRate(k0=k0, k1=k0 + draw(st.floats(0.0, 3.0)),
+                                    lam=lam, mu_scale=draw(_positive),
+                                    x_scale=draw(_positive))
+    low = draw(st.floats(0.02, 0.9))
+    high = draw(st.floats(low + 0.01, 0.99))
+    if kind == "step":
+        return StepRate(sigma_plus=high, sigma_minus=low, lam=lam,
+                        decay=draw(_positive))
+    rate = draw(_positive)
+    return StepRate(sigma_plus=high, sigma_minus=low, lam=lam,
+                    sigma=lambda u: low + (high - low) / (1.0 + rate * u),
+                    sigma_modulus=(high - low) * rate)
+
+
+@settings(max_examples=300, deadline=None)
+@given(model=_regime_models(), x_max=st.floats(0.1, 20.0),
+       lo=st.floats(0.0, 2.0), span=st.floats(0.01, 5.0),
+       samples=st.integers(2, 40), f_inf_scale=st.floats(0.0, 10.0),
+       mu_inf=st.none() | st.floats(0.01, 3.0))
+def test_estimate_xi_equals_a_loop_over_couplings(model, x_max, lo, span,
+                                                 samples, f_inf_scale,
+                                                 mu_inf):
+    settings_ = dict(x_max=x_max, mu_range=(lo, lo + span), samples=samples,
+                     f_inf_scale=f_inf_scale, mu_inf=mu_inf)
+    est = estimate_xi(model, **settings_)
+    assert est == _estimate_xi_one_coupling_at_a_time(model, **settings_)
 
 
 def test_half_rate_age():
