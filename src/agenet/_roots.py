@@ -18,10 +18,11 @@ import math
 import numpy as np
 
 _HALVINGS = 200     # the ends of an O(1) bracket meet after about 60
-_DEPTH = 4          # halvings per call of a batched function
+_DEPTH = 4          # halvings per batched call: of depths 2 to 6, 3 and 4
+                    # timed fastest in tools/xi_cost.py
 
 
-def walk(fs, a, b, fa, width=0.0, depth=None):
+def walk(fs, a, b, fa, width=0.0, depth=_DEPTH):
     """Narrow the bracket a < b of a sign change of f; return (a, b).
 
     fs maps a list of points to the list (or 1-d array) of f at them;
@@ -30,46 +31,45 @@ def walk(fs, a, b, fa, width=0.0, depth=None):
     f(mid) == 0, returning (mid, mid); once the midpoint is no longer
     strictly inside (a, b), i.e. the ends are adjacent floats; when
     b - a < width * max(1, |mid|), absolute below 1 and relative above;
-    or after 200 halvings.  One call of fs takes, in increasing order,
-    the 2**depth - 1 midpoints of the next `depth` halvings (default
-    _DEPTH) on every bracket they can reach, so fs is called
-    ceil(halvings / depth) times and the result does not depend on
-    depth.
+    or after 200 halvings.  A midpoint that no call has covered yet
+    makes one call of fs on the 2**depth - 1 midpoints of the next
+    `depth` halvings, on every bracket they can reach, so fs is called
+    ceil(halvings / depth) times, and the halvings, and so the result,
+    do not depend on depth.
     """
-    depth = _DEPTH if depth is None else depth
-    negative = fa < 0.0
-    left = _HALVINGS
-    while left:
-        levels = min(depth, left)
-        # a, b and the midpoints between them in increasing order, one
-        # level of halvings at a time: point j is the midpoint of points
-        # j - half and j + half, the bracket whose halving makes it
-        n = 2 ** levels
-        pts = [a] * n + [b]
-        half = n // 2
-        while half:
-            for j in range(half, n, 2 * half):
-                pts[j] = 0.5 * (pts[j - half] + pts[j + half])
-            half //= 2
-        values = None
-        i, j = 0, n
-        for _ in range(levels):
-            k = (i + j) // 2
-            lo, mid, hi = pts[i], pts[k], pts[j]
-            if not lo < mid < hi or hi - lo < width * max(1.0, abs(mid)):
-                return lo, hi
-            if values is None:
-                values = fs(pts[1:n])
-            fm = values[k - 1]
-            if fm == 0.0:
-                return mid, mid
-            if (fm < 0.0) == negative:
-                i = k
-            else:
-                j = k
-        a, b = pts[i], pts[j]
-        left -= levels
+    known = {}
+    for _ in range(_HALVINGS):
+        mid = 0.5 * (a + b)
+        if not a < mid < b or b - a < width * max(1.0, abs(mid)):
+            break
+        if mid not in known:
+            points = _midpoints(a, b, depth)
+            known = dict(zip(points, fs(points)))
+        fm = known[mid]
+        if fm == 0.0:
+            return mid, mid
+        if (fm < 0.0) == (fa < 0.0):
+            a = mid
+        else:
+            b = mid
     return a, b
+
+
+def _midpoints(a, b, depth):
+    # The midpoints of the next `depth` halvings of (a, b) on every
+    # bracket they can reach, in increasing order, one level at a time:
+    # point j is the midpoint of points j - half and j + half, the
+    # bracket whose halving makes it.  Past the last level, a halving's
+    # bracket lies between neighbouring points, so its midpoint is none
+    # of them.
+    n = 2 ** depth
+    pts = [a] * n + [b]
+    half = n // 2
+    while half:
+        for j in range(half, n, 2 * half):
+            pts[j] = 0.5 * (pts[j - half] + pts[j + half])
+        half //= 2
+    return pts[1:n]
 
 
 def bisect(f, a, b, fa, width=0.0):

@@ -463,7 +463,7 @@ def estimate_xi(model, x_max=10.0, mu_range=(0.0, 1.0), samples=33,
 
     def signs(factors):
         # -1 where the factor is below 1, +1 elsewhere (NaN included)
-        return lambda lams: np.where(factors(lams) < 1.0, -1.0, 1.0)
+        return lambda lams: np.where(factors(lams) < 1.0, -1.0, 1.0).tolist()
 
     xi = slopes(np.linspace(lo, hi, samples))([model.lam])[0]
 

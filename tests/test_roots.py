@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agenet._roots import _DEPTH, bisect, scan, walk
+from agenet._roots import bisect, scan, walk
 
 
 # floats are too dense near 0 for 200 halvings to reach adjacent ones;
@@ -101,7 +101,7 @@ def _counted(f):
        right=st.floats(1e-6, 50.0), slope=st.floats(1e-3, 1e3),
        step=st.booleans(), rising=st.booleans(),
        width=st.sampled_from([0.0, 1e-12, 1e-6, 1e-2]),
-       depth=st.sampled_from([1, 2, 3, 4, 5, 6, None]))
+       depth=st.integers(1, 6))
 def test_walk_returns_the_sequential_bracket(r, left, right, slope, step,
                                              rising, width, depth):
     sign = 1.0 if rising else -1.0
@@ -123,9 +123,8 @@ def test_walk_returns_the_sequential_bracket(r, left, right, slope, step,
     fs = _counted(f)
     assert walk(fs, a, b, f(a), width, depth) == expected
     assert bisect(f, a, b, f(a), width) == expected
-    d = _DEPTH if depth is None else depth
-    assert fs.calls == math.ceil(len(halvings) / d)
-    assert fs.points <= fs.calls * (2 ** d - 1)
+    assert fs.calls == math.ceil(len(halvings) / depth)
+    assert fs.points == fs.calls * (2 ** depth - 1)
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5, 6])
