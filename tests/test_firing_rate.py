@@ -11,7 +11,7 @@ from scipy import integrate, optimize
 
 from agenet import (AgeGrid, ConstantRate, SmoothSaturatingRate, StepRate,
                     cell_sum, estimate_xi, half_rate_age, preset_density)
-from agenet import _roots
+from agenet import _roots, firing_rate
 from agenet.firing_rate import RegimeEstimate
 
 # 5-point Gauss-Legendre rule on [-1, 1]; composite panels of this rule
@@ -90,6 +90,28 @@ def test_constructor_invariants():
         StepRate(sigma_plus=1.2, sigma_minus=0.4)
     with pytest.raises(ValueError):
         StepRate(sigma_plus=0.5, sigma_minus=0.25, decay=0.0)
+
+
+# (family, the keyword arguments of a valid model, its parameters)
+_PARAMETERS = [
+    (ConstantRate, dict(k0=1.0), ["k0", "lam"]),
+    (SmoothSaturatingRate, dict(k0=0.5, k1=2.0),
+     ["k0", "k1", "lam", "mu_scale", "x_scale"]),
+    (StepRate, dict(), ["sigma_plus", "sigma_minus", "lam", "decay"]),
+]
+
+
+@pytest.mark.parametrize("family, kwargs, name", [
+    pytest.param(family, kwargs, name, id=f"{family.__name__}-{name}")
+    for family, kwargs, names in _PARAMETERS for name in names])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_constructors_refuse_non_finite_parameters(family, kwargs, name, bad):
+    # a NaN fails every comparison, so a check written as "x < 0" let it
+    # through; each message names the parameter
+    message = ("sigma_minus < sigma_plus" if name.startswith("sigma")
+               else f"^{name} must be")
+    with pytest.raises(ValueError, match=message):
+        family(**{**kwargs, name: bad})
 
 
 def test_domain_checks():
@@ -561,6 +583,29 @@ def test_cached_survival_profiles_are_read_only(model):
         mu = 2.0
     assert model.survival(grid, mu) is first
     assert model.survival(grid, 0.4) is first
+
+
+@pytest.mark.parametrize("model", FAMILIES, ids=FAMILY_IDS)
+def test_edge_cumulative_equals_cumulative_at_the_edges(model):
+    grid = AgeGrid(dx=0.01, n_cells=300)
+    out = np.empty(grid.n_cells)
+    for mu in (0.0, 0.4, 2.0):
+        assert model.edge_cumulative(grid, mu, out) is out
+        assert np.array_equal(out, model.cumulative(grid.edges[1:], mu))
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            model.edge_cumulative(grid, bad, out)
+
+
+def test_smooth_edge_age_integral_is_cached_read_only():
+    grid = AgeGrid(dx=0.01, n_cells=300)
+    out = np.empty(grid.n_cells)
+    FAMILIES[1].edge_cumulative(grid, 0.4, out)
+    cached = firing_rate._edge_age_integral(FAMILIES[1].x_scale, grid)
+    assert cached is firing_rate._edge_age_integral(FAMILIES[1].x_scale,
+                                                    grid)
+    with pytest.raises(ValueError, match="read-only"):
+        cached[0] = 0.5
 
 
 @pytest.mark.parametrize("model", FAMILIES, ids=FAMILY_IDS)

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate, optimize
 
 from agenet import (AgeGrid, BracketError, ConstantRate, SmoothSaturatingRate,
                     StepRate, regime_scan, solve_steady_state, steady_state)
+from agenet import _roots
 
 
 def _grid(dx=1e-3, x_max=10.0):
@@ -78,12 +81,12 @@ def test_smooth_solve_needs_few_residual_evaluations(monkeypatch):
     # this coupling the residual never hits an exact zero near M, and
     # a bisection that ran on after its ends met took 402.
     calls = []
-    residual = steady_state._normalization_residual
+    residual = steady_state._Profile.residual
 
-    def counted(model, grid, M):
+    def counted(profile, M):
         calls.append(M)
-        return residual(model, grid, M)
-    monkeypatch.setattr(steady_state, "_normalization_residual", counted)
+        return residual(profile, M)
+    monkeypatch.setattr(steady_state._Profile, "residual", counted)
     model = SmoothSaturatingRate(k0=0.5, k1=2.0, lam=0.5)
     solve_steady_state(model, _grid(dx=1e-3))
     assert 201 < len(calls) <= 260
@@ -148,3 +151,119 @@ def test_regime_scan_validation():
         regime_scan(model, [], grid)
     with pytest.raises(ValueError):
         regime_scan(model, [0.1, -0.2], grid)
+    # a non-finite coupling is refused up front, not reported as a
+    # diverging normalization integral
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            regime_scan(StepRate(), [0.1, bad], grid)
+
+
+# ---------------------------------------------------------------------------
+# the in-place evaluator against the profile formula it replaced
+
+def _reference_parts(model, grid, M):
+    # the normalization profile written out with fresh arrays: K from
+    # the public cumulative, and np.where on the cells with no rate
+    K_edges = np.concatenate(
+        [[0.0], np.atleast_1d(model.cumulative(grid.edges[1:], M))])
+    kc = np.diff(K_edges) / grid.dx
+    E = np.exp(-K_edges)
+    shed = -np.expm1(-kc * grid.dx)
+    safe = np.where(kc > 0.0, kc, 1.0)
+    cell_int = np.where(kc > 0.0, E[:-1] * shed / safe, grid.dx * E[:-1])
+    k_end = float(model.rate(grid.x_max, M))
+    tail = (E[-1] / k_end) if k_end > 0.0 else math.inf
+    return cell_int, tail, E, kc, shed
+
+
+def _reference_residual(model, grid, M):
+    cell_int, tail, _, _, _ = _reference_parts(model, grid, M)
+    return M * (float(cell_int.sum()) + tail) - 1.0
+
+
+@st.composite
+def _families(draw):
+    positive = st.floats(0.05, 5.0)
+    lam = draw(st.floats(0.0, 5.0))
+    kind = draw(st.sampled_from(["constant", "smooth", "step", "custom"]))
+    if kind == "constant":
+        return ConstantRate(k0=draw(positive), lam=lam)
+    if kind == "smooth":
+        k0 = draw(positive)
+        return SmoothSaturatingRate(
+            k0=k0, k1=k0 + draw(st.floats(0.0, 5.0)), lam=lam,
+            mu_scale=draw(positive), x_scale=draw(positive))
+    if kind == "custom":
+        top = draw(st.floats(0.05, 0.95))
+        return StepRate(lam=lam, sigma=lambda u: top / (1.0 + u),
+                        sigma_modulus=top)
+    sigma_minus = draw(st.floats(0.01, 0.5))
+    return StepRate(sigma_plus=sigma_minus + draw(st.floats(0.01, 0.48)),
+                    sigma_minus=sigma_minus, lam=lam, decay=draw(positive))
+
+
+def _same(a, b):
+    return np.array_equal(a, b, equal_nan=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=_families(), dx=st.floats(1e-3, 0.5),
+       n_cells=st.integers(2, 400),
+       mus=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=6))
+# every cell fires: the division without a mask
+@example(model=SmoothSaturatingRate(k0=0.5, k1=2.0, lam=0.5), dx=0.01,
+         n_cells=300, mus=[0.3, 2.0])
+# the cells below the step threshold have no rate and hold dx * E
+@example(model=StepRate(lam=0.3), dx=0.01, n_cells=300, mus=[0.0, 0.6])
+def test_profile_equals_the_reference_formula(model, dx, n_cells, mus):
+    grid = AgeGrid(dx=dx, n_cells=n_cells)
+    profile = steady_state._Profile(model, grid)
+    out = np.empty(n_cells)
+    for mu in mus + [0.0]:
+        model.edge_cumulative(grid, mu, out)
+        assert _same(out, model.cumulative(grid.edges[1:], mu))
+        cell_int, tail, E, kc, shed = _reference_parts(model, grid, mu)
+        assert _same(profile.residual(mu),
+                     _reference_residual(model, grid, mu))
+        assert _same(profile.cell_int, cell_int) and _same(profile.tail, tail)
+        assert _same(profile.E, E) and _same(profile.kc, kc)
+        assert _same(profile.shed, shed)
+
+
+@pytest.mark.parametrize("model, fires_everywhere", [
+    (SmoothSaturatingRate(k0=0.5, k1=2.0, lam=0.5), True),
+    (ConstantRate(k0=1.5), True),
+    (StepRate(lam=0.3), False)], ids=["smooth", "constant", "step"])
+def test_profile_branches(model, fires_everywhere):
+    # the oracle above covers both the unmasked division and the cells
+    # with no rate
+    grid = _grid(dx=0.01, x_max=3.0)
+    profile = steady_state._Profile(model, grid)
+    profile.residual(0.6)
+    assert bool(profile.kc.min() > 0.0) == fires_everywhere
+    cell_int, _, E, kc, _ = _reference_parts(model, grid, 0.6)
+    assert np.array_equal(profile.cell_int, cell_int)
+    idle = kc <= 0.0
+    assert np.array_equal(profile.cell_int[idle], grid.dx * E[:-1][idle])
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=_families(), dx=st.floats(5e-3, 0.2),
+       n_cells=st.integers(20, 300))
+def test_stationary_roots_equal_a_scan_of_the_reference(model, dx, n_cells):
+    grid = AgeGrid(dx=dx, n_cells=n_cells)
+    lo, hi = 1e-6, model.k1
+
+    def roots_of(f):
+        try:
+            return _roots.scan(f, lo, hi, 41, 1e-12, BracketError("x"),
+                               width=1e-16)
+        except BracketError:
+            return "diverges"
+    expected = roots_of(lambda M: _reference_residual(model, grid, M))
+    try:
+        found = steady_state._stationary_roots(
+            steady_state._Profile(model, grid), lo, hi, 40, 1e-12)
+    except BracketError:
+        found = "diverges"
+    assert found == expected
