@@ -8,9 +8,13 @@ mesh: the absorbed mass plus the mass advected past the age horizon.
 So p is the cell sum less the survivors that stay, one full sum per
 step, and the new cell sum is p plus those survivors: mass is
 conserved by construction.  step() and run() share one kernel,
-_advance; run() steps inside two preallocated buffers, carries the cell
-sum from step to step, and takes the factors exp(-k dt) from the rate
-family's survival().
+_advance, and every activity solve and every step goes through the rate
+family's bound stepper, model.stepper(grid): its solve() is the
+implicit activity solve, and its survive() writes the density times the
+factors exp(-k dt).  run() binds one stepper for all its steps, steps
+inside two preallocated buffers and carries the cell sum from step to
+step; step() and solve_activity_implicit() bind one per call, with the
+same arithmetic, so run() equals a loop of public steps bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import numpy as np
 from . import _roots
 from .delay_kernel import DelayKernel, DischargeHistory
 from .errors import (AmbiguousActivityError, DegenerateInputError,
-                     InvariantViolationError, ModelInconsistencyError)
+                     InvariantViolationError)
 from .firing_rate import estimate_xi, half_rate_age
 from .grid import AgeGrid, DensityState, cell_sum
 
@@ -122,24 +126,30 @@ def solve_activity_implicit(model, grid, values, tol=1e-12, max_iter=200,
     """Solve the implicit activity m = int k(x, lam*m) f(x) dx for a
     density of mass approx 1.
 
-    Iterates on the model's activity_map G from warm_start (default
-    G(0)), clamped to [0, k1], until |G(mu) - mu| <= tol.  Where the
-    family gives G a slope (model.activity_slope), each step is a
-    Newton step on G(mu) - mu; elsewhere, and wherever that slope is
-    1 or more, it is the fixed-point step mu -> G(mu).  G is
-    nondecreasing, so the fixed-point iterates move monotonically
-    toward a root and never cross it.  The smooth family's G is concave
-    too, so Newton's iterates lie above the root after the first step
-    and then fall to it monotonically.  A settled Newton solve returns
-    the clamped Newton update mu + (G(mu) - mu)/(1 - G'(mu)), not mu:
-    mu can sit up to tol/(1 - G'(mu)) off the root, while the update's
-    error is second order in that, and it costs no further map
-    evaluation.  A settled fixed-point solve returns mu.  If the
-    iterates have not settled after
-    max_iter steps, model.activity_roots lists every fixed point of G:
-    zero roots means the model violates its own bounds, several make
-    the dynamics ambiguous, and both cases raise.  Either kind of step
-    counts as method "fixed-point".
+    The family's stepper, model.stepper(grid), solves it: this function
+    binds one per call, and run() binds one for all its steps.  Each
+    stepper iterates on the model's activity_map G, evaluated in the
+    family's own arithmetic with its per-grid constants bound, from
+    warm_start (default G(0)), clamped to [0, k1], until
+    |G(mu) - mu| <= tol.  Where the family
+    gives G a slope (model.activity_slope), each step is a Newton step
+    on G(mu) - mu; elsewhere, and wherever that slope is 1 or more, it
+    is the fixed-point step mu -> G(mu).  So the constant family settles
+    in one or two evaluations of its one value, the step family iterates
+    over the threshold cells of its staircase, and the smooth family
+    takes Newton steps.  G is nondecreasing, so the fixed-point iterates
+    move monotonically toward a root and never cross it.  The smooth
+    family's G is concave too, so Newton's iterates lie above the root
+    after the first step and then fall to it monotonically.  A settled
+    Newton solve returns the clamped Newton update
+    mu + (G(mu) - mu)/(1 - G'(mu)), not mu: mu can sit up to
+    tol/(1 - G'(mu)) off the root, while the update's error is second
+    order in that, and it costs no further map evaluation.  A settled
+    fixed-point solve returns mu.  If the iterates have not settled
+    after max_iter steps, model.activity_roots lists every fixed point
+    of G: zero roots means the model violates its own bounds, several
+    make the dynamics ambiguous, and both cases raise.  Either kind of
+    step counts as method "fixed-point".
 
     Ambiguity is detected only on that stalled path: an iteration that
     settles returns the root it reached, even when the step family's
@@ -149,50 +159,24 @@ def solve_activity_implicit(model, grid, values, tol=1e-12, max_iter=200,
     which the transport step returns; the family then takes it instead
     of summing the density again.  Without it, a family whose map reads
     the cell sum takes cell_sum(values) itself."""
-    G = model.activity_map(grid, values, total)
-    slope = model.activity_slope(G)
-    k1 = model.k1
-
-    mu = G(0.0) if warm_start is None else float(warm_start)
-    mu = min(max(mu, 0.0), k1)
-    for it in range(1, max_iter + 1):
-        target = G(mu)
-        settled = abs(target - mu) <= tol
-        s = 1.0 if slope is None else slope(mu)
-        if s < 1.0:
-            target = mu + (target - mu) / (1.0 - s)
-        elif settled:
-            return ActivitySolution(m=mu, iterations=it, method="fixed-point")
-        mu = min(max(target, 0.0), k1)
-        if settled:
-            return ActivitySolution(m=mu, iterations=it, method="fixed-point")
-
-    # stalled: the family lists every root, which also detects ambiguity
-    roots = model.activity_roots(grid, values, total)
-    if not roots:
-        raise ModelInconsistencyError(
-            "no solution of m = int k(x, lam*m) f dx in "
-            f"[0, {k1!r}]; the rate family breaks its stated bounds")
-    if len(roots) > 1:
-        raise AmbiguousActivityError(
-            "the implicit activity admits " + str(len(roots))
-            + " solutions: " + ", ".join(f"{r:.6g}" for r in roots),
-            roots)
-    return ActivitySolution(m=roots[0], iterations=max_iter, method="scan")
+    m, iterations, method = model.stepper(grid).solve(
+        values, total, warm_start, tol, max_iter)
+    return ActivitySolution(m=m, iterations=iterations, method=method)
 
 
-def _advance(values, total, survival, out, t, m):
+def _advance(values, total, stepper, out, t, m):
     """The transport kernel of step() and run().
 
     values is the density and total its cell sum, cell_sum(values).
-    The survivors go to out[1:], one cell older, and the discharge p to
-    out[0], so out has one cell more than values and out[:-1] is the
-    new density.  p is total less rest, the survivors that stay on the
-    mesh: the absorbed mass plus the outflow past x_max, per dx.
-    Returns p and the new density's cell sum p + rest, which is total
-    up to one rounding."""
+    The survivors, values times the survival factors at m that the
+    family's stepper writes, go to out[1:], one cell older, and the
+    discharge p to out[0], so out has one cell more than values and
+    out[:-1] is the new density.  p is total less rest, the survivors
+    that stay on the mesh: the absorbed mass plus the outflow past
+    x_max, per dx.  Returns p and the new density's cell sum p + rest,
+    which is total up to one rounding."""
     survived = out[1:]
-    np.multiply(values, survival, out=survived)
+    stepper.survive(values, m, survived)
     rest = float(out[1:-1].sum())
     p = total - rest
     if p < 0.0:
@@ -227,7 +211,7 @@ def step(state, m, config):
     values = state.values
     _check_nonnegative(values, state.t)
     out = np.empty(grid.n_cells + 1)
-    p, _ = _advance(values, cell_sum(values), config.model.survival(grid, m),
+    p, _ = _advance(values, cell_sum(values), config.model.stepper(grid),
                     out, state.t, m)
     new = out[:-1]
     return DensityState(values=new, mass=float(new.sum()) * grid.dx, m=m,
@@ -288,24 +272,16 @@ def run(config, f0, steady=None):
     m_floor = min(k0_mass, 0.5 * k0) * math.exp(-k1 * x0) - 10.0 * grid.dx
 
     # initial activity: the self-consistent discharge of f0, which also
-    # pads the pre-history for delayed kernels
-    solves = {"fixed-point": 0, "scan": 0}
-    most_iterations = 0
-
-    def _solve(values, total, warm_start=None):
-        nonlocal most_iterations
-        sol = solve_activity_implicit(model, grid, values,
-                                      tol=config.fixed_point_tol,
-                                      max_iter=config.fixed_point_max_iter,
-                                      warm_start=warm_start, total=total)
-        solves[sol.method] += 1
-        most_iterations = max(most_iterations, sol.iterations)
-        return sol.m
-
-    # the density's cell sum; _advance returns the next one, and each
-    # solve hands it to the activity map
+    # pads the pre-history for delayed kernels, from the public solve.
+    # The density's cell sum goes to every solve; _advance returns the
+    # next one.
+    tol, max_iter = config.fixed_point_tol, config.fixed_point_max_iter
     total = cell_sum(state.values)
-    m0 = _solve(state.values, total)
+    sol = solve_activity_implicit(model, grid, state.values, tol, max_iter,
+                                  total=total)
+    m0 = sol.m
+    solves = {"fixed-point": 0, "scan": 0, sol.method: 1}
+    most_iterations = sol.iterations
 
     history = None
     weights = None
@@ -370,18 +346,24 @@ def run(config, f0, steady=None):
     cur[:cells] = state.values
     t = state.t
     m = p = m0
+    # the family's per-grid constants, bound once for every step
+    stepper = model.stepper(grid)
+    solve = stepper.solve
     for n in range(1, n_steps + 1):
         values = cur[:cells]
         if kernel.is_dirac:
             try:
-                m = _solve(values, total, warm_start=m)
+                m, iterations, method = solve(values, total, m, tol,
+                                              max_iter)
             except AmbiguousActivityError as exc:
                 exc.t = t
                 raise
+            solves[method] += 1
+            if iterations > most_iterations:
+                most_iterations = iterations
         else:
             m = float(weights @ history.lagged(weights.size))
-        p, total = _advance(values, total, model.survival(grid, m), nxt, t,
-                            m)
+        p, total = _advance(values, total, stepper, nxt, t, m)
         cur, nxt = nxt, cur
         t = n * dt
         if history is not None:

@@ -28,6 +28,15 @@ family's map costs one sequential prefix sum over the cells below
 sigma_plus per density, then one searchsorted and one subtraction
 per mu.
 
+stepper(grid) binds a family's per-grid constants once, for a run of
+transport steps on that grid.  Its solve(values, total, warm, tol,
+max_iter) is the implicit activity solve: the fixed-point iteration
+on activity_map, with Newton steps on activity_slope where the family
+has one, in the family's own arithmetic, bit for bit the generic loop
+over those methods; it returns (m, iterations, method) and falls back
+to activity_roots when the iteration stalls.  Its survive(values, mu,
+out) writes values * survival(grid, mu) into out, bit for bit.
+
 Age profiles on a mesh depend only on the family's shape parameters
 and the grid (and the step family's survival only on its threshold
 cell), so they are computed once and cached, read-only.  The smooth
@@ -37,6 +46,7 @@ is that cached profile times gain(mu).
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import functools
 import math
@@ -45,6 +55,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _roots
+from .errors import AmbiguousActivityError, ModelInconsistencyError
 from .grid import cell_sum
 
 __all__ = [
@@ -145,6 +156,15 @@ _STEP_SURVIVAL_CACHE = 4
 
 
 @functools.lru_cache(maxsize=_STEP_SURVIVAL_CACHE)
+def _midpoint_list(grid, cells):
+    # bisect_right on the first cells midpoints counts those <= t, as
+    # midpoints.searchsorted(t, side="right") does (a NaN counts them
+    # all in both), at a third of its per-call cost.  Below the last
+    # listed midpoint the two agree on the whole mesh.
+    return grid.midpoints[:cells].tolist()
+
+
+@functools.lru_cache(maxsize=_STEP_SURVIVAL_CACHE)
 def _step_survival(grid, idx):
     # cells from idx on lie past the threshold and decay by exp(-dx),
     # the rest by 1
@@ -152,6 +172,165 @@ def _step_survival(grid, idx):
     out[:idx] = 1.0
     out[idx:] = _unit_decay(grid)
     return _frozen(out)
+
+
+def _stalled(model, grid, values, total, max_iter):
+    # the iteration has not settled: the family lists every root, which
+    # also detects ambiguity
+    roots = model.activity_roots(grid, values, total)
+    if not roots:
+        raise ModelInconsistencyError(
+            "no solution of m = int k(x, lam*m) f dx in "
+            f"[0, {model.k1!r}]; the rate family breaks its stated bounds")
+    if len(roots) > 1:
+        raise AmbiguousActivityError(
+            "the implicit activity admits " + str(len(roots))
+            + " solutions: " + ", ".join(f"{r:.6g}" for r in roots),
+            roots)
+    return roots[0], max_iter, "scan"
+
+
+class _ConstantStepper:
+    """ConstantRate on one grid: the activity map is the one value
+    k0 * total * dx, and every cell decays by one factor."""
+
+    __slots__ = ("_model", "_grid", "_factor")
+
+    def __init__(self, model, grid):
+        self._model, self._grid = model, grid
+        self._factor = None     # on the first survive
+
+    def solve(self, values, total=None, warm=None, tol=1e-12, max_iter=200):
+        if total is None:
+            total = cell_sum(values)
+        model = self._model
+        mass = model.k0 * total * self._grid.dx
+        k1 = model.k1
+        # the fixed-point iteration in closed form: every step maps to
+        # mass, so it settles at its first step, its second or never
+        mu = min(max(mass if warm is None else float(warm), 0.0), k1)
+        if abs(mass - mu) <= tol:
+            return mu, 1, "fixed-point"
+        mu = min(max(mass, 0.0), k1)
+        if max_iter >= 2 and abs(mass - mu) <= tol:
+            return mu, 2, "fixed-point"
+        return _stalled(model, self._grid, values, total, max_iter)
+
+    def survive(self, values, mu, out):
+        _check_mu(mu)
+        if self._factor is None:
+            # the family's own factor, the same in every cell at every mu
+            self._factor = float(self._model.survival(self._grid, 0.0)[0])
+        return np.multiply(values, self._factor, out=out)
+
+
+class _SmoothStepper:
+    """SmoothSaturatingRate on one grid: the age shape is bound, the
+    activity map is gain(mu) times one dot product per density, and
+    each step of its solve is a Newton step on the closed-form slope."""
+
+    __slots__ = ("_model", "_grid", "_shape", "_dx", "_gain")
+
+    def __init__(self, model, grid):
+        self._model, self._grid = model, grid
+        self._shape = _saturating_shape(model.x_scale, grid)
+        self._dx = grid.dx
+        self._gain = model.gain
+
+    def solve(self, values, total=None, warm=None, tol=1e-12, max_iter=200):
+        # the cell sum does not enter the separable map
+        model = self._model
+        gain = self._gain
+        k1 = model.k1
+        weight = float(np.dot(self._shape, values)) * self._dx
+        g0 = gain(0.0) * weight
+        scale, rate = model._slope_scale(g0)
+        mu = min(max(g0 if warm is None else float(warm), 0.0), k1)
+        for it in range(1, max_iter + 1):
+            target = gain(mu) * weight
+            settled = abs(target - mu) <= tol
+            # a zero scale leaves G constant: fixed-point steps
+            s = scale * math.exp(-rate * mu) if scale else 1.0
+            if s < 1.0:
+                # Newton's update, returned even when settled: it sits
+                # far closer to the root than mu
+                target = mu + (target - mu) / (1.0 - s)
+            elif settled:
+                return mu, it, "fixed-point"
+            mu = min(max(target, 0.0), k1)
+            if settled:
+                return mu, it, "fixed-point"
+        return _stalled(model, self._grid, values, total, max_iter)
+
+    def survive(self, values, mu, out):
+        # exp(-(gain * shape) * dx) in out, as survival computes it,
+        # then times values
+        _check_mu(mu)
+        np.multiply(self._shape, self._gain(mu), out=out)
+        out *= -self._dx
+        np.exp(out, out=out)
+        return np.multiply(values, out, out=out)
+
+
+class _StepStepper:
+    """StepRate on one grid: the cells its prefix sums cover, the
+    threshold map, the midpoints up to them and exp(-dx) are bound.  The activity
+    map is a staircase over threshold cells, so its solve is the
+    fixed-point iteration; survive reuses the cell that the last solve
+    settled in."""
+
+    __slots__ = ("_model", "_grid", "_threshold", "_mids", "_reach", "_dx",
+                 "_decay", "_mu", "_idx")
+
+    def __init__(self, model, grid):
+        self._model, self._grid = model, grid
+        self._threshold = model.threshold
+        self._reach = model._reach(grid)
+        # no threshold passes the reach cell's midpoint, and a NaN one
+        # lands past the prefix sums, as on the whole mesh
+        self._mids = _midpoint_list(grid, min(self._reach + 1, grid.n_cells))
+        self._dx = grid.dx
+        self._decay = None              # exp(-dx), on the first survive
+        self._mu = self._idx = None     # the last settled mu and its cell
+
+    def solve(self, values, total=None, warm=None, tol=1e-12, max_iter=200):
+        if total is None:
+            total = cell_sum(values)
+        threshold, mids, dx = self._threshold, self._mids, self._dx
+        cell_of = bisect.bisect_right
+        k1 = self._model.k1
+        mass = total * dx
+        # the sequential prefix sums (cumsum's ufunc, without its
+        # dispatch): the tail past cell j is the mass less
+        # heads[j-1]*dx, clamped at zero where the two sums round apart
+        heads = np.add.accumulate(values[:self._reach])
+        mu = warm
+        if warm is None:
+            idx = cell_of(mids, threshold(0.0))
+            mu = max(mass - heads[idx - 1] * dx, 0.0) if idx else mass
+        mu = min(max(float(mu), 0.0), k1)
+        for it in range(1, max_iter + 1):
+            idx = cell_of(mids, threshold(mu))
+            target = max(mass - heads[idx - 1] * dx, 0.0) if idx else mass
+            if abs(target - mu) <= tol:
+                self._mu, self._idx = mu, idx
+                return mu, it, "fixed-point"
+            mu = min(max(target, 0.0), k1)
+        return _stalled(self._model, self._grid, values, total, max_iter)
+
+    def survive(self, values, mu, out):
+        # cells below the threshold cell keep their value (a factor of
+        # 1), the rest decay by exp(-dx): values * survival bit for bit
+        _check_mu(mu)
+        if mu == self._mu:
+            idx = self._idx
+        else:
+            idx = bisect.bisect_right(self._mids, self._threshold(mu))
+        if self._decay is None:
+            self._decay = _unit_decay(self._grid)
+        out[:idx] = values[:idx]
+        np.multiply(values[idx:], self._decay, out=out[idx:])
+        return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -201,6 +380,9 @@ class ConstantRate:
 
     def activity_roots(self, grid, values, total=None):
         return [self.activity_map(grid, values, total)(0.0)]
+
+    def stepper(self, grid):
+        return _ConstantStepper(self, grid)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -268,11 +450,15 @@ class SmoothSaturatingRate:
         weight = float(np.dot(shape, values)) * grid.dx
         return lambda mu: self.gain(mu) * weight
 
-    def activity_slope(self, G):
+    def _slope_scale(self, g0):
         # G = gain * w with gain(0) = k0, so w = G(0)/k0, and
+        # G'(mu) = scale * exp(-rate * mu) with
         # gain'(mu) = (k1 - k0)(lam/mu_scale) exp(-lam*mu/mu_scale)
         rate = self.lam / self.mu_scale
-        scale = (self.k1 - self.k0) * rate * (G(0.0) / self.k0)
+        return (self.k1 - self.k0) * rate * (g0 / self.k0), rate
+
+    def activity_slope(self, G):
+        scale, rate = self._slope_scale(G(0.0))
         if scale == 0.0:
             return None     # uncoupled or a flat gain: G is a constant
         return lambda mu: scale * math.exp(-rate * mu)
@@ -284,6 +470,9 @@ class SmoothSaturatingRate:
             return []
         a, b = _roots.bisect(lambda mu: G(mu) - mu, 0.0, self.k1, G(0.0))
         return [0.5 * (a + b)]
+
+    def stepper(self, grid):
+        return _SmoothStepper(self, grid)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -315,6 +504,9 @@ class StepRate:
             raise ValueError(
                 "thresholds must satisfy 0 < sigma_minus < sigma_plus < 1")
         _check_parameters(self, positive=("decay",), nonnegative=("lam",))
+        if self.sigma_modulus is not None:
+            # estimate_xi trusts the declared bound on |sigma'|
+            _check_parameters(self, nonnegative=("sigma_modulus",))
 
     @property
     def k0(self):
@@ -373,21 +565,25 @@ class StepRate:
         idx = grid.midpoints.searchsorted(self.threshold(mu), side="right")
         return _step_survival(grid, int(idx))
 
+    def _reach(self, grid):
+        # The cells that the prefix sums must cover.  The built-in sigma
+        # is nonincreasing, so no threshold passes threshold(0) and the
+        # sums stop at its cell; a custom sigma may go anywhere and
+        # keeps every cell.
+        if self.sigma is not None:
+            return grid.n_cells
+        return int(grid.midpoints.searchsorted(self.threshold(0.0),
+                                               side="right"))
+
     def _heads(self, grid, values, total):
         # The mass (total, one pairwise sum, times dx) and heads, the
         # sequential prefix sums: the tail mass past cell j is the mass
         # less heads[j-1]*dx.  The two sums round differently, so a tail
-        # with no mass can come out a hair below zero; both readers clamp
-        # it there.  The built-in sigma is nonincreasing, so no threshold
-        # passes threshold(0) and heads stops at its cell; a custom sigma
-        # may go anywhere and keeps every cell.
-        reach = grid.n_cells
-        if self.sigma is None:
-            reach = int(grid.midpoints.searchsorted(self.threshold(0.0),
-                                                    side="right"))
+        # with no mass can come out a hair below zero; every reader
+        # clamps it there.
         if total is None:
             total = cell_sum(values)
-        return total * grid.dx, values[:reach].cumsum()
+        return total * grid.dx, values[:self._reach(grid)].cumsum()
 
     def _tails(self, grid, values, total=None):
         # every plateau of activity_map at once: entry j is G(mu) while
@@ -421,6 +617,9 @@ class StepRate:
         thresholds = [self.threshold(g) for g in tails.tolist()]
         cells = np.searchsorted(grid.midpoints, thresholds, side="right")
         return sorted(tails[cells == np.arange(tails.size)].tolist())
+
+    def stepper(self, grid):
+        return _StepStepper(self, grid)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
+from agenet import firing_rate
 from agenet import (AgeGrid, AmbiguousActivityError, ConstantRate,
                     DegenerateInputError, DischargeHistory,
                     InvariantViolationError, ModelInconsistencyError,
@@ -165,6 +166,139 @@ def test_stalled_solve_reports_two_roots_inside_one_activity_cell():
         solve_activity_implicit(model, grid, f.values, max_iter=1)
     assert exc_info.value.roots == pytest.approx(
         [0.388291084345, 0.389068443618], abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# bound steppers
+
+def _generic_solve(model, grid, values, tol=1e-12, max_iter=200,
+                   warm_start=None, total=None):
+    # the one loop over activity_map, activity_slope and activity_roots
+    # that solved every family's activity before each family bound its
+    # own stepper, kept frozen as the steppers' oracle
+    G = model.activity_map(grid, values, total)
+    slope = model.activity_slope(G)
+    k1 = model.k1
+
+    mu = G(0.0) if warm_start is None else float(warm_start)
+    mu = min(max(mu, 0.0), k1)
+    for it in range(1, max_iter + 1):
+        target = G(mu)
+        settled = abs(target - mu) <= tol
+        s = 1.0 if slope is None else slope(mu)
+        if s < 1.0:
+            target = mu + (target - mu) / (1.0 - s)
+        elif settled:
+            return mu, it, "fixed-point"
+        mu = min(max(target, 0.0), k1)
+        if settled:
+            return mu, it, "fixed-point"
+
+    roots = model.activity_roots(grid, values, total)
+    if not roots:
+        raise ModelInconsistencyError("no root")
+    if len(roots) > 1:
+        raise AmbiguousActivityError("several roots", roots)
+    return roots[0], max_iter, "scan"
+
+
+def _falling_sigma(u):
+    # a custom threshold that falls through cell 0 for large u
+    return 0.6 / (1.0 + 4.0 * u)
+
+
+def _steep_sigma(u):
+    # a custom threshold with a jump: the staircase can hold two roots
+    return 0.45 if u < 0.3 else 0.05
+
+
+def _rising_sigma(u):
+    # a threshold that rises: the staircase can hold no root
+    return 0.2 if u < 0.5 else 0.8
+
+
+_STEPPER_FAMILIES = st.one_of(
+    st.builds(ConstantRate, k0=st.floats(0.1, 3.0)),
+    st.builds(StepRate, sigma_plus=st.floats(0.3, 0.9),
+              sigma_minus=st.floats(0.01, 0.29),
+              lam=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+              decay=st.floats(0.2, 3.0)),
+    st.builds(StepRate, lam=st.floats(0.0, 3.0),
+              sigma=st.sampled_from([_falling_sigma, _steep_sigma,
+                                    _rising_sigma]),
+              sigma_modulus=st.just(3.0)),
+    st.builds(SmoothSaturatingRate, k0=st.floats(0.1, 2.0),
+              k1=st.floats(2.0, 4.0),
+              lam=st.one_of(st.just(0.0), st.floats(0.0, 30.0)),
+              mu_scale=st.floats(0.2, 5.0), x_scale=st.floats(0.1, 2.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(model=_STEPPER_FAMILIES,
+       seed=st.integers(0, 2 ** 32 - 1),
+       dx=st.sampled_from([0.2, 0.05, 0.01, 1e-3]),
+       n_cells=st.integers(2, 400),
+       # an age past which the density vanishes, so the mass past a
+       # threshold can be anything from all to none
+       support=st.floats(0.0, 1.0),
+       warm=st.one_of(st.none(), st.floats(0.0, 1.0)),
+       given_total=st.booleans(),
+       max_iter=st.sampled_from([1, 2, 3, 200]),
+       tol=st.sampled_from([1e-12, 1e-6]),
+       mu=st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.just(1.0)))
+# a warm start off both roots of the jump, stalled after one step
+@example(model=StepRate(lam=0.4, sigma=_steep_sigma, sigma_modulus=3.0),
+         seed=1, dx=0.01, n_cells=100, support=1.0, warm=0.8,
+         given_total=True, max_iter=1, tol=1e-12, mu=0.5)
+# a threshold on a midpoint, which fires from the next cell on
+@example(model=StepRate(sigma_plus=0.5, sigma_minus=0.25), seed=3, dx=0.2,
+         n_cells=10, support=1.0, warm=None, given_total=False,
+         max_iter=200, tol=1e-12, mu=0.0)
+# a threshold that jumps up across the diagonal: no root at all
+@example(model=StepRate(lam=1.0, sigma=_rising_sigma, sigma_modulus=3.0),
+         seed=2, dx=0.01, n_cells=100, support=1.0, warm=None,
+         given_total=False, max_iter=200, tol=1e-12, mu=0.0)
+def test_steppers_match_the_generic_solve_and_survival(
+        model, seed, dx, n_cells, support, warm, given_total, max_iter, tol,
+        mu):
+    grid = AgeGrid(dx=dx, n_cells=n_cells)
+    rng = np.random.default_rng(seed)
+    cells = max(1, int(support * n_cells))
+    values = np.zeros(n_cells)
+    values[:cells] = rng.uniform(0.0, 1.0, cells)
+    values[0] += 1e-3
+    values /= values.sum() * dx
+    total = cell_sum(values) if given_total else None
+    warm_start = None if warm is None else warm * model.k1
+    # thresholds in cell 0 and at the reach cell of the prefix sums
+    mus = [mu * model.k1, 0.0, 1e6]
+
+    stepper = model.stepper(grid)
+    try:
+        expected = _generic_solve(model, grid, values, tol, max_iter,
+                                  warm_start, total)
+    except (AmbiguousActivityError, ModelInconsistencyError) as exc:
+        with pytest.raises(type(exc)) as raised:
+            stepper.solve(values, total, warm_start, tol, max_iter)
+        assert getattr(raised.value, "roots", None) == getattr(
+            exc, "roots", None)
+    else:
+        solved = stepper.solve(values, total, warm_start, tol, max_iter)
+        assert solved == expected
+        mus.insert(0, solved[0])
+        public = solve_activity_implicit(model, grid, values, tol, max_iter,
+                                         warm_start, total)
+        assert (public.m, public.iterations, public.method) == expected
+
+    # survive writes values * survival bit for bit, into a view one
+    # cell into a longer buffer as run() hands it over
+    buffer = np.full(n_cells + 1, np.nan)
+    for activity in mus:
+        expected = np.multiply(values, model.survival(grid, activity))
+        for bound in (stepper, model.stepper(grid)):
+            written = bound.survive(values, activity, buffer[1:])
+            assert written.tobytes() == expected.tobytes()
+            assert buffer[1:].tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -363,18 +497,26 @@ def test_run_keeps_p_and_mass_and_matches_public_steps(model, seed, dx,
     StepRate(sigma_plus=0.5, sigma_minus=0.25, lam=0.3),
     SmoothSaturatingRate(k0=0.5, k1=2.0, lam=0.6),
     ConstantRate(k0=1.0)], ids=["step", "smooth", "constant"])
-def test_run_hands_the_activity_map_the_exact_cell_sum(family):
+def test_run_hands_the_stepper_the_exact_cell_sum(family):
     # the transport step builds the new density's cell sum from its
     # discharge and its survivors; each Dirac step hands that very sum
-    # to the map, and it is the sum that cell_sum takes of the density
+    # to the stepper's activity solve, and it is the sum that cell_sum
+    # takes of the density
     sums = []
 
-    class Recording(type(family)):
-        def activity_map(self, grid, values, total=None):
+    def recorded(solve):
+        def recording(values, total, *args):
             assert total == values[0] + float(values[1:].sum())
             assert total == cell_sum(values)
             sums.append(total)
-            return super().activity_map(grid, values, total)
+            return solve(values, total, *args)
+        return recording
+
+    class Recording(type(family)):
+        def stepper(self, grid):
+            bound = super().stepper(grid)
+            return SimpleNamespace(solve=recorded(bound.solve),
+                                   survive=bound.survive)
 
     grid = _grid()
     model = Recording(**dataclasses.asdict(family))
@@ -386,32 +528,70 @@ def test_run_hands_the_activity_map_the_exact_cell_sum(family):
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
 def test_run_steps_on_survival_factors_not_rates(kernel, monkeypatch):
-    # the step loop asks the family for its one-step factors once per
-    # step and never for the rates themselves
-    calls = {"rate": 0, "survival": 0}
+    # the step loop has the family's bound stepper write its survivors
+    # once per step, and asks the family itself for nothing per step:
+    # no rates, no survival factors, no new stepper
+    owners = {"rate": StepRate, "survival": StepRate, "stepper": StepRate,
+              "survive": firing_rate._StepStepper}
+    calls = dict.fromkeys(owners, 0)
 
     def counting(name):
-        method = getattr(StepRate, name)
+        method = getattr(owners[name], name)
 
         def counted(self, *args):
             calls[name] += 1
             return method(self, *args)
         return counted
 
-    for name in calls:
-        monkeypatch.setattr(StepRate, name, counting(name))
+    for name, owner in owners.items():
+        monkeypatch.setattr(owner, name, counting(name))
     grid = _grid()
     model = StepRate(sigma_plus=0.5, sigma_minus=0.25, lam=0.3)
 
     def calls_over(t_end):
-        calls.update(rate=0, survival=0)
+        calls.update(dict.fromkeys(owners, 0))
         run(SimulationConfig(grid=grid, model=model, kernel=kernel,
                              t_end=t_end), preset_density(grid, "uniform01"))
         return dict(calls)
 
     short, long = calls_over(0.5), calls_over(1.0)
-    assert short["survival"] == 50 and long["survival"] == 100
-    assert long["rate"] == short["rate"]
+    assert short["survive"] == 50 and long["survive"] == 100
+    for name in ("rate", "survival", "stepper"):
+        assert long[name] == short[name]
+
+
+def test_models_that_differ_only_in_their_sigma_run_apart():
+    # sigma is not compared, so these two models are equal; a cache
+    # keyed on the model would hand one the other's thresholds
+    def sigma_exp(u):
+        return 0.25 + 0.25 * math.exp(-u)
+
+    def sigma_hyp(u):
+        return 0.25 + 0.25 / (1.0 + 4.0 * u)
+
+    first = StepRate(sigma_plus=0.5, sigma_minus=0.25, lam=0.6,
+                     sigma=sigma_exp, sigma_modulus=1.0)
+    second = StepRate(sigma_plus=0.5, sigma_minus=0.25, lam=0.6,
+                      sigma=sigma_hyp, sigma_modulus=1.0)
+    assert first == second and hash(first) == hash(second)
+    grid = _grid()
+    f0 = preset_density(grid, "uniform01")
+
+    def config(model):
+        return SimulationConfig(grid=grid, model=model, t_end=1.0,
+                                record_every=1)
+
+    before, other, after = (run(config(model), f0)
+                            for model in (first, second, first))
+    assert not np.array_equal(before.m_series, other.m_series)
+    assert np.array_equal(before.m_series, after.m_series)
+    assert np.array_equal(before.p_series, after.p_series)
+    # the public steps bind their own stepper per call
+    for model, trace in ((second, other), (first, after)):
+        ms, ps, state = _public_steps(model, DelayKernel.dirac(), f0,
+                                      config(model), trace.times.size - 1)
+        assert np.array_equal(trace.m_series, ms)
+        assert np.array_equal(trace.p_series, ps)
 
 
 _NEGATIVE_CELLS = pytest.mark.parametrize(

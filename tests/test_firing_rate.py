@@ -114,6 +114,19 @@ def test_constructors_refuse_non_finite_parameters(family, kwargs, name, bad):
         family(**{**kwargs, name: bad})
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -5.0])
+def test_step_rate_refuses_a_bad_sigma_modulus(bad):
+    # estimate_xi trusts the declared bound on |sigma'|, so a NaN, an
+    # infinite or a negative one is refused by name
+    with pytest.raises(ValueError, match="^sigma_modulus must be"):
+        StepRate(lam=0.3, sigma=lambda u: 0.6 / (1.0 + u),
+                 sigma_modulus=bad)
+    # a bound of zero (a constant threshold) and no bound at all stand
+    assert StepRate(lam=0.3, sigma=lambda u: 0.4,
+                    sigma_modulus=0.0).lipschitz_known
+    assert not StepRate(lam=0.3, sigma=lambda u: 0.4).lipschitz_known
+
+
 def test_domain_checks():
     model = ConstantRate(k0=1.0)
     with pytest.raises(ValueError):

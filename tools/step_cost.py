@@ -1,126 +1,180 @@
 """Per-layer step cost: microseconds per transport step, per transport
 kernel call and per implicit activity solve, at 10k cells.
 
-    python3 tools/step_cost.py [SRC] [--repeats 7] [--steps 2000]
+    python3 tools/step_cost.py [SRC ...] [--rounds 7] [--steps 2000]
 
-SRC is the `src` directory of the checkout to measure (default: this
-checkout's).  For each rate family under the Dirac kernel and the
-exponential kernel (theta = 2), `run()` integrates the `uniform01`
-preset for `--steps` steps, recording once at the end; a step's cost is
-the run's wall time over its steps, so run()'s one-off set-up is
-spread over them.  The kernel cost is one call of `evolution._advance`,
-the transport alone, on that density with the family's survival factors
-at its activity.  The solve cost is one cold `solve_activity_implicit`
-on the same density, called as a public caller calls it (the map sums
-the density itself).  The families take turns inside each repeat, so a
-drift in host speed reaches all of them alike.  Prints one JSON object
-with the medians over the repeats; the measurement takes no seed.
+Each SRC is the `src` directory of a checkout to measure (default: this
+checkout's).  Every round starts one fresh interpreter per SRC, with the
+order of the trees rotating from round to round, so that two trees
+given together are measured in alternating pairs and a drift in host
+speed reaches both alike.  In each interpreter, for each rate family
+under the Dirac kernel and the exponential kernel (theta = 2), `run()`
+integrates the `uniform01` preset for `--steps` steps, recording once at
+the end, after one untimed run of a tenth as many steps; a step's cost
+is the run's wall time over its steps, so run()'s one-off set-up is
+spread over them.  The kernel cost is the median of single calls of
+`evolution._advance`, the transport alone, on that density at its
+activity, with the family's survival factors as run() takes them: from
+the family's bound stepper, or on trees before it, from one `survival`
+call inside the timed call.  The solve cost is the median of single cold
+`solve_activity_implicit` calls on the same density, called as a public
+caller calls it (the map sums the density itself).  The families take
+turns, so a drift in host speed within a round reaches all of them
+alike.  Prints one JSON object: per SRC, the median over the rounds and
+the per-round figures; each run's last activity and discharge, which
+must be the same in every round, are printed once per SRC so that trees
+can be compared for equal output.  The measurement takes no seed.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 from pathlib import Path
-from time import perf_counter
 
 DX, CELLS = 1e-3, 10_000
-SOLVE_CALLS = 200
-ADVANCE_CALLS = 500
+
+CHILD = r"""
+import inspect, json, statistics, sys
+from time import perf_counter
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import agenet
+from agenet import evolution
+steps, dx, cells = int(sys.argv[2]), float(sys.argv[3]), int(sys.argv[4])
+SOLVE_CALLS, ADVANCE_CALLS = 200, 500
+
+grid = agenet.AgeGrid(dx=dx, n_cells=cells)
+f0 = agenet.preset_density(grid, "uniform01")
+kernels = {"dirac": agenet.DelayKernel.dirac(),
+           "exponential": agenet.DelayKernel.exponential(theta=2.0)}
+families = {
+    "constant": agenet.ConstantRate(k0=1.0),
+    "step": agenet.StepRate(sigma_plus=0.5, sigma_minus=0.25, lam=0.3),
+    "smooth": agenet.SmoothSaturatingRate(k0=0.5, k1=2.0, lam=0.6),
+}
+
+
+def config(model, kernel, n):
+    return agenet.SimulationConfig(grid=grid, model=model, kernel=kernel,
+                                   t_end=n * dx, record_every=n)
+
+
+step_us, last = {}, {}
+for fam, model in families.items():
+    step_us[fam], last[fam] = {}, {}
+    for ker, kernel in kernels.items():
+        agenet.run(config(model, kernel, max(1, steps // 10)), f0)
+        cfg = config(model, kernel, steps)
+        t = perf_counter()
+        trace = agenet.run(cfg, f0)
+        step_us[fam][ker] = (perf_counter() - t) / steps * 1e6
+        last[fam][ker] = [repr(float(trace.m_series[-1])),
+                          repr(float(trace.p_series[-1]))]
+
+# _advance(values, total, stepper, out, t, m); trees before the bound
+# stepper take the survival factors in the stepper's place, and trees
+# before the one-sum kernel also take dx, after out
+takes_dx = "dx" in inspect.signature(evolution._advance).parameters
+total = float(f0.values[0]) + float(f0.values[1:].sum())   # cell sum
+out = np.empty(cells + 1)
+advance_us, solve_us = {}, {}
+for fam, model in families.items():
+    m = agenet.solve_activity_implicit(model, grid, f0.values).m
+    tail = (dx, 0.0, m) if takes_dx else (0.0, m)
+    stepper = model.stepper(grid) if hasattr(model, "stepper") else None
+    calls = []
+    for _ in range(ADVANCE_CALLS):
+        t = perf_counter()
+        # the survival factors are taken per step, as run() takes them
+        factors = model.survival(grid, m) if stepper is None else stepper
+        evolution._advance(f0.values, total, factors, out, *tail)
+        calls.append(perf_counter() - t)
+    advance_us[fam] = statistics.median(calls) * 1e6
+for fam, model in families.items():
+    calls = []
+    for _ in range(SOLVE_CALLS):
+        t = perf_counter()
+        agenet.solve_activity_implicit(model, grid, f0.values)
+        calls.append(perf_counter() - t)
+    solve_us[fam] = statistics.median(calls) * 1e6
+print(json.dumps([agenet.__file__, np.__version__,
+                  {"run_step_us": step_us, "advance_us": advance_us,
+                   "solve_activity_implicit_us": solve_us}, last]))
+"""
+
+
+def _measure(src, steps):
+    done = subprocess.run(
+        [sys.executable, "-c", CHILD, str(src), str(steps), repr(DX),
+         str(CELLS)],
+        capture_output=True, text=True, timeout=1200, check=True)
+    origin, numpy_version, us, last = json.loads(
+        done.stdout.strip().splitlines()[-1])
+    if Path(origin).resolve().parent != src / "agenet":
+        raise SystemExit(f"imported agenet from {origin}, not {src}")
+    return numpy_version, us, last
+
+
+def _summary(rounds):
+    # the median over the rounds and the per-round figures of each
+    # nested entry of the first round
+    def walk(entry, path):
+        if isinstance(entry, dict):
+            return {key: walk(value, path + (key,))
+                    for key, value in entry.items()}
+        by_round = []
+        for r in rounds:
+            for key in path:
+                r = r[key]
+            by_round.append(r)
+        return {"us_p50": round(statistics.median(by_round), 2),
+                "us_by_round": [round(v, 2) for v in by_round]}
+    return walk(rounds[0], ())
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("src", nargs="?",
-                        default=str(Path(__file__).resolve().parent.parent
-                                    / "src"))
-    parser.add_argument("--repeats", type=int, default=7)
+    parser.add_argument("src", nargs="*",
+                        default=[str(Path(__file__).resolve().parent.parent
+                                     / "src")])
+    parser.add_argument("--rounds", type=int, default=7)
     parser.add_argument("--steps", type=int, default=2000)
     args = parser.parse_args(argv)
-    if args.repeats < 1 or args.steps < 1:
-        parser.error("--repeats and --steps must be positive")
-    src = Path(args.src).resolve()
-    if not (src / "agenet" / "__init__.py").is_file():
-        parser.error(f"no agenet package under {src}")
-    sys.path.insert(0, str(src))
-    import numpy as np
-    import agenet
-    from agenet import evolution
+    if args.rounds < 1 or args.steps < 1:
+        parser.error("--rounds and --steps must be positive")
+    trees = [Path(s).resolve() for s in args.src]
+    for src in trees:
+        if not (src / "agenet" / "__init__.py").is_file():
+            parser.error(f"no agenet package under {src}")
 
-    grid = agenet.AgeGrid(dx=DX, n_cells=CELLS)
-    f0 = agenet.preset_density(grid, "uniform01")
-    kernels = {"dirac": agenet.DelayKernel.dirac(),
-               "exponential": agenet.DelayKernel.exponential(theta=2.0)}
-    families = {
-        "constant": agenet.ConstantRate(k0=1.0),
-        "step": agenet.StepRate(sigma_plus=0.5, sigma_minus=0.25, lam=0.3),
-        "smooth": agenet.SmoothSaturatingRate(k0=0.5, k1=2.0, lam=0.6),
-    }
-    configs = {
-        (fam, ker): agenet.SimulationConfig(
-            grid=grid, model=model, kernel=kernel, t_end=args.steps * DX,
-            record_every=args.steps)
-        for fam, model in families.items() for ker, kernel in kernels.items()}
-
-    # _advance(values, total, survival, out, t, m); trees before the
-    # one-sum kernel also take dx, after out
-    takes_dx = "dx" in inspect.signature(evolution._advance).parameters
-    total = float(f0.values[0]) + float(f0.values[1:].sum())   # cell sum
-    out = np.empty(CELLS + 1)
-    advance_args = {}
-    for fam, model in families.items():
-        m = agenet.solve_activity_implicit(model, grid, f0.values).m
-        tail = (DX, 0.0, m) if takes_dx else (0.0, m)
-        advance_args[fam] = (f0.values, total, model.survival(grid, m), out,
-                             *tail)
-
-    step_us = {key: [] for key in configs}
-    advance_us = {fam: [] for fam in families}
-    solve_us = {fam: [] for fam in families}
-    for _ in range(args.repeats):
-        for key, cfg in configs.items():
-            t = perf_counter()
-            agenet.run(cfg, f0)
-            step_us[key].append((perf_counter() - t) / args.steps * 1e6)
-        for fam, fam_args in advance_args.items():
-            calls = []
-            for _ in range(ADVANCE_CALLS):
-                t = perf_counter()
-                evolution._advance(*fam_args)
-                calls.append(perf_counter() - t)
-            advance_us[fam].append(statistics.median(calls) * 1e6)
-        for fam, model in families.items():
-            calls = []
-            for _ in range(SOLVE_CALLS):
-                t = perf_counter()
-                agenet.solve_activity_implicit(model, grid, f0.values)
-                calls.append(perf_counter() - t)
-            solve_us[fam].append(statistics.median(calls) * 1e6)
+    rounds = {src: [] for src in trees}
+    seen = {src: None for src in trees}
+    numpy_version = None
+    for r in range(args.rounds):
+        for src in trees[r % len(trees):] + trees[:r % len(trees)]:
+            numpy_version, us, last = _measure(src, args.steps)
+            if seen[src] not in (None, last):
+                raise SystemExit(f"{src} gave different runs in different "
+                                 "rounds")
+            rounds[src].append(us)
+            seen[src] = last
 
     out = {
         "cells": CELLS,
         "dx": DX,
         "steps_per_run": args.steps,
-        "repeats": args.repeats,
-        "advance_calls_per_repeat": ADVANCE_CALLS,
-        "solve_calls_per_repeat": SOLVE_CALLS,
+        "rounds": args.rounds,
         "host": {"cores": os.cpu_count(), "machine": platform.machine(),
                  "python": platform.python_version(),
-                 "numpy": np.__version__},
-        "run_step_us_p50": {
-            fam: {ker: round(statistics.median(step_us[fam, ker]), 2)
-                  for ker in kernels} for fam in families},
-        "advance_us_p50": {
-            fam: round(statistics.median(advance_us[fam]), 2)
-            for fam in families},
-        "solve_activity_implicit_us_p50": {
-            fam: round(statistics.median(solve_us[fam]), 2)
-            for fam in families},
+                 "numpy": numpy_version},
+        "trees": [{"src": str(src), "cost": _summary(rounds[src]),
+                   "last_m_p": seen[src]} for src in trees],
     }
     print(json.dumps(out, indent=1))
 
