@@ -293,7 +293,7 @@ def criterion_implicit_activity():
         f /= f.sum() * dx
         for attempt in range(50):
             model = _draw_weak_model(rng, float(f.max()))
-            if len(model.activity_roots(grid, f)) == 1:
+            if len(model.stepper(grid).roots(f)) == 1:
                 break
             redraws += 1
         else:

@@ -8,13 +8,18 @@ mesh: the absorbed mass plus the mass advected past the age horizon.
 So p is the cell sum less the survivors that stay, one full sum per
 step, and the new cell sum is p plus those survivors: mass is
 conserved by construction.  step() and run() share one kernel,
-_advance, and every activity solve and every step goes through the rate
-family's bound stepper, model.stepper(grid): its solve() is the
-implicit activity solve, and its survive() writes the density times the
-factors exp(-k dt).  run() binds one stepper for all its steps, steps
-inside two preallocated buffers and carries the cell sum from step to
-step; step() and solve_activity_implicit() bind one per call, with the
-same arithmetic, so run() equals a loop of public steps bit for bit.
+_advance.
+
+The rate family's bound stepper, model.stepper(grid), holds the one
+copy of the activity map and of the factors exp(-k dt): its solve() is
+the implicit activity solve, falling back to its roots() list when the
+iteration stalls, and its survive() writes the density times the
+factors.  run() binds one stepper for all its steps, steps inside two
+preallocated buffers and carries the cell sum from step to step;
+step() and solve_activity_implicit() bind one per call, with the same
+arithmetic, so run() equals a loop of public steps bit for bit.
+stepper_equilibrium() builds its profiles from one bound stepper too,
+so the reference a run relaxes to uses the run's own factors.
 """
 
 from __future__ import annotations
@@ -80,9 +85,9 @@ class ActivitySolution:
 @dataclasses.dataclass(frozen=True)
 class SolverCounts:
     """Which path each implicit activity solve of a run took: the
-    solves settled by fixed-point iteration, the solves that fell back
-    to the family's activity_roots (labelled "scan"), and the most
-    iterations any solve used."""
+    solves settled by fixed-point iteration, the solves that stalled
+    and took the one root that the stepper's roots() listed (labelled
+    "scan"), and the most iterations any solve used."""
 
     fixed_point: int
     scan: int
@@ -127,38 +132,39 @@ def solve_activity_implicit(model, grid, values, tol=1e-12, max_iter=200,
     density of mass approx 1.
 
     The family's stepper, model.stepper(grid), solves it: this function
-    binds one per call, and run() binds one for all its steps.  Each
-    stepper iterates on the model's activity_map G, evaluated in the
-    family's own arithmetic with its per-grid constants bound, from
-    warm_start (default G(0)), clamped to [0, k1], until
-    |G(mu) - mu| <= tol.  Where the family
-    gives G a slope (model.activity_slope), each step is a Newton step
-    on G(mu) - mu; elsewhere, and wherever that slope is 1 or more, it
-    is the fixed-point step mu -> G(mu).  So the constant family settles
-    in one or two evaluations of its one value, the step family iterates
-    over the threshold cells of its staircase, and the smooth family
-    takes Newton steps.  G is nondecreasing, so the fixed-point iterates
-    move monotonically toward a root and never cross it.  The smooth
-    family's G is concave too, so Newton's iterates lie above the root
-    after the first step and then fall to it monotonically.  A settled
-    Newton solve returns the clamped Newton update
-    mu + (G(mu) - mu)/(1 - G'(mu)), not mu: mu can sit up to
-    tol/(1 - G'(mu)) off the root, while the update's error is second
-    order in that, and it costs no further map evaluation.  A settled
-    fixed-point solve returns mu.  If the iterates have not settled
-    after max_iter steps, model.activity_roots lists every fixed point
-    of G: zero roots means the model violates its own bounds, several
-    make the dynamics ambiguous, and both cases raise.  Either kind of
-    step counts as method "fixed-point".
+    binds one per call, and run() binds one for all its steps.  The
+    stepper holds the family's activity map G, the integral above on
+    the midpoint mesh, and iterates on it from warm_start (default
+    G(0)), clamped to [0, k1], until |G(mu) - mu| <= tol.  The smooth
+    family takes Newton steps on G(mu) - mu with G's closed-form slope,
+    or the fixed-point step mu -> G(mu) wherever that slope is 1 or
+    more; the constant family settles in one or two evaluations of its
+    one value, and the step family takes fixed-point steps over the
+    threshold cells of its staircase.  G is nondecreasing, so the
+    fixed-point iterates move monotonically toward a root and never
+    cross it.  The smooth family's G is concave too, so Newton's
+    iterates lie above the root after the first step and then fall to
+    it monotonically.  A settled Newton solve returns the clamped
+    Newton update mu + (G(mu) - mu)/(1 - G'(mu)), not mu: mu can sit up
+    to tol/(1 - G'(mu)) off the root, while the update's error is
+    second order in that, and it costs no further map evaluation.  A
+    settled fixed-point solve returns mu.  Either kind of step counts
+    as method "fixed-point".  If the iterates have not settled after
+    max_iter steps, the stepper's roots() lists every fixed point of G
+    in [0, k1]: one is returned as method "scan", none means the model
+    violates its own bounds (ModelInconsistencyError), and several make
+    the dynamics ambiguous (AmbiguousActivityError).
 
     Ambiguity is detected only on that stalled path: an iteration that
     settles returns the root it reached, even when the step family's
     staircase G holds a second one a few cells away.
 
-    total, if given, must be the density's cell sum, cell_sum(values),
-    which the transport step returns; the family then takes it instead
-    of summing the density again.  Without it, a family whose map reads
-    the cell sum takes cell_sum(values) itself."""
+    A NaN warm_start raises ValueError; an infinite one is clamped to
+    k1.  total, if given, must be the density's cell sum,
+    cell_sum(values), which the transport step returns; the stepper
+    then takes it instead of summing the density again."""
+    if warm_start is not None and math.isnan(warm_start):
+        raise ValueError("warm_start is NaN; pass an activity or None")
     m, iterations, method = model.stepper(grid).solve(
         values, total, warm_start, tol, max_iter)
     return ActivitySolution(m=m, iterations=iterations, method=method)
@@ -446,9 +452,14 @@ def stepper_equilibrium(model, grid, tol=1e-13):
 
     mids = grid.midpoints
     dx = grid.dx
+    # the run's own factors: survive(ones) writes them bit for bit,
+    # since x * 1.0 = x
+    survive = model.stepper(grid).survive
+    ones = np.ones(grid.n_cells)
+    factors = np.empty(grid.n_cells)
 
     def profile(m):
-        s = model.survival(grid, m)
+        s = survive(ones, m, factors)
         f = np.empty(grid.n_cells)
         f[0] = 1.0
         np.cumprod(s[:-1], out=f[1:])

@@ -13,35 +13,27 @@ Each family computes its own closed forms behind one protocol: rate,
 cumulative K(x, mu) = int_0^x k, cumulative_over (K at one age for an
 array of activities), edge_cumulative (K on a grid's edges past 0,
 written into a caller's buffer: the stationary solve's fast path),
-survival (the one-step factors
-exp(-k(x_j, lam*mu) dx) on the midpoint mesh), activity_map
-(mu -> int k(x, lam*mu) f dx on the midpoint mesh), activity_slope
-(that map's slope in closed form, or None where it has none to
-follow; the implicit activity solve takes Newton steps on it),
-activity_roots (every fixed point of that map, for the implicit
-activity solve when its iteration stalls) and lipschitz_known
-(whether estimate_xi can trust xi).  activity_map and activity_roots
-take the density's cell sum, grid.cell_sum(values), as an optional
-third argument: a caller that already holds it passes it, and the
-family does not sum the density again.  The step
-family's map costs one sequential prefix sum over the cells below
-sigma_plus per density, then one searchsorted and one subtraction
-per mu.
+lipschitz_known (whether estimate_xi can trust xi) and stepper.
 
-stepper(grid) binds a family's per-grid constants once, for a run of
-transport steps on that grid.  Its solve(values, total, warm, tol,
-max_iter) is the implicit activity solve: the fixed-point iteration
-on activity_map, with Newton steps on activity_slope where the family
-has one, in the family's own arithmetic, bit for bit the generic loop
-over those methods; it returns (m, iterations, method) and falls back
-to activity_roots when the iteration stalls.  Its survive(values, mu,
-out) writes values * survival(grid, mu) into out, bit for bit.
+stepper(grid) binds a family's per-grid constants once and holds the
+one copy of its activity map G(mu) = int k(x, lam*mu) f dx on the
+midpoint mesh and of its one-step factors exp(-k(x_j, lam*mu) dx).
+Its solve(values, total, warm, tol, max_iter) is the implicit activity
+solve: the fixed-point iteration on G, with Newton steps on G's
+closed-form slope where the family has one; it returns (m, iterations,
+method).  Its roots(values, total) lists every fixed point of G in
+[0, k1], ascending, with the same arithmetic; solve falls back to that
+list when its iteration stalls.  Its survive(values, mu, out) writes
+values * np.exp(-rate(midpoints, mu) * dx) into out, bit for bit.  total is the density's cell sum,
+grid.cell_sum(values): a caller that already holds it passes it, and
+the stepper does not sum the density again.  The step family's map
+costs one sequential prefix sum over the cells below sigma_plus per
+density, then one bisection and one subtraction per mu.
 
 Age profiles on a mesh depend only on the family's shape parameters
-and the grid (and the step family's survival only on its threshold
-cell), so they are computed once and cached, read-only.  The smooth
-family's age integral at the edges is one of them: its edge_cumulative
-is that cached profile times gain(mu).
+and the grid, so they are computed once and cached, read-only.  The
+smooth family's age integral at the edges is one of them: its
+edge_cumulative is that cached profile times gain(mu).
 """
 
 from __future__ import annotations
@@ -120,12 +112,6 @@ def _frozen(values):
 
 
 @functools.lru_cache(maxsize=_PROFILE_CACHE)
-def _constant_survival(k0, grid):
-    # computed as np.exp(-rate(midpoints, mu) * dx) computes it
-    return _frozen(np.exp(-np.full(grid.n_cells, k0) * grid.dx))
-
-
-@functools.lru_cache(maxsize=_PROFILE_CACHE)
 def _unit_decay(grid):
     # exp(-1 * dx), taken from a vector exp like the full expression
     return float(np.exp(-np.ones(1) * grid.dx)[0])
@@ -148,14 +134,13 @@ def _edge_age_integral(x_scale, grid):
     return _frozen(_age_integral(grid.edges[1:], x_scale))
 
 
-# A relaxing run's threshold settles in one cell: on the benchmark's
-# step relaxations 99.3-99.9% of calls hit, and a 1-, 4- or 16-entry
-# cache misses within 7 calls of each other per 10k steps.  Each entry
-# holds one float per cell, so the cache keeps only a few.
-_STEP_SURVIVAL_CACHE = 4
+# Each entry is one list of Python floats per grid and reach cell: the
+# midpoints that every step stepper on that grid bisects.  A process
+# steps a few grids at a time, so the cache keeps only a few.
+_MIDPOINT_LISTS = 4
 
 
-@functools.lru_cache(maxsize=_STEP_SURVIVAL_CACHE)
+@functools.lru_cache(maxsize=_MIDPOINT_LISTS)
 def _midpoint_list(grid, cells):
     # bisect_right on the first cells midpoints counts those <= t, as
     # midpoints.searchsorted(t, side="right") does (a NaN counts them
@@ -164,24 +149,13 @@ def _midpoint_list(grid, cells):
     return grid.midpoints[:cells].tolist()
 
 
-@functools.lru_cache(maxsize=_STEP_SURVIVAL_CACHE)
-def _step_survival(grid, idx):
-    # cells from idx on lie past the threshold and decay by exp(-dx),
-    # the rest by 1
-    out = np.empty(grid.n_cells)
-    out[:idx] = 1.0
-    out[idx:] = _unit_decay(grid)
-    return _frozen(out)
-
-
-def _stalled(model, grid, values, total, max_iter):
-    # the iteration has not settled: the family lists every root, which
+def _stalled(roots, k1, max_iter):
+    # the iteration has not settled: the stepper's list of every root
     # also detects ambiguity
-    roots = model.activity_roots(grid, values, total)
     if not roots:
         raise ModelInconsistencyError(
             "no solution of m = int k(x, lam*m) f dx in "
-            f"[0, {model.k1!r}]; the rate family breaks its stated bounds")
+            f"[0, {k1!r}]; the rate family breaks its stated bounds")
     if len(roots) > 1:
         raise AmbiguousActivityError(
             "the implicit activity admits " + str(len(roots))
@@ -194,18 +168,21 @@ class _ConstantStepper:
     """ConstantRate on one grid: the activity map is the one value
     k0 * total * dx, and every cell decays by one factor."""
 
-    __slots__ = ("_model", "_grid", "_factor")
+    __slots__ = ("_model", "_dx", "_factor")
 
     def __init__(self, model, grid):
-        self._model, self._grid = model, grid
-        self._factor = None     # on the first survive
+        self._model, self._dx = model, grid.dx
+        self._factor = None     # exp(-k0 * dx), on the first survive
 
-    def solve(self, values, total=None, warm=None, tol=1e-12, max_iter=200):
+    def roots(self, values, total=None):
         if total is None:
             total = cell_sum(values)
-        model = self._model
-        mass = model.k0 * total * self._grid.dx
-        k1 = model.k1
+        return [self._model.k0 * total * self._dx]
+
+    def solve(self, values, total=None, warm=None, tol=1e-12, max_iter=200):
+        roots = self.roots(values, total)
+        mass, = roots
+        k1 = self._model.k1
         # the fixed-point iteration in closed form: every step maps to
         # mass, so it settles at its first step, its second or never
         mu = min(max(mass if warm is None else float(warm), 0.0), k1)
@@ -214,13 +191,15 @@ class _ConstantStepper:
         mu = min(max(mass, 0.0), k1)
         if max_iter >= 2 and abs(mass - mu) <= tol:
             return mu, 2, "fixed-point"
-        return _stalled(model, self._grid, values, total, max_iter)
+        return _stalled(roots, k1, max_iter)
 
     def survive(self, values, mu, out):
         _check_mu(mu)
         if self._factor is None:
-            # the family's own factor, the same in every cell at every mu
-            self._factor = float(self._model.survival(self._grid, 0.0)[0])
+            # from a vector exp, as the rate expression
+            # np.exp(-rate(midpoints, mu) * dx) takes it in every cell
+            self._factor = float(
+                np.exp(-np.full(1, self._model.k0) * self._dx)[0])
         return np.multiply(values, self._factor, out=out)
 
 
@@ -229,22 +208,41 @@ class _SmoothStepper:
     activity map is gain(mu) times one dot product per density, and
     each step of its solve is a Newton step on the closed-form slope."""
 
-    __slots__ = ("_model", "_grid", "_shape", "_dx", "_gain")
+    __slots__ = ("_model", "_shape", "_dx", "_gain", "_rate", "_span")
 
     def __init__(self, model, grid):
-        self._model, self._grid = model, grid
+        self._model = model
         self._shape = _saturating_shape(model.x_scale, grid)
         self._dx = grid.dx
         self._gain = model.gain
+        # gain'(mu) = (k1 - k0)(lam/mu_scale) exp(-lam*mu/mu_scale), and
+        # G = gain * w with gain(0) = k0, so w = G(0)/k0 and
+        # G'(mu) = span * w * exp(-rate * mu)
+        self._rate = model.lam / model.mu_scale
+        self._span = (model.k1 - model.k0) * self._rate
+
+    def _weight(self, values):
+        # the age integral of G = gain(mu) * weight; the cell sum does
+        # not enter the separable map
+        return float(np.dot(self._shape, values)) * self._dx
+
+    def roots(self, values, total=None):
+        # gain is concave, so G(mu) - mu has at most one root
+        gain, k1 = self._gain, self._model.k1
+        weight = self._weight(values)
+        if gain(k1) * weight > k1:
+            return []
+        a, b = _roots.bisect(lambda mu: gain(mu) * weight - mu, 0.0, k1,
+                             gain(0.0) * weight)
+        return [0.5 * (a + b)]
 
     def solve(self, values, total=None, warm=None, tol=1e-12, max_iter=200):
-        # the cell sum does not enter the separable map
-        model = self._model
         gain = self._gain
-        k1 = model.k1
-        weight = float(np.dot(self._shape, values)) * self._dx
+        k1 = self._model.k1
+        weight = self._weight(values)
         g0 = gain(0.0) * weight
-        scale, rate = model._slope_scale(g0)
+        rate = self._rate
+        scale = self._span * (g0 / self._model.k0)
         mu = min(max(g0 if warm is None else float(warm), 0.0), k1)
         for it in range(1, max_iter + 1):
             target = gain(mu) * weight
@@ -260,11 +258,11 @@ class _SmoothStepper:
             mu = min(max(target, 0.0), k1)
             if settled:
                 return mu, it, "fixed-point"
-        return _stalled(model, self._grid, values, total, max_iter)
+        return _stalled(self.roots(values), k1, max_iter)
 
     def survive(self, values, mu, out):
-        # exp(-(gain * shape) * dx) in out, as survival computes it,
-        # then times values
+        # exp(-(gain * shape) * dx) in out, bit for bit the rate
+        # expression (negation is exact), then times values
         _check_mu(mu)
         np.multiply(self._shape, self._gain(mu), out=out)
         out *= -self._dx
@@ -274,10 +272,11 @@ class _SmoothStepper:
 
 class _StepStepper:
     """StepRate on one grid: the cells its prefix sums cover, the
-    threshold map, the midpoints up to them and exp(-dx) are bound.  The activity
-    map is a staircase over threshold cells, so its solve is the
-    fixed-point iteration; survive reuses the cell that the last solve
-    settled in."""
+    threshold map, the midpoints up to them and exp(-dx) are bound.  The
+    activity map is a staircase over threshold cells: while the
+    threshold falls in cell j it takes the plateau mass - heads[j-1]*dx,
+    the mass past cell j.  Its solve is the fixed-point iteration, and
+    survive reuses the cell that the last solve settled in."""
 
     __slots__ = ("_model", "_grid", "_threshold", "_mids", "_reach", "_dx",
                  "_decay", "_mu", "_idx")
@@ -293,17 +292,29 @@ class _StepStepper:
         self._decay = None              # exp(-dx), on the first survive
         self._mu = self._idx = None     # the last settled mu and its cell
 
-    def solve(self, values, total=None, warm=None, tol=1e-12, max_iter=200):
+    def _plateaus(self, values, total):
+        # The mass (the cell sum times dx) and heads, the sequential
+        # prefix sums (cumsum's ufunc, without its dispatch).  The two
+        # sums round differently, so a tail with no mass can come out a
+        # hair below zero; every reader clamps it there.
         if total is None:
             total = cell_sum(values)
+        return total * self._dx, np.add.accumulate(values[:self._reach])
+
+    def roots(self, values, total=None):
+        # plateau j is a root exactly when its own threshold falls in
+        # cell j too, so j never passes the cells that heads covers
+        threshold, mids = self._threshold, self._mids
+        mass, heads = self._plateaus(values, total)
+        tails = [mass] + np.maximum(mass - heads * self._dx, 0.0).tolist()
+        return sorted(tail for j, tail in enumerate(tails)
+                      if bisect.bisect_right(mids, threshold(tail)) == j)
+
+    def solve(self, values, total=None, warm=None, tol=1e-12, max_iter=200):
         threshold, mids, dx = self._threshold, self._mids, self._dx
         cell_of = bisect.bisect_right
         k1 = self._model.k1
-        mass = total * dx
-        # the sequential prefix sums (cumsum's ufunc, without its
-        # dispatch): the tail past cell j is the mass less
-        # heads[j-1]*dx, clamped at zero where the two sums round apart
-        heads = np.add.accumulate(values[:self._reach])
+        mass, heads = self._plateaus(values, total)
         mu = warm
         if warm is None:
             idx = cell_of(mids, threshold(0.0))
@@ -316,11 +327,12 @@ class _StepStepper:
                 self._mu, self._idx = mu, idx
                 return mu, it, "fixed-point"
             mu = min(max(target, 0.0), k1)
-        return _stalled(self._model, self._grid, values, total, max_iter)
+        return _stalled(self.roots(values, total), k1, max_iter)
 
     def survive(self, values, mu, out):
         # cells below the threshold cell keep their value (a factor of
-        # 1), the rest decay by exp(-dx): values * survival bit for bit
+        # 1), the rest decay by exp(-dx): values * exp(-rate * dx) bit
+        # for bit
         _check_mu(mu)
         if mu == self._mu:
             idx = self._idx
@@ -364,22 +376,6 @@ class ConstantRate:
     def edge_cumulative(self, grid, mu, out):
         _check_mu(mu)
         return np.multiply(grid.edges[1:], self.k0, out=out)
-
-    def survival(self, grid, mu):
-        _check_mu(mu)
-        return _constant_survival(self.k0, grid)
-
-    def activity_map(self, grid, values, total=None):
-        if total is None:
-            total = cell_sum(values)
-        mass = self.k0 * total * grid.dx
-        return lambda mu: mass
-
-    def activity_slope(self, G):
-        return None     # the map is a constant
-
-    def activity_roots(self, grid, values, total=None):
-        return [self.activity_map(grid, values, total)(0.0)]
 
     def stepper(self, grid):
         return _ConstantStepper(self, grid)
@@ -434,42 +430,6 @@ class SmoothSaturatingRate:
         _check_mu(mu)
         return np.multiply(_edge_age_integral(self.x_scale, grid),
                            self.gain(mu), out=out)
-
-    def survival(self, grid, mu):
-        _check_mu(mu)
-        # in place, bit for bit np.exp(-(gain * shape) * dx): negation
-        # is exact
-        out = _saturating_shape(self.x_scale, grid) * self.gain(mu)
-        out *= -grid.dx
-        return np.exp(out, out=out)
-
-    def activity_map(self, grid, values, total=None):
-        # separable: one dot product per density, then O(1) per mu; the
-        # cell sum does not enter
-        shape = _saturating_shape(self.x_scale, grid)
-        weight = float(np.dot(shape, values)) * grid.dx
-        return lambda mu: self.gain(mu) * weight
-
-    def _slope_scale(self, g0):
-        # G = gain * w with gain(0) = k0, so w = G(0)/k0, and
-        # G'(mu) = scale * exp(-rate * mu) with
-        # gain'(mu) = (k1 - k0)(lam/mu_scale) exp(-lam*mu/mu_scale)
-        rate = self.lam / self.mu_scale
-        return (self.k1 - self.k0) * rate * (g0 / self.k0), rate
-
-    def activity_slope(self, G):
-        scale, rate = self._slope_scale(G(0.0))
-        if scale == 0.0:
-            return None     # uncoupled or a flat gain: G is a constant
-        return lambda mu: scale * math.exp(-rate * mu)
-
-    def activity_roots(self, grid, values, total=None):
-        # gain is concave, so G(mu) - mu has at most one root
-        G = self.activity_map(grid, values)
-        if G(self.k1) > self.k1:
-            return []
-        a, b = _roots.bisect(lambda mu: G(mu) - mu, 0.0, self.k1, G(0.0))
-        return [0.5 * (a + b)]
 
     def stepper(self, grid):
         return _SmoothStepper(self, grid)
@@ -559,12 +519,6 @@ class StepRate:
         np.subtract(grid.edges[1:], self.threshold(mu), out=out)
         return np.maximum(0.0, out, out=out)
 
-    def survival(self, grid, mu):
-        # one cached, read-only profile per threshold cell
-        _check_mu(mu)
-        idx = grid.midpoints.searchsorted(self.threshold(mu), side="right")
-        return _step_survival(grid, int(idx))
-
     def _reach(self, grid):
         # The cells that the prefix sums must cover.  The built-in sigma
         # is nonincreasing, so no threshold passes threshold(0) and the
@@ -574,49 +528,6 @@ class StepRate:
             return grid.n_cells
         return int(grid.midpoints.searchsorted(self.threshold(0.0),
                                                side="right"))
-
-    def _heads(self, grid, values, total):
-        # The mass (total, one pairwise sum, times dx) and heads, the
-        # sequential prefix sums: the tail mass past cell j is the mass
-        # less heads[j-1]*dx.  The two sums round differently, so a tail
-        # with no mass can come out a hair below zero; every reader
-        # clamps it there.
-        if total is None:
-            total = cell_sum(values)
-        return total * grid.dx, values[:self._reach(grid)].cumsum()
-
-    def _tails(self, grid, values, total=None):
-        # every plateau of activity_map at once: entry j is G(mu) while
-        # the threshold falls in cell j, bit for bit
-        mass, heads = self._heads(grid, values, total)
-        return np.maximum(mass - np.concatenate(([0.0], heads)) * grid.dx,
-                          0.0)
-
-    def activity_map(self, grid, values, total=None):
-        # cells past the threshold fire at rate 1: an exact tail sum,
-        # O(1) per mu >= 0
-        mids = grid.midpoints
-        dx = grid.dx
-        threshold = self.threshold
-        mass, heads = self._heads(grid, values, total)
-
-        def G(mu):
-            idx = mids.searchsorted(threshold(mu), side="right")
-            return max(mass - heads[idx - 1] * dx, 0.0) if idx else mass
-        return G
-
-    def activity_slope(self, G):
-        return None     # a staircase: flat between its jumps
-
-    def activity_roots(self, grid, values, total=None):
-        # G is a staircase: while the threshold falls in cell j it takes
-        # the value tails[j], which is a root exactly when its own
-        # threshold falls in cell j too, so j never passes the cells
-        # that tails covers
-        tails = self._tails(grid, values, total)
-        thresholds = [self.threshold(g) for g in tails.tolist()]
-        cells = np.searchsorted(grid.midpoints, thresholds, side="right")
-        return sorted(tails[cells == np.arange(tails.size)].tolist())
 
     def stepper(self, grid):
         return _StepStepper(self, grid)

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
-from agenet import firing_rate
+from agenet import _roots, firing_rate
 from agenet import (AgeGrid, AmbiguousActivityError, ConstantRate,
                     DegenerateInputError, DischargeHistory,
                     InvariantViolationError, ModelInconsistencyError,
@@ -102,8 +102,7 @@ def test_smooth_activity_solve_equals_brentq(seed, k0, spread, lam, mu_scale,
     f /= f.sum() * grid.dx
     model = SmoothSaturatingRate(k0=k0, k1=k0 + spread, lam=lam,
                                  mu_scale=mu_scale, x_scale=x_scale)
-    G = model.activity_map(grid, f)
-    slope = model.activity_slope(G)
+    G, slope, _ = _activity_map(model, grid, f, None)
     if slope is not None:
         for mu in rng.uniform(0.0, model.k1, 5):
             h = 1e-5 * max(1.0, mu)
@@ -168,16 +167,84 @@ def test_stalled_solve_reports_two_roots_inside_one_activity_cell():
         [0.388291084345, 0.389068443618], abs=1e-12)
 
 
+@pytest.mark.parametrize("model", [
+    ConstantRate(k0=1.0),
+    StepRate(sigma_plus=0.5, sigma_minus=0.25, lam=0.3),
+    SmoothSaturatingRate(k0=0.5, k1=2.0, lam=0.6)],
+    ids=["constant", "step", "smooth"])
+def test_nan_warm_start_is_refused(model):
+    # NaN passes every clamp unchanged: unchecked, the step solve would
+    # index past its prefix sums and the smooth one would run out its
+    # iterations into a "scan"
+    grid = AgeGrid(dx=0.01, n_cells=400)
+    f = preset_density(grid, "uniform01").values
+    with pytest.raises(ValueError, match="warm_start"):
+        solve_activity_implicit(model, grid, f, warm_start=math.nan)
+    # an infinite warm start is clamped to k1
+    sol = solve_activity_implicit(model, grid, f, warm_start=math.inf)
+    assert sol.method == "fixed-point"
+    assert 0.0 <= sol.m <= model.k1
+
+
 # ---------------------------------------------------------------------------
 # bound steppers
 
+def _activity_map(model, grid, values, total):
+    """The activity map G(mu) = int k(x, lam*mu) f dx on the midpoint
+    mesh, its slope and the list of its fixed points, each family's
+    closed form written out here, in the arithmetic that the family's
+    solve had before its stepper held the map."""
+    dx, mids = grid.dx, grid.midpoints
+    if total is None:
+        total = cell_sum(values)
+    if isinstance(model, ConstantRate):
+        mass = model.k0 * total * dx
+        return (lambda mu: mass), None, lambda: [mass]
+    if isinstance(model, StepRate):
+        # the mass past the threshold cell, a full-mesh prefix sum off
+        # the cell sum, clamped at zero where the two sums round apart
+        mass, heads = total * dx, np.cumsum(values)
+
+        def G(mu):
+            idx = mids.searchsorted(model.threshold(mu), side="right")
+            return max(mass - heads[idx - 1] * dx, 0.0) if idx else mass
+
+        def roots():
+            # plateau j is a root when its own threshold falls in cell j
+            tails = [mass] + np.maximum(mass - heads * dx, 0.0).tolist()
+            return sorted(t for j, t in enumerate(tails)
+                          if mids.searchsorted(model.threshold(t),
+                                               side="right") == j)
+        return G, None, roots
+    # the smooth family: gain(mu) times the age shape's dot product
+    k0, k1, rate = model.k0, model.k1, model.lam / model.mu_scale
+    weight = float(np.dot(-np.expm1(-mids / model.x_scale), values)) * dx
+
+    def G(mu):
+        gain = k0 - (k1 - k0) * math.expm1(-(model.lam * mu)
+                                           / model.mu_scale)
+        return gain * weight
+
+    # G'(mu) = (k1 - k0) rate exp(-rate mu) w, with w = G(0)/k0
+    scale = (k1 - k0) * rate * (G(0.0) / k0)
+    slope = None if scale == 0.0 else (
+        lambda mu: scale * math.exp(-rate * mu))
+
+    def roots():
+        # gain is concave: at most one root, bisected on [0, k1]
+        if G(k1) > k1:
+            return []
+        a, b = _roots.bisect(lambda mu: G(mu) - mu, 0.0, k1, G(0.0))
+        return [0.5 * (a + b)]
+    return G, slope, roots
+
+
 def _generic_solve(model, grid, values, tol=1e-12, max_iter=200,
                    warm_start=None, total=None):
-    # the one loop over activity_map, activity_slope and activity_roots
-    # that solved every family's activity before each family bound its
-    # own stepper, kept frozen as the steppers' oracle
-    G = model.activity_map(grid, values, total)
-    slope = model.activity_slope(G)
+    # the one loop over the activity map, its slope and its roots that
+    # solved every family's activity before each family bound its own
+    # stepper, kept frozen as the steppers' oracle
+    G, slope, roots = _activity_map(model, grid, values, total)
     k1 = model.k1
 
     mu = G(0.0) if warm_start is None else float(warm_start)
@@ -194,7 +261,7 @@ def _generic_solve(model, grid, values, tol=1e-12, max_iter=200,
         if settled:
             return mu, it, "fixed-point"
 
-    roots = model.activity_roots(grid, values, total)
+    roots = roots()
     if not roots:
         raise ModelInconsistencyError("no root")
     if len(roots) > 1:
@@ -290,11 +357,12 @@ def test_steppers_match_the_generic_solve_and_survival(
                                          warm_start, total)
         assert (public.m, public.iterations, public.method) == expected
 
-    # survive writes values * survival bit for bit, into a view one
+    # survive writes values * exp(-k dx) bit for bit, into a view one
     # cell into a longer buffer as run() hands it over
     buffer = np.full(n_cells + 1, np.nan)
     for activity in mus:
-        expected = np.multiply(values, model.survival(grid, activity))
+        expected = np.multiply(values, np.exp(
+            -model.rate(grid.midpoints, activity) * grid.dx))
         for bound in (stepper, model.stepper(grid)):
             written = bound.survive(values, activity, buffer[1:])
             assert written.tobytes() == expected.tobytes()
@@ -530,8 +598,8 @@ def test_run_hands_the_stepper_the_exact_cell_sum(family):
 def test_run_steps_on_survival_factors_not_rates(kernel, monkeypatch):
     # the step loop has the family's bound stepper write its survivors
     # once per step, and asks the family itself for nothing per step:
-    # no rates, no survival factors, no new stepper
-    owners = {"rate": StepRate, "survival": StepRate, "stepper": StepRate,
+    # no rates, no new stepper
+    owners = {"rate": StepRate, "stepper": StepRate,
               "survive": firing_rate._StepStepper}
     calls = dict.fromkeys(owners, 0)
 
@@ -556,7 +624,7 @@ def test_run_steps_on_survival_factors_not_rates(kernel, monkeypatch):
 
     short, long = calls_over(0.5), calls_over(1.0)
     assert short["survive"] == 50 and long["survive"] == 100
-    for name in ("rate", "survival", "stepper"):
+    for name in ("rate", "stepper"):
         assert long[name] == short[name]
 
 
@@ -667,9 +735,14 @@ def test_outflow_past_the_horizon_passes_the_discharge_check(kernel):
 
 def test_discharge_check_catches_a_rate_above_k1():
     class Overfiring(ConstantRate):
-        # fires at 2 k0 while its k1 claims k0
-        def survival(self, grid, mu):
-            return super().survival(grid, mu) ** 2
+        # fires at 2 k0 while its k1 claims k0: its survivors decay
+        # twice per step
+        def stepper(self, grid):
+            bound = super().stepper(grid)
+
+            def survive(values, mu, out):
+                return bound.survive(bound.survive(values, mu, out), mu, out)
+            return SimpleNamespace(solve=bound.solve, survive=survive)
 
     grid = _grid()
     cfg = SimulationConfig(grid=grid, model=Overfiring(k0=1.0), t_end=1.0)
@@ -781,6 +854,24 @@ def test_stepper_equilibrium_constant_rate():
     geometric = ratio ** np.arange(grid.n_cells)
     geometric /= geometric.sum() * grid.dx
     assert np.max(np.abs(eq.F - geometric)) < 1e-12
+    assert eq.residual_activity < 1e-12
+
+
+@pytest.mark.parametrize("model", [
+    ConstantRate(k0=2.0),
+    StepRate(sigma_plus=0.5, sigma_minus=0.25, lam=0.05),
+    SmoothSaturatingRate(k0=0.5, k1=2.0, lam=0.1)],
+    ids=["constant", "step", "smooth"])
+def test_stepper_equilibrium_steps_on_the_rate_expression(model):
+    # the profile is the normalized running product of the transport
+    # step's factors np.exp(-rate(midpoints, M) * dx), bit for bit
+    grid = _grid(dx=0.01, x_max=6.0)
+    eq = stepper_equilibrium(model, grid)
+    factors = np.exp(-model.rate(grid.midpoints, eq.M) * grid.dx)
+    f = np.empty(grid.n_cells)
+    f[0] = 1.0
+    np.cumprod(factors[:-1], out=f[1:])
+    assert (f / (f.sum() * grid.dx)).tobytes() == eq.F.tobytes()
     assert eq.residual_activity < 1e-12
 
 

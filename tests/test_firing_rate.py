@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize
 
-from agenet import (AgeGrid, ConstantRate, SmoothSaturatingRate, StepRate,
+from agenet import (AgeGrid, AmbiguousActivityError, ConstantRate,
+                    ModelInconsistencyError, SmoothSaturatingRate, StepRate,
                     cell_sum, estimate_xi, half_rate_age, preset_density)
 from agenet import _roots, firing_rate
 from agenet.firing_rate import RegimeEstimate
@@ -360,16 +361,28 @@ def test_cumulative_over_matches_scalar_calls(model):
             assert np.array_equal(fast, slow)
 
 
+def _factors(model, grid, mu):
+    # survive on ones writes the factors themselves, since x * 1.0 = x
+    ones = np.ones(grid.n_cells)
+    return model.stepper(grid).survive(ones, mu, np.empty(grid.n_cells))
+
+
+def _quadrature(model, grid, f, mu):
+    # the activity map by its definition, int k(x, lam*mu) f dx on the
+    # midpoint mesh
+    return float(np.dot(model.rate(grid.midpoints, mu), f)) * grid.dx
+
+
 @pytest.mark.parametrize("model", FAMILIES, ids=FAMILY_IDS)
 def test_survival_equals_the_rate_expression(model):
     # the transport step used np.exp(-rate(midpoints, mu) * dx); the
-    # family's factors must reproduce it bit for bit
+    # stepper's factors must reproduce it bit for bit
     grid = AgeGrid(dx=0.01, n_cells=1000)
     mus = np.concatenate([[0.0], np.random.default_rng(7).uniform(0.0, 3.0,
                                                                    499)])
     for mu in mus:
         expected = np.exp(-model.rate(grid.midpoints, mu) * grid.dx)
-        assert np.array_equal(model.survival(grid, mu), expected)
+        assert _factors(model, grid, mu).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("model", FAMILIES, ids=FAMILY_IDS)
@@ -377,49 +390,133 @@ def test_survival_validates_the_activity(model):
     grid = AgeGrid(dx=0.1, n_cells=20)
     for bad in (-0.1, math.nan, math.inf):
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            model.survival(grid, bad)
+            _factors(model, grid, bad)
     with pytest.raises(ValueError, match="scalar"):
-        model.survival(grid, np.array([0.1, 0.2]))
+        _factors(model, grid, np.array([0.1, 0.2]))
 
 
 @pytest.mark.parametrize("model", FAMILIES, ids=FAMILY_IDS)
 def test_activity_map_matches_generic_quadrature(model):
+    # the stepper's map is the quadrature: every activity its solve
+    # settles on, cold or warm, is a fixed point of the quadrature
     grid = AgeGrid(dx=0.01, n_cells=1000)
     rng = np.random.default_rng(5)
     densities = [preset_density(grid, name).values
                  for name in ("uniform01", "exp2", "spike")]
-    densities.append(rng.uniform(0.0, 0.2, grid.n_cells))
-    for values in densities:
-        G = model.activity_map(grid, values)
-        for mu in np.concatenate([[0.0], rng.uniform(0.0, 3.0, 20)]):
-            ref = float(np.dot(model.rate(grid.midpoints, mu), values)) \
-                * grid.dx
-            assert G(mu) == pytest.approx(ref, rel=1e-13, abs=0.0)
-
-
-@pytest.mark.parametrize("model", FAMILIES, ids=FAMILY_IDS)
-def test_activity_roots_are_fixed_points_of_the_activity_map(model):
-    grid = AgeGrid(dx=0.01, n_cells=1000)
-    rng = np.random.default_rng(6)
-    densities = [preset_density(grid, name).values
-                 for name in ("uniform01", "exp2", "spike")]
-    noise = rng.gamma(2.0, size=grid.n_cells) + 1e-3
+    noise = rng.uniform(0.0, 0.2, grid.n_cells)
     densities.append(noise / (noise.sum() * grid.dx))
+    stepper = model.stepper(grid)
     for values in densities:
-        G = model.activity_map(grid, values)
-        roots = model.activity_roots(grid, values)
-        assert roots == sorted(roots) and len(roots) >= 1
-        for r in roots:
-            assert 0.0 <= r <= model.k1 * (1.0 + 1e-12)
-            if not isinstance(model, SmoothSaturatingRate):
-                assert G(r) == r
-                continue
-            # bisection ends on adjacent floats, so the smooth root is
-            # a fixed point to rounding, and the only one
-            assert G(r) == pytest.approx(r, rel=4e-16, abs=0.0)
-            oracle = optimize.brentq(lambda mu: G(mu) - mu, 0.0, model.k1,
-                                     xtol=1e-15)
-            assert roots == [pytest.approx(oracle, abs=1e-14)]
+        for warm in np.concatenate([[np.nan], rng.uniform(0.0, model.k1,
+                                                          20)]):
+            m, _, method = stepper.solve(
+                values, warm=None if np.isnan(warm) else warm)
+            assert method == "fixed-point"
+            assert abs(_quadrature(model, grid, values, m) - m) <= 2e-12
+
+
+def _jump_sigma(u):
+    # a custom threshold with a jump: the staircase can hold two roots
+    return 0.45 if u < 0.3 else 0.05
+
+
+def _falling_sigma(u):
+    # a custom threshold that falls through cell 0 for large u
+    return 0.6 / (1.0 + 4.0 * u)
+
+
+def _rising_sigma(u):
+    # a threshold that rises: the staircase can hold no root
+    return 0.2 if u < 0.5 else 0.8
+
+
+def _plateau_sigma(levels):
+    # a non-monotone custom threshold map: one level per third of a unit
+    # of effective activity, repeating
+    return lambda u: levels[int(3.0 * u) % len(levels)]
+
+
+def _full_mesh_step_roots(model, grid, f):
+    """Every fixed point of the step map by a scan of every cell: the
+    plateau value past cell j is a root when its threshold lies in j."""
+    csum = np.concatenate(([0.0], np.cumsum(f))) * grid.dx
+    # a mass: the map clamps the rounding below zero of an empty tail
+    tails = np.maximum(cell_sum(f) * grid.dx - csum, 0.0)
+    roots = []
+    for j, g in enumerate(tails.tolist()):
+        if np.searchsorted(grid.midpoints, model.threshold(g),
+                           side="right") == j:
+            roots.append(g)
+    return sorted(roots)
+
+
+# one strategy per family, the step family with and without a custom map
+_DRAWN_FAMILIES = {
+    "constant": st.builds(ConstantRate, k0=st.floats(0.1, 3.0),
+                          lam=st.floats(0.0, 3.0)),
+    "smooth": st.builds(
+        lambda k0, spread, **kw: SmoothSaturatingRate(k0=k0, k1=k0 + spread,
+                                                      **kw),
+        k0=st.floats(0.1, 2.0), spread=st.floats(0.0, 3.0),
+        lam=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+        mu_scale=st.floats(0.2, 5.0), x_scale=st.floats(0.1, 3.0)),
+    "step": st.builds(
+        lambda sigma_minus, spread, **kw: StepRate(
+            sigma_plus=sigma_minus + spread, sigma_minus=sigma_minus, **kw),
+        sigma_minus=st.floats(0.05, 0.45), spread=st.floats(0.01, 0.5),
+        decay=st.floats(0.1, 5.0),
+        lam=st.one_of(st.just(0.0), st.floats(0.1, 316.0))),
+    "step-custom-sigma": st.builds(
+        StepRate, lam=st.floats(0.0, 3.0), sigma_modulus=st.just(3.0),
+        sigma=st.one_of(
+            st.sampled_from([_jump_sigma, _falling_sigma,
+                             _rising_sigma]),
+            st.lists(st.floats(0.05, 0.95), min_size=2,
+                     max_size=4).map(_plateau_sigma))),
+}
+
+
+@pytest.mark.parametrize("family", FAMILY_IDS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1),
+       dx=st.sampled_from([0.2, 0.05, 0.01, 1e-3]),
+       n_cells=st.integers(2, 2000),
+       # an age past which the density vanishes, so the mass past a
+       # threshold can be anything from all to none
+       support=st.floats(0.0, 1.0),
+       # three units of mass can lift the smooth G(k1) above k1
+       mass=st.floats(0.5, 3.0))
+def test_activity_roots_are_fixed_points_of_the_activity_map(
+        family, data, seed, dx, n_cells, support, mass):
+    model = data.draw(_DRAWN_FAMILIES[family], label="model")
+    grid = AgeGrid(dx=dx, n_cells=n_cells)
+    rng = np.random.default_rng(seed)
+    cells = max(1, int(support * n_cells))
+    f = np.zeros(n_cells)
+    f[:cells] = rng.gamma(2.0, size=cells)
+    f[0] += 1e-3
+    f *= mass / (f.sum() * dx)
+    stepper = model.stepper(grid)
+    roots = stepper.roots(f)
+    # a caller that holds the cell sum passes it; the list must not care
+    assert stepper.roots(f, cell_sum(f)) == roots
+    assert roots == sorted(roots)
+    for r in roots:
+        assert 0.0 <= r <= model.k1 * mass * (1.0 + 1e-12)
+        assert abs(_quadrature(model, grid, f, r) - r) <= 1e-12
+    if family == "constant":
+        assert roots == [model.k0 * cell_sum(f) * dx]
+    elif family == "smooth":
+        # gain is concave: one root in [0, k1] unless G(k1) > k1
+        if _quadrature(model, grid, f, model.k1) > model.k1:
+            assert roots == []
+        else:
+            oracle = optimize.brentq(
+                lambda mu: _quadrature(model, grid, f, mu) - mu, 0.0,
+                model.k1, xtol=1e-15)
+            assert roots == [pytest.approx(oracle, abs=1e-12)]
+    else:
+        assert roots == _full_mesh_step_roots(model, grid, f)
 
 
 def test_smooth_activity_roots_leave_out_a_root_above_k1():
@@ -427,8 +524,8 @@ def test_smooth_activity_roots_leave_out_a_root_above_k1():
     grid = AgeGrid(dx=0.01, n_cells=200)
     values = 3.0 * preset_density(grid, "uniform01").values
     model = SmoothSaturatingRate(k0=1.0, k1=1.0)
-    assert model.activity_map(grid, values)(1.0) > 1.0
-    assert model.activity_roots(grid, values) == []
+    assert _quadrature(model, grid, values, 1.0) > 1.0
+    assert model.stepper(grid).roots(values) == []
 
 
 def _step_discrete_roots(model, grid, f):
@@ -463,6 +560,12 @@ def _step_discrete_roots(model, grid, f):
     return roots
 
 
+def _tail(model, grid, f, mu):
+    # the mass past the threshold cell, summed on its own
+    idx = np.searchsorted(grid.midpoints, model.threshold(mu), side="right")
+    return float(f[idx:].sum()) * grid.dx
+
+
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1),
        dx=st.sampled_from([0.02, 0.01, 1e-3]),
@@ -480,16 +583,11 @@ def test_step_activity_roots_match_the_threshold_inversion(
     f /= f.sum() * dx
     model = StepRate(sigma_plus=sigma_minus + spread,
                      sigma_minus=sigma_minus, lam=lam, decay=decay)
-    roots = model.activity_roots(grid, f)
+    roots = model.stepper(grid).roots(f)
     assert roots == _step_discrete_roots(model, grid, f)
-    G = model.activity_map(grid, f)
-    assert all(G(r) == r for r in roots)
-
-
-def _plateau_sigma(levels):
-    # a non-monotone custom threshold map: one level per third of a unit
-    # of effective activity, repeating
-    return lambda u: levels[int(3.0 * u) % len(levels)]
+    for r in roots:
+        assert r == pytest.approx(_tail(model, grid, f, r), rel=1e-13,
+                                  abs=1e-15)
 
 
 @settings(max_examples=150, deadline=None)
@@ -505,6 +603,8 @@ def _plateau_sigma(levels):
                                             min_size=2, max_size=4)))
 def test_step_activity_map_equals_an_independent_tail_sum(
         seed, dx, x_max, sigma_minus, spread, decay, lam, levels):
+    # the stepper's staircase, read where its solve and its roots land:
+    # each is the mass past its own threshold cell, summed on its own
     grid = AgeGrid(dx=dx, n_cells=int(round(x_max / dx)))
     rng = np.random.default_rng(seed)
     f = (rng.gamma(2.0, size=grid.n_cells) + 1e-3) \
@@ -514,18 +614,24 @@ def test_step_activity_map_equals_an_independent_tail_sum(
     model = StepRate(sigma_plus=sigma_minus + spread,
                      sigma_minus=sigma_minus, lam=lam, decay=decay,
                      sigma=sigma, sigma_modulus=None if sigma is None else 1.0)
-    G = model.activity_map(grid, f)
-    # a caller that holds the cell sum passes it; the map must not care
-    G_given = model.activity_map(grid, f, cell_sum(f))
-    # activity_roots reads these plateaus
-    tails = model._tails(grid, f)
-    # mu = 0 puts the built-in threshold at its highest cell
-    for mu in np.concatenate([[0.0], rng.uniform(0.0, 3.0, 30)]):
-        idx = np.searchsorted(grid.midpoints, model.threshold(mu),
-                              side="right")
-        tail = float(f[idx:].sum()) * dx
-        assert G(mu) == pytest.approx(tail, rel=1e-13, abs=0.0)
-        assert G(mu) == G_given(mu) == tails[idx]
+    stepper = model.stepper(grid)
+    roots = stepper.roots(f)
+    for r in roots:
+        assert r == pytest.approx(_tail(model, grid, f, r), rel=1e-13,
+                                  abs=1e-15)
+    # warm starts from rest and across [0, 3]
+    for warm in np.concatenate([[0.0], rng.uniform(0.0, 3.0, 10)]):
+        try:
+            m, _, method = stepper.solve(f, cell_sum(f), warm)
+        except AmbiguousActivityError as exc:
+            assert exc.roots == roots and len(roots) > 1
+            continue
+        except ModelInconsistencyError:
+            assert roots == []
+            continue
+        if method == "scan":
+            assert [m] == roots
+        assert abs(_tail(model, grid, f, m) - m) <= 1e-12 + 1e-14
 
 
 @settings(max_examples=300, deadline=None)
@@ -540,20 +646,6 @@ def test_builtin_threshold_never_passes_its_value_at_rest(
     model = StepRate(sigma_plus=sigma_minus + spread,
                      sigma_minus=sigma_minus, lam=lam, decay=decay)
     assert model.threshold(mu) <= model.threshold(0.0)
-
-
-def _full_mesh_step_roots(model, grid, f):
-    """Every fixed point of the step map by a scan of every cell: the
-    plateau value past cell j is a root when its threshold lies in j."""
-    csum = np.concatenate(([0.0], np.cumsum(f))) * grid.dx
-    # a mass: the map clamps the rounding below zero of an empty tail
-    tails = np.maximum(cell_sum(f) * grid.dx - csum, 0.0)
-    roots = []
-    for j, g in enumerate(tails.tolist()):
-        if np.searchsorted(grid.midpoints, model.threshold(g),
-                           side="right") == j:
-            roots.append(g)
-    return sorted(roots)
 
 
 # at lam = 0.3 the exp2 map has two roots one activity cell apart
@@ -572,30 +664,10 @@ def test_step_activity_roots_equal_a_full_mesh_scan(lam):
     densities.append(short / (short.sum() * grid.dx))
     for f in densities:
         model = StepRate(sigma_plus=0.5, sigma_minus=0.25, lam=lam)
-        roots = model.activity_roots(grid, f)
+        roots = model.stepper(grid).roots(f)
         assert roots == _full_mesh_step_roots(model, grid, f)
         assert roots and roots[0] >= 0.0
     assert 0.0 in roots
-
-
-@pytest.mark.parametrize("model", [FAMILIES[0], FAMILIES[2], FAMILIES[3]],
-                         ids=["constant", "step", "step-custom-sigma"])
-def test_cached_survival_profiles_are_read_only(model):
-    grid = AgeGrid(dx=0.01, n_cells=300)
-    first = model.survival(grid, 0.4)
-    with pytest.raises(ValueError, match="read-only"):
-        first[0] = 0.5
-    if isinstance(model, StepRate):
-        # a second activity with its threshold in the same cell
-        cell = np.searchsorted(grid.midpoints, model.threshold(0.4),
-                               side="right")
-        mu = 0.4 + 1e-9
-        assert np.searchsorted(grid.midpoints, model.threshold(mu),
-                               side="right") == cell
-    else:
-        mu = 2.0
-    assert model.survival(grid, mu) is first
-    assert model.survival(grid, 0.4) is first
 
 
 @pytest.mark.parametrize("model", FAMILIES, ids=FAMILY_IDS)
@@ -679,7 +751,7 @@ def test_cumulative_properties(model, xs, mus):
        mus=st.lists(st.floats(0.0, 10.0), min_size=2, max_size=8))
 def test_survival_properties(model, dx, n_cells, mus):
     grid = AgeGrid(dx=dx, n_cells=n_cells)
-    factors = np.array([model.survival(grid, mu) for mu in sorted(mus)])
+    factors = np.array([_factors(model, grid, mu) for mu in sorted(mus)])
     assert np.all(factors > 0.0) and np.all(factors <= 1.0)
     # rates rise with age and with activity, so the factors fall
     assert np.all(np.diff(factors, axis=1) <= 0.0)

@@ -8,7 +8,8 @@ must not exist yet.  The configs, defined below, cover the three rate
 families, the Dirac, exponential and gamma kernels, and the three
 initial presets, on 1000 cells.  Each runs `simulate` then `decay-fit`
 on its trace, `steady-state`, `spectrum` and `sweep`; `--print-defaults`
-runs once.  Every command runs in a fresh interpreter with OUT as its
+and `accept` (the acceptance suite, with its per-criterion CSV) run
+once.  Every command runs in a fresh interpreter with OUT as its
 working directory and relative paths, so the printed file names do not
 depend on OUT, and the checkout's own path is written as SRC in stderr
 (warnings name the module they come from).  For each command, OUT holds
@@ -89,7 +90,8 @@ def main(argv=None):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=False)
 
-    jobs = [("defaults", "print-defaults", ["--print-defaults"])]
+    jobs = [("defaults", "print-defaults", ["--print-defaults"]),
+            ("suite", "accept", ["accept", "--out", "suite.accept.csv"])]
     for name, model, kernel, preset in CONFIGS:
         config = {"grid": GRID, "model": MODELS[model],
                   "kernel": KERNELS[kernel], "run": {**RUN, "f0": preset},

@@ -14,11 +14,10 @@ the end, after one untimed run of a tenth as many steps; a step's cost
 is the run's wall time over its steps, so run()'s one-off set-up is
 spread over them.  The kernel cost is the median of single calls of
 `evolution._advance`, the transport alone, on that density at its
-activity, with the family's survival factors as run() takes them: from
-the family's bound stepper, or on trees before it, from one `survival`
-call inside the timed call.  The solve cost is the median of single cold
+activity, with the family's bound stepper as run() passes it (trees
+before the bound stepper are not supported).  The solve cost is the median of single cold
 `solve_activity_implicit` calls on the same density, called as a public
-caller calls it (the map sums the density itself).  The families take
+caller calls it (the stepper sums the density itself).  The families take
 turns, so a drift in host speed within a round reaches all of them
 alike.  Prints one JSON object: per SRC, the median over the rounds and
 the per-round figures; each run's last activity and discharge, which
@@ -40,7 +39,7 @@ from pathlib import Path
 DX, CELLS = 1e-3, 10_000
 
 CHILD = r"""
-import inspect, json, statistics, sys
+import json, statistics, sys
 from time import perf_counter
 sys.path.insert(0, sys.argv[1])
 import numpy as np
@@ -77,23 +76,17 @@ for fam, model in families.items():
         last[fam][ker] = [repr(float(trace.m_series[-1])),
                           repr(float(trace.p_series[-1]))]
 
-# _advance(values, total, stepper, out, t, m); trees before the bound
-# stepper take the survival factors in the stepper's place, and trees
-# before the one-sum kernel also take dx, after out
-takes_dx = "dx" in inspect.signature(evolution._advance).parameters
+# _advance(values, total, stepper, out, t, m)
 total = float(f0.values[0]) + float(f0.values[1:].sum())   # cell sum
 out = np.empty(cells + 1)
 advance_us, solve_us = {}, {}
 for fam, model in families.items():
     m = agenet.solve_activity_implicit(model, grid, f0.values).m
-    tail = (dx, 0.0, m) if takes_dx else (0.0, m)
-    stepper = model.stepper(grid) if hasattr(model, "stepper") else None
+    stepper = model.stepper(grid)
     calls = []
     for _ in range(ADVANCE_CALLS):
         t = perf_counter()
-        # the survival factors are taken per step, as run() takes them
-        factors = model.survival(grid, m) if stepper is None else stepper
-        evolution._advance(f0.values, total, factors, out, *tail)
+        evolution._advance(f0.values, total, stepper, out, 0.0, m)
         calls.append(perf_counter() - t)
     advance_us[fam] = statistics.median(calls) * 1e6
 for fam, model in families.items():
