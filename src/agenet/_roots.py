@@ -13,10 +13,6 @@ the signs down that tree, so a function that costs about the same on
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
-
 _HALVINGS = 200     # the ends of an O(1) bracket meet after about 60
 _DEPTH = 4          # halvings per batched call: of depths 2 to 6, 3 and 4
                     # timed fastest in tools/xi_cost.py
@@ -75,33 +71,3 @@ def _midpoints(a, b, depth):
 def bisect(f, a, b, fa, width=0.0):
     """walk with a scalar f, one evaluation per halving."""
     return walk(lambda xs: [f(xs[0])], a, b, fa, width, depth=1)
-
-
-def scan(f, lo, hi, n, tol, error, width=0.0):
-    """Every root of f on [lo, hi] found on a uniform mesh of n points.
-
-    A mesh point where f is exactly zero is a root.  Each cell whose
-    ends differ in sign is bisected to the given width, and the
-    midpoint is kept when |f| there is at most tol, so a sign change
-    across a jump of f is dropped.  hi is a root too when |f(hi)| <= tol
-    and no root lies within one cell below it, since rounding can hide
-    the sign change of a root sitting on the bracket's end.  Raises
-    `error` if f is not finite at a mesh point.
-    """
-    xs = np.linspace(lo, hi, n).tolist()
-    fs = [f(x) for x in xs]
-    if not all(map(math.isfinite, fs)):
-        raise error
-    roots = []
-    for a, b, fa, fb in zip(xs, xs[1:], fs, fs[1:]):
-        if fa == 0.0:
-            roots.append(a)
-        elif fa * fb < 0.0:
-            a, b = bisect(f, a, b, fa, width)
-            root = 0.5 * (a + b)
-            if abs(f(root)) <= tol:
-                roots.append(root)
-    if abs(fs[-1]) <= tol and (not roots
-                               or hi - roots[-1] > (hi - lo) / (n - 1)):
-        roots.append(xs[-1])
-    return roots

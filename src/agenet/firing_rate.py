@@ -13,7 +13,10 @@ Each family computes its own closed forms behind one protocol: rate,
 cumulative K(x, mu) = int_0^x k, cumulative_over (K at one age for an
 array of activities), edge_cumulative (K on a grid's edges past 0,
 written into a caller's buffer: the stationary solve's fast path),
-lipschitz_known (whether estimate_xi can trust xi) and stepper.
+lipschitz_known (whether estimate_xi can trust xi) and stepper.  The
+private _rate_at(x) binds one age x and returns mu -> rate(x, mu), bit
+for bit, without the domain checks: the stationary solve's horizon
+rate.
 
 stepper(grid) binds a family's per-grid constants once and holds the
 one copy of its activity map G(mu) = int k(x, lam*mu) f dx on the
@@ -365,6 +368,10 @@ class ConstantRate:
         out = np.full(np.shape(x), self.k0)
         return _match_shape(x, out if out.ndim else self.k0)
 
+    def _rate_at(self, x):
+        k0 = float(self.k0)
+        return lambda mu: k0
+
     def cumulative(self, x, mu):
         _check_domain(x, mu)
         return _match_shape(x, self.k0 * np.asarray(x, dtype=float))
@@ -412,6 +419,12 @@ class SmoothSaturatingRate:
         xs = np.asarray(x, dtype=float)
         out = self.gain(mu) * (-np.expm1(-xs / self.x_scale))
         return _match_shape(x, out)
+
+    def _rate_at(self, x):
+        # separable: the age factor at x, bound once, times one gain
+        age = float(-np.expm1(-np.asarray(x, dtype=float) / self.x_scale))
+        gain = self.gain
+        return lambda mu: gain(mu) * age
 
     def cumulative(self, x, mu):
         _check_domain(x, mu)
@@ -492,6 +505,10 @@ class StepRate:
         _check_domain(x, mu)
         out = (np.asarray(x, dtype=float) > self.threshold(mu)).astype(float)
         return _match_shape(x, out)
+
+    def _rate_at(self, x):
+        x, threshold = float(x), self.threshold
+        return lambda mu: 1.0 if x > threshold(mu) else 0.0
 
     def cumulative(self, x, mu):
         _check_domain(x, mu)

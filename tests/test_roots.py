@@ -1,4 +1,4 @@
-"""The bisection and mesh-scan helpers behind every scalar root."""
+"""The bisection helpers behind every scalar root."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agenet._roots import bisect, scan, walk
+from agenet._roots import bisect, walk
 
 
 # floats are too dense near 0 for 200 halvings to reach adjacent ones;
@@ -149,31 +149,3 @@ def test_walk_passes_every_midpoint_of_the_next_halvings_in_order():
         return [x - 0.3 for x in xs]
     assert walk(fs, 0.0, 1.0, -1.0, width=0.2, depth=2) == (0.25, 0.375)
     assert seen == [[0.25, 0.5, 0.75], [0.3125, 0.375, 0.4375]]
-
-
-def test_scan_keeps_continuous_roots_and_drops_jumps():
-    def f(x):
-        # a root at 0.3, a jump from +0.2 to -0.4 at 0.5, a root at 0.9
-        return x - 0.3 if x < 0.5 else x - 0.9
-    roots = scan(f, 0.0, 1.0, 11, 1e-12, ValueError("not finite"))
-    assert len(roots) == 2
-    assert roots[0] == pytest.approx(0.3, abs=1e-15)
-    assert roots[1] == pytest.approx(0.9, abs=1e-15)
-
-
-def test_scan_mesh_zeros_and_the_upper_end():
-    # exact zeros on mesh points count, the upper end included
-    assert scan(lambda x: x * (x - 0.5), 0.0, 1.0, 5, 1e-12,
-                ValueError()) == [0.0, 0.5]
-    assert scan(lambda x: x - 1.0, 0.0, 1.0, 5, 1e-12, ValueError()) == [1.0]
-    # rounding can hide a root on the upper end: |f(hi)| <= tol keeps it
-    assert scan(lambda x: 1e-14, 0.0, 1.0, 5, 1e-12, ValueError()) == [1.0]
-    assert scan(lambda x: 1e-14, 0.0, 1.0, 5, 1e-15, ValueError()) == []
-
-
-def test_scan_raises_the_callers_error_on_a_non_finite_sample():
-    class Diverged(RuntimeError):
-        pass
-    with pytest.raises(Diverged, match="diverges"):
-        scan(lambda x: 1.0 / x if x else math.inf, 0.0, 1.0, 5, 1e-12,
-             Diverged("diverges"))

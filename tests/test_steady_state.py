@@ -76,20 +76,43 @@ def test_smooth_rate_against_continuum_root():
 
 
 def test_smooth_solve_needs_few_residual_evaluations(monkeypatch):
-    # 201 scan points, then bisection of the one sign change until its
-    # ends are adjacent floats (about 50 halvings), then one check.  At
-    # this coupling the residual never hits an exact zero near M, and
-    # a bisection that ran on after its ends met took 402.
+    # the enclosure search isolates the one root's mesh cell, bisects it
+    # until its ends are adjacent floats (about 50 halvings), certifies
+    # the rest of the bracket mostly from the values it already holds,
+    # and the profile is read once more at the root
     calls = []
-    residual = steady_state._Profile.residual
+    parts = steady_state._Profile.parts
 
     def counted(profile, M):
         calls.append(M)
-        return residual(profile, M)
-    monkeypatch.setattr(steady_state._Profile, "residual", counted)
+        return parts(profile, M)
+    monkeypatch.setattr(steady_state._Profile, "parts", counted)
     model = SmoothSaturatingRate(k0=0.5, k1=2.0, lam=0.5)
     solve_steady_state(model, _grid(dx=1e-3))
-    assert 201 < len(calls) <= 260
+    assert len(calls) <= 90
+
+
+def test_a_diverging_integral_is_found_by_the_one_check_at_lo(monkeypatch):
+    # below about M = 0.51 the step threshold passes the horizon 0.4, so
+    # k(x_max) = 0 and the tail is infinite; I is nonincreasing, so the
+    # first evaluation, at lo, is the only one needed
+    calls = []
+    parts = steady_state._Profile.parts
+
+    def counted(profile, M):
+        calls.append(M)
+        return parts(profile, M)
+    monkeypatch.setattr(steady_state._Profile, "parts", counted)
+    grid = AgeGrid(dx=0.01, n_cells=40)
+    model = StepRate(sigma_plus=0.5, sigma_minus=0.25, lam=1.0)
+    assert model.rate(grid.x_max, 1e-6) == 0.0 < model.rate(grid.x_max, 1.0)
+    with pytest.raises(BracketError, match="diverges"):
+        solve_steady_state(model, grid)
+    assert calls == [1e-6]
+    calls.clear()
+    with pytest.raises(BracketError, match="diverges"):
+        regime_scan(StepRate(sigma_plus=0.5, sigma_minus=0.25), [1.0], grid)
+    assert calls == [1e-6]
 
 
 def test_profile_is_a_probability_density():
@@ -247,23 +270,144 @@ def test_profile_branches(model, fires_everywhere):
     assert np.array_equal(profile.cell_int[idle], grid.dx * E[:-1][idle])
 
 
+def _sign_scan(f, lo, hi, cells, tol):
+    # the plain sign scan of a uniform mesh: a zero on a cell's lower
+    # end is a root, each sign change is bisected and kept when |f| <=
+    # tol at its midpoint, and hi is a root when |f(hi)| <= tol and no
+    # root lies within one cell below it
+    xs = np.linspace(lo, hi, cells + 1).tolist()
+    fs = [f(x) for x in xs]
+    if not all(map(math.isfinite, fs)):
+        raise BracketError("diverges")
+    roots = []
+    for a, b, fa, fb in zip(xs, xs[1:], fs, fs[1:]):
+        if fa == 0.0:
+            roots.append(a)
+        elif fa * fb < 0.0:
+            a, b = _roots.bisect(f, a, b, fa, width=1e-16)
+            if abs(f(0.5 * (a + b))) <= tol:
+                roots.append(0.5 * (a + b))
+    if abs(fs[-1]) <= tol and (not roots
+                               or hi - roots[-1] > (hi - lo) / cells):
+        roots.append(xs[-1])
+    return roots
+
+
+def _listed(model, grid, lo, hi, cells):
+    try:
+        return steady_state._stationary_roots(
+            steady_state._Profile(model, grid), lo, hi, cells, 1e-12)
+    except BracketError:
+        return "diverges"
+
+
 @settings(max_examples=40, deadline=None)
 @given(model=_families(), dx=st.floats(5e-3, 0.2),
        n_cells=st.integers(20, 300))
 def test_stationary_roots_equal_a_scan_of_the_reference(model, dx, n_cells):
+    # every root that a 40-cell sign scan of the reference residual
+    # finds is listed bit for bit; any other listed root is a root too
     grid = AgeGrid(dx=dx, n_cells=n_cells)
     lo, hi = 1e-6, model.k1
 
-    def roots_of(f):
-        try:
-            return _roots.scan(f, lo, hi, 41, 1e-12, BracketError("x"),
-                               width=1e-16)
-        except BracketError:
-            return "diverges"
-    expected = roots_of(lambda M: _reference_residual(model, grid, M))
+    def reference(M):
+        return _reference_residual(model, grid, M)
     try:
-        found = steady_state._stationary_roots(
-            steady_state._Profile(model, grid), lo, hi, 40, 1e-12)
+        expected = _sign_scan(reference, lo, hi, 40, 1e-12)
     except BracketError:
-        found = "diverges"
-    assert found == expected
+        expected = "diverges"
+    found = _listed(model, grid, lo, hi, 40)
+    if expected == "diverges":
+        assert found == "diverges"
+        return
+    assert all(root in found for root in expected)
+    assert all(abs(reference(root)) <= 1e-12 for root in found)
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=_families(), dx=st.floats(5e-3, 0.2),
+       n_cells=st.integers(20, 300))
+def test_every_brentq_root_of_a_fine_mesh_is_listed(model, dx, n_cells):
+    # an independent oracle: brentq on every sign change of the
+    # reference residual over 2000 cells, fifty times finer than the
+    # search's coarsest mesh
+    grid = AgeGrid(dx=dx, n_cells=n_cells)
+    lo, hi = 1e-6, model.k1
+
+    def reference(M):
+        return _reference_residual(model, grid, M)
+    found = _listed(model, grid, lo, hi, 40)
+    xs = np.linspace(lo, hi, 2001)
+    fs = [reference(x) for x in xs]
+    if not math.isfinite(fs[0]):
+        assert found == "diverges"
+        return
+    oracle = [optimize.brentq(reference, a, b, xtol=1e-15)
+              for a, b, fa, fb in zip(xs, xs[1:], fs, fs[1:])
+              if fa * fb < 0.0]
+    oracle += [x for x, f in zip(xs, fs) if f == 0.0]
+    for root in oracle:
+        assert min(abs(root - r) for r in found) <= 1e-12
+
+
+class _Monotone:
+    """A stand-in for _Profile: g(M) = M * I(M) - 1 for a given
+    nonincreasing I, with the profile's arithmetic."""
+
+    def __init__(self, integral):
+        self._integral = integral
+
+    def integral(self, M):
+        return self._integral(M)
+
+    def residual(self, M):
+        return M * self.integral(M) - 1.0
+
+
+def test_enclosure_keeps_continuous_roots_and_drops_jumps():
+    # I falls from 1/0.3 to 1/0.9 at 0.5: a root at 0.3, a jump of g
+    # from +0.67 to -0.44 at 0.5, a root at 0.9
+    profile = _Monotone(lambda M: 1.0 / 0.3 if M < 0.5 else 1.0 / 0.9)
+    roots = steady_state._stationary_roots(profile, 0.0, 1.0, 10, 1e-12)
+    assert len(roots) == 2
+    assert roots[0] == pytest.approx(0.3, abs=1e-15)
+    assert roots[1] == pytest.approx(0.9, abs=1e-15)
+
+
+def test_enclosure_mesh_zeros_and_the_upper_end():
+    # exact zeros on mesh points count, lo included: g is
+    # (M - 0.25)(M - 0.5) / 2, zero at 0.25 and 0.5 in floating point
+    profile = _Monotone(lambda M: (1.0 + 0.5 * (M - 0.25) * (M - 0.5)) / M)
+    assert steady_state._stationary_roots(profile, 0.25, 1.25, 4,
+                                          1e-12) == [0.25, 0.5]
+    # the upper end: g = M - 1
+    assert steady_state._stationary_roots(_Monotone(lambda M: 1.0), 0.0,
+                                          1.0, 4, 1e-12) == [1.0]
+    # rounding can hide a root on the upper end: |g(hi)| <= tol keeps it
+    flat = _Monotone(lambda M: (1.0 + 1e-14) / M)
+    assert steady_state._stationary_roots(flat, 0.25, 1.0, 3,
+                                          1e-12) == [1.0]
+    assert steady_state._stationary_roots(flat, 0.25, 1.0, 3, 1e-15) == []
+
+
+def test_enclosure_raises_bracket_error_on_a_non_finite_sample():
+    profile = _Monotone(lambda M: 1.0 / M if M else math.inf)
+    with pytest.raises(BracketError, match="diverges"):
+        steady_state._stationary_roots(profile, 0.0, 1.0, 4, 1e-12)
+
+
+def test_two_roots_inside_one_mesh_cell_are_both_listed():
+    # g = (M - 0.5)(M - 0.501) is positive at every mesh point of
+    # [0.1, 1] in 10 cells, so a sign scan of the mesh sees no root;
+    # I = (1 + g) / M is nonincreasing on the bracket
+    def integral(M):
+        return (1.0 + (M - 0.5) * (M - 0.501)) / M
+    ms = np.linspace(0.1, 1.0, 10001)
+    assert np.all(np.diff([integral(M) for M in ms]) <= 0.0)
+    profile = _Monotone(integral)
+    assert _sign_scan(profile.residual, 0.1, 1.0, 10, 1e-12) == []
+    roots = steady_state._stationary_roots(profile, 0.1, 1.0, 10, 1e-12)
+    assert len(roots) == 2
+    assert roots[0] == pytest.approx(0.5, abs=1e-12)
+    assert roots[1] == pytest.approx(0.501, abs=1e-12)
+
