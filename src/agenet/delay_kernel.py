@@ -4,6 +4,13 @@ The network activity is the discharge filtered through a kernel b,
 m(t) = int p(t - y) b(dy).  Kernels must carry a finite exponential
 moment int exp(delta*y) b(dy) for some delta > 0; heavy tails are
 rejected at construction.
+
+A run convolves through kernel.history(dt, m0).  The exponential kernel
+and the gamma kernels of integer shape s are a chain of s first-order
+filters, so their history is s running means updated by a recursion,
+O(s^2) per step and no buffer.  The sampled kernel and the gamma
+kernels of other shapes keep a buffer of past discharges as long as
+their weights(dt), and take one dot product per step.
 """
 
 from __future__ import annotations
@@ -18,7 +25,10 @@ from .errors import ConfigError
 
 __all__ = ["DelayKernel", "DischargeHistory"]
 
-_QUANTILE = 1.0 - 1e-6  # the history buffer must cover this much of b
+# weights(dt) cover this much of b.  Only the sampled kernel and the
+# gamma kernels of non-integer shape run on them, with a history buffer
+# as long; the chain of the other kernels has untruncated weights.
+_QUANTILE = 1.0 - 1e-6
 
 
 @dataclasses.dataclass(frozen=True)
@@ -160,6 +170,27 @@ class DelayKernel:
         w[np.argmax(w)] += 1.0 - w.sum()
         return lags, w
 
+    def history(self, dt, m0):
+        """The discharge history of a run on the time mesh dt, started
+        from the constant pre-history m0.  Its activity() is the current
+        m = sum_j w_j p(t - j*dt), with p(t) the newest value pushed,
+        and push(p) records the next discharge.
+
+        The exponential kernel and a gamma kernel of integer shape s
+        give a _ChainHistory: the trapezoid weights j^(s-1) a^j with
+        a = exp(-rate*dt), halved at j = 0 and not truncated, normalized
+        to sum 1, convolved by a recursion in s running sums.  The
+        sampled kernel and a gamma kernel of any other shape convolve
+        weights(dt) with a DischargeHistory."""
+        if self.kind == "dirac":
+            raise ValueError("the Dirac kernel keeps no history")
+        if dt <= 0.0:
+            raise ValueError("dt must be positive")
+        if self.kind != "sampled" and float(self.shape).is_integer():
+            return _ChainHistory(int(self.shape), self.theta * dt, m0)
+        _, w = self.weights(dt)
+        return _WeightedHistory(w, DischargeHistory.constant(m0, w.size, dt))
+
     def discrete_delta_moment(self, dt):
         """Moment of the renormalized mesh weights; should track the
         analytic delta_moment once dt resolves the kernel."""
@@ -211,3 +242,85 @@ class DischargeHistory:
         view = self._ring[self._head:self._head + count]
         view.flags.writeable = False
         return view
+
+
+class _WeightedHistory:
+    """weights(dt) against a DischargeHistory as long: one dot product
+    per activity()."""
+
+    def __init__(self, weights, history):
+        self._weights = weights
+        self._history = history
+
+    def activity(self):
+        return float(self._weights @ self._history.lagged(self._weights.size))
+
+    def push(self, p):
+        self._history.push(p)
+
+
+class _ChainHistory:
+    """The discharge history of a chain of s first-order filters.
+
+    With h_j = p(t - j*dt) (h_0 the newest value pushed) and
+    a = exp(-rate*dt), the chain's activity is
+    m = c (S_{s-1} + h_0/2 [s = 1]) over the running sums
+    S_k = sum_{j >= 1} j^k a^j h_j, k < s, with c the normalization of
+    the weights.  A push shifts every lag by one, and (j + 1)^k expands
+    by the binomial theorem, so S_k <- a (h_0 + sum_{i <= k} C(k, i) S_i)
+    before p becomes h_0.
+
+    The state holds each S_k as a mean, U_k = S_k / L_k, where L_k is
+    the sum a history of ones gives.  Then a push is a convex
+    combination, U_k <- U_k + beta_k (h_0 - U_k)
+    + sum_{i < k} alpha_ki (U_i - U_k), and a constant history stays
+    exactly constant.  The coefficients come from the scaled sums
+    x^(k+1)/k! L_k, x = rate*dt, which stay O(1) where L_k grows like
+    k!/x^(k+1), so no shape overflows.  For s = 1 the chain is the
+    exponential moving average U <- U + (1 - a)(h_0 - U)."""
+
+    def __init__(self, shape, rate_dt, m0):
+        x = rate_dt
+        a = math.exp(-x)
+        q = -math.expm1(-x)             # 1 - a
+        e = [1.0]                       # e[d] = x^d / d!
+        for d in range(1, shape):
+            e.append(e[-1] * x / d)
+        # scaled[k] = x^(k+1)/k! L_k solves
+        # q scaled[k] = a (x e[k] + sum_{i < k} e[k - i] scaled[i])
+        scaled = []
+        for k in range(shape):
+            scaled.append(a * (x * e[k] + sum(
+                e[k - i] * scaled[i] for i in range(k))) / q)
+        if not all(0.0 < v < math.inf for v in scaled[1:]):
+            raise ValueError("kernel weights vanish on this mesh")
+        # row 0 in closed form, so that a = 0 (rate*dt past the float
+        # range) leaves s = 1 its one weight on h_0
+        inflow = [q] + [a * x * e[k] / scaled[k] for k in range(1, shape)]
+        rows = [[a * e[k - i] * scaled[i] / scaled[k] for i in range(k)]
+                for k in range(shape)]
+        self._terms = list(zip(inflow, rows))
+        # the weight of h_0 in m: 1/2 against the sum a/q of the rest
+        self._gain = q / (1.0 + a) if shape == 1 else 0.0
+        self._means = [float(m0)] * shape
+        self._newest = float(m0)
+
+    def activity(self):
+        u = self._means[-1]
+        return u + self._gain * (self._newest - u)
+
+    def push(self, p):
+        h0, old = self._newest, self._means
+        new = []
+        k = 0
+        for beta, row in self._terms:
+            u = old[k]
+            v = u + beta * (h0 - u)
+            i = 0
+            for alpha in row:
+                v += alpha * (old[i] - u)
+                i += 1
+            new.append(v)
+            k += 1
+        self._means = new
+        self._newest = p

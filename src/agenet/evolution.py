@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from . import _roots
-from .delay_kernel import DelayKernel, DischargeHistory
+from .delay_kernel import DelayKernel
 from .errors import (AmbiguousActivityError, DegenerateInputError,
                      InvariantViolationError)
 from .firing_rate import estimate_xi, half_rate_age
@@ -256,9 +256,13 @@ def run(config, f0, steady=None):
     x_max) at most k1, m in [0, k1], and for kappa0 > 0 the uniform
     activity floor once t passes the half-rate age.  The recorded mass
     is a fresh sum of the cells, not the cell sum that the steps carry,
-    which they conserve exactly.  Under a delay kernel m is a mean of
-    past p, so its cap is the largest p pushed instead of k1.  The
-    trace counts the path each activity solve took.
+    which they conserve exactly.  Under a delay kernel m is the
+    activity of kernel.history(dt, m0): a recursion over a few running
+    means for the exponential and integer-shape gamma kernels, a dot
+    product of weights(dt) with the past p for the others.  Either way
+    it is a convex mean of m0 and the p pushed so far, so its cap is
+    the largest of those instead of k1.  The trace counts the path each
+    activity solve took.
     """
     grid, model, kernel = config.grid, config.model, config.kernel
     dt = config.dt
@@ -289,11 +293,7 @@ def run(config, f0, steady=None):
     solves = {"fixed-point": 0, "scan": 0, sol.method: 1}
     most_iterations = sol.iterations
 
-    history = None
-    weights = None
-    if not kernel.is_dirac:
-        _, weights = kernel.weights(dt)
-        history = DischargeHistory.constant(m0, weights.size, dt)
+    history = None if kernel.is_dirac else kernel.history(dt, m0)
 
     n_steps = int(round(config.t_end / dt))
     if n_steps < 1:
@@ -368,7 +368,7 @@ def run(config, f0, steady=None):
             if iterations > most_iterations:
                 most_iterations = iterations
         else:
-            m = float(weights @ history.lagged(weights.size))
+            m = history.activity()
         p, total = _advance(values, total, stepper, nxt, t, m)
         cur, nxt = nxt, cur
         t = n * dt

@@ -19,6 +19,8 @@ def test_dirac_kernel():
     with pytest.raises(ValueError):
         k.weights(0.01)
     with pytest.raises(ValueError):
+        k.history(0.01, 0.5)
+    with pytest.raises(ValueError):
         k.density(0.5)
 
 
@@ -157,8 +159,8 @@ def test_ring_history_matches_a_shift_buffer(initial, pushes):
 
 
 def test_convolve_constant_history_is_exact():
-    # m = weights @ history.lagged(weights.size) is how run() applies a
-    # delay kernel
+    # m = weights @ history.lagged(weights.size) is how the history of a
+    # sampled kernel convolves
     k = DelayKernel.exponential(theta=2.0)
     dt = 0.01
     _, w = k.weights(dt)
@@ -176,3 +178,96 @@ def test_convolve_weighs_recent_history_more():
     ramp_up = DischargeHistory(np.linspace(1.0, 0.0, w.size), dt)
     ramp_down = DischargeHistory(np.linspace(0.0, 1.0, w.size), dt)
     assert w @ ramp_up.lagged(w.size) > w @ ramp_down.lagged(w.size)
+
+
+# ---------------------------------------------------------------------------
+# the run's history: a chain of running means, or weights on a buffer
+
+def _chain_kernel(shape, rate):
+    if shape == 1:
+        return DelayKernel.exponential(theta=rate)
+    return DelayKernel.gamma(shape=float(shape), rate=rate)
+
+
+def _untruncated_weights(shape, rate_dt, length):
+    # the trapezoid weights j^(s-1) a^j, halved at j = 0, over enough
+    # lags that the tail left out is below 1e-30 of the sum
+    j = np.arange(length, dtype=float)
+    w = j ** (shape - 1) * np.exp(-rate_dt * j)
+    w[0] *= 0.5
+    return w / w.sum()
+
+
+@settings(max_examples=25, deadline=None)
+@given(shape=st.sampled_from([1, 2, 3]), rate=st.floats(0.5, 30.0),
+       dt=st.sampled_from([1e-3, 1e-2, 0.05]), m0=st.floats(0.0, 2.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_chain_equals_a_direct_convolution(shape, rate, dt, m0, seed):
+    pushes = 10_000
+    history = _chain_kernel(shape, rate).history(dt, m0)
+    w = _untruncated_weights(shape, rate * dt,
+                             pushes + 1 + int(100.0 / (rate * dt)))
+    # tail[n] is the weight of the constant pre-history after n pushes
+    tail = np.cumsum(w[::-1])[::-1]
+    p = np.random.default_rng(seed).uniform(0.0, 2.0, pushes)
+    assert abs(history.activity() - m0) <= 1e-12
+    for n in range(1, pushes + 1):
+        history.push(p[n - 1])
+        if n % 97 == 0 or n == pushes:
+            direct = float(w[:n] @ p[n - 1::-1]) + m0 * float(tail[n])
+            assert abs(history.activity() - direct) <= 1e-12
+
+
+@pytest.mark.parametrize("kernel", [
+    DelayKernel.exponential(theta=2.0), DelayKernel.gamma(2.0, 4.0),
+    DelayKernel.gamma(3.0, 0.7), DelayKernel.gamma(7.0, 25.0)],
+    ids=["exponential", "gamma-2", "gamma-3", "gamma-7"])
+def test_chain_keeps_a_constant_history_exactly(kernel):
+    for m0 in (0.7, 1.0 / 3.0, 2.5e-9, 0.0):
+        history = kernel.history(1e-3, m0)
+        assert history.activity() == m0
+        for _ in range(5000):
+            history.push(m0)
+        assert history.activity() == m0
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=st.sampled_from([1, 2, 3, 5]), rate_dt=st.floats(1e-4, 5.0),
+       m0=st.floats(0.0, 10.0),
+       pushes=st.lists(st.floats(0.0, 10.0), max_size=300))
+def test_chain_activity_is_a_mean_of_what_was_pushed(shape, rate_dt, m0,
+                                                     pushes):
+    history = _chain_kernel(shape, rate_dt).history(1.0, m0)
+    lo = hi = m0
+    slack = 4.0 * np.finfo(float).eps * 10.0
+    for p in pushes:
+        history.push(p)
+        lo, hi = min(lo, p), max(hi, p)
+        m = history.activity()
+        assert lo - slack <= m <= hi + slack
+
+
+def test_chain_refuses_weights_that_vanish_on_the_mesh():
+    # every weight j a^j underflows at rate*dt = 1000; the exponential
+    # kernel keeps its one weight on the newest discharge
+    with pytest.raises(ValueError, match="vanish"):
+        DelayKernel.gamma(2.0, 1e5).history(0.01, 0.5)
+    history = DelayKernel.exponential(theta=1e5).history(0.01, 0.5)
+    history.push(0.25)
+    assert history.activity() == 0.25
+
+
+@pytest.mark.parametrize("kernel", [
+    DelayKernel.sampled([0.0, 0.5, 1.0], [0.0, 2.0, 0.0]),
+    DelayKernel.gamma(2.5, 4.0)], ids=["sampled", "gamma-2.5"])
+def test_other_kernels_convolve_their_weights_bit_for_bit(kernel):
+    dt, m0 = 0.01, 0.6
+    history = kernel.history(dt, m0)
+    _, w = kernel.weights(dt)
+    reference = DischargeHistory.constant(m0, w.size, dt)
+    rng = np.random.default_rng(7)
+    for p in rng.uniform(0.0, 2.0, 3 * w.size):
+        assert history.activity() == float(w @ reference.lagged(w.size))
+        history.push(p)
+        reference.push(p)
+    assert history.activity() == float(w @ reference.lagged(w.size))

@@ -12,8 +12,8 @@ from scipy import optimize
 
 from agenet import _roots, firing_rate
 from agenet import (AgeGrid, AmbiguousActivityError, ConstantRate,
-                    DegenerateInputError, DischargeHistory,
-                    InvariantViolationError, ModelInconsistencyError,
+                    DegenerateInputError, InvariantViolationError,
+                    ModelInconsistencyError,
                     SimulationConfig, SmoothSaturatingRate, StepRate,
                     DelayKernel, DensityState, cell_sum, decay_fit, kappa0,
                     preset_density, run,
@@ -455,8 +455,9 @@ def test_run_with_distributed_delay():
     assert abs(trace.m_series[1] - trace.m_series[0]) < 5e-3
 
 
-KERNELS = [DelayKernel.dirac(), DelayKernel.exponential(theta=2.0)]
-KERNEL_IDS = ["dirac", "exponential"]
+KERNELS = [DelayKernel.dirac(), DelayKernel.exponential(theta=2.0),
+           DelayKernel.gamma(shape=2.0, rate=4.0)]
+KERNEL_IDS = ["dirac", "exponential", "gamma"]
 
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
@@ -475,14 +476,13 @@ def test_run_matches_a_loop_of_public_steps(model, kernel):
     m = solve_activity_implicit(model, grid, f0.values).m
     ms, ps = [m], [m]
     if not kernel.is_dirac:
-        _, w = kernel.weights(grid.dx)
-        history = DischargeHistory.constant(m, w.size, grid.dx)
+        history = kernel.history(grid.dx, m)
     for _ in range(trace.times.size - 1):
         if kernel.is_dirac:
             m = solve_activity_implicit(model, grid, state.values,
                                         warm_start=m).m
         else:
-            m = float(w @ history.lagged(w.size))
+            m = history.activity()
         state, p = step(state, m, cfg)
         if not kernel.is_dirac:
             history.push(p)
@@ -502,14 +502,13 @@ def _public_steps(model, kernel, f0, cfg, n_steps):
     m = solve_activity_implicit(model, grid, f0.values).m
     ms, ps = [m], [m]
     if not kernel.is_dirac:
-        _, w = kernel.weights(grid.dx)
-        history = DischargeHistory.constant(m, w.size, grid.dx)
+        history = kernel.history(grid.dx, m)
     for _ in range(n_steps):
         if kernel.is_dirac:
             m = solve_activity_implicit(model, grid, state.values,
                                         warm_start=m).m
         else:
-            m = float(w @ history.lagged(w.size))
+            m = history.activity()
         state, p = step(state, m, cfg)
         if not kernel.is_dirac:
             history.push(p)
@@ -751,9 +750,30 @@ def test_discharge_check_catches_a_rate_above_k1():
 
 
 def test_delayed_activity_is_capped_by_the_largest_discharge(monkeypatch):
-    # weights that sum to 1.5 lift m above every past p
+    # a history whose activity is 1.5 times the chain's lifts m above
+    # every past p
     grid = _grid()
     kernel = DelayKernel.exponential(2.0)
+    chain = DelayKernel.history
+
+    def lifted(self, dt, m0):
+        state = chain(self, dt, m0)
+        return SimpleNamespace(activity=lambda: 1.5 * state.activity(),
+                               push=state.push)
+
+    monkeypatch.setattr(DelayKernel, "history", lifted)
+    cfg = SimulationConfig(grid=grid, model=ConstantRate(k0=1.0),
+                           kernel=kernel, t_end=1.0)
+    with pytest.raises(InvariantViolationError, match="activity left"):
+        run(cfg, preset_density(grid, "uniform01"))
+
+
+def test_sampled_delayed_activity_is_capped_by_the_largest_discharge(
+        monkeypatch):
+    # a sampled kernel convolves weights(dt): weights that sum to 1.5
+    # lift m above every past p
+    grid = _grid()
+    kernel = DelayKernel.sampled([0.0, 0.5, 1.0], [0.0, 2.0, 0.0])
     lags, w = kernel.weights(grid.dx)
     monkeypatch.setattr(DelayKernel, "weights",
                         lambda self, dt: (lags, 1.5 * w))

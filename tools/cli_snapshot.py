@@ -5,8 +5,9 @@ on a fixed set of configs, written under one directory.
 
 SRC is the `src` directory of the checkout to run; OUT is created and
 must not exist yet.  The configs, defined below, cover the three rate
-families, the Dirac, exponential and gamma kernels, and the three
-initial presets, on 1000 cells.  Each runs `simulate` then `decay-fit`
+families, the Dirac, exponential and sampled kernels, gamma kernels of
+integer and non-integer shape, and the three initial presets, on 1000
+cells.  Each runs `simulate` then `decay-fit`
 on its trace, `steady-state`, `spectrum` and `sweep`; `--print-defaults`
 and `accept` (the acceptance suite, with its per-criterion CSV) run
 once.  Every command runs in a fresh interpreter with OUT as its
@@ -46,6 +47,8 @@ KERNELS = {
     "dirac": {"kind": "dirac"},
     "exponential": {"kind": "exponential", "theta": 2.0},
     "gamma": {"kind": "gamma", "shape": 2.0, "rate": 4.0},
+    "gamma-2.5": {"kind": "gamma", "shape": 2.5, "rate": 4.0},
+    "sampled": {"kind": "sampled", "y": [0.0, 0.5, 1.0], "b": [0.0, 2.0, 0.0]},
 }
 # (name, model, kernel, preset): each family under the Dirac kernel,
 # the smooth family under each delay kernel, the step family from each
@@ -56,6 +59,8 @@ CONFIGS = [
     ("smooth-dirac-uniform01", "smooth", "dirac", "uniform01"),
     ("smooth-exponential-uniform01", "smooth", "exponential", "uniform01"),
     ("smooth-gamma-uniform01", "smooth", "gamma", "uniform01"),
+    ("smooth-gamma-2.5-uniform01", "smooth", "gamma-2.5", "uniform01"),
+    ("smooth-sampled-uniform01", "smooth", "sampled", "uniform01"),
     ("step-dirac-exp2", "step", "dirac", "exp2"),
     ("step-dirac-spike", "step", "dirac", "spike"),
 ]

@@ -8,9 +8,10 @@ checkout's).  Every round starts one fresh interpreter per SRC, with the
 order of the trees rotating from round to round, so that two trees
 given together are measured in alternating pairs and a drift in host
 speed reaches both alike.  In each interpreter, for each rate family
-under the Dirac kernel and the exponential kernel (theta = 2), `run()`
-integrates the `uniform01` preset for `--steps` steps, recording once at
-the end, after one untimed run of a tenth as many steps; a step's cost
+under the Dirac kernel, the exponential kernel (theta = 2) and the
+gamma kernel (shape 2, rate 4), `run()` integrates the `uniform01`
+preset for `--steps` steps, recording once at the end, after one
+untimed run of a tenth as many steps; a step's cost
 is the run's wall time over its steps, so run()'s one-off set-up is
 spread over them.  The kernel cost is the median of single calls of
 `evolution._advance`, the transport alone, on that density at its
@@ -51,7 +52,8 @@ SOLVE_CALLS, ADVANCE_CALLS = 200, 500
 grid = agenet.AgeGrid(dx=dx, n_cells=cells)
 f0 = agenet.preset_density(grid, "uniform01")
 kernels = {"dirac": agenet.DelayKernel.dirac(),
-           "exponential": agenet.DelayKernel.exponential(theta=2.0)}
+           "exponential": agenet.DelayKernel.exponential(theta=2.0),
+           "gamma": agenet.DelayKernel.gamma(shape=2.0, rate=4.0)}
 families = {
     "constant": agenet.ConstantRate(k0=1.0),
     "step": agenet.StepRate(sigma_plus=0.5, sigma_minus=0.25, lam=0.3),
