@@ -19,7 +19,7 @@ model = StepRate(sigma_plus=0.5, sigma_minus=0.25, lam=0.05)
 
 est = estimate_xi(model)
 print(f"threshold model, coupling lam = {model.lam}")
-print(f"sampled Lipschitz modulus xi = {est.xi:.4f}")
+print(f"Lipschitz modulus xi = {est.xi:.4f}")
 print(f"weak regime up to lam = {est.lambda_weak:.3f}; "
       f"we are {'inside' if model.lam < est.lambda_weak else 'OUTSIDE'} it")
 print()

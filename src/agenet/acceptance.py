@@ -267,7 +267,7 @@ def _draw_weak_model(rng, f_sup):
             sigma_plus=float(rng.uniform(sig_minus + 0.05, 0.95)),
             sigma_minus=sig_minus, decay=float(rng.uniform(0.5, 2.0)))
     est = estimate_xi(probe, mu_range=(0.0, max(1.0, probe.k1)),
-                      samples=9, f_inf_scale=f_sup)
+                      f_inf_scale=f_sup)
     cap = min(est.lambda_weak, 2.0)
     lam = float(rng.uniform(0.0, 0.9 * cap))
     return dataclasses.replace(probe, lam=lam)

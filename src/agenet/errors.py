@@ -22,6 +22,13 @@ class AmbiguousActivityError(RuntimeError):
         self.roots = list(roots)
         self.t = t
 
+    @classmethod
+    def listing(cls, roots):
+        """The error that names each of the roots."""
+        return cls("the implicit activity admits " + str(len(roots))
+                   + " solutions: " + ", ".join(f"{r:.6g}" for r in roots),
+                   roots)
+
 
 class ModelInconsistencyError(RuntimeError):
     """No admissible activity root exists for the given density."""

@@ -14,10 +14,12 @@ The rate family's bound stepper, model.stepper(grid), holds the one
 copy of the activity map and of the factors exp(-k dt): its solve() is
 the implicit activity solve, falling back to its roots() list when the
 iteration stalls, and its survive() writes the density times the
-factors.  run() binds one stepper for all its steps, steps inside two
-preallocated buffers and carries the cell sum from step to step;
-step() and solve_activity_implicit() bind one per call, with the same
-arithmetic, so run() equals a loop of public steps bit for bit.
+factors.  run() binds one stepper for its initial solve and all its
+steps, steps inside two preallocated buffers and carries the cell sum
+from step to step; step() binds one per call, with the same
+arithmetic, so run() equals a loop of step() and a fresh stepper's
+solve() bit for bit.  solve_activity_implicit() binds one per call too
+and also refuses a settled root of a staircase map that holds another.
 stepper_equilibrium() builds its profiles from one bound stepper too,
 so the reference a run relaxes to uses the run's own factors.
 """
@@ -155,9 +157,14 @@ def solve_activity_implicit(model, grid, values, tol=1e-12, max_iter=200,
     violates its own bounds (ModelInconsistencyError), and several make
     the dynamics ambiguous (AmbiguousActivityError).
 
-    Ambiguity is detected only on that stalled path: an iteration that
-    settles returns the root it reached, even when the step family's
-    staircase G holds a second one a few cells away.
+    A settled iteration on a map that may hold several roots (the step
+    family's staircase, whose stepper has one_root false) is checked
+    against the stepper's roots() list too: if G holds a second root,
+    even a cell away from the one reached, AmbiguousActivityError names
+    them all.  The smooth and constant maps hold one root by
+    construction and take no check.  run() calls its stepper's solve
+    directly, without the check, so a trajectory through such a
+    staircase keeps the root its iteration reaches.
 
     A NaN warm_start raises ValueError; an infinite one is clamped to
     k1.  total, if given, must be the density's cell sum,
@@ -165,8 +172,13 @@ def solve_activity_implicit(model, grid, values, tol=1e-12, max_iter=200,
     then takes it instead of summing the density again."""
     if warm_start is not None and math.isnan(warm_start):
         raise ValueError("warm_start is NaN; pass an activity or None")
-    m, iterations, method = model.stepper(grid).solve(
-        values, total, warm_start, tol, max_iter)
+    stepper = model.stepper(grid)
+    m, iterations, method = stepper.solve(values, total, warm_start, tol,
+                                          max_iter)
+    if method == "fixed-point" and not stepper.one_root:
+        roots = stepper.roots(values, total)
+        if len(roots) > 1:
+            raise AmbiguousActivityError.listing(roots)
     return ActivitySolution(m=m, iterations=iterations, method=method)
 
 
@@ -282,16 +294,16 @@ def run(config, f0, steady=None):
     m_floor = min(k0_mass, 0.5 * k0) * math.exp(-k1 * x0) - 10.0 * grid.dx
 
     # initial activity: the self-consistent discharge of f0, which also
-    # pads the pre-history for delayed kernels, from the public solve.
-    # The density's cell sum goes to every solve; _advance returns the
-    # next one.
+    # pads the pre-history for delayed kernels, from the same bound
+    # stepper as every step's solve.  The density's cell sum goes to
+    # every solve; _advance returns the next one.
+    stepper = model.stepper(grid)
+    solve = stepper.solve
     tol, max_iter = config.fixed_point_tol, config.fixed_point_max_iter
     total = cell_sum(state.values)
-    sol = solve_activity_implicit(model, grid, state.values, tol, max_iter,
-                                  total=total)
-    m0 = sol.m
-    solves = {"fixed-point": 0, "scan": 0, sol.method: 1}
-    most_iterations = sol.iterations
+    m0, most_iterations, method = solve(state.values, total, None, tol,
+                                        max_iter)
+    solves = {"fixed-point": 0, "scan": 0, method: 1}
 
     history = None if kernel.is_dirac else kernel.history(dt, m0)
 
@@ -352,9 +364,6 @@ def run(config, f0, steady=None):
     cur[:cells] = state.values
     t = state.t
     m = p = m0
-    # the family's per-grid constants, bound once for every step
-    stepper = model.stepper(grid)
-    solve = stepper.solve
     for n in range(1, n_steps + 1):
         values = cur[:cells]
         if kernel.is_dirac:

@@ -10,13 +10,14 @@ and bounded by k1.  k0 is the resting rate of an old neuron
 (the large-age limit of k(., 0)).
 
 Each family computes its own closed forms behind one protocol: rate,
-cumulative K(x, mu) = int_0^x k, cumulative_over (K at one age for an
-array of activities), edge_cumulative (K on a grid's edges past 0,
-written into a caller's buffer: the stationary solve's fast path),
-lipschitz_known (whether estimate_xi can trust xi) and stepper.  The
-private _rate_at(x) binds one age x and returns mu -> rate(x, mu), bit
-for bit, without the domain checks: the stationary solve's horizon
-rate.
+cumulative K(x, mu) = int_0^x k, edge_cumulative (K on a grid's edges
+past 0, written into a caller's buffer: the stationary solve's fast
+path), activity_slope (the slope of K(x_max, .) in the activity, from
+which estimate_xi takes the regime bounds in closed form),
+lipschitz_known (whether the family bounds that slope at all) and
+stepper.  The private _rate_at(x) binds one age x and returns
+mu -> rate(x, mu), bit for bit, without the domain checks: the
+stationary solve's horizon rate.
 
 stepper(grid) binds a family's per-grid constants once and holds the
 one copy of its activity map G(mu) = int k(x, lam*mu) f dx on the
@@ -26,8 +27,12 @@ solve: the fixed-point iteration on G, with Newton steps on G's
 closed-form slope where the family has one; it returns (m, iterations,
 method).  Its roots(values, total) lists every fixed point of G in
 [0, k1], ascending, with the same arithmetic; solve falls back to that
-list when its iteration stalls.  Its survive(values, mu, out) writes
-values * np.exp(-rate(midpoints, mu) * dx) into out, bit for bit.  total is the density's cell sum,
+list when its iteration stalls.  Its one_root is true when G has at
+most one fixed point by construction (the constant and smooth maps),
+and false for the step family's staircase, whose settled roots the
+public solve checks against that list.  Its survive(values, mu, out)
+writes values * np.exp(-rate(midpoints, mu) * dx) into out, bit for
+bit.  total is the density's cell sum,
 grid.cell_sum(values): a caller that already holds it passes it, and
 the stepper does not sum the density again.  The step family's map
 costs one sequential prefix sum over the cells below sigma_plus per
@@ -75,17 +80,6 @@ def _check_domain(x, mu):
     _check_mu(mu)
     if np.any(np.asarray(x) < 0.0):
         raise ValueError("age x must be nonnegative")
-
-
-def _check_over(x, mus):
-    mus = np.asarray(mus, dtype=float)
-    if np.ndim(x) != 0 or mus.ndim != 1:
-        raise ValueError("need one age x and a 1-d array of activities")
-    if not float(x) >= 0.0:
-        raise ValueError("age x must be nonnegative")
-    if not np.all((mus >= 0.0) & (mus < math.inf)):
-        raise ValueError("activities mu must be finite and nonnegative")
-    return float(x), mus
 
 
 def _check_parameters(model, positive=(), nonnegative=()):
@@ -160,10 +154,7 @@ def _stalled(roots, k1, max_iter):
             "no solution of m = int k(x, lam*m) f dx in "
             f"[0, {k1!r}]; the rate family breaks its stated bounds")
     if len(roots) > 1:
-        raise AmbiguousActivityError(
-            "the implicit activity admits " + str(len(roots))
-            + " solutions: " + ", ".join(f"{r:.6g}" for r in roots),
-            roots)
+        raise AmbiguousActivityError.listing(roots)
     return roots[0], max_iter, "scan"
 
 
@@ -172,6 +163,7 @@ class _ConstantStepper:
     k0 * total * dx, and every cell decays by one factor."""
 
     __slots__ = ("_model", "_dx", "_factor")
+    one_root = True
 
     def __init__(self, model, grid):
         self._model, self._dx = model, grid.dx
@@ -212,6 +204,7 @@ class _SmoothStepper:
     each step of its solve is a Newton step on the closed-form slope."""
 
     __slots__ = ("_model", "_shape", "_dx", "_gain", "_rate", "_span")
+    one_root = True     # gain is concave
 
     def __init__(self, model, grid):
         self._model = model
@@ -283,6 +276,7 @@ class _StepStepper:
 
     __slots__ = ("_model", "_grid", "_threshold", "_mids", "_reach", "_dx",
                  "_decay", "_mu", "_idx")
+    one_root = False    # the staircase can hold several
 
     def __init__(self, model, grid):
         self._model, self._grid = model, grid
@@ -376,9 +370,8 @@ class ConstantRate:
         _check_domain(x, mu)
         return _match_shape(x, self.k0 * np.asarray(x, dtype=float))
 
-    def cumulative_over(self, x, mus):
-        x, mus = _check_over(x, mus)
-        return np.full(mus.shape, self.k0 * x)
+    def activity_slope(self, x_max):
+        return 0.0, 0.0, 0.0
 
     def edge_cumulative(self, grid, mu, out):
         _check_mu(mu)
@@ -432,11 +425,11 @@ class SmoothSaturatingRate:
                                             self.x_scale)
         return _match_shape(x, out)
 
-    def cumulative_over(self, x, mus):
-        x, mus = _check_over(x, mus)
-        gains = self.k0 - (self.k1 - self.k0) * np.expm1(
-            -(self.lam * mus) / self.mu_scale)
-        return gains * _age_integral(x, self.x_scale)
+    def activity_slope(self, x_max):
+        # gain'(u) times the age integral up to x_max
+        age = float(_age_integral(x_max, self.x_scale))
+        return (0.0, (self.k1 - self.k0) / self.mu_scale * age,
+                1.0 / self.mu_scale)
 
     def edge_cumulative(self, grid, mu, out):
         # separable: the cached age integral times one gain
@@ -516,20 +509,20 @@ class StepRate:
         out = np.maximum(0.0, xs - self.threshold(mu))
         return _match_shape(x, out)
 
-    def cumulative_over(self, x, mus):
-        x, mus = _check_over(x, mus)
-        # the scalar map, so each entry equals cumulative(x, mu) exactly
+    def activity_slope(self, x_max):
+        # K(x_max, u) = max(0, x_max - sigma(u)), so the slope is
+        # -sigma'(u) = decay (sigma(u) - sigma_minus) once the threshold
+        # has fallen below x_max, and 0 before.  A custom sigma gives its
+        # declared bound on |sigma'| instead, with no decay.
         if self.sigma is not None:
-            thresholds = np.array([self.threshold(mu) for mu in mus.tolist()])
-        else:
-            # threshold's expression, one rounding per operation as
-            # there, with math.exp: np.exp rounds differently on some
-            # arguments
-            powers = (-self.decay * (self.lam * mus)).tolist()
-            span = self.sigma_plus - self.sigma_minus
-            thresholds = self.sigma_minus + span * np.fromiter(
-                map(math.exp, powers), float, len(powers))
-        return np.maximum(0.0, x - thresholds)
+            return 0.0, self.sigma_modulus, 0.0
+        top = min(x_max, self.sigma_plus) - self.sigma_minus
+        if top <= 0.0:
+            return 0.0, 0.0, 0.0
+        # sigma(onset) = x_max; onset is 0 when x_max >= sigma_plus
+        onset = math.log((self.sigma_plus - self.sigma_minus) / top) \
+            / self.decay
+        return onset, self.decay * top, self.decay
 
     def edge_cumulative(self, grid, mu, out):
         _check_mu(mu)
@@ -552,14 +545,16 @@ class StepRate:
 
 @dataclasses.dataclass(frozen=True)
 class RegimeEstimate:
-    """Sampled Lipschitz modulus and the couplings it delimits.
+    """Lipschitz modulus and the couplings it delimits, in closed form.
 
     xi bounds how fast the rate profile moves in L1 per unit of
     activity.  lambda_weak is the largest coupling below which the
-    sampled contraction factor stays under 1 (activity fixed points
-    provably unique there); lambda_strong is the smallest coupling
-    beyond which the factor, sampled over high activities, stays under
-    1 again.  Both are sampled estimates, not certificates.
+    contraction factor stays under 1 (activity fixed points provably
+    unique there); lambda_strong is the smallest coupling beyond which
+    the factor, taken over high activities, stays under 1 again.  Each
+    is exact for the built-in families, up to rounding; a custom
+    threshold map gives the bounds that its declared sigma_modulus
+    implies.
     """
 
     xi: float
@@ -567,86 +562,106 @@ class RegimeEstimate:
     lambda_strong: float
 
 
+def _lambert_w_lower(z):
+    """The -1 branch of Lambert W: the w <= -1 with w exp(w) = z, for
+    -1/e <= z < 0, and its limit -inf at z = 0 (an underflowed z).
+
+    Newton on w + log(-w) = log(-z), which is increasing and concave in
+    w < -1, so after the first step the iterates rise to the root; the
+    loop stops when they no longer rise.  It starts from the series in
+    p = sqrt(2 (e z + 1)) near the branch point and from the logarithmic
+    asymptote nearer 0, and takes at most six steps."""
+    if z == 0.0:
+        return -math.inf
+    q = math.e * z + 1.0
+    if q <= 0.0:
+        return -1.0
+    if z < -0.25:
+        p = math.sqrt(2.0 * q)
+        w = -1.0 - p - p * p / 3.0
+    else:
+        l1 = math.log(-z)
+        l2 = math.log(-l1)
+        w = l1 - l2 + l2 / l1
+    target = math.log(-z)
+    for it in range(20):
+        step = (w + math.log(-w) - target) * w / (w + 1.0)
+        if it and not step < 0.0:
+            break
+        w -= step
+    return w
+
+
 def estimate_xi(model, x_max=10.0, mu_range=(0.0, 1.0), samples=33,
                 f_inf_scale=1.0, mu_inf=None, lam_cap=1e4):
-    """Estimate the L1-in-age Lipschitz modulus of mu -> k(., lam*mu).
+    """The L1-in-age Lipschitz modulus of mu -> k(., lam*mu) and the
+    couplings it delimits, in closed form.
 
-    xi is the largest sampled difference quotient
-        |K(x_max, mu2) - K(x_max, mu1)| / |mu2 - mu1|
-    over adjacent samples of mu_range (the integral is truncated at
-    the horizon x_max); K is nondecreasing in mu, so a wider pair's
-    quotient is a weighted mean of adjacent ones.  lambda_weak and
-    lambda_strong are found by bisection on the contraction factor
-        2 * k1 * xi(lam) * (f_inf_scale + k1) < 1,
-    sampled over (0, mu_range[1]) for the weak side and over
-    (mu_inf, k1) for the strong side (mu_inf defaults to k1/10).  The
-    factor is computed for a batch of couplings at once, from one
-    cumulative_over call on every product lam * mu: the 49 couplings
-    of the strong side's scan, or the 2**d - 1 midpoints of a
-    bisection's next d halvings (d = _roots._DEPTH; see _roots.walk).
+    k is monotone in mu, so the L1 distance of two rate profiles cut at
+    the horizon x_max is |K(x_max, lam*b) - K(x_max, lam*a)|, and xi,
+    the modulus over mu_range = (lo, hi), is lam times the supremum of
+    D(u) = dK(x_max, u)/du over [lam*lo, lam*hi].  The family gives D as
+    model.activity_slope(x_max) = (onset, peak, rate): D is 0 below
+    onset and peak * exp(-rate*(u - onset)) past it, so its supremum on
+    [a, b] is 0 when b <= onset and D(max(a, onset)) otherwise.
+
+    With C = 2 k1 (f_inf_scale + k1), the contraction factor at
+    coupling lam is C times the modulus at lam:
+      - over (0, hi) it is C*peak*lam once lam*hi passes onset, so
+        lambda_weak, the least coupling where it reaches 1, is
+        max(onset/hi, 1/(C*peak));
+      - over (mu_inf, k1), with mu_inf = k1/10 by default and the upper
+        end 2*mu_inf when k1 <= mu_inf, it is
+        g(lam) = C*peak*lam*exp(-rate*(lam*mu_inf - onset)) once
+        lam*mu_inf passes onset, and below that it rises linearly to
+        g(onset/mu_inf).  lambda_strong, the greatest coupling where
+        the factor is at least 1, is the last crossing of 1 by g,
+        -W_{-1}(z)/(rate*mu_inf) with z = -rate*mu_inf*exp(-rate*onset)
+        /(C*peak), if that lies past onset/mu_inf, and 0 if g stays
+        below 1 there (z < -1/e included).  With rate*mu_inf = 0 the
+        factor grows without bound and lambda_strong is inf.
+    A coupling past lam_cap reads as inf.  samples must be at least 2
+    but the result does not depend on it: nothing is sampled.  A model
+    whose lipschitz_known is false (a custom threshold map with no
+    declared sigma_modulus) gets xi = inf, lambda_weak = 0 and
+    lambda_strong = inf.
     """
     lo, hi = float(mu_range[0]), float(mu_range[1])
     if not (0.0 <= lo < hi):
         raise ValueError("mu_range must be nondegenerate and nonnegative")
     if samples < 2:
         raise ValueError("need at least two activity samples")
+    m_inf = (model.k1 / 10.0) if mu_inf is None else float(mu_inf)
+    for name, value in (("x_max", x_max), ("f_inf_scale", f_inf_scale),
+                        ("mu_inf", m_inf)):
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"{name} must be finite and nonnegative")
     if not model.lipschitz_known:
-        # e.g. a custom threshold map with no declared modulus
         return RegimeEstimate(xi=math.inf, lambda_weak=0.0,
                               lambda_strong=math.inf)
-    k1 = model.k1
-    unit = dataclasses.replace(model, lam=1.0)
+    onset, peak, rate = model.activity_slope(float(x_max))
+    scale = 2.0 * model.k1 * (f_inf_scale + model.k1) * peak
 
-    def slopes(mus):
-        # lams -> xi(lam) for each coupling, from one cumulative_over
-        # call on every product lam * mu.  Monotonicity in mu makes
-        # |k(., b) - k(., a)| single-signed, so the L1 difference
-        # collapses to |K(x_max, b) - K(x_max, a)|.
-        gaps = np.diff(mus)
+    lam = model.lam
+    xi = 0.0
+    if peak > 0.0 and lam * hi > onset:
+        xi = lam * peak * math.exp(-rate * max(lam * lo - onset, 0.0))
 
-        def xis(lams):
-            lams = np.asarray(lams, dtype=float)
-            kx = unit.cumulative_over(x_max, (lams[:, None] * mus).ravel())
-            kx = kx.reshape(lams.size, mus.size)
-            return np.max(np.abs(kx[:, 1:] - kx[:, :-1]) / gaps, axis=1)
-        return xis
-
-    def contraction(mus):
-        # lams -> the factor 2 k1 xi(lam) (f_inf_scale + k1) for each
-        xis = slopes(mus)
-        return lambda lams: 2.0 * k1 * xis(lams) * (f_inf_scale + k1)
-
-    def signs(factors):
-        # -1 where the factor is below 1, +1 elsewhere (NaN included)
-        return lambda lams: np.where(factors(lams) < 1.0, -1.0, 1.0).tolist()
-
-    xi = slopes(np.linspace(lo, hi, samples))([model.lam])[0]
-
-    weak = contraction(np.linspace(0.0, hi, samples))
-    if weak([lam_cap])[0] < 1.0:
+    lambda_weak = max(onset / hi, 1.0 / scale) if scale > 0.0 else math.inf
+    # with no decay the strong factor grows without bound
+    lambda_strong = 0.0 if scale <= 0.0 else math.inf
+    decay = rate * m_inf
+    if scale > 0.0 and decay > 0.0:
+        z = -decay * math.exp(-rate * onset) / scale
+        last = -_lambert_w_lower(z) / decay if z >= -1.0 / math.e else 0.0
+        # short of onset/mu_inf the factor stays below g(onset/mu_inf)
+        lambda_strong = last if last * m_inf >= onset else 0.0
+    if lambda_weak > lam_cap:
         lambda_weak = math.inf
-    else:
-        # the width of 60 halvings of [0, lam_cap], 1e-14 at the
-        # default cap; the 1.5 keeps rounding from adding or dropping one
-        lambda_weak, _ = _roots.walk(signs(weak), 0.0, lam_cap, -1.0,
-                                     width=1.5 * lam_cap * 2.0 ** -60)
-
-    m_inf = (k1 / 10.0) if mu_inf is None else float(mu_inf)
-    strong = contraction(np.linspace(
-        m_inf, k1 if k1 > m_inf else 2.0 * m_inf, samples))
-    lams = np.geomspace(1e-3, lam_cap, 49)
-    facs = strong(lams)
-    if np.all(facs < 1.0):
-        lambda_strong = 0.0
-    elif facs[-1] >= 1.0:
+    if lambda_strong >= lam_cap:
         lambda_strong = math.inf
-    else:
-        j = int(np.max(np.nonzero(facs >= 1.0)[0]))
-        _, lambda_strong = _roots.walk(signs(strong), lams[j], lams[j + 1],
-                                       1.0)
-
-    return RegimeEstimate(xi=float(xi), lambda_weak=float(lambda_weak),
-                          lambda_strong=float(lambda_strong))
+    return RegimeEstimate(xi=xi, lambda_weak=lambda_weak,
+                          lambda_strong=lambda_strong)
 
 
 def _rising_threshold(fn, target, x_cap=1e6):

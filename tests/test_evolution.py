@@ -167,6 +167,24 @@ def test_stalled_solve_reports_two_roots_inside_one_activity_cell():
         [0.388291084345, 0.389068443618], abs=1e-12)
 
 
+def test_settled_solve_reports_a_second_staircase_root():
+    # the same staircase: the iteration settles on its lower root, which
+    # the stepper returns and run() keeps, and the public solve names
+    # both
+    grid = AgeGrid(dx=1e-3, n_cells=10000)
+    model = StepRate(sigma_plus=0.5, sigma_minus=0.25, lam=0.3)
+    f = preset_density(grid, "exp2")
+    m, _, method = model.stepper(grid).solve(f.values)
+    assert method == "fixed-point"
+    assert m == pytest.approx(0.388291084345, abs=1e-12)
+    with pytest.raises(AmbiguousActivityError) as exc_info:
+        solve_activity_implicit(model, grid, f.values)
+    assert exc_info.value.roots == pytest.approx(
+        [0.388291084345, 0.389068443618], abs=1e-12)
+    cfg = SimulationConfig(grid=grid, model=model, t_end=grid.dx)
+    assert run(cfg, f).m_series[0] == m
+
+
 @pytest.mark.parametrize("model", [
     ConstantRate(k0=1.0),
     StepRate(sigma_plus=0.5, sigma_minus=0.25, lam=0.3),
@@ -353,9 +371,20 @@ def test_steppers_match_the_generic_solve_and_survival(
         solved = stepper.solve(values, total, warm_start, tol, max_iter)
         assert solved == expected
         mus.insert(0, solved[0])
-        public = solve_activity_implicit(model, grid, values, tol, max_iter,
-                                         warm_start, total)
-        assert (public.m, public.iterations, public.method) == expected
+        roots = stepper.roots(values, total)
+        if solved[2] == "fixed-point" and len(roots) > 1:
+            # the public solve refuses a settled root of a staircase
+            # that holds another; the other maps hold one root
+            assert isinstance(model, StepRate)
+            with pytest.raises(AmbiguousActivityError) as raised:
+                solve_activity_implicit(model, grid, values, tol, max_iter,
+                                        warm_start, total)
+            assert raised.value.roots == roots
+        else:
+            public = solve_activity_implicit(model, grid, values, tol,
+                                             max_iter, warm_start, total)
+            assert (public.m, public.iterations,
+                    public.method) == expected
 
     # survive writes values * exp(-k dx) bit for bit, into a view one
     # cell into a longer buffer as run() hands it over
@@ -471,23 +500,8 @@ def test_run_matches_a_loop_of_public_steps(model, kernel):
                            record_every=1)
     f0 = preset_density(grid, "exp2")
     trace = run(cfg, f0)
-
-    state = f0
-    m = solve_activity_implicit(model, grid, f0.values).m
-    ms, ps = [m], [m]
-    if not kernel.is_dirac:
-        history = kernel.history(grid.dx, m)
-    for _ in range(trace.times.size - 1):
-        if kernel.is_dirac:
-            m = solve_activity_implicit(model, grid, state.values,
-                                        warm_start=m).m
-        else:
-            m = history.activity()
-        state, p = step(state, m, cfg)
-        if not kernel.is_dirac:
-            history.push(p)
-        ms.append(m)
-        ps.append(p)
+    ms, ps, state = _public_steps(model, kernel, f0, cfg,
+                                  trace.times.size - 1)
     assert np.array_equal(trace.m_series, ms)
     assert np.array_equal(trace.p_series, ps)
     assert np.array_equal(trace.final_state.values, state.values)
@@ -496,17 +510,22 @@ def test_run_matches_a_loop_of_public_steps(model, kernel):
 
 def _public_steps(model, kernel, f0, cfg, n_steps):
     # the activities, discharges and final state of a loop of public
-    # steps, started as run() starts
+    # steps, started as run() starts.  Each activity comes from a fresh
+    # stepper's solve, as run() takes it: the public
+    # solve_activity_implicit refuses a settled root of a staircase that
+    # holds a second one, and a trajectory can pass through such maps.
     grid = cfg.grid
+
+    def solve(values, warm=None):
+        return model.stepper(grid).solve(values, None, warm)[0]
     state = f0
-    m = solve_activity_implicit(model, grid, f0.values).m
+    m = solve(f0.values)
     ms, ps = [m], [m]
     if not kernel.is_dirac:
         history = kernel.history(grid.dx, m)
     for _ in range(n_steps):
         if kernel.is_dirac:
-            m = solve_activity_implicit(model, grid, state.values,
-                                        warm_start=m).m
+            m = solve(state.values, m)
         else:
             m = history.activity()
         state, p = step(state, m, cfg)

@@ -1,4 +1,4 @@
-"""The bisection helpers behind every scalar root."""
+"""The bisection loop behind every bracketed scalar root."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agenet._roots import bisect, walk
+from agenet._roots import bisect
 
 
 # floats are too dense near 0 for 200 halvings to reach adjacent ones;
@@ -70,40 +70,15 @@ def test_bisect_width_is_absolute_below_one_and_relative_above():
     assert a < 25.0 * math.pi < b
 
 
-def _sequential_bisect(f, a, b, fa, width=0.0):
-    # one evaluation per halving, the loop the batched walk replaced
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if not a < mid < b or b - a < width * max(1.0, abs(mid)):
-            break
-        fm = f(mid)
-        if fm == 0.0:
-            return mid, mid
-        if (fm < 0.0) == (fa < 0.0):
-            a = mid
-        else:
-            b = mid
-    return a, b
-
-
-def _counted(f):
-    # f over a batch, counting the batches and the points
-    def fs(xs):
-        fs.calls += 1
-        fs.points += len(xs)
-        return [f(x) for x in xs]
-    fs.calls = fs.points = 0
-    return fs
-
-
 @settings(max_examples=300, deadline=None)
 @given(r=st.floats(-100.0, 100.0), left=st.floats(1e-6, 50.0),
        right=st.floats(1e-6, 50.0), slope=st.floats(1e-3, 1e3),
        step=st.booleans(), rising=st.booleans(),
-       width=st.sampled_from([0.0, 1e-12, 1e-6, 1e-2]),
-       depth=st.integers(1, 6))
-def test_walk_returns_the_sequential_bracket(r, left, right, slope, step,
-                                             rising, width, depth):
+       width=st.sampled_from([0.0, 1e-12, 1e-6, 1e-2]))
+def test_bisect_evaluates_each_midpoint_once_and_keeps_the_sign_change(
+        r, left, right, slope, step, rising, width):
+    # replaying the evaluations: each is the midpoint of the bracket that
+    # the signs seen so far leave, and the last bracket is the result
     sign = 1.0 if rising else -1.0
     if step:
         def f(x):
@@ -114,38 +89,21 @@ def test_walk_returns_the_sequential_bracket(r, left, right, slope, step,
     a, b = r - left, r + right
     if not a < b:
         return
-    halvings = []
-
-    def counted_f(x):
-        halvings.append(x)
-        return f(x)
-    expected = _sequential_bisect(counted_f, a, b, f(a), width)
-    fs = _counted(f)
-    assert walk(fs, a, b, f(a), width, depth) == expected
-    assert bisect(f, a, b, f(a), width) == expected
-    assert fs.calls == math.ceil(len(halvings) / depth)
-    assert fs.points == fs.calls * (2 ** depth - 1)
-
-
-@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5, 6])
-def test_walk_stops_on_an_exact_zero_and_after_200_halvings(depth):
-    fs = _counted(lambda x: x - 0.75)
-    assert walk(fs, 0.0, 1.0, -1.0, depth=depth) == (0.75, 0.75)
-    assert fs.calls == math.ceil(2 / depth)
-    fs = _counted(lambda x: x)
-    a, b = walk(fs, -1.0, 0.5, -1.0, depth=depth)
-    assert b - a == 1.5 * 2.0 ** -200
-    assert fs.calls == math.ceil(200 / depth)
-
-
-def test_walk_passes_every_midpoint_of_the_next_halvings_in_order():
-    # [0, 1] reaches the width 0.2 after three halvings; the second
-    # depth-2 call holds both midpoints of its second level, although
-    # the walk stops before reading either
     seen = []
 
-    def fs(xs):
-        seen.append(list(xs))
-        return [x - 0.3 for x in xs]
-    assert walk(fs, 0.0, 1.0, -1.0, width=0.2, depth=2) == (0.25, 0.375)
-    assert seen == [[0.25, 0.5, 0.75], [0.3125, 0.375, 0.4375]]
+    def recorded(x):
+        seen.append(x)
+        return f(x)
+    result = bisect(recorded, a, b, f(a), width)
+    for x in seen:
+        assert x == 0.5 * (a + b) and a < x < b
+        if f(x) == 0.0:
+            a = b = x
+        elif (f(x) < 0.0) == (f(a) < 0.0):
+            a = x
+        else:
+            b = x
+    assert result == (a, b)
+    assert len(seen) <= 200
+    if a < b:
+        assert (f(a) < 0.0) != (f(b) < 0.0)
