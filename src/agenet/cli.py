@@ -400,7 +400,8 @@ def _cmd_spectrum(args):
     if not cfg.kernel.is_dirac:
         print(f"note: the {cfg.kernel.kind} delay kernel does not enter the "
               "linearization with the rates frozen at M, so the spectrum is "
-              "the Dirac kernel's (see ROADMAP item 2)", file=sys.stderr)
+              "the Dirac kernel's (the activity feedback d_m k that would "
+              "carry it is an open ROADMAP item)", file=sys.stderr)
     ss = solve_steady_state(cfg.model, grid)
     rep = spectrum(build_generator(cfg.model, grid, ss))
     print(f"eigenvalue nearest 0: {_fmt(rep.zero_eigenvalue.real)} + "

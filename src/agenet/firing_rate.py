@@ -39,10 +39,9 @@ the stepper does not sum the density again.  The step family's map
 costs one sequential prefix sum over the cells below sigma_plus per
 density, then one bisection and one subtraction per mu.
 
-Age profiles on a mesh depend only on the family's shape parameters
-and the grid, so they are computed once and cached, read-only.  The
-smooth family's age integral at the edges is one of them: its
-edge_cumulative is that cached profile times gain(mu).
+The smooth family's age integral at the edges depends only on its age
+scale and the grid, so it is computed once per grid and cached,
+read-only: its edge_cumulative is that cached profile times gain(mu).
 """
 
 from __future__ import annotations
@@ -110,7 +109,7 @@ def _match_shape(x, out):
     return float(out) if np.ndim(x) == 0 else out
 
 
-# Per-grid profiles, keyed on the frozen AgeGrid.  Each cache keeps at
+# Per-grid profiles, keyed on the frozen AgeGrid.  The cache keeps at
 # most this many vectors of one float per cell, so memory stays bounded.
 _PROFILE_CACHE = 16
 
@@ -118,18 +117,6 @@ _PROFILE_CACHE = 16
 def _frozen(values):
     values.flags.writeable = False
     return values
-
-
-@functools.lru_cache(maxsize=_PROFILE_CACHE)
-def _unit_decay(grid):
-    # exp(-1 * dx), taken from a vector exp like the full expression
-    return float(np.exp(-np.ones(1) * grid.dx)[0])
-
-
-@functools.lru_cache(maxsize=_PROFILE_CACHE)
-def _saturating_shape(x_scale, grid):
-    # the age factor 1 - exp(-x/x_scale) of the smooth family
-    return _frozen(-np.expm1(-grid.midpoints / x_scale))
 
 
 def _age_integral(x, x_scale):
@@ -141,21 +128,6 @@ def _age_integral(x, x_scale):
 def _edge_age_integral(x_scale, grid):
     # the smooth family's age integral on the edges past 0
     return _frozen(_age_integral(grid.edges[1:], x_scale))
-
-
-# Each entry is one list of Python floats per grid and reach cell: the
-# midpoints that every step stepper on that grid bisects.  A process
-# steps a few grids at a time, so the cache keeps only a few.
-_MIDPOINT_LISTS = 4
-
-
-@functools.lru_cache(maxsize=_MIDPOINT_LISTS)
-def _midpoint_list(grid, cells):
-    # bisect_right on the first cells midpoints counts those <= t, as
-    # midpoints.searchsorted(t, side="right") does (a NaN counts them
-    # all in both), at a third of its per-call cost.  Below the last
-    # listed midpoint the two agree on the whole mesh.
-    return grid.midpoints[:cells].tolist()
 
 
 def _stalled(roots, k1, max_iter):
@@ -220,7 +192,8 @@ class _SmoothStepper:
 
     def __init__(self, model, grid):
         self._model = model
-        self._shape = _saturating_shape(model.x_scale, grid)
+        # the age factor 1 - exp(-x/x_scale)
+        self._shape = -np.expm1(-grid.midpoints / model.x_scale)
         self._dx = grid.dx
         self._gain = model.gain
         # gain'(mu) = (k1 - k0)(lam/mu_scale) exp(-lam*mu/mu_scale), and
@@ -286,17 +259,21 @@ class _StepStepper:
     the mass past cell j.  Its solve is the fixed-point iteration, and
     survive reuses the cell that the last solve settled in."""
 
-    __slots__ = ("_model", "_grid", "_threshold", "_mids", "_reach", "_dx",
+    __slots__ = ("_model", "_threshold", "_mids", "_reach", "_dx",
                  "_decay", "_mu", "_idx")
     one_root = False    # the staircase can hold several
 
     def __init__(self, model, grid):
-        self._model, self._grid = model, grid
+        self._model = model
         self._threshold = model.threshold
         self._reach = model._reach(grid)
-        # no threshold passes the reach cell's midpoint, and a NaN one
-        # lands past the prefix sums, as on the whole mesh
-        self._mids = _midpoint_list(grid, min(self._reach + 1, grid.n_cells))
+        # bisect_right on these midpoints counts those <= t, as
+        # midpoints.searchsorted(t, side="right") does (a NaN counts them
+        # all in both), at a third of its per-call cost.  No threshold
+        # passes the reach cell's midpoint, and a NaN one lands past the
+        # prefix sums, as on the whole mesh.
+        cells = min(self._reach + 1, grid.n_cells)
+        self._mids = grid.midpoints[:cells].tolist()
         self._dx = grid.dx
         self._decay = None              # exp(-dx), on the first survive
         self._mu = self._idx = None     # the last settled mu and its cell
@@ -348,7 +325,9 @@ class _StepStepper:
         else:
             idx = bisect.bisect_right(self._mids, self._threshold(mu))
         if self._decay is None:
-            self._decay = _unit_decay(self._grid)
+            # exp(-1 * dx), taken from a vector exp like the full
+            # expression
+            self._decay = float(np.exp(-np.ones(1) * self._dx)[0])
         out[:idx] = values[:idx]
         np.multiply(values[idx:], self._decay, out=out[idx:])
         return out

@@ -249,6 +249,21 @@ def _stationary_roots(profile, lo, hi, cells, tol):
     return sorted(roots)
 
 
+def _bracket(model, bracket, tol):
+    # the checked (lo, hi) of a stationary root search, default
+    # (1e-6, k1]
+    if bracket is None:
+        bracket = (1e-6, model.k1)
+    lo, hi = float(bracket[0]), float(bracket[1])
+    if not (0.0 < lo < hi):
+        raise ValueError("bracket must satisfy 0 < lo < hi")
+    if hi > model.k1 * (1.0 + 1e-12):
+        raise ValueError("bracket exceeds k1; stationary activity cannot")
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    return lo, hi
+
+
 def solve_steady_state(model, grid, bracket=None, tol=1e-12):
     """Solve for the stationary pair (F, M) on the given grid.
 
@@ -266,16 +281,7 @@ def solve_steady_state(model, grid, bracket=None, tol=1e-12):
     edge_cumulative (the smooth family's age integral on the edges is
     cached per grid), and F is read from them at the root.
     """
-    if bracket is None:
-        bracket = (1e-6, model.k1)
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not (0.0 < lo < hi):
-        raise ValueError("bracket must satisfy 0 < lo < hi")
-    if hi > model.k1 * (1.0 + 1e-12):
-        raise ValueError("bracket exceeds k1; stationary activity cannot")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-
+    lo, hi = _bracket(model, bracket, tol)
     profile = _Profile(model, grid)
     roots = _stationary_roots(profile, lo, hi, _SOLVE_CELLS, tol)
     if not roots:
@@ -331,10 +337,7 @@ def regime_scan(model, lambdas, grid, bracket=None, tol=1e-12):
         raise ValueError("lambda list must be nonempty")
     if not all(0.0 <= l < math.inf for l in lambdas):
         raise ValueError("couplings must be finite and nonnegative")
-    if bracket is None:
-        bracket = (1e-6, model.k1)
-    lo, hi = float(bracket[0]), float(bracket[1])
-
+    lo, hi = _bracket(model, bracket, tol)
     rows = []
     for lam in lambdas:
         profile = _Profile(dataclasses.replace(model, lam=lam), grid)

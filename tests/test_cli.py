@@ -488,7 +488,7 @@ def test_spectrum_command_with_delay_matches_dirac(tmp_path, capsys, kernel):
     assert (eigs_b, kern_b, out) == (d_eigs, d_kern, d_out)
     assert d_err == ""
     assert err.startswith(f"note: the {kernel['kind']} delay kernel")
-    assert "ROADMAP item 2" in err
+    assert "the activity feedback d_m k" in err
 
 
 def test_spectrum_runs_on_the_default_grid(tmp_path, capsys):

@@ -181,6 +181,24 @@ def test_regime_scan_validation():
             regime_scan(StepRate(), [0.1, bad], grid)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"bracket": (1.5, 0.1)}, "0 < lo < hi"),
+    ({"bracket": (0.0, 2.0)}, "0 < lo < hi"),
+    ({"bracket": (1e-6, 5.0)}, "exceeds k1"),
+    ({"tol": -1.0}, "tol must be positive"),
+], ids=["reversed", "zero-lo", "past-k1", "negative-tol"])
+@pytest.mark.parametrize("solve", [
+    lambda model, grid, **kw: solve_steady_state(model, grid, **kw),
+    lambda model, grid, **kw: regime_scan(model, [model.lam], grid, **kw),
+], ids=["solve_steady_state", "regime_scan"])
+def test_entry_points_refuse_a_bad_bracket_or_tol(solve, kwargs, message):
+    # a scan row with no roots would read as "no steady state", and a
+    # bracket past k1 searches where no stationary activity can be
+    model = SmoothSaturatingRate(k0=0.5, k1=2.0, lam=0.3)
+    with pytest.raises(ValueError, match=message):
+        solve(model, _grid(dx=0.01), **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # the in-place evaluator against the profile formula it replaced
 

@@ -1,0 +1,318 @@
+"""Layer cost: the time one layer of agenet takes, in fresh interpreters.
+
+    python3 tools/layer_cost.py LAYER [SRC ...] [--rounds 7] [--calls N]
+                                [--steps N]
+
+LAYER is import, step, steady, xi, equilibrium or spectrum, the function
+below whose docstring says what it times.  Each SRC is the `src`
+directory of a checkout (default: this checkout's).  Each round runs the
+layer once per SRC in a fresh interpreter, the order rotating from round
+to round, so trees given together run in alternating pairs.  A layer
+returns its timings and its outputs that do not depend on time; a tree
+whose interpreter imported agenet from elsewhere, or whose outputs
+differ between rounds, is refused.  A layer that does not read
+`--calls` or `--steps` refuses it.  Prints one JSON object: the host,
+and per SRC the median, quartiles (from two rounds) and per-round value
+of every timing, and the outputs once, so trees compare for equal output.
+"""
+
+# The import layer times `import agenet, agenet.cli` as perfbench's
+# setup_s does, after loading no more than sys and time: so this module
+# imports nothing else at top level, and each layer imports agenet.
+import os
+import sys
+from time import perf_counter
+
+TOOLS = os.path.dirname(os.path.realpath(__file__))
+CHILD = ("import sys; sys.path[:0] = sys.argv[1:3]; import layer_cost; "
+         "layer_cost.child(*sys.argv[3:])")
+
+
+def _families():
+    # the step layer's three family models
+    import agenet
+    return {
+        "constant": agenet.ConstantRate(k0=1.0),
+        "step": agenet.StepRate(sigma_plus=0.5, sigma_minus=0.25, lam=0.3),
+        "smooth": agenet.SmoothSaturatingRate(k0=0.5, k1=2.0, lam=0.6),
+    }
+
+
+def _median_s(fn, calls):
+    # the median seconds of `calls` single calls of fn
+    from statistics import median
+    times = []
+    for _ in range(calls):
+        t = perf_counter()
+        fn()
+        times.append(perf_counter() - t)
+    return median(times)
+
+
+def agenet_import():
+    """import: seconds for a fresh interpreter's `import agenet,
+    agenet.cli`; the output is the scipy modules that import loaded."""
+    t = perf_counter()
+    import agenet, agenet.cli  # noqa: E401, F401
+    seconds = perf_counter() - t
+    return {"import_s": seconds}, {"scipy_modules": sorted(
+        m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}
+
+
+def step(*, steps=2000):
+    """step: microseconds at 10k cells (dx 1e-3).  `run_step_us`: for
+    each family model under the Dirac, exponential (theta 2) and gamma
+    (shape 2, rate 4) kernels, the wall time of `run()` on `uniform01`
+    for `steps` steps, recording once at the end, over its steps, after
+    one untimed run of a tenth as many.  `advance_us`: the median of 500
+    calls of `evolution._advance`, the transport alone, on that density
+    at its activity with the bound stepper, as run() passes them.
+    `solve_activity_implicit_us`: the median of 200 cold public calls on
+    that density.  The outputs are each run's last activity and
+    discharge."""
+    import numpy as np
+    import agenet
+    from agenet import evolution
+    dx, cells = 1e-3, 10_000
+    grid = agenet.AgeGrid(dx=dx, n_cells=cells)
+    f0 = agenet.preset_density(grid, "uniform01")
+    kernels = {"dirac": agenet.DelayKernel.dirac(),
+               "exponential": agenet.DelayKernel.exponential(theta=2.0),
+               "gamma": agenet.DelayKernel.gamma(shape=2.0, rate=4.0)}
+    families = _families()
+
+    def config(model, kernel, n):
+        return agenet.SimulationConfig(grid=grid, model=model, kernel=kernel,
+                                       t_end=n * dx, record_every=n)
+
+    step_us, last = {}, {}
+    for fam, model in families.items():
+        step_us[fam], last[fam] = {}, {}
+        for ker, kernel in kernels.items():
+            agenet.run(config(model, kernel, max(1, steps // 10)), f0)
+            cfg = config(model, kernel, steps)
+            t = perf_counter()
+            trace = agenet.run(cfg, f0)
+            step_us[fam][ker] = (perf_counter() - t) / steps * 1e6
+            last[fam][ker] = [repr(float(trace.m_series[-1])),
+                              repr(float(trace.p_series[-1]))]
+
+    # _advance(values, total, stepper, out, t, m), total the cell sum
+    total = float(f0.values[0]) + float(f0.values[1:].sum())
+    out = np.empty(cells + 1)
+    advance_us, solve_us = {}, {}
+    for fam, model in families.items():
+        m = agenet.solve_activity_implicit(model, grid, f0.values).m
+        stepper = model.stepper(grid)
+        advance_us[fam] = _median_s(lambda: evolution._advance(
+            f0.values, total, stepper, out, 0.0, m), 500) * 1e6
+    for fam, model in families.items():
+        solve_us[fam] = _median_s(lambda: agenet.solve_activity_implicit(
+            model, grid, f0.values), 200) * 1e6
+    return ({"run_step_us": step_us, "advance_us": advance_us,
+             "solve_activity_implicit_us": solve_us}, {"last_m_p": last})
+
+
+def steady(*, calls=5):
+    """steady: milliseconds per `solve_steady_state` call and per
+    `regime_scan(model, [lam], grid)` row, both with their defaults, at
+    1000 and 10k cells (x_max 10), on seven models.  The models take
+    turns, each timing `calls` calls of each kind after one untimed one.
+    The outputs are M, the scan's roots and the untimed call's
+    evaluations (calls of `steady_state._Profile.parts`)."""
+    import functools
+    import agenet
+    from agenet import steady_state
+    step = functools.partial(agenet.StepRate, sigma_plus=0.5,
+                             sigma_minus=0.25)
+    smooth = functools.partial(agenet.SmoothSaturatingRate, k0=0.5)
+    models = {"constant": agenet.ConstantRate(k0=1.5),
+              "step-0.3": step(lam=0.3), "step-1.5": step(lam=1.5),
+              "smooth-0.6": smooth(k1=2.0, lam=0.6),
+              "smooth-3": smooth(k1=2.0, lam=3.0),
+              "smooth-8": smooth(k1=2.0, lam=8.0),
+              "smooth-k1-6": smooth(k1=6.0, lam=0.6)}
+    kinds = {
+        "solve": lambda m, g: agenet.solve_steady_state(m, g).M,
+        "scan_row": lambda m, g: agenet.regime_scan(m, [m.lam], g)[0].roots,
+    }
+    parts = steady_state._Profile.parts
+    evaluations = [0]
+
+    def counted(profile, M):
+        evaluations[0] += 1
+        return parts(profile, M)
+
+    ms, evals, values = {}, {}, {}
+    for cells in (1000, 10000):
+        grid = agenet.AgeGrid(dx=10.0 / cells, n_cells=cells)
+        ms[cells], evals[cells], values[cells] = {}, {}, {}
+        for kind, fn in kinds.items():
+            ms[cells][kind], evals[cells][kind] = {}, {}
+            values[cells][kind] = {}
+            for name, model in models.items():
+                steady_state._Profile.parts = counted
+                evaluations[0] = 0
+                value = fn(model, grid)
+                steady_state._Profile.parts = parts
+                ms[cells][kind][name] = _median_s(
+                    lambda: fn(model, grid), calls) * 1e3
+                evals[cells][kind][name] = evaluations[0]
+                values[cells][kind][name] = repr(value)
+    return {"ms": ms}, {"evaluations": evals, "values": values}
+
+
+def xi(*, calls=30):
+    """xi: milliseconds per `estimate_xi` call for each rate family, at
+    the `regime` draws' settings and at the defaults, each timing
+    `calls` calls after one untimed one.  The outputs are the estimates."""
+    import agenet
+    families = {
+        "constant": agenet.ConstantRate(k0=1.5, lam=0.3),
+        "smooth": agenet.SmoothSaturatingRate(k0=0.5, k1=2.0, lam=0.3),
+        "step": agenet.StepRate(sigma_plus=0.5, sigma_minus=0.25, lam=0.3),
+    }
+    settings = {"regime_draw": lambda m: dict(
+        samples=9, mu_range=(0.0, max(1.0, m.k1)), f_inf_scale=2.0),
+        "defaults": lambda m: {}}
+    ms, estimates = {}, {}
+    for name, kwargs in settings.items():
+        ms[name], estimates[name] = {}, {}
+        for fam, model in families.items():
+            kw = kwargs(model)
+            est = agenet.estimate_xi(model, **kw)
+            ms[name][fam] = _median_s(
+                lambda: agenet.estimate_xi(model, **kw), calls) * 1e3
+            estimates[name][fam] = [repr(est.xi), repr(est.lambda_weak),
+                                    repr(est.lambda_strong)]
+    return {"ms": ms}, {"estimates": estimates}
+
+
+def equilibrium(*, calls=10):
+    """equilibrium: milliseconds per `stepper_equilibrium` call on the
+    step layer's family models at 10k cells (dx 1e-3), each timing
+    `calls` calls after one untimed one.  The outputs are M."""
+    import agenet
+    grid = agenet.AgeGrid(dx=1e-3, n_cells=10_000)
+    ms, M = {}, {}
+    for fam, model in _families().items():
+        M[fam] = repr(agenet.stepper_equilibrium(model, grid).M)
+        ms[fam] = _median_s(
+            lambda: agenet.stepper_equilibrium(model, grid), calls) * 1e3
+    return {"ms": ms}, {"M": M}
+
+
+def spectrum(*, calls=5):
+    """spectrum: milliseconds per `spectrum(build_generator(...))` call on
+    the step layer's family models at 1000 cells (dx 1e-2), as in the
+    spectrum workload, each timing `calls` calls after one untimed one,
+    at a stationary pair solved once.  The outputs are the gaps."""
+    import agenet
+    grid = agenet.AgeGrid(dx=1e-2, n_cells=1000)
+    ms, gap = {}, {}
+    for fam, model in _families().items():
+        steady = agenet.solve_steady_state(model, grid)
+
+        def call():
+            return agenet.spectrum(agenet.build_generator(model, grid,
+                                                          steady))
+        gap[fam] = repr(call().gap)
+        ms[fam] = _median_s(call, calls) * 1e3
+    return {"ms": ms}, {"gap": gap}
+
+
+LAYERS = {"import": agenet_import, "step": step, "steady": steady, "xi": xi,
+          "equilibrium": equilibrium, "spectrum": spectrum}
+
+
+def child(layer, *settings):
+    """Run one layer here; print agenet's origin, numpy's version, the
+    timings and the outputs as one JSON line."""
+    timings, outputs = LAYERS[layer](**{
+        name: int(value) for name, value in (s.split("=") for s in settings)})
+    import json
+    import agenet
+    import numpy
+    print(json.dumps([agenet.__file__, numpy.__version__, timings,
+                      outputs]))
+
+
+def _measure(layer, src, settings):
+    import json
+    import subprocess
+    done = subprocess.run(
+        [sys.executable, "-c", CHILD, src, TOOLS, layer,
+         *(f"{name}={value}" for name, value in settings.items())],
+        capture_output=True, text=True, timeout=1200, check=True)
+    origin, numpy_version, timings, outputs = json.loads(
+        done.stdout.strip().splitlines()[-1])
+    if os.path.dirname(os.path.realpath(origin)) != os.path.join(src,
+                                                                 "agenet"):
+        raise SystemExit(f"imported agenet from {origin}, not {src}")
+    return numpy_version, timings, outputs
+
+
+def _summary(entries):
+    # the per-round values of one timing, or of a dict of them, as the
+    # median, the quartiles and the values
+    import statistics
+    if isinstance(entries[0], dict):
+        return {key: _summary([e[key] for e in entries])
+                for key in entries[0]}
+    out = {"p50": round(statistics.median(entries), 4)}
+    if len(entries) > 1:
+        q1, _, q3 = statistics.quantiles(entries, n=4, method="inclusive")
+        out = {"p25": round(q1, 4), **out, "p75": round(q3, 4)}
+    return {**out, "by_round": [round(v, 4) for v in entries]}
+
+
+def main(argv=None):
+    import argparse
+    import json
+    import platform
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("layer", choices=LAYERS)
+    parser.add_argument("src", nargs="*",
+                        default=[os.path.join(TOOLS, os.pardir, "src")])
+    parser.add_argument("--rounds", type=int, default=7)
+    parser.add_argument("--calls", type=int)
+    parser.add_argument("--steps", type=int)
+    args = parser.parse_args(argv)
+    settings = dict(LAYERS[args.layer].__kwdefaults__ or {})
+    given = {name: getattr(args, name) for name in ("calls", "steps")
+             if getattr(args, name) is not None}
+    for name in sorted(given.keys() - settings.keys()):
+        parser.error(f"the {args.layer} layer does not read --{name}")
+    settings.update(given)
+    if args.rounds < 1 or min(settings.values(), default=1) < 1:
+        parser.error("--rounds, --calls and --steps must be positive")
+    if args.layer == "import" and args.rounds < 2:
+        parser.error("the import layer needs --rounds of at least 2 to "
+                     "give quartiles")
+    trees = [os.path.realpath(src) for src in args.src]
+    for src in trees:
+        if not os.path.isfile(os.path.join(src, "agenet", "__init__.py")):
+            parser.error(f"no agenet package under {src}")
+
+    rounds = {src: [] for src in trees}
+    outputs = {}
+    for r in range(args.rounds):
+        for src in trees[r % len(trees):] + trees[:r % len(trees)]:
+            numpy_version, timings, out = _measure(args.layer, src, settings)
+            if outputs.setdefault(src, out) != out:
+                raise SystemExit(f"{src} gave different {args.layer} "
+                                 "outputs in different rounds")
+            rounds[src].append(timings)
+
+    print(json.dumps({
+        "layer": args.layer, "rounds": args.rounds, **settings,
+        "host": {"cores": os.cpu_count(), "machine": platform.machine(),
+                 "python": platform.python_version(),
+                 "numpy": numpy_version},
+        "trees": [{"src": src, "timings": _summary(rounds[src]),
+                   "outputs": outputs[src]} for src in trees],
+    }, indent=1))
+
+
+if __name__ == "__main__":
+    main()
