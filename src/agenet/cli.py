@@ -435,7 +435,7 @@ def _sweep_row(cfg, scan_row):
         row["unique"] = scan_row.unique
         model = dataclasses.replace(cfg.model, lam=lam)
         row["M"] = scan_row.roots[0]
-        row["xi"] = estimate_xi(model).xi
+        row["xi"] = estimate_xi(model, x_max=cfg.grid.x_max).xi
 
         ss = solve_steady_state(model, cfg.grid)
         row["gap"] = spectrum(build_generator(model, cfg.grid, ss)).gap

@@ -671,6 +671,19 @@ def test_sweep_row_statuses():
                for k in ("M", "xi", "gap", "alpha", "r2", "unique"))
 
 
+def test_sweep_xi_uses_the_grid_horizon():
+    # x_max = 5: the horizon's slope gives xi 1.80, not the 4.05 of the
+    # default x_max = 10
+    model = SmoothSaturatingRate(k0=0.5, k1=2.0, lam=0.3)
+    grid = AgeGrid(dx=0.02, n_cells=250)
+    scan = agenet.regime_scan(model, [0.3], grid)
+    row = cli._sweep_row(_crafted_config(model, grid), scan[0])
+    assert row["status"] == "ok"
+    assert grid.x_max != 10.0
+    assert row["xi"] == agenet.estimate_xi(model, x_max=grid.x_max).xi
+    assert row["xi"] != agenet.estimate_xi(model).xi
+
+
 def test_uncertified_spectrum_exits_1_and_marks_the_sweep_row(
         tmp_path, capsys, monkeypatch):
     def uncertified(gen, k_eigs=16):

@@ -736,7 +736,9 @@ def _step_discrete_roots(model, grid, f):
 
     The map is a staircase in m whose plateau boundaries sit where the
     threshold crosses a midpoint; each plateau holds a root exactly
-    when its value falls inside the plateau interval.
+    when its value falls inside the plateau interval and the rounded
+    threshold there still selects the plateau's cell (a midpoint within
+    rounding of sigma_minus moves the crossing off its analytic bound).
     """
     csum = np.concatenate(([0.0], np.cumsum(f))) * grid.dx
     total = cell_sum(f) * grid.dx      # the cell sum, as in the map
@@ -757,7 +759,9 @@ def _step_discrete_roots(model, grid, f):
         mc = 0.5 * (a + b)
         idx = int(np.searchsorted(mids, model.threshold(mc), side="right"))
         g = total - csum[idx]
-        if a <= g <= b and (not roots or g - roots[-1] > 1e-12):
+        cell = int(np.searchsorted(mids, model.threshold(g), side="right"))
+        if a <= g <= b and cell == idx and (not roots
+                                            or g - roots[-1] > 1e-12):
             roots.append(float(g))
     return roots
 
@@ -776,6 +780,11 @@ def _tail(model, grid, f, mu):
        spread=st.floats(0.01, 0.5),
        decay=st.floats(0.1, 5.0),
        lam=st.one_of(st.just(0.0), st.floats(0.1, 316.0)))
+# once failed: midpoint 22 lies within rounding of sigma_minus, and the
+# oracle listed a plateau value past that crossing whose own threshold
+# selects another cell, so it was no fixed point
+@example(seed=1331, dx=0.02, x_max=7.640625, sigma_minus=0.44999999999999996,
+         spread=0.5, decay=0.453125, lam=146.0)
 def test_step_activity_roots_match_the_threshold_inversion(
         seed, dx, x_max, sigma_minus, spread, decay, lam):
     grid = AgeGrid(dx=dx, n_cells=int(round(x_max / dx)))

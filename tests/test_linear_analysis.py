@@ -3,6 +3,9 @@
 Dense `scipy.linalg` eigensolves at small n are the oracle for the
 root search on the renewal characteristic function."""
 
+import cmath
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -230,12 +233,84 @@ def test_located_modes_are_the_dense_modes_right_of_the_line(model, dx, n):
                for z in right) < 1e-9
 
 
+def _dense_chi(rates, dx, z):
+    """chi(z) = 1 - c^T (z - L)^{-1} e0 and chi'(z) = c^T (z - L)^{-2} e0
+    by dense solves, each with the scale sum |c_j w_j| of its terms."""
+    n = rates.size
+    L = np.diag(-1.0 / dx - rates) + np.diag(np.full(n - 1, 1.0 / dx), -1)
+    c = rates.astype(complex)
+    c[-1] += 1.0 / dx
+    shifted = z * np.eye(n) - L
+    v = linalg.solve(shifted, np.eye(n)[0].astype(complex))
+    w = linalg.solve(shifted, v)
+    return (1.0 - c @ v, np.abs(c) @ np.abs(v)), (c @ w, np.abs(c) @ np.abs(w))
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=_RATES, dx=st.floats(0.05, 0.4), n=st.integers(20, 200),
+       re=st.floats(0.0, 1.0), im=st.floats(0.0, 1.0),
+       on_axis=st.booleans())
+def test_chi_matches_a_dense_solve(model, dx, n, re, im, on_axis):
+    # z right of the floor, up to Re 2, on the real axis as a float or
+    # in the box up to Im 20
+    gen = _generator(model, dx, n * dx)
+    chi = linear_analysis._Chi(gen.rates, gen.grid.dx)
+    x = chi.floor() + re * (2.0 - chi.floor())
+    z = x if on_axis else complex(x, 20.0 * im)
+    f, df, tail = chi.at(z, tail=True)
+    (f_dense, f_scale), (df_dense, df_scale) = _dense_chi(
+        gen.rates, gen.grid.dx, z)
+    assert abs(f - f_dense) <= 1e-10 * (1.0 + f_scale)
+    assert abs(df - df_dense) <= 1e-10 * df_scale
+    assert tail >= abs(f - 1.0) * (1.0 - 1e-12)
+    # one arithmetic per evaluation: bit for bit, and at(z) without the
+    # tail bound computes the same chi and chi'
+    assert chi.value(z) == f and chi.at(z)[:2] == (f, df)
+    assert chi.at(z)[2] is None
+    if on_axis:
+        assert f.imag == 0.0 and df.imag == 0.0
+
+
+class _CountingChi(linear_analysis._Chi):
+    evaluations = 0
+
+    def value(self, z):
+        self.evaluations += 1
+        return super().value(z)
+
+    def at(self, z, tail=False):
+        self.evaluations += 1
+        return super().at(z, tail)
+
+
+@pytest.mark.parametrize("vertical, fixed, lo, hi", [
+    (False, 0.3, -1.0, 2.0), (True, -0.4, 0.0, 12.0), (True, -0.4, 0.0, None)])
+def test_phase_reuses_the_walked_samples(vertical, fixed, lo, hi):
+    gen = _generator(_MODELS["smooth"], 0.05, 6.0)
+    chi = _CountingChi(gen.rates, gen.grid.dx)
+    path = linear_analysis._Path(chi, fixed, lo, hi, vertical=vertical)
+    assert path.s.size >= 3
+    chi.evaluations = 0
+    assert [path.phase(s) for s in path.s] == path.args
+    assert path.phase(lo) == path.args[0]
+    assert path.phase(path.hi) == path.args[-1]
+    assert chi.evaluations == 0
+    # between samples: one evaluation, the principal arg up to 2 pi
+    for a, b in zip(path.s[:-1], path.s[1:]):
+        s = 0.5 * (a + b)
+        fresh = cmath.phase(linear_analysis._Chi(
+            gen.rates, gen.grid.dx).value(path.point(s)))
+        turns = (path.phase(s) - fresh) / (2.0 * math.pi)
+        assert abs(turns - round(turns)) < 1e-12
+    assert chi.evaluations == path.s.size - 1
+
+
 def test_the_real_scan_refines_until_every_counted_root_turns_up():
     # two real roots 1e-3 apart share a cell of the first 128-cell mesh
     # on [-1.5, 0), so chi shows no sign change across it
     class TwoRoots:
-        def at(self, x):
-            return complex(x * (x + 0.5) * (x + 0.501)), 0j, 0.0
+        def value(self, x):
+            return complex(x * (x + 0.5) * (x + 0.501))
 
     roots = linear_analysis._real_roots(TwoRoots(), -1.5, 3)
     assert sorted(roots) == pytest.approx([-0.501, -0.5, 0.0], abs=1e-12)
