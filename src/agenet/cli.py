@@ -64,9 +64,9 @@ _MODELS = {
 }
 _KERNEL_KEYS = {
     "dirac": (),
-    "exponential": ("theta", "delta"),
-    "gamma": ("shape", "rate", "delta"),
-    "sampled": ("y", "b", "delta"),
+    "exponential": ("theta",),
+    "gamma": ("shape", "rate"),
+    "sampled": ("y", "b"),
 }
 
 
@@ -198,8 +198,7 @@ def _validate_kernel(block, errors):
     if kind == "dirac":
         return DelayKernel.dirac() if len(errors) == before else None
     if kind != "sampled":
-        # a positive rate, a gamma shape, and an optional delta below
-        # the rate
+        # a positive rate and a gamma shape
         params = {}
         if kind == "gamma":
             params["shape"] = block.get("shape", 2.0)
@@ -215,15 +214,8 @@ def _validate_kernel(block, errors):
             errors.append(f"kernel.{key}: must be finite")
         if len(errors) > before:
             return None
-        delta = block.get("delta")
-        if delta is not None and (not _is_number(delta)
-                                  or not 0.0 < delta < params[key]):
-            errors.append(f"kernel.delta: must lie in (0, kernel.{key})")
-            return None
-        params = {k: float(v) for k, v in params.items()}
-        make = (DelayKernel.exponential if kind == "exponential"
-                else DelayKernel.gamma)
-        return make(**params, delta=delta)
+        return getattr(DelayKernel, kind)(
+            **{k: float(v) for k, v in params.items()})
     y = block.get("y")
     b = block.get("b")
     for key, arr in (("y", y), ("b", b)):
@@ -233,14 +225,9 @@ def _validate_kernel(block, errors):
                           "numbers")
     if len(errors) > before:
         return None
-    delta = block.get("delta", 1.0)
-    if not _is_number(delta) or delta <= 0.0:
-        errors.append("kernel.delta: must be a positive number")
-        return None
     try:
         return DelayKernel.sampled(np.asarray(y, dtype=float),
-                                   np.asarray(b, dtype=float),
-                                   delta=float(delta))
+                                   np.asarray(b, dtype=float))
     except ValueError as exc:
         errors.append(f"kernel: {exc}")
         return None

@@ -1,9 +1,10 @@
 """Delay kernels: probability measures weighting the discharge history.
 
 The network activity is the discharge filtered through a kernel b,
-m(t) = int p(t - y) b(dy).  Kernels must carry a finite exponential
-moment int exp(delta*y) b(dy) for some delta > 0; heavy tails are
-rejected at construction.
+m(t) = int p(t - y) b(dy).  The paper asks for a finite moment
+int exp(delta*y) b(dy), delta > 0; every kernel here has one for every
+parameter value (the sampled kernel has compact support), so no delta
+is stored.  NaN and infinite parameters are refused.
 
 A run convolves through kernel.history(dt, m0).  The exponential kernel
 and the gamma kernels of integer shape s are a chain of s first-order
@@ -34,17 +35,11 @@ _QUANTILE = 1.0 - 1e-6
 @dataclasses.dataclass(frozen=True)
 class DelayKernel:
     """One of: Dirac mass at 0, Exponential(theta), Gamma(shape, rate),
-    or a Sampled density on a time mesh.
-
-    delta is the exponent of the certified moment int e^{delta*y} b(dy);
-    the analytic moment is stored as delta_moment at construction and
-    must be finite.
-    """
+    or a Sampled density on a time mesh."""
 
     kind: str
     theta: float = 0.0
     shape: float = 1.0
-    delta: float = 0.0
     y_samples: Optional[np.ndarray] = dataclasses.field(
         default=None, compare=False)
     b_samples: Optional[np.ndarray] = dataclasses.field(
@@ -56,66 +51,45 @@ class DelayKernel:
         return cls(kind="dirac")
 
     @classmethod
-    def exponential(cls, theta, delta=None):
-        if theta <= 0.0:
-            raise ValueError("exponential rate theta must be positive")
-        delta = theta / 2.0 if delta is None else float(delta)
-        if not (0.0 < delta < theta):
+    def exponential(cls, theta):
+        # NaN fails every comparison, so test for the good range
+        if not 0.0 < theta < math.inf:
             raise ValueError(
-                "delta must lie in (0, theta) for a finite exponential moment")
-        return cls(kind="exponential", theta=theta, delta=delta)
+                "exponential rate theta must be positive and finite")
+        return cls(kind="exponential", theta=theta)
 
     @classmethod
-    def gamma(cls, shape, rate, delta=None):
-        if rate <= 0.0:
-            raise ValueError("gamma rate must be positive")
-        if shape < 1.0:
-            raise ValueError(
-                "gamma shape must be >= 1 so the density is bounded at 0")
-        delta = rate / 2.0 if delta is None else float(delta)
-        if not (0.0 < delta < rate):
-            raise ValueError(
-                "delta must lie in (0, rate) for a finite exponential moment")
-        return cls(kind="gamma", theta=rate, shape=shape, delta=delta)
+    def gamma(cls, shape, rate):
+        if not 0.0 < rate < math.inf:
+            raise ValueError("gamma rate must be positive and finite")
+        if not 1.0 <= shape < math.inf:
+            raise ValueError("gamma shape must be finite and >= 1 so the "
+                             "density is bounded at 0")
+        return cls(kind="gamma", theta=rate, shape=shape)
 
     @classmethod
-    def sampled(cls, y, b, delta=1.0):
+    def sampled(cls, y, b):
         """Density given by samples (y_i, b(y_i)); linear interpolation
         in between, zero outside.  Must integrate to 1 within 1e-8."""
         y = np.asarray(y, dtype=float)
         b = np.asarray(b, dtype=float)
         if y.ndim != 1 or y.shape != b.shape or y.size < 2:
             raise ValueError("need matching 1d arrays of at least 2 samples")
-        if np.any(np.diff(y) <= 0.0) or y[0] < 0.0:
+        # NaN fails these tests, and inf makes the mass non-finite
+        if not (np.all(np.diff(y) > 0.0) and y[0] >= 0.0):
             raise ValueError("sample times must be increasing and >= 0")
-        if np.any(b < 0.0):
+        if not np.all(b >= 0.0):
             raise ValueError("density samples must be nonnegative")
-        if delta <= 0.0:
-            raise ValueError("delta must be positive")
         mass = float(np.trapezoid(b, y))
-        if abs(mass - 1.0) > 1e-8:
+        if not abs(mass - 1.0) <= 1e-8:
             raise ValueError(
                 f"sampled kernel mass {mass!r} is not 1 within 1e-8; "
                 "normalize the samples first")
-        return cls(kind="sampled", delta=float(delta), y_samples=y,
-                   b_samples=b)
+        return cls(kind="sampled", y_samples=y, b_samples=b)
 
     @property
     def is_dirac(self):
         return self.kind == "dirac"
-
-    @property
-    def delta_moment(self):
-        """The analytic moment int e^{delta*y} b(dy)."""
-        if self.kind == "dirac":
-            return 1.0
-        if self.kind == "exponential":
-            return self.theta / (self.theta - self.delta)
-        if self.kind == "gamma":
-            return (self.theta / (self.theta - self.delta)) ** self.shape
-        return float(np.trapezoid(
-            np.exp(self.delta * self.y_samples) * self.b_samples,
-            self.y_samples))
 
     def density(self, y):
         y = np.asarray(y, dtype=float)
@@ -189,13 +163,7 @@ class DelayKernel:
         if self.kind != "sampled" and float(self.shape).is_integer():
             return _ChainHistory(int(self.shape), self.theta * dt, m0)
         _, w = self.weights(dt)
-        return _WeightedHistory(w, DischargeHistory.constant(m0, w.size, dt))
-
-    def discrete_delta_moment(self, dt):
-        """Moment of the renormalized mesh weights; should track the
-        analytic delta_moment once dt resolves the kernel."""
-        lags, w = self.weights(dt)
-        return float(np.sum(w * np.exp(self.delta * lags)))
+        return _WeightedHistory(w, DischargeHistory.constant(m0, w.size))
 
 
 class DischargeHistory:
@@ -209,18 +177,17 @@ class DischargeHistory:
     push().  Owned by a single simulation, never shared.
     """
 
-    def __init__(self, values, dt):
+    def __init__(self, values):
         values = np.array(values, dtype=float)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("history must be a nonempty 1d array")
         self._size = values.size
         self._ring = np.concatenate((values, values))
         self._head = 0              # the window is _ring[_head:_head + N]
-        self.dt = float(dt)
 
     @classmethod
-    def constant(cls, value, length, dt):
-        return cls(np.full(length, float(value)), dt)
+    def constant(cls, value, length):
+        return cls(np.full(length, float(value)))
 
     def __len__(self):
         return self._size

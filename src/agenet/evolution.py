@@ -18,10 +18,11 @@ factors.  run() binds one stepper for its initial solve and all its
 steps, steps inside two preallocated buffers and carries the cell sum
 from step to step; step() binds one per call, with the same
 arithmetic, so run() equals a loop of step() and a fresh stepper's
-solve() bit for bit.  solve_activity_implicit() binds one per call too
-and also refuses a settled root of a staircase map that holds another.
-stepper_equilibrium() builds its profiles from one bound stepper too,
-so the reference a run relaxes to uses the run's own factors.
+solve() bit for bit.  solve_activity_implicit() binds one per call
+too, solves with the stepper's defaults, and also refuses a settled
+root of a staircase map that holds another.  stepper_equilibrium()
+builds its profiles from one bound stepper too, so the reference a run
+relaxes to uses the run's own factors.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from . import _roots
 from .delay_kernel import DelayKernel
 from .errors import (AmbiguousActivityError, DegenerateInputError,
                      InvariantViolationError)
-from .firing_rate import estimate_xi, half_rate_age
+from .firing_rate import _check_parameters, estimate_xi, half_rate_age
 from .grid import AgeGrid, DensityState, cell_sum
 
 __all__ = [
@@ -45,6 +46,9 @@ __all__ = [
     "DecayFit", "solve_activity_implicit", "kappa0", "step", "run",
     "decay_fit", "stepper_equilibrium",
 ]
+
+# the width to which stepper_equilibrium bisects its activity
+_EQUILIBRIUM_WIDTH = 1e-13
 
 
 @dataclasses.dataclass(frozen=True)
@@ -60,16 +64,11 @@ class SimulationConfig:
     allow_zero_kappa0: bool = False
 
     def __post_init__(self):
-        if self.t_end <= 0.0:
-            raise ValueError("t_end must be positive")
-        if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
-        if self.fixed_point_tol <= 0.0:
-            raise ValueError("fixed_point_tol must be positive")
-        if self.fixed_point_max_iter < 1:
-            raise ValueError("fixed_point_max_iter must be >= 1")
-        if self.q < 0.0:
-            raise ValueError("q must be >= 0")
+        _check_parameters(self, positive=("t_end", "fixed_point_tol"),
+                          nonnegative=("q",))
+        for name in ("record_every", "fixed_point_max_iter"):
+            if not 1 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be >= 1 and finite")
 
     @property
     def dt(self):
@@ -128,16 +127,15 @@ def kappa0(model, grid, f0):
     return float(np.dot(model.rate(grid.midpoints, 0.0), values)) * grid.dx
 
 
-def solve_activity_implicit(model, grid, values, tol=1e-12, max_iter=200,
-                            warm_start=None, total=None):
+def solve_activity_implicit(model, grid, values):
     """Solve the implicit activity m = int k(x, lam*m) f(x) dx for a
     density of mass approx 1.
 
     The family's stepper, model.stepper(grid), solves it: this function
     binds one per call, and run() binds one for all its steps.  The
     stepper holds the family's activity map G, the integral above on
-    the midpoint mesh, and iterates on it from warm_start (default
-    G(0)), clamped to [0, k1], until |G(mu) - mu| <= tol.  The smooth
+    the midpoint mesh, and iterates on it from G(0), clamped to
+    [0, k1], until |G(mu) - mu| <= 1e-12.  The smooth
     family takes Newton steps on G(mu) - mu with G's closed-form slope,
     or the fixed-point step mu -> G(mu) wherever that slope is 1 or
     more; the constant family settles in one or two evaluations of its
@@ -148,12 +146,12 @@ def solve_activity_implicit(model, grid, values, tol=1e-12, max_iter=200,
     iterates lie above the root after the first step and then fall to
     it monotonically.  A settled Newton solve returns the clamped
     Newton update mu + (G(mu) - mu)/(1 - G'(mu)), not mu: mu can sit up
-    to tol/(1 - G'(mu)) off the root, while the update's error is
+    to 1e-12/(1 - G'(mu)) off the root, while the update's error is
     second order in that, and it costs no further map evaluation.  A
     settled fixed-point solve returns mu.  Either kind of step counts
     as method "fixed-point".  If the iterates have not settled after
-    max_iter steps, the stepper's roots() lists every fixed point of G
-    in [0, k1]: one is returned as method "scan", none means the model
+    200 steps, the stepper's roots() lists every fixed point of G in
+    [0, k1]: one is returned as method "scan", none means the model
     violates its own bounds (ModelInconsistencyError), and several make
     the dynamics ambiguous (AmbiguousActivityError).
 
@@ -163,20 +161,13 @@ def solve_activity_implicit(model, grid, values, tol=1e-12, max_iter=200,
     even a cell away from the one reached, AmbiguousActivityError names
     them all.  The smooth and constant maps hold one root by
     construction and take no check.  run() calls its stepper's solve
-    directly, without the check, so a trajectory through such a
-    staircase keeps the root its iteration reaches.
-
-    A NaN warm_start raises ValueError; an infinite one is clamped to
-    k1.  total, if given, must be the density's cell sum,
-    cell_sum(values), which the transport step returns; the stepper
-    then takes it instead of summing the density again."""
-    if warm_start is not None and math.isnan(warm_start):
-        raise ValueError("warm_start is NaN; pass an activity or None")
+    directly, with a warm start and its config's tolerance and cap, and
+    without the check, so a trajectory through such a staircase keeps
+    the root its iteration reaches."""
     stepper = model.stepper(grid)
-    m, iterations, method = stepper.solve(values, total, warm_start, tol,
-                                          max_iter)
+    m, iterations, method = stepper.solve(values)
     if method == "fixed-point" and not stepper.one_root:
-        roots = stepper.roots(values, total)
+        roots = stepper.roots(values)
         if len(roots) > 1:
             raise AmbiguousActivityError.listing(roots)
     return ActivitySolution(m=m, iterations=iterations, method=method)
@@ -446,7 +437,7 @@ def decay_fit(trace, window):
                     window=(float(t[0]), float(t[-1])), n_points=int(t.size))
 
 
-def stepper_equilibrium(model, grid, tol=1e-13):
+def stepper_equilibrium(model, grid):
     """Fixed point of the discrete time-stepper with no delay.
 
     The profile the simulation itself relaxes to: it satisfies
@@ -457,7 +448,7 @@ def stepper_equilibrium(model, grid, tol=1e-13):
     this profile, because the distance to any other reference saturates
     at that O(dx) offset.  Returned as a SteadyState so it can be
     passed to run(steady=...)."""
-    from .steady_state import SteadyState
+    from .steady_state import SteadyState, _residual_ode
 
     mids = grid.midpoints
     dx = grid.dx
@@ -482,15 +473,10 @@ def stepper_equilibrium(model, grid, tol=1e-13):
     if fa <= 0.0:
         m_star = 0.0
     else:
-        a, b = _roots.bisect(phi, 0.0, model.k1, fa, width=tol)
+        a, b = _roots.bisect(phi, 0.0, model.k1, fa,
+                             width=_EQUILIBRIUM_WIDTH)
         m_star = 0.5 * (a + b)
     F = profile(m_star)
-    k_mid = np.asarray(model.rate(mids, m_star))
-    if grid.n_cells >= 3:
-        dF = (F[2:] - F[:-2]) / (2.0 * dx)
-        residual_ode = float(np.max(np.abs(dF + k_mid[1:-1] * F[1:-1])))
-    else:
-        residual_ode = 0.0
     return SteadyState(M=m_star, F=F, lam=float(model.lam),
-                       residual_ode=residual_ode,
+                       residual_ode=_residual_ode(model, grid, F, m_star),
                        residual_activity=abs(phi(m_star)))

@@ -608,8 +608,12 @@ def _lambert_w_lower(z):
     return w
 
 
+# estimate_xi reads a regime coupling past this cap as inf
+_LAM_CAP = 1e4
+
+
 def estimate_xi(model, x_max=10.0, mu_range=(0.0, 1.0), samples=33,
-                f_inf_scale=1.0, mu_inf=None, lam_cap=1e4):
+                f_inf_scale=1.0, mu_inf=None):
     """The L1-in-age Lipschitz modulus of mu -> k(., lam*mu) and the
     couplings it delimits, in closed form.
 
@@ -636,9 +640,9 @@ def estimate_xi(model, x_max=10.0, mu_range=(0.0, 1.0), samples=33,
         /(C*peak), if that lies past onset/mu_inf, and 0 if g stays
         below 1 there (z < -1/e included).  With rate*mu_inf = 0 the
         factor grows without bound and lambda_strong is inf.
-    A coupling past lam_cap reads as inf.  samples must be at least 2
-    but the result does not depend on it: nothing is sampled.  A model
-    whose lipschitz_known is false (a custom threshold map with no
+    A coupling past _LAM_CAP = 1e4 reads as inf.  samples must be at
+    least 2 but the result does not depend on it: nothing is sampled.  A
+    model whose lipschitz_known is false (a custom threshold map with no
     declared sigma_modulus) gets xi = inf, lambda_weak = 0 and
     lambda_strong = inf.
     """
@@ -672,9 +676,9 @@ def estimate_xi(model, x_max=10.0, mu_range=(0.0, 1.0), samples=33,
         last = -_lambert_w_lower(z) / decay if z >= -1.0 / math.e else 0.0
         # short of onset/mu_inf the factor stays below g(onset/mu_inf)
         lambda_strong = last if last * m_inf >= onset else 0.0
-    if lambda_weak > lam_cap:
+    if lambda_weak > _LAM_CAP:
         lambda_weak = math.inf
-    if lambda_strong >= lam_cap:
+    if lambda_strong >= _LAM_CAP:
         lambda_strong = math.inf
     return RegimeEstimate(xi=xi, lambda_weak=lambda_weak,
                           lambda_strong=lambda_strong)

@@ -9,6 +9,7 @@ exact index shift.
 from __future__ import annotations
 
 import dataclasses
+import math
 import warnings
 from functools import cached_property, lru_cache
 
@@ -32,9 +33,10 @@ class AgeGrid:
     n_cells: int
 
     def __post_init__(self):
-        if self.dx <= 0.0:
-            raise ValueError("dx must be positive")
-        if self.n_cells < 2:
+        # NaN fails every comparison, so test for the good range
+        if not 0.0 < self.dx < math.inf:
+            raise ValueError("dx must be positive and finite")
+        if not self.n_cells >= 2:
             raise ValueError("need at least two cells")
 
     @property

@@ -9,11 +9,12 @@ reported as a residual rather than solved for.
 
 Rates are nondecreasing in activity, so I is nonincreasing and g is
 enclosed on any [a, b] by a*I(b) - 1 <= g <= b*I(a) - 1.  The root
-search splits the bracket and drops every part whose enclosure misses
-0, so it proves where no root lies.  It bisects each sign change, and
-splits the other parts it cannot rule out down to a final width of
-1/1024 of a mesh cell, so it lists every root down to that width.  On
-the built-in families a search takes 20 to 75 evaluations of g.
+search splits the bracket [1e-6, k1] and drops every part whose
+enclosure misses 0, so it proves where no root lies.  It bisects each
+sign change, and splits the other parts it cannot rule out down to a
+final width of 1/1024 of a mesh cell, so it lists every root down to
+that width.  On the built-in families a search takes 20 to 75
+evaluations of g.
 
 Each root search makes one `_Profile` for its model and grid: the
 normalization integral evaluated in buffers allocated once, with K on
@@ -123,6 +124,9 @@ _LEVELS = 10
 # An enclosure rules out a root only when it misses 0 by this much more
 # than rounding could shift g.
 _SLACK = 1e-13
+# Every search runs over [_LO, k1], and lists a root where |g| <= _TOL.
+_LO = 1e-6
+_TOL = 1e-12
 
 
 def _stationary_roots(profile, lo, hi, cells, tol):
@@ -249,29 +253,32 @@ def _stationary_roots(profile, lo, hi, cells, tol):
     return sorted(roots)
 
 
-def _bracket(model, bracket, tol):
-    # the checked (lo, hi) of a stationary root search, default
-    # (1e-6, k1]
-    if bracket is None:
-        bracket = (1e-6, model.k1)
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not (0.0 < lo < hi):
-        raise ValueError("bracket must satisfy 0 < lo < hi")
-    if hi > model.k1 * (1.0 + 1e-12):
-        raise ValueError("bracket exceeds k1; stationary activity cannot")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    return lo, hi
+def _upper_end(model):
+    # k1, the upper end of the bracket: no stationary activity exceeds it
+    if not _LO < model.k1:
+        raise ValueError(f"k1 must exceed {_LO:g}, the lower end of the "
+                         "stationary search")
+    return float(model.k1)
 
 
-def solve_steady_state(model, grid, bracket=None, tol=1e-12):
+def _residual_ode(model, grid, F, M):
+    # centred-difference check of the profile equation F' + k F = 0;
+    # O(dx^2) for smooth rates, with an O(1) spike at a rate jump
+    if grid.n_cells < 3:
+        return 0.0
+    k_mid = np.asarray(model.rate(grid.midpoints, M))
+    dF = (F[2:] - F[:-2]) / (2.0 * grid.dx)
+    return float(np.max(np.abs(dF + k_mid[1:-1] * F[1:-1])))
+
+
+def solve_steady_state(model, grid):
     """Solve for the stationary pair (F, M) on the given grid.
 
     Roots of g(M) = M * int exp(-K(x, lam*M)) dx - 1 over the bracket
-    (default (1e-6, k1]; the stationary activity can never exceed k1),
-    listed by the enclosure search of _stationary_roots on a coarsest
-    mesh of 200 cells.  It proves where g has no root, and bisects each
-    sign change until its ends are adjacent floats or 1e-16 apart:
+    [1e-6, k1] (the stationary activity can never exceed k1), listed by
+    the enclosure search of _stationary_roots on a coarsest mesh of 200
+    cells.  It proves where g has no root, and bisects each sign change
+    until its ends are adjacent floats or 1e-16 apart:
     bisection rather than Newton because K is not differentiable in M
     for step rates.  Every root is listed, down to a final width of
     1/1024 of a mesh cell; on the built-in families a solve takes 20
@@ -281,13 +288,13 @@ def solve_steady_state(model, grid, bracket=None, tol=1e-12):
     edge_cumulative (the smooth family's age integral on the edges is
     cached per grid), and F is read from them at the root.
     """
-    lo, hi = _bracket(model, bracket, tol)
+    hi = _upper_end(model)
     profile = _Profile(model, grid)
-    roots = _stationary_roots(profile, lo, hi, _SOLVE_CELLS, tol)
+    roots = _stationary_roots(profile, _LO, hi, _SOLVE_CELLS, _TOL)
     if not roots:
         raise BracketError(
             f"no sign change of the normalization residual on "
-            f"[{lo:g}, {hi:g}]; widen the bracket")
+            f"[{_LO:g}, {hi:g}]")
     if len(roots) > 1:
         warnings.warn(
             "multiple stationary activities on the bracket: "
@@ -302,13 +309,8 @@ def solve_steady_state(model, grid, bracket=None, tol=1e-12):
     absorbed = E[:-1] * profile.shed
     activity = M * (float(absorbed.sum()) + E[-1])
     residual_activity = abs(activity - M)
-    # finite-difference check of the profile equation F' + k F = 0;
-    # O(dx^2) for smooth rates, with an O(1) spike at a rate jump
-    k_mid = np.asarray(model.rate(grid.midpoints, M))
-    dF = (F[2:] - F[:-2]) / (2.0 * grid.dx)
-    residual_ode = float(np.max(np.abs(dF + k_mid[1:-1] * F[1:-1]))) \
-        if grid.n_cells >= 3 else 0.0
-    return SteadyState(M=M, F=F, lam=model.lam, residual_ode=residual_ode,
+    return SteadyState(M=M, F=F, lam=model.lam,
+                       residual_ode=_residual_ode(model, grid, F, M),
                        residual_activity=residual_activity)
 
 
@@ -319,11 +321,11 @@ class ScanRow:
     unique: bool
 
 
-def regime_scan(model, lambdas, grid, bracket=None, tol=1e-12):
+def regime_scan(model, lambdas, grid):
     """Stationary-activity roots for each coupling in lambdas.
 
     Each row reports every root of the normalization residual on the
-    bracket (default (1e-6, k1]), listed by the enclosure search of
+    bracket [1e-6, k1], listed by the enclosure search of
     _stationary_roots on a coarsest mesh of 400 cells, and whether it
     is unique.  Every root is listed down to a final width of 1/1024 of
     a mesh cell, two inside one mesh cell included, so a row with one
@@ -337,11 +339,11 @@ def regime_scan(model, lambdas, grid, bracket=None, tol=1e-12):
         raise ValueError("lambda list must be nonempty")
     if not all(0.0 <= l < math.inf for l in lambdas):
         raise ValueError("couplings must be finite and nonnegative")
-    lo, hi = _bracket(model, bracket, tol)
+    hi = _upper_end(model)
     rows = []
     for lam in lambdas:
         profile = _Profile(dataclasses.replace(model, lam=lam), grid)
-        roots = _stationary_roots(profile, lo, hi, _SCAN_CELLS, tol)
+        roots = _stationary_roots(profile, _LO, hi, _SCAN_CELLS, _TOL)
         rows.append(ScanRow(lam=lam, roots=tuple(roots),
                             unique=len(roots) == 1))
     return rows

@@ -218,29 +218,21 @@ _CONFIG_ERRORS = [
      ["model.decay: must be positive, got 0",
       "model.sigma_minus: rest threshold 2 must be strictly below the "
       "excited threshold model.sigma_plus = 1.5"]),
-    # exponential and gamma kernels: rate, shape and delta
+    # exponential and gamma kernels: rate and shape
     ({"kernel": {"kind": "exponential", "theta": 0.0}},
      ["kernel.theta: must be a positive number"]),
     ({"kernel": {"kind": "exponential", "theta": "2"}},
      ["kernel.theta: must be a positive number"]),
-    ({"kernel": {"kind": "exponential", "theta": 2.0, "delta": 2.0}},
-     ["kernel.delta: must lie in (0, kernel.theta)"]),
-    ({"kernel": {"kind": "exponential", "delta": -1.0}},
-     ["kernel.delta: must lie in (0, kernel.theta)"]),
-    ({"kernel": {"kind": "exponential", "theta": -1.0, "delta": 5.0,
-                 "shape": 2.0}},
+    ({"kernel": {"kind": "exponential", "theta": -1.0, "shape": 2.0}},
      ["kernel.shape: unknown key for kind 'exponential'",
       "kernel.theta: must be a positive number"]),
     ({"kernel": {"kind": "gamma", "shape": 0.5}},
      ["kernel.shape: must be a number >= 1"]),
     ({"kernel": {"kind": "gamma", "rate": 0.0}},
      ["kernel.rate: must be a positive number"]),
-    ({"kernel": {"kind": "gamma", "shape": "two", "rate": -1.0,
-                 "delta": 0.5}},
+    ({"kernel": {"kind": "gamma", "shape": "two", "rate": -1.0}},
      ["kernel.shape: must be a number >= 1",
       "kernel.rate: must be a positive number"]),
-    ({"kernel": {"kind": "gamma", "rate": 3.0, "delta": 3.0}},
-     ["kernel.delta: must lie in (0, kernel.rate)"]),
     ({"kernel": {"kind": "exponential", "theta": _INF}},
      ["kernel.theta: must be finite"]),
     ({"kernel": {"kind": "exponential", "theta": _NAN}},
@@ -251,15 +243,14 @@ _CONFIG_ERRORS = [
      ["kernel.shape: must be finite"]),
     ({"kernel": {"kind": "gamma", "shape": _NAN}},
      ["kernel.shape: must be finite"]),
-    ({"kernel": {"kind": "gamma", "delta": "small", "theta": 1.0}},
-     ["kernel.theta: unknown key for kind 'gamma'",
-      "kernel.delta: must lie in (0, kernel.rate)"]),
+    ({"kernel": {"kind": "gamma", "theta": 1.0}},
+     ["kernel.theta: unknown key for kind 'gamma'"]),
     ({"kernel": {"kind": "cauchy"}},
      ["kernel.kind: unknown kind 'cauchy' (known: dirac, exponential, "
       "gamma, sampled)"]),
     ({"kernel": {"kind": "dirac", "theta": 1.0}},
      ["kernel.theta: unknown key for kind 'dirac'"]),
-    # sampled kernels: y, b and delta
+    # sampled kernels: y and b
     ({"kernel": {"kind": "sampled", "b": [0.0, 1.0, 0.0]}},
      ["kernel.y: expected a list of at least two numbers"]),
     ({"kernel": {"kind": "sampled", "y": [0.0, 1.0, 2.0], "b": [1.0]}},
@@ -267,17 +258,25 @@ _CONFIG_ERRORS = [
     ({"kernel": {"kind": "sampled", "y": "0 1 2", "b": [0.0, "1", 0.0]}},
      ["kernel.y: expected a list of at least two numbers",
       "kernel.b: expected a list of at least two numbers"]),
-    ({"kernel": {"kind": "sampled", "y": [0.0, 1.0, 2.0],
-                 "b": [0.0, 1.0, 0.0], "delta": 0.0}},
-     ["kernel.delta: must be a positive number"]),
-    ({"kernel": {"kind": "sampled", "y": [0.0, 1.0, 2.0],
-                 "b": [0.0, 1.0, 0.0], "delta": "one"}},
-     ["kernel.delta: must be a positive number"]),
     ({"kernel": {"kind": "sampled", "y": [0.0, 1.0], "b": [0.0, 1.0, 0.0]}},
      ["kernel: need matching 1d arrays of at least 2 samples"]),
     ({"kernel": {"kind": "sampled", "y": [0.0, 1.0, 2.0],
                  "b": [0.0, 1.0, 0.0], "theta": 1.0}},
      ["kernel.theta: unknown key for kind 'sampled'"]),
+    # no kernel kind takes a delta: each kernel's exponential moment is
+    # finite for every parameter value
+    ({"kernel": {"kind": "dirac", "delta": 1.0}},
+     ["kernel.delta: unknown key for kind 'dirac'"]),
+    ({"kernel": {"kind": "exponential", "theta": 2.0, "delta": 1.0}},
+     ["kernel.delta: unknown key for kind 'exponential'"]),
+    ({"kernel": {"kind": "gamma", "shape": 2.0, "rate": 3.0, "delta": 1.0}},
+     ["kernel.delta: unknown key for kind 'gamma'"]),
+    ({"kernel": {"kind": "sampled", "y": [0.0, 1.0, 2.0],
+                 "b": [0.0, 1.0, 0.0], "delta": 1.0}},
+     ["kernel.delta: unknown key for kind 'sampled'"]),
+    ({"kernel": {"kind": "exponential", "theta": 0.0, "delta": 1.0}},
+     ["kernel.delta: unknown key for kind 'exponential'",
+      "kernel.theta: must be a positive number"]),
     # every run key, one at a time and all at once
     ({"run": {"t_end": 0.0}}, ["run.t_end: must be positive, got 0"]),
     ({"run": {"t_end": "long"}},
@@ -370,11 +369,11 @@ def test_every_model_key_reaches_the_dataclass(tmp_path, block, model):
 
 
 @pytest.mark.parametrize("block, kernel", [
-    ({"kind": "exponential", "theta": 3.0, "delta": 1.0},
-     DelayKernel.exponential(theta=3.0, delta=1.0)),
+    ({"kind": "exponential", "theta": 3.0},
+     DelayKernel.exponential(theta=3.0)),
     ({"kind": "exponential"}, DelayKernel.exponential(theta=2.0)),
-    ({"kind": "gamma", "shape": 3.0, "rate": 1.5, "delta": 0.5},
-     DelayKernel.gamma(shape=3.0, rate=1.5, delta=0.5)),
+    ({"kind": "gamma", "shape": 3.0, "rate": 1.5},
+     DelayKernel.gamma(shape=3.0, rate=1.5)),
     ({"kind": "gamma"}, DelayKernel.gamma(shape=2.0, rate=2.0)),
 ], ids=["exponential", "exponential-defaults", "gamma", "gamma-defaults"])
 def test_every_kernel_key_reaches_the_dataclass(tmp_path, block, kernel):

@@ -14,7 +14,6 @@ from agenet import ConfigError, DelayKernel, DischargeHistory
 def test_dirac_kernel():
     k = DelayKernel.dirac()
     assert k.is_dirac
-    assert k.delta_moment == 1.0
     assert k.memory_horizon() == 0.0
     with pytest.raises(ValueError):
         k.weights(0.01)
@@ -26,8 +25,6 @@ def test_dirac_kernel():
 
 def test_exponential_kernel_closed_forms():
     k = DelayKernel.exponential(theta=2.0)
-    assert k.delta == 1.0  # default theta/2
-    assert k.delta_moment == pytest.approx(2.0, rel=1e-14)
     assert k.memory_horizon() == pytest.approx(-math.log(1e-6) / 2.0, rel=1e-8)
     y = np.linspace(0.0, 3.0, 7)
     assert np.allclose(k.density(y), 2.0 * np.exp(-2.0 * y))
@@ -37,15 +34,12 @@ def test_exponential_kernel_validation():
     with pytest.raises(ValueError):
         DelayKernel.exponential(theta=0.0)
     with pytest.raises(ValueError):
-        DelayKernel.exponential(theta=2.0, delta=2.0)
-    with pytest.raises(ValueError):
-        DelayKernel.exponential(theta=2.0, delta=-0.5)
+        DelayKernel.exponential(theta=-0.5)
+    assert not hasattr(DelayKernel.exponential(theta=2.0), "delta")
 
 
 def test_gamma_kernel():
     k = DelayKernel.gamma(shape=2.0, rate=2.0)
-    # delta defaults to rate/2, so the moment is (rate/(rate-delta))^shape
-    assert k.delta_moment == pytest.approx(4.0, rel=1e-14)
     assert k.density(0.7) == pytest.approx(
         stats.gamma.pdf(0.7, a=2.0, scale=0.5))
     assert k.memory_horizon() == pytest.approx(
@@ -85,16 +79,6 @@ def test_weights_sum_to_one_exactly():
         DelayKernel.exponential(theta=2.0).weights(0.0)
 
 
-def test_discrete_moment_tracks_analytic():
-    k = DelayKernel.exponential(theta=2.0)
-    assert k.discrete_delta_moment(0.01) == pytest.approx(k.delta_moment,
-                                                          rel=5e-3)
-    # refining the mesh brings the discrete moment closer
-    coarse = abs(k.discrete_delta_moment(0.1) - k.delta_moment)
-    fine = abs(k.discrete_delta_moment(0.01) - k.delta_moment)
-    assert fine < coarse
-
-
 def test_sampled_kernel_round_trip():
     y = np.array([0.0, 1.0, 2.0])
     b = np.array([0.0, 1.0, 0.0])  # triangle, trapezoid mass exactly 1
@@ -119,13 +103,11 @@ def test_sampled_kernel_validation():
     with pytest.raises(ValueError):
         DelayKernel.sampled(y, [0.0, 2.0, 0.0])  # mass 2, not 1
     with pytest.raises(ValueError):
-        DelayKernel.sampled(y, [0.0, 1.0, 0.0], delta=0.0)
-    with pytest.raises(ValueError):
         DelayKernel.sampled([0.0], [1.0])
 
 
 def test_discharge_history():
-    h = DischargeHistory.constant(0.7, 5, dt=0.1)
+    h = DischargeHistory.constant(0.7, 5)
     assert len(h) == 5
     assert h.lagged(1)[0] == 0.7
     h.push(1.0)
@@ -134,9 +116,9 @@ def test_discharge_history():
     with pytest.raises(ConfigError):
         h.lagged(6)
     with pytest.raises(ValueError):
-        DischargeHistory([], dt=0.1)
+        DischargeHistory([])
     with pytest.raises(ValueError):
-        DischargeHistory(np.ones((2, 2)), dt=0.1)
+        DischargeHistory(np.ones((2, 2)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -144,7 +126,7 @@ def test_discharge_history():
        pushes=st.lists(st.tuples(st.floats(0.0, 10.0), st.integers(0, 12)),
                        max_size=40))
 def test_ring_history_matches_a_shift_buffer(initial, pushes):
-    history = DischargeHistory(initial, dt=0.1)
+    history = DischargeHistory(initial)
     reference = np.array(initial, dtype=float)
     for p, count in pushes:
         history.push(p)
@@ -164,7 +146,7 @@ def test_convolve_constant_history_is_exact():
     k = DelayKernel.exponential(theta=2.0)
     dt = 0.01
     _, w = k.weights(dt)
-    h = DischargeHistory.constant(0.7, w.size, dt)
+    h = DischargeHistory.constant(0.7, w.size)
     # the weights sum to exactly 1, so a constant history convolves to
     # the constant with no mesh error at all
     assert w @ h.lagged(w.size) == 0.7
@@ -175,8 +157,8 @@ def test_convolve_weighs_recent_history_more():
     dt = 0.01
     _, w = k.weights(dt)
     # lagged() returns the newest discharge first
-    ramp_up = DischargeHistory(np.linspace(1.0, 0.0, w.size), dt)
-    ramp_down = DischargeHistory(np.linspace(0.0, 1.0, w.size), dt)
+    ramp_up = DischargeHistory(np.linspace(1.0, 0.0, w.size))
+    ramp_down = DischargeHistory(np.linspace(0.0, 1.0, w.size))
     assert w @ ramp_up.lagged(w.size) > w @ ramp_down.lagged(w.size)
 
 
@@ -264,7 +246,7 @@ def test_other_kernels_convolve_their_weights_bit_for_bit(kernel):
     dt, m0 = 0.01, 0.6
     history = kernel.history(dt, m0)
     _, w = kernel.weights(dt)
-    reference = DischargeHistory.constant(m0, w.size, dt)
+    reference = DischargeHistory.constant(m0, w.size)
     rng = np.random.default_rng(7)
     for p in rng.uniform(0.0, 2.0, 3 * w.size):
         assert history.activity() == float(w @ reference.lagged(w.size))

@@ -113,10 +113,10 @@ def test_smooth_activity_solve_equals_brentq(seed, k0, spread, lam, mu_scale,
     # G(0) = k0 w > 0 and G(k1) <= k1 w < k1: one sign change
     root = optimize.brentq(lambda mu: G(mu) - mu, 0.0, model.k1,
                            xtol=1e-15)
-    sol = solve_activity_implicit(
-        model, grid, f, warm_start=None if warm is None else warm * model.k1)
-    assert sol.method == "fixed-point"
-    assert abs(sol.m - root) <= 1e-12
+    m, _, method = model.stepper(grid).solve(
+        f, None, None if warm is None else warm * model.k1, 1e-12, 200)
+    assert method == "fixed-point"
+    assert abs(m - root) <= 1e-12
 
 
 def test_ambiguous_activity_reports_both_roots():
@@ -162,7 +162,7 @@ def test_stalled_solve_reports_two_roots_inside_one_activity_cell():
     model = StepRate(sigma_plus=0.5, sigma_minus=0.25, lam=0.3)
     f = preset_density(grid, "exp2")
     with pytest.raises(AmbiguousActivityError) as exc_info:
-        solve_activity_implicit(model, grid, f.values, max_iter=1)
+        model.stepper(grid).solve(f.values, None, None, 1e-12, 1)
     assert exc_info.value.roots == pytest.approx(
         [0.388291084345, 0.389068443618], abs=1e-12)
 
@@ -183,25 +183,6 @@ def test_settled_solve_reports_a_second_staircase_root():
         [0.388291084345, 0.389068443618], abs=1e-12)
     cfg = SimulationConfig(grid=grid, model=model, t_end=grid.dx)
     assert run(cfg, f).m_series[0] == m
-
-
-@pytest.mark.parametrize("model", [
-    ConstantRate(k0=1.0),
-    StepRate(sigma_plus=0.5, sigma_minus=0.25, lam=0.3),
-    SmoothSaturatingRate(k0=0.5, k1=2.0, lam=0.6)],
-    ids=["constant", "step", "smooth"])
-def test_nan_warm_start_is_refused(model):
-    # NaN passes every clamp unchanged: unchecked, the step solve would
-    # index past its prefix sums and the smooth one would run out its
-    # iterations into a "scan"
-    grid = AgeGrid(dx=0.01, n_cells=400)
-    f = preset_density(grid, "uniform01").values
-    with pytest.raises(ValueError, match="warm_start"):
-        solve_activity_implicit(model, grid, f, warm_start=math.nan)
-    # an infinite warm start is clamped to k1
-    sol = solve_activity_implicit(model, grid, f, warm_start=math.inf)
-    assert sol.method == "fixed-point"
-    assert 0.0 <= sol.m <= model.k1
 
 
 # ---------------------------------------------------------------------------
@@ -371,18 +352,27 @@ def test_steppers_match_the_generic_solve_and_survival(
         solved = stepper.solve(values, total, warm_start, tol, max_iter)
         assert solved == expected
         mus.insert(0, solved[0])
-        roots = stepper.roots(values, total)
-        if solved[2] == "fixed-point" and len(roots) > 1:
+
+    # the public solve takes the stepper's defaults: a cold start, tol
+    # 1e-12 and 200 iterations
+    try:
+        expected = _generic_solve(model, grid, values)
+    except (AmbiguousActivityError, ModelInconsistencyError) as exc:
+        with pytest.raises(type(exc)) as raised:
+            solve_activity_implicit(model, grid, values)
+        assert getattr(raised.value, "roots", None) == getattr(
+            exc, "roots", None)
+    else:
+        roots = stepper.roots(values)
+        if expected[2] == "fixed-point" and len(roots) > 1:
             # the public solve refuses a settled root of a staircase
             # that holds another; the other maps hold one root
             assert isinstance(model, StepRate)
             with pytest.raises(AmbiguousActivityError) as raised:
-                solve_activity_implicit(model, grid, values, tol, max_iter,
-                                        warm_start, total)
+                solve_activity_implicit(model, grid, values)
             assert raised.value.roots == roots
         else:
-            public = solve_activity_implicit(model, grid, values, tol,
-                                             max_iter, warm_start, total)
+            public = solve_activity_implicit(model, grid, values)
             assert (public.m, public.iterations,
                     public.method) == expected
 
@@ -836,6 +826,35 @@ def test_simulation_config_validation():
     with pytest.raises(ValueError):
         SimulationConfig(grid=grid, model=model, q=-1.0)
     assert SimulationConfig(grid=grid, model=model).dt == grid.dx
+
+
+def _config(**fields):
+    return SimulationConfig(grid=_grid(), model=ConstantRate(k0=1.0),
+                            **fields)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("build", [
+    lambda bad: DelayKernel.exponential(theta=bad),
+    lambda bad: DelayKernel.gamma(shape=bad, rate=2.0),
+    lambda bad: DelayKernel.gamma(shape=2.0, rate=bad),
+    lambda bad: DelayKernel.sampled([0.0, 1.0, bad], [0.0, 2.0, 0.0]),
+    lambda bad: DelayKernel.sampled([0.0, 1.0, 2.0], [0.0, bad, 0.0]),
+    lambda bad: _config(t_end=bad),
+    lambda bad: _config(fixed_point_tol=bad),
+    lambda bad: _config(q=bad),
+    lambda bad: _config(record_every=bad),
+    lambda bad: _config(fixed_point_max_iter=bad),
+    lambda bad: AgeGrid(dx=bad, n_cells=100),
+], ids=["exponential-theta", "gamma-shape", "gamma-rate", "sampled-y",
+        "sampled-b", "t_end", "fixed_point_tol", "q", "record_every",
+        "fixed_point_max_iter", "dx"])
+def test_non_finite_parameters_are_refused_at_construction(build, bad):
+    # NaN fails every comparison, so each check tests the good range;
+    # accepted, these failed only later, inside history() or run(), or
+    # gave NaN series
+    with pytest.raises(ValueError):
+        build(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -85,3 +85,39 @@ def test_harness_refuses_a_setting_the_layer_cannot_use(argv, capsys):
         layer_cost.main(argv)
     assert refused.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+_SRC = str(_TOOL.parent.parent / "src")
+
+
+def test_a_tree_given_twice_is_measured_twice_with_ratios(capsys):
+    # the same src twice: both are measured in every round, and the
+    # second reports each timing over the first's
+    layer_cost.main(["xi", _SRC, _SRC, "--rounds", "2", "--calls", "1"])
+    first, second = json.loads(capsys.readouterr().out)["trees"]
+    assert first["src"] == second["src"]
+    assert first["outputs"] == second["outputs"]
+    assert "ratio_to_first" not in first
+    ratios = second["ratio_to_first"]
+    assert set(ratios) == set(second["timings"]) == {"ms"}
+    assert set(ratios["ms"]) == {"regime_draw", "defaults"}
+    leaves = list(_leaves(ratios))
+    assert len(leaves) == 6
+    assert all(len(leaf["by_round"]) == 2 and min(leaf["by_round"]) > 0
+               for leaf in leaves)
+
+
+def test_ratios_pair_the_timings_of_one_round(monkeypatch, capsys):
+    # round 0 runs the first tree then the second, round 1 the second
+    # then the first; each ratio divides timings of the same round
+    times = iter([2.0, 1.0, 6.0, 4.0])
+    monkeypatch.setattr(
+        layer_cost, "_measure",
+        lambda layer, src, settings: ("0", {"ms": {"a": next(times)}},
+                                      {"M": 1}))
+    layer_cost.main(["equilibrium", _SRC, _SRC, "--rounds", "2"])
+    first, second = json.loads(capsys.readouterr().out)["trees"]
+    assert first["timings"]["ms"]["a"]["by_round"] == [2.0, 4.0]
+    assert second["timings"]["ms"]["a"]["by_round"] == [1.0, 6.0]
+    assert second["ratio_to_first"]["ms"]["a"] == {
+        "p25": 0.75, "p50": 1.0, "p75": 1.25, "by_round": [0.5, 1.5]}

@@ -7,7 +7,10 @@ SRC is the `src` directory of the checkout to run; OUT is created and
 must not exist yet.  The configs, defined below, cover the three rate
 families, the Dirac, exponential and sampled kernels, gamma kernels of
 integer and non-integer shape, and the three initial presets, on 1000
-cells.  Each runs `simulate` then `decay-fit`
+cells (x_max 10).  The step and smooth families under the Dirac kernel
+also run at x_max 5 and 20, so that outputs which depend on the
+horizon, such as the sweep's `xi`, show in a diff: x_max 10 is also
+`estimate_xi`'s default horizon.  Each runs `simulate` then `decay-fit`
 on its trace, `steady-state`, `spectrum` and `sweep`; `--print-defaults`
 and `accept` (the acceptance suite, with its per-criterion CSV) run
 once.  Every command runs in a fresh interpreter with OUT as its
@@ -34,7 +37,7 @@ from pathlib import Path
 CHILD = ("import sys; sys.path.insert(0, sys.argv[1]); "
          "from agenet.cli import main; sys.exit(main(sys.argv[2:]))")
 
-GRID = {"dx": 0.01, "x_max": 10.0}
+DX = 0.01
 RUN = {"t_end": 20.0, "record_every": 10, "window": [5.0, 20.0]}
 SWEEP = {"lambdas": [0.0, 0.3, 0.6]}
 MODELS = {
@@ -50,19 +53,26 @@ KERNELS = {
     "gamma-2.5": {"kind": "gamma", "shape": 2.5, "rate": 4.0},
     "sampled": {"kind": "sampled", "y": [0.0, 0.5, 1.0], "b": [0.0, 2.0, 0.0]},
 }
-# (name, model, kernel, preset): each family under the Dirac kernel,
-# the smooth family under each delay kernel, the step family from each
-# preset
+# (name, model, kernel, preset, x_max): each family under the Dirac
+# kernel, the smooth family under each delay kernel, the step family
+# from each preset, and the step and smooth families under the Dirac
+# kernel at two more horizons
 CONFIGS = [
-    ("constant-dirac-uniform01", "constant", "dirac", "uniform01"),
-    ("step-dirac-uniform01", "step", "dirac", "uniform01"),
-    ("smooth-dirac-uniform01", "smooth", "dirac", "uniform01"),
-    ("smooth-exponential-uniform01", "smooth", "exponential", "uniform01"),
-    ("smooth-gamma-uniform01", "smooth", "gamma", "uniform01"),
-    ("smooth-gamma-2.5-uniform01", "smooth", "gamma-2.5", "uniform01"),
-    ("smooth-sampled-uniform01", "smooth", "sampled", "uniform01"),
-    ("step-dirac-exp2", "step", "dirac", "exp2"),
-    ("step-dirac-spike", "step", "dirac", "spike"),
+    ("constant-dirac-uniform01", "constant", "dirac", "uniform01", 10.0),
+    ("step-dirac-uniform01", "step", "dirac", "uniform01", 10.0),
+    ("smooth-dirac-uniform01", "smooth", "dirac", "uniform01", 10.0),
+    ("smooth-exponential-uniform01", "smooth", "exponential", "uniform01",
+     10.0),
+    ("smooth-gamma-uniform01", "smooth", "gamma", "uniform01", 10.0),
+    ("smooth-gamma-2.5-uniform01", "smooth", "gamma-2.5", "uniform01",
+     10.0),
+    ("smooth-sampled-uniform01", "smooth", "sampled", "uniform01", 10.0),
+    ("step-dirac-exp2", "step", "dirac", "exp2", 10.0),
+    ("step-dirac-spike", "step", "dirac", "spike", 10.0),
+    ("step-dirac-uniform01-x5", "step", "dirac", "uniform01", 5.0),
+    ("step-dirac-uniform01-x20", "step", "dirac", "uniform01", 20.0),
+    ("smooth-dirac-uniform01-x5", "smooth", "dirac", "uniform01", 5.0),
+    ("smooth-dirac-uniform01-x20", "smooth", "dirac", "uniform01", 20.0),
 ]
 
 
@@ -97,8 +107,9 @@ def main(argv=None):
 
     jobs = [("defaults", "print-defaults", ["--print-defaults"]),
             ("suite", "accept", ["accept", "--out", "suite.accept.csv"])]
-    for name, model, kernel, preset in CONFIGS:
-        config = {"grid": GRID, "model": MODELS[model],
+    for name, model, kernel, preset, x_max in CONFIGS:
+        config = {"grid": {"dx": DX, "x_max": x_max},
+                  "model": MODELS[model],
                   "kernel": KERNELS[kernel], "run": {**RUN, "f0": preset},
                   "sweep": SWEEP}
         (out / f"{name}.json").write_text(json.dumps(config, indent=1) + "\n")

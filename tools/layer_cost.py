@@ -14,6 +14,10 @@ differ between rounds, is refused.  A layer that does not read
 `--calls` or `--steps` refuses it.  Prints one JSON object: the host,
 and per SRC the median, quartiles (from two rounds) and per-round value
 of every timing, and the outputs once, so trees compare for equal output.
+Each SRC after the first also gets `ratio_to_first`: per round, each
+timing over the first SRC's timing in the same round, summarized the
+same way.  The host's speed moves from round to round, and a ratio of
+two runs made back to back cancels most of that drift.
 """
 
 # The import layer times `import agenet, agenet.cli` as perfbench's
@@ -266,6 +270,13 @@ def _summary(entries):
     return {**out, "by_round": [round(v, 4) for v in entries]}
 
 
+def _ratio(timings, first):
+    # one round's timings, or a dict of them, over the first tree's
+    if isinstance(timings, dict):
+        return {key: _ratio(timings[key], first[key]) for key in timings}
+    return timings / first
+
+
 def main(argv=None):
     import argparse
     import json
@@ -294,23 +305,34 @@ def main(argv=None):
         if not os.path.isfile(os.path.join(src, "agenet", "__init__.py")):
             parser.error(f"no agenet package under {src}")
 
-    rounds = {src: [] for src in trees}
+    # keyed by position, so that one tree given twice is measured twice
+    rounds = [[] for _ in trees]
     outputs = {}
+    order = list(range(len(trees)))
     for r in range(args.rounds):
-        for src in trees[r % len(trees):] + trees[:r % len(trees)]:
-            numpy_version, timings, out = _measure(args.layer, src, settings)
-            if outputs.setdefault(src, out) != out:
-                raise SystemExit(f"{src} gave different {args.layer} "
+        for i in order[r % len(trees):] + order[:r % len(trees)]:
+            numpy_version, timings, out = _measure(args.layer, trees[i],
+                                                   settings)
+            if outputs.setdefault(i, out) != out:
+                raise SystemExit(f"{trees[i]} gave different {args.layer} "
                                  "outputs in different rounds")
-            rounds[src].append(timings)
+            rounds[i].append(timings)
+
+    reports = []
+    for i, src in enumerate(trees):
+        report = {"src": src, "timings": _summary(rounds[i])}
+        if i:
+            report["ratio_to_first"] = _summary([
+                _ratio(timings, first)
+                for timings, first in zip(rounds[i], rounds[0])])
+        reports.append({**report, "outputs": outputs[i]})
 
     print(json.dumps({
         "layer": args.layer, "rounds": args.rounds, **settings,
         "host": {"cores": os.cpu_count(), "machine": platform.machine(),
                  "python": platform.python_version(),
                  "numpy": numpy_version},
-        "trees": [{"src": src, "timings": _summary(rounds[src]),
-                   "outputs": outputs[src]} for src in trees],
+        "trees": reports,
     }, indent=1))
 
 
