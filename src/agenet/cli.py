@@ -48,8 +48,7 @@ class RunConfig(SimulationConfig):
 
 # the run block's keys in the order --print-defaults writes them; their
 # defaults, and q's, are the RunConfig fields'
-_RUN_KEYS = ("t_end", "record_every", "f0", "fixed_point_tol",
-             "fixed_point_max_iter", "window", "allow_zero_kappa0")
+_RUN_KEYS = ("t_end", "record_every", "f0", "window", "allow_zero_kappa0")
 _DEFAULTS = {f.name: f.default for f in dataclasses.fields(RunConfig)}
 
 # kind: (rate family, its keys and their defaults); model.lambda is the
@@ -239,10 +238,6 @@ def _validate_run(block, errors):
     out = {
         "t_end": _number(merged, "run", "t_end", errors, positive=True),
         "record_every": _integer(merged, "run", "record_every", errors),
-        "fixed_point_tol": _number(merged, "run", "fixed_point_tol", errors,
-                                   positive=True),
-        "fixed_point_max_iter": _integer(merged, "run",
-                                         "fixed_point_max_iter", errors),
         "f0": merged["f0"],
         "allow_zero_kappa0": merged["allow_zero_kappa0"],
     }

@@ -35,15 +35,15 @@ _QUANTILE = 1.0 - 1e-6
 @dataclasses.dataclass(frozen=True)
 class DelayKernel:
     """One of: Dirac mass at 0, Exponential(theta), Gamma(shape, rate),
-    or a Sampled density on a time mesh."""
+    or a Sampled density on a time mesh.  A sampled kernel stores its
+    samples as tuples of floats, so two kernels compare equal, and hash
+    alike, exactly when their samples do."""
 
     kind: str
     theta: float = 0.0
     shape: float = 1.0
-    y_samples: Optional[np.ndarray] = dataclasses.field(
-        default=None, compare=False)
-    b_samples: Optional[np.ndarray] = dataclasses.field(
-        default=None, compare=False)
+    y_samples: Optional[tuple] = None
+    b_samples: Optional[tuple] = None
 
     @classmethod
     def dirac(cls):
@@ -85,7 +85,8 @@ class DelayKernel:
             raise ValueError(
                 f"sampled kernel mass {mass!r} is not 1 within 1e-8; "
                 "normalize the samples first")
-        return cls(kind="sampled", y_samples=y, b_samples=b)
+        return cls(kind="sampled", y_samples=tuple(y.tolist()),
+                   b_samples=tuple(b.tolist()))
 
     @property
     def is_dirac(self):

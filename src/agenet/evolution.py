@@ -19,7 +19,7 @@ steps, steps inside two preallocated buffers and carries the cell sum
 from step to step; step() binds one per call, with the same
 arithmetic, so run() equals a loop of step() and a fresh stepper's
 solve() bit for bit.  solve_activity_implicit() binds one per call
-too, solves with the stepper's defaults, and also refuses a settled
+too, solves from a cold start, and also refuses a settled
 root of a staircase map that holds another.  stepper_equilibrium()
 builds its profiles from one bound stepper too, so the reference a run
 relaxes to uses the run's own factors.
@@ -58,17 +58,13 @@ class SimulationConfig:
     kernel: DelayKernel = dataclasses.field(default_factory=DelayKernel.dirac)
     t_end: float = 10.0
     record_every: int = 10
-    fixed_point_tol: float = 1e-12
-    fixed_point_max_iter: int = 200
     q: float = 1.0
     allow_zero_kappa0: bool = False
 
     def __post_init__(self):
-        _check_parameters(self, positive=("t_end", "fixed_point_tol"),
-                          nonnegative=("q",))
-        for name in ("record_every", "fixed_point_max_iter"):
-            if not 1 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be >= 1 and finite")
+        _check_parameters(self, positive=("t_end",), nonnegative=("q",))
+        if not 1 <= self.record_every < math.inf:
+            raise ValueError("record_every must be >= 1 and finite")
 
     @property
     def dt(self):
@@ -133,27 +129,27 @@ def solve_activity_implicit(model, grid, values):
 
     The family's stepper, model.stepper(grid), solves it: this function
     binds one per call, and run() binds one for all its steps.  The
-    stepper holds the family's activity map G, the integral above on
-    the midpoint mesh, and iterates on it from G(0), clamped to
-    [0, k1], until |G(mu) - mu| <= 1e-12.  The smooth
-    family takes Newton steps on G(mu) - mu with G's closed-form slope,
-    or the fixed-point step mu -> G(mu) wherever that slope is 1 or
-    more; the constant family settles in one or two evaluations of its
-    one value, and the step family takes fixed-point steps over the
-    threshold cells of its staircase.  G is nondecreasing, so the
-    fixed-point iterates move monotonically toward a root and never
-    cross it.  The smooth family's G is concave too, so Newton's
-    iterates lie above the root after the first step and then fall to
-    it monotonically.  A settled Newton solve returns the clamped
-    Newton update mu + (G(mu) - mu)/(1 - G'(mu)), not mu: mu can sit up
-    to 1e-12/(1 - G'(mu)) off the root, while the update's error is
-    second order in that, and it costs no further map evaluation.  A
-    settled fixed-point solve returns mu.  Either kind of step counts
-    as method "fixed-point".  If the iterates have not settled after
-    200 steps, the stepper's roots() lists every fixed point of G in
-    [0, k1]: one is returned as method "scan", none means the model
-    violates its own bounds (ModelInconsistencyError), and several make
-    the dynamics ambiguous (AmbiguousActivityError).
+    stepper binds the family's activity map G, the integral above on
+    the midpoint mesh, with its closed-form slope where the family has
+    one, and one loop shared by every family iterates on it from G(0),
+    clamped to [0, k1], until |G(mu) - mu| <= 1e-12.  It takes Newton
+    steps on G(mu) - mu wherever the slope is below 1 (the smooth
+    family), and the fixed-point step mu -> G(mu) otherwise: the
+    constant family, whose one value settles in one or two steps, the
+    step family's staircase, and a smooth map whose slope reaches 1.
+    G is nondecreasing, so the fixed-point iterates move monotonically
+    toward a root and never cross it.  The smooth family's G is concave
+    too, so Newton's iterates lie above the root after the first step
+    and then fall to it monotonically.  A settled Newton solve returns
+    the clamped Newton update mu + (G(mu) - mu)/(1 - G'(mu)), not mu:
+    mu can sit up to 1e-12/(1 - G'(mu)) off the root, while the
+    update's error is second order in that, and it costs no further
+    map evaluation.  A settled fixed-point solve returns mu.  Either
+    kind of step counts as method "fixed-point".  If the iterates have
+    not settled after 200 steps, the stepper's roots() lists every
+    fixed point of G in [0, k1]: one is returned as method "scan", none
+    means the model violates its own bounds (ModelInconsistencyError),
+    and several make the dynamics ambiguous (AmbiguousActivityError).
 
     A settled iteration on a map that may hold several roots (the step
     family's staircase, whose stepper has one_root false) is checked
@@ -161,7 +157,7 @@ def solve_activity_implicit(model, grid, values):
     even a cell away from the one reached, AmbiguousActivityError names
     them all.  The smooth and constant maps hold one root by
     construction and take no check.  run() calls its stepper's solve
-    directly, with a warm start and its config's tolerance and cap, and
+    directly, with a warm start and the cell sum it carries, and
     without the check, so a trajectory through such a staircase keeps
     the root its iteration reaches."""
     stepper = model.stepper(grid)
@@ -290,10 +286,8 @@ def run(config, f0, steady=None):
     # every solve; _advance returns the next one.
     stepper = model.stepper(grid)
     solve = stepper.solve
-    tol, max_iter = config.fixed_point_tol, config.fixed_point_max_iter
     total = cell_sum(state.values)
-    m0, most_iterations, method = solve(state.values, total, None, tol,
-                                        max_iter)
+    m0, most_iterations, method = solve(state.values, total)
     solves = {"fixed-point": 0, "scan": 0, method: 1}
 
     history = None if kernel.is_dirac else kernel.history(dt, m0)
@@ -359,8 +353,7 @@ def run(config, f0, steady=None):
         values = cur[:cells]
         if kernel.is_dirac:
             try:
-                m, iterations, method = solve(values, total, m, tol,
-                                              max_iter)
+                m, iterations, method = solve(values, total, m)
             except AmbiguousActivityError as exc:
                 exc.t = t
                 raise

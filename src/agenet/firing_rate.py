@@ -23,12 +23,16 @@ stationary solve's horizon rate.
 stepper(grid) binds a family's per-grid constants once and holds the
 one copy of its activity map G(mu) = int k(x, lam*mu) f dx on the
 midpoint mesh and of its one-step factors exp(-k(x_j, lam*mu) dx).
-Its solve(values, total, warm, tol, max_iter) is the implicit activity
-solve: the fixed-point iteration on G, with Newton steps on G's
-closed-form slope where the family has one; it returns (m, iterations,
-method).  Its roots(values, total) lists every fixed point of G in
-[0, k1], ascending, with the same arithmetic; solve falls back to that
-list when its iteration stalls.  Its one_root is true when G has at
+Its bind(values, total) returns that map for one density as one call,
+mu -> (G(mu), G'(mu)), with 1.0 in place of the slope where the family
+takes fixed-point steps.  Its solve(values, total, warm) is the
+implicit activity solve, one loop shared by every family: from warm,
+or from G(0), clamped to [0, k1], it takes a Newton step wherever the
+slope is below 1 and a fixed-point step otherwise, until
+|G(mu) - mu| <= _TOL = 1e-12; it returns (m, iterations, method).  Its
+roots(values, total) lists every fixed point of G in [0, k1],
+ascending, with the same arithmetic; solve falls back to that list
+after _MAX_ITER = 200 steps.  Its one_root is true when G has at
 most one fixed point by construction (the constant and smooth maps),
 and false for the step family's staircase, whose settled roots the
 public solve checks against that list.  Its survive(values, mu, out)
@@ -130,19 +134,50 @@ def _edge_age_integral(x_scale, grid):
     return _frozen(_age_integral(grid.edges[1:], x_scale))
 
 
-def _stalled(roots, k1, max_iter):
-    # the iteration has not settled: the stepper's list of every root
-    # also detects ambiguity
-    if not roots:
-        raise ModelInconsistencyError(
-            "no solution of m = int k(x, lam*m) f dx in "
-            f"[0, {k1!r}]; the rate family breaks its stated bounds")
-    if len(roots) > 1:
-        raise AmbiguousActivityError.listing(roots)
-    return roots[0], max_iter, "scan"
+# The implicit activity solve settles at |G(mu) - mu| <= _TOL and,
+# after _MAX_ITER steps, falls back to the stepper's list of roots.
+_TOL = 1e-12
+_MAX_ITER = 200
 
 
-class _ConstantStepper:
+class _Stepper:
+    """The implicit activity solve, one loop for every family.  A
+    family's stepper supplies roots() and bind(values, total), the map
+    mu -> (G(mu), G'(mu)) for that density, with 1.0 for the slope
+    where the family takes fixed-point steps."""
+
+    __slots__ = ()
+
+    def solve(self, values, total=None, warm=None):
+        G = self.bind(values, total)
+        k1, tol = self._model.k1, _TOL
+        mu = G(0.0)[0] if warm is None else float(warm)
+        mu = min(max(mu, 0.0), k1)
+        for it in range(1, _MAX_ITER + 1):
+            target, slope = G(mu)
+            settled = abs(target - mu) <= tol
+            if slope < 1.0:
+                # Newton's update, returned even when settled: it sits
+                # far closer to the root than mu
+                target = mu + (target - mu) / (1.0 - slope)
+            elif settled:
+                return mu, it, "fixed-point"
+            mu = min(max(target, 0.0), k1)
+            if settled:
+                return mu, it, "fixed-point"
+        # the iteration has not settled: the list of every root also
+        # detects ambiguity
+        roots = self.roots(values, total)
+        if not roots:
+            raise ModelInconsistencyError(
+                "no solution of m = int k(x, lam*m) f dx in "
+                f"[0, {k1!r}]; the rate family breaks its stated bounds")
+        if len(roots) > 1:
+            raise AmbiguousActivityError.listing(roots)
+        return roots[0], _MAX_ITER, "scan"
+
+
+class _ConstantStepper(_Stepper):
     """ConstantRate on one grid: the activity map is the one value
     k0 * total * dx, and every cell decays by one factor."""
 
@@ -158,19 +193,11 @@ class _ConstantStepper:
             total = cell_sum(values)
         return [self._model.k0 * total * self._dx]
 
-    def solve(self, values, total=None, warm=None, tol=1e-12, max_iter=200):
-        roots = self.roots(values, total)
-        mass, = roots
-        k1 = self._model.k1
-        # the fixed-point iteration in closed form: every step maps to
-        # mass, so it settles at its first step, its second or never
-        mu = min(max(mass if warm is None else float(warm), 0.0), k1)
-        if abs(mass - mu) <= tol:
-            return mu, 1, "fixed-point"
-        mu = min(max(mass, 0.0), k1)
-        if max_iter >= 2 and abs(mass - mu) <= tol:
-            return mu, 2, "fixed-point"
-        return _stalled(roots, k1, max_iter)
+    def bind(self, values, total=None):
+        # G is constant: the fixed-point iteration settles at its first
+        # step, its second or never
+        step = self.roots(values, total)[0], 1.0
+        return lambda mu: step
 
     def survive(self, values, mu, out):
         _check_mu(mu)
@@ -182,7 +209,7 @@ class _ConstantStepper:
         return np.multiply(values, self._factor, out=out)
 
 
-class _SmoothStepper:
+class _SmoothStepper(_Stepper):
     """SmoothSaturatingRate on one grid: the age shape is bound, the
     activity map is gain(mu) times one dot product per density, and
     each step of its solve is a Newton step on the closed-form slope."""
@@ -217,29 +244,14 @@ class _SmoothStepper:
                              gain(0.0) * weight)
         return [0.5 * (a + b)]
 
-    def solve(self, values, total=None, warm=None, tol=1e-12, max_iter=200):
-        gain = self._gain
-        k1 = self._model.k1
+    def bind(self, values, total=None):
+        gain, rate = self._gain, self._rate
         weight = self._weight(values)
-        g0 = gain(0.0) * weight
-        rate = self._rate
-        scale = self._span * (g0 / self._model.k0)
-        mu = min(max(g0 if warm is None else float(warm), 0.0), k1)
-        for it in range(1, max_iter + 1):
-            target = gain(mu) * weight
-            settled = abs(target - mu) <= tol
-            # a zero scale leaves G constant: fixed-point steps
-            s = scale * math.exp(-rate * mu) if scale else 1.0
-            if s < 1.0:
-                # Newton's update, returned even when settled: it sits
-                # far closer to the root than mu
-                target = mu + (target - mu) / (1.0 - s)
-            elif settled:
-                return mu, it, "fixed-point"
-            mu = min(max(target, 0.0), k1)
-            if settled:
-                return mu, it, "fixed-point"
-        return _stalled(self.roots(values), k1, max_iter)
+        scale = self._span * (gain(0.0) * weight / self._model.k0)
+        if not scale:
+            # G is constant: fixed-point steps
+            return lambda mu: (gain(mu) * weight, 1.0)
+        return lambda mu: (gain(mu) * weight, scale * math.exp(-rate * mu))
 
     def survive(self, values, mu, out):
         # exp(-(gain * shape) * dx) in out, bit for bit the rate
@@ -251,13 +263,13 @@ class _SmoothStepper:
         return np.multiply(values, out, out=out)
 
 
-class _StepStepper:
+class _StepStepper(_Stepper):
     """StepRate on one grid: the cells its prefix sums cover, the
     threshold map, the midpoints up to them and exp(-dx) are bound.  The
     activity map is a staircase over threshold cells: while the
     threshold falls in cell j it takes the plateau mass - heads[j-1]*dx,
-    the mass past cell j.  Its solve is the fixed-point iteration, and
-    survive reuses the cell that the last solve settled in."""
+    the mass past cell j.  Its solve takes fixed-point steps, and
+    survive reuses the cell that the map last landed in."""
 
     __slots__ = ("_model", "_threshold", "_mids", "_reach", "_dx",
                  "_decay", "_mu", "_idx")
@@ -276,7 +288,7 @@ class _StepStepper:
         self._mids = grid.midpoints[:cells].tolist()
         self._dx = grid.dx
         self._decay = None              # exp(-dx), on the first survive
-        self._mu = self._idx = None     # the last settled mu and its cell
+        self._mu = self._idx = None     # the map's last mu and its cell
 
     def _plateaus(self, values, total):
         # The mass (the cell sum times dx) and heads, the sequential
@@ -296,24 +308,17 @@ class _StepStepper:
         return sorted(tail for j, tail in enumerate(tails)
                       if bisect.bisect_right(mids, threshold(tail)) == j)
 
-    def solve(self, values, total=None, warm=None, tol=1e-12, max_iter=200):
+    def bind(self, values, total=None):
         threshold, mids, dx = self._threshold, self._mids, self._dx
         cell_of = bisect.bisect_right
-        k1 = self._model.k1
         mass, heads = self._plateaus(values, total)
-        mu = warm
-        if warm is None:
-            idx = cell_of(mids, threshold(0.0))
-            mu = max(mass - heads[idx - 1] * dx, 0.0) if idx else mass
-        mu = min(max(float(mu), 0.0), k1)
-        for it in range(1, max_iter + 1):
+
+        def G(mu):
             idx = cell_of(mids, threshold(mu))
-            target = max(mass - heads[idx - 1] * dx, 0.0) if idx else mass
-            if abs(target - mu) <= tol:
-                self._mu, self._idx = mu, idx
-                return mu, it, "fixed-point"
-            mu = min(max(target, 0.0), k1)
-        return _stalled(self.roots(values, total), k1, max_iter)
+            self._mu, self._idx = mu, idx
+            return (max(mass - heads[idx - 1] * dx, 0.0) if idx
+                    else mass), 1.0
+        return G
 
     def survive(self, values, mu, out):
         # cells below the threshold cell keep their value (a factor of

@@ -74,6 +74,7 @@ from .grid import AgeGrid
 
 __all__ = ["GeneratorMatrix", "SpectrumReport", "build_generator", "spectrum"]
 
+_LEADING = 16           # the modes spectrum() reports, pairs kept whole
 _MAX_GROWTH = 20.0      # largest log |v_j| on a count line: bounds the
                         # rounding error of chi by about 1e-16 * e^20
 _SIGMA_STEP = 0.5       # the first count lines sit at -0.5, -1, -1.5, ...
@@ -125,7 +126,7 @@ class GeneratorMatrix:
 class SpectrumReport:
     """The leading modes of a linearized generator.
 
-    `eigenvalues` holds the k_eigs modes of largest real part, sorted
+    `eigenvalues` holds the 16 modes of largest real part, sorted
     by descending real part with conjugate pairs kept whole (so one
     more when the last pair would split), or every mode right of the
     search floor when there are fewer.  They are certified: a
@@ -507,16 +508,14 @@ def _complex_roots(chi, sigma, line):
     return roots
 
 
-def _modes(rates, dx, k_eigs):
-    """Every root of chi right of the line the search stopped at, by
-    descending real part with the upper member of a pair first, and
-    that line's sigma.  Raises SpectrumCountError unless the located
-    roots match the argument-principle count."""
-    k_eigs = int(k_eigs)
-    if k_eigs < 1:
-        raise ValueError(f"k_eigs must be at least 1, got {k_eigs}")
+def _modes(rates, dx):
+    """Every root of chi right of the line the search stopped at, which
+    holds at least the _LEADING leading ones, by descending real part
+    with the upper member of a pair first, and that line's sigma.
+    Raises SpectrumCountError unless the located roots match the
+    argument-principle count."""
     chi = _Chi(rates, dx)
-    sigma, count, line = _half_plane(chi, max(k_eigs, 2))
+    sigma, count, line = _half_plane(chi, _LEADING)
     upper = _complex_roots(chi, sigma, line)
     real = _real_roots(chi, sigma, count - 2 * len(upper))
     if len(real) + 2 * len(upper) != count:
@@ -528,10 +527,10 @@ def _modes(rates, dx, k_eigs):
     return w[np.lexsort((-w.imag, np.abs(w.imag), -w.real))], sigma
 
 
-def _leading(w, k_eigs):
-    """The first k_eigs of the sorted modes w, one more when the last
+def _leading(w, count):
+    """The first count of the sorted modes w, one more when the last
     would split a conjugate pair."""
-    k = min(int(k_eigs), w.size)
+    k = min(count, w.size)
     if k < w.size and w[k - 1].imag > 0.0 and w[k] == w[k - 1].conjugate():
         k += 1
     return w[:k]
@@ -555,9 +554,9 @@ def _profile_match(grid, F, v):
     return grid.l1_distance(v, F_unit)
 
 
-def spectrum(gen, k_eigs=16):
-    """The k_eigs leading modes of the linearized generator (rates frozen
-    at M), from the roots of its renewal characteristic function.
+def spectrum(gen):
+    """The 16 leading modes of the linearized generator (rates frozen at
+    M), from the roots of its renewal characteristic function.
 
     Reports the modes sorted by descending real part, with conjugate
     pairs kept whole (see SpectrumReport), the exact zero eigenvalue,
@@ -571,9 +570,9 @@ def spectrum(gen, k_eigs=16):
     deepest line on which chi is accurate (a grid so coarse that a
     pole of chi, at -1/dx - k, lies right of the gap); never a wrong
     answer returned silently."""
-    w, _ = _modes(gen.rates, gen.grid.dx, k_eigs)
+    w, _ = _modes(gen.rates, gen.grid.dx)
     v = _zero_mode(gen.rates, gen.grid.dx)
-    return SpectrumReport(eigenvalues=_leading(w, k_eigs),
+    return SpectrumReport(eigenvalues=_leading(w, _LEADING),
                           zero_eigenvalue=0j, gap=_gap(w),
                           kernel_vector=v,
                           kernel_match=_profile_match(gen.grid, gen.F, v))

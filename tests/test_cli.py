@@ -155,45 +155,59 @@ def test_parse_collects_every_problem_at_once(tmp_path):
 
 _INF = float("inf")   # json writes Infinity, which json.load reads back
 _NAN = float("nan")   # and NaN
-_KNOWN_RUN = ("allow_zero_kappa0, f0, fixed_point_max_iter, "
-              "fixed_point_tol, record_every, t_end, window")
+_KNOWN_RUN = "allow_zero_kappa0, f0, record_every, t_end, window"
 
-# a broken config and the exact problems it yields, text and order
+# a broken config and the exact problems it yields, text and order.
+# Each row carries its own test id, so deleting a row renames no other
+# case; the rows that pytest once named by position keep those names.
 _CONFIG_ERRORS = [
     # each model kind: a bad value, a wrong type, an unknown key
-    ({"model": {"kind": "constant", "k0": -1.0}},
+    ("raw0-problems0",
+     {"model": {"kind": "constant", "k0": -1.0}},
      ["model.k0: must be positive, got -1"]),
-    ({"model": {"kind": "constant", "k0": "fast"}},
+    ("raw1-problems1",
+     {"model": {"kind": "constant", "k0": "fast"}},
      ["model.k0: expected a number, got 'fast'"]),
-    ({"model": {"kind": "constant", "k1": 2.0}},
+    ("raw2-problems2",
+     {"model": {"kind": "constant", "k1": 2.0}},
      ["model.k1: unknown key (known: k0, lambda)"]),
-    ({"model": {"kind": "smooth", "x_scale": 0.0}},
+    ("raw3-problems3",
+     {"model": {"kind": "smooth", "x_scale": 0.0}},
      ["model.x_scale: must be positive, got 0"]),
-    ({"model": {"kind": "smooth", "mu_scale": [1.0]}},
+    ("raw4-problems4",
+     {"model": {"kind": "smooth", "mu_scale": [1.0]}},
      ["model.mu_scale: expected a number, got [1.0]"]),
-    ({"model": {"kind": "smooth", "sigma_plus": 0.5}},
+    ("raw5-problems5",
+     {"model": {"kind": "smooth", "sigma_plus": 0.5}},
      ["model.sigma_plus: unknown key (known: k0, k1, lambda, mu_scale, "
       "x_scale)"]),
-    ({"model": {"kind": "step", "decay": -2.0}},
+    ("raw6-problems6",
+     {"model": {"kind": "step", "decay": -2.0}},
      ["model.decay: must be positive, got -2"]),
-    ({"model": {"kind": "step", "sigma_plus": True}},
+    ("raw7-problems7",
+     {"model": {"kind": "step", "sigma_plus": True}},
      ["model.sigma_plus: expected a number, got True"]),
-    ({"model": {"kind": "step", "k0": 1.0}},
+    ("raw8-problems8",
+     {"model": {"kind": "step", "k0": 1.0}},
      ["model.k0: unknown key (known: decay, lambda, sigma_minus, "
       "sigma_plus)"]),
-    ({"model": {"kind": "linear"}},
+    ("raw9-problems9",
+     {"model": {"kind": "linear"}},
      ["model.kind: unknown kind 'linear' (known: constant, smooth, step)"]),
     # model.lambda is checked before the family's own keys
-    ({"model": {"kind": "constant", "lambda": -0.5, "k0": _INF}},
+    ("raw10-problems10",
+     {"model": {"kind": "constant", "lambda": -0.5, "k0": _INF}},
      ["model.lambda: must be nonnegative, got -0.5",
       "model.k0: must be finite"]),
-    ({"model": {"kind": "step", "lambda": "strong", "sigma_plus": -0.5,
+    ("raw11-problems11",
+     {"model": {"kind": "step", "lambda": "strong", "sigma_plus": -0.5,
                 "bogus": 1}},
      ["model.bogus: unknown key (known: decay, lambda, sigma_minus, "
       "sigma_plus)",
       "model.lambda: expected a number, got 'strong'",
       "model.sigma_plus: must be positive, got -0.5"]),
-    ({"model": {"kind": "smooth", "k0": -1.0, "k1": -2.0, "lambda": -1.0,
+    ("raw12-problems12",
+     {"model": {"kind": "smooth", "k0": -1.0, "k1": -2.0, "lambda": -1.0,
                 "mu_scale": 0, "x_scale": None}},
      ["model.lambda: must be nonnegative, got -1",
       "model.k0: must be positive, got -1",
@@ -201,135 +215,180 @@ _CONFIG_ERRORS = [
       "model.mu_scale: must be positive, got 0",
       "model.x_scale: expected a number, got None"]),
     # the checks across keys
-    ({"model": {"kind": "smooth", "k0": 2.0, "k1": 1.5}},
+    ("raw13-problems13",
+     {"model": {"kind": "smooth", "k0": 2.0, "k1": 1.5}},
      ["model.k1: saturated rate 1.5 must be at least the rest rate "
       "model.k0 = 2"]),
-    ({"model": {"kind": "smooth", "k0": 2.0, "k1": 1.5, "lambda": -1.0}},
+    ("raw14-problems14",
+     {"model": {"kind": "smooth", "k0": 2.0, "k1": 1.5, "lambda": -1.0}},
      ["model.lambda: must be nonnegative, got -1",
       "model.k1: saturated rate 1.5 must be at least the rest rate "
       "model.k0 = 2"]),
-    ({"model": {"kind": "step", "sigma_plus": 0.3, "sigma_minus": 0.3}},
+    ("raw15-problems15",
+     {"model": {"kind": "step", "sigma_plus": 0.3, "sigma_minus": 0.3}},
      ["model.sigma_minus: rest threshold 0.3 must be strictly below the "
       "excited threshold model.sigma_plus = 0.3"]),
-    ({"model": {"kind": "step", "sigma_plus": 1.0, "sigma_minus": 0.25}},
+    ("raw16-problems16",
+     {"model": {"kind": "step", "sigma_plus": 1.0, "sigma_minus": 0.25}},
      ["model.sigma_plus: must be below 1, got 1"]),
-    ({"model": {"kind": "step", "sigma_plus": 1.5, "sigma_minus": 2.0,
+    ("raw17-problems17",
+     {"model": {"kind": "step", "sigma_plus": 1.5, "sigma_minus": 2.0,
                 "decay": 0.0}},
      ["model.decay: must be positive, got 0",
       "model.sigma_minus: rest threshold 2 must be strictly below the "
       "excited threshold model.sigma_plus = 1.5"]),
     # exponential and gamma kernels: rate and shape
-    ({"kernel": {"kind": "exponential", "theta": 0.0}},
+    ("raw18-problems18",
+     {"kernel": {"kind": "exponential", "theta": 0.0}},
      ["kernel.theta: must be a positive number"]),
-    ({"kernel": {"kind": "exponential", "theta": "2"}},
+    ("raw19-problems19",
+     {"kernel": {"kind": "exponential", "theta": "2"}},
      ["kernel.theta: must be a positive number"]),
-    ({"kernel": {"kind": "exponential", "theta": -1.0, "shape": 2.0}},
+    ("raw20-problems20",
+     {"kernel": {"kind": "exponential", "theta": -1.0, "shape": 2.0}},
      ["kernel.shape: unknown key for kind 'exponential'",
       "kernel.theta: must be a positive number"]),
-    ({"kernel": {"kind": "gamma", "shape": 0.5}},
+    ("raw21-problems21",
+     {"kernel": {"kind": "gamma", "shape": 0.5}},
      ["kernel.shape: must be a number >= 1"]),
-    ({"kernel": {"kind": "gamma", "rate": 0.0}},
+    ("raw22-problems22",
+     {"kernel": {"kind": "gamma", "rate": 0.0}},
      ["kernel.rate: must be a positive number"]),
-    ({"kernel": {"kind": "gamma", "shape": "two", "rate": -1.0}},
+    ("raw23-problems23",
+     {"kernel": {"kind": "gamma", "shape": "two", "rate": -1.0}},
      ["kernel.shape: must be a number >= 1",
       "kernel.rate: must be a positive number"]),
-    ({"kernel": {"kind": "exponential", "theta": _INF}},
+    ("raw24-problems24",
+     {"kernel": {"kind": "exponential", "theta": _INF}},
      ["kernel.theta: must be finite"]),
-    ({"kernel": {"kind": "exponential", "theta": _NAN}},
+    ("raw25-problems25",
+     {"kernel": {"kind": "exponential", "theta": _NAN}},
      ["kernel.theta: must be finite"]),
-    ({"kernel": {"kind": "gamma", "rate": _INF}},
+    ("raw26-problems26",
+     {"kernel": {"kind": "gamma", "rate": _INF}},
      ["kernel.rate: must be finite"]),
-    ({"kernel": {"kind": "gamma", "shape": _INF}},
+    ("raw27-problems27",
+     {"kernel": {"kind": "gamma", "shape": _INF}},
      ["kernel.shape: must be finite"]),
-    ({"kernel": {"kind": "gamma", "shape": _NAN}},
+    ("raw28-problems28",
+     {"kernel": {"kind": "gamma", "shape": _NAN}},
      ["kernel.shape: must be finite"]),
-    ({"kernel": {"kind": "gamma", "theta": 1.0}},
+    ("raw29-problems29",
+     {"kernel": {"kind": "gamma", "theta": 1.0}},
      ["kernel.theta: unknown key for kind 'gamma'"]),
-    ({"kernel": {"kind": "cauchy"}},
+    ("raw30-problems30",
+     {"kernel": {"kind": "cauchy"}},
      ["kernel.kind: unknown kind 'cauchy' (known: dirac, exponential, "
       "gamma, sampled)"]),
-    ({"kernel": {"kind": "dirac", "theta": 1.0}},
+    ("raw31-problems31",
+     {"kernel": {"kind": "dirac", "theta": 1.0}},
      ["kernel.theta: unknown key for kind 'dirac'"]),
     # sampled kernels: y and b
-    ({"kernel": {"kind": "sampled", "b": [0.0, 1.0, 0.0]}},
+    ("raw32-problems32",
+     {"kernel": {"kind": "sampled", "b": [0.0, 1.0, 0.0]}},
      ["kernel.y: expected a list of at least two numbers"]),
-    ({"kernel": {"kind": "sampled", "y": [0.0, 1.0, 2.0], "b": [1.0]}},
+    ("raw33-problems33",
+     {"kernel": {"kind": "sampled", "y": [0.0, 1.0, 2.0], "b": [1.0]}},
      ["kernel.b: expected a list of at least two numbers"]),
-    ({"kernel": {"kind": "sampled", "y": "0 1 2", "b": [0.0, "1", 0.0]}},
+    ("raw34-problems34",
+     {"kernel": {"kind": "sampled", "y": "0 1 2", "b": [0.0, "1", 0.0]}},
      ["kernel.y: expected a list of at least two numbers",
       "kernel.b: expected a list of at least two numbers"]),
-    ({"kernel": {"kind": "sampled", "y": [0.0, 1.0], "b": [0.0, 1.0, 0.0]}},
+    ("raw35-problems35",
+     {"kernel": {"kind": "sampled", "y": [0.0, 1.0], "b": [0.0, 1.0, 0.0]}},
      ["kernel: need matching 1d arrays of at least 2 samples"]),
-    ({"kernel": {"kind": "sampled", "y": [0.0, 1.0, 2.0],
+    ("raw36-problems36",
+     {"kernel": {"kind": "sampled", "y": [0.0, 1.0, 2.0],
                  "b": [0.0, 1.0, 0.0], "theta": 1.0}},
      ["kernel.theta: unknown key for kind 'sampled'"]),
     # no kernel kind takes a delta: each kernel's exponential moment is
     # finite for every parameter value
-    ({"kernel": {"kind": "dirac", "delta": 1.0}},
+    ("raw37-problems37",
+     {"kernel": {"kind": "dirac", "delta": 1.0}},
      ["kernel.delta: unknown key for kind 'dirac'"]),
-    ({"kernel": {"kind": "exponential", "theta": 2.0, "delta": 1.0}},
+    ("raw38-problems38",
+     {"kernel": {"kind": "exponential", "theta": 2.0, "delta": 1.0}},
      ["kernel.delta: unknown key for kind 'exponential'"]),
-    ({"kernel": {"kind": "gamma", "shape": 2.0, "rate": 3.0, "delta": 1.0}},
+    ("raw39-problems39",
+     {"kernel": {"kind": "gamma", "shape": 2.0, "rate": 3.0, "delta": 1.0}},
      ["kernel.delta: unknown key for kind 'gamma'"]),
-    ({"kernel": {"kind": "sampled", "y": [0.0, 1.0, 2.0],
+    ("raw40-problems40",
+     {"kernel": {"kind": "sampled", "y": [0.0, 1.0, 2.0],
                  "b": [0.0, 1.0, 0.0], "delta": 1.0}},
      ["kernel.delta: unknown key for kind 'sampled'"]),
-    ({"kernel": {"kind": "exponential", "theta": 0.0, "delta": 1.0}},
+    ("raw41-problems41",
+     {"kernel": {"kind": "exponential", "theta": 0.0, "delta": 1.0}},
      ["kernel.delta: unknown key for kind 'exponential'",
       "kernel.theta: must be a positive number"]),
     # every run key, one at a time and all at once
-    ({"run": {"t_end": 0.0}}, ["run.t_end: must be positive, got 0"]),
-    ({"run": {"t_end": "long"}},
+    ("raw42-problems42",
+     {"run": {"t_end": 0.0}}, ["run.t_end: must be positive, got 0"]),
+    ("raw43-problems43",
+     {"run": {"t_end": "long"}},
      ["run.t_end: expected a number, got 'long'"]),
-    ({"run": {"record_every": 0}},
+    ("raw44-problems44",
+     {"run": {"record_every": 0}},
      ["run.record_every: must be at least 1, got 0"]),
-    ({"run": {"record_every": 2.5}},
+    ("raw45-problems45",
+     {"run": {"record_every": 2.5}},
      ["run.record_every: expected an integer, got 2.5"]),
-    ({"run": {"record_every": True}},
+    ("raw46-problems46",
+     {"run": {"record_every": True}},
      ["run.record_every: expected an integer, got True"]),
-    ({"run": {"f0": "gauss"}},
+    ("raw47-problems47",
+     {"run": {"f0": "gauss"}},
      ["run.f0: unknown preset 'gauss' (known: uniform01, exp2, spike)"]),
-    ({"run": {"fixed_point_tol": -1e-12}},
-     ["run.fixed_point_tol: must be positive, got -1e-12"]),
-    ({"run": {"fixed_point_max_iter": 0}},
-     ["run.fixed_point_max_iter: must be at least 1, got 0"]),
-    ({"run": {"fixed_point_max_iter": 10.0}},
-     ["run.fixed_point_max_iter: expected an integer, got 10.0"]),
-    ({"run": {"window": [30.0, 5.0]}},
+    # the activity solve's tolerance and cap are constants, not keys
+    ("raw48-problems48",
+     {"run": {"fixed_point_tol": 1e-12}},
+     [f"run.fixed_point_tol: unknown key (known: {_KNOWN_RUN})"]),
+    ("raw49-problems49",
+     {"run": {"fixed_point_max_iter": 200}},
+     [f"run.fixed_point_max_iter: unknown key (known: {_KNOWN_RUN})"]),
+    ("raw51-problems51",
+     {"run": {"window": [30.0, 5.0]}},
      ["run.window: expected [t0, t1] with 0 <= t0 < t1"]),
-    ({"run": {"window": [-1.0, 5.0]}},
+    ("raw52-problems52",
+     {"run": {"window": [-1.0, 5.0]}},
      ["run.window: expected [t0, t1] with 0 <= t0 < t1"]),
-    ({"run": {"window": "all"}},
+    ("raw53-problems53",
+     {"run": {"window": "all"}},
      ["run.window: expected [t0, t1] with 0 <= t0 < t1"]),
-    ({"run": {"allow_zero_kappa0": 1}},
+    ("raw54-problems54",
+     {"run": {"allow_zero_kappa0": 1}},
      ["run.allow_zero_kappa0: must be true or false"]),
-    ({"run": {"dt": 0.1}}, [f"run.dt: unknown key (known: {_KNOWN_RUN})"]),
-    ({"run": {"t_end": -1.0, "record_every": 0, "f0": 3,
-              "fixed_point_tol": 0.0, "fixed_point_max_iter": -5,
+    ("raw55-problems55",
+     {"run": {"dt": 0.1}}, [f"run.dt: unknown key (known: {_KNOWN_RUN})"]),
+    ("raw56-problems56",
+     {"run": {"t_end": -1.0, "record_every": 0, "f0": 3,
               "window": [1.0], "allow_zero_kappa0": "no", "seed": 7}},
      [f"run.seed: unknown key (known: {_KNOWN_RUN})",
       "run.t_end: must be positive, got -1",
       "run.record_every: must be at least 1, got 0",
-      "run.fixed_point_tol: must be positive, got 0",
-      "run.fixed_point_max_iter: must be at least 1, got -5",
       "run.f0: unknown preset 3 (known: uniform01, exp2, spike)",
       "run.window: expected [t0, t1] with 0 <= t0 < t1",
       "run.allow_zero_kappa0: must be true or false"]),
     # the other sections, then a problem in every section at once
-    ({"grid": {"dx": 0.0, "x_max": "ten"}},
+    ("raw57-problems57",
+     {"grid": {"dx": 0.0, "x_max": "ten"}},
      ["grid.dx: must be positive, got 0",
       "grid.x_max: expected a number, got 'ten'"]),
-    ({"grid": {"dx": 0.5, "x_max": 0.5}},
+    ("raw58-problems58",
+     {"grid": {"dx": 0.5, "x_max": 0.5}},
      ["grid.x_max: must cover at least two cells of width dx = 0.5"]),
-    ({"sweep": {"lambdas": 0.5}},
+    ("raw59-problems59",
+     {"sweep": {"lambdas": 0.5}},
      ["sweep.lambdas: expected a list of couplings"]),
-    ({"sweep": {"lambdas": [0.1, _INF]}, "q": "one"},
+    ("raw60-problems60",
+     {"sweep": {"lambdas": [0.1, _INF]}, "q": "one"},
      ["sweep.lambdas: entries must be finite and nonnegative, got [inf]",
       "q: moment exponent must be a nonnegative number"]),
-    ({"model": [], "kernel": 3, "run": None},
+    ("raw61-problems61",
+     {"model": [], "kernel": 3, "run": None},
      ["model: expected an object", "kernel: expected an object",
       "run: expected an object"]),
-    ({"grid": {"dx": -1.0}, "model": {"kind": "step", "lambda": -1.0},
+    ("raw62-problems62",
+     {"grid": {"dx": -1.0}, "model": {"kind": "step", "lambda": -1.0},
       "kernel": {"kind": "gamma", "shape": 0.0}, "run": {"t_end": 0.0},
       "sweep": {"lambdas": [-1.0]}, "q": -1.0, "extra": {}},
      ["extra: unknown section (known: grid, kernel, model, q, run, sweep)",
@@ -342,7 +401,9 @@ _CONFIG_ERRORS = [
 ]
 
 
-@pytest.mark.parametrize("raw, problems", _CONFIG_ERRORS)
+@pytest.mark.parametrize("raw, problems", [
+    pytest.param(raw, problems, id=name)
+    for name, raw, problems in _CONFIG_ERRORS])
 def test_config_error_corpus(tmp_path, raw, problems):
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(raw))
@@ -631,7 +692,6 @@ def test_sweep_rejects_a_window_after_t_end_before_any_run(
 def _crafted_config(model, grid):
     return RunConfig(grid=grid, model=model, kernel=DelayKernel.dirac(),
                      t_end=1.0, record_every=10, f0="uniform01",
-                     fixed_point_tol=1e-12, fixed_point_max_iter=200,
                      window=(0.2, 1.0), allow_zero_kappa0=False,
                      lambdas=(1.0,), q=1.0)
 
@@ -685,7 +745,7 @@ def test_sweep_xi_uses_the_grid_horizon():
 
 def test_uncertified_spectrum_exits_1_and_marks_the_sweep_row(
         tmp_path, capsys, monkeypatch):
-    def uncertified(gen, k_eigs=16):
+    def uncertified(gen):
         raise SpectrumCountError(
             "the argument principle counts 5 roots,\nNewton locates 4")
 
@@ -751,6 +811,14 @@ def test_exit_one_on_config_problems(tmp_path, capsys):
                  "--out", str(tmp_path / "o.csv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:")
+    # the activity solve's tolerance and cap are no longer config keys
+    for key, value in (("fixed_point_tol", 1e-12),
+                       ("fixed_point_max_iter", 200)):
+        old = _write_config(tmp_path, {"run": {key: value}})
+        assert main(["simulate", "--config", str(old),
+                     "--out", str(tmp_path / "o.csv")]) == 1
+        assert (f"run.{key}: unknown key (known: {_KNOWN_RUN})"
+                in capsys.readouterr().err)
     missing = tmp_path / "nope.json"
     assert main(["simulate", "--config", str(missing),
                  "--out", str(tmp_path / "o.csv")]) == 1

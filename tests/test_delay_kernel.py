@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from agenet import ConfigError, DelayKernel, DischargeHistory
+from agenet import (AgeGrid, ConfigError, ConstantRate, DelayKernel,
+                    DischargeHistory)
+from agenet.cli import RunConfig
 
 
 def test_dirac_kernel():
@@ -88,6 +90,23 @@ def test_sampled_kernel_round_trip():
     assert k.memory_horizon() == 2.0
     _, w = k.weights(0.05)
     assert w.sum() == 1.0
+
+
+def test_sampled_kernels_compare_by_their_samples():
+    # the same shape on two time meshes: horizons 2 and 1
+    wide = DelayKernel.sampled([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
+    narrow = DelayKernel.sampled([0.0, 0.5, 1.0], [0.0, 2.0, 0.0])
+    assert wide.memory_horizon() != narrow.memory_horizon()
+    assert wide != narrow
+    assert len({wide, narrow}) == 2
+    again = DelayKernel.sampled(np.array([0.0, 1.0, 2.0]), (0.0, 1.0, 0.0))
+    assert again == wide and hash(again) == hash(wide)
+    # and so do two configs that differ only in them
+    grid = AgeGrid(dx=0.01, n_cells=400)
+    configs = [RunConfig(grid=grid, model=ConstantRate(k0=1.0), kernel=k)
+               for k in (wide, narrow)]
+    assert configs[0] != configs[1]
+    assert len(set(configs)) == 2
 
 
 def test_sampled_kernel_validation():

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -114,7 +115,7 @@ def test_smooth_activity_solve_equals_brentq(seed, k0, spread, lam, mu_scale,
     root = optimize.brentq(lambda mu: G(mu) - mu, 0.0, model.k1,
                            xtol=1e-15)
     m, _, method = model.stepper(grid).solve(
-        f, None, None if warm is None else warm * model.k1, 1e-12, 200)
+        f, None, None if warm is None else warm * model.k1)
     assert method == "fixed-point"
     assert abs(m - root) <= 1e-12
 
@@ -156,13 +157,15 @@ def test_inconsistent_activity_raises():
         solve_activity_implicit(model, grid, f.values)
 
 
-def test_stalled_solve_reports_two_roots_inside_one_activity_cell():
+def test_stalled_solve_reports_two_roots_inside_one_activity_cell(
+        monkeypatch):
     # the staircase holds two fixed points 7.8e-4 apart
     grid = AgeGrid(dx=1e-3, n_cells=10000)
     model = StepRate(sigma_plus=0.5, sigma_minus=0.25, lam=0.3)
     f = preset_density(grid, "exp2")
+    monkeypatch.setattr(firing_rate, "_MAX_ITER", 1)
     with pytest.raises(AmbiguousActivityError) as exc_info:
-        model.stepper(grid).solve(f.values, None, None, 1e-12, 1)
+        model.stepper(grid).solve(f.values)
     assert exc_info.value.roots == pytest.approx(
         [0.388291084345, 0.389068443618], abs=1e-12)
 
@@ -340,21 +343,23 @@ def test_steppers_match_the_generic_solve_and_survival(
     mus = [mu * model.k1, 0.0, 1e6]
 
     stepper = model.stepper(grid)
-    try:
-        expected = _generic_solve(model, grid, values, tol, max_iter,
-                                  warm_start, total)
-    except (AmbiguousActivityError, ModelInconsistencyError) as exc:
-        with pytest.raises(type(exc)) as raised:
-            stepper.solve(values, total, warm_start, tol, max_iter)
-        assert getattr(raised.value, "roots", None) == getattr(
-            exc, "roots", None)
-    else:
-        solved = stepper.solve(values, total, warm_start, tol, max_iter)
-        assert solved == expected
-        mus.insert(0, solved[0])
+    # the solver's tolerance and cap are module constants, patched here
+    with mock.patch.multiple(firing_rate, _TOL=tol, _MAX_ITER=max_iter):
+        try:
+            expected = _generic_solve(model, grid, values, tol, max_iter,
+                                      warm_start, total)
+        except (AmbiguousActivityError, ModelInconsistencyError) as exc:
+            with pytest.raises(type(exc)) as raised:
+                stepper.solve(values, total, warm_start)
+            assert getattr(raised.value, "roots", None) == getattr(
+                exc, "roots", None)
+        else:
+            solved = stepper.solve(values, total, warm_start)
+            assert solved == expected
+            mus.insert(0, solved[0])
 
-    # the public solve takes the stepper's defaults: a cold start, tol
-    # 1e-12 and 200 iterations
+    # the public solve at the constants: a cold start, tol 1e-12 and
+    # 200 iterations
     try:
         expected = _generic_solve(model, grid, values)
     except (AmbiguousActivityError, ModelInconsistencyError) as exc:
@@ -706,7 +711,7 @@ def test_run_refuses_a_negative_initial_cell(cell):
         run(config, bad)
 
 
-def test_run_counts_the_activity_solver_paths():
+def test_run_counts_the_activity_solver_paths(monkeypatch):
     grid = _grid()
     model = SmoothSaturatingRate(k0=0.5, k1=2.0, lam=0.6)
     f0 = preset_density(grid, "uniform01")
@@ -715,8 +720,9 @@ def test_run_counts_the_activity_solver_paths():
     assert (solves.fixed_point, solves.scan) == (51, 0)
     assert 1 <= solves.max_iterations < 200
     # one iteration cannot settle a coupled activity: the scan takes over
-    forced = run(SimulationConfig(grid=grid, model=model, t_end=0.5,
-                                  fixed_point_max_iter=1), f0).activity_solves
+    monkeypatch.setattr(firing_rate, "_MAX_ITER", 1)
+    forced = run(SimulationConfig(grid=grid, model=model, t_end=0.5),
+                 f0).activity_solves
     assert forced.scan > 0
     assert forced.fixed_point + forced.scan == 51
     assert forced.max_iterations == 1
@@ -822,8 +828,6 @@ def test_simulation_config_validation():
     with pytest.raises(ValueError):
         SimulationConfig(grid=grid, model=model, record_every=0)
     with pytest.raises(ValueError):
-        SimulationConfig(grid=grid, model=model, fixed_point_tol=0.0)
-    with pytest.raises(ValueError):
         SimulationConfig(grid=grid, model=model, q=-1.0)
     assert SimulationConfig(grid=grid, model=model).dt == grid.dx
 
@@ -841,14 +845,11 @@ def _config(**fields):
     lambda bad: DelayKernel.sampled([0.0, 1.0, bad], [0.0, 2.0, 0.0]),
     lambda bad: DelayKernel.sampled([0.0, 1.0, 2.0], [0.0, bad, 0.0]),
     lambda bad: _config(t_end=bad),
-    lambda bad: _config(fixed_point_tol=bad),
     lambda bad: _config(q=bad),
     lambda bad: _config(record_every=bad),
-    lambda bad: _config(fixed_point_max_iter=bad),
     lambda bad: AgeGrid(dx=bad, n_cells=100),
 ], ids=["exponential-theta", "gamma-shape", "gamma-rate", "sampled-y",
-        "sampled-b", "t_end", "fixed_point_tol", "q", "record_every",
-        "fixed_point_max_iter", "dx"])
+        "sampled-b", "t_end", "q", "record_every", "dx"])
 def test_non_finite_parameters_are_refused_at_construction(build, bad):
     # NaN fails every comparison, so each check tests the good range;
     # accepted, these failed only later, inside history() or run(), or

@@ -1,7 +1,9 @@
 """Rate families, their closed-form pieces, and the regime estimates."""
 
+import bisect
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -719,6 +721,130 @@ def test_activity_roots_are_fixed_points_of_the_activity_map(
             assert roots == [pytest.approx(oracle, abs=1e-12)]
     else:
         assert roots == _full_mesh_step_roots(model, grid, f)
+
+
+def _stalled_copy(roots, k1, max_iter):
+    if not roots:
+        raise ModelInconsistencyError(f"no solution in [0, {k1!r}]")
+    if len(roots) > 1:
+        raise AmbiguousActivityError.listing(roots)
+    return roots[0], max_iter, "scan"
+
+
+def _constant_loop(stepper, values, total, warm, tol, max_iter):
+    # the constant family's closed-form solve before the shared loop
+    roots = stepper.roots(values, total)
+    mass, = roots
+    k1 = stepper._model.k1
+    mu = min(max(mass if warm is None else float(warm), 0.0), k1)
+    if abs(mass - mu) <= tol:
+        return mu, 1, "fixed-point"
+    mu = min(max(mass, 0.0), k1)
+    if max_iter >= 2 and abs(mass - mu) <= tol:
+        return mu, 2, "fixed-point"
+    return _stalled_copy(roots, k1, max_iter)
+
+
+def _smooth_loop(stepper, values, total, warm, tol, max_iter):
+    # the smooth family's Newton loop before the shared loop
+    model = stepper._model
+    gain, k1 = model.gain, model.k1
+    weight = float(np.dot(stepper._shape, values)) * stepper._dx
+    g0 = gain(0.0) * weight
+    rate = stepper._rate
+    scale = stepper._span * (g0 / model.k0)
+    mu = min(max(g0 if warm is None else float(warm), 0.0), k1)
+    for it in range(1, max_iter + 1):
+        target = gain(mu) * weight
+        settled = abs(target - mu) <= tol
+        s = scale * math.exp(-rate * mu) if scale else 1.0
+        if s < 1.0:
+            target = mu + (target - mu) / (1.0 - s)
+        elif settled:
+            return mu, it, "fixed-point"
+        mu = min(max(target, 0.0), k1)
+        if settled:
+            return mu, it, "fixed-point"
+    return _stalled_copy(stepper.roots(values), k1, max_iter)
+
+
+def _step_loop(stepper, values, total, warm, tol, max_iter):
+    # the step family's inline fixed-point loop before the shared loop
+    model = stepper._model
+    threshold, dx, k1 = model.threshold, stepper._dx, model.k1
+    mids = stepper._mids
+    cell_of = bisect.bisect_right
+    if total is None:
+        total = cell_sum(values)
+    mass, heads = total * dx, np.add.accumulate(values[:stepper._reach])
+    mu = warm
+    if warm is None:
+        idx = cell_of(mids, threshold(0.0))
+        mu = max(mass - heads[idx - 1] * dx, 0.0) if idx else mass
+    mu = min(max(float(mu), 0.0), k1)
+    for it in range(1, max_iter + 1):
+        idx = cell_of(mids, threshold(mu))
+        target = max(mass - heads[idx - 1] * dx, 0.0) if idx else mass
+        if abs(target - mu) <= tol:
+            return mu, it, "fixed-point"
+        mu = min(max(target, 0.0), k1)
+    return _stalled_copy(stepper.roots(values, total), k1, max_iter)
+
+
+_FAMILY_LOOPS = {"constant": _constant_loop, "smooth": _smooth_loop,
+                 "step": _step_loop, "step-custom-sigma": _step_loop}
+
+
+def _bits(solution):
+    m, iterations, method = solution
+    return float(m).hex(), iterations, method
+
+
+@pytest.mark.parametrize("family", FAMILY_IDS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1),
+       dx=st.sampled_from([0.2, 0.05, 0.01, 1e-3]),
+       n_cells=st.integers(2, 2000),
+       support=st.floats(0.0, 1.0),
+       mass=st.floats(0.5, 3.0),
+       given_total=st.booleans(),
+       # None starts cold; otherwise a fraction of the way from 0 up to
+       # the lowest root, or from the highest root up to k1
+       warm=st.one_of(st.none(), st.tuples(st.sampled_from(["below",
+                                                            "above"]),
+                                            st.floats(0.0, 1.0))),
+       # a cap of 1 to 3 stalls most solves, so the roots list answers
+       max_iter=st.sampled_from([1, 2, 3, 200]))
+def test_the_shared_loop_equals_each_familys_own_loop(
+        family, data, seed, dx, n_cells, support, mass, given_total, warm,
+        max_iter):
+    model = data.draw(_DRAWN_FAMILIES[family], label="model")
+    grid = AgeGrid(dx=dx, n_cells=n_cells)
+    rng = np.random.default_rng(seed)
+    cells = max(1, int(support * n_cells))
+    f = np.zeros(n_cells)
+    f[:cells] = rng.gamma(2.0, size=cells)
+    f[0] += 1e-3
+    f *= mass / (f.sum() * dx)
+    total = cell_sum(f) if given_total else None
+    stepper = model.stepper(grid)
+    roots = stepper.roots(f, total)
+    start = None
+    if warm is not None:
+        side, u = warm
+        lo, hi = (roots[0], roots[-1]) if roots else (0.0, 0.0)
+        start = u * lo if side == "below" else hi + u * (model.k1 - hi)
+    own = _FAMILY_LOOPS[family]
+    with mock.patch.object(firing_rate, "_MAX_ITER", max_iter):
+        try:
+            expected = own(stepper, f, total, start, 1e-12, max_iter)
+        except (AmbiguousActivityError, ModelInconsistencyError) as exc:
+            with pytest.raises(type(exc)) as raised:
+                stepper.solve(f, total, start)
+            assert getattr(raised.value, "roots", None) == getattr(
+                exc, "roots", None)
+        else:
+            assert _bits(stepper.solve(f, total, start)) == _bits(expected)
 
 
 def test_smooth_activity_roots_leave_out_a_root_above_k1():

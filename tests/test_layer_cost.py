@@ -27,8 +27,9 @@ def _leaves(tree):
 @pytest.mark.parametrize("argv, timings, outputs", [
     (["import", "--rounds", "2"], {"import_s"}, {"scipy_modules"}),
     (["step", "--steps", "1"],
-     {"run_step_us", "advance_us", "solve_activity_implicit_us"},
-     {"last_m_p"}),
+     {"run_step_us", "advance_us", "solve_activity_implicit_us",
+      "warm_solve_us"},
+     {"last_m_p", "warm_solve"}),
     (["steady", "--calls", "1"], {"ms"}, {"evaluations", "values"}),
     (["xi", "--calls", "1"], {"ms"}, {"estimates"}),
     (["equilibrium", "--calls", "1"], {"ms"}, {"M"}),
@@ -53,6 +54,9 @@ def test_every_layer_runs_and_names_its_figures(argv, timings, outputs,
         assert set(tree["timings"]["run_step_us"]) == FAMILIES
         assert set(tree["timings"]["run_step_us"]["step"]) == {
             "dirac", "exponential", "gamma"}
+        assert set(tree["timings"]["warm_solve_us"]) == FAMILIES
+        assert all(method == "fixed-point" for _, _, method
+                   in tree["outputs"]["warm_solve"].values())
     elif layer == "steady":
         assert set(tree["timings"]["ms"]) == {"1000", "10000"}
         assert set(tree["outputs"]["evaluations"]["1000"]) == {"solve",

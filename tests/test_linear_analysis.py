@@ -85,8 +85,6 @@ def test_spectrum_of_the_constant_rate_generator():
     # the zero mode is the stationary density itself, up to O(dx)
     assert rep.kernel_match <= 10.0 * grid.dx
     assert abs(grid.integrate(rep.kernel_vector) - 1.0) < 1e-10
-    short = spectrum(build_generator(model, grid, ss), k_eigs=7)
-    assert short.eigenvalues.size == 7
 
 
 def test_zero_mode_is_in_the_kernel():
@@ -156,9 +154,9 @@ def test_a_crowded_count_line_is_moved_right(monkeypatch):
     # at x_max = 50 the floor line holds about 45 modes; with no room to
     # spare the last step is bisected towards the first 16
     gen = _generator(ConstantRate(k0=1.0), 0.1, 50.0)
-    crowded, floor = linear_analysis._modes(gen.rates, gen.grid.dx, 16)
+    crowded, floor = linear_analysis._modes(gen.rates, gen.grid.dx)
     monkeypatch.setattr(linear_analysis, "_SPARE", 1)
-    w, sigma = linear_analysis._modes(gen.rates, gen.grid.dx, 16)
+    w, sigma = linear_analysis._modes(gen.rates, gen.grid.dx)
     assert floor < sigma and 16 <= w.size < crowded.size
     dense = linalg.eigvals(gen.A.toarray())
     right = dense[dense.real > sigma]
@@ -223,7 +221,7 @@ def test_half_plane_count_matches_the_dense_count(model, dx, n, depth):
 @example(model=ConstantRate(k0=0.96875), dx=0.11328125, n=72)
 def test_located_modes_are_the_dense_modes_right_of_the_line(model, dx, n):
     gen = _generator(model, dx, n * dx)
-    w, sigma = linear_analysis._modes(gen.rates, gen.grid.dx, 16)
+    w, sigma = linear_analysis._modes(gen.rates, gen.grid.dx)
     dense = linalg.eigvals(gen.A.toarray())
     right = dense[dense.real > sigma]
     assert w.size >= 2 and w.size == right.size
@@ -328,7 +326,18 @@ def test_a_dropped_root_is_an_error(monkeypatch):
         spectrum(gen)
 
 
-def test_k_eigs_must_be_positive():
+def test_leading_modes_keep_conjugate_pairs_whole():
+    # sorted as _modes sorts them: by descending real part, the upper
+    # member of a pair first
+    w = np.array([0.0, -1.0 + 2.0j, -1.0 - 2.0j, -1.5, -2.0 + 1.0j,
+                  -2.0 - 1.0j])
+    assert linear_analysis._leading(w, 3).tolist() == w[:3].tolist()
+    assert linear_analysis._leading(w, 4).tolist() == w[:4].tolist()
+    # a count that would split a pair takes its lower member too
+    assert linear_analysis._leading(w, 2).tolist() == w[:3].tolist()
+    assert linear_analysis._leading(w, 5).tolist() == w.tolist()
+    # fewer modes than the count: all of them
+    assert linear_analysis._leading(w, 16).tolist() == w.tolist()
+    # spectrum reports the 16 leading modes of a real generator
     gen = _generator(_MODELS["constant"], 0.05, 4.0)
-    with pytest.raises(ValueError):
-        spectrum(gen, k_eigs=0)
+    assert spectrum(gen).eigenvalues.size == 17

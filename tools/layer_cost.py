@@ -72,8 +72,11 @@ def step(*, steps=2000):
     calls of `evolution._advance`, the transport alone, on that density
     at its activity with the bound stepper, as run() passes them.
     `solve_activity_implicit_us`: the median of 200 cold public calls on
-    that density.  The outputs are each run's last activity and
-    discharge."""
+    that density.  `warm_solve_us`: the median of 2000 calls of
+    `stepper.solve(values, total, m)` on the Dirac run's final density,
+    its cell sum and last activity, the call run() makes on every Dirac
+    step.  The outputs are each run's last activity and discharge, and
+    each warm solve's (m, iterations, method)."""
     import numpy as np
     import agenet
     from agenet import evolution
@@ -89,7 +92,7 @@ def step(*, steps=2000):
         return agenet.SimulationConfig(grid=grid, model=model, kernel=kernel,
                                        t_end=n * dx, record_every=n)
 
-    step_us, last = {}, {}
+    step_us, last, settled = {}, {}, {}
     for fam, model in families.items():
         step_us[fam], last[fam] = {}, {}
         for ker, kernel in kernels.items():
@@ -100,6 +103,9 @@ def step(*, steps=2000):
             step_us[fam][ker] = (perf_counter() - t) / steps * 1e6
             last[fam][ker] = [repr(float(trace.m_series[-1])),
                               repr(float(trace.p_series[-1]))]
+            if ker == "dirac":
+                settled[fam] = (trace.final_state.values,
+                                float(trace.m_series[-1]))
 
     # _advance(values, total, stepper, out, t, m), total the cell sum
     total = float(f0.values[0]) + float(f0.values[1:].sum())
@@ -113,8 +119,19 @@ def step(*, steps=2000):
     for fam, model in families.items():
         solve_us[fam] = _median_s(lambda: agenet.solve_activity_implicit(
             model, grid, f0.values), 200) * 1e6
+    warm_us, warm = {}, {}
+    for fam, model in families.items():
+        values, m = settled[fam]
+        total = agenet.cell_sum(values)
+        solve = model.stepper(grid).solve
+        m_warm, iterations, method = solve(values, total, m)
+        warm[fam] = [repr(float(m_warm)), iterations, method]
+        warm_us[fam] = _median_s(lambda: solve(values, total, m),
+                                 2000) * 1e6
     return ({"run_step_us": step_us, "advance_us": advance_us,
-             "solve_activity_implicit_us": solve_us}, {"last_m_p": last})
+             "solve_activity_implicit_us": solve_us,
+             "warm_solve_us": warm_us},
+            {"last_m_p": last, "warm_solve": warm})
 
 
 def steady(*, calls=5):
