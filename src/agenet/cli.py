@@ -302,7 +302,7 @@ def parse_config(path):
     run_block = _validate_run(raw.get("run", {}), errors)
     lambdas = _validate_sweep(raw.get("sweep", {}), errors)
     q = raw.get("q", _DEFAULTS["q"])
-    if not _is_number(q) or float(q) < 0.0:
+    if not _is_number(q) or not 0.0 <= float(q) < math.inf:
         errors.append("q: moment exponent must be a nonnegative number")
 
     if errors:

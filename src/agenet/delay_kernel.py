@@ -32,12 +32,19 @@ __all__ = ["DelayKernel", "DischargeHistory"]
 _QUANTILE = 1.0 - 1e-6
 
 
+# each kind and the fields it reads; the others keep their defaults
+_KINDS = {"dirac": (), "exponential": ("theta",),
+          "gamma": ("theta", "shape"), "sampled": ("y_samples", "b_samples")}
+
+
 @dataclasses.dataclass(frozen=True)
 class DelayKernel:
     """One of: Dirac mass at 0, Exponential(theta), Gamma(shape, rate),
     or a Sampled density on a time mesh.  A sampled kernel stores its
     samples as tuples of floats, so two kernels compare equal, and hash
-    alike, exactly when their samples do."""
+    alike, exactly when their samples do.  The constructor checks every
+    field, so a direct call and the classmethods refuse the same
+    kernels with the same messages."""
 
     kind: str
     theta: float = 0.0
@@ -45,34 +52,30 @@ class DelayKernel:
     y_samples: Optional[tuple] = None
     b_samples: Optional[tuple] = None
 
-    @classmethod
-    def dirac(cls):
-        """No delay: the activity is the instantaneous discharge."""
-        return cls(kind="dirac")
-
-    @classmethod
-    def exponential(cls, theta):
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown kernel kind {self.kind!r} (known: "
+                             + ", ".join(_KINDS) + ")")
+        for field in dataclasses.fields(self)[1:]:
+            value = getattr(self, field.name)
+            if field.name not in _KINDS[self.kind] and value is not None \
+                    and (field.default is None or value != field.default):
+                raise ValueError(
+                    f"the {self.kind} kernel takes no {field.name}")
         # NaN fails every comparison, so test for the good range
-        if not 0.0 < theta < math.inf:
+        if self.kind == "exponential" and not 0.0 < self.theta < math.inf:
             raise ValueError(
                 "exponential rate theta must be positive and finite")
-        return cls(kind="exponential", theta=theta)
-
-    @classmethod
-    def gamma(cls, shape, rate):
-        if not 0.0 < rate < math.inf:
-            raise ValueError("gamma rate must be positive and finite")
-        if not 1.0 <= shape < math.inf:
-            raise ValueError("gamma shape must be finite and >= 1 so the "
-                             "density is bounded at 0")
-        return cls(kind="gamma", theta=rate, shape=shape)
-
-    @classmethod
-    def sampled(cls, y, b):
-        """Density given by samples (y_i, b(y_i)); linear interpolation
-        in between, zero outside.  Must integrate to 1 within 1e-8."""
-        y = np.asarray(y, dtype=float)
-        b = np.asarray(b, dtype=float)
+        if self.kind == "gamma":
+            if not 0.0 < self.theta < math.inf:
+                raise ValueError("gamma rate must be positive and finite")
+            if not 1.0 <= self.shape < math.inf:
+                raise ValueError("gamma shape must be finite and >= 1 so "
+                                 "the density is bounded at 0")
+        if self.kind != "sampled":
+            return
+        y = np.asarray(self.y_samples, dtype=float)
+        b = np.asarray(self.b_samples, dtype=float)
         if y.ndim != 1 or y.shape != b.shape or y.size < 2:
             raise ValueError("need matching 1d arrays of at least 2 samples")
         # NaN fails these tests, and inf makes the mass non-finite
@@ -85,8 +88,28 @@ class DelayKernel:
             raise ValueError(
                 f"sampled kernel mass {mass!r} is not 1 within 1e-8; "
                 "normalize the samples first")
-        return cls(kind="sampled", y_samples=tuple(y.tolist()),
-                   b_samples=tuple(b.tolist()))
+        # stored as tuples of floats, as the classmethod gives them
+        object.__setattr__(self, "y_samples", tuple(y.tolist()))
+        object.__setattr__(self, "b_samples", tuple(b.tolist()))
+
+    @classmethod
+    def dirac(cls):
+        """No delay: the activity is the instantaneous discharge."""
+        return cls(kind="dirac")
+
+    @classmethod
+    def exponential(cls, theta):
+        return cls(kind="exponential", theta=theta)
+
+    @classmethod
+    def gamma(cls, shape, rate):
+        return cls(kind="gamma", theta=rate, shape=shape)
+
+    @classmethod
+    def sampled(cls, y, b):
+        """Density given by samples (y_i, b(y_i)); linear interpolation
+        in between, zero outside.  Must integrate to 1 within 1e-8."""
+        return cls(kind="sampled", y_samples=y, b_samples=b)
 
     @property
     def is_dirac(self):

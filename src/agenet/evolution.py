@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 import warnings
 from typing import Optional
 
@@ -63,8 +64,11 @@ class SimulationConfig:
 
     def __post_init__(self):
         _check_parameters(self, positive=("t_end",), nonnegative=("q",))
-        if not 1 <= self.record_every < math.inf:
-            raise ValueError("record_every must be >= 1 and finite")
+        # a float would record off its multiples, and a bool is an int
+        every = self.record_every
+        if (isinstance(every, bool) or not isinstance(every, numbers.Integral)
+                or every < 1):
+            raise ValueError("record_every must be an integer >= 1")
 
     @property
     def dt(self):

@@ -11,18 +11,13 @@ and bounded by k1.  k0 is the resting rate of an old neuron
 
 Each family computes its own closed forms behind one protocol: rate,
 cumulative K(x, mu) = int_0^x k, cumulative_over (K at one age for an
-array of activities, each entry as cumulative gives it), edge_cumulative
-(K on a grid's edges past 0, written into a caller's buffer: the
-stationary solve's fast path), activity_slope (the slope of K(x_max, .)
-in the activity, from which estimate_xi takes the regime bounds in
-closed form), lipschitz_known (whether the family bounds that slope at
-all) and stepper.  The private _rate_at(x) binds one age x and returns
-mu -> rate(x, mu), bit for bit, without the domain checks: the
-stationary solve's horizon rate.
+array of activities, each entry as cumulative gives it), activity_slope
+(the slope of K(x_max, .) in the activity, from which estimate_xi takes
+the regime bounds in closed form) and stepper.
 
-stepper(grid) binds a family's per-grid constants once and holds the
-one copy of its activity map G(mu) = int k(x, lam*mu) f dx on the
-midpoint mesh and of its one-step factors exp(-k(x_j, lam*mu) dx).
+stepper(grid) is the one object that binds a family to a grid.  It
+holds the one copy of its activity map G(mu) = int k(x, lam*mu) f dx on
+the midpoint mesh and of its one-step factors exp(-k(x_j, lam*mu) dx).
 Its bind(values, total) returns that map for one density as one call,
 mu -> (G(mu), G'(mu)), with 1.0 in place of the slope where the family
 takes fixed-point steps.  Its solve(values, total, warm) is the
@@ -43,16 +38,19 @@ the stepper does not sum the density again.  The step family's map
 costs one sequential prefix sum over the cells below sigma_plus per
 density, then one bisection and one subtraction per mu.
 
-The smooth family's age integral at the edges depends only on its age
-scale and the grid, so it is computed once per grid and cached,
-read-only: its edge_cumulative is that cached profile times gain(mu).
+The stepper also serves the stationary solve: its edge_cumulative(mu,
+out) writes K on the grid's edges past 0 into out, bit for bit
+cumulative(grid.edges[1:], mu), and its end_rate(mu) is bit for bit
+rate(grid.x_max, mu).  The grid constants these two read (the smooth
+family's age integral on the edges and its age factor at the horizon)
+are bound on their first use, as the factors of survive are, so a
+stepper that only steps never computes them.
 """
 
 from __future__ import annotations
 
 import bisect
 import dataclasses
-import functools
 import math
 from typing import Callable, Optional
 
@@ -113,25 +111,9 @@ def _match_shape(x, out):
     return float(out) if np.ndim(x) == 0 else out
 
 
-# Per-grid profiles, keyed on the frozen AgeGrid.  The cache keeps at
-# most this many vectors of one float per cell, so memory stays bounded.
-_PROFILE_CACHE = 16
-
-
-def _frozen(values):
-    values.flags.writeable = False
-    return values
-
-
 def _age_integral(x, x_scale):
     # int_0^x (1 - exp(-y/x_scale)) dy in closed form
     return x + x_scale * np.expm1(-x / x_scale)
-
-
-@functools.lru_cache(maxsize=_PROFILE_CACHE)
-def _edge_age_integral(x_scale, grid):
-    # the smooth family's age integral on the edges past 0
-    return _frozen(_age_integral(grid.edges[1:], x_scale))
 
 
 # The implicit activity solve settles at |G(mu) - mu| <= _TOL and,
@@ -179,13 +161,14 @@ class _Stepper:
 
 class _ConstantStepper(_Stepper):
     """ConstantRate on one grid: the activity map is the one value
-    k0 * total * dx, and every cell decays by one factor."""
+    k0 * total * dx, every cell decays by one factor, and K on the edges
+    is k0 * edges."""
 
-    __slots__ = ("_model", "_dx", "_factor")
+    __slots__ = ("_model", "_grid", "_dx", "_factor")
     one_root = True
 
     def __init__(self, model, grid):
-        self._model, self._dx = model, grid.dx
+        self._model, self._grid, self._dx = model, grid, grid.dx
         self._factor = None     # exp(-k0 * dx), on the first survive
 
     def roots(self, values, total=None):
@@ -208,17 +191,28 @@ class _ConstantStepper(_Stepper):
                 np.exp(-np.full(1, self._model.k0) * self._dx)[0])
         return np.multiply(values, self._factor, out=out)
 
+    def edge_cumulative(self, mu, out):
+        _check_mu(mu)
+        return np.multiply(self._grid.edges[1:], self._model.k0, out=out)
+
+    def end_rate(self, mu):
+        _check_mu(mu)
+        return float(self._model.k0)
+
 
 class _SmoothStepper(_Stepper):
     """SmoothSaturatingRate on one grid: the age shape is bound, the
     activity map is gain(mu) times one dot product per density, and
     each step of its solve is a Newton step on the closed-form slope."""
 
-    __slots__ = ("_model", "_shape", "_dx", "_gain", "_rate", "_span")
+    __slots__ = ("_model", "_grid", "_shape", "_dx", "_gain", "_rate",
+                 "_span", "_edge_age", "_end_age")
     one_root = True     # gain is concave
 
     def __init__(self, model, grid):
-        self._model = model
+        self._model, self._grid = model, grid
+        # bound on the first edge_cumulative and end_rate
+        self._edge_age = self._end_age = None
         # the age factor 1 - exp(-x/x_scale)
         self._shape = -np.expm1(-grid.midpoints / model.x_scale)
         self._dx = grid.dx
@@ -262,6 +256,22 @@ class _SmoothStepper(_Stepper):
         np.exp(out, out=out)
         return np.multiply(values, out, out=out)
 
+    def edge_cumulative(self, mu, out):
+        # separable: the age integral on the edges times one gain
+        _check_mu(mu)
+        if self._edge_age is None:
+            self._edge_age = _age_integral(self._grid.edges[1:],
+                                           self._model.x_scale)
+        return np.multiply(self._edge_age, self._gain(mu), out=out)
+
+    def end_rate(self, mu):
+        # the age factor at x_max, bound once, times one gain
+        _check_mu(mu)
+        if self._end_age is None:
+            self._end_age = float(
+                -np.expm1(-self._grid.x_max / self._model.x_scale))
+        return self._gain(mu) * self._end_age
+
 
 class _StepStepper(_Stepper):
     """StepRate on one grid: the cells its prefix sums cover, the
@@ -269,16 +279,22 @@ class _StepStepper(_Stepper):
     activity map is a staircase over threshold cells: while the
     threshold falls in cell j it takes the plateau mass - heads[j-1]*dx,
     the mass past cell j.  Its solve takes fixed-point steps, and
-    survive reuses the cell that the map last landed in."""
+    survive reuses the cell that the map last landed in.  K on the
+    edges is max(edges - threshold, 0)."""
 
-    __slots__ = ("_model", "_threshold", "_mids", "_reach", "_dx",
+    __slots__ = ("_model", "_grid", "_threshold", "_mids", "_reach", "_dx",
                  "_decay", "_mu", "_idx")
     one_root = False    # the staircase can hold several
 
     def __init__(self, model, grid):
-        self._model = model
+        self._model, self._grid = model, grid
         self._threshold = model.threshold
-        self._reach = model._reach(grid)
+        # The cells that the prefix sums must cover.  The built-in sigma
+        # is nonincreasing, so no threshold passes threshold(0) and the
+        # sums stop at its cell; a custom sigma may go anywhere and
+        # keeps every cell.
+        self._reach = grid.n_cells if model.sigma is not None else int(
+            grid.midpoints.searchsorted(model.threshold(0.0), side="right"))
         # bisect_right on these midpoints counts those <= t, as
         # midpoints.searchsorted(t, side="right") does (a NaN counts them
         # all in both), at a third of its per-call cost.  No threshold
@@ -337,6 +353,15 @@ class _StepStepper(_Stepper):
         np.multiply(values[idx:], self._decay, out=out[idx:])
         return out
 
+    def edge_cumulative(self, mu, out):
+        _check_mu(mu)
+        np.subtract(self._grid.edges[1:], self._threshold(mu), out=out)
+        return np.maximum(0.0, out, out=out)
+
+    def end_rate(self, mu):
+        _check_mu(mu)
+        return 1.0 if self._grid.x_max > self._threshold(mu) else 0.0
+
 
 @dataclasses.dataclass(frozen=True)
 class ConstantRate:
@@ -344,7 +369,6 @@ class ConstantRate:
 
     k0: float
     lam: float = 0.0
-    lipschitz_known = True      # a class constant, not a field
 
     def __post_init__(self):
         _check_parameters(self, positive=("k0",), nonnegative=("lam",))
@@ -358,10 +382,6 @@ class ConstantRate:
         out = np.full(np.shape(x), self.k0)
         return _match_shape(x, out if out.ndim else self.k0)
 
-    def _rate_at(self, x):
-        k0 = float(self.k0)
-        return lambda mu: k0
-
     def cumulative(self, x, mu):
         _check_domain(x, mu)
         return _match_shape(x, self.k0 * np.asarray(x, dtype=float))
@@ -372,10 +392,6 @@ class ConstantRate:
 
     def activity_slope(self, x_max):
         return 0.0, 0.0, 0.0
-
-    def edge_cumulative(self, grid, mu, out):
-        _check_mu(mu)
-        return np.multiply(grid.edges[1:], self.k0, out=out)
 
     def stepper(self, grid):
         return _ConstantStepper(self, grid)
@@ -395,7 +411,6 @@ class SmoothSaturatingRate:
     lam: float = 0.0
     mu_scale: float = 1.0
     x_scale: float = 1.0
-    lipschitz_known = True      # a class constant, not a field
 
     def __post_init__(self):
         _check_parameters(self, positive=("k0", "k1", "mu_scale", "x_scale"),
@@ -412,12 +427,6 @@ class SmoothSaturatingRate:
         xs = np.asarray(x, dtype=float)
         out = self.gain(mu) * (-np.expm1(-xs / self.x_scale))
         return _match_shape(x, out)
-
-    def _rate_at(self, x):
-        # separable: the age factor at x, bound once, times one gain
-        age = float(-np.expm1(-np.asarray(x, dtype=float) / self.x_scale))
-        gain = self.gain
-        return lambda mu: gain(mu) * age
 
     def cumulative(self, x, mu):
         _check_domain(x, mu)
@@ -437,12 +446,6 @@ class SmoothSaturatingRate:
         return (0.0, (self.k1 - self.k0) / self.mu_scale * age,
                 1.0 / self.mu_scale)
 
-    def edge_cumulative(self, grid, mu, out):
-        # separable: the cached age integral times one gain
-        _check_mu(mu)
-        return np.multiply(_edge_age_integral(self.x_scale, grid),
-                           self.gain(mu), out=out)
-
     def stepper(self, grid):
         return _SmoothStepper(self, grid)
 
@@ -456,19 +459,19 @@ class StepRate:
     firing threshold.  The built-in family is
     sigma(mu) = sigma_minus + (sigma_plus - sigma_minus)*exp(-decay*mu).
 
-    A custom `sigma` callable may be supplied.  Pass `sigma_modulus`
-    (a bound on |sigma'|) along with it; without one, lipschitz_known
-    is False and regime estimation reports the Lipschitz modulus as
-    unknown (xi = inf).  The indicator is evaluated exactly, never
-    smoothed.
+    A custom `sigma` callable may be supplied, together with
+    `sigma_modulus`, a bound on |sigma'| from which estimate_xi takes
+    the regime bounds; the constructor refuses one without the other.
+    The map counts in equality and hashing as Python compares it, so a
+    function compares by identity.  The indicator is evaluated exactly,
+    never smoothed.
     """
 
     sigma_plus: float = 0.5
     sigma_minus: float = 0.25
     lam: float = 0.0
     decay: float = 1.0
-    sigma: Optional[Callable[[float], float]] = dataclasses.field(
-        default=None, compare=False)
+    sigma: Optional[Callable[[float], float]] = None
     sigma_modulus: Optional[float] = None
 
     def __post_init__(self):
@@ -476,6 +479,9 @@ class StepRate:
             raise ValueError(
                 "thresholds must satisfy 0 < sigma_minus < sigma_plus < 1")
         _check_parameters(self, positive=("decay",), nonnegative=("lam",))
+        if (self.sigma is None) != (self.sigma_modulus is None):
+            raise ValueError("a custom sigma and its sigma_modulus must be "
+                             "given together")
         if self.sigma_modulus is not None:
             # estimate_xi trusts the declared bound on |sigma'|
             _check_parameters(self, nonnegative=("sigma_modulus",))
@@ -487,10 +493,6 @@ class StepRate:
     @property
     def k1(self):
         return 1.0
-
-    @property
-    def lipschitz_known(self):
-        return self.sigma is None or self.sigma_modulus is not None
 
     def threshold(self, mu):
         """Firing threshold sigma(lam*mu)."""
@@ -505,10 +507,6 @@ class StepRate:
         out = (np.asarray(x, dtype=float) > self.threshold(mu)).astype(float)
         return _match_shape(x, out)
 
-    def _rate_at(self, x):
-        x, threshold = float(x), self.threshold
-        return lambda mu: 1.0 if x > threshold(mu) else 0.0
-
     def cumulative(self, x, mu):
         _check_domain(x, mu)
         xs = np.asarray(x, dtype=float)
@@ -518,16 +516,7 @@ class StepRate:
     def cumulative_over(self, x, mus):
         x, mus = _check_over(x, mus)
         # the scalar map, so each entry equals cumulative(x, mu) exactly
-        if self.sigma is not None:
-            thresholds = np.array([self.threshold(mu) for mu in mus.tolist()])
-        else:
-            # threshold's expression, one rounding per operation as
-            # there, with math.exp: np.exp rounds differently on some
-            # arguments
-            powers = (-self.decay * (self.lam * mus)).tolist()
-            span = self.sigma_plus - self.sigma_minus
-            thresholds = self.sigma_minus + span * np.fromiter(
-                map(math.exp, powers), float, len(powers))
+        thresholds = np.array([self.threshold(mu) for mu in mus.tolist()])
         return np.maximum(0.0, x - thresholds)
 
     def activity_slope(self, x_max):
@@ -545,21 +534,6 @@ class StepRate:
             / self.decay
         return onset, self.decay * top, self.decay
 
-    def edge_cumulative(self, grid, mu, out):
-        _check_mu(mu)
-        np.subtract(grid.edges[1:], self.threshold(mu), out=out)
-        return np.maximum(0.0, out, out=out)
-
-    def _reach(self, grid):
-        # The cells that the prefix sums must cover.  The built-in sigma
-        # is nonincreasing, so no threshold passes threshold(0) and the
-        # sums stop at its cell; a custom sigma may go anywhere and
-        # keeps every cell.
-        if self.sigma is not None:
-            return grid.n_cells
-        return int(grid.midpoints.searchsorted(self.threshold(0.0),
-                                               side="right"))
-
     def stepper(self, grid):
         return _StepStepper(self, grid)
 
@@ -574,8 +548,8 @@ class RegimeEstimate:
     unique there); lambda_strong is the smallest coupling beyond which
     the factor, taken over high activities, stays under 1 again.  Each
     is exact for the built-in families, up to rounding; a custom
-    threshold map gives the bounds that its declared sigma_modulus
-    implies.
+    threshold map, which StepRate accepts only with its sigma_modulus,
+    gives the bounds that modulus implies.
     """
 
     xi: float
@@ -646,10 +620,9 @@ def estimate_xi(model, x_max=10.0, mu_range=(0.0, 1.0), samples=33,
         below 1 there (z < -1/e included).  With rate*mu_inf = 0 the
         factor grows without bound and lambda_strong is inf.
     A coupling past _LAM_CAP = 1e4 reads as inf.  samples must be at
-    least 2 but the result does not depend on it: nothing is sampled.  A
-    model whose lipschitz_known is false (a custom threshold map with no
-    declared sigma_modulus) gets xi = inf, lambda_weak = 0 and
-    lambda_strong = inf.
+    least 2 but the result does not depend on it: nothing is sampled.
+    Every family bounds D: a custom threshold map comes with its
+    declared sigma_modulus, which is D's peak, with onset and rate 0.
     """
     lo, hi = float(mu_range[0]), float(mu_range[1])
     if not (0.0 <= lo < hi):
@@ -661,9 +634,6 @@ def estimate_xi(model, x_max=10.0, mu_range=(0.0, 1.0), samples=33,
                         ("mu_inf", m_inf)):
         if not 0.0 <= value < math.inf:
             raise ValueError(f"{name} must be finite and nonnegative")
-    if not model.lipschitz_known:
-        return RegimeEstimate(xi=math.inf, lambda_weak=0.0,
-                              lambda_strong=math.inf)
     onset, peak, rate = model.activity_slope(float(x_max))
     scale = 2.0 * model.k1 * (f_inf_scale + model.k1) * peak
 

@@ -18,10 +18,10 @@ evaluations of g.
 
 Each root search makes one `_Profile` for its model and grid: the
 normalization integral evaluated in buffers allocated once, with K on
-the mesh edges from the family's edge_cumulative (for the smooth
-family, a cached age integral times one gain) and the horizon rate
-bound once.  The final profile F is read from the same buffers, so the
-profile formula is written once.
+the mesh edges and the horizon rate from the model's bound stepper,
+model.stepper(grid) (for the smooth family, an age integral and an age
+factor bound on first use, each times one gain).  The final profile F
+is read from the same buffers, so the profile formula is written once.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ class _Profile:
 
     Each evaluation at an activity M writes the parts of the stationary
     profile into buffers allocated once: K at the edges (from the
-    family's edge_cumulative), the cell-mean rates kc, E = exp(-K) at
+    stepper's edge_cumulative), the cell-mean rates kc, E = exp(-K) at
     the edges, the shed factors 1 - exp(-kc*dx), the per-cell integrals
     cell_int of exp(-K), and the horizon tail.  They hold the last
     evaluation's values until the next one.
@@ -67,25 +67,24 @@ class _Profile:
     (kc <= 0, below a step threshold) holds dx*E at its left edge.  The
     tail extends the profile past x_max with the frozen rate k(x_max),
     the natural choice for rates that have saturated in age by the
-    horizon.
+    horizon (the stepper's end_rate).
     """
 
     def __init__(self, model, grid):
         n = grid.n_cells
-        self.model, self.grid = model, grid
+        self.stepper, self.grid = model.stepper(grid), grid
         self.K = np.zeros(n + 1)
         self.E = np.empty(n + 1)
         self.kc, self.shed, self.cell_int = (np.empty(n) for _ in range(3))
         self.fires = np.empty(n, dtype=bool)
         self.tail = math.nan
-        self._k_end = model._rate_at(grid.x_max)
 
     def parts(self, M):
         """Fill the buffers for activity M; return (cell_int, tail)."""
         dx = self.grid.dx
         K, E, kc, shed, cell_int = (self.K, self.E, self.kc, self.shed,
                                     self.cell_int)
-        self.model.edge_cumulative(self.grid, M, K[1:])
+        self.stepper.edge_cumulative(M, K[1:])
         np.subtract(K[1:], K[:-1], out=kc)
         kc /= dx
         np.exp(np.negative(K, out=E), out=E)
@@ -100,7 +99,7 @@ class _Profile:
             np.divide(cell_int, kc, out=cell_int, where=fires)
             np.multiply(E[:-1], dx, out=cell_int,
                         where=np.logical_not(fires, out=fires))
-        k_end = self._k_end(M)
+        k_end = self.stepper.end_rate(M)
         self.tail = (E[-1] / k_end) if k_end > 0.0 else math.inf
         return cell_int, self.tail
 
@@ -284,9 +283,9 @@ def solve_steady_state(model, grid):
     1/1024 of a mesh cell; on the built-in families a solve takes 20
     to 75 evaluations of g.  When several roots exist a warning lists
     them all and the smallest is returned.  Every evaluation of g
-    writes into the same buffers, K coming from the family's
-    edge_cumulative (the smooth family's age integral on the edges is
-    cached per grid), and F is read from them at the root.
+    writes into the same buffers, K coming from the edge_cumulative of
+    the model's stepper on the grid, and F is read from them at the
+    root.
     """
     hi = _upper_end(model)
     profile = _Profile(model, grid)

@@ -398,6 +398,12 @@ _CONFIG_ERRORS = [
       "run.t_end: must be positive, got 0",
       "sweep.lambdas: entries must be finite and nonnegative, got [-1.0]",
       "q: moment exponent must be a nonnegative number"]),
+    # a non-finite q is a config error too, not a bare ValueError from
+    # RunConfig
+    ("q-infinite", {"q": _INF},
+     ["q: moment exponent must be a nonnegative number"]),
+    ("q-nan", {"q": _NAN},
+     ["q: moment exponent must be a nonnegative number"]),
 ]
 
 

@@ -125,6 +125,53 @@ def test_sampled_kernel_validation():
         DelayKernel.sampled([0.0], [1.0])
 
 
+# a direct constructor call, one bad field each, and the message the
+# classmethods give for it
+_TRIANGLE = dict(y_samples=(0.0, 1.0, 2.0), b_samples=(0.0, 1.0, 0.0))
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(kind="bogus"), "unknown kernel kind 'bogus'"),
+    (dict(kind="exponential", theta=-1.0), "theta must be positive"),
+    (dict(kind="exponential", theta=math.nan), "theta must be positive"),
+    (dict(kind="exponential", theta=2.0, shape=3.0),
+     "exponential kernel takes no shape"),
+    (dict(kind="gamma", theta=0.0, shape=2.0), "gamma rate must be"),
+    (dict(kind="gamma", theta=2.0, shape=0.5), "gamma shape must be"),
+    (dict(kind="gamma", theta=2.0, shape=math.inf), "gamma shape must be"),
+    (dict(kind="dirac", theta=2.0), "dirac kernel takes no theta"),
+    (dict(kind="sampled"), "need matching 1d arrays"),
+    (dict(kind="sampled", **{**_TRIANGLE, "y_samples": (0.0, 2.0, 1.0)}),
+     "sample times must be increasing"),
+    (dict(kind="sampled", **{**_TRIANGLE, "b_samples": (0.0, -1.0, 0.0)}),
+     "density samples must be nonnegative"),
+    (dict(kind="sampled", theta=1.0, **_TRIANGLE),
+     "sampled kernel takes no theta"),
+    (dict(kind="gamma", theta=2.0, shape=2.0, b_samples=(1.0,)),
+     "gamma kernel takes no b_samples"),
+], ids=["kind", "exponential-theta", "exponential-theta-nan",
+        "exponential-shape", "gamma-rate", "gamma-shape", "gamma-shape-inf",
+        "dirac-theta", "sampled-missing", "sampled-y", "sampled-b",
+        "sampled-theta", "gamma-samples"])
+def test_the_constructor_checks_every_field(kwargs, message):
+    # these once built, and failed only inside a run (a misleading
+    # invariant error, a ZeroDivisionError)
+    with pytest.raises(ValueError, match=message):
+        DelayKernel(**kwargs)
+
+
+def test_a_direct_sampled_kernel_equals_the_classmethods():
+    # the constructor stores the samples as tuples of floats, as
+    # sampled() does, so the two compare and hash alike
+    direct = DelayKernel(kind="sampled", y_samples=[0, 1, 2],
+                         b_samples=np.array([0.0, 1.0, 0.0]))
+    built = DelayKernel.sampled([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
+    assert direct == built and hash(direct) == hash(built)
+    assert direct.y_samples == (0.0, 1.0, 2.0)
+    assert DelayKernel(kind="gamma", theta=4.0, shape=2.0) \
+        == DelayKernel.gamma(shape=2.0, rate=4.0)
+
+
 def test_discharge_history():
     h = DischargeHistory.constant(0.7, 5)
     assert len(h) == 5

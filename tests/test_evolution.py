@@ -642,8 +642,8 @@ def test_run_steps_on_survival_factors_not_rates(kernel, monkeypatch):
 
 
 def test_models_that_differ_only_in_their_sigma_run_apart():
-    # sigma is not compared, so these two models are equal; a cache
-    # keyed on the model would hand one the other's thresholds
+    # sigma counts in equality and hashing, so these two models differ,
+    # and each run binds its own stepper with its own thresholds
     def sigma_exp(u):
         return 0.25 + 0.25 * math.exp(-u)
 
@@ -654,7 +654,7 @@ def test_models_that_differ_only_in_their_sigma_run_apart():
                      sigma=sigma_exp, sigma_modulus=1.0)
     second = StepRate(sigma_plus=0.5, sigma_minus=0.25, lam=0.6,
                       sigma=sigma_hyp, sigma_modulus=1.0)
-    assert first == second and hash(first) == hash(second)
+    assert first != second
     grid = _grid()
     f0 = preset_density(grid, "uniform01")
 
@@ -856,6 +856,16 @@ def test_non_finite_parameters_are_refused_at_construction(build, bad):
     # gave NaN series
     with pytest.raises(ValueError):
         build(bad)
+
+
+@pytest.mark.parametrize("bad", [2.5, True, 0, -3],
+                         ids=["float", "bool", "zero", "negative"])
+def test_record_every_must_be_a_positive_integer(bad):
+    # a float once recorded at the multiples of it that some step count
+    # hit (2.5: every 5 steps), silently
+    with pytest.raises(ValueError, match="record_every must be an integer"):
+        _config(record_every=bad)
+    assert _config(record_every=np.int64(3)).record_every == 3
 
 
 # ---------------------------------------------------------------------------

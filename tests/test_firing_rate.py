@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from scipy import integrate, optimize
 
 from agenet import (AgeGrid, AmbiguousActivityError, ConstantRate,
-                    ModelInconsistencyError, SmoothSaturatingRate, StepRate,
-                    cell_sum, estimate_xi, half_rate_age, preset_density)
+                    ModelInconsistencyError, SimulationConfig,
+                    SmoothSaturatingRate, StepRate, cell_sum, estimate_xi,
+                    half_rate_age, preset_density)
 from agenet import _roots, firing_rate
 from agenet.firing_rate import RegimeEstimate
 
@@ -124,10 +125,43 @@ def test_step_rate_refuses_a_bad_sigma_modulus(bad):
     with pytest.raises(ValueError, match="^sigma_modulus must be"):
         StepRate(lam=0.3, sigma=lambda u: 0.6 / (1.0 + u),
                  sigma_modulus=bad)
-    # a bound of zero (a constant threshold) and no bound at all stand
+    # a bound of zero (a constant threshold) stands
     assert StepRate(lam=0.3, sigma=lambda u: 0.4,
-                    sigma_modulus=0.0).lipschitz_known
-    assert not StepRate(lam=0.3, sigma=lambda u: 0.4).lipschitz_known
+                    sigma_modulus=0.0).sigma_modulus == 0.0
+
+
+def test_step_rate_pairs_a_custom_sigma_with_its_modulus():
+    # estimate_xi needs the bound on |sigma'| of a custom map, and the
+    # built-in map has its own: one without the other is refused
+    with pytest.raises(ValueError, match="sigma and its sigma_modulus"):
+        StepRate(lam=1.0, sigma=lambda u: 0.4)
+    with pytest.raises(ValueError, match="sigma and its sigma_modulus"):
+        StepRate(lam=1.0, sigma_modulus=0.6)
+    model = StepRate(lam=1.0, sigma=lambda u: 0.4, sigma_modulus=0.0)
+    assert dataclasses.replace(model, lam=2.0).sigma is model.sigma
+    with pytest.raises(ValueError, match="sigma and its sigma_modulus"):
+        dataclasses.replace(model, sigma_modulus=None)
+
+
+def test_step_rate_compares_its_sigma_by_identity():
+    # thresholds 0.465 and 0.45 at mu = 0.5, and xi 0.075 against 0:
+    # the map is part of the model, so these differ and hash apart
+    def flat(u):
+        return 0.45
+
+    builtin = StepRate(lam=0.3)
+    custom = StepRate(lam=0.3, sigma=flat, sigma_modulus=0.0)
+    assert builtin.threshold(0.5) != custom.threshold(0.5)
+    assert builtin != custom and len({builtin, custom}) == 2
+    again = StepRate(lam=0.3, sigma=flat, sigma_modulus=0.0)
+    assert again == custom and hash(again) == hash(custom)
+    # the same expression in another function is another map
+    assert StepRate(lam=0.3, sigma=lambda u: 0.45,
+                    sigma_modulus=0.0) != custom
+    grid = AgeGrid(dx=0.01, n_cells=100)
+    configs = {SimulationConfig(grid=grid, model=model)
+               for model in (builtin, custom, again)}
+    assert len(configs) == 2
 
 
 def test_domain_checks():
@@ -280,16 +314,6 @@ def test_estimate_xi_reads_the_declared_sigma_modulus():
     assert est.lambda_weak == pytest.approx(1.0 / (2.0 * 4.0 * 0.6),
                                             rel=1e-15)
     assert est.lambda_strong == math.inf
-
-
-def test_estimate_xi_custom_sigma_without_modulus():
-    model = StepRate(sigma_plus=0.5, sigma_minus=0.25, lam=1.0,
-                     sigma=lambda u: 0.4)
-    assert not model.lipschitz_known
-    est = estimate_xi(model)
-    assert math.isinf(est.xi)
-    assert est.lambda_weak == 0.0
-    assert math.isinf(est.lambda_strong)
 
 
 def test_estimate_xi_validation():
@@ -1007,27 +1031,29 @@ def test_step_activity_roots_equal_a_full_mesh_scan(lam):
     assert 0.0 in roots
 
 
-@pytest.mark.parametrize("model", FAMILIES, ids=FAMILY_IDS)
-def test_edge_cumulative_equals_cumulative_at_the_edges(model):
-    grid = AgeGrid(dx=0.01, n_cells=300)
-    out = np.empty(grid.n_cells)
-    for mu in (0.0, 0.4, 2.0):
-        assert model.edge_cumulative(grid, mu, out) is out
+@pytest.mark.parametrize("family", FAMILY_IDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), dx=st.floats(1e-3, 0.5), n_cells=st.integers(2, 2000),
+       mus=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=6))
+def test_edge_cumulative_equals_cumulative_at_the_edges(family, data, dx,
+                                                        n_cells, mus):
+    # the stationary solve's two fast paths on the bound stepper, bit
+    # for bit the public expressions: K on the edges past 0, written
+    # into the caller's buffer, and the rate at the horizon
+    model = data.draw(_DRAWN_FAMILIES[family], label="model")
+    grid = AgeGrid(dx=dx, n_cells=n_cells)
+    stepper = model.stepper(grid)
+    out = np.empty(n_cells)
+    for mu in mus + [0.0]:
+        assert stepper.edge_cumulative(mu, out) is out
         assert np.array_equal(out, model.cumulative(grid.edges[1:], mu))
-    for bad in (-0.1, math.nan, math.inf):
-        with pytest.raises(ValueError, match="finite and nonnegative"):
-            model.edge_cumulative(grid, bad, out)
-
-
-def test_smooth_edge_age_integral_is_cached_read_only():
-    grid = AgeGrid(dx=0.01, n_cells=300)
-    out = np.empty(grid.n_cells)
-    FAMILIES[1].edge_cumulative(grid, 0.4, out)
-    cached = firing_rate._edge_age_integral(FAMILIES[1].x_scale, grid)
-    assert cached is firing_rate._edge_age_integral(FAMILIES[1].x_scale,
-                                                    grid)
-    with pytest.raises(ValueError, match="read-only"):
-        cached[0] = 0.5
+        end = stepper.end_rate(mu)
+        assert type(end) is float and end == model.rate(grid.x_max, mu)
+    for bad in (-0.1, math.nan, math.inf, np.array([0.4])):
+        with pytest.raises(ValueError, match="^activity mu must be"):
+            stepper.edge_cumulative(bad, out)
+        with pytest.raises(ValueError, match="^activity mu must be"):
+            stepper.end_rate(bad)
 
 
 @pytest.mark.parametrize("model", FAMILIES, ids=FAMILY_IDS)

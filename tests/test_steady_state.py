@@ -238,13 +238,13 @@ def _same(a, b):
 def test_profile_equals_the_reference_formula(model, dx, n_cells, mus):
     grid = AgeGrid(dx=dx, n_cells=n_cells)
     profile = steady_state._Profile(model, grid)
-    out = np.empty(n_cells)
     for mu in mus + [0.0]:
-        model.edge_cumulative(grid, mu, out)
-        assert _same(out, model.cumulative(grid.edges[1:], mu))
         cell_int, tail, E, kc, shed = _reference_parts(model, grid, mu)
         assert _same(profile.residual(mu),
                      _reference_residual(model, grid, mu))
+        # K on the edges and the horizon rate come from the stepper
+        assert _same(profile.K[1:], model.cumulative(grid.edges[1:], mu))
+        assert profile.stepper.end_rate(mu) == model.rate(grid.x_max, mu)
         assert _same(profile.cell_int, cell_int) and _same(profile.tail, tail)
         assert _same(profile.E, E) and _same(profile.kc, kc)
         assert _same(profile.shed, shed)

@@ -139,8 +139,11 @@ def steady(*, calls=5):
     `regime_scan(model, [lam], grid)` row, both with their defaults, at
     1000 and 10k cells (x_max 10), on seven models.  The models take
     turns, each timing `calls` calls of each kind after one untimed one.
-    The outputs are M, the scan's roots and the untimed call's
-    evaluations (calls of `steady_state._Profile.parts`)."""
+    `profile_us`: the median microseconds, over 200 calls, to build one
+    `steady_state._Profile` (its stepper and buffers) per model, the
+    binding that each root search makes.  The outputs are M, the
+    scan's roots and the untimed call's evaluations (calls of
+    `steady_state._Profile.parts`)."""
     import functools
     import agenet
     from agenet import steady_state
@@ -164,10 +167,14 @@ def steady(*, calls=5):
         evaluations[0] += 1
         return parts(profile, M)
 
-    ms, evals, values = {}, {}, {}
+    ms, evals, values, profile_us = {}, {}, {}, {}
     for cells in (1000, 10000):
         grid = agenet.AgeGrid(dx=10.0 / cells, n_cells=cells)
         ms[cells], evals[cells], values[cells] = {}, {}, {}
+        profile_us[cells] = {
+            name: _median_s(lambda: steady_state._Profile(model, grid),
+                            200) * 1e6
+            for name, model in models.items()}
         for kind, fn in kinds.items():
             ms[cells][kind], evals[cells][kind] = {}, {}
             values[cells][kind] = {}
@@ -180,7 +187,8 @@ def steady(*, calls=5):
                     lambda: fn(model, grid), calls) * 1e3
                 evals[cells][kind][name] = evaluations[0]
                 values[cells][kind][name] = repr(value)
-    return {"ms": ms}, {"evaluations": evals, "values": values}
+    return ({"ms": ms, "profile_us": profile_us},
+            {"evaluations": evals, "values": values})
 
 
 def xi(*, calls=30):
