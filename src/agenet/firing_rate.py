@@ -201,9 +201,10 @@ class _ConstantStepper(_Stepper):
 
 
 class _SmoothStepper(_Stepper):
-    """SmoothSaturatingRate on one grid: the age shape is bound, the
-    activity map is gain(mu) times one dot product per density, and
-    each step of its solve is a Newton step on the closed-form slope."""
+    """SmoothSaturatingRate on one grid: the age shape is bound on first
+    use, the activity map is gain(mu) times one dot product per density,
+    and each step of its solve is a Newton step on the closed-form
+    slope."""
 
     __slots__ = ("_model", "_grid", "_shape", "_dx", "_gain", "_rate",
                  "_span", "_edge_age", "_end_age")
@@ -213,8 +214,9 @@ class _SmoothStepper(_Stepper):
         self._model, self._grid = model, grid
         # bound on the first edge_cumulative and end_rate
         self._edge_age = self._end_age = None
-        # the age factor 1 - exp(-x/x_scale)
-        self._shape = -np.expm1(-grid.midpoints / model.x_scale)
+        # the age factor 1 - exp(-x/x_scale), on the first _weight or
+        # survive: the stationary solve reads neither
+        self._shape = None
         self._dx = grid.dx
         self._gain = model.gain
         # gain'(mu) = (k1 - k0)(lam/mu_scale) exp(-lam*mu/mu_scale), and
@@ -223,9 +225,14 @@ class _SmoothStepper(_Stepper):
         self._rate = model.lam / model.mu_scale
         self._span = (model.k1 - model.k0) * self._rate
 
+    def _bind_shape(self):
+        self._shape = -np.expm1(-self._grid.midpoints / self._model.x_scale)
+
     def _weight(self, values):
         # the age integral of G = gain(mu) * weight; the cell sum does
         # not enter the separable map
+        if self._shape is None:
+            self._bind_shape()
         return float(np.dot(self._shape, values)) * self._dx
 
     def roots(self, values, total=None):
@@ -251,6 +258,8 @@ class _SmoothStepper(_Stepper):
         # exp(-(gain * shape) * dx) in out, bit for bit the rate
         # expression (negation is exact), then times values
         _check_mu(mu)
+        if self._shape is None:
+            self._bind_shape()
         np.multiply(self._shape, self._gain(mu), out=out)
         out *= -self._dx
         np.exp(out, out=out)
@@ -274,9 +283,9 @@ class _SmoothStepper(_Stepper):
 
 
 class _StepStepper(_Stepper):
-    """StepRate on one grid: the cells its prefix sums cover, the
-    threshold map, the midpoints up to them and exp(-dx) are bound.  The
-    activity map is a staircase over threshold cells: while the
+    """StepRate on one grid: the threshold map is bound, and the cells its
+    prefix sums cover, the midpoints up to them and exp(-dx) on first
+    use.  The activity map is a staircase over threshold cells: while the
     threshold falls in cell j it takes the plateau mass - heads[j-1]*dx,
     the mass past cell j.  Its solve takes fixed-point steps, and
     survive reuses the cell that the map last landed in.  K on the
@@ -289,6 +298,15 @@ class _StepStepper(_Stepper):
     def __init__(self, model, grid):
         self._model, self._grid = model, grid
         self._threshold = model.threshold
+        # on the first bind, roots or survive: the stationary solve
+        # reads neither
+        self._reach = self._mids = None
+        self._dx = grid.dx
+        self._decay = None              # exp(-dx), on the first survive
+        self._mu = self._idx = None     # the map's last mu and its cell
+
+    def _bind_cells(self):
+        model, grid = self._model, self._grid
         # The cells that the prefix sums must cover.  The built-in sigma
         # is nonincreasing, so no threshold passes threshold(0) and the
         # sums stop at its cell; a custom sigma may go anywhere and
@@ -302,15 +320,14 @@ class _StepStepper(_Stepper):
         # prefix sums, as on the whole mesh.
         cells = min(self._reach + 1, grid.n_cells)
         self._mids = grid.midpoints[:cells].tolist()
-        self._dx = grid.dx
-        self._decay = None              # exp(-dx), on the first survive
-        self._mu = self._idx = None     # the map's last mu and its cell
 
     def _plateaus(self, values, total):
         # The mass (the cell sum times dx) and heads, the sequential
         # prefix sums (cumsum's ufunc, without its dispatch).  The two
         # sums round differently, so a tail with no mass can come out a
         # hair below zero; every reader clamps it there.
+        if self._mids is None:
+            self._bind_cells()
         if total is None:
             total = cell_sum(values)
         return total * self._dx, np.add.accumulate(values[:self._reach])
@@ -318,16 +335,16 @@ class _StepStepper(_Stepper):
     def roots(self, values, total=None):
         # plateau j is a root exactly when its own threshold falls in
         # cell j too, so j never passes the cells that heads covers
-        threshold, mids = self._threshold, self._mids
         mass, heads = self._plateaus(values, total)
+        threshold, mids = self._threshold, self._mids
         tails = [mass] + np.maximum(mass - heads * self._dx, 0.0).tolist()
         return sorted(tail for j, tail in enumerate(tails)
                       if bisect.bisect_right(mids, threshold(tail)) == j)
 
     def bind(self, values, total=None):
+        mass, heads = self._plateaus(values, total)
         threshold, mids, dx = self._threshold, self._mids, self._dx
         cell_of = bisect.bisect_right
-        mass, heads = self._plateaus(values, total)
 
         def G(mu):
             idx = cell_of(mids, threshold(mu))
@@ -341,14 +358,16 @@ class _StepStepper(_Stepper):
         # 1), the rest decay by exp(-dx): values * exp(-rate * dx) bit
         # for bit
         _check_mu(mu)
-        if mu == self._mu:
-            idx = self._idx
-        else:
-            idx = bisect.bisect_right(self._mids, self._threshold(mu))
         if self._decay is None:
             # exp(-1 * dx), taken from a vector exp like the full
             # expression
             self._decay = float(np.exp(-np.ones(1) * self._dx)[0])
+            if self._mids is None:
+                self._bind_cells()
+        if mu == self._mu:
+            idx = self._idx
+        else:
+            idx = bisect.bisect_right(self._mids, self._threshold(mu))
         out[:idx] = values[:idx]
         np.multiply(values[idx:], self._decay, out=out[idx:])
         return out

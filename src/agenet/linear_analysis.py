@@ -19,21 +19,34 @@ renewal characteristic function
 
     chi(lam) = 1 - c^T (lam - L)^{-1} e0,
 
-and (lam - L)^{-1} e0 is one cumulative product, so chi costs O(n).
-Each evaluation computes only what its caller reads, in work buffers
-bound once per search (per call at 1000 cells on 2 cores, over three
-runs):
+and (lam - L)^{-1} e0 is one cumulative product.  `_Chi` splits the
+frozen rates into runs of equal value once per search and evaluates
+chi in one of two forms (medians per call on 2 cores, three runs):
 
-- chi alone (`_Chi.value`, 18-21 us; 10-16 us in real arithmetic for
-  a float on the real axis): the reciprocals, their prefix product
-  and one sum.  The real sign scan and its bisection read it, and so does the
-  arg of chi on a rectangle's side at a corner that its walk did not
-  pass (at a walked sample the walk's arg is reused);
-- chi and chi' (`_Chi.at`, 23-27 us): one prefix sum more.  The walks
-  between two ends and Newton's iteration read them;
-- chi, chi' and the tail bound sum_j |c_j v_j| (`at(z, tail=True)`,
-  27-34 us): the count-line walks, which stop on it, and the search for
-  the rectangles' right side read it.
+- the run form, for rates in at most _RUNS_MAX runs: the constant
+  family (one run) and the step family (two: 0 below the threshold,
+  1 past it).  Within a run the cumulative product is geometric, so
+  chi, chi' and the tail bound are sums of geometric series, O(runs)
+  scalar arithmetic whatever n: 5-7 us for chi (2-3 us on the real
+  axis), 7-9 us with chi', 8-10 us with the tail bound, at 1000 and
+  at 10k cells;
+- the per-cell form, for every other rate array (the smooth family's):
+  the reciprocals, their prefix product and one sum, in work buffers
+  bound once per search, O(n): at 1000 cells 26-29 us for chi (16 us
+  in real arithmetic for a float on the real axis), 37-39 us with
+  chi' (one prefix sum more), 44-46 us with the tail bound
+  sum_j |c_j v_j|; at 10k cells about six times as much.
+
+Each evaluation computes only what its caller reads:
+
+- chi alone (`_Chi.value`): the real sign scan and its bisection, and
+  the arg of chi on a rectangle's side at a corner that its walk did
+  not pass (at a walked sample the walk's arg is reused);
+- chi and chi' (`_Chi.at`): the walks between two ends and Newton's
+  iteration;
+- chi, chi' and the tail bound (`at(z, tail=True)`): the count-line
+  walks, which stop on it, and the search for the rectangles' right
+  side.
 
 The only poles of chi are -1/dx - k_j, left of every line searched
 here, and chi -> 1 as |Im lam| grows.  `spectrum` therefore runs no
@@ -87,6 +100,10 @@ _ETA = 1e-6             # the rectangles start this far above the axis;
                         # a pair closer to it fails the count check
 _REAL_MESH = 128        # first sign-scan mesh on [sigma, 0), doubled up
 _REAL_MESH_MAX = 4096   # to this while real roots are missing
+_RUNS_MAX = 8           # rates in at most this many runs of equal value
+                        # take chi in closed form per run
+_SERIES = 0.05          # a run's sums from their power series up to
+_TERMS = 10             # |L w| = _SERIES, to this many terms
 
 
 @dataclasses.dataclass(frozen=True)
@@ -169,20 +186,80 @@ class _OnPath(Exception):
     """chi nearly vanishes on a path, so arg chi is not defined there."""
 
 
+def _log1p(w):
+    """log(1 + w) for a complex w, accurate for small |w| (cmath has no
+    log1p): there Re log(1 + w) = log1p(2 Re w + |w|^2) / 2."""
+    a, b = w.real, w.imag
+    if abs(a) + abs(b) >= 0.5:
+        return cmath.log(1.0 + w)
+    return complex(0.5 * math.log1p(a * (2.0 + a) + b * b),
+                   math.atan2(b, 1.0 + a))
+
+
+def _expm1(x):
+    """exp(x) - 1 for a complex x, accurate for small |x| (cmath has no
+    expm1): Re = expm1(Re x) cos(Im x) - 2 sin^2(Im x / 2)."""
+    a, b = x.real, x.imag
+    half = math.sin(0.5 * b)
+    return complex(math.expm1(a) * math.cos(b) - 2.0 * half * half,
+                   math.exp(a) * math.sin(b))
+
+
+def _horner(coefficients, x):
+    """The polynomial with these coefficients, highest power first, at x."""
+    acc = 0.0
+    for a in coefficients:
+        acc = acc * x + a
+    return acc
+
+
+def _run_series(length):
+    """The Taylor coefficients, highest power first, of a run's sums
+    G = sum_m e^(-m u) and H = sum_m m e^(-m u), m = 1..length, in -u:
+    S_k/k! and S_(k+1)/k! for k < _TERMS, with S_p = sum_m m^p.  For
+    |length u| <= 1.05 _SERIES the terms left out are below 1e-17
+    relative."""
+    m = np.arange(1.0, length + 1.0)
+    power = np.ones(length)
+    sums = []
+    for _ in range(_TERMS + 1):
+        sums.append(float(power.sum()))
+        power *= m
+    scale = [1.0 / math.factorial(k) for k in range(_TERMS)]
+    return ([sums[k] * scale[k] for k in reversed(range(_TERMS))],
+            [sums[k + 1] * scale[k] for k in reversed(range(_TERMS))])
+
+
 class _Chi:
     """chi(lam) = 1 - sum_j c_j v_j(lam) with v = (lam - L)^{-1} e0,
     that is v_j = dx prod_{i<=j} 1/(1 + dx (lam + k_i)).
 
-    Each evaluation fills work buffers bound here, a complex set for a
-    complex lam and a real set for a float, so a point on the real axis
-    given as a float is evaluated in real arithmetic.  `value` computes
-    chi alone; `at` adds chi' and, when asked, the tail bound."""
+    The rates are split into runs of equal value here.  With at most
+    _RUNS_MAX runs, chi is evaluated in closed form per run, in O(runs)
+    scalar arithmetic; otherwise each evaluation fills work buffers
+    bound here, one term per cell.  Either way a complex lam is
+    evaluated in complex arithmetic and a float in real arithmetic,
+    so chi of a point on the real axis given as a float is real.
+    `value` computes chi alone; `at` adds chi' and, when asked, the
+    tail bound.  A float lam must lie right of the rightmost pole, as
+    every real point the search evaluates does."""
 
     def __init__(self, rates, dx):
-        self.one_dxk = 1.0 + dx * rates
         self.dx = dx
+        edges = np.concatenate(([0], np.flatnonzero(np.diff(rates)) + 1,
+                                [rates.size]))
+        self._kappa = rates[edges[:-1]]              # each run's rate
+        self._length = np.diff(edges).astype(float)  # and its cells
+        self.pole = -float((1.0 + dx * self._kappa).min()) / dx
+        if self._kappa.size <= _RUNS_MAX:
+            # per run: dx k, its length and the series of its sums
+            self._runs = [(dx * k, L, _run_series(int(L)) if k else None)
+                          for k, L in zip(self._kappa.tolist(),
+                                          self._length.tolist())]
+            return
+        self._runs = None
+        self.one_dxk = 1.0 + dx * rates
         self.cdx = _boundary_row(rates, dx) * dx
-        self.pole = -float(self.one_dxk.min()) / dx   # rightmost pole
         n = self.cdx.size
         # r, c v and cumsum(r), per arithmetic; |c v|
         self._work = {dtype: (np.empty(n, dtype), np.empty(n, dtype),
@@ -201,14 +278,71 @@ class _Chi:
         np.multiply(self.cdx, cv, out=cv)
         return work
 
+    def _closed(self, z, slope=False, tail=False):
+        """(chi, chi' or None, tail bound or None) summed run by run.
+
+        Run r, of L cells at rate k, has w = dx (k + z) and
+        rho = 1/(1 + w) = e^-u with u = log1p(w).  Its cells' prefix
+        products are Q rho^m, m = 1..L, where Q = e^-(sum of L u over
+        the runs before it), so its terms of chi sum to k dx Q G with
+        G = sum rho^m = -expm1(-L u)/w, and those of chi' to
+        dx k dx Q (C G + rho H), with C the sum of L rho over the runs
+        before and H = sum m rho^m = (G - L rho^(L+1))/(w rho).  For
+        |L w| <= _SERIES, w = 0 included, G and H come from their
+        power series in u instead, which do not cancel.  The boundary
+        row's 1/dx adds Q_R to 1 - chi and dx Q_R C_R to chi', with
+        Q_R and C_R taken over every run.  The tail bound takes the same
+        sums in |rho|."""
+        if isinstance(z, complex):
+            z, log1p, expm1, exp = complex(z), _log1p, _expm1, cmath.exp
+        else:
+            z, log1p, expm1, exp = float(z), math.log1p, math.expm1, math.exp
+        dxz = self.dx * z
+        fired = steep = bound = 0.0
+        logq = c = 0.0
+        for dxk, L, series in self._runs:
+            w = dxk + dxz
+            u = log1p(w)
+            if slope:
+                rho = 1.0 / (1.0 + w)
+            if dxk:
+                q = exp(-logq)
+                small = abs(L * w) <= _SERIES
+                if small:
+                    G = _horner(series[0], -u)
+                else:
+                    em = expm1(-L * u)
+                    G = -em / w
+                fired += dxk * q * G
+                if slope:
+                    H = _horner(series[1], -u) if small \
+                        else (G - L * (1.0 + em) * rho) / (w * rho)
+                    steep += dxk * q * (c * G + rho * H)
+                if tail:
+                    a = u.real
+                    sums = -math.expm1(-L * a) / math.expm1(a) if a else L
+                    bound += abs(dxk) * abs(q) * sums
+            if slope:
+                c += L * rho
+            logq += L * u
+        q = exp(-logq)
+        return (1.0 - fired - q,
+                self.dx * (steep + q * c) if slope else None,
+                bound + abs(q) if tail else None)
+
     def value(self, z):
         """chi(z) alone, equal to at(z)[0] bit for bit."""
+        if self._runs is not None:
+            return complex(self._closed(z)[0])
         return complex(1.0 - self._terms(z)[1].sum())
 
     def at(self, z, tail=False):
         """chi(z), chi'(z) and, when `tail`, the tail bound
         sum_j |c_j v_j(z)|, which only falls as Re z or |Im z| grows
         (None otherwise)."""
+        if self._runs is not None:
+            f, df, bound = self._closed(z, slope=True, tail=tail)
+            return complex(f), complex(df), bound
         r, cv, sum_r = self._terms(z)
         np.add.accumulate(r, out=sum_r)
         bound = float(np.abs(cv, out=self._abs).sum()) if tail else None
@@ -220,12 +354,19 @@ class _Chi:
         and on which no |v_j| exceeds e^_MAX_GROWTH (the largest are on
         the real axis); every line between it and 0 does too.  On a
         long age horizon this is what bounds the search: left of
-        -k(x), |v_j| grows like e^((-sigma - k) x)."""
+        -k(x), |v_j| grows like e^((-sigma - k) x).  Within a run
+        log |v_j| is linear in j, so its largest value is at the run's
+        first or last cell."""
+        one_dxk, lengths = 1.0 + self.dx * self._kappa, self._length
+
         def excess(sigma):
-            d = self.one_dxk + self.dx * sigma
+            d = one_dxk + self.dx * sigma
             if not np.all(d > 0.0):
                 return math.inf
-            return float(np.max(-np.cumsum(np.log(d)))) - _MAX_GROWTH
+            log_d = np.log(d)
+            last = np.cumsum(lengths * log_d)
+            first = last - (lengths - 1.0) * log_d
+            return -float(min(last.min(), first.min())) - _MAX_GROWTH
 
         return _roots.bisect(excess, self.pole, 0.0, 1.0, width=1e-9)[1]
 

@@ -66,6 +66,9 @@ def test_every_layer_runs_and_names_its_figures(argv, timings, outputs,
                                                                "scan_row"}
     elif layer == "xi":
         assert set(tree["timings"]["ms"]) == {"regime_draw", "defaults"}
+    elif layer == "spectrum":
+        assert set(tree["timings"]["ms"]) == FAMILIES | {"default"}
+        assert set(tree["outputs"]["gap"]) == FAMILIES | {"default"}
     else:
         assert set(tree["timings"]["ms"]) == FAMILIES
 

@@ -341,3 +341,92 @@ def test_leading_modes_keep_conjugate_pairs_whole():
     # spectrum reports the 16 leading modes of a real generator
     gen = _generator(_MODELS["constant"], 0.05, 4.0)
     assert spectrum(gen).eigenvalues.size == 17
+
+
+# ---------------------------------------------------------------------------
+# chi in closed form per run of equal rates
+
+def _runs_of(gen):
+    return linear_analysis._Chi(gen.rates, gen.grid.dx)._runs
+
+
+@pytest.mark.parametrize("model, runs", [
+    (ConstantRate(k0=1.0), 1),
+    (ConstantRate(k0=0.37, lam=0.8), 1),
+    (StepRate(sigma_plus=0.5, sigma_minus=0.25, lam=0.3), 2),
+    (StepRate(sigma_plus=0.5, sigma_minus=0.25, lam=0.0), 2),
+    (StepRate(sigma=lambda u: 0.2 + 0.5 / (1.0 + u), sigma_modulus=0.5,
+              lam=0.7), 2),
+])
+def test_constant_and_step_generators_take_the_run_form(model, runs):
+    # the frozen rates hold exactly equal values run by run, so a
+    # float-noise rate array cannot silently drop the closed form
+    gen = _generator(model, 0.01, 10.0)
+    assert len(_runs_of(gen)) == runs
+
+
+def test_smooth_generators_take_the_per_cell_form():
+    gen = _generator(_MODELS["smooth"], 0.01, 10.0)
+    assert _runs_of(gen) is None
+
+
+@st.composite
+def _run_rates(draw):
+    """Piecewise-constant rates: 1-5 runs of 1-40 cells, zero-rate and
+    single-cell runs among them, sometimes a last cell of rate 0."""
+    count = draw(st.integers(1, 5))
+    values = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 3.0)),
+                           min_size=count, max_size=count))
+    lengths = draw(st.lists(st.one_of(st.just(1), st.integers(1, 40)),
+                            min_size=count, max_size=count))
+    if draw(st.booleans()):
+        values, lengths = values + [0.0], lengths + [1]
+    assume(any(values))
+    return np.repeat(np.array(values), lengths)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rates=_run_rates(), dx=st.floats(0.02, 0.4), data=st.data())
+@example(rates=np.repeat([0.0, 1.0], [25, 75]), dx=0.04, data=None)
+def test_run_form_matches_a_dense_solve(rates, dx, data):
+    # z right of the floor, up to Re 2.  At the floor itself, a short
+    # run can put 1 + dx (k + z) within e^-20 of 0, where neither chi
+    # nor the dense oracle resolves it, so z stays 1e-3 of the way off
+    chi = linear_analysis._Chi(rates, dx)
+    assert chi._runs is not None
+    floor = chi.floor()
+    near_floor = floor + 1e-3 * (2.0 - floor)
+    # In a run of L cells at rate k, z = -k exactly puts w = 0, and
+    # z = -k + d/dx puts |w| = d: down to 1e-12, and around 0.05/L,
+    # where the run's sums switch from their series to the closed form
+    runs = [(k, L) for k, L in zip(chi._kappa.tolist(),
+                                   chi._length.tolist()) if -k > near_floor]
+    if data is None:
+        points = [-1.0, complex(-1.0, 1e-12 / dx), -1.0 + 1e-9 / dx,
+                  -1.0 + 0.0499 / (75 * dx), complex(-1.0, 0.0501 / (75 * dx)),
+                  complex(near_floor, 7.0), 1.5]
+    else:
+        kind = data.draw(st.sampled_from(["free", "removable", "near",
+                                          "switch"]))
+        on_axis = data.draw(st.booleans())
+        if kind == "free" or not runs:
+            x = floor + data.draw(st.floats(1e-3, 1.0)) * (2.0 - floor)
+            y = 0.0 if on_axis else data.draw(st.floats(1e-6, 20.0))
+        else:
+            k, L = data.draw(st.sampled_from(runs))
+            d = {"removable": lambda: 0.0,
+                 "near": lambda: 10.0 ** data.draw(st.floats(-12.0, -2.0)),
+                 "switch": lambda: data.draw(st.floats(0.9, 1.1)) * 0.05 / L,
+                 }[kind]()
+            x, y = (d / dx - k, 0.0) if on_axis else (-k, d / dx)
+        points = [x if on_axis else complex(x, y)]
+    for z in points:
+        f, df, tail = chi.at(z, tail=True)
+        (f_dense, f_scale), (df_dense, df_scale) = _dense_chi(rates, dx, z)
+        assert abs(f - f_dense) <= 1e-10 * (1.0 + f_scale)
+        assert abs(df - df_dense) <= 1e-10 * df_scale
+        # the tail bound is sum_j |c_j v_j|, the scale of chi's terms
+        assert abs(tail - f_scale) <= 1e-10 * f_scale
+        assert chi.value(z) == f and chi.at(z) == (f, df, None)
+        if not isinstance(z, complex):
+            assert f.imag == 0.0 and df.imag == 0.0

@@ -234,19 +234,24 @@ def equilibrium(*, calls=10):
 def spectrum(*, calls=5):
     """spectrum: milliseconds per `spectrum(build_generator(...))` call on
     the step layer's family models at 1000 cells (dx 1e-2), as in the
-    spectrum workload, each timing `calls` calls after one untimed one,
-    at a stationary pair solved once.  The outputs are the gaps."""
+    spectrum workload, and on the CLI's default config ("default":
+    constant k0 = 1 at 10k cells, dx 1e-3), each timing `calls` calls
+    after one untimed one, at a stationary pair solved once.  The
+    outputs are the gaps."""
     import agenet
-    grid = agenet.AgeGrid(dx=1e-2, n_cells=1000)
+    cases = {fam: (model, agenet.AgeGrid(dx=1e-2, n_cells=1000))
+             for fam, model in _families().items()}
+    cases["default"] = (agenet.ConstantRate(k0=1.0),
+                        agenet.AgeGrid(dx=1e-3, n_cells=10_000))
     ms, gap = {}, {}
-    for fam, model in _families().items():
+    for name, (model, grid) in cases.items():
         steady = agenet.solve_steady_state(model, grid)
 
         def call():
             return agenet.spectrum(agenet.build_generator(model, grid,
                                                           steady))
-        gap[fam] = repr(call().gap)
-        ms[fam] = _median_s(call, calls) * 1e3
+        gap[name] = repr(call().gap)
+        ms[name] = _median_s(call, calls) * 1e3
     return {"ms": ms}, {"gap": gap}
 
 
