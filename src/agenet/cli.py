@@ -34,6 +34,35 @@ from .steady_state import regime_scan, solve_steady_state
 __all__ = ["RunConfig", "parse_config", "default_config", "main"]
 
 _PRESETS = ("uniform01", "exp2", "spike")
+# the run block's keys in the order --print-defaults writes them; their
+# defaults, and q's, are the RunConfig fields'
+_RUN_KEYS = ("t_end", "record_every", "f0", "window", "allow_zero_kappa0")
+
+
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _preset(value):
+    return None if value in _PRESETS else (
+        f"unknown preset {value!r} (known: {', '.join(_PRESETS)})")
+
+
+def _window(value):
+    if isinstance(value, tuple) and len(value) == 2 \
+            and all(map(_is_number, value)) and 0.0 <= value[0] < value[1]:
+        return None
+    return "expected [t0, t1] with 0 <= t0 < t1"
+
+
+def _couplings(value):
+    bad = [v for v in value if not (_is_number(v) and 0.0 <= v < math.inf)]
+    return f"entries must be finite and nonnegative, got {bad[:3]!r}" \
+        if bad else None
+
+
+_RUN_RULES = dict(SimulationConfig._rules, f0=_preset, window=_window,
+                  lambdas=_couplings)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -45,27 +74,32 @@ class RunConfig(SimulationConfig):
     window: tuple = (5.0, 30.0)
     lambdas: tuple = ()
 
+    # in config order: the run block, sweep.lambdas, then q
+    _rules = tuple((name, _RUN_RULES[name])
+                   for name in (*_RUN_KEYS, "lambdas", "q"))
 
-# the run block's keys in the order --print-defaults writes them; their
-# defaults, and q's, are the RunConfig fields'
-_RUN_KEYS = ("t_end", "record_every", "f0", "window", "allow_zero_kappa0")
+
 _DEFAULTS = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+_GRID = {"dx": 1e-3, "x_max": 10.0}
 
-# kind: (rate family, its keys and their defaults); model.lambda is the
-# family's lam, nonnegative, and every other key must be positive
+# kind: (rate family, {key: (field, default)}), the keys in the order
+# --print-defaults writes them
 _MODELS = {
-    "constant": (ConstantRate, {"k0": 1.0, "lambda": 0.0}),
+    "constant": (ConstantRate, {"k0": ("k0", 1.0), "lambda": ("lam", 0.0)}),
     "smooth": (SmoothSaturatingRate,
-               {"k0": 0.5, "k1": 2.0, "lambda": 0.0, "mu_scale": 1.0,
-                "x_scale": 1.0}),
-    "step": (StepRate, {"sigma_plus": 0.5, "sigma_minus": 0.25,
-                        "lambda": 0.0, "decay": 1.0}),
+               {"k0": ("k0", 0.5), "k1": ("k1", 2.0), "lambda": ("lam", 0.0),
+                "mu_scale": ("mu_scale", 1.0),
+                "x_scale": ("x_scale", 1.0)}),
+    "step": (StepRate, {"sigma_plus": ("sigma_plus", 0.5),
+                        "sigma_minus": ("sigma_minus", 0.25),
+                        "lambda": ("lam", 0.0), "decay": ("decay", 1.0)}),
 }
+# kind: {key: DelayKernel field}; a number key defaults to 2.0
 _KERNEL_KEYS = {
-    "dirac": (),
-    "exponential": ("theta",),
-    "gamma": ("shape", "rate"),
-    "sampled": ("y", "b"),
+    "dirac": {},
+    "exponential": {"theta": "theta"},
+    "gamma": {"shape": "shape", "rate": "theta"},
+    "sampled": {"y": "y_samples", "b": "b_samples"},
 }
 
 
@@ -75,8 +109,9 @@ def default_config():
     run = {key: _DEFAULTS[key] for key in _RUN_KEYS}
     run["window"] = list(run["window"])
     return {
-        "grid": {"dx": 1e-3, "x_max": 10.0},
-        "model": {"kind": "constant", **_MODELS["constant"][1]},
+        "grid": dict(_GRID),
+        "model": {"kind": "constant", **{key: default for key, (_, default)
+                                         in _MODELS["constant"][1].items()}},
         "kernel": {"kind": "dirac"},
         "run": run,
         "sweep": {"lambdas": list(_DEFAULTS["lambdas"])},
@@ -84,231 +119,169 @@ def default_config():
     }
 
 
-def _is_number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def _number(v):
+    # a value that is not a JSON number reads as -inf, which every range
+    # refuses, so no check across fields reads it either
+    return float(v) if _is_number(v) else -math.inf
 
 
-def _number(block, section, key, errors, positive=False, nonnegative=False):
-    v = block[key]
-    name = f"{section}.{key}"
-    if not _is_number(v):
-        errors.append(f"{name}: expected a number, got {v!r}")
-        return None
-    v = float(v)
-    if not math.isfinite(v):
-        errors.append(f"{name}: must be finite")
-        return None
-    if positive and v <= 0.0:
-        errors.append(f"{name}: must be positive, got {v:g}")
-        return None
-    if nonnegative and v < 0.0:
-        errors.append(f"{name}: must be nonnegative, got {v:g}")
-        return None
-    return v
-
-
-def _integer(block, section, key, errors, minimum=1):
-    v = block[key]
-    name = f"{section}.{key}"
-    if not isinstance(v, int) or isinstance(v, bool):
-        errors.append(f"{name}: expected an integer, got {v!r}")
-        return None
-    if v < minimum:
-        errors.append(f"{name}: must be at least {minimum}, got {v}")
-        return None
-    return v
-
-
-def _merge(section, block, defaults, errors):
+def _merge(section, block, defaults, problems):
     """User block over defaults, flagging unknown keys by full name."""
     merged = dict(defaults)
     for key, value in block.items():
         if key not in defaults:
             known = ", ".join(sorted(defaults))
-            errors.append(f"{section}.{key}: unknown key (known: {known})")
+            problems.append((f"{section}.{key}",
+                             f"unknown key (known: {known})"))
             continue
         merged[key] = value
     return merged
 
 
-def _validate_grid(block, errors):
-    merged = _merge("grid", block, {"dx": 1e-3, "x_max": 10.0}, errors)
-    dx = _number(merged, "grid", "dx", errors, positive=True)
-    x_max = _number(merged, "grid", "x_max", errors, positive=True)
-    if dx is None or x_max is None:
-        return None
-    n_cells = int(round(x_max / dx))
-    if n_cells < 2:
-        errors.append("grid.x_max: must cover at least two cells of "
-                      f"width dx = {dx:g}")
-        return None
-    if n_cells > 2_000_000:
-        errors.append(f"grid: x_max/dx = {n_cells} cells exceeds the "
-                      "2e6 cap; coarsen dx or shorten x_max")
-        return None
-    if abs(n_cells * dx - x_max) > 1e-9 * x_max:
-        errors.append("grid.x_max: must be an integer multiple of grid.dx")
-        return None
-    return AgeGrid(dx=dx, n_cells=n_cells)
+def _build(problems, cls, values, section, names, raw=None):
+    """cls(**values), or None with its problems added to problems.
+
+    names maps a field to its config name; any other field is named
+    section.field, and a problem of the whole object section.  A
+    message that quotes a field of names as "field = " quotes its name.
+    A field whose value in raw is not a JSON number reads "expected a
+    number" instead of the constructor's message."""
+    try:
+        return cls(**values)
+    except ConfigError as exc:
+        for field, message in exc.problems:
+            if raw and not _is_number(raw.get(field, 0.0)):
+                message = f"expected a number, got {raw[field]!r}"
+            for other, name in names.items():
+                message = message.replace(f" {other} = ", f" {name} = ")
+            problems.append((names.get(field, section if field is None
+                                       else f"{section}.{field}"), message))
 
 
-def _validate_model(block, errors):
+def _validate_grid(block, problems):
+    merged = _merge("grid", block, _GRID, problems)
+    dx, x_max = _number(merged["dx"]), _number(merged["x_max"])
+    try:
+        n_cells = round(x_max / dx)
+    except (ArithmeticError, ValueError):
+        n_cells = 2     # dx is 0 or a value is not finite: AgeGrid judges dx
+    # x_max stands for n_cells; dx is not in names, so the two-cell
+    # message quotes it bare
+    grid = _build(problems, AgeGrid, {"dx": dx, "n_cells": n_cells}, "grid",
+                  {"n_cells": "grid.x_max"}, {"dx": merged["dx"]})
+    if not math.isfinite(x_max):
+        problems.append(("grid.x_max", "must be finite"
+                         if _is_number(merged["x_max"])
+                         else f"expected a number, got {merged['x_max']!r}"))
+    elif grid is not None and n_cells > 2_000_000:
+        problems.append(("grid", f"x_max/dx = {n_cells} cells exceeds the "
+                         "2e6 cap; coarsen dx or shorten x_max"))
+    elif grid is not None and abs(n_cells * dx - x_max) > 1e-9 * x_max:
+        problems.append(("grid.x_max",
+                         "must be an integer multiple of grid.dx"))
+    return grid
+
+
+def _validate_model(block, problems):
     kind = block.get("kind", "constant")
     if kind not in _MODELS:
         known = ", ".join(sorted(_MODELS))
-        errors.append(f"model.kind: unknown kind {kind!r} (known: {known})")
+        problems.append(("model.kind",
+                         f"unknown kind {kind!r} (known: {known})"))
         return None
-    family, defaults = _MODELS[kind]
+    family, keys = _MODELS[kind]
     merged = _merge("model", {k: v for k, v in block.items() if k != "kind"},
-                    defaults, errors)
-    before = len(errors)
-    params = {"lam": _number(merged, "model", "lambda", errors,
-                             nonnegative=True)}
-    for key in defaults:
-        if key != "lambda":
-            params[key] = _number(merged, "model", key, errors,
-                                  positive=True)
-    k0, k1 = params.get("k0"), params.get("k1")
-    if None not in (k0, k1) and k1 < k0:
-        errors.append(f"model.k1: saturated rate {k1:g} must be at "
-                      f"least the rest rate model.k0 = {k0:g}")
-    low, high = params.get("sigma_minus"), params.get("sigma_plus")
-    if None not in (low, high):
-        if not low < high:
-            errors.append(
-                f"model.sigma_minus: rest threshold {low:g} must be "
-                f"strictly below the excited threshold model.sigma_plus = "
-                f"{high:g}")
-        elif high >= 1.0:
-            errors.append(f"model.sigma_plus: must be below 1, got {high:g}")
-    return None if len(errors) > before else family(**params)
+                    {key: default for key, (_, default) in keys.items()},
+                    problems)
+    raw = {field: merged[key] for key, (field, _) in keys.items()}
+    return _build(problems, family,
+                  {field: _number(v) for field, v in raw.items()}, "model",
+                  {field: f"model.{key}" for key, (field, _) in keys.items()},
+                  raw)
 
 
-def _validate_kernel(block, errors):
+def _validate_kernel(block, problems):
     kind = block.get("kind", "dirac")
     if kind not in _KERNEL_KEYS:
         known = ", ".join(sorted(_KERNEL_KEYS))
-        errors.append(f"kernel.kind: unknown kind {kind!r} (known: {known})")
+        problems.append(("kernel.kind",
+                         f"unknown kind {kind!r} (known: {known})"))
         return None
-    for key in block:
-        if key != "kind" and key not in _KERNEL_KEYS[kind]:
-            errors.append(f"kernel.{key}: unknown key for kind {kind!r}")
-    before = len(errors)
-    if kind == "dirac":
-        return DelayKernel.dirac() if len(errors) == before else None
-    if kind != "sampled":
-        # a positive rate and a gamma shape
-        params = {}
-        if kind == "gamma":
-            params["shape"] = block.get("shape", 2.0)
-            if not _is_number(params["shape"]) or params["shape"] < 1.0:
-                errors.append("kernel.shape: must be a number >= 1")
-            elif not math.isfinite(params["shape"]):
-                errors.append("kernel.shape: must be finite")
-        key = "theta" if kind == "exponential" else "rate"
-        params[key] = block.get(key, 2.0)
-        if not _is_number(params[key]) or params[key] <= 0.0:
-            errors.append(f"kernel.{key}: must be a positive number")
-        elif not math.isfinite(params[key]):
-            errors.append(f"kernel.{key}: must be finite")
-        if len(errors) > before:
+    keys = _KERNEL_KEYS[kind]
+    problems += [(f"kernel.{key}", f"unknown key for kind {kind!r}")
+                 for key in block if key != "kind" and key not in keys]
+    if kind == "sampled":
+        bad = [(f"kernel.{key}", "expected a list of at least two numbers")
+               for key in keys if not (isinstance(block.get(key), list)
+                                       and len(block[key]) >= 2
+                                       and all(map(_is_number, block[key])))]
+        if bad:
+            problems += bad
             return None
-        return getattr(DelayKernel, kind)(
-            **{k: float(v) for k, v in params.items()})
-    y = block.get("y")
-    b = block.get("b")
-    for key, arr in (("y", y), ("b", b)):
-        if (not isinstance(arr, list) or len(arr) < 2
-                or not all(_is_number(v) for v in arr)):
-            errors.append(f"kernel.{key}: expected a list of at least two "
-                          "numbers")
-    if len(errors) > before:
-        return None
-    try:
-        return DelayKernel.sampled(np.asarray(y, dtype=float),
-                                   np.asarray(b, dtype=float))
-    except ValueError as exc:
-        errors.append(f"kernel: {exc}")
-        return None
-
-
-def _validate_run(block, errors):
-    merged = _merge("run", block, {key: _DEFAULTS[key] for key in _RUN_KEYS},
-                    errors)
-    out = {
-        "t_end": _number(merged, "run", "t_end", errors, positive=True),
-        "record_every": _integer(merged, "run", "record_every", errors),
-        "f0": merged["f0"],
-        "allow_zero_kappa0": merged["allow_zero_kappa0"],
-    }
-    if out["f0"] not in _PRESETS:
-        errors.append(f"run.f0: unknown preset {out['f0']!r} (known: "
-                      + ", ".join(_PRESETS) + ")")
-    window = merged["window"]
-    if (not isinstance(window, (list, tuple)) or len(window) != 2
-            or not all(_is_number(v) for v in window)
-            or not 0.0 <= float(window[0]) < float(window[1])):
-        errors.append("run.window: expected [t0, t1] with 0 <= t0 < t1")
-    else:
-        out["window"] = (float(window[0]), float(window[1]))
-    if not isinstance(out["allow_zero_kappa0"], bool):
-        errors.append("run.allow_zero_kappa0: must be true or false")
-    return out
-
-
-def _validate_sweep(block, errors):
-    merged = _merge("sweep", block, {"lambdas": []}, errors)
-    lambdas = merged["lambdas"]
-    if not isinstance(lambdas, list):
-        errors.append("sweep.lambdas: expected a list of couplings")
-        return ()
-    bad = [v for v in lambdas
-           if not _is_number(v) or not math.isfinite(v) or v < 0.0]
-    if bad:
-        errors.append("sweep.lambdas: entries must be finite and "
-                      f"nonnegative, got {bad[:3]!r}")
-        return ()
-    return tuple(float(v) for v in lambdas)
+    # the rate and shape rules say "must be a ... number", so a value of
+    # another type gets their own message, as -inf
+    values = {field: block[key] if kind == "sampled"
+              else _number(block.get(key, 2.0)) for key, field in keys.items()}
+    return _build(problems, DelayKernel, {"kind": kind, **values}, "kernel",
+                  {field: f"kernel.{key}" for key, field in keys.items()})
 
 
 def parse_config(path):
-    """Read and validate a JSON run config.
+    """Read a JSON run config and build its RunConfig.
 
-    Raises ConfigError carrying every problem found, each named by its
-    section.key, so one pass over the message fixes the file.
+    The constructors of the grid, the rate family, the kernel and
+    RunConfig hold every range rule.  This function checks only what
+    JSON adds: unknown sections and keys, the type of each value, the
+    shape of each list, the 2e6-cell cap and that x_max is an integer
+    multiple of dx.  It raises ConfigError carrying every problem
+    found, each named by its section.key, so one pass over the message
+    fixes the file.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ConfigError([f"config is not valid JSON: {exc}"]) from exc
+            raise ConfigError(
+                [(None, f"config is not valid JSON: {exc}")]) from exc
     if not isinstance(raw, dict):
-        raise ConfigError(["config must be a JSON object"])
+        raise ConfigError([(None, "config must be a JSON object")])
 
-    errors = []
+    problems = []
     sections = {"grid", "model", "kernel", "run", "sweep", "q"}
     for key in raw:
         if key not in sections:
-            errors.append(f"{key}: unknown section (known: "
-                          + ", ".join(sorted(sections)) + ")")
+            problems.append((key, "unknown section (known: "
+                             + ", ".join(sorted(sections)) + ")"))
     for name in ("grid", "model", "kernel", "run", "sweep"):
         if name in raw and not isinstance(raw[name], dict):
-            errors.append(f"{name}: expected an object")
+            problems.append((name, "expected an object"))
             raw = {k: v for k, v in raw.items() if k != name}
 
-    grid = _validate_grid(raw.get("grid", {}), errors)
-    model = _validate_model(raw.get("model", {}), errors)
-    kernel = _validate_kernel(raw.get("kernel", {}), errors)
-    run_block = _validate_run(raw.get("run", {}), errors)
-    lambdas = _validate_sweep(raw.get("sweep", {}), errors)
-    q = raw.get("q", _DEFAULTS["q"])
-    if not _is_number(q) or not 0.0 <= float(q) < math.inf:
-        errors.append("q: moment exponent must be a nonnegative number")
-
-    if errors:
-        raise ConfigError(errors)
-    return RunConfig(grid=grid, model=model, kernel=kernel, lambdas=lambdas,
-                     q=float(q), **run_block)
+    grid = _validate_grid(raw.get("grid", {}), problems)
+    model = _validate_model(raw.get("model", {}), problems)
+    kernel = _validate_kernel(raw.get("kernel", {}), problems)
+    run_block = _merge("run", raw.get("run", {}),
+                       {key: _DEFAULTS[key] for key in _RUN_KEYS}, problems)
+    lambdas = _merge("sweep", raw.get("sweep", {}), {"lambdas": []},
+                     problems)["lambdas"]
+    if not isinstance(lambdas, list):
+        problems.append(("sweep.lambdas", "expected a list of couplings"))
+        lambdas = []
+    window = run_block["window"]
+    # a q that is not a number reads as -inf, which q's own rule,
+    # "moment exponent must be a nonnegative number", refuses
+    config = _build(
+        problems, RunConfig,
+        dict(run_block, grid=grid, model=model, kernel=kernel,
+             t_end=_number(run_block["t_end"]),
+             window=tuple(window) if isinstance(window, list) else window,
+             lambdas=tuple(lambdas),
+             q=_number(raw.get("q", _DEFAULTS["q"]))),
+        "run", {"lambdas": "sweep.lambdas", "q": "q"},
+        {"t_end": run_block["t_end"]})
+    if problems:
+        raise ConfigError(problems)
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -445,12 +418,12 @@ def _sweep_row(cfg, scan_row):
 def _cmd_sweep(args):
     cfg = parse_config(args.config)
     if not cfg.lambdas:
-        raise ConfigError(["sweep.lambdas: must be nonempty for a sweep"])
+        raise ConfigError([("sweep.lambdas", "must be nonempty for a sweep")])
     if cfg.window[0] >= cfg.t_end:
-        raise ConfigError([
-            f"run.window: the fit window starts at {_fmt(cfg.window[0])}, "
+        raise ConfigError([(
+            "run.window", f"the fit window starts at {_fmt(cfg.window[0])}, "
             f"not before run.t_end = {_fmt(cfg.t_end)}, so no sweep row "
-            "would have samples to fit; lower the start or raise run.t_end"])
+            "would have samples to fit; lower the start or raise run.t_end")])
     scan = regime_scan(cfg.model, list(cfg.lambdas), cfg.grid)
     rows = [_sweep_row(cfg, scan_row) for scan_row in scan]
     csv_rows = []
@@ -471,15 +444,15 @@ def _cmd_sweep(args):
 def _cmd_decay_fit(args):
     data = np.genfromtxt(args.trace, delimiter=",", names=True)
     if data.dtype.names is None or "t" not in data.dtype.names:
-        raise ConfigError([f"{args.trace}: not a trace CSV (no t column)"])
+        raise ConfigError([(args.trace, "not a trace CSV (no t column)")])
     if "l1_dist" not in data.dtype.names:
-        raise ConfigError([f"{args.trace}: no l1_dist column"])
+        raise ConfigError([(args.trace, "no l1_dist column")])
     times = np.atleast_1d(data["t"])
     dist = np.atleast_1d(data["l1_dist"])
     if np.any(~np.isfinite(dist)):
-        raise ConfigError([f"{args.trace}: l1_dist column has empty or "
-                           "non-finite entries; rerun simulate with a "
-                           "solvable equilibrium"])
+        raise ConfigError([(args.trace, "l1_dist column has empty or "
+                            "non-finite entries; rerun simulate with a "
+                            "solvable equilibrium")])
     window = tuple(args.window) if args.window else \
         (float(times[0]), float(times[-1]))
     fake = SimpleNamespace(times=times, l1_dist_to_F=dist)

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _passed
 
 __all__ = ["DelayKernel", "DischargeHistory"]
 
@@ -54,43 +54,50 @@ class DelayKernel:
 
     def __post_init__(self):
         if self.kind not in _KINDS:
-            raise ValueError(f"unknown kernel kind {self.kind!r} (known: "
-                             + ", ".join(_KINDS) + ")")
+            raise ConfigError([("kind", f"unknown kernel kind {self.kind!r} "
+                                "(known: " + ", ".join(_KINDS) + ")")])
+        problems = []
         for field in dataclasses.fields(self)[1:]:
             value = getattr(self, field.name)
             if field.name not in _KINDS[self.kind] and value is not None \
                     and (field.default is None or value != field.default):
-                raise ValueError(
-                    f"the {self.kind} kernel takes no {field.name}")
-        # NaN fails every comparison, so test for the good range
-        if self.kind == "exponential" and not 0.0 < self.theta < math.inf:
-            raise ValueError(
-                "exponential rate theta must be positive and finite")
-        if self.kind == "gamma":
-            if not 0.0 < self.theta < math.inf:
-                raise ValueError("gamma rate must be positive and finite")
-            if not 1.0 <= self.shape < math.inf:
-                raise ValueError("gamma shape must be finite and >= 1 so "
-                                 "the density is bounded at 0")
-        if self.kind != "sampled":
-            return
-        y = np.asarray(self.y_samples, dtype=float)
-        b = np.asarray(self.b_samples, dtype=float)
-        if y.ndim != 1 or y.shape != b.shape or y.size < 2:
-            raise ValueError("need matching 1d arrays of at least 2 samples")
-        # NaN fails these tests, and inf makes the mass non-finite
-        if not (np.all(np.diff(y) > 0.0) and y[0] >= 0.0):
-            raise ValueError("sample times must be increasing and >= 0")
-        if not np.all(b >= 0.0):
-            raise ValueError("density samples must be nonnegative")
-        mass = float(np.trapezoid(b, y))
-        if not abs(mass - 1.0) <= 1e-8:
-            raise ValueError(
-                f"sampled kernel mass {mass!r} is not 1 within 1e-8; "
-                "normalize the samples first")
-        # stored as tuples of floats, as the classmethod gives them
-        object.__setattr__(self, "y_samples", tuple(y.tolist()))
-        object.__setattr__(self, "b_samples", tuple(b.tolist()))
+                problems.append((field.name, f"the {self.kind} kernel "
+                                 f"takes no {field.name}"))
+        # NaN fails every comparison, so test for the good range; a
+        # shape below 1 makes the gamma density unbounded at 0
+        if self.kind == "gamma" and not 1.0 <= self.shape < math.inf:
+            problems.append(("shape", "must be a number >= 1"
+                             if self.shape < 1.0 else "must be finite"))
+        if self.kind in ("exponential", "gamma") \
+                and not 0.0 < self.theta < math.inf:
+            problems.append(("theta", "must be a positive number"
+                             if self.theta <= 0.0 else "must be finite"))
+        if self.kind == "sampled":
+            y = np.asarray(self.y_samples, dtype=float)
+            b = np.asarray(self.b_samples, dtype=float)
+            if y.ndim != 1 or y.shape != b.shape or y.size < 2:
+                problems.append(
+                    (None, "need matching 1d arrays of at least 2 samples"))
+            else:
+                # NaN fails these tests, and inf makes the mass non-finite
+                if not (np.all(np.diff(y) > 0.0) and y[0] >= 0.0):
+                    problems.append(("y_samples", "sample times must be "
+                                     "increasing and >= 0"))
+                if not np.all(b >= 0.0):
+                    problems.append(("b_samples",
+                                     "density samples must be nonnegative"))
+                mass = float(np.trapezoid(b, y))
+                if _passed(problems, "y_samples", "b_samples") \
+                        and not abs(mass - 1.0) <= 1e-8:
+                    problems.append((None, f"sampled kernel mass {mass!r} "
+                                     "is not 1 within 1e-8; normalize the "
+                                     "samples first"))
+        if problems:
+            raise ConfigError(problems)
+        if self.kind == "sampled":
+            # stored as tuples of floats, as the classmethod gives them
+            object.__setattr__(self, "y_samples", tuple(y.tolist()))
+            object.__setattr__(self, "b_samples", tuple(b.tolist()))
 
     @classmethod
     def dirac(cls):
@@ -226,10 +233,10 @@ class DischargeHistory:
         """The most recent `count` values, newest first: a read-only
         view, valid until the next push()."""
         if count > self._size:
-            raise ConfigError([
+            raise ValueError(
                 f"history of length {self._size} is shorter than the "
                 f"kernel support ({count} mesh points); enlarge the buffer "
-                "before the run starts"])
+                "before the run starts")
         view = self._ring[self._head:self._head + count]
         view.flags.writeable = False
         return view

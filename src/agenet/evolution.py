@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 import warnings
 from typing import Optional
 
@@ -37,9 +36,10 @@ import numpy as np
 
 from . import _roots
 from .delay_kernel import DelayKernel
-from .errors import (AmbiguousActivityError, DegenerateInputError,
-                     InvariantViolationError)
-from .firing_rate import _check_parameters, estimate_xi, half_rate_age
+from .errors import (AmbiguousActivityError, ConfigError,
+                     DegenerateInputError, InvariantViolationError,
+                     _integer, _out_of_range)
+from .firing_rate import estimate_xi, half_rate_age
 from .grid import AgeGrid, DensityState, cell_sum
 
 __all__ = [
@@ -52,6 +52,25 @@ __all__ = [
 _EQUILIBRIUM_WIDTH = 1e-13
 
 
+def _duration(value):
+    return None if 0.0 < value < math.inf else _out_of_range(value, "positive")
+
+
+def _sample_step(value):
+    # a float would record off its multiples
+    return _integer(value) or (
+        None if value >= 1 else f"must be at least 1, got {value}")
+
+
+def _flag(value):
+    return None if isinstance(value, bool) else "must be true or false"
+
+
+def _moment(value):
+    return None if 0.0 <= value < math.inf \
+        else "moment exponent must be a nonnegative number"
+
+
 @dataclasses.dataclass(frozen=True)
 class SimulationConfig:
     grid: AgeGrid
@@ -62,13 +81,16 @@ class SimulationConfig:
     q: float = 1.0
     allow_zero_kappa0: bool = False
 
+    # (field, rule) in the order problems are listed; a rule maps a
+    # value to its problem, or to None.  A subclass lists its own.
+    _rules = (("t_end", _duration), ("record_every", _sample_step),
+              ("allow_zero_kappa0", _flag), ("q", _moment))
+
     def __post_init__(self):
-        _check_parameters(self, positive=("t_end",), nonnegative=("q",))
-        # a float would record off its multiples, and a bool is an int
-        every = self.record_every
-        if (isinstance(every, bool) or not isinstance(every, numbers.Integral)
-                or every < 1):
-            raise ValueError("record_every must be an integer >= 1")
+        problems = [(name, message) for name, rule in self._rules
+                    if (message := rule(getattr(self, name))) is not None]
+        if problems:
+            raise ConfigError(problems)
 
     @property
     def dt(self):

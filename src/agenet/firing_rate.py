@@ -57,7 +57,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _roots
-from .errors import AmbiguousActivityError, ModelInconsistencyError
+from .errors import (AmbiguousActivityError, ConfigError,
+                     ModelInconsistencyError, _passed, _range_problems)
 from .grid import cell_sum
 
 __all__ = [
@@ -93,17 +94,6 @@ def _check_over(x, mus):
     if not np.all((mus >= 0.0) & (mus < math.inf)):
         raise ValueError("activities mu must be finite and nonnegative")
     return float(x), mus
-
-
-def _check_parameters(model, positive=(), nonnegative=()):
-    # NaN fails every comparison, so test for the good range and name
-    # the parameter; an infinite value is refused too
-    for name in positive:
-        if not 0.0 < getattr(model, name) < math.inf:
-            raise ValueError(f"{name} must be positive and finite")
-    for name in nonnegative:
-        if not 0.0 <= getattr(model, name) < math.inf:
-            raise ValueError(f"{name} must be nonnegative and finite")
 
 
 def _match_shape(x, out):
@@ -390,7 +380,9 @@ class ConstantRate:
     lam: float = 0.0
 
     def __post_init__(self):
-        _check_parameters(self, positive=("k0",), nonnegative=("lam",))
+        problems = _range_problems(self, ("lam",), ("k0",))
+        if problems:
+            raise ConfigError(problems)
 
     @property
     def k1(self):
@@ -432,10 +424,13 @@ class SmoothSaturatingRate:
     x_scale: float = 1.0
 
     def __post_init__(self):
-        _check_parameters(self, positive=("k0", "k1", "mu_scale", "x_scale"),
-                          nonnegative=("lam",))
-        if self.k1 < self.k0:
-            raise ValueError("k1 must be >= k0")
+        problems = _range_problems(self, ("lam",),
+                                   ("k0", "k1", "mu_scale", "x_scale"))
+        if self.k1 < self.k0 and _passed(problems, "k0", "k1"):
+            problems += (("k1", f"saturated rate {self.k1:g} must be at "
+                          f"least the rest rate k0 = {self.k0:g}"),)
+        if problems:
+            raise ConfigError(problems)
 
     def gain(self, mu):
         mu_eff = self.lam * float(mu)
@@ -494,16 +489,27 @@ class StepRate:
     sigma_modulus: Optional[float] = None
 
     def __post_init__(self):
-        if not (0.0 < self.sigma_minus < self.sigma_plus < 1.0):
-            raise ValueError(
-                "thresholds must satisfy 0 < sigma_minus < sigma_plus < 1")
-        _check_parameters(self, positive=("decay",), nonnegative=("lam",))
+        low, high = self.sigma_minus, self.sigma_plus
+        if 0.0 < low < high < 1.0:
+            # so both thresholds pass their own checks and the ordering
+            problems = _range_problems(self, ("lam",), ("decay",))
+        else:
+            problems = _range_problems(
+                self, ("lam",), ("sigma_plus", "sigma_minus", "decay"))
+            if _passed(problems, "sigma_minus", "sigma_plus"):
+                problems += ((
+                    ("sigma_plus", f"must be below 1, got {high:g}")
+                    if low < high else
+                    ("sigma_minus", f"rest threshold {low:g} must be strictly "
+                     f"below the excited threshold sigma_plus = {high:g}")),)
         if (self.sigma is None) != (self.sigma_modulus is None):
-            raise ValueError("a custom sigma and its sigma_modulus must be "
-                             "given together")
-        if self.sigma_modulus is not None:
+            problems += (("sigma_modulus", "a custom sigma and its "
+                          "sigma_modulus must be given together"),)
+        elif self.sigma_modulus is not None:
             # estimate_xi trusts the declared bound on |sigma'|
-            _check_parameters(self, nonnegative=("sigma_modulus",))
+            problems += _range_problems(self, ("sigma_modulus",), ())
+        if problems:
+            raise ConfigError(problems)
 
     @property
     def k0(self):

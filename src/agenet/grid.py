@@ -15,7 +15,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DegenerateInputError
+from .errors import (ConfigError, DegenerateInputError, _integer,
+                     _out_of_range)
 
 __all__ = ["AgeGrid", "DensityState", "cell_sum", "preset_density"]
 
@@ -33,11 +34,21 @@ class AgeGrid:
     n_cells: int
 
     def __post_init__(self):
+        n_cells = self.n_cells
         # NaN fails every comparison, so test for the good range
-        if not 0.0 < self.dx < math.inf:
-            raise ValueError("dx must be positive and finite")
-        if not self.n_cells >= 2:
-            raise ValueError("need at least two cells")
+        dx_ok = 0.0 < self.dx < math.inf
+        if dx_ok and type(n_cells) is int and n_cells >= 2:
+            return
+        problems = [] if dx_ok else [("dx", _out_of_range(self.dx,
+                                                         "positive"))]
+        count = _integer(n_cells)
+        if count is not None:
+            problems.append(("n_cells", count))
+        elif dx_ok and n_cells < 2:
+            problems.append(("n_cells", "must cover at least two cells of "
+                             f"width dx = {self.dx:g}"))
+        if problems:
+            raise ConfigError(problems)
 
     @property
     def x_max(self):

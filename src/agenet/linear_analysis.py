@@ -21,21 +21,18 @@ renewal characteristic function
 
 and (lam - L)^{-1} e0 is one cumulative product.  `_Chi` splits the
 frozen rates into runs of equal value once per search and evaluates
-chi in one of two forms (medians per call on 2 cores, three runs):
+chi in one of two forms (README's "Linear spectrum" gives the cost of
+each per call):
 
 - the run form, for rates in at most _RUNS_MAX runs: the constant
   family (one run) and the step family (two: 0 below the threshold,
   1 past it).  Within a run the cumulative product is geometric, so
   chi, chi' and the tail bound are sums of geometric series, O(runs)
-  scalar arithmetic whatever n: 5-7 us for chi (2-3 us on the real
-  axis), 7-9 us with chi', 8-10 us with the tail bound, at 1000 and
-  at 10k cells;
+  scalar arithmetic whatever n;
 - the per-cell form, for every other rate array (the smooth family's):
-  the reciprocals, their prefix product and one sum, in work buffers
-  bound once per search, O(n): at 1000 cells 26-29 us for chi (16 us
-  in real arithmetic for a float on the real axis), 37-39 us with
-  chi' (one prefix sum more), 44-46 us with the tail bound
-  sum_j |c_j v_j|; at 10k cells about six times as much.
+  the reciprocals, their prefix product and one sum (one prefix sum
+  more for chi', and sum_j |c_j v_j| for the tail bound), in work
+  buffers bound once per search, O(n).
 
 Each evaluation computes only what its caller reads:
 
@@ -82,7 +79,7 @@ import math
 import numpy as np
 
 from . import _roots
-from .errors import ConfigError, SpectrumCountError
+from .errors import SpectrumCountError
 from .grid import AgeGrid
 
 __all__ = ["GeneratorMatrix", "SpectrumReport", "build_generator", "spectrum"]
@@ -170,9 +167,9 @@ def build_generator(model, grid, steady):
     """Linearized generator at the stationary pair (F, M), the rates
     frozen at k(x, lam*M); its stencil is given on `GeneratorMatrix.A`."""
     if steady.F.shape != (grid.n_cells,):
-        raise ConfigError([
+        raise ValueError(
             f"steady profile has {steady.F.shape[0]} cells but the grid "
-            f"has {grid.n_cells}; recompute the steady state on this grid"])
+            f"has {grid.n_cells}; recompute the steady state on this grid")
     k = np.asarray(model.rate(grid.midpoints, steady.M), dtype=float)
     return GeneratorMatrix(grid=grid, lam=float(model.lam),
                            M=float(steady.M), F=np.array(steady.F),

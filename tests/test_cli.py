@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import agenet
 from agenet import (AgeGrid, ConfigError, ConstantRate, DelayKernel,
@@ -416,6 +419,189 @@ def test_config_error_corpus(tmp_path, raw, problems):
     with pytest.raises(ConfigError) as exc_info:
         parse_config(path)
     assert exc_info.value.errors == problems
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("window", (30.0, 5.0), "window: expected [t0, t1] with 0 <= t0 < t1"),
+    ("f0", "gauss",
+     "f0: unknown preset 'gauss' (known: uniform01, exp2, spike)"),
+    ("lambdas", (-1.0,),
+     "lambdas: entries must be finite and nonnegative, got [-1.0]"),
+    ("allow_zero_kappa0", "no", "allow_zero_kappa0: must be true or false"),
+])
+def test_run_config_checks_the_keys_only_the_cli_checked(field, value,
+                                                          message):
+    # each of these once built a RunConfig; the message is the corpus
+    # text without its section
+    with pytest.raises(ConfigError) as exc_info:
+        RunConfig(grid=AgeGrid(dx=0.01, n_cells=400),
+                  model=ConstantRate(k0=1.0), **{field: value})
+    assert exc_info.value.errors == [message]
+
+
+def test_run_config_lists_every_bad_field_in_config_order():
+    with pytest.raises(ConfigError) as exc_info:
+        RunConfig(grid=AgeGrid(dx=0.01, n_cells=400),
+                  model=ConstantRate(k0=1.0), q=-1.0, lambdas=(_NAN,),
+                  allow_zero_kappa0=1, window=(1.0,), f0="flat",
+                  record_every=0, t_end=-2.0)
+    assert [field for field, _ in exc_info.value.problems] == [
+        "t_end", "record_every", "f0", "window", "allow_zero_kappa0",
+        "lambdas", "q"]
+
+
+# the drift guard: parse_config refuses a value exactly when the
+# constructor that owns it does, and words each problem as that
+# constructor, named by section.key.  A JSON value that is not a
+# number is the CLI's to report; the constructor then sees -inf, which
+# no range admits, in its place.
+
+# a value that no field takes: negative, zero, infinite, NaN, bool or str
+_BAD = st.one_of(st.floats(-5.0, -0.01), st.just(0.0), st.just(_INF),
+                 st.just(_NAN), st.booleans(), st.sampled_from(["fast", "2"]))
+
+
+def _is_json_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _seen(v):
+    return float(v) if _is_json_number(v) else -_INF
+
+
+_SCALE = st.floats(0.1, 3.0)
+_MODEL_VALUES = {
+    "constant": {"k0": _SCALE, "lambda": st.floats(0.0, 2.0)},
+    "smooth": {"k0": _SCALE, "k1": _SCALE, "lambda": st.floats(0.0, 2.0),
+               "mu_scale": _SCALE, "x_scale": _SCALE},
+    "step": {"sigma_plus": st.floats(0.05, 1.2),
+             "sigma_minus": st.floats(0.05, 1.2),
+             "lambda": st.floats(0.0, 2.0), "decay": _SCALE},
+}
+_KERNEL_VALUES = {"exponential": {"theta": st.floats(0.5, 5.0)},
+                  "gamma": {"shape": st.floats(0.5, 4.0),
+                            "rate": st.floats(0.5, 5.0)}}
+_RUN_VALUES = {"t_end": st.floats(0.5, 50.0),
+               "record_every": st.integers(1, 20),
+               "f0": st.sampled_from(["uniform01", "exp2", "spike"]),
+               "window": st.tuples(st.floats(0.0, 10.0),
+                                   st.floats(0.5, 30.0)).map(
+                   lambda w: [w[0], w[0] + w[1]]),
+               "allow_zero_kappa0": st.booleans()}
+
+
+def _constructor_problems(build, names, raw=None):
+    """The problems of build() as parse_config names them: names maps a
+    field to its section.key; a number key whose JSON value in raw is
+    not a number reads the type text."""
+    try:
+        build()
+    except ConfigError as exc:
+        out = []
+        for field, message in exc.problems:
+            if raw is not None and not _is_json_number(raw.get(field, 0)):
+                message = f"expected a number, got {raw[field]!r}"
+            message = message.replace(" k0 = ", " model.k0 = ").replace(
+                " sigma_plus = ", " model.sigma_plus = ")
+            out.append(f"{names[field]}: {message}")
+        return out
+    return []
+
+
+def _expected_problems(config):
+    grid, model, kernel = config["grid"], config["model"], config["kernel"]
+    run, lambdas, q = config["run"], config["sweep"]["lambdas"], config["q"]
+    dx, x_max = _seen(grid["dx"]), _seen(grid["x_max"])
+    try:
+        n_cells = round(x_max / dx)
+    except (ArithmeticError, ValueError):
+        n_cells = 2
+    problems = _constructor_problems(
+        lambda: AgeGrid(dx=dx, n_cells=n_cells),
+        {"dx": "grid.dx", "n_cells": "grid.x_max"}, {"dx": grid["dx"]})
+    if not math.isfinite(x_max):
+        problems.append("grid.x_max: " + (
+            "must be finite" if _is_json_number(grid["x_max"])
+            else f"expected a number, got {grid['x_max']!r}"))
+    family = {"constant": ConstantRate, "smooth": SmoothSaturatingRate,
+              "step": StepRate}[model["kind"]]
+    fields = {("lam" if key == "lambda" else key): value
+              for key, value in model.items() if key != "kind"}
+    problems += _constructor_problems(
+        lambda: family(**{f: _seen(v) for f, v in fields.items()}),
+        {f: "model." + ("lambda" if f == "lam" else f) for f in fields},
+        fields)
+    theta = kernel.get("theta", kernel.get("rate"))
+    problems += _constructor_problems(
+        lambda: DelayKernel(kind=kernel["kind"], theta=_seen(theta),
+                            shape=_seen(kernel.get("shape", 1.0))),
+        {"theta": "kernel." + ("theta" if "theta" in kernel else "rate"),
+         "shape": "kernel.shape"})
+    if not isinstance(lambdas, list):
+        problems.append("sweep.lambdas: expected a list of couplings")
+        lambdas = []
+    window = run["window"]
+    problems += _constructor_problems(
+        lambda: RunConfig(
+            grid=None, model=None, t_end=_seen(run["t_end"]),
+            record_every=run["record_every"], f0=run["f0"],
+            window=tuple(window) if isinstance(window, list) else window,
+            allow_zero_kappa0=run["allow_zero_kappa0"],
+            lambdas=tuple(lambdas), q=_seen(q)),
+        {**{key: f"run.{key}" for key in _RUN_VALUES},
+         "lambdas": "sweep.lambdas", "q": "q"},
+        {"t_end": run["t_end"]})
+    return problems
+
+
+@st.composite
+def _configs(draw):
+    """A config with a valid value for each field, and up to four of
+    them (the x_max and q slots included) replaced by a bad value."""
+    kind = draw(st.sampled_from(sorted(_MODEL_VALUES)))
+    kernel = draw(st.sampled_from(sorted(_KERNEL_VALUES)))
+    slots = {("grid", "dx"): st.sampled_from([0.01, 0.02, 0.05]),
+             ("grid", "x_max"): st.sampled_from([2.0, 4.0]),
+             **{("model", key): valid
+                for key, valid in _MODEL_VALUES[kind].items()},
+             **{("kernel", key): valid
+                for key, valid in _KERNEL_VALUES[kernel].items()},
+             **{("run", key): valid for key, valid in _RUN_VALUES.items()},
+             ("sweep", "lambdas"): st.lists(st.floats(0.0, 2.0), max_size=2),
+             ("q", None): st.floats(0.0, 3.0)}
+    bad = draw(st.sets(st.sampled_from(sorted(slots, key=str)), max_size=4))
+    config = {"grid": {}, "model": {"kind": kind}, "kernel": {"kind": kernel},
+              "run": {}, "sweep": {}}
+    for (section, key), valid in slots.items():
+        value = draw(_BAD if (section, key) in bad else valid)
+        if key is None:
+            config[section] = value
+        elif key == "lambdas" and (section, key) in bad:
+            # a bad entry in a list, or a bad value in place of the list
+            config[section][key] = draw(st.sampled_from(
+                [[0.5, value], value]))
+        else:
+            config[section][key] = value
+    return config
+
+
+@settings(max_examples=300, deadline=None)
+@given(config=_configs())
+def test_the_cli_refuses_exactly_what_the_constructors_refuse(
+        tmp_path_factory, config):
+    path = tmp_path_factory.mktemp("drift") / "config.json"
+    path.write_text(json.dumps(config))
+    expected = _expected_problems(config)
+    try:
+        parsed = parse_config(path)
+    except ConfigError as exc:
+        assert exc.errors == expected
+    else:
+        assert expected == []
+        assert parsed.model.lam == config["model"]["lambda"]
+        assert parsed.grid.x_max == pytest.approx(config["grid"]["x_max"])
+        assert parsed.t_end == config["run"]["t_end"]
+        assert parsed.q == config["q"]
 
 
 @pytest.mark.parametrize("block, model", [

@@ -132,13 +132,14 @@ _TRIANGLE = dict(y_samples=(0.0, 1.0, 2.0), b_samples=(0.0, 1.0, 0.0))
 
 @pytest.mark.parametrize("kwargs, message", [
     (dict(kind="bogus"), "unknown kernel kind 'bogus'"),
-    (dict(kind="exponential", theta=-1.0), "theta must be positive"),
-    (dict(kind="exponential", theta=math.nan), "theta must be positive"),
+    (dict(kind="exponential", theta=-1.0), "theta: must be a positive number"),
+    (dict(kind="exponential", theta=math.nan), "theta: must be finite"),
     (dict(kind="exponential", theta=2.0, shape=3.0),
      "exponential kernel takes no shape"),
-    (dict(kind="gamma", theta=0.0, shape=2.0), "gamma rate must be"),
-    (dict(kind="gamma", theta=2.0, shape=0.5), "gamma shape must be"),
-    (dict(kind="gamma", theta=2.0, shape=math.inf), "gamma shape must be"),
+    (dict(kind="gamma", theta=0.0, shape=2.0),
+     "theta: must be a positive number"),
+    (dict(kind="gamma", theta=2.0, shape=0.5), "shape: must be a number >= 1"),
+    (dict(kind="gamma", theta=2.0, shape=math.inf), "shape: must be finite"),
     (dict(kind="dirac", theta=2.0), "dirac kernel takes no theta"),
     (dict(kind="sampled"), "need matching 1d arrays"),
     (dict(kind="sampled", **{**_TRIANGLE, "y_samples": (0.0, 2.0, 1.0)}),
@@ -179,8 +180,11 @@ def test_discharge_history():
     h.push(1.0)
     assert h.lagged(1)[0] == 1.0
     assert np.array_equal(h.lagged(3), [1.0, 0.7, 0.7])
-    with pytest.raises(ConfigError):
+    # a short buffer is a fault of the caller, not of a config field
+    with pytest.raises(ValueError, match="shorter than the kernel support") \
+            as raised:
         h.lagged(6)
+    assert not isinstance(raised.value, ConfigError)
     with pytest.raises(ValueError):
         DischargeHistory([])
     with pytest.raises(ValueError):

@@ -863,7 +863,8 @@ def test_non_finite_parameters_are_refused_at_construction(build, bad):
 def test_record_every_must_be_a_positive_integer(bad):
     # a float once recorded at the multiples of it that some step count
     # hit (2.5: every 5 steps), silently
-    with pytest.raises(ValueError, match="record_every must be an integer"):
+    with pytest.raises(ValueError, match="record_every: (expected an integer"
+                       "|must be at least 1)"):
         _config(record_every=bad)
     assert _config(record_every=np.int64(3)).record_every == 3
 

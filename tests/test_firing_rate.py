@@ -112,9 +112,9 @@ _PARAMETERS = [
 def test_constructors_refuse_non_finite_parameters(family, kwargs, name, bad):
     # a NaN fails every comparison, so a check written as "x < 0" let it
     # through; each message names the parameter
-    message = ("sigma_minus < sigma_plus" if name.startswith("sigma")
-               else f"^{name} must be")
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError,
+                       match=f"^invalid configuration: {name}: must be "
+                             "finite$"):
         family(**{**kwargs, name: bad})
 
 
@@ -122,7 +122,8 @@ def test_constructors_refuse_non_finite_parameters(family, kwargs, name, bad):
 def test_step_rate_refuses_a_bad_sigma_modulus(bad):
     # estimate_xi trusts the declared bound on |sigma'|, so a NaN, an
     # infinite or a negative one is refused by name
-    with pytest.raises(ValueError, match="^sigma_modulus must be"):
+    with pytest.raises(ValueError, match="^invalid configuration: "
+                                         "sigma_modulus: must be"):
         StepRate(lam=0.3, sigma=lambda u: 0.6 / (1.0 + u),
                  sigma_modulus=bad)
     # a bound of zero (a constant threshold) stands

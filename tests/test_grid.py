@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from agenet import AgeGrid, DegenerateInputError, preset_density
+from agenet import AgeGrid, ConfigError, DegenerateInputError, preset_density
 
 
 def test_grid_geometry():
@@ -20,6 +20,29 @@ def test_grid_rejects_bad_parameters():
         AgeGrid(dx=0.0, n_cells=10)
     with pytest.raises(ValueError):
         AgeGrid(dx=0.1, n_cells=1)
+
+
+@pytest.mark.parametrize("n_cells", [4.5, 4.0, True, "4"])
+def test_grid_refuses_a_cell_count_that_is_not_an_integer(n_cells):
+    # 4.5 cells once built a grid of 5 midpoints with x_max = 2.25, on
+    # which preset_density failed: "initial datum does not match the grid"
+    with pytest.raises(ConfigError) as exc_info:
+        AgeGrid(dx=0.5, n_cells=n_cells)
+    assert exc_info.value.errors == [
+        f"n_cells: expected an integer, got {n_cells!r}"]
+    assert AgeGrid(dx=0.5, n_cells=np.int64(4)).x_max == 2.0
+
+
+def test_grid_lists_every_bad_field():
+    with pytest.raises(ConfigError) as exc_info:
+        AgeGrid(dx=-0.5, n_cells=4.5)
+    assert exc_info.value.errors == ["dx: must be positive, got -0.5",
+                                     "n_cells: expected an integer, got 4.5"]
+    # the two-cell rule quotes the width, so it waits for a good dx
+    with pytest.raises(ConfigError) as exc_info:
+        AgeGrid(dx=0.5, n_cells=1)
+    assert exc_info.value.errors == [
+        "n_cells: must cover at least two cells of width dx = 0.5"]
 
 
 def test_integrate_is_midpoint_rule():

@@ -13,7 +13,10 @@ horizon, such as the sweep's `xi`, show in a diff: x_max 10 is also
 `estimate_xi`'s default horizon.  Each runs `simulate` then `decay-fit`
 on its trace, `steady-state`, `spectrum` and `sweep`; `--print-defaults`
 and `accept` (the acceptance suite, with its per-criterion CSV) run
-once.  Every command runs in a fresh interpreter with OUT as its
+once.  One more job runs `simulate` on `broken.json`, a config with a
+bad value in every section and a value of the wrong JSON type, so its
+stderr (every config problem, named section.key) and its exit code 1
+show in a diff too.  Every command runs in a fresh interpreter with OUT as its
 working directory and relative paths, so the printed file names do not
 depend on OUT, and the checkout's own path is written as SRC in stderr
 (warnings name the module they come from).  For each command, OUT holds
@@ -52,6 +55,15 @@ KERNELS = {
     "gamma": {"kind": "gamma", "shape": 2.0, "rate": 4.0},
     "gamma-2.5": {"kind": "gamma", "shape": 2.5, "rate": 4.0},
     "sampled": {"kind": "sampled", "y": [0.0, 0.5, 1.0], "b": [0.0, 2.0, 0.0]},
+}
+# a bad value in every section, one of them not a number
+BROKEN = {
+    "grid": {"dx": -0.01, "x_max": 10.0},
+    "model": {"kind": "step", "sigma_plus": 0.3, "sigma_minus": 0.4},
+    "kernel": {"kind": "gamma", "shape": 0.5, "rate": 4.0},
+    "run": {"t_end": "long", "record_every": 10, "window": [30.0, 5.0]},
+    "sweep": {"lambdas": [-1.0]},
+    "q": -1.0,
 }
 # (name, model, kernel, preset, x_max): each family under the Dirac
 # kernel, the smooth family under each delay kernel, the step family
@@ -106,7 +118,10 @@ def main(argv=None):
     out.mkdir(parents=True, exist_ok=False)
 
     jobs = [("defaults", "print-defaults", ["--print-defaults"]),
-            ("suite", "accept", ["accept", "--out", "suite.accept.csv"])]
+            ("suite", "accept", ["accept", "--out", "suite.accept.csv"]),
+            ("broken", "simulate", ["simulate", "--config", "broken.json",
+                                    "--out", "broken.simulate.csv"])]
+    (out / "broken.json").write_text(json.dumps(BROKEN, indent=1) + "\n")
     for name, model, kernel, preset, x_max in CONFIGS:
         config = {"grid": {"dx": DX, "x_max": x_max},
                   "model": MODELS[model],
