@@ -56,7 +56,7 @@ def _window(value):
 
 
 def _couplings(value):
-    bad = [v for v in value if not (_is_number(v) and 0.0 <= v < math.inf)]
+    bad = [v for v in value if not 0.0 <= _number(v) < math.inf]
     return f"entries must be finite and nonnegative, got {bad[:3]!r}" \
         if bad else None
 
@@ -121,8 +121,14 @@ def default_config():
 
 def _number(v):
     # a value that is not a JSON number reads as -inf, which every range
-    # refuses, so no check across fields reads it either
-    return float(v) if _is_number(v) else -math.inf
+    # refuses, so no check across fields reads it either; an integer too
+    # large for a float reads as the infinity of its sign
+    if not _is_number(v):
+        return -math.inf
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
 
 
 def _merge(section, block, defaults, problems):
@@ -274,7 +280,8 @@ def parse_config(path):
         problems, RunConfig,
         dict(run_block, grid=grid, model=model, kernel=kernel,
              t_end=_number(run_block["t_end"]),
-             window=tuple(window) if isinstance(window, list) else window,
+             window=tuple(map(_number, window)) if isinstance(window, list)
+             else window,
              lambdas=tuple(lambdas),
              q=_number(raw.get("q", _DEFAULTS["q"]))),
         "run", {"lambdas": "sweep.lambdas", "q": "q"},
@@ -444,15 +451,15 @@ def _cmd_sweep(args):
 def _cmd_decay_fit(args):
     data = np.genfromtxt(args.trace, delimiter=",", names=True)
     if data.dtype.names is None or "t" not in data.dtype.names:
-        raise ConfigError([(args.trace, "not a trace CSV (no t column)")])
+        raise ValueError(f"{args.trace}: not a trace CSV (no t column)")
     if "l1_dist" not in data.dtype.names:
-        raise ConfigError([(args.trace, "no l1_dist column")])
+        raise ValueError(f"{args.trace}: no l1_dist column")
     times = np.atleast_1d(data["t"])
     dist = np.atleast_1d(data["l1_dist"])
     if np.any(~np.isfinite(dist)):
-        raise ConfigError([(args.trace, "l1_dist column has empty or "
-                            "non-finite entries; rerun simulate with a "
-                            "solvable equilibrium")])
+        raise ValueError(f"{args.trace}: l1_dist column has empty or "
+                         "non-finite entries; rerun simulate with a "
+                         "solvable equilibrium")
     window = tuple(args.window) if args.window else \
         (float(times[0]), float(times[-1]))
     fake = SimpleNamespace(times=times, l1_dist_to_F=dist)

@@ -40,7 +40,8 @@ from .errors import (AmbiguousActivityError, ConfigError,
                      DegenerateInputError, InvariantViolationError,
                      _integer, _out_of_range)
 from .firing_rate import estimate_xi, half_rate_age
-from .grid import AgeGrid, DensityState, cell_sum
+from .grid import (AgeGrid, DensityState, _l1_distance, _moment_weight,
+                   _weighted_integral, cell_sum)
 
 __all__ = [
     "SimulationConfig", "SimulationTrace", "ActivitySolution", "SolverCounts",
@@ -332,6 +333,10 @@ def run(config, f0, steady=None):
     l1q_series = []
     dist_series = None if F is None else []
 
+    # each sample's norms are read through one work buffer; the density
+    # stays nonnegative, so its moment norm needs no abs
+    weight, work = _moment_weight(grid, config.q), np.empty(grid.n_cells)
+
     def _record(t, values, m, p, absorbed):
         mass = float(values.sum()) * grid.dx
         times.append(t)
@@ -340,9 +345,9 @@ def run(config, f0, steady=None):
         mass_series.append(mass)
         sup = float(np.max(values))
         linf_series.append(sup)
-        l1q_series.append(grid.l1q_norm(values, config.q))
+        l1q_series.append(_weighted_integral(weight, values, grid.dx, work))
         if dist_series is not None:
-            dist_series.append(grid.l1_distance(values, F))
+            dist_series.append(_l1_distance(values, F, grid.dx, work))
         diag = {"t": t, "m": m, "p": p, "mass": mass}
         if not (math.isfinite(m) and math.isfinite(p)
                 and math.isfinite(mass)):

@@ -65,21 +65,25 @@ class AgeGrid:
     def integrate(self, values):
         """Midpoint-rule integral, exact for cell averages."""
         values = np.asarray(values)
-        if values.shape != (self.n_cells,):
-            raise ValueError(
-                f"expected {self.n_cells} cell values, got shape {values.shape}")
+        self._check_cells(values.shape)
         return float(values.sum() * self.dx)
 
+    def _check_cells(self, shape):
+        if shape != (self.n_cells,):
+            raise ValueError(
+                f"expected {self.n_cells} cell values, got shape {shape}")
+
     def l1_distance(self, u, v):
-        return self.integrate(np.abs(np.asarray(u) - np.asarray(v)))
+        self._check_cells(np.broadcast_shapes(np.shape(u), np.shape(v)))
+        return _l1_distance(u, v, self.dx, np.empty(self.n_cells))
 
     def l1q_norm(self, values, q=1.0):
         """Moment norm integral of (1 + x^q)|f|; diagnostic only."""
         values = np.asarray(values)
         if values.shape != (self.n_cells,):
             raise ValueError("length mismatch")
-        weight = _moment_weight(self, q)
-        return float(np.sum(weight * np.abs(values)) * self.dx)
+        return _weighted_integral(_moment_weight(self, q), np.abs(values),
+                                  self.dx, np.empty(self.n_cells))
 
     def project(self, f0):
         """Cell averages of an initial datum, renormalized to unit mass.
@@ -121,6 +125,18 @@ def cell_sum(values):
     from its discharge and its survivors, and every other reader of a
     cell sum takes it the same way, so that they agree bit for bit."""
     return float(values[0]) + float(values[1:].sum())
+
+
+def _l1_distance(u, v, dx, out):
+    # integral of |u - v|, computed in the buffer out
+    np.abs(np.subtract(u, v, out=out), out=out)
+    return float(out.sum() * dx)
+
+
+def _weighted_integral(weight, values, dx, out):
+    # integral of weight * values, computed in the buffer out
+    np.multiply(weight, values, out=out)
+    return float(out.sum() * dx)
 
 
 @lru_cache(maxsize=16)

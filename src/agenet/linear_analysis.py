@@ -36,7 +36,7 @@ each per call):
 
 Each evaluation computes only what its caller reads:
 
-- chi alone (`_Chi.value`): the real sign scan and its bisection, and
+- chi alone (`_Chi.value`): the real sign scan and its ITP steps, and
   the arg of chi on a rectangle's side at a corner that its walk did
   not pass (at a walked sample the walk's arg is reused);
 - chi and chi' (`_Chi.at`): the walks between two ends and Newton's
@@ -584,10 +584,12 @@ def _half_plane(chi, need):
 def _real_roots(chi, sigma, expected):
     """The real roots of chi in (sigma, 0]: 0 itself, where the zero
     column sums put one, and a root in each cell of a uniform mesh on
-    [sigma, 0) whose ends differ in sign, bisected to adjacent floats.
-    chi'(0) > 0, so chi is negative just left of 0 and the last cell
-    ends on that sign.  Two roots in one cell show no sign change, so
-    the mesh is doubled while fewer than `expected` roots turn up."""
+    [sigma, 0) whose ends differ in sign, narrowed to adjacent floats
+    by ITP steps from the end values.  chi'(0) > 0, so chi is negative
+    just left of 0 and the last cell ends on that sign, a stand-in
+    value, so that cell is halved instead.  Two roots in one cell show
+    no sign change, so the mesh is doubled while fewer than `expected`
+    roots turn up."""
     def f(x):
         return chi.value(x).real
 
@@ -598,7 +600,8 @@ def _real_roots(chi, sigma, expected):
         roots = [0.0]
         for i in range(cells):
             if (fs[i] < 0.0) != (fs[i + 1] < 0.0):
-                a, b = _roots.bisect(f, xs[i], xs[i + 1], fs[i])
+                fb = fs[i + 1] if i + 1 < cells else None
+                a, b = _roots.bisect(f, xs[i], xs[i + 1], fs[i], fb=fb)
                 roots.append(0.5 * (a + b))
         if len(roots) >= expected or cells >= _REAL_MESH_MAX:
             return roots

@@ -10,11 +10,12 @@ reported as a residual rather than solved for.
 Rates are nondecreasing in activity, so I is nonincreasing and g is
 enclosed on any [a, b] by a*I(b) - 1 <= g <= b*I(a) - 1.  The root
 search splits the bracket [1e-6, k1] and drops every part whose
-enclosure misses 0, so it proves where no root lies.  It bisects each
-sign change, and splits the other parts it cannot rule out down to a
-final width of 1/1024 of a mesh cell, so it lists every root down to
-that width.  On the built-in families a search takes 20 to 75
-evaluations of g.
+enclosure misses 0, so it proves where no root lies.  It narrows each
+sign change to adjacent floats, halving it down to the final width and
+taking ITP steps from its end values below that, and splits the other
+parts it cannot rule out down to the final width, 1/1024 of a mesh
+cell, so it lists every root down to that width.  On the built-in
+families a search takes 20 to 45 evaluations of g.
 
 Each root search makes one `_Profile` for its model and grid: the
 normalization integral evaluated in buffers allocated once, with K on
@@ -100,7 +101,7 @@ class _Profile:
             np.multiply(E[:-1], dx, out=cell_int,
                         where=np.logical_not(fires, out=fires))
         k_end = self.stepper.end_rate(M)
-        self.tail = (E[-1] / k_end) if k_end > 0.0 else math.inf
+        self.tail = float(E[-1]) / k_end if k_end > 0.0 else math.inf
         return cell_int, self.tail
 
     def integral(self, M):
@@ -143,19 +144,22 @@ def _stationary_roots(profile, lo, hi, cells, tol):
     cells and drops every range that holds no root.  A mesh cell left
     over is handled as a sign scan of the mesh would:
       - a zero of g on its lower end is a root;
-      - ends of opposite sign are bisected until they are adjacent
+      - ends of opposite sign are narrowed until they are adjacent
         floats or 1e-16 apart, and the midpoint is a root when
-        |g| <= tol there, so a sign change across a jump is dropped;
+        |g| <= tol there, so a sign change across a jump is dropped.
+        The narrowing halves the bracket down to the final width below
+        and then takes ITP steps from the two end values (_roots.bisect);
       - hi is a root when |g(hi)| <= tol and no root lies within one
         cell below it, since rounding can hide a root on the end.
     Then every such cell is split in halves down to the final width,
     2**-_LEVELS of a mesh cell, dropping the halves that hold no root
-    and bisecting, as above, each sign change that holds no bisected
-    bracket yet.  The halves along a bisection's path cost nothing:
-    their ends are its midpoints.  The final cells left undecided form
-    runs.  A run that holds or touches a listed root's bracket, or hi
-    when |g(hi)| <= tol, merges into that root; any other run is one
-    more root, at its evaluated end of least |g|, if |g| <= tol there.
+    and narrowing, as above, each sign change that holds no narrowed
+    bracket yet.  The halves along a narrowing's path cost nothing:
+    their ends are its midpoints, down to the final width where its
+    ITP steps begin.  The final cells left undecided form runs.  A run
+    that holds or touches a listed root's bracket, or hi when
+    |g(hi)| <= tol, merges into that root; any other run is one more
+    root, at its evaluated end of least |g|, if |g| <= tol there.
 
     So every root of g lies in a run, and two roots are listed as one
     only when one run holds both.  A run lists no root only when g has
@@ -185,13 +189,15 @@ def _stationary_roots(profile, lo, hi, cells, tol):
                 and b * max(ia, ib) - 1.0 >= -_SLACK)
 
     roots, claimed, found = [], [], []
+    final = (hi - lo) / cells * 2.0 ** -_LEVELS
 
-    def bisected(a, b):
-        # a root (or a jump) between a and b, bisected through `at`, so
-        # that the halves split below reuse the midpoints; claimed holds
-        # the final bracket of every listed root, found of every one
+    def narrowed(a, b):
+        # a root (or a jump) between a and b, narrowed through `at`,
+        # halving down to the final width so that the halves split below
+        # reuse the midpoints; claimed holds the final bracket of every
+        # listed root, found of every one
         ends = _roots.bisect(lambda M: at(M)[1], a, b, at(a)[1],
-                             width=1e-16)
+                             width=1e-16, fb=at(b)[1], halve_above=final)
         found.append(ends)
         root = 0.5 * (ends[0] + ends[1])
         if abs(at(root)[1]) <= tol:
@@ -212,7 +218,7 @@ def _stationary_roots(profile, lo, hi, cells, tol):
         # one mesh cell, in ascending order
         a, b = xs[i], xs[j]
         if at(a)[1] * at(b)[1] < 0.0:
-            bisected(a, b)
+            narrowed(a, b)
         elif at(a)[1] == 0.0:
             roots.append(a)
             claimed.append((a, a))
@@ -222,7 +228,6 @@ def _stationary_roots(profile, lo, hi, cells, tol):
         if not roots or hi - roots[-1] > (hi - lo) / cells:
             roots.append(xs[-1])
 
-    final = (hi - lo) / cells * 2.0 ** -_LEVELS
     left = []
     while split:
         a, b = split.pop()
@@ -230,7 +235,7 @@ def _stationary_roots(profile, lo, hi, cells, tol):
             continue
         if at(a)[1] * at(b)[1] < 0.0 and not any(a <= s and t <= b
                                                  for s, t in found):
-            bisected(a, b)
+            narrowed(a, b)
         m = 0.5 * (a + b)
         if b - a <= final or not a < m < b:
             left.append((a, b))
@@ -276,16 +281,16 @@ def solve_steady_state(model, grid):
     Roots of g(M) = M * int exp(-K(x, lam*M)) dx - 1 over the bracket
     [1e-6, k1] (the stationary activity can never exceed k1), listed by
     the enclosure search of _stationary_roots on a coarsest mesh of 200
-    cells.  It proves where g has no root, and bisects each sign change
-    until its ends are adjacent floats or 1e-16 apart:
-    bisection rather than Newton because K is not differentiable in M
-    for step rates.  Every root is listed, down to a final width of
-    1/1024 of a mesh cell; on the built-in families a solve takes 20
-    to 75 evaluations of g.  When several roots exist a warning lists
-    them all and the smallest is returned.  Every evaluation of g
-    writes into the same buffers, K coming from the edge_cumulative of
-    the model's stepper on the grid, and F is read from them at the
-    root.
+    cells.  It proves where g has no root, and narrows each sign change
+    until its ends are adjacent floats or 1e-16 apart, by halvings and
+    then ITP steps, which keep the bracket: not Newton, because K is
+    not differentiable in M for step rates.  Every root is listed, down
+    to a final width of 1/1024 of a mesh cell; on the built-in families
+    a solve takes 20 to 45 evaluations of g.  When several roots exist
+    a warning lists them all and the smallest is returned.  Every
+    evaluation of g writes into the same buffers, K coming from the
+    edge_cumulative of the model's stepper on the grid, and F is read
+    from them at the root.
     """
     hi = _upper_end(model)
     profile = _Profile(model, grid)
@@ -328,8 +333,9 @@ def regime_scan(model, lambdas, grid):
     _stationary_roots on a coarsest mesh of 400 cells, and whether it
     is unique.  Every root is listed down to a final width of 1/1024 of
     a mesh cell, two inside one mesh cell included, so a row with one
-    root is unique down to that width.  A row takes 20 to 75
-    evaluations of the residual on the built-in families.  An empty
+    root is unique down to that width.  Each sign change is narrowed to
+    adjacent floats by halvings and then ITP steps, and a row takes 20
+    to 45 evaluations of the residual on the built-in families.  An empty
     root list is a legal outcome and worth the user's attention, so it
     is reported rather than raised.  Rows come in the order of lambdas.
     """

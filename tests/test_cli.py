@@ -979,14 +979,21 @@ def test_decay_fit_command(tmp_path, capsys):
 
 
 def test_decay_fit_rejects_bad_traces(tmp_path, capsys):
+    # a bad trace is not a config problem: stderr reads "error: ..."
+    no_t = tmp_path / "not.csv"
+    no_t.write_text("time,l1_dist\n0,1\n1,0.5\n")
+    assert main(["decay-fit", "--trace", str(no_t)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {no_t}: not a trace CSV (no t column)\n")
     no_col = tmp_path / "nocol.csv"
     no_col.write_text("t,dist\n0,1\n1,0.5\n2,0.25\n")
     assert main(["decay-fit", "--trace", str(no_col)]) == 1
-    assert "no l1_dist column" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {no_col}: no l1_dist column\n"
     gappy = tmp_path / "gappy.csv"
     gappy.write_text("t,l1_dist\n0,1\n1,\n2,0.25\n")
     assert main(["decay-fit", "--trace", str(gappy)]) == 1
-    assert "non-finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {gappy}: ") and "non-finite" in err
     ok = tmp_path / "ok.csv"
     ok.write_text("t,l1_dist\n0,1\n1,0.5\n2,0.25\n")
     assert main(["decay-fit", "--trace", str(ok),
@@ -996,6 +1003,33 @@ def test_decay_fit_rejects_bad_traces(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # exit codes
+
+@pytest.mark.parametrize("section, key, problem", [
+    ("grid", "x_max", "grid.x_max: must be finite"),
+    ("grid", "dx", "grid.dx: must be finite"),
+    ("model", "k0", "model.k0: must be finite"),
+    ("run", "t_end", "run.t_end: must be finite"),
+])
+def test_an_integer_too_large_for_a_float_is_a_config_error(
+        tmp_path, capsys, section, key, problem):
+    # json reads 1 followed by 400 zeros as an int that no float holds;
+    # it reads as infinite, which the field's own rule refuses
+    bad = _write_config(tmp_path, {section: {key: 10 ** 400}})
+    assert main(["simulate", "--config", str(bad),
+                 "--out", str(tmp_path / "o.csv")]) == 1
+    assert f"config error: {problem}\n" in capsys.readouterr().err
+
+
+def test_too_large_couplings_and_windows_read_as_infinite(tmp_path, capsys):
+    bad = _write_config(tmp_path, {"sweep": {"lambdas": [0.1, 10 ** 400]}})
+    assert main(["sweep", "--config", str(bad),
+                 "--out", str(tmp_path / "o.csv")]) == 1
+    assert capsys.readouterr().err.startswith(
+        "config error: sweep.lambdas: entries must be finite")
+    config = parse_config(_write_config(
+        tmp_path, {"run": {"window": [0.5, 10 ** 400]}}))
+    assert config.window == (0.5, math.inf)
+
 
 def test_exit_one_on_config_problems(tmp_path, capsys):
     bad = _write_config(tmp_path, {"grid": {"dx": -0.5}})

@@ -76,10 +76,11 @@ def test_smooth_rate_against_continuum_root():
 
 
 def test_smooth_solve_needs_few_residual_evaluations(monkeypatch):
-    # the enclosure search isolates the one root's mesh cell, bisects it
-    # until its ends are adjacent floats (about 50 halvings), certifies
-    # the rest of the bracket mostly from the values it already holds,
-    # and the profile is read once more at the root
+    # the enclosure search isolates the one root's mesh cell, halves it
+    # 10 times and takes ITP steps until its ends are adjacent floats
+    # (about 20 evaluations), certifies the rest of the bracket mostly
+    # from the values it already holds, and the profile is read once
+    # more at the root
     calls = []
     parts = steady_state._Profile.parts
 
@@ -89,7 +90,7 @@ def test_smooth_solve_needs_few_residual_evaluations(monkeypatch):
     monkeypatch.setattr(steady_state._Profile, "parts", counted)
     model = SmoothSaturatingRate(k0=0.5, k1=2.0, lam=0.5)
     solve_steady_state(model, _grid(dx=1e-3))
-    assert len(calls) <= 90
+    assert len(calls) <= 50
 
 
 def test_a_diverging_integral_is_found_by_the_one_check_at_lo(monkeypatch):
@@ -281,7 +282,9 @@ def _sign_scan(f, lo, hi, cells, tol):
         if fa == 0.0:
             roots.append(a)
         elif fa * fb < 0.0:
-            a, b = _roots.bisect(f, a, b, fa, width=1e-16)
+            a, b = _roots.bisect(f, a, b, fa, width=1e-16, fb=fb,
+                                 halve_above=(hi - lo) / cells
+                                 * 2.0 ** -steady_state._LEVELS)
             if abs(f(0.5 * (a + b))) <= tol:
                 roots.append(0.5 * (a + b))
     if abs(fs[-1]) <= tol and (not roots
