@@ -9,8 +9,8 @@ spectral gap.
 
 import dataclasses
 
-from agenet import (AgeGrid, StepRate, build_generator, estimate_xi,
-                    regime_scan, solve_steady_state, spectrum)
+from agenet import (AgeGrid, StepRate, estimate_xi, regime_scan,
+                    solve_steady_state, spectrum)
 
 dx = 5e-3
 grid = AgeGrid(dx=dx, n_cells=int(round(8.0 / dx)))
@@ -28,7 +28,7 @@ for row in rows:
     model = dataclasses.replace(base, lam=row.lam)
     M = row.roots[0]
     ss = solve_steady_state(model, grid)
-    gap = spectrum(build_generator(model, grid, ss)).gap
+    gap = spectrum(model, grid, ss).gap
     print(f"{row.lam:5.2f}  {M:9.6f}  {model.threshold(M):9.6f}  "
           f"{gap:8.4f}  {'yes' if row.unique else 'NO'}")
 

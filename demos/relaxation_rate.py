@@ -9,9 +9,9 @@ spectral gap of the linearized dynamics.
 
 import numpy as np
 
-from agenet import (AgeGrid, SimulationConfig, StepRate, build_generator,
-                    decay_fit, estimate_xi, preset_density, run,
-                    solve_steady_state, spectrum, stepper_equilibrium)
+from agenet import (AgeGrid, SimulationConfig, StepRate, decay_fit,
+                    estimate_xi, preset_density, run, solve_steady_state,
+                    spectrum, stepper_equilibrium)
 
 dx = 5e-3
 grid = AgeGrid(dx=dx, n_cells=int(round(8.0 / dx)))
@@ -47,7 +47,7 @@ print()
 print(f"fit of log ||f - F||_1 over [5, 30]: slope alpha = {fit.alpha:.4f}, "
       f"r^2 = {fit.r2:.5f}")
 
-report = spectrum(build_generator(model, grid, ss))
+report = spectrum(model, grid, ss)
 print(f"spectral gap of the linearization: {report.gap:.4f}")
 print(f"|alpha - gap| = {abs(fit.alpha - report.gap):.4f}")
 print()

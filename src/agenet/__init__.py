@@ -13,8 +13,7 @@ from .evolution import (ActivitySolution, DecayFit, SimulationConfig,
                         SimulationTrace, SolverCounts, decay_fit, kappa0,
                         run, solve_activity_implicit, step,
                         stepper_equilibrium)
-from .linear_analysis import (GeneratorMatrix, SpectrumReport,
-                              build_generator, spectrum)
+from .linear_analysis import SpectrumReport, spectrum
 
 __version__ = "0.1.0"
 
@@ -27,7 +26,7 @@ __all__ = [
     "SimulationConfig", "SimulationTrace", "ActivitySolution", "SolverCounts",
     "DecayFit", "solve_activity_implicit", "kappa0", "step", "run",
     "decay_fit", "stepper_equilibrium",
-    "GeneratorMatrix", "SpectrumReport", "build_generator", "spectrum",
+    "SpectrumReport", "spectrum",
     "ConfigError", "BracketError", "AmbiguousActivityError",
     "ModelInconsistencyError", "InvariantViolationError",
     "DegenerateInputError", "SpectrumCountError",

@@ -27,7 +27,7 @@ from .evolution import (SimulationConfig, decay_fit, run,
 from .firing_rate import (ConstantRate, SmoothSaturatingRate, StepRate,
                           estimate_xi, half_rate_age)
 from .grid import AgeGrid, preset_density
-from .linear_analysis import build_generator, spectrum
+from .linear_analysis import spectrum
 from .steady_state import solve_steady_state
 
 __all__ = ["CriterionResult", "run_suite", "format_line", "CRITERIA"]
@@ -97,7 +97,7 @@ def _weak_step_material():
     trace = run(cfg, preset_density(grid, "uniform01"), steady=equilibrium)
     spec_grid = _grid(dx=5e-3)
     steady = solve_steady_state(model, spec_grid)
-    report = spectrum(build_generator(model, spec_grid, steady))
+    report = spectrum(model, spec_grid, steady)
     return model, grid, equilibrium, trace, report
 
 
@@ -168,7 +168,7 @@ def criterion_spectral_gap():
     grid = _grid(dx=dx)
     model = ConstantRate(k0=2.0)
     ss = solve_steady_state(model, grid)
-    rep = spectrum(build_generator(model, grid, ss))
+    rep = spectrum(model, grid, ss)
     near_zero = int(np.sum(np.abs(rep.eigenvalues) < 5.0 * dx))
     others = rep.eigenvalues[np.abs(rep.eigenvalues) >= 5.0 * dx]
     worst_re = float(np.max(others.real))

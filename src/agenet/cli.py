@@ -28,7 +28,7 @@ from .evolution import (SimulationConfig, decay_fit, run,
 from .firing_rate import (ConstantRate, SmoothSaturatingRate, StepRate,
                           estimate_xi)
 from .grid import AgeGrid, preset_density
-from .linear_analysis import build_generator, spectrum
+from .linear_analysis import spectrum
 from .steady_state import regime_scan, solve_steady_state
 
 __all__ = ["RunConfig", "parse_config", "default_config", "main"]
@@ -365,7 +365,7 @@ def _cmd_spectrum(args):
               "the Dirac kernel's (the activity feedback d_m k that would "
               "carry it is an open ROADMAP item)", file=sys.stderr)
     ss = solve_steady_state(cfg.model, grid)
-    rep = spectrum(build_generator(cfg.model, grid, ss))
+    rep = spectrum(cfg.model, grid, ss)
     print(f"eigenvalue nearest 0: {_fmt(rep.zero_eigenvalue.real)} + "
           f"{_fmt(rep.zero_eigenvalue.imag)}i")
     print(f"spectral gap = {_fmt(rep.gap)}")
@@ -400,7 +400,7 @@ def _sweep_row(cfg, scan_row):
         row["xi"] = estimate_xi(model, x_max=cfg.grid.x_max).xi
 
         ss = solve_steady_state(model, cfg.grid)
-        row["gap"] = spectrum(build_generator(model, cfg.grid, ss)).gap
+        row["gap"] = spectrum(model, cfg.grid, ss).gap
 
         equilibrium = stepper_equilibrium(model, cfg.grid)
         trace = run(dataclasses.replace(cfg, model=model),
@@ -449,12 +449,19 @@ def _cmd_sweep(args):
 
 
 def _cmd_decay_fit(args):
-    data = np.genfromtxt(args.trace, delimiter=",", names=True)
+    with open(args.trace, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    # genfromtxt warns and then fails on an empty file
+    if not any(line.strip() for line in lines):
+        raise ValueError(f"{args.trace}: empty file, not a trace CSV")
+    data = np.genfromtxt(lines, delimiter=",", names=True)
     if data.dtype.names is None or "t" not in data.dtype.names:
         raise ValueError(f"{args.trace}: not a trace CSV (no t column)")
     if "l1_dist" not in data.dtype.names:
         raise ValueError(f"{args.trace}: no l1_dist column")
     times = np.atleast_1d(data["t"])
+    if times.size == 0:
+        raise ValueError(f"{args.trace}: a header but no rows")
     dist = np.atleast_1d(data["l1_dist"])
     if np.any(~np.isfinite(dist)):
         raise ValueError(f"{args.trace}: l1_dist column has empty or "

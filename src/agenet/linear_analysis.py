@@ -62,27 +62,20 @@ eigensolver:
 - it raises SpectrumCountError when the roots it located do not add
   up to the count, or when no mode but 0 lies right of the deepest
   line, so a report always holds certified modes and a finite gap.
-
-Since chi needs only the rates and dx, `GeneratorMatrix` holds those
-and not the matrix.  It assembles A as a scipy.sparse matrix when a
-caller first reads `.A`; `spectrum` never does, so the spectrum path
-loads no scipy.
 """
 
 from __future__ import annotations
 
 import cmath
 import dataclasses
-import functools
 import math
 
 import numpy as np
 
 from . import _roots
 from .errors import SpectrumCountError
-from .grid import AgeGrid
 
-__all__ = ["GeneratorMatrix", "SpectrumReport", "build_generator", "spectrum"]
+__all__ = ["SpectrumReport", "spectrum"]
 
 _LEADING = 16           # the modes spectrum() reports, pairs kept whole
 _MAX_GROWTH = 20.0      # largest log |v_j| on a count line: bounds the
@@ -104,39 +97,6 @@ _TERMS = 10             # |L w| = _SERIES, to this many terms
 
 
 @dataclasses.dataclass(frozen=True)
-class GeneratorMatrix:
-    """The linearized generator at the stationary pair (F, M), with the
-    rates frozen at k(x, lam*M).  Its structure takes O(n) memory: the
-    rates and the grid's dx fix L and the boundary row c (the rates
-    plus 1/dx in the last cell), and `spectrum` reads nothing else.
-    `A` is the same operator as a scipy.sparse CSR matrix, assembled
-    from the rates on first access; only then is scipy imported."""
-
-    grid: AgeGrid
-    lam: float
-    M: float
-    F: np.ndarray
-    rates: np.ndarray
-
-    @functools.cached_property
-    def A(self):
-        """Stencil per column j: 1/dx to cell j+1 (transport), -1/dx -
-        k_j on the diagonal, k_j added to row 0 (the discharge
-        functional feeding the boundary), and 1/dx from the last column
-        into row 0 (mass advected past the age horizon re-enters,
-        keeping the truncated operator conservative)."""
-        from scipy import sparse
-        k = self.rates
-        n = self.grid.n_cells
-        dx = self.grid.dx
-        return sparse.diags([-1.0 / dx - k, np.full(n - 1, 1.0 / dx)],
-                            [0, -1], format="csr") \
-            + sparse.csr_matrix((_boundary_row(k, dx),
-                                 (np.zeros(n, dtype=int), np.arange(n))),
-                                shape=(n, n))
-
-
-@dataclasses.dataclass(frozen=True)
 class SpectrumReport:
     """The leading modes of a linearized generator.
 
@@ -155,25 +115,6 @@ class SpectrumReport:
     gap: float                # largest real part among the others
     kernel_vector: np.ndarray  # zero-mode eigenvector, unit L1 mass
     kernel_match: float       # L1 distance to the stationary profile
-
-
-def _boundary_row(rates, dx):
-    c = np.array(rates, dtype=float)
-    c[-1] += 1.0 / dx
-    return c
-
-
-def build_generator(model, grid, steady):
-    """Linearized generator at the stationary pair (F, M), the rates
-    frozen at k(x, lam*M); its stencil is given on `GeneratorMatrix.A`."""
-    if steady.F.shape != (grid.n_cells,):
-        raise ValueError(
-            f"steady profile has {steady.F.shape[0]} cells but the grid "
-            f"has {grid.n_cells}; recompute the steady state on this grid")
-    k = np.asarray(model.rate(grid.midpoints, steady.M), dtype=float)
-    return GeneratorMatrix(grid=grid, lam=float(model.lam),
-                           M=float(steady.M), F=np.array(steady.F),
-                           rates=k)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +197,10 @@ class _Chi:
             return
         self._runs = None
         self.one_dxk = 1.0 + dx * rates
-        self.cdx = _boundary_row(rates, dx) * dx
+        # the boundary row c (the rates, plus 1/dx in the last cell) times dx
+        self.cdx = np.array(rates, dtype=float)
+        self.cdx[-1] += 1.0 / dx
+        self.cdx *= dx
         n = self.cdx.size
         # r, c v and cumsum(r), per arithmetic; |c v|
         self._work = {dtype: (np.empty(n, dtype), np.empty(n, dtype),
@@ -695,9 +639,11 @@ def _profile_match(grid, F, v):
     return grid.l1_distance(v, F_unit)
 
 
-def spectrum(gen):
-    """The 16 leading modes of the linearized generator (rates frozen at
-    M), from the roots of its renewal characteristic function.
+def spectrum(model, grid, steady):
+    """The 16 leading modes of the linearized generator at the
+    stationary pair (steady.F, steady.M), the rates frozen at
+    k(x, lam*M) on the grid's midpoints, from the roots of its renewal
+    characteristic function.
 
     Reports the modes sorted by descending real part, with conjugate
     pairs kept whole (see SpectrumReport), the exact zero eigenvalue,
@@ -710,10 +656,16 @@ def spectrum(gen):
     nearly multiple mode), or when no mode but 0 lies right of the
     deepest line on which chi is accurate (a grid so coarse that a
     pole of chi, at -1/dx - k, lies right of the gap); never a wrong
-    answer returned silently."""
-    w, _ = _modes(gen.rates, gen.grid.dx)
-    v = _zero_mode(gen.rates, gen.grid.dx)
+    answer returned silently.  Raises ValueError when the profile is
+    not on this grid."""
+    if steady.F.shape != (grid.n_cells,):
+        raise ValueError(
+            f"steady profile has {steady.F.shape[0]} cells but the grid "
+            f"has {grid.n_cells}; recompute the steady state on this grid")
+    rates = np.asarray(model.rate(grid.midpoints, steady.M), dtype=float)
+    w, _ = _modes(rates, grid.dx)
+    v = _zero_mode(rates, grid.dx)
     return SpectrumReport(eigenvalues=_leading(w, _LEADING),
                           zero_eigenvalue=0j, gap=_gap(w),
                           kernel_vector=v,
-                          kernel_match=_profile_match(gen.grid, gen.F, v))
+                          kernel_match=_profile_match(grid, steady.F, v))

@@ -54,9 +54,8 @@ _SCIPY_LOADED = ("sorted(m for m in sys.modules "
 
 
 def test_importing_the_cli_loads_no_scipy():
-    # scipy costs more than the rest of the import together; a gamma
-    # kernel of non-integer shape and GeneratorMatrix.A load it when they
-    # need it
+    # scipy costs more than the rest of the import together; only a
+    # gamma kernel of non-integer shape loads it, when it needs it
     code = ("import json, sys, agenet, agenet.cli; "
             f"print(json.dumps({_SCIPY_LOADED}))")
     assert json.loads(_fresh_python(code)) == []
@@ -937,7 +936,7 @@ def test_sweep_xi_uses_the_grid_horizon():
 
 def test_uncertified_spectrum_exits_1_and_marks_the_sweep_row(
         tmp_path, capsys, monkeypatch):
-    def uncertified(gen):
+    def uncertified(model, grid, steady):
         raise SpectrumCountError(
             "the argument principle counts 5 roots,\nNewton locates 4")
 
@@ -989,6 +988,16 @@ def test_decay_fit_rejects_bad_traces(tmp_path, capsys):
     no_col.write_text("t,dist\n0,1\n1,0.5\n2,0.25\n")
     assert main(["decay-fit", "--trace", str(no_col)]) == 1
     assert capsys.readouterr().err == f"error: {no_col}: no l1_dist column\n"
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    assert main(["decay-fit", "--trace", str(empty)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {empty}: empty file, not a trace CSV\n")
+    header_only = tmp_path / "header.csv"
+    header_only.write_text("t,l1_dist\n")
+    assert main(["decay-fit", "--trace", str(header_only)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {header_only}: a header but no rows\n")
     gappy = tmp_path / "gappy.csv"
     gappy.write_text("t,l1_dist\n0,1\n1,\n2,0.25\n")
     assert main(["decay-fit", "--trace", str(gappy)]) == 1

@@ -1,10 +1,12 @@
-"""Generator assembly and spectra.
+"""The linearized generator and its spectra.
 
-Dense `scipy.linalg` eigensolves at small n are the oracle for the
-root search on the renewal characteristic function."""
+Dense `scipy.linalg` eigensolves at small n, of the generator built
+here from the frozen rates, are the oracle for the root search on the
+renewal characteristic function."""
 
 import cmath
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -14,8 +16,30 @@ from scipy import linalg
 
 from agenet import (AgeGrid, ConfigError, ConstantRate, SmoothSaturatingRate,
                     SpectrumCountError, SteadyState, StepRate,
-                    build_generator, solve_steady_state, spectrum)
+                    solve_steady_state, spectrum)
 from agenet import linear_analysis
+
+
+def _frozen_rates(model, grid, steady):
+    return np.asarray(model.rate(grid.midpoints, steady.M), dtype=float)
+
+
+def _lower(rates, dx):
+    """L: -1/dx - k_j on the diagonal, 1/dx on the subdiagonal."""
+    n = rates.size
+    return np.diag(-1.0 / dx - rates) + np.diag(np.full(n - 1, 1.0 / dx), -1)
+
+
+def _dense_generator(rates, dx):
+    """A = L + e0 c^T, dense.  Per column j: 1/dx to cell j+1
+    (transport), -1/dx - k_j on the diagonal, k_j added to row 0 (the
+    discharge feeding the boundary), and 1/dx from the last column into
+    row 0 (mass advected past the age horizon re-enters, keeping the
+    truncated operator conservative)."""
+    A = _lower(rates, dx)
+    A[0] += rates
+    A[0, -1] += 1.0 / dx
+    return A
 
 
 def _steady_stub(grid, M=1.0):
@@ -28,17 +52,15 @@ def _steady_stub(grid, M=1.0):
 def test_generator_matrix_written_out():
     # three cells, dx = 1/2, constant unit rate: transport 2 on the
     # subdiagonal, -2 - 1 on the diagonal, the rate row plus the
-    # horizon reinjection folded into row 0; the matrix is assembled on
-    # first access, not by build_generator
+    # horizon reinjection folded into row 0
     grid = AgeGrid(dx=0.5, n_cells=3)
-    gen = build_generator(ConstantRate(k0=1.0), grid, _steady_stub(grid))
-    assert "A" not in vars(gen)
+    rates = _frozen_rates(ConstantRate(k0=1.0), grid, _steady_stub(grid))
     expected = np.array([
         [-2.0, 1.0, 3.0],
         [2.0, -3.0, 0.0],
         [0.0, 2.0, -3.0],
     ])
-    assert np.array_equal(gen.A.toarray(), expected)
+    assert np.array_equal(_dense_generator(rates, grid.dx), expected)
 
 
 def test_generator_columns_sum_to_zero_exactly():
@@ -49,8 +71,9 @@ def test_generator_columns_sum_to_zero_exactly():
         model = SmoothSaturatingRate(k0=float(rng.uniform(0.2, 1.0)),
                                      k1=float(rng.uniform(1.0, 3.0)),
                                      lam=float(rng.uniform(0.0, 1.0)))
-        gen = build_generator(model, grid, _steady_stub(grid, M=0.4))
-        assert np.max(np.abs(gen.A.toarray().sum(axis=0))) < 1e-12
+        rates = _frozen_rates(model, grid, _steady_stub(grid, M=0.4))
+        A = _dense_generator(rates, grid.dx)
+        assert np.max(np.abs(A.sum(axis=0))) < 1e-12
 
 
 def test_generator_shape_mismatch():
@@ -60,7 +83,7 @@ def test_generator_shape_mismatch():
     # config field
     with pytest.raises(ValueError, match="recompute the steady state") \
             as raised:
-        build_generator(ConstantRate(k0=1.0), grid, _steady_stub(other))
+        spectrum(ConstantRate(k0=1.0), grid, _steady_stub(other))
     assert not isinstance(raised.value, ConfigError)
 
 
@@ -70,8 +93,8 @@ def test_generator_annihilates_the_profile_to_first_order():
     for dx in (0.02, 0.01):
         grid = AgeGrid(dx=dx, n_cells=int(round(4.0 / dx)))
         ss = solve_steady_state(model, grid)
-        gen = build_generator(model, grid, ss)
-        norms[dx] = grid.integrate(np.abs(gen.A @ ss.F))
+        A = _dense_generator(_frozen_rates(model, grid, ss), grid.dx)
+        norms[dx] = grid.integrate(np.abs(A @ ss.F))
         assert norms[dx] <= 5.0 * dx
     assert 1.6 <= norms[0.02] / norms[0.01] <= 2.4
 
@@ -80,7 +103,7 @@ def test_spectrum_of_the_constant_rate_generator():
     model = ConstantRate(k0=2.0)
     grid = AgeGrid(dx=0.02, n_cells=200)
     ss = solve_steady_state(model, grid)
-    rep = spectrum(build_generator(model, grid, ss))
+    rep = spectrum(model, grid, ss)
     assert abs(rep.zero_eigenvalue) < 1e-10
     assert rep.gap < -model.k0 / 2.0
     # eigenvalues come sorted by descending real part
@@ -95,9 +118,9 @@ def test_zero_mode_is_in_the_kernel():
     model = StepRate(sigma_plus=0.5, sigma_minus=0.25, lam=0.05)
     grid = AgeGrid(dx=0.02, n_cells=300)
     ss = solve_steady_state(model, grid)
-    gen = build_generator(model, grid, ss)
-    rep = spectrum(gen)
-    assert grid.integrate(np.abs(gen.A @ rep.kernel_vector)) < 1e-8
+    A = _dense_generator(_frozen_rates(model, grid, ss), grid.dx)
+    rep = spectrum(model, grid, ss)
+    assert grid.integrate(np.abs(A @ rep.kernel_vector)) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -110,18 +133,33 @@ _MODELS = {
 }
 
 
+class _Generator(NamedTuple):
+    """A model's stationary pair on a grid and the rates frozen at it."""
+    model: object
+    grid: AgeGrid
+    steady: SteadyState
+    rates: np.ndarray
+
+    def spectrum(self):
+        return spectrum(self.model, self.grid, self.steady)
+
+    def dense(self):
+        return _dense_generator(self.rates, self.grid.dx)
+
+
 def _generator(model, dx, x_max):
     grid = AgeGrid(dx=dx, n_cells=int(round(x_max / dx)))
-    return build_generator(model, grid, solve_steady_state(model, grid))
+    ss = solve_steady_state(model, grid)
+    return _Generator(model, grid, ss, _frozen_rates(model, grid, ss))
 
 
 def _dense_sorted(A):
-    w = linalg.eigvals(A.toarray())
+    w = linalg.eigvals(A)
     return w[np.lexsort((-w.imag, np.abs(w.imag), -w.real))]
 
 
 def _assert_leading_match(gen, rep):
-    dense = _dense_sorted(gen.A)
+    dense = _dense_sorted(gen.dense())
     lead = rep.eigenvalues
     assert lead.size in (16, 17)
     # the same set as the dense leading modes, each within 1e-9
@@ -139,7 +177,7 @@ def _assert_leading_match(gen, rep):
 @pytest.mark.parametrize("dx, x_max", [(0.02, 10.0), (0.05, 6.0)])
 def test_leading_modes_match_dense_eigenvalues(family, dx, x_max):
     gen = _generator(_MODELS[family], dx, x_max)
-    _assert_leading_match(gen, spectrum(gen))
+    _assert_leading_match(gen, gen.spectrum())
 
 
 @pytest.mark.parametrize("k0", [1.0, 0.1])
@@ -149,7 +187,7 @@ def test_long_age_horizons_match_dense_eigenvalues(k0, dx):
     # modes hug Re = -k0, and left of it v_j grows like
     # e^((-sigma - k0) x), so the count lines must stay close to -k0
     gen = _generator(ConstantRate(k0=k0), dx, 50.0)
-    rep = spectrum(gen)
+    rep = gen.spectrum()
     _assert_leading_match(gen, rep)
     assert -k0 - 0.01 < rep.gap < -k0
 
@@ -162,11 +200,11 @@ def test_a_crowded_count_line_is_moved_right(monkeypatch):
     monkeypatch.setattr(linear_analysis, "_SPARE", 1)
     w, sigma = linear_analysis._modes(gen.rates, gen.grid.dx)
     assert floor < sigma and 16 <= w.size < crowded.size
-    dense = linalg.eigvals(gen.A.toarray())
+    dense = linalg.eigvals(gen.dense())
     right = dense[dense.real > sigma]
     assert w.size == right.size
     assert max(np.min(np.abs(dense - z)) for z in w) < 1e-9
-    _assert_leading_match(gen, spectrum(gen))
+    _assert_leading_match(gen, gen.spectrum())
 
 
 def test_only_the_zero_mode_right_of_the_floor_is_an_error():
@@ -176,20 +214,20 @@ def test_only_the_zero_mode_right_of_the_floor_is_an_error():
     model = StepRate(sigma_plus=0.9, sigma_minus=0.6)
     gen = _generator(model, 1.1, 44.0)
     assert gen.rates[0] == 0.0
-    dense = linalg.eigvals(gen.A.toarray())
+    dense = linalg.eigvals(gen.dense())
     assert np.max(dense[np.abs(dense) > 1e-8].real) < -1.0 / 1.1
     with pytest.raises(SpectrumCountError, match="only the zero mode"):
-        spectrum(gen)
+        gen.spectrum()
 
 
 def test_zero_mode_matches_the_dense_null_vector():
     gen = _generator(_MODELS["step"], 0.02, 10.0)
-    w, V = linalg.eig(gen.A.toarray())
+    w, V = linalg.eig(gen.dense())
     v = V[:, np.argmin(np.abs(w))].real
     v /= v.sum() * gen.grid.dx
-    rep = spectrum(gen)
+    rep = gen.spectrum()
     assert np.max(np.abs(rep.kernel_vector - v)) < 1e-10
-    assert np.max(np.abs(gen.A @ rep.kernel_vector)) < 1e-10
+    assert np.max(np.abs(gen.dense() @ rep.kernel_vector)) < 1e-10
 
 
 # slow rates and long age horizons (up to x_max = 100 at k0 = 0.05)
@@ -211,7 +249,7 @@ def test_half_plane_count_matches_the_dense_count(model, dx, n, depth):
     gen = _generator(model, dx, n * dx)
     chi = linear_analysis._Chi(gen.rates, gen.grid.dx)
     sigma = depth * chi.floor()
-    dense = linalg.eigvals(gen.A.toarray())
+    dense = linalg.eigvals(gen.dense())
     # a mode on the line leaves the count undefined
     assume(np.min(np.abs(dense.real - sigma)) > 1e-6)
     count, _ = linear_analysis._count_line(chi, sigma)
@@ -226,7 +264,7 @@ def test_half_plane_count_matches_the_dense_count(model, dx, n, depth):
 def test_located_modes_are_the_dense_modes_right_of_the_line(model, dx, n):
     gen = _generator(model, dx, n * dx)
     w, sigma = linear_analysis._modes(gen.rates, gen.grid.dx)
-    dense = linalg.eigvals(gen.A.toarray())
+    dense = linalg.eigvals(gen.dense())
     right = dense[dense.real > sigma]
     assert w.size >= 2 and w.size == right.size
     assert max(np.min(np.abs(dense - z)) / max(1.0, abs(z))
@@ -239,10 +277,9 @@ def _dense_chi(rates, dx, z):
     """chi(z) = 1 - c^T (z - L)^{-1} e0 and chi'(z) = c^T (z - L)^{-2} e0
     by dense solves, each with the scale sum |c_j w_j| of its terms."""
     n = rates.size
-    L = np.diag(-1.0 / dx - rates) + np.diag(np.full(n - 1, 1.0 / dx), -1)
     c = rates.astype(complex)
     c[-1] += 1.0 / dx
-    shifted = z * np.eye(n) - L
+    shifted = z * np.eye(n) - _lower(rates, dx)
     v = linalg.solve(shifted, np.eye(n)[0].astype(complex))
     w = linalg.solve(shifted, v)
     return (1.0 - c @ v, np.abs(c) @ np.abs(v)), (c @ w, np.abs(c) @ np.abs(w))
@@ -327,7 +364,7 @@ def test_a_dropped_root_is_an_error(monkeypatch):
 
     monkeypatch.setattr(linear_analysis, "_complex_roots", drop_one)
     with pytest.raises(SpectrumCountError, match="argument principle"):
-        spectrum(gen)
+        gen.spectrum()
 
 
 def test_leading_modes_keep_conjugate_pairs_whole():
@@ -344,7 +381,7 @@ def test_leading_modes_keep_conjugate_pairs_whole():
     assert linear_analysis._leading(w, 16).tolist() == w.tolist()
     # spectrum reports the 16 leading modes of a real generator
     gen = _generator(_MODELS["constant"], 0.05, 4.0)
-    assert spectrum(gen).eigenvalues.size == 17
+    assert gen.spectrum().eigenvalues.size == 17
 
 
 # ---------------------------------------------------------------------------

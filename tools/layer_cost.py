@@ -232,7 +232,7 @@ def equilibrium(*, calls=10):
 
 
 def spectrum(*, calls=5):
-    """spectrum: milliseconds per `spectrum(build_generator(...))` call on
+    """spectrum: milliseconds per `spectrum(model, grid, steady)` call on
     the step layer's family models at 1000 cells (dx 1e-2), as in the
     spectrum workload, and on the CLI's default config ("default":
     constant k0 = 1 at 10k cells, dx 1e-3), each timing `calls` calls
@@ -248,8 +248,7 @@ def spectrum(*, calls=5):
         steady = agenet.solve_steady_state(model, grid)
 
         def call():
-            return agenet.spectrum(agenet.build_generator(model, grid,
-                                                          steady))
+            return agenet.spectrum(model, grid, steady)
         gap[name] = repr(call().gap)
         ms[name] = _median_s(call, calls) * 1e3
     return {"ms": ms}, {"gap": gap}
