@@ -225,8 +225,9 @@ def _validate_kernel(block, problems):
             problems += bad
             return None
     # the rate and shape rules say "must be a ... number", so a value of
-    # another type gets their own message, as -inf
-    values = {field: block[key] if kind == "sampled"
+    # another type gets their own message, as -inf; a sample too large
+    # for a float reads as infinite, which the mass rule refuses
+    values = {field: list(map(_number, block[key])) if kind == "sampled"
               else _number(block.get(key, 2.0)) for key, field in keys.items()}
     return _build(problems, DelayKernel, {"kind": kind, **values}, "kernel",
                   {field: f"kernel.{key}" for key, field in keys.items()})

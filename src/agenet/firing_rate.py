@@ -10,10 +10,9 @@ and bounded by k1.  k0 is the resting rate of an old neuron
 (the large-age limit of k(., 0)).
 
 Each family computes its own closed forms behind one protocol: rate,
-cumulative K(x, mu) = int_0^x k, cumulative_over (K at one age for an
-array of activities, each entry as cumulative gives it), activity_slope
-(the slope of K(x_max, .) in the activity, from which estimate_xi takes
-the regime bounds in closed form) and stepper.
+cumulative K(x, mu) = int_0^x k, activity_slope (the slope of
+K(x_max, .) in the activity, from which estimate_xi takes the regime
+bounds in closed form) and stepper.
 
 stepper(grid) is the one object that binds a family to a grid.  It
 holds the one copy of its activity map G(mu) = int k(x, lam*mu) f dx on
@@ -83,17 +82,6 @@ def _check_domain(x, mu):
     _check_mu(mu)
     if np.any(np.asarray(x) < 0.0):
         raise ValueError("age x must be nonnegative")
-
-
-def _check_over(x, mus):
-    mus = np.asarray(mus, dtype=float)
-    if np.ndim(x) != 0 or mus.ndim != 1:
-        raise ValueError("need one age x and a 1-d array of activities")
-    if not float(x) >= 0.0:
-        raise ValueError("age x must be nonnegative")
-    if not np.all((mus >= 0.0) & (mus < math.inf)):
-        raise ValueError("activities mu must be finite and nonnegative")
-    return float(x), mus
 
 
 def _match_shape(x, out):
@@ -397,10 +385,6 @@ class ConstantRate:
         _check_domain(x, mu)
         return _match_shape(x, self.k0 * np.asarray(x, dtype=float))
 
-    def cumulative_over(self, x, mus):
-        x, mus = _check_over(x, mus)
-        return np.full(mus.shape, self.k0 * x)
-
     def activity_slope(self, x_max):
         return 0.0, 0.0, 0.0
 
@@ -447,12 +431,6 @@ class SmoothSaturatingRate:
         out = self.gain(mu) * _age_integral(np.asarray(x, dtype=float),
                                             self.x_scale)
         return _match_shape(x, out)
-
-    def cumulative_over(self, x, mus):
-        x, mus = _check_over(x, mus)
-        gains = self.k0 - (self.k1 - self.k0) * np.expm1(
-            -(self.lam * mus) / self.mu_scale)
-        return gains * _age_integral(x, self.x_scale)
 
     def activity_slope(self, x_max):
         # gain'(u) times the age integral up to x_max
@@ -537,12 +515,6 @@ class StepRate:
         xs = np.asarray(x, dtype=float)
         out = np.maximum(0.0, xs - self.threshold(mu))
         return _match_shape(x, out)
-
-    def cumulative_over(self, x, mus):
-        x, mus = _check_over(x, mus)
-        # the scalar map, so each entry equals cumulative(x, mu) exactly
-        thresholds = np.array([self.threshold(mu) for mu in mus.tolist()])
-        return np.maximum(0.0, x - thresholds)
 
     def activity_slope(self, x_max):
         # K(x_max, u) = max(0, x_max - sigma(u)), so the slope is

@@ -34,11 +34,12 @@ each per call):
   more for chi', and sum_j |c_j v_j| for the tail bound), in work
   buffers bound once per search, O(n).
 
-Each evaluation computes only what its caller reads:
+Each evaluation computes only what its caller reads, in complex
+arithmetic whether lam is real or not:
 
-- chi alone (`_Chi.value`): the real sign scan and its ITP steps, and
-  the arg of chi on a rectangle's side at a corner that its walk did
-  not pass (at a walked sample the walk's arg is reused);
+- chi alone (`_Chi.value`): the arg of chi on a rectangle's side at a
+  corner that its walk did not pass (at a walked sample the walk's arg
+  is reused);
 - chi and chi' (`_Chi.at`): the walks between two ends and Newton's
   iteration;
 - chi, chi' and the tail bound (`at(z, tail=True)`): the count-line
@@ -56,9 +57,12 @@ eigensolver:
   no further than chi is accurate: v_j grows like e^((-sigma - k) x)
   with the age x, so on a long age horizon the deepest usable line
   sits just left of the slowest rates;
-- it takes the real roots from a sign scan of chi on [sigma, 0), and
-  the complex ones from argument-principle rectangles, bisected until
-  each holds one root, which Newton's iteration then polishes;
+- it needs no search for real roots: right of the poles every v_j is
+  positive and falls as lam grows, and every c_j >= 0, so chi rises
+  strictly along the real axis and its only real root is chi(0) = 0;
+- it takes the complex roots from argument-principle rectangles,
+  bisected until each holds one root, which Newton's iteration then
+  polishes;
 - it raises SpectrumCountError when the roots it located do not add
   up to the count, or when no mode but 0 lies right of the deepest
   line, so a report always holds certified modes and a finite gap.
@@ -88,8 +92,6 @@ _MAX_TURN = math.pi / 4  # largest turn of arg chi accepted in a step
 _TAIL = 0.5             # past sum_j |c_j v_j| < _TAIL, chi cannot wind
 _ETA = 1e-6             # the rectangles start this far above the axis;
                         # a pair closer to it fails the count check
-_REAL_MESH = 128        # first sign-scan mesh on [sigma, 0), doubled up
-_REAL_MESH_MAX = 4096   # to this while real roots are missing
 _RUNS_MAX = 8           # rates in at most this many runs of equal value
                         # take chi in closed form per run
 _SERIES = 0.05          # a run's sums from their power series up to
@@ -175,12 +177,10 @@ class _Chi:
     The rates are split into runs of equal value here.  With at most
     _RUNS_MAX runs, chi is evaluated in closed form per run, in O(runs)
     scalar arithmetic; otherwise each evaluation fills work buffers
-    bound here, one term per cell.  Either way a complex lam is
-    evaluated in complex arithmetic and a float in real arithmetic,
-    so chi of a point on the real axis given as a float is real.
+    bound here, one term per cell.  Either way lam is evaluated in
+    complex arithmetic, a float as a complex with imaginary part 0.
     `value` computes chi alone; `at` adds chi' and, when asked, the
-    tail bound.  A float lam must lie right of the rightmost pole, as
-    every real point the search evaluates does."""
+    tail bound."""
 
     def __init__(self, rates, dx):
         self.dx = dx
@@ -202,22 +202,19 @@ class _Chi:
         self.cdx[-1] += 1.0 / dx
         self.cdx *= dx
         n = self.cdx.size
-        # r, c v and cumsum(r), per arithmetic; |c v|
-        self._work = {dtype: (np.empty(n, dtype), np.empty(n, dtype),
-                              np.empty(n, dtype))
-                      for dtype in (float, complex)}
+        # r, c v and cumsum(r); |c v|
+        self._work = tuple(np.empty(n, complex) for _ in range(3))
         self._abs = np.empty(n)
 
     def _terms(self, z):
-        """The buffers (r, c v, cumsum r) of z's arithmetic, with
-        r = 1/(1 + dx (k + z)) and c v = cdx cumprod(r) filled in."""
-        work = self._work[complex if isinstance(z, complex) else float]
-        r, cv, _ = work
+        """The buffers (r, c v, cumsum r), with r = 1/(1 + dx (k + z))
+        and c v = cdx cumprod(r) filled in."""
+        r, cv, _ = self._work
         np.add(self.one_dxk, self.dx * z, out=r)
         np.divide(1.0, r, out=r)
         np.multiply.accumulate(r, out=cv)
         np.multiply(self.cdx, cv, out=cv)
-        return work
+        return self._work
 
     def _closed(self, z, slope=False, tail=False):
         """(chi, chi' or None, tail bound or None) summed run by run.
@@ -234,25 +231,21 @@ class _Chi:
         row's 1/dx adds Q_R to 1 - chi and dx Q_R C_R to chi', with
         Q_R and C_R taken over every run.  The tail bound takes the same
         sums in |rho|."""
-        if isinstance(z, complex):
-            z, log1p, expm1, exp = complex(z), _log1p, _expm1, cmath.exp
-        else:
-            z, log1p, expm1, exp = float(z), math.log1p, math.expm1, math.exp
         dxz = self.dx * z
         fired = steep = bound = 0.0
         logq = c = 0.0
         for dxk, L, series in self._runs:
             w = dxk + dxz
-            u = log1p(w)
+            u = _log1p(w)
             if slope:
                 rho = 1.0 / (1.0 + w)
             if dxk:
-                q = exp(-logq)
+                q = cmath.exp(-logq)
                 small = abs(L * w) <= _SERIES
                 if small:
                     G = _horner(series[0], -u)
                 else:
-                    em = expm1(-L * u)
+                    em = _expm1(-L * u)
                     G = -em / w
                 fired += dxk * q * G
                 if slope:
@@ -266,7 +259,7 @@ class _Chi:
             if slope:
                 c += L * rho
             logq += L * u
-        q = exp(-logq)
+        q = cmath.exp(-logq)
         return (1.0 - fired - q,
                 self.dx * (steep + q * c) if slope else None,
                 bound + abs(q) if tail else None)
@@ -274,7 +267,7 @@ class _Chi:
     def value(self, z):
         """chi(z) alone, equal to at(z)[0] bit for bit."""
         if self._runs is not None:
-            return complex(self._closed(z)[0])
+            return self._closed(z)[0]
         return complex(1.0 - self._terms(z)[1].sum())
 
     def at(self, z, tail=False):
@@ -282,8 +275,7 @@ class _Chi:
         sum_j |c_j v_j(z)|, which only falls as Re z or |Im z| grows
         (None otherwise)."""
         if self._runs is not None:
-            f, df, bound = self._closed(z, slope=True, tail=tail)
-            return complex(f), complex(df), bound
+            return self._closed(z, slope=True, tail=tail)
         r, cv, sum_r = self._terms(z)
         np.add.accumulate(r, out=sum_r)
         bound = float(np.abs(cv, out=self._abs).sum()) if tail else None
@@ -525,33 +517,6 @@ def _half_plane(chi, need):
     return left
 
 
-def _real_roots(chi, sigma, expected):
-    """The real roots of chi in (sigma, 0]: 0 itself, where the zero
-    column sums put one, and a root in each cell of a uniform mesh on
-    [sigma, 0) whose ends differ in sign, narrowed to adjacent floats
-    by ITP steps from the end values.  chi'(0) > 0, so chi is negative
-    just left of 0 and the last cell ends on that sign, a stand-in
-    value, so that cell is halved instead.  Two roots in one cell show
-    no sign change, so the mesh is doubled while fewer than `expected`
-    roots turn up."""
-    def f(x):
-        return chi.value(x).real
-
-    cells = _REAL_MESH
-    while True:
-        xs = np.linspace(sigma, 0.0, cells + 1)
-        fs = [f(x) for x in xs[:-1]] + [-1.0]
-        roots = [0.0]
-        for i in range(cells):
-            if (fs[i] < 0.0) != (fs[i + 1] < 0.0):
-                fb = fs[i + 1] if i + 1 < cells else None
-                a, b = _roots.bisect(f, xs[i], xs[i + 1], fs[i], fb=fb)
-                roots.append(0.5 * (a + b))
-        if len(roots) >= expected or cells >= _REAL_MESH_MAX:
-            return roots
-        cells *= 2
-
-
 def _complex_roots(chi, sigma, line):
     """The roots of chi with Re > sigma and Im > _ETA, one per box: the
     rectangle [sigma, x_r] x [_ETA, line.hi] bisected until each part
@@ -559,7 +524,7 @@ def _complex_roots(chi, sigma, line):
     Right of x_r and above line.hi the tail bound is below _TAIL, so
     those two sides need no walk and no root lies beyond them."""
     x_r = 1.0
-    while chi.at(x_r, tail=True)[2] >= _TAIL:
+    while chi.at(complex(x_r), tail=True)[2] >= _TAIL:
         x_r *= 2.0
     y_top = line.hi
     box = _Box(sigma, x_r, _ETA, y_top,
@@ -602,13 +567,15 @@ def _modes(rates, dx):
     chi = _Chi(rates, dx)
     sigma, count, line = _half_plane(chi, _LEADING)
     upper = _complex_roots(chi, sigma, line)
-    real = _real_roots(chi, sigma, count - 2 * len(upper))
-    if len(real) + 2 * len(upper) != count:
+    if 1 + 2 * len(upper) != count:
         raise SpectrumCountError(
             f"the argument principle counts {count} roots of chi with Re > "
-            f"{sigma:.6g}, but {len(real)} real and {len(upper)} conjugate "
-            "pairs were located")
-    w = np.array(real + upper + [z.conjugate() for z in upper], dtype=complex)
+            f"{sigma:.6g}, but 0 and {len(upper)} conjugate pairs were "
+            "located")
+    # right of every pole each v_j > 0 falls and each c_j >= 0, so chi
+    # rises strictly along the real axis and 0 is its only real root
+    w = np.array([0.0] + upper + [z.conjugate() for z in upper],
+                 dtype=complex)
     return w[np.lexsort((-w.imag, np.abs(w.imag), -w.real))], sigma
 
 

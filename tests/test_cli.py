@@ -1029,6 +1029,20 @@ def test_an_integer_too_large_for_a_float_is_a_config_error(
     assert f"config error: {problem}\n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["y", "b"])
+def test_a_sampled_kernel_entry_too_large_for_a_float_is_a_config_error(
+        tmp_path, capsys, key):
+    # the entry reads as infinite, so the samples' mass is infinite too
+    kernel = {"kind": "sampled", "y": [0, 0.5, 1], "b": [0, 2, 0]}
+    kernel[key] = kernel[key][:2] + [10 ** 400]
+    bad = _write_config(tmp_path, {"kernel": kernel})
+    assert main(["simulate", "--config", str(bad),
+                 "--out", str(tmp_path / "o.csv")]) == 1
+    assert capsys.readouterr().err == (
+        "config error: kernel: sampled kernel mass inf is not 1 within "
+        "1e-8; normalize the samples first\n")
+
+
 def test_too_large_couplings_and_windows_read_as_infinite(tmp_path, capsys):
     bad = _write_config(tmp_path, {"sweep": {"lambdas": [0.1, 10 ** 400]}})
     assert main(["sweep", "--config", str(bad),

@@ -577,19 +577,6 @@ def test_half_rate_age():
 # ---------------------------------------------------------------------------
 # the per-family fast paths against the scalar and generic definitions
 
-@pytest.mark.parametrize("model", FAMILIES, ids=FAMILY_IDS)
-def test_cumulative_over_matches_scalar_calls(model):
-    mus = np.concatenate([[0.0], np.random.default_rng(3).uniform(0.0, 3.0,
-                                                                   500)])
-    for x in (0.0, 0.2, 0.49, 2.0, 10.0):
-        fast = model.cumulative_over(x, mus)
-        slow = np.array([model.cumulative(x, mu) for mu in mus])
-        if isinstance(model, SmoothSaturatingRate):
-            np.testing.assert_allclose(fast, slow, rtol=1e-14, atol=0.0)
-        else:
-            assert np.array_equal(fast, slow)
-
-
 def _factors(model, grid, mu):
     # survive on ones writes the factors themselves, since x * 1.0 = x
     ones = np.ones(grid.n_cells)
@@ -1057,19 +1044,6 @@ def test_edge_cumulative_equals_cumulative_at_the_edges(family, data, dx,
             stepper.end_rate(bad)
 
 
-@pytest.mark.parametrize("model", FAMILIES, ids=FAMILY_IDS)
-def test_cumulative_over_validation(model):
-    with pytest.raises(ValueError, match="age"):
-        model.cumulative_over(-0.1, [0.1, 0.2])
-    for bad in ([0.1, -0.2], [0.1, math.nan], [math.inf]):
-        with pytest.raises(ValueError, match="finite and nonnegative"):
-            model.cumulative_over(1.0, bad)
-    with pytest.raises(ValueError, match="1-d"):
-        model.cumulative_over(1.0, np.ones((2, 2)))
-    with pytest.raises(ValueError, match="1-d"):
-        model.cumulative_over(np.array([1.0, 2.0]), [0.1])
-
-
 # ---------------------------------------------------------------------------
 # properties of K over random family parameters
 
@@ -1088,7 +1062,8 @@ def test_cumulative_properties(model, xs, mus):
         assert np.all(K >= -slack)
         assert np.all(K <= model.k1 * xs + slack)
     for x in xs:
-        assert np.all(np.diff(model.cumulative_over(x, mus)) >= -slack)
+        K = [model.cumulative(x, mu) for mu in mus]
+        assert np.all(np.diff(K) >= -slack)
 
 
 @settings(max_examples=150, deadline=None)

@@ -34,7 +34,7 @@ def _leaves(tree):
      {"evaluations", "values"}),
     (["xi", "--calls", "1"], {"ms"}, {"estimates"}),
     (["equilibrium", "--calls", "1"], {"ms"}, {"M"}),
-    (["spectrum", "--calls", "1"], {"ms"}, {"gap"}),
+    (["spectrum", "--calls", "1"], {"ms"}, {"gap", "evaluations"}),
 ], ids=["import", "step", "steady", "xi", "equilibrium", "spectrum"])
 def test_every_layer_runs_and_names_its_figures(argv, timings, outputs,
                                                 capsys):
@@ -69,6 +69,7 @@ def test_every_layer_runs_and_names_its_figures(argv, timings, outputs,
     elif layer == "spectrum":
         assert set(tree["timings"]["ms"]) == FAMILIES | {"default"}
         assert set(tree["outputs"]["gap"]) == FAMILIES | {"default"}
+        assert set(tree["outputs"]["evaluations"]) == FAMILIES | {"default"}
     else:
         assert set(tree["timings"]["ms"]) == FAMILIES
 

@@ -290,8 +290,9 @@ def _dense_chi(rates, dx, z):
        re=st.floats(0.0, 1.0), im=st.floats(0.0, 1.0),
        on_axis=st.booleans())
 def test_chi_matches_a_dense_solve(model, dx, n, re, im, on_axis):
-    # z right of the floor, up to Re 2, on the real axis as a float or
-    # in the box up to Im 20
+    # z right of the floor, up to Re 2, on the real axis as a float,
+    # which chi evaluates in complex arithmetic, or in the box up to
+    # Im 20
     gen = _generator(model, dx, n * dx)
     chi = linear_analysis._Chi(gen.rates, gen.grid.dx)
     x = chi.floor() + re * (2.0 - chi.floor())
@@ -306,6 +307,7 @@ def test_chi_matches_a_dense_solve(model, dx, n, re, im, on_axis):
     # tail bound computes the same chi and chi'
     assert chi.value(z) == f and chi.at(z)[:2] == (f, df)
     assert chi.at(z)[2] is None
+    # on the axis every term has imaginary part 0, exactly
     if on_axis:
         assert f.imag == 0.0 and df.imag == 0.0
 
@@ -342,17 +344,6 @@ def test_phase_reuses_the_walked_samples(vertical, fixed, lo, hi):
         turns = (path.phase(s) - fresh) / (2.0 * math.pi)
         assert abs(turns - round(turns)) < 1e-12
     assert chi.evaluations == path.s.size - 1
-
-
-def test_the_real_scan_refines_until_every_counted_root_turns_up():
-    # two real roots 1e-3 apart share a cell of the first 128-cell mesh
-    # on [-1.5, 0), so chi shows no sign change across it
-    class TwoRoots:
-        def value(self, x):
-            return complex(x * (x + 0.5) * (x + 0.501))
-
-    roots = linear_analysis._real_roots(TwoRoots(), -1.5, 3)
-    assert sorted(roots) == pytest.approx([-0.501, -0.5, 0.0], abs=1e-12)
 
 
 def test_a_dropped_root_is_an_error(monkeypatch):
@@ -469,5 +460,43 @@ def test_run_form_matches_a_dense_solve(rates, dx, data):
         # the tail bound is sum_j |c_j v_j|, the scale of chi's terms
         assert abs(tail - f_scale) <= 1e-10 * f_scale
         assert chi.value(z) == f and chi.at(z) == (f, df, None)
+        # a float z on the axis: every term has imaginary part 0, exactly
         if not isinstance(z, complex):
             assert f.imag == 0.0 and df.imag == 0.0
+
+
+# ---------------------------------------------------------------------------
+# chi along the real axis, where spectrum() takes 0 as the only real root
+
+def _model_rates(model, dx, n):
+    gen = _generator(model, dx, n * dx)
+    return gen.rates, gen.grid.dx
+
+
+@settings(max_examples=60, deadline=None)
+@given(rates_dx=st.one_of(
+           st.builds(_model_rates, _RATES, st.floats(0.05, 0.4),
+                     st.integers(20, 200)),
+           st.tuples(_run_rates(), st.floats(0.02, 0.4))),
+       shares=st.lists(st.floats(1e-3, 0.999), min_size=1, max_size=4))
+def test_chi_rises_along_the_real_axis(rates_dx, shares):
+    # right of the poles each v_j > 0 falls as z grows and each c_j >= 0,
+    # so chi < 0 < chi' on [floor, 0): no real root but chi(0) = 0
+    rates, dx = rates_dx
+    assume(rates.size <= 200)
+    chi = linear_analysis._Chi(rates, dx)
+    floor = chi.floor()
+    f, df, _ = chi.at(floor)
+    assert f.real < 0.0 < df.real
+    # the dense oracle stays 1e-3 of the way off the floor, as in
+    # test_run_form_matches_a_dense_solve
+    for x in [share * floor for share in shares]:
+        f, df, _ = chi.at(x)
+        assert f.real < 0.0 < df.real
+        (f_dense, f_scale), (df_dense, df_scale) = _dense_chi(rates, dx, x)
+        assert abs(f - f_dense) <= 1e-10 * (1.0 + f_scale)
+        assert abs(df - df_dense) <= 1e-10 * df_scale
+    # the independent oracle: the dense generator's real eigenvalues
+    w = linalg.eigvals(_dense_generator(rates, dx))
+    real = w[w.imag == 0.0].real
+    assert not np.any((real > chi.pole) & (real < -1e-8))

@@ -237,21 +237,39 @@ def spectrum(*, calls=5):
     spectrum workload, and on the CLI's default config ("default":
     constant k0 = 1 at 10k cells, dx 1e-3), each timing `calls` calls
     after one untimed one, at a stationary pair solved once.  The
-    outputs are the gaps."""
+    outputs are the gaps and the untimed call's evaluations of chi
+    (calls of `linear_analysis._Chi.value` and `_Chi.at`)."""
     import agenet
+    from agenet import linear_analysis
     cases = {fam: (model, agenet.AgeGrid(dx=1e-2, n_cells=1000))
              for fam, model in _families().items()}
     cases["default"] = (agenet.ConstantRate(k0=1.0),
                         agenet.AgeGrid(dx=1e-3, n_cells=10_000))
-    ms, gap = {}, {}
+    chi = linear_analysis._Chi
+    methods = {"value": chi.value, "at": chi.at}
+    evaluations = [0]
+
+    def counted(method):
+        def wrapper(*args, **kwargs):
+            evaluations[0] += 1
+            return method(*args, **kwargs)
+        return wrapper
+
+    ms, gap, evals = {}, {}, {}
     for name, (model, grid) in cases.items():
         steady = agenet.solve_steady_state(model, grid)
 
         def call():
             return agenet.spectrum(model, grid, steady)
+        for key, method in methods.items():
+            setattr(chi, key, counted(method))
+        evaluations[0] = 0
         gap[name] = repr(call().gap)
+        for key, method in methods.items():
+            setattr(chi, key, method)
+        evals[name] = evaluations[0]
         ms[name] = _median_s(call, calls) * 1e3
-    return {"ms": ms}, {"gap": gap}
+    return {"ms": ms}, {"gap": gap, "evaluations": evals}
 
 
 LAYERS = {"import": agenet_import, "step": step, "steady": steady, "xi": xi,
