@@ -7,7 +7,8 @@ from .errors import (AmbiguousActivityError, BracketError, ConfigError,
 from .firing_rate import (ConstantRate, RegimeEstimate, SmoothSaturatingRate,
                           StepRate, estimate_xi, half_rate_age)
 from .grid import AgeGrid, DensityState, cell_sum, preset_density
-from .steady_state import SteadyState, regime_scan, solve_steady_state
+from .steady_state import (SteadyState, regime_scan, solve_steady_state,
+                           steady_state_at)
 from .delay_kernel import DelayKernel, DischargeHistory
 from .evolution import (ActivitySolution, DecayFit, SimulationConfig,
                         SimulationTrace, SolverCounts, decay_fit, kappa0,
@@ -21,7 +22,7 @@ __all__ = [
     "AgeGrid", "DensityState", "cell_sum", "preset_density",
     "ConstantRate", "SmoothSaturatingRate", "StepRate", "RegimeEstimate",
     "estimate_xi", "half_rate_age",
-    "SteadyState", "solve_steady_state", "regime_scan",
+    "SteadyState", "solve_steady_state", "steady_state_at", "regime_scan",
     "DelayKernel", "DischargeHistory",
     "SimulationConfig", "SimulationTrace", "ActivitySolution", "SolverCounts",
     "DecayFit", "solve_activity_implicit", "kappa0", "step", "run",

@@ -29,7 +29,7 @@ from .firing_rate import (ConstantRate, SmoothSaturatingRate, StepRate,
                           estimate_xi)
 from .grid import AgeGrid, preset_density
 from .linear_analysis import spectrum
-from .steady_state import regime_scan, solve_steady_state
+from .steady_state import regime_scan, solve_steady_state, steady_state_at
 
 __all__ = ["RunConfig", "parse_config", "default_config", "main"]
 
@@ -400,7 +400,7 @@ def _sweep_row(cfg, scan_row):
         row["M"] = scan_row.roots[0]
         row["xi"] = estimate_xi(model, x_max=cfg.grid.x_max).xi
 
-        ss = solve_steady_state(model, cfg.grid)
+        ss = steady_state_at(model, cfg.grid, row["M"])
         row["gap"] = spectrum(model, cfg.grid, ss).gap
 
         equilibrium = stepper_equilibrium(model, cfg.grid)

@@ -37,13 +37,17 @@ the stepper does not sum the density again.  The step family's map
 costs one sequential prefix sum over the cells below sigma_plus per
 density, then one bisection and one subtraction per mu.
 
-The stepper also serves the stationary solve: its edge_cumulative(mu,
-out) writes K on the grid's edges past 0 into out, bit for bit
-cumulative(grid.edges[1:], mu), and its end_rate(mu) is bit for bit
-rate(grid.x_max, mu).  The grid constants these two read (the smooth
-family's age integral on the edges and its age factor at the horizon)
-are bound on their first use, as the factors of survive are, so a
-stepper that only steps never computes them.
+The stepper also serves the stationary solve.  The smooth family's
+separable_profile() gives K = gain(mu) * A(x) in separable form, bound
+on first use as the factors of survive are: the gain, the age integral
+A on every edge (gain(mu) * A is bit for bit cumulative(grid.edges,
+mu)), its cell increments dA, the weights dx/dA with 0 on the idle
+cells (dA <= 0, or dx/dA overflows), those idle cells, and the age
+factor at the horizon (times the gain, bit for bit rate(grid.x_max,
+mu)).  The constant and step families give None there and are read per
+edge: their edge_cumulative(mu, out) writes K on the grid's edges past
+0 into out, bit for bit cumulative(grid.edges[1:], mu), and their
+end_rate(mu) is bit for bit rate(grid.x_max, mu).
 """
 
 from __future__ import annotations
@@ -136,6 +140,11 @@ class _Stepper:
             raise AmbiguousActivityError.listing(roots)
         return roots[0], _MAX_ITER, "scan"
 
+    def separable_profile(self):
+        # the stationary solve reads K per edge, from edge_cumulative
+        # and end_rate, unless a family overrides this
+        return None
+
 
 class _ConstantStepper(_Stepper):
     """ConstantRate on one grid: the activity map is the one value
@@ -182,16 +191,16 @@ class _SmoothStepper(_Stepper):
     """SmoothSaturatingRate on one grid: the age shape is bound on first
     use, the activity map is gain(mu) times one dot product per density,
     and each step of its solve is a Newton step on the closed-form
-    slope."""
+    slope.  The stationary solve reads K = gain(mu) * A(x) from its
+    separable pieces."""
 
     __slots__ = ("_model", "_grid", "_shape", "_dx", "_gain", "_rate",
-                 "_span", "_edge_age", "_end_age")
+                 "_span", "_separable")
     one_root = True     # gain is concave
 
     def __init__(self, model, grid):
         self._model, self._grid = model, grid
-        # bound on the first edge_cumulative and end_rate
-        self._edge_age = self._end_age = None
+        self._separable = None      # on the first separable_profile
         # the age factor 1 - exp(-x/x_scale), on the first _weight or
         # survive: the stationary solve reads neither
         self._shape = None
@@ -243,21 +252,20 @@ class _SmoothStepper(_Stepper):
         np.exp(out, out=out)
         return np.multiply(values, out, out=out)
 
-    def edge_cumulative(self, mu, out):
-        # separable: the age integral on the edges times one gain
-        _check_mu(mu)
-        if self._edge_age is None:
-            self._edge_age = _age_integral(self._grid.edges[1:],
-                                           self._model.x_scale)
-        return np.multiply(self._edge_age, self._gain(mu), out=out)
-
-    def end_rate(self, mu):
-        # the age factor at x_max, bound once, times one gain
-        _check_mu(mu)
-        if self._end_age is None:
-            self._end_age = float(
-                -np.expm1(-self._grid.x_max / self._model.x_scale))
-        return self._gain(mu) * self._end_age
+    def separable_profile(self):
+        # K = gain(mu) * A(x): (gain, A on the edges, dA, dx/dA with 0
+        # on the idle cells, the idle cells, A'(x_max)), bound once
+        if self._separable is None:
+            grid, x_scale = self._grid, self._model.x_scale
+            ages = _age_integral(grid.edges, x_scale)
+            rise = np.diff(ages)
+            with np.errstate(divide="ignore", over="ignore"):
+                weight = self._dx / rise
+            idle = np.flatnonzero((rise <= 0.0) | np.isinf(weight))
+            weight[idle] = 0.0
+            end_age = float(-np.expm1(-grid.x_max / x_scale))
+            self._separable = (self._gain, ages, rise, weight, idle, end_age)
+        return self._separable
 
 
 class _StepStepper(_Stepper):
@@ -327,7 +335,7 @@ class _StepStepper(_Stepper):
         def G(mu):
             idx = cell_of(mids, threshold(mu))
             self._mu, self._idx = mu, idx
-            return (max(mass - heads[idx - 1] * dx, 0.0) if idx
+            return (max(mass - float(heads[idx - 1]) * dx, 0.0) if idx
                     else mass), 1.0
         return G
 

@@ -18,11 +18,14 @@ cell, so it lists every root down to that width.  On the built-in
 families a search takes 20 to 45 evaluations of g.
 
 Each root search makes one `_Profile` for its model and grid: the
-normalization integral evaluated in buffers allocated once, with K on
-the mesh edges and the horizon rate from the model's bound stepper,
-model.stepper(grid) (for the smooth family, an age integral and an age
-factor bound on first use, each times one gain).  The final profile F
-is read from the same buffers, so the profile formula is written once.
+normalization integral evaluated in buffers allocated once, in the form
+that the model's bound stepper, model.stepper(grid), gives.  The smooth
+rate is separable, K = gain(lam*M) * A(x), so its evaluation is one exp
+and one expm1 of gain-scaled vectors, one product and one dot product
+over age pieces bound once; the constant and step families are read per
+edge, from K on the mesh edges, in twelve or thirteen passes.  The profile F at a
+root and both residual diagnostics come from the formula that the
+search evaluates (steady_state_at), so each form is written once.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ import numpy as np
 from . import _roots
 from .errors import BracketError
 
-__all__ = ["SteadyState", "ScanRow", "solve_steady_state", "regime_scan"]
+__all__ = ["SteadyState", "ScanRow", "solve_steady_state", "steady_state_at",
+           "regime_scan"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -52,36 +56,51 @@ class SteadyState:
 
 
 class _Profile:
-    """The normalization residual of one model on one grid, in place.
+    """The normalization integral of one model on one grid, in place.
 
-    Each evaluation at an activity M writes the parts of the stationary
-    profile into buffers allocated once: K at the edges (from the
-    stepper's edge_cumulative), the cell-mean rates kc, E = exp(-K) at
-    the edges, the shed factors 1 - exp(-kc*dx), the per-cell integrals
-    cell_int of exp(-K), and the horizon tail.  They hold the last
-    evaluation's values until the next one.
+    Each cell integral is the exact single-exponential integral of
+    exp(-K) for the cell's mean rate, kc = (K(x_j+1) - K(x_j))/dx, with
+    K on the mesh edges: exact where the rate is constant in a cell and
+    O(dx^2) in a cell that holds a rate jump.  A cell with no rate
+    (kc <= 0, below a step threshold) holds dx*E at its left edge, with
+    E = exp(-K).  The horizon tail extends the profile past x_max with
+    the frozen rate k(x_max) (the natural choice for rates that have
+    saturated in age by the horizon), E(x_max)/k(x_max).
 
-    K is evaluated at cell edges, so each cell integral uses the exact
-    single-exponential formula for the cell-mean rate; this keeps the
-    normalization integral at quadrature error O(dx^2) inside a cell
-    containing a rate jump and exact elsewhere.  A cell with no rate
-    (kc <= 0, below a step threshold) holds dx*E at its left edge.  The
-    tail extends the profile past x_max with the frozen rate k(x_max),
-    the natural choice for rates that have saturated in age by the
-    horizon (the stepper's end_rate).
+    The model's stepper, model.stepper(grid), gives K in one of two
+    forms, and buffers allocated once hold the last evaluation's parts:
+      - separable: its separable_profile() gives K = g * A(x) with
+        g = gain(lam*M), as A on the edges, its cell increments dA, the
+        weights dx/dA and the age factor at the horizon, bound once.
+        An evaluation makes six passes over the mesh: E = exp(-g*A) on
+        the edges (a scaling and an exp), dE = E * expm1(-g*dA) on the
+        cells (a scaling, an expm1 and a product), then one dot
+        product, I = dot(dE, dx/dA) / (-g) + tail.  A cell with
+        dA <= 0 has no rate and holds dx*E;
+      - per edge: K on the edges from its edge_cumulative, the rates kc,
+        E, the shed factors -expm1(-kc*dx) and the cell integrals
+        E * shed / kc, and the horizon rate from its end_rate: eleven
+        passes over the mesh besides edge_cumulative's one (constant)
+        or two (step), with one exp and one expm1.
     """
 
     def __init__(self, model, grid):
         n = grid.n_cells
-        self.stepper, self.grid = model.stepper(grid), grid
-        self.K = np.zeros(n + 1)
+        self.model, self.grid = model, grid
+        self.stepper = model.stepper(grid)
+        self.separable = self.stepper.separable_profile()
         self.E = np.empty(n + 1)
-        self.kc, self.shed, self.cell_int = (np.empty(n) for _ in range(3))
-        self.fires = np.empty(n, dtype=bool)
+        if self.separable is None:
+            self.K = np.zeros(n + 1)
+            self.kc, self.shed, self.cell_int = (np.empty(n) for _ in range(3))
+            self.fires = np.empty(n, dtype=bool)
+        else:
+            self.dE = np.empty(n)
         self.tail = math.nan
 
     def parts(self, M):
-        """Fill the buffers for activity M; return (cell_int, tail)."""
+        """The per-edge form: fill its buffers for activity M and return
+        (cell_int, tail)."""
         dx = self.grid.dx
         K, E, kc, shed, cell_int = (self.K, self.E, self.kc, self.shed,
                                     self.cell_int)
@@ -100,18 +119,53 @@ class _Profile:
             np.divide(cell_int, kc, out=cell_int, where=fires)
             np.multiply(E[:-1], dx, out=cell_int,
                         where=np.logical_not(fires, out=fires))
-        k_end = self.stepper.end_rate(M)
-        self.tail = float(E[-1]) / k_end if k_end > 0.0 else math.inf
+        self.tail = self._tail(self.stepper.end_rate(M))
         return cell_int, self.tail
+
+    def _tail(self, k_end):
+        return float(self.E[-1]) / k_end if k_end > 0.0 else math.inf
 
     def integral(self, M):
         """I(M) = int exp(-K) dx, with the horizon tail."""
-        cell_int, tail = self.parts(M)
-        return float(cell_int.sum()) + tail
+        if self.separable is None:
+            cell_int, tail = self.parts(M)
+            return float(cell_int.sum()) + tail
+        return self._separable_integral(M)
 
-    def residual(self, M):
-        """g(M) = M * I(M) - 1."""
-        return M * self.integral(M) - 1.0
+    def _separable_integral(self, M):
+        gain, ages, rise, weight, idle, end_age = self.separable
+        g, E, dE = gain(M), self.E, self.dE
+        # -g*A and -g*dA round as -(g*A) and -(g*dA): negation is exact
+        np.exp(np.multiply(ages, -g, out=E), out=E)
+        np.expm1(np.multiply(rise, -g, out=dE), out=dE)
+        dE *= E[:-1]
+        self.tail = self._tail(g * end_age)
+        cells = float(np.dot(dE, weight)) / -g
+        if idle.size:
+            cells += self.grid.dx * float(E[idle].sum())
+        return cells + self.tail
+
+    def steady_state(self, M):
+        """The stationary pair at a root M, from the formula that
+        integral(M) evaluates: F = M * cell_int / dx, and the activity
+        residual from the mass the cells absorb."""
+        dx = self.grid.dx
+        if self.separable is None:
+            cell_int, _ = self.parts(M)
+            absorbed = float((self.E[:-1] * self.shed).sum())
+        else:
+            self._separable_integral(M)
+            gain, _, _, weight, idle, _ = self.separable
+            cell_int = self.dE * weight / -gain(M)
+            cell_int[idle] = dx * self.E[idle]
+            absorbed = -float(self.dE.sum())
+        F = M * cell_int / dx
+        # activity consistency: M * (absorbed + exp(-K(x_max))) = M
+        residual_activity = abs(M * (absorbed + self.E[-1]) - M)
+        return SteadyState(M=M, F=F, lam=self.model.lam,
+                           residual_ode=_residual_ode(self.model, self.grid,
+                                                      F, M),
+                           residual_activity=residual_activity)
 
 
 # The coarsest meshes of the root searches.  A root in a mesh cell
@@ -288,9 +342,11 @@ def solve_steady_state(model, grid):
     to a final width of 1/1024 of a mesh cell; on the built-in families
     a solve takes 20 to 45 evaluations of g.  When several roots exist
     a warning lists them all and the smallest is returned.  Every
-    evaluation of g writes into the same buffers, K coming from the
-    edge_cumulative of the model's stepper on the grid, and F is read
-    from them at the root.
+    evaluation of g writes into the same buffers, in the form that the
+    model's stepper gives (_Profile): six passes over the mesh for the
+    smooth family's separable rate, twelve or thirteen for the constant
+    and step families.  The pair at the root is steady_state_at's, read from the
+    same formula.
     """
     hi = _upper_end(model)
     profile = _Profile(model, grid)
@@ -304,18 +360,17 @@ def solve_steady_state(model, grid):
             "multiple stationary activities on the bracket: "
             + ", ".join(f"{r:.6g}" for r in roots)
             + "; returning the smallest", stacklevel=2)
-    M = roots[0]
+    return profile.steady_state(roots[0])
 
-    cell_int, _ = profile.parts(M)
-    F = M * cell_int / grid.dx
-    # activity consistency, evaluated with the same cell-exact quadrature
-    E = profile.E
-    absorbed = E[:-1] * profile.shed
-    activity = M * (float(absorbed.sum()) + E[-1])
-    residual_activity = abs(activity - M)
-    return SteadyState(M=M, F=F, lam=model.lam,
-                       residual_ode=_residual_ode(model, grid, F, M),
-                       residual_activity=residual_activity)
+
+def steady_state_at(model, grid, M):
+    """The stationary pair at a root M of the normalization residual,
+    such as one that regime_scan lists: F and both residual diagnostics,
+    from the evaluator of the root search.  solve_steady_state returns
+    this at the smallest root it lists."""
+    if not 0.0 < M < math.inf:
+        raise ValueError("stationary activity M must be positive and finite")
+    return _Profile(model, grid).steady_state(M)
 
 
 @dataclasses.dataclass(frozen=True)

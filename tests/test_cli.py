@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -911,7 +912,10 @@ def test_sweep_row_statuses():
 
     amb_cfg = _crafted_config(_four_plateau_model(),
                               AgeGrid(dx=0.01, n_cells=200))
-    with pytest.warns(UserWarning, match="multiple stationary"):
+    # the row reads its M from the scan row and solves no second time,
+    # so no second root search warns of several roots
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         row = cli._sweep_row(amb_cfg, ScanRow(lam=1.0, roots=(0.5,),
                                               unique=True))
     assert row["status"] == "ambiguous"
@@ -932,6 +936,35 @@ def test_sweep_xi_uses_the_grid_horizon():
     assert grid.x_max != 10.0
     assert row["xi"] == agenet.estimate_xi(model, x_max=grid.x_max).xi
     assert row["xi"] != agenet.estimate_xi(model).xi
+
+
+def test_sweep_row_freezes_the_spectrum_at_the_printed_root(monkeypatch):
+    # the gap is the spectrum's at the scan's root, the M that the row
+    # prints, with the profile of solve_steady_state at that M
+    model = SmoothSaturatingRate(k0=0.5, k1=2.0, lam=0.3)
+    grid = AgeGrid(dx=0.02, n_cells=250)
+    scan = agenet.regime_scan(model, [0.3], grid)
+    frozen, spectrum = [], cli.spectrum
+
+    def spy(model, grid, steady):
+        frozen.append(steady)
+        return spectrum(model, grid, steady)
+
+    def never(*args):
+        raise AssertionError("the sweep solved for M a second time")
+    monkeypatch.setattr(cli, "spectrum", spy)
+    monkeypatch.setattr(cli, "solve_steady_state", never)
+    row = cli._sweep_row(_crafted_config(model, grid), scan[0])
+    assert row["status"] == "ok"
+    steady, = frozen
+    assert steady.M == row["M"] == scan[0].roots[0]
+    # one builder of the stationary pair serves the sweep and the solve,
+    # whose 200-cell search lands one ulp from this 400-cell scan's root
+    assert np.array_equal(
+        steady.F, agenet.steady_state_at(model, grid, row["M"]).F)
+    solved = agenet.solve_steady_state(model, grid)
+    assert np.array_equal(
+        solved.F, agenet.steady_state_at(model, grid, solved.M).F)
 
 
 def test_uncertified_spectrum_exits_1_and_marks_the_sweep_row(

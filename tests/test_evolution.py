@@ -63,6 +63,20 @@ def test_activity_at_the_discrete_equilibrium():
     assert abs(sol.m - eq.M) < 1e-9
 
 
+@pytest.mark.parametrize("model", [
+    ConstantRate(k0=1.5, lam=0.3), StepRate(lam=0.3),
+    SmoothSaturatingRate(k0=0.5, k1=2.0, lam=0.6)],
+    ids=["constant", "step", "smooth"])
+def test_the_activity_is_a_python_float(model):
+    # DensityState.m is typed float; the step family's staircase reads a
+    # prefix sum from a numpy array
+    grid = _grid(dx=1e-3, x_max=10.0)
+    f = preset_density(grid, "uniform01")
+    assert type(solve_activity_implicit(model, grid, f.values).m) is float
+    cfg = SimulationConfig(grid=grid, model=model, t_end=0.05)
+    assert type(run(cfg, f).final_state.m) is float
+
+
 def test_activity_residual_over_random_weak_draws():
     rng = np.random.default_rng(42)
     grid = _grid(dx=0.02, x_max=10.0)

@@ -1019,18 +1019,19 @@ def test_step_activity_roots_equal_a_full_mesh_scan(lam):
     assert 0.0 in roots
 
 
-@pytest.mark.parametrize("family", FAMILY_IDS)
+@pytest.mark.parametrize("family", [f for f in FAMILY_IDS if f != "smooth"])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), dx=st.floats(1e-3, 0.5), n_cells=st.integers(2, 2000),
        mus=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=6))
 def test_edge_cumulative_equals_cumulative_at_the_edges(family, data, dx,
                                                         n_cells, mus):
-    # the stationary solve's two fast paths on the bound stepper, bit
+    # the per-edge families' stationary pieces on the bound stepper, bit
     # for bit the public expressions: K on the edges past 0, written
     # into the caller's buffer, and the rate at the horizon
     model = data.draw(_DRAWN_FAMILIES[family], label="model")
     grid = AgeGrid(dx=dx, n_cells=n_cells)
     stepper = model.stepper(grid)
+    assert stepper.separable_profile() is None
     out = np.empty(n_cells)
     for mu in mus + [0.0]:
         assert stepper.edge_cumulative(mu, out) is out
@@ -1042,6 +1043,36 @@ def test_edge_cumulative_equals_cumulative_at_the_edges(family, data, dx,
             stepper.edge_cumulative(bad, out)
         with pytest.raises(ValueError, match="^activity mu must be"):
             stepper.end_rate(bad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=_DRAWN_FAMILIES["smooth"], dx=st.floats(1e-3, 0.5),
+       n_cells=st.integers(2, 2000),
+       mus=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=6))
+@example(model=SmoothSaturatingRate(k0=0.5, k1=2.0, x_scale=1e16), dx=0.01,
+         n_cells=300, mus=[0.3])
+def test_separable_profile_is_the_public_cumulative(model, dx, n_cells, mus):
+    # the smooth family's stationary pieces, bound once: gain times the
+    # age integral on the edges is bit for bit the public K, gain times
+    # the age factor at x_max is the rate at the horizon, and the weights
+    # are dx/dA on the cells where that is a positive float, 0 elsewhere
+    grid = AgeGrid(dx=dx, n_cells=n_cells)
+    stepper = model.stepper(grid)
+    pieces = stepper.separable_profile()
+    assert stepper.separable_profile() is pieces
+    gain, ages, rise, weight, idle, end_age = pieces
+    assert np.array_equal(rise, np.diff(ages))
+    fires = np.ones(n_cells, dtype=bool)
+    fires[idle] = False
+    with np.errstate(divide="ignore", over="ignore"):
+        ratio = dx / rise
+    assert np.array_equal(fires, (rise > 0.0) & (ratio < math.inf))
+    assert np.array_equal(weight, np.where(fires, ratio, 0.0))
+    for mu in mus + [0.0]:
+        assert gain(mu) == model.gain(mu)
+        assert np.array_equal(gain(mu) * ages,
+                              model.cumulative(grid.edges, mu))
+        assert gain(mu) * end_age == model.rate(grid.x_max, mu)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ def _leaves(tree):
      {"run_step_us", "advance_us", "solve_activity_implicit_us",
       "warm_solve_us"},
      {"last_m_p", "warm_solve"}),
-    (["steady", "--calls", "1"], {"ms", "profile_us"},
+    (["steady", "--calls", "1"], {"ms", "profile_us", "evaluation_us"},
      {"evaluations", "values"}),
     (["xi", "--calls", "1"], {"ms"}, {"estimates"}),
     (["equilibrium", "--calls", "1"], {"ms"}, {"M"}),
@@ -62,6 +62,9 @@ def test_every_layer_runs_and_names_its_figures(argv, timings, outputs,
         assert set(tree["timings"]["ms"]) == {"1000", "10000"}
         assert set(tree["timings"]["profile_us"]) == {"1000", "10000"}
         assert len(tree["timings"]["profile_us"]["1000"]) == 7
+        assert set(tree["timings"]["evaluation_us"]) == {"1000", "10000"}
+        assert (set(tree["timings"]["evaluation_us"]["10000"])
+                == set(tree["timings"]["profile_us"]["10000"]))
         assert set(tree["outputs"]["evaluations"]["1000"]) == {"solve",
                                                                "scan_row"}
     elif layer == "xi":

@@ -78,16 +78,16 @@ def test_smooth_rate_against_continuum_root():
 def test_smooth_solve_needs_few_residual_evaluations(monkeypatch):
     # the enclosure search isolates the one root's mesh cell, halves it
     # 10 times and takes ITP steps until its ends are adjacent floats
-    # (about 20 evaluations), certifies the rest of the bracket mostly
-    # from the values it already holds, and the profile is read once
-    # more at the root
+    # (about 20 evaluations), and certifies the rest of the bracket
+    # mostly from the values it already holds; these are the search's
+    # calls of integral, and the pair at the root is read once more
     calls = []
-    parts = steady_state._Profile.parts
+    integral = steady_state._Profile.integral
 
     def counted(profile, M):
         calls.append(M)
-        return parts(profile, M)
-    monkeypatch.setattr(steady_state._Profile, "parts", counted)
+        return integral(profile, M)
+    monkeypatch.setattr(steady_state._Profile, "integral", counted)
     model = SmoothSaturatingRate(k0=0.5, k1=2.0, lam=0.5)
     solve_steady_state(model, _grid(dx=1e-3))
     assert len(calls) <= 50
@@ -98,12 +98,12 @@ def test_a_diverging_integral_is_found_by_the_one_check_at_lo(monkeypatch):
     # k(x_max) = 0 and the tail is infinite; I is nonincreasing, so the
     # first evaluation, at lo, is the only one needed
     calls = []
-    parts = steady_state._Profile.parts
+    integral = steady_state._Profile.integral
 
     def counted(profile, M):
         calls.append(M)
-        return parts(profile, M)
-    monkeypatch.setattr(steady_state._Profile, "parts", counted)
+        return integral(profile, M)
+    monkeypatch.setattr(steady_state._Profile, "integral", counted)
     grid = AgeGrid(dx=0.01, n_cells=40)
     model = StepRate(sigma_plus=0.5, sigma_minus=0.25, lam=1.0)
     assert model.rate(grid.x_max, 1e-6) == 0.0 < model.rate(grid.x_max, 1.0)
@@ -141,6 +141,13 @@ def test_bracket_validation_and_failure():
         solve_steady_state(model, grid)
     with pytest.raises(ValueError, match="must exceed 1e-06"):
         regime_scan(model, [0.0], grid)
+
+
+@pytest.mark.parametrize("M", [0.0, -0.5, math.nan, math.inf])
+def test_steady_state_at_refuses_an_activity_off_the_bracket(M):
+    with pytest.raises(ValueError, match="positive and finite"):
+        steady_state.steady_state_at(SmoothSaturatingRate(k0=0.5, k1=2.0),
+                                     _grid(dx=0.01, x_max=4.0), M)
 
 
 def test_regime_scan_rows():
@@ -202,6 +209,35 @@ def _reference_residual(model, grid, M):
     return M * (float(cell_int.sum()) + tail) - 1.0
 
 
+def _separable_parts(model, grid, M):
+    # the smooth family's separable formula written out with fresh
+    # arrays: K = g * A with g = gain(lam*M) and A the closed-form age
+    # integral, and np.where on the cells with dA <= 0
+    dx, g, x = grid.dx, model.gain(M), grid.edges
+    A = x + model.x_scale * np.expm1(-x / model.x_scale)
+    dA = np.diff(A)
+    E = np.exp(-(g * A))
+    dE = E[:-1] * np.expm1(-(g * dA))
+    with np.errstate(divide="ignore", over="ignore"):
+        w = dx / dA
+    fires = (w > 0.0) & (w < math.inf)
+    w = np.where(fires, w, 0.0)
+    k_end = float(model.rate(grid.x_max, M))
+    tail = float(E[-1]) / k_end if k_end > 0.0 else math.inf
+    integral = float(np.dot(dE, w)) / -g
+    if not fires.all():
+        integral += dx * float(E[:-1][~fires].sum())
+    cell_int = np.where(fires, dE * w / -g, dx * E[:-1])
+    return integral + tail, cell_int, -float(dE.sum()), tail, E
+
+
+def _formula_residual(model, grid, M):
+    # the residual of the formula that the evaluator implements
+    if isinstance(model, SmoothSaturatingRate):
+        return M * _separable_parts(model, grid, M)[0] - 1.0
+    return _reference_residual(model, grid, M)
+
+
 @st.composite
 def _families(draw):
     positive = st.floats(0.05, 5.0)
@@ -234,38 +270,97 @@ def _same(a, b):
 # every cell fires: the division without a mask
 @example(model=SmoothSaturatingRate(k0=0.5, k1=2.0, lam=0.5), dx=0.01,
          n_cells=300, mus=[0.3, 2.0])
+# the age integral rounds to 0 or below on most cells, which hold dx * E
+@example(model=SmoothSaturatingRate(k0=0.5, k1=2.0, lam=0.5, x_scale=1e16),
+         dx=0.01, n_cells=300, mus=[0.3, 2.0])
 # the cells below the step threshold have no rate and hold dx * E
 @example(model=StepRate(lam=0.3), dx=0.01, n_cells=300, mus=[0.0, 0.6])
 def test_profile_equals_the_reference_formula(model, dx, n_cells, mus):
+    # the step and constant families evaluate the reference formula bit
+    # for bit; the smooth family evaluates its separable copy bit for bit
     grid = AgeGrid(dx=dx, n_cells=n_cells)
     profile = steady_state._Profile(model, grid)
     for mu in mus + [0.0]:
         cell_int, tail, E, kc, shed = _reference_parts(model, grid, mu)
-        assert _same(profile.residual(mu),
-                     _reference_residual(model, grid, mu))
+        integral = profile.integral(mu)
+        assert _same(mu * integral - 1.0, _formula_residual(model, grid, mu))
+        # exp(-g*A) rounds as exp(-K) with K = g*A from cumulative
+        assert _same(profile.E, E)
+        ss = profile.steady_state(mu)
+        if profile.separable is not None:
+            total, cells, absorbed, tail, _ = _separable_parts(model, grid,
+                                                               mu)
+            assert _same(integral, total) and _same(profile.tail, tail)
+            assert _same(ss.F, mu * cells / dx)
+            assert _same(ss.residual_activity,
+                         abs(mu * (absorbed + E[-1]) - mu))
+            continue
         # K on the edges and the horizon rate come from the stepper
         assert _same(profile.K[1:], model.cumulative(grid.edges[1:], mu))
         assert profile.stepper.end_rate(mu) == model.rate(grid.x_max, mu)
         assert _same(profile.cell_int, cell_int) and _same(profile.tail, tail)
-        assert _same(profile.E, E) and _same(profile.kc, kc)
-        assert _same(profile.shed, shed)
+        assert _same(profile.kc, kc) and _same(profile.shed, shed)
+        assert _same(ss.F, mu * cell_int / dx)
+        assert _same(ss.residual_activity,
+                     abs(mu * (float((E[:-1] * shed).sum()) + E[-1]) - mu))
 
 
 @pytest.mark.parametrize("model, fires_everywhere", [
     (SmoothSaturatingRate(k0=0.5, k1=2.0, lam=0.5), True),
     (ConstantRate(k0=1.5), True),
-    (StepRate(lam=0.3), False)], ids=["smooth", "constant", "step"])
+    (StepRate(lam=0.3), False),
+    (SmoothSaturatingRate(k0=0.5, k1=2.0, lam=0.5, x_scale=1e16), False)],
+    ids=["smooth", "constant", "step", "smooth-idle"])
 def test_profile_branches(model, fires_everywhere):
-    # the oracle above covers both the unmasked division and the cells
-    # with no rate
+    # the oracles above cover both the unmasked division and the cells
+    # with no rate, which hold dx * E in both forms
     grid = _grid(dx=0.01, x_max=3.0)
     profile = steady_state._Profile(model, grid)
-    profile.residual(0.6)
-    assert bool(profile.kc.min() > 0.0) == fires_everywhere
+    F = profile.steady_state(0.6).F
     cell_int, _, E, kc, _ = _reference_parts(model, grid, 0.6)
-    assert np.array_equal(profile.cell_int, cell_int)
+    if profile.separable is None:
+        assert bool(profile.kc.min() > 0.0) == fires_everywhere
+        assert np.array_equal(profile.cell_int, cell_int)
+    else:
+        idle = profile.separable[4]
+        assert bool(idle.size == 0) == fires_everywhere
+        assert np.array_equal(F, 0.6 * _separable_parts(model, grid,
+                                                        0.6)[1] / grid.dx)
+        # a cell with dA <= 0 has kc <= 0 in the reference formula too
+        assert np.all(kc[idle] <= 0.0)
     idle = kc <= 0.0
-    assert np.array_equal(profile.cell_int[idle], grid.dx * E[:-1][idle])
+    assert np.array_equal(F[idle], 0.6 * (grid.dx * E[:-1][idle]) / grid.dx)
+
+
+@settings(max_examples=200, deadline=None)
+@given(k0=st.floats(0.05, 5.0), span=st.floats(0.0, 5.0),
+       lam=st.floats(0.0, 5.0), mu_scale=st.floats(0.05, 5.0),
+       x_scale=st.one_of(st.floats(0.05, 5.0), st.floats(1e6, 1e18)),
+       dx=st.floats(1e-3, 0.5), n_cells=st.integers(2, 400),
+       mus=st.lists(st.floats(0.0, 10.0), min_size=2, max_size=6))
+@example(k0=0.5, span=1.5, lam=0.5, mu_scale=1.0, x_scale=1e16, dx=0.01,
+         n_cells=300, mus=[0.3, 2.0])
+def test_the_separable_integral_equals_the_reference_formula(
+        k0, span, lam, mu_scale, x_scale, dx, n_cells, mus):
+    # the smooth family's separable I(M) against the per-edge reference,
+    # which takes K from the public cumulative: equal to rounding,
+    # nonincreasing in M, and dx * E on every cell with dA <= 0
+    model = SmoothSaturatingRate(k0=k0, k1=k0 + span, lam=lam,
+                                 mu_scale=mu_scale, x_scale=x_scale)
+    grid = AgeGrid(dx=dx, n_cells=n_cells)
+    profile = steady_state._Profile(model, grid)
+    idle = profile.separable[2] <= 0.0
+    integrals = []
+    for mu in sorted(mus):
+        cell_int, tail, E, _, _ = _reference_parts(model, grid, mu)
+        reference = float(cell_int.sum()) + tail
+        integrals.append(profile.integral(mu))
+        assert integrals[-1] == pytest.approx(reference, rel=1e-14, abs=0.0)
+        F = profile.steady_state(mu).F
+        assert np.array_equal(F[idle], mu * (dx * E[:-1][idle]) / dx)
+    # to rounding: each I is a sum of rounded terms
+    assert all(b <= a * (1.0 + 1e-14)
+               for a, b in zip(integrals, integrals[1:]))
 
 
 def _sign_scan(f, lo, hi, cells, tol):
@@ -305,13 +400,13 @@ def _listed(model, grid, lo, hi, cells):
 @given(model=_families(), dx=st.floats(5e-3, 0.2),
        n_cells=st.integers(20, 300))
 def test_stationary_roots_equal_a_scan_of_the_reference(model, dx, n_cells):
-    # every root that a 40-cell sign scan of the reference residual
+    # every root that a 40-cell sign scan of the evaluator's formula
     # finds is listed bit for bit; any other listed root is a root too
     grid = AgeGrid(dx=dx, n_cells=n_cells)
     lo, hi = 1e-6, model.k1
 
     def reference(M):
-        return _reference_residual(model, grid, M)
+        return _formula_residual(model, grid, M)
     try:
         expected = _sign_scan(reference, lo, hi, 40, 1e-12)
     except BracketError:

@@ -141,9 +141,11 @@ def steady(*, calls=5):
     turns, each timing `calls` calls of each kind after one untimed one.
     `profile_us`: the median microseconds, over 200 calls, to build one
     `steady_state._Profile` (its stepper and buffers) per model, the
-    binding that each root search makes.  The outputs are M, the
-    scan's roots and the untimed call's evaluations (calls of
-    `steady_state._Profile.parts`)."""
+    binding that each root search makes.  `evaluation_us`: the median
+    microseconds, over 2000 calls, of one evaluation of the
+    normalization integral (`steady_state._Profile.integral`) per model,
+    at the solve's M.  The outputs are M, the scan's roots and the
+    untimed call's evaluations (calls of `_Profile.integral`)."""
     import functools
     import agenet
     from agenet import steady_state
@@ -160,14 +162,19 @@ def steady(*, calls=5):
         "solve": lambda m, g: agenet.solve_steady_state(m, g).M,
         "scan_row": lambda m, g: agenet.regime_scan(m, [m.lam], g)[0].roots,
     }
-    parts = steady_state._Profile.parts
+    integral = steady_state._Profile.integral
     evaluations = [0]
 
     def counted(profile, M):
         evaluations[0] += 1
-        return parts(profile, M)
+        return integral(profile, M)
 
-    ms, evals, values, profile_us = {}, {}, {}, {}
+    def evaluation(model, grid):
+        profile = steady_state._Profile(model, grid)
+        M = agenet.solve_steady_state(model, grid).M
+        return _median_s(lambda: profile.integral(M), 2000) * 1e6
+
+    ms, evals, values, profile_us, evaluation_us = {}, {}, {}, {}, {}
     for cells in (1000, 10000):
         grid = agenet.AgeGrid(dx=10.0 / cells, n_cells=cells)
         ms[cells], evals[cells], values[cells] = {}, {}, {}
@@ -175,19 +182,22 @@ def steady(*, calls=5):
             name: _median_s(lambda: steady_state._Profile(model, grid),
                             200) * 1e6
             for name, model in models.items()}
+        evaluation_us[cells] = {name: evaluation(model, grid)
+                                for name, model in models.items()}
         for kind, fn in kinds.items():
             ms[cells][kind], evals[cells][kind] = {}, {}
             values[cells][kind] = {}
             for name, model in models.items():
-                steady_state._Profile.parts = counted
+                steady_state._Profile.integral = counted
                 evaluations[0] = 0
                 value = fn(model, grid)
-                steady_state._Profile.parts = parts
+                steady_state._Profile.integral = integral
                 ms[cells][kind][name] = _median_s(
                     lambda: fn(model, grid), calls) * 1e3
                 evals[cells][kind][name] = evaluations[0]
                 values[cells][kind][name] = repr(value)
-    return ({"ms": ms, "profile_us": profile_us},
+    return ({"ms": ms, "profile_us": profile_us,
+             "evaluation_us": evaluation_us},
             {"evaluations": evals, "values": values})
 
 
