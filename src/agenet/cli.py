@@ -326,14 +326,15 @@ def _cmd_simulate(args):
               "column will be empty", file=sys.stderr)
         steady = None
     trace = run(cfg, f0, steady=steady)
+    # Python floats format as the numpy scalars do, at a fraction of the
+    # cost; a missing distance formats as an empty field
     dist = trace.l1_dist_to_F
-    rows = []
-    for i in range(trace.times.size):
-        rows.append([
-            _fmt(trace.times[i]), _fmt(trace.m_series[i]),
-            _fmt(trace.p_series[i]), _fmt(trace.mass_series[i]),
-            _fmt(dist[i]) if dist is not None else "",
-            _fmt(trace.linf_series[i]), _fmt(trace.l1q_series[i])])
+    columns = [trace.times, trace.m_series, trace.p_series,
+               trace.mass_series, dist, trace.linf_series,
+               trace.l1q_series]
+    columns = [[None] * trace.times.size if column is None
+               else column.tolist() for column in columns]
+    rows = [[_fmt(x) for x in row] for row in zip(*columns)]
     _write_csv(args.out, ["t", "m", "p", "mass", "l1_dist", "linf", "l1q"],
                rows)
     drift = float(np.max(np.abs(trace.mass_series - 1.0)))

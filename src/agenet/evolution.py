@@ -8,21 +8,25 @@ mesh: the absorbed mass plus the mass advected past the age horizon.
 So p is the cell sum less the survivors that stay, one full sum per
 step, and the new cell sum is p plus those survivors: mass is
 conserved by construction.  step() and run() share one kernel,
-_advance.
+_transport.
 
 The rate family's bound stepper, model.stepper(grid), holds the one
 copy of the activity map and of the factors exp(-k dt): its solve() is
 the implicit activity solve, falling back to its roots() list when the
-iteration stalls, and its survive() writes the density times the
-factors.  run() binds one stepper for its initial solve and all its
-steps, steps inside two preallocated buffers and carries the cell sum
-from step to step; step() binds one per call, with the same
-arithmetic, so run() equals a loop of step() and a fresh stepper's
-solve() bit for bit.  solve_activity_implicit() binds one per call
-too, solves from a cold start, and also refuses a settled
-root of a staircase map that holds another.  stepper_equilibrium()
-builds its profiles from one bound stepper too, so the reference a run
-relaxes to uses the run's own factors.
+iteration stalls, and its decay() multiplies the density by the
+factors where it lies.  run() binds one stepper for its initial solve
+and all its steps and carries the cell sum from step to step.  Its
+density is a window of one buffer twice its length: each step decays
+the window in place and writes p in the cell before it, so the window
+slides one cell toward the buffer's start and the shift costs
+nothing; when it reaches the start, it is copied back to the end, once
+per n_cells steps.  step() binds one stepper per call, with the same
+kernel, so run() equals a loop of step() and a fresh stepper's solve()
+bit for bit.  solve_activity_implicit() binds one per call too, solves
+from a cold start, and also refuses a settled root of a staircase map
+that holds another.  stepper_equilibrium() builds its profiles from
+one bound stepper too, decaying a vector of ones, so the reference a
+run relaxes to uses the run's own factors.
 """
 
 from __future__ import annotations
@@ -196,39 +200,58 @@ def solve_activity_implicit(model, grid, values):
     return ActivitySolution(m=m, iterations=iterations, method=method)
 
 
-def _advance(values, total, stepper, out, t, m):
+# A step keeps its density's sum for the recount of p unless the
+# family's discharge floor passes _CLEARANCE * (n + 2) * total.  total
+# and rest are sums of n nonnegative cells in different orders, each
+# within (n - 1)u/(1 - (n - 1)u) of its exact value (u the unit
+# roundoff), so p = total - rest cannot fall below zero once the exact
+# discharge passes about n eps total; the floors are themselves within
+# a few such roundings of total, hence the margin of 4 (eps = 2**-52).
+_CLEARANCE = 4.0 * 2.0 ** -52
+
+_add, _max = np.add.reduce, np.maximum.reduce
+
+
+def _transport(buf, s, window, total, stepper, m, t, shed=0.0):
     """The transport kernel of step() and run().
 
-    values is the density and total its cell sum, cell_sum(values).
-    The survivors, values times the survival factors at m that the
-    family's stepper writes, go to out[1:], one cell older, and the
-    discharge p to out[0], so out has one cell more than values and
-    out[:-1] is the new density.  p is total less rest, the survivors
-    that stay on the mesh: the absorbed mass plus the outflow past
-    x_max, per dx.  Returns p and the new density's cell sum p + rest,
-    which is total up to one rounding."""
-    survived = out[1:]
-    stepper.survive(values, m, survived)
-    rest = float(out[1:-1].sum())
+    The density is window, the view buf[s:s + n] with s >= 1, and total
+    its cell sum, cell_sum(window).  The family's stepper decays it in
+    place by the survival factors at m, and the discharge p goes to
+    buf[s - 1], so buf[s - 1:s - 1 + n] is the new density, one cell
+    older, and buf[s - 1 + n] the outflow past x_max.  p is total less
+    rest, the survivors that stay on the mesh: the absorbed mass plus
+    the outflow, per dx.  shed is what the last call with this stepper
+    returned, if the density is that call's new one, and 0 otherwise;
+    the step family's discharge floor reads it.  Returns p, the new
+    density's cell sum p + rest, which is total up to one rounding, and
+    the new shed: p less the density's last cell, the mass that the
+    cells which stay on the mesh shed."""
+    last = float(window[-1])
+    before = None
+    if not (stepper.discharge_floor(window, m, total, shed)
+            > _CLEARANCE * (len(window) + 2) * total):
+        before = float(_add(window))
+    stepper.decay(window, m)
+    rest = float(_add(window[:-1]))
     p = total - rest
-    if p < 0.0:
+    if p < 0.0 and before is not None:
         # total and rest are summed on different trees, so where nothing
         # fires p can land an ulp below zero.  On one tree, survival <= 1
         # keeps the recount >= 0.
-        p = ((float(values.sum()) - float(survived.sum()))
-             + float(survived[-1]))
-    out[0] = p
-    if p < 0.0 or out[-2] < 0.0:
+        p = (before - float(_add(window))) + float(window[-1])
+    buf[s - 1] = p
+    if p < 0.0 or window[-2] < 0.0:
         raise InvariantViolationError(
             "negative density produced by a transport step",
             {"t": t, "p": p, "m": m})
-    return p, p + rest
+    return p, p + rest, p - last
 
 
 def _check_nonnegative(values, t):
-    """Refuse a density with a negative cell.  _advance then keeps every
-    cell nonnegative, since its survival factors lie in (0, 1], so its
-    own check reads only p and the last cell kept."""
+    """Refuse a density with a negative cell.  _transport then keeps
+    every cell nonnegative, since its survival factors lie in (0, 1],
+    so its own check reads only p and the last cell kept."""
     low = int(np.argmin(values))
     if values[low] < 0.0:
         raise InvariantViolationError(
@@ -242,11 +265,13 @@ def step(state, m, config):
     grid = config.grid
     values = state.values
     _check_nonnegative(values, state.t)
-    out = np.empty(grid.n_cells + 1)
-    p, _ = _advance(values, cell_sum(values), config.model.stepper(grid),
-                    out, state.t, m)
-    new = out[:-1]
-    return DensityState(values=new, mass=float(new.sum()) * grid.dx, m=m,
+    cells = grid.n_cells
+    buf = np.empty(cells + 1)
+    buf[1:] = values
+    p, _, _ = _transport(buf, 1, buf[1:], cell_sum(values),
+                         config.model.stepper(grid), m, state.t)
+    new = buf[:-1]
+    return DensityState(values=new, mass=float(_add(new)) * grid.dx, m=m,
                         p=p, t=state.t + grid.dx), p
 
 
@@ -310,7 +335,7 @@ def run(config, f0, steady=None):
     # initial activity: the self-consistent discharge of f0, which also
     # pads the pre-history for delayed kernels, from the same bound
     # stepper as every step's solve.  The density's cell sum goes to
-    # every solve; _advance returns the next one.
+    # every solve; _transport returns the next one.
     stepper = model.stepper(grid)
     solve = stepper.solve
     total = cell_sum(state.values)
@@ -338,12 +363,12 @@ def run(config, f0, steady=None):
     weight, work = _moment_weight(grid, config.q), np.empty(grid.n_cells)
 
     def _record(t, values, m, p, absorbed):
-        mass = float(values.sum()) * grid.dx
+        mass = float(_add(values)) * grid.dx
         times.append(t)
         m_series.append(m)
         p_series.append(p)
         mass_series.append(mass)
-        sup = float(np.max(values))
+        sup = float(_max(values))
         linf_series.append(sup)
         l1q_series.append(_weighted_integral(weight, values, grid.dx, work))
         if dist_series is not None:
@@ -372,42 +397,62 @@ def run(config, f0, steady=None):
     m_cap = k1 if history is None else m0
     _record(0.0, state.values, m0, m0, m0)
 
-    # the density lives in cur[:cells]; each step writes the next one
-    # into nxt and the two swap, so the loop allocates no cell arrays
+    # the density is the window buf[s:s + cells]; each step writes p in
+    # the cell before it and slides it there, and a window at the start
+    # is copied back to the end, so the loop allocates no cell arrays
     cells = grid.n_cells
-    cur = np.empty(cells + 1)
-    nxt = np.empty(cells + 1)
-    cur[:cells] = state.values
+    buf = np.empty(2 * cells)
+    s = cells
+    buf[s:] = state.values
     t = state.t
     m = p = m0
-    for n in range(1, n_steps + 1):
-        values = cur[:cells]
-        if kernel.is_dirac:
+    shed = 0.0
+    record_every, isfinite = config.record_every, math.isfinite
+    if history is None:
+        for n in range(1, n_steps + 1):
+            if not s:
+                buf[cells:] = buf[:cells]
+                s = cells
+            window = buf[s:s + cells]
             try:
-                m, iterations, method = solve(values, total, m)
+                m, iterations, method = solve(window, total, m)
             except AmbiguousActivityError as exc:
                 exc.t = t
                 raise
             solves[method] += 1
             if iterations > most_iterations:
                 most_iterations = iterations
-        else:
-            m = history.activity()
-        p, total = _advance(values, total, stepper, nxt, t, m)
-        cur, nxt = nxt, cur
-        t = n * dt
-        if history is not None:
-            history.push(p)
+            p, total, shed = _transport(buf, s, window, total, stepper, m,
+                                        t, shed)
+            s -= 1
+            t = n * dt
+            if not (isfinite(p) and isfinite(m)):
+                raise InvariantViolationError(
+                    "non-finite step output", {"t": t, "m": m, "p": p})
+            if n % record_every == 0 or n == n_steps:
+                _record(t, buf[s:s + cells], m, p, p - float(buf[s + cells]))
+    else:
+        activity, push = history.activity, history.push
+        for n in range(1, n_steps + 1):
+            if not s:
+                buf[cells:] = buf[:cells]
+                s = cells
+            m = activity()
+            p, total, shed = _transport(buf, s, buf[s:s + cells], total,
+                                        stepper, m, t, shed)
+            s -= 1
+            t = n * dt
+            push(p)
             m_cap = max(m_cap, p)
-        if not (math.isfinite(p) and math.isfinite(m)):
-            raise InvariantViolationError(
-                "non-finite step output", {"t": t, "m": m, "p": p})
-        if n % config.record_every == 0 or n == n_steps:
-            _record(t, cur[:cells], m, p, p - float(cur[cells]))
+            if not (isfinite(p) and isfinite(m)):
+                raise InvariantViolationError(
+                    "non-finite step output", {"t": t, "m": m, "p": p})
+            if n % record_every == 0 or n == n_steps:
+                _record(t, buf[s:s + cells], m, p, p - float(buf[s + cells]))
 
     # the last step is always recorded, with a fresh mass
-    final = DensityState(values=cur[:cells].copy(), mass=mass_series[-1],
-                         m=m, p=p, t=t)
+    final = DensityState(values=buf[s:s + cells].copy(),
+                         mass=mass_series[-1], m=m, p=p, t=t)
     return SimulationTrace(
         times=np.asarray(times),
         m_series=np.asarray(m_series),
@@ -476,14 +521,14 @@ def stepper_equilibrium(model, grid):
 
     mids = grid.midpoints
     dx = grid.dx
-    # the run's own factors: survive(ones) writes them bit for bit,
-    # since x * 1.0 = x
-    survive = model.stepper(grid).survive
-    ones = np.ones(grid.n_cells)
+    # the run's own factors: decay on ones gives them bit for bit,
+    # since 1.0 * x = x
+    decay = model.stepper(grid).decay
     factors = np.empty(grid.n_cells)
 
     def profile(m):
-        s = survive(ones, m, factors)
+        factors.fill(1.0)
+        s = decay(factors, m)
         f = np.empty(grid.n_cells)
         f[0] = 1.0
         np.cumprod(s[:-1], out=f[1:])

@@ -29,17 +29,30 @@ ascending, with the same arithmetic; solve falls back to that list
 after _MAX_ITER = 200 steps.  Its one_root is true when G has at
 most one fixed point by construction (the constant and smooth maps),
 and false for the step family's staircase, whose settled roots the
-public solve checks against that list.  Its survive(values, mu, out)
-writes values * np.exp(-rate(midpoints, mu) * dx) into out, bit for
-bit.  total is the density's cell sum,
-grid.cell_sum(values): a caller that already holds it passes it, and
-the stepper does not sum the density again.  The step family's map
-costs one sequential prefix sum over the cells below sigma_plus per
-density, then one bisection and one subtraction per mu.
+public solve checks against that list.  Its decay(window, mu)
+multiplies the density in place by its factors, bit for bit
+window * np.exp(-rate(midpoints, mu) * dx): the step family multiplies
+the cells from its threshold cell on by exp(-dx), the constant family
+makes one scalar multiply, and the smooth family builds its factors in
+a bound work buffer, then makes one in-place multiply.  Its
+discharge_floor(values, mu, total, shed) bounds from below, within a
+few roundings of total, the mass that decay(values, mu) sheds,
+sum(values * (1 - factors)), from scalars it already holds: (1 -
+largest factor) * total for the constant and smooth families.  For
+the step family it is exp(-dx) times shed, the mass its last decay
+shed from the cells that stay on the mesh, where values is that
+decayed density one cell older and the threshold cell has moved at
+most one cell on since; else 0 (shed 0 says values has no such
+past).  total is the density's cell sum, grid.cell_sum(values): a
+caller that already holds it passes it, and the stepper does not sum
+the density again.  The step family's map costs one sequential prefix
+sum over the cells below sigma_plus per density, into a buffer bound
+once, then one bisection and one subtraction per mu, and no bisection
+at the mu where it or decay last landed.
 
 The stepper also serves the stationary solve.  The smooth family's
 separable_profile() gives K = gain(mu) * A(x) in separable form, bound
-on first use as the factors of survive are: the gain, the age integral
+on first use as the factors of decay are: the gain, the age integral
 A on every edge (gain(mu) * A is bit for bit cumulative(grid.edges,
 mu)), its cell increments dA, the weights dx/dA with 0 on the idle
 cells (dA <= 0, or dx/dA overflows), those idle cells, and the age
@@ -151,12 +164,14 @@ class _ConstantStepper(_Stepper):
     k0 * total * dx, every cell decays by one factor, and K on the edges
     is k0 * edges."""
 
-    __slots__ = ("_model", "_grid", "_dx", "_factor")
+    __slots__ = ("_model", "_grid", "_dx", "_factor", "_share")
     one_root = True
 
     def __init__(self, model, grid):
         self._model, self._grid, self._dx = model, grid, grid.dx
-        self._factor = None     # exp(-k0 * dx), on the first survive
+        # exp(-k0 * dx) and the share 1 - exp(-k0 * dx) that every cell
+        # sheds, on the first decay or discharge_floor
+        self._factor = self._share = None
 
     def roots(self, values, total=None):
         if total is None:
@@ -169,14 +184,24 @@ class _ConstantStepper(_Stepper):
         step = self.roots(values, total)[0], 1.0
         return lambda mu: step
 
-    def survive(self, values, mu, out):
+    def _bind_factor(self):
+        # from a vector exp, as the rate expression
+        # np.exp(-rate(midpoints, mu) * dx) takes it in every cell, kept
+        # as a 0-d array: a multiply skips a Python float's conversion
+        self._factor = np.exp(-np.full(1, self._model.k0) * self._dx)
+        self._factor.shape = ()
+        self._share = 1.0 - float(self._factor)
+
+    def decay(self, window, mu):
         _check_mu(mu)
         if self._factor is None:
-            # from a vector exp, as the rate expression
-            # np.exp(-rate(midpoints, mu) * dx) takes it in every cell
-            self._factor = float(
-                np.exp(-np.full(1, self._model.k0) * self._dx)[0])
-        return np.multiply(values, self._factor, out=out)
+            self._bind_factor()
+        return np.multiply(window, self._factor, out=window)
+
+    def discharge_floor(self, values, mu, total, shed):
+        if self._share is None:
+            self._bind_factor()
+        return self._share * total
 
     def edge_cumulative(self, mu, out):
         _check_mu(mu)
@@ -194,16 +219,18 @@ class _SmoothStepper(_Stepper):
     slope.  The stationary solve reads K = gain(mu) * A(x) from its
     separable pieces."""
 
-    __slots__ = ("_model", "_grid", "_shape", "_dx", "_gain", "_rate",
-                 "_span", "_separable")
+    __slots__ = ("_model", "_grid", "_shape", "_factors", "_minus_dx",
+                 "_least", "_dx", "_gain", "_rate", "_span", "_separable")
     one_root = True     # gain is concave
 
     def __init__(self, model, grid):
         self._model, self._grid = model, grid
         self._separable = None      # on the first separable_profile
-        # the age factor 1 - exp(-x/x_scale), on the first _weight or
-        # survive: the stationary solve reads neither
-        self._shape = None
+        # the age factor 1 - exp(-x/x_scale), on the first _weight, decay
+        # or discharge_floor, and the work buffer of decay's factors, -dx
+        # and the least share a cell sheds, on the first decay or
+        # discharge_floor: the stationary solve reads none of them
+        self._shape = self._factors = self._minus_dx = self._least = None
         self._dx = grid.dx
         self._gain = model.gain
         # gain'(mu) = (k1 - k0)(lam/mu_scale) exp(-lam*mu/mu_scale), and
@@ -214,6 +241,17 @@ class _SmoothStepper(_Stepper):
 
     def _bind_shape(self):
         self._shape = -np.expm1(-self._grid.midpoints / self._model.x_scale)
+
+    def _bind_decay(self):
+        if self._shape is None:
+            self._bind_shape()
+        self._factors = np.empty(self._grid.n_cells)
+        # a 0-d array, as the constant family's factor
+        self._minus_dx = np.array(-self._dx)
+        # the shape rises with age and the gain from k0 at rest, so the
+        # youngest cell at rest keeps the largest factor
+        self._least = -math.expm1(
+            -(float(self._shape[0]) * self._model.k0) * self._dx)
 
     def _weight(self, values):
         # the age integral of G = gain(mu) * weight; the cell sum does
@@ -241,16 +279,21 @@ class _SmoothStepper(_Stepper):
             return lambda mu: (gain(mu) * weight, 1.0)
         return lambda mu: (gain(mu) * weight, scale * math.exp(-rate * mu))
 
-    def survive(self, values, mu, out):
-        # exp(-(gain * shape) * dx) in out, bit for bit the rate
-        # expression (negation is exact), then times values
+    def decay(self, window, mu):
+        # the factors exp(-(gain * shape) * dx), bit for bit the rate
+        # expression (negation is exact), then window times them
         _check_mu(mu)
-        if self._shape is None:
-            self._bind_shape()
-        np.multiply(self._shape, self._gain(mu), out=out)
-        out *= -self._dx
-        np.exp(out, out=out)
-        return np.multiply(values, out, out=out)
+        if self._factors is None:
+            self._bind_decay()
+        factors = np.multiply(self._shape, self._gain(mu), out=self._factors)
+        np.multiply(factors, self._minus_dx, out=factors)
+        np.exp(factors, out=factors)
+        return np.multiply(window, factors, out=window)
+
+    def discharge_floor(self, values, mu, total, shed):
+        if self._least is None:
+            self._bind_decay()
+        return self._least * total
 
     def separable_profile(self):
         # K = gain(mu) * A(x): (gain, A on the edges, dA, dx/dA with 0
@@ -270,26 +313,32 @@ class _SmoothStepper(_Stepper):
 
 class _StepStepper(_Stepper):
     """StepRate on one grid: the threshold map is bound, and the cells its
-    prefix sums cover, the midpoints up to them and exp(-dx) on first
-    use.  The activity map is a staircase over threshold cells: while the
-    threshold falls in cell j it takes the plateau mass - heads[j-1]*dx,
-    the mass past cell j.  Its solve takes fixed-point steps, and
-    survive reuses the cell that the map last landed in.  K on the
-    edges is max(edges - threshold, 0)."""
+    prefix sums cover, the midpoints up to them, the buffer of the
+    prefix sums and exp(-dx) on first use.  The activity map is a
+    staircase over threshold cells: while the threshold falls in cell j
+    it takes the plateau mass - heads[j-1]*dx, the mass past cell j.
+    The map reads the one heads buffer, so it holds until the next bind
+    or roots call.  Its solve takes fixed-point steps; the map and decay
+    reuse the cell that either last landed in at the same mu, as a warm
+    start or a step after a solve does.  K on the edges is
+    max(edges - threshold, 0)."""
 
-    __slots__ = ("_model", "_grid", "_threshold", "_mids", "_reach", "_dx",
-                 "_decay", "_mu", "_idx")
+    __slots__ = ("_model", "_grid", "_threshold", "_mids", "_reach",
+                 "_heads", "_dx", "_decay", "_kept", "_mu", "_idx",
+                 "_fired")
     one_root = False    # the staircase can hold several
 
     def __init__(self, model, grid):
         self._model, self._grid = model, grid
         self._threshold = model.threshold
-        # on the first bind, roots or survive: the stationary solve
-        # reads neither
-        self._reach = self._mids = None
+        # on the first bind, roots, decay or discharge_floor: the
+        # stationary solve reads none of them
+        self._reach = self._mids = self._heads = None
         self._dx = grid.dx
-        self._decay = None              # exp(-dx), on the first survive
-        self._mu = self._idx = None     # the map's last mu and its cell
+        # exp(-dx), as a 0-d array and a float, on the first decay
+        self._decay = self._kept = None
+        self._mu = self._idx = None     # the last mu and its cell
+        self._fired = None              # the last decay's threshold cell
 
     def _bind_cells(self):
         model, grid = self._model, self._grid
@@ -299,6 +348,7 @@ class _StepStepper(_Stepper):
         # keeps every cell.
         self._reach = grid.n_cells if model.sigma is not None else int(
             grid.midpoints.searchsorted(model.threshold(0.0), side="right"))
+        self._heads = np.empty(self._reach)
         # bisect_right on these midpoints counts those <= t, as
         # midpoints.searchsorted(t, side="right") does (a NaN counts them
         # all in both), at a third of its per-call cost.  No threshold
@@ -306,6 +356,22 @@ class _StepStepper(_Stepper):
         # prefix sums, as on the whole mesh.
         cells = min(self._reach + 1, grid.n_cells)
         self._mids = grid.midpoints[:cells].tolist()
+
+    def _bind_decay(self):
+        # exp(-1 * dx), taken from a vector exp like the full expression,
+        # kept as a 0-d array for the multiply as the constant family's
+        self._decay = np.exp(-np.ones(1) * self._dx)
+        self._decay.shape = ()
+        self._kept = float(self._decay)
+        if self._mids is None:
+            self._bind_cells()
+
+    def _cell(self, mu):
+        # the threshold cell at mu
+        if mu != self._mu:
+            self._mu, self._idx = mu, bisect.bisect_right(
+                self._mids, self._threshold(mu))
+        return self._idx
 
     def _plateaus(self, values, total):
         # The mass (the cell sum times dx) and heads, the sequential
@@ -316,7 +382,8 @@ class _StepStepper(_Stepper):
             self._bind_cells()
         if total is None:
             total = cell_sum(values)
-        return total * self._dx, np.add.accumulate(values[:self._reach])
+        return total * self._dx, np.add.accumulate(values[:self._reach],
+                                                   out=self._heads)
 
     def roots(self, values, total=None):
         # plateau j is a root exactly when its own threshold falls in
@@ -333,30 +400,38 @@ class _StepStepper(_Stepper):
         cell_of = bisect.bisect_right
 
         def G(mu):
-            idx = cell_of(mids, threshold(mu))
-            self._mu, self._idx = mu, idx
+            if mu == self._mu:
+                idx = self._idx
+            else:
+                idx = cell_of(mids, threshold(mu))
+                self._mu, self._idx = mu, idx
             return (max(mass - float(heads[idx - 1]) * dx, 0.0) if idx
                     else mass), 1.0
         return G
 
-    def survive(self, values, mu, out):
+    def decay(self, window, mu):
         # cells below the threshold cell keep their value (a factor of
-        # 1), the rest decay by exp(-dx): values * exp(-rate * dx) bit
+        # 1), the rest decay by exp(-dx): window * exp(-rate * dx) bit
         # for bit
         _check_mu(mu)
         if self._decay is None:
-            # exp(-1 * dx), taken from a vector exp like the full
-            # expression
-            self._decay = float(np.exp(-np.ones(1) * self._dx)[0])
-            if self._mids is None:
-                self._bind_cells()
-        if mu == self._mu:
-            idx = self._idx
-        else:
-            idx = bisect.bisect_right(self._mids, self._threshold(mu))
-        out[:idx] = values[:idx]
-        np.multiply(values[idx:], self._decay, out=out[idx:])
-        return out
+            self._bind_decay()
+        self._fired = self._cell(mu)
+        tail = window[self._fired:]
+        np.multiply(tail, self._decay, out=tail)
+        return window
+
+    def discharge_floor(self, values, mu, total, shed):
+        # values is the last decayed density one cell older, and shed the
+        # mass that its cells past the threshold cell, less the last one,
+        # shed.  Those cells now lie one cell on; while the threshold
+        # cell lies at most there, they shed exp(-dx) times that again.
+        if not shed or self._fired is None:
+            return 0.0
+        if mu != self._mu:
+            _check_mu(mu)
+        return (self._kept * shed
+                if self._cell(mu) <= self._fired + 1 else 0.0)
 
     def edge_cumulative(self, mu, out):
         _check_mu(mu)

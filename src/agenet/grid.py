@@ -128,15 +128,16 @@ def cell_sum(values):
 
 
 def _l1_distance(u, v, dx, out):
-    # integral of |u - v|, computed in the buffer out
+    # integral of |u - v|, computed in the buffer out; the ufunc's
+    # reduce is ndarray.sum without its wrapper, bit for bit
     np.abs(np.subtract(u, v, out=out), out=out)
-    return float(out.sum() * dx)
+    return float(np.add.reduce(out)) * dx
 
 
 def _weighted_integral(weight, values, dx, out):
     # integral of weight * values, computed in the buffer out
     np.multiply(weight, values, out=out)
-    return float(out.sum() * dx)
+    return float(np.add.reduce(out)) * dx
 
 
 @lru_cache(maxsize=16)

@@ -161,7 +161,7 @@ class _Profile:
             absorbed = -float(self.dE.sum())
         F = M * cell_int / dx
         # activity consistency: M * (absorbed + exp(-K(x_max))) = M
-        residual_activity = abs(M * (absorbed + self.E[-1]) - M)
+        residual_activity = abs(M * (absorbed + float(self.E[-1])) - M)
         return SteadyState(M=M, F=F, lam=self.model.lam,
                            residual_ode=_residual_ode(self.model, self.grid,
                                                       F, M),

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
-from agenet import _roots, firing_rate
+from agenet import _roots, evolution, firing_rate
 from agenet import (AgeGrid, AmbiguousActivityError, ConstantRate,
                     DegenerateInputError, InvariantViolationError,
                     ModelInconsistencyError,
@@ -395,14 +395,15 @@ def test_steppers_match_the_generic_solve_and_survival(
             assert (public.m, public.iterations,
                     public.method) == expected
 
-    # survive writes values * exp(-k dx) bit for bit, into a view one
-    # cell into a longer buffer as run() hands it over
+    # decay multiplies values by exp(-k dx) where they lie, bit for bit,
+    # in a view one cell into a longer buffer as run() hands it over
     buffer = np.full(n_cells + 1, np.nan)
     for activity in mus:
         expected = np.multiply(values, np.exp(
             -model.rate(grid.midpoints, activity) * grid.dx))
         for bound in (stepper, model.stepper(grid)):
-            written = bound.survive(values, activity, buffer[1:])
+            buffer[1:] = values
+            written = bound.decay(buffer[1:], activity)
             assert written.tobytes() == expected.tobytes()
             assert buffer[1:].tobytes() == expected.tobytes()
 
@@ -545,6 +546,139 @@ def _public_steps(model, kernel, f0, cfg, n_steps):
     return ms, ps, state
 
 
+@pytest.mark.parametrize("kernel", [DelayKernel.dirac(),
+                                    DelayKernel.exponential(2.0)],
+                         ids=["dirac", "exponential"])
+def test_a_window_wrapped_three_times_matches_public_steps(kernel):
+    # run() slides its density one cell per step toward the start of a
+    # buffer twice its length and copies it back to the end at the
+    # start, once per n_cells steps: 3.5 times over this run
+    grid = AgeGrid(dx=0.05, n_cells=100)
+    model = StepRate(sigma_plus=0.5, sigma_minus=0.25, lam=0.3)
+    n_steps = 350
+    cfg = SimulationConfig(grid=grid, model=model, kernel=kernel,
+                           t_end=n_steps * grid.dx, record_every=1)
+    f0 = preset_density(grid, "uniform01")
+    trace = run(cfg, f0)
+    assert trace.times.size == n_steps + 1
+    ms, ps, state = _public_steps(model, kernel, f0, cfg, n_steps)
+    assert np.array_equal(trace.m_series, ms)
+    assert np.array_equal(trace.p_series, ps)
+    assert np.array_equal(trace.final_state.values, state.values)
+    assert trace.final_state.mass == state.mass
+
+
+def _two_buffer_run(model, kernel, f0, grid, n_steps):
+    # The transport as it stood before the density decayed in place:
+    # the survivors, values times the rate expression's factors, go one
+    # cell over into a second buffer, the two buffers swap, and p < 0
+    # is recounted from the sum of the density before the step.
+    # Returns the activities, discharges, final density and the number
+    # of steps that recounted p.
+    stepper = model.stepper(grid)
+    cells = grid.n_cells
+    cur, nxt = np.empty(cells + 1), np.empty(cells + 1)
+    cur[:cells] = f0.values
+    total = cell_sum(f0.values)
+    m = stepper.solve(f0.values, total)[0]
+    history = None if kernel.is_dirac else kernel.history(grid.dx, m)
+    ms, ps, recounts = [m], [m], 0
+    for _ in range(n_steps):
+        values = cur[:cells]
+        m = (stepper.solve(values, total, m)[0] if history is None
+             else history.activity())
+        survived = nxt[1:]
+        np.multiply(values, np.exp(-model.rate(grid.midpoints, m) * grid.dx),
+                    out=survived)
+        rest = float(nxt[1:-1].sum())
+        p = total - rest
+        if p < 0.0:
+            recounts += 1
+            p = ((float(values.sum()) - float(survived.sum()))
+                 + float(survived[-1]))
+        nxt[0] = p
+        total = p + rest
+        cur, nxt = nxt, cur
+        if history is not None:
+            history.push(p)
+        ms.append(m)
+        ps.append(p)
+    return ms, ps, cur[:cells].copy(), recounts
+
+
+@pytest.mark.parametrize("kernel", [DelayKernel.dirac(),
+                                    DelayKernel.exponential(2.0)],
+                         ids=["dirac", "exponential"])
+def test_a_planted_tail_recounts_p_as_the_two_buffer_step_did(kernel):
+    # Unit mass on the youngest 200 cells, below every threshold, and a
+    # tail of 1e-13 to 1e-9 in three cells at age 5: for 150 steps only
+    # the tail fires.  Up to a tail of 1e-11 its discharge sits at the
+    # rounding of the cell sum, and p = total - rest lands below zero on
+    # about a fifth of the steps.  Each such step must recount p from
+    # the density's sum before the decay, as the two-buffer step did.
+    grid = AgeGrid(dx=1e-3, n_cells=10_000)
+    model = StepRate(sigma_plus=0.5, sigma_minus=0.25, lam=0.05)
+    n_steps = 150
+    cfg = SimulationConfig(grid=grid, model=model, kernel=kernel,
+                           t_end=n_steps * grid.dx, record_every=1)
+    recounts = {}
+    for seed in range(3):
+        for tail in (1e-13, 1e-12, 1e-11, 1e-10, 1e-9):
+            values = np.zeros(grid.n_cells)
+            values[:200] = np.random.default_rng(seed).uniform(0.0, 1.0,
+                                                               200)
+            values /= values.sum() * grid.dx
+            values[5000:5003] = tail
+            f0 = DensityState(values=values, mass=grid.integrate(values),
+                              m=0.0, p=0.0, t=0.0)
+            trace = run(cfg, f0)
+            ms, ps, final, count = _two_buffer_run(model, kernel, f0, grid,
+                                                   n_steps)
+            assert np.array_equal(trace.m_series, ms)
+            assert np.array_equal(trace.p_series, ps)
+            assert np.array_equal(trace.final_state.values, final)
+            recounts[seed, tail] = count
+    # the fixture reaches the recount on every small tail
+    assert all(count >= 20 for (_, tail), count in recounts.items()
+               if tail <= 1e-11)
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=_STEPPER_FAMILIES,
+       seed=st.integers(0, 2 ** 32 - 1),
+       dx=st.sampled_from([0.2, 0.05, 0.01, 1e-3]),
+       n_cells=st.integers(2, 400),
+       support=st.floats(0.0, 1.0),
+       mus=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+def test_the_discharge_floor_lies_below_the_mass_decay_sheds(
+        model, seed, dx, n_cells, support, mus):
+    # Successive transport steps at the activities mus: at each, the
+    # family's floor (given what the step before shed) lies below the
+    # mass the decay sheds, sum(density) - sum(decayed density) summed
+    # exactly, but for a few roundings of the cell sum
+    grid = AgeGrid(dx=dx, n_cells=n_cells)
+    rng = np.random.default_rng(seed)
+    cells = max(1, int(support * n_cells))
+    buf = np.zeros(n_cells + len(mus))
+    s = len(mus)
+    buf[s:s + cells] = rng.uniform(0.0, 1.0, cells)
+    buf[s] += 1e-3
+    buf /= buf.sum() * dx
+    stepper = model.stepper(grid)
+    total, shed = cell_sum(buf[s:]), 0.0
+    allowance = 4.0 * n_cells * np.finfo(float).eps
+    for mu in mus:
+        mu *= model.k1
+        window = buf[s:s + n_cells]
+        before = math.fsum(window)
+        floor = stepper.discharge_floor(window, mu, total, shed)
+        p, total, shed = evolution._transport(buf, s, window, total,
+                                              stepper, mu, 0.0, shed)
+        assert floor <= before - math.fsum(window) + allowance * before
+        assert p >= 0.0
+        s -= 1
+
+
 _FAMILIES = st.one_of(
     st.builds(ConstantRate, k0=st.floats(0.1, 3.0)),
     st.builds(StepRate, sigma_plus=st.floats(0.3, 0.9),
@@ -611,7 +745,8 @@ def test_run_hands_the_stepper_the_exact_cell_sum(family):
         def stepper(self, grid):
             bound = super().stepper(grid)
             return SimpleNamespace(solve=recorded(bound.solve),
-                                   survive=bound.survive)
+                                   decay=bound.decay,
+                                   discharge_floor=bound.discharge_floor)
 
     grid = _grid()
     model = Recording(**dataclasses.asdict(family))
@@ -623,11 +758,11 @@ def test_run_hands_the_stepper_the_exact_cell_sum(family):
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
 def test_run_steps_on_survival_factors_not_rates(kernel, monkeypatch):
-    # the step loop has the family's bound stepper write its survivors
+    # the step loop has the family's bound stepper decay its density
     # once per step, and asks the family itself for nothing per step:
     # no rates, no new stepper
     owners = {"rate": StepRate, "stepper": StepRate,
-              "survive": firing_rate._StepStepper}
+              "decay": firing_rate._StepStepper}
     calls = dict.fromkeys(owners, 0)
 
     def counting(name):
@@ -650,7 +785,7 @@ def test_run_steps_on_survival_factors_not_rates(kernel, monkeypatch):
         return dict(calls)
 
     short, long = calls_over(0.5), calls_over(1.0)
-    assert short["survive"] == 50 and long["survive"] == 100
+    assert short["decay"] == 50 and long["decay"] == 100
     for name in ("rate", "stepper"):
         assert long[name] == short[name]
 
@@ -768,9 +903,10 @@ def test_discharge_check_catches_a_rate_above_k1():
         def stepper(self, grid):
             bound = super().stepper(grid)
 
-            def survive(values, mu, out):
-                return bound.survive(bound.survive(values, mu, out), mu, out)
-            return SimpleNamespace(solve=bound.solve, survive=survive)
+            def decay(window, mu):
+                return bound.decay(bound.decay(window, mu), mu)
+            return SimpleNamespace(solve=bound.solve, decay=decay,
+                                   discharge_floor=bound.discharge_floor)
 
     grid = _grid()
     cfg = SimulationConfig(grid=grid, model=Overfiring(k0=1.0), t_end=1.0)

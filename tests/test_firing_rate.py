@@ -578,9 +578,8 @@ def test_half_rate_age():
 # the per-family fast paths against the scalar and generic definitions
 
 def _factors(model, grid, mu):
-    # survive on ones writes the factors themselves, since x * 1.0 = x
-    ones = np.ones(grid.n_cells)
-    return model.stepper(grid).survive(ones, mu, np.empty(grid.n_cells))
+    # decay on ones gives the factors themselves, since 1.0 * x = x
+    return model.stepper(grid).decay(np.ones(grid.n_cells), mu)
 
 
 def _quadrature(model, grid, f, mu):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from scipy import integrate, optimize
 
 from agenet import (AgeGrid, BracketError, ConstantRate, SmoothSaturatingRate,
-                    StepRate, regime_scan, solve_steady_state, steady_state)
+                    StepRate, regime_scan, solve_steady_state, steady_state,
+                    stepper_equilibrium)
 from agenet import _roots
 
 
@@ -26,6 +27,20 @@ def test_constant_rate_closed_form():
     assert grid.l1_distance(ss.F, exact) < 1e-4
     assert ss.residual_activity < 1e-10
     assert ss.residual_ode < 1e-4
+
+
+@pytest.mark.parametrize("model", [
+    ConstantRate(k0=1.5), StepRate(sigma_plus=0.5, sigma_minus=0.25, lam=0.3),
+    SmoothSaturatingRate(k0=0.5, k1=2.0, lam=0.6)],
+    ids=["constant", "step", "smooth"])
+def test_the_residuals_are_python_floats(model):
+    # SteadyState types its residuals float, for the cell-exact pair and
+    # for the stepper's own equilibrium alike
+    grid = _grid(dx=0.01)
+    for ss in (solve_steady_state(model, grid),
+               stepper_equilibrium(model, grid)):
+        assert type(ss.residual_activity) is float
+        assert type(ss.residual_ode) is float
 
 
 def test_step_rate_uncoupled_closed_form():

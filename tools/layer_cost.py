@@ -69,8 +69,13 @@ def step(*, steps=2000):
     (shape 2, rate 4) kernels, the wall time of `run()` on `uniform01`
     for `steps` steps, recording once at the end, over its steps, after
     one untimed run of a tenth as many.  `advance_us`: the median of 500
-    calls of `evolution._advance`, the transport alone, on that density
-    at its activity with the bound stepper, as run() passes them.
+    calls of the transport kernel alone, on that density at its
+    activity with the bound stepper, as run() passes them: on trees
+    that have it, `evolution._transport`, which decays the density in
+    place and sums the rest, on a density that decays further with
+    each call, each call handing the next the shed it returns; on older
+    trees, `evolution._advance`, which writes the survivors into a
+    second buffer.
     `solve_activity_implicit_us`: the median of 200 cold public calls on
     that density.  `warm_solve_us`: the median of 2000 calls of
     `stepper.solve(values, total, m)` on the Dirac run's final density,
@@ -107,15 +112,27 @@ def step(*, steps=2000):
                 settled[fam] = (trace.final_state.values,
                                 float(trace.m_series[-1]))
 
-    # _advance(values, total, stepper, out, t, m), total the cell sum
+    # the kernel at the density's cell sum total, as run() calls it:
+    # _transport(buf, s, window, total, stepper, m, t) on the window
+    # buf[s:s + cells], or _advance(values, total, stepper, out, t, m)
     total = float(f0.values[0]) + float(f0.values[1:].sum())
-    out = np.empty(cells + 1)
     advance_us, solve_us = {}, {}
     for fam, model in families.items():
         m = agenet.solve_activity_implicit(model, grid, f0.values).m
         stepper = model.stepper(grid)
-        advance_us[fam] = _median_s(lambda: evolution._advance(
-            f0.values, total, stepper, out, 0.0, m), 500) * 1e6
+        buf = np.empty(cells + 1)
+        if hasattr(evolution, "_transport"):
+            buf[1:] = f0.values
+            # each call hands the next the shed it returns, as run() does
+            shed = [0.0]
+
+            def transport():
+                shed[0] = evolution._transport(buf, 1, buf[1:], total,
+                                               stepper, m, 0.0, shed[0])[2]
+            advance_us[fam] = _median_s(transport, 500) * 1e6
+        else:
+            advance_us[fam] = _median_s(lambda: evolution._advance(
+                f0.values, total, stepper, buf, 0.0, m), 500) * 1e6
     for fam, model in families.items():
         solve_us[fam] = _median_s(lambda: agenet.solve_activity_implicit(
             model, grid, f0.values), 200) * 1e6
