@@ -450,22 +450,43 @@ def _cmd_sweep(args):
     return 0
 
 
+def _trace_field(field):
+    # an empty or unreadable field reads as NaN
+    try:
+        return float(field)
+    except ValueError:
+        return math.nan
+
+
+def _read_trace(path):
+    """The t and l1_dist columns of a trace CSV, as arrays.  float()
+    rounds each field correctly, as any correct parser does."""
+    with open(path, encoding="utf-8") as fh:
+        lines = [line for line in fh.read().splitlines() if line.strip()]
+    if not lines:
+        raise ValueError(f"{path}: empty file, not a trace CSV")
+    header = [name.strip() for name in lines[0].split(",")]
+    if "t" not in header:
+        raise ValueError(f"{path}: not a trace CSV (no t column)")
+    if "l1_dist" not in header:
+        raise ValueError(f"{path}: no l1_dist column")
+    if len(lines) == 1:
+        raise ValueError(f"{path}: a header but no rows")
+    at, dist_at = header.index("t"), header.index("l1_dist")
+    times, dist = [], []
+    for line in lines[1:]:
+        fields = line.split(",")
+        if len(fields) != len(header):
+            raise ValueError(f"{path}: a row has {len(fields)} fields, the "
+                             f"header {len(header)}")
+        times.append(_trace_field(fields[at]))
+        dist.append(_trace_field(fields[dist_at]))
+    return np.array(times), np.array(dist)
+
+
 def _cmd_decay_fit(args):
-    with open(args.trace, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    # genfromtxt warns and then fails on an empty file
-    if not any(line.strip() for line in lines):
-        raise ValueError(f"{args.trace}: empty file, not a trace CSV")
-    data = np.genfromtxt(lines, delimiter=",", names=True)
-    if data.dtype.names is None or "t" not in data.dtype.names:
-        raise ValueError(f"{args.trace}: not a trace CSV (no t column)")
-    if "l1_dist" not in data.dtype.names:
-        raise ValueError(f"{args.trace}: no l1_dist column")
-    times = np.atleast_1d(data["t"])
-    if times.size == 0:
-        raise ValueError(f"{args.trace}: a header but no rows")
-    dist = np.atleast_1d(data["l1_dist"])
-    if np.any(~np.isfinite(dist)):
+    times, dist = _read_trace(args.trace)
+    if not np.all(np.isfinite(dist)):
         raise ValueError(f"{args.trace}: l1_dist column has empty or "
                          "non-finite entries; rerun simulate with a "
                          "solvable equilibrium")

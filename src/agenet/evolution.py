@@ -20,7 +20,12 @@ density is a window of one buffer twice its length: each step decays
 the window in place and writes p in the cell before it, so the window
 slides one cell toward the buffer's start and the shift costs
 nothing; when it reaches the start, it is copied back to the end, once
-per n_cells steps.  step() binds one stepper per call, with the same
+per n_cells steps.  Ages advance one cell per step, and so does the
+density's front, past which every cell is zero: run() hands decay()
+only the cells before the front, a prefix of the window, until the
+front reaches the last cell.  A zero times a factor in (0, 1] is that
+zero, so that leaves the bits a whole decay would; every sum still
+reads the whole window.  step() binds one stepper per call, with the same
 kernel, so run() equals a loop of step() and a fresh stepper's solve()
 bit for bit.  solve_activity_implicit() binds one per call too, solves
 from a cold start, and also refuses a settled root of a staircase map
@@ -212,14 +217,19 @@ _CLEARANCE = 4.0 * 2.0 ** -52
 _add, _max = np.add.reduce, np.maximum.reduce
 
 
-def _transport(buf, s, window, total, stepper, m, t, shed=0.0):
+def _transport(buf, s, window, total, stepper, m, t, shed=0.0, live=None):
     """The transport kernel of step() and run().
 
     The density is window, the view buf[s:s + n] with s >= 1, and total
     its cell sum, cell_sum(window).  The family's stepper decays it in
     place by the survival factors at m, and the discharge p goes to
     buf[s - 1], so buf[s - 1:s - 1 + n] is the new density, one cell
-    older, and buf[s - 1 + n] the outflow past x_max.  p is total less
+    older, and buf[s - 1 + n] the outflow past x_max.  live, if given,
+    is the density's front, less than n: every cell from live on is
+    zero, and the stepper decays only window[:live].  That leaves the
+    bits a whole decay would, since a zero times a factor in (0, 1] is
+    that zero.  Every sum still runs over the whole window: a sum's
+    rounding depends on its length.  p is total less
     rest, the survivors that stay on the mesh: the absorbed mass plus
     the outflow, per dx.  shed is what the last call with this stepper
     returned, if the density is that call's new one, and 0 otherwise;
@@ -232,7 +242,7 @@ def _transport(buf, s, window, total, stepper, m, t, shed=0.0):
     if not (stepper.discharge_floor(window, m, total, shed)
             > _CLEARANCE * (len(window) + 2) * total):
         before = float(_add(window))
-    stepper.decay(window, m)
+    stepper.decay(window if live is None else window[:live], m)
     rest = float(_add(window[:-1]))
     p = total - rest
     if p < 0.0 and before is not None:
@@ -257,6 +267,14 @@ def _check_nonnegative(values, t):
         raise InvariantViolationError(
             "negative density in the input state",
             {"t": t, "cell": low, "value": float(values[low])})
+
+
+def _front(values):
+    """One past the last nonzero cell of values, or None when that is
+    past the last cell: the cells from the front on are zero."""
+    nonzero = np.flatnonzero(values)
+    live = int(nonzero[-1]) + 1 if nonzero.size else 0
+    return live if live < values.size else None
 
 
 def step(state, m, config):
@@ -399,11 +417,14 @@ def run(config, f0, steady=None):
 
     # the density is the window buf[s:s + cells]; each step writes p in
     # the cell before it and slides it there, and a window at the start
-    # is copied back to the end, so the loop allocates no cell arrays
+    # is copied back to the end, so the loop allocates no cell arrays.
+    # Ages advance one cell per step, and so does the density's front
+    # live, one past its last nonzero cell: None once it spans the mesh.
     cells = grid.n_cells
     buf = np.empty(2 * cells)
     s = cells
     buf[s:] = state.values
+    live = _front(state.values)
     t = state.t
     m = p = m0
     shed = 0.0
@@ -423,8 +444,10 @@ def run(config, f0, steady=None):
             if iterations > most_iterations:
                 most_iterations = iterations
             p, total, shed = _transport(buf, s, window, total, stepper, m,
-                                        t, shed)
+                                        t, shed, live)
             s -= 1
+            if live is not None:
+                live = live + 1 if live + 1 < cells else None
             t = n * dt
             if not (isfinite(p) and isfinite(m)):
                 raise InvariantViolationError(
@@ -439,8 +462,10 @@ def run(config, f0, steady=None):
                 s = cells
             m = activity()
             p, total, shed = _transport(buf, s, buf[s:s + cells], total,
-                                        stepper, m, t, shed)
+                                        stepper, m, t, shed, live)
             s -= 1
+            if live is not None:
+                live = live + 1 if live + 1 < cells else None
             t = n * dt
             push(p)
             m_cap = max(m_cap, p)

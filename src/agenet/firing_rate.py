@@ -31,10 +31,13 @@ most one fixed point by construction (the constant and smooth maps),
 and false for the step family's staircase, whose settled roots the
 public solve checks against that list.  Its decay(window, mu)
 multiplies the density in place by its factors, bit for bit
-window * np.exp(-rate(midpoints, mu) * dx): the step family multiplies
-the cells from its threshold cell on by exp(-dx), the constant family
-makes one scalar multiply, and the smooth family builds its factors in
-a bound work buffer, then makes one in-place multiply.  Its
+window * np.exp(-rate(midpoints, mu) * dx), on a window that may be a
+prefix of the mesh's cells: run() passes the cells before the
+density's front, and every cell past it is a zero that a factor in
+(0, 1] leaves as it is.  The step family multiplies the cells from its
+threshold cell on by exp(-dx), the constant family makes one scalar
+multiply, and the smooth family builds the factors of the window's
+cells in a bound work buffer, then makes one in-place multiply.  Its
 discharge_floor(values, mu, total, shed) bounds from below, within a
 few roundings of total, the mass that decay(values, mu) sheds,
 sum(values * (1 - factors)), from scalars it already holds: (1 -
@@ -220,17 +223,19 @@ class _SmoothStepper(_Stepper):
     separable pieces."""
 
     __slots__ = ("_model", "_grid", "_shape", "_factors", "_minus_dx",
-                 "_least", "_dx", "_gain", "_rate", "_span", "_separable")
+                 "_scale", "_least", "_dx", "_gain", "_rate", "_span",
+                 "_separable")
     one_root = True     # gain is concave
 
     def __init__(self, model, grid):
         self._model, self._grid = model, grid
         self._separable = None      # on the first separable_profile
         # the age factor 1 - exp(-x/x_scale), on the first _weight, decay
-        # or discharge_floor, and the work buffer of decay's factors, -dx
-        # and the least share a cell sheds, on the first decay or
-        # discharge_floor: the stationary solve reads none of them
+        # or discharge_floor, and the work buffer of decay's factors, -dx,
+        # the gain's slot and the least share a cell sheds, on the first
+        # decay or discharge_floor: the stationary solve reads none of them
         self._shape = self._factors = self._minus_dx = self._least = None
+        self._scale = None
         self._dx = grid.dx
         self._gain = model.gain
         # gain'(mu) = (k1 - k0)(lam/mu_scale) exp(-lam*mu/mu_scale), and
@@ -246,8 +251,10 @@ class _SmoothStepper(_Stepper):
         if self._shape is None:
             self._bind_shape()
         self._factors = np.empty(self._grid.n_cells)
-        # a 0-d array, as the constant family's factor
+        # 0-d arrays, as the constant family's factor: -dx, and the slot
+        # each decay writes its gain to
         self._minus_dx = np.array(-self._dx)
+        self._scale = np.empty(())
         # the shape rises with age and the gain from k0 at rest, so the
         # youngest cell at rest keeps the largest factor
         self._least = -math.expm1(
@@ -280,12 +287,19 @@ class _SmoothStepper(_Stepper):
         return lambda mu: (gain(mu) * weight, scale * math.exp(-rate * mu))
 
     def decay(self, window, mu):
-        # the factors exp(-(gain * shape) * dx), bit for bit the rate
-        # expression (negation is exact), then window times them
+        # the factors exp(-(gain * shape) * dx) of the window's cells, a
+        # prefix of the mesh, bit for bit the rate expression (negation
+        # is exact), then window times them
         _check_mu(mu)
         if self._factors is None:
             self._bind_decay()
-        factors = np.multiply(self._shape, self._gain(mu), out=self._factors)
+        shape, factors = self._shape, self._factors
+        cells = len(window)
+        if cells < len(factors):
+            shape, factors = shape[:cells], factors[:cells]
+        scale = self._scale
+        scale[()] = self._gain(mu)
+        np.multiply(shape, scale, out=factors)
         np.multiply(factors, self._minus_dx, out=factors)
         np.exp(factors, out=factors)
         return np.multiply(window, factors, out=window)

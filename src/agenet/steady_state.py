@@ -98,6 +98,16 @@ class _Profile:
             self.dE = np.empty(n)
         self.tail = math.nan
 
+    def couple(self, model):
+        """Rebind to model, the same family at another coupling lam.  No
+        buffer or separable age piece depends on lam, only the gain, so
+        the per-edge form takes model's stepper and the separable form
+        its gain."""
+        self.model = model
+        self.stepper = model.stepper(self.grid)
+        if self.separable is not None:
+            self.separable = (model.gain,) + self.separable[1:]
+
     def parts(self, M):
         """The per-edge form: fill its buffers for activity M and return
         (cell_int, tail)."""
@@ -400,9 +410,10 @@ def regime_scan(model, lambdas, grid):
     if not all(0.0 <= l < math.inf for l in lambdas):
         raise ValueError("couplings must be finite and nonnegative")
     hi = _upper_end(model)
+    profile = _Profile(model, grid)
     rows = []
     for lam in lambdas:
-        profile = _Profile(dataclasses.replace(model, lam=lam), grid)
+        profile.couple(dataclasses.replace(model, lam=lam))
         roots = _stationary_roots(profile, _LO, hi, _SCAN_CELLS, _TOL)
         rows.append(ScanRow(lam=lam, roots=tuple(roots),
                             unique=len(roots) == 1))

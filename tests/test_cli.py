@@ -1010,6 +1010,21 @@ def test_decay_fit_command(tmp_path, capsys):
     assert len(lines) == 2
 
 
+def test_the_trace_reader_reads_what_genfromtxt_reads(tmp_path):
+    # a simulate trace, columns in their order, read bit for bit as
+    # np.genfromtxt reads it: both round each field correctly
+    config = _write_config(tmp_path, {"model": {
+        "kind": "smooth", "k0": 0.5, "k1": 2.0, "lambda": 0.6}})
+    trace = tmp_path / "trace.csv"
+    assert main(["simulate", "--config", str(config), "--out",
+                 str(trace)]) == 0
+    times, dist = cli._read_trace(trace)
+    data = np.genfromtxt(trace, delimiter=",", names=True)
+    assert times.size == 11
+    assert times.tobytes() == data["t"].tobytes()
+    assert dist.tobytes() == data["l1_dist"].tobytes()
+
+
 def test_decay_fit_rejects_bad_traces(tmp_path, capsys):
     # a bad trace is not a config problem: stderr reads "error: ..."
     no_t = tmp_path / "not.csv"
@@ -1036,6 +1051,11 @@ def test_decay_fit_rejects_bad_traces(tmp_path, capsys):
     assert main(["decay-fit", "--trace", str(gappy)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {gappy}: ") and "non-finite" in err
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("t,l1_dist\n0,1\n1\n2,0.25\n")
+    assert main(["decay-fit", "--trace", str(ragged)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {ragged}: a row has 1 fields, the header 2\n")
     ok = tmp_path / "ok.csv"
     ok.write_text("t,l1_dist\n0,1\n1,0.5\n2,0.25\n")
     assert main(["decay-fit", "--trace", str(ok),

@@ -546,26 +546,88 @@ def _public_steps(model, kernel, f0, cfg, n_steps):
     return ms, ps, state
 
 
+_FRONT_MODELS = {
+    "constant": ConstantRate(k0=1.0),
+    "step": StepRate(sigma_plus=0.5, sigma_minus=0.25, lam=0.3),
+    "smooth": SmoothSaturatingRate(k0=0.5, k1=2.0, lam=0.6)}
+
+
+def _front_density(grid, name):
+    # a preset, or "gap": mass on the youngest tenth of the mesh, a gap,
+    # and one far nonzero cell
+    if name != "gap":
+        return preset_density(grid, name)
+    values = np.zeros(grid.n_cells)
+    values[:grid.n_cells // 10] = 1.0
+    values[7 * grid.n_cells // 10] = 5.0
+    return grid.project(values)
+
+
 @pytest.mark.parametrize("kernel", [DelayKernel.dirac(),
                                     DelayKernel.exponential(2.0)],
                          ids=["dirac", "exponential"])
 def test_a_window_wrapped_three_times_matches_public_steps(kernel):
     # run() slides its density one cell per step toward the start of a
     # buffer twice its length and copies it back to the end at the
-    # start, once per n_cells steps: 3.5 times over this run
+    # start, once per n_cells steps: 3.5 times over this run.  It decays
+    # only the cells the density's front has reached, and step() decays
+    # them all.
     grid = AgeGrid(dx=0.05, n_cells=100)
-    model = StepRate(sigma_plus=0.5, sigma_minus=0.25, lam=0.3)
     n_steps = 350
+    for model in _FRONT_MODELS.values():
+        cfg = SimulationConfig(grid=grid, model=model, kernel=kernel,
+                               t_end=n_steps * grid.dx, record_every=1)
+        for density in ("spike", "uniform01", "gap"):
+            f0 = _front_density(grid, density)
+            trace = run(cfg, f0)
+            assert trace.times.size == n_steps + 1
+            ms, ps, state = _public_steps(model, kernel, f0, cfg, n_steps)
+            assert np.array_equal(trace.m_series, ms)
+            assert np.array_equal(trace.p_series, ps)
+            assert (trace.final_state.values.tobytes()
+                    == state.values.tobytes())
+            assert trace.final_state.mass == state.mass
+
+
+@pytest.mark.parametrize("density", ["spike", "uniform01", "gap"])
+@pytest.mark.parametrize("kernel", [DelayKernel.dirac(),
+                                    DelayKernel.exponential(2.0)],
+                         ids=["dirac", "exponential"])
+@pytest.mark.parametrize("family", list(_FRONT_MODELS))
+def test_every_cell_past_the_front_stays_positive_zero(family, kernel,
+                                                       density,
+                                                       monkeypatch):
+    # ages advance one cell per step, so after step k every cell from
+    # min(front + k, n) on, front one past f0's last nonzero cell, is
+    # +0.0 with no sign bit, and decay reads only the cells before it
+    grid = AgeGrid(dx=0.05, n_cells=100)
+    model = _FRONT_MODELS[family]
+    cells, n_steps = grid.n_cells, 250
+    f0 = _front_density(grid, density)
+    front = int(np.flatnonzero(f0.values)[-1]) + 1
+    decayed, windows = [], []
+    stepper_type = type(model.stepper(grid))
+    decay = stepper_type.decay
+
+    def counted(stepper, window, mu):
+        decayed.append(len(window))
+        return decay(stepper, window, mu)
+    transport = evolution._transport
+
+    def spy(buf, s, window, *args):
+        out = transport(buf, s, window, *args)
+        windows.append(buf[s - 1:s - 1 + cells].copy())
+        return out
+    monkeypatch.setattr(stepper_type, "decay", counted)
+    monkeypatch.setattr(evolution, "_transport", spy)
     cfg = SimulationConfig(grid=grid, model=model, kernel=kernel,
-                           t_end=n_steps * grid.dx, record_every=1)
-    f0 = preset_density(grid, "uniform01")
-    trace = run(cfg, f0)
-    assert trace.times.size == n_steps + 1
-    ms, ps, state = _public_steps(model, kernel, f0, cfg, n_steps)
-    assert np.array_equal(trace.m_series, ms)
-    assert np.array_equal(trace.p_series, ps)
-    assert np.array_equal(trace.final_state.values, state.values)
-    assert trace.final_state.mass == state.mass
+                           t_end=n_steps * grid.dx, record_every=n_steps)
+    run(cfg, f0)
+    assert len(windows) == len(decayed) == n_steps
+    for k, (window, length) in enumerate(zip(windows, decayed)):
+        assert length == min(front + k, cells)
+        past = window[min(front + k + 1, cells):]
+        assert not past.view(np.uint64).any()
 
 
 def _two_buffer_run(model, kernel, f0, grid, n_steps):

@@ -52,9 +52,15 @@ def test_every_layer_runs_and_names_its_figures(argv, timings, outputs,
         assert set(tree["timings"]["import_s"]) == {"p25", "p50", "p75",
                                                     "by_round"}
     elif layer == "step":
-        assert set(tree["timings"]["run_step_us"]) == FAMILIES
-        assert set(tree["timings"]["run_step_us"]["step"]) == {
+        # a compact start, which the density's front spares, and one
+        # with full support, which it cannot
+        run_step_us = tree["timings"]["run_step_us"]
+        assert set(run_step_us) == {"uniform01", "exp2"}
+        assert all(set(by_family) == FAMILIES
+                   for by_family in run_step_us.values())
+        assert set(run_step_us["exp2"]["step"]) == {
             "dirac", "exponential", "gamma"}
+        assert set(tree["outputs"]["last_m_p"]) == {"uniform01", "exp2"}
         assert set(tree["timings"]["warm_solve_us"]) == FAMILIES
         assert all(method == "fixed-point" for _, _, method
                    in tree["outputs"]["warm_solve"].values())

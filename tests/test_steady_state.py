@@ -1,5 +1,6 @@
 """Stationary activity and profile solver."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -178,6 +179,31 @@ def test_regime_scan_rows():
     # stronger coupling lowers the threshold, raising the activity
     Ms = [r.roots[0] for r in rows]
     assert Ms[0] < Ms[1] < Ms[2]
+
+
+@pytest.mark.parametrize("model", [
+    ConstantRate(k0=1.0),
+    StepRate(sigma_plus=0.5, sigma_minus=0.25, lam=0.3),
+    SmoothSaturatingRate(k0=0.5, k1=2.0, lam=0.6),
+    SmoothSaturatingRate(k0=0.5, k1=6.0, lam=0.6, x_scale=0.5)],
+    ids=["constant", "step", "smooth", "smooth-k1-6"])
+def test_each_scan_row_is_a_fresh_search_at_its_coupling(model):
+    # the scan binds one evaluator and rebinds only the coupling (the
+    # smooth family's gain, on age pieces bound once); each row lists
+    # bit for bit the roots of an evaluator bound for its coupling alone,
+    # and its root is solve_steady_state's, whose search starts on a
+    # coarser mesh
+    grid = _grid(dx=0.01, x_max=6.0)
+    lambdas = [1.5, 0.0, 0.3, 8.0]
+    hi = float(model.k1)
+    for row in regime_scan(model, lambdas, grid):
+        coupled = dataclasses.replace(model, lam=row.lam)
+        fresh = steady_state._stationary_roots(
+            steady_state._Profile(coupled, grid), steady_state._LO, hi,
+            steady_state._SCAN_CELLS, steady_state._TOL)
+        assert row.roots == tuple(fresh)
+        assert row.roots[0] == pytest.approx(
+            solve_steady_state(coupled, grid).M, rel=1e-14)
 
 
 def test_regime_scan_constant_family_ignores_coupling():

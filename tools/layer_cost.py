@@ -64,11 +64,13 @@ def agenet_import():
 
 
 def step(*, steps=2000):
-    """step: microseconds at 10k cells (dx 1e-3).  `run_step_us`: for
-    each family model under the Dirac, exponential (theta 2) and gamma
-    (shape 2, rate 4) kernels, the wall time of `run()` on `uniform01`
-    for `steps` steps, recording once at the end, over its steps, after
-    one untimed run of a tenth as many.  `advance_us`: the median of 500
+    """step: microseconds at 10k cells (dx 1e-3).  `run_step_us`: on
+    `uniform01`, whose support starts on the youngest tenth of the
+    mesh, and on `exp2`, whose support is the whole mesh, for each
+    family model under the Dirac, exponential (theta 2) and gamma
+    (shape 2, rate 4) kernels, the wall time of `run()` for `steps`
+    steps, recording once at the end, over its steps, after one untimed
+    run of a tenth as many.  `advance_us`: the median of 500
     calls of the transport kernel alone, on that density at its
     activity with the bound stepper, as run() passes them: on trees
     that have it, `evolution._transport`, which decays the density in
@@ -78,16 +80,18 @@ def step(*, steps=2000):
     second buffer.
     `solve_activity_implicit_us`: the median of 200 cold public calls on
     that density.  `warm_solve_us`: the median of 2000 calls of
-    `stepper.solve(values, total, m)` on the Dirac run's final density,
-    its cell sum and last activity, the call run() makes on every Dirac
-    step.  The outputs are each run's last activity and discharge, and
-    each warm solve's (m, iterations, method)."""
+    `stepper.solve(values, total, m)` on the Dirac run's final density
+    from `uniform01`, its cell sum and last activity, the call run()
+    makes on every Dirac step.  The outputs are each run's last activity
+    and discharge, and each warm solve's (m, iterations, method)."""
     import numpy as np
     import agenet
     from agenet import evolution
     dx, cells = 1e-3, 10_000
     grid = agenet.AgeGrid(dx=dx, n_cells=cells)
-    f0 = agenet.preset_density(grid, "uniform01")
+    densities = {name: agenet.preset_density(grid, name)
+                 for name in ("uniform01", "exp2")}
+    f0 = densities["uniform01"]
     kernels = {"dirac": agenet.DelayKernel.dirac(),
                "exponential": agenet.DelayKernel.exponential(theta=2.0),
                "gamma": agenet.DelayKernel.gamma(shape=2.0, rate=4.0)}
@@ -98,19 +102,21 @@ def step(*, steps=2000):
                                        t_end=n * dx, record_every=n)
 
     step_us, last, settled = {}, {}, {}
-    for fam, model in families.items():
-        step_us[fam], last[fam] = {}, {}
-        for ker, kernel in kernels.items():
-            agenet.run(config(model, kernel, max(1, steps // 10)), f0)
-            cfg = config(model, kernel, steps)
-            t = perf_counter()
-            trace = agenet.run(cfg, f0)
-            step_us[fam][ker] = (perf_counter() - t) / steps * 1e6
-            last[fam][ker] = [repr(float(trace.m_series[-1])),
-                              repr(float(trace.p_series[-1]))]
-            if ker == "dirac":
-                settled[fam] = (trace.final_state.values,
-                                float(trace.m_series[-1]))
+    for name, start in densities.items():
+        step_us[name], last[name] = {}, {}
+        for fam, model in families.items():
+            step_us[name][fam], last[name][fam] = {}, {}
+            for ker, kernel in kernels.items():
+                agenet.run(config(model, kernel, max(1, steps // 10)), start)
+                cfg = config(model, kernel, steps)
+                t = perf_counter()
+                trace = agenet.run(cfg, start)
+                step_us[name][fam][ker] = (perf_counter() - t) / steps * 1e6
+                last[name][fam][ker] = [repr(float(trace.m_series[-1])),
+                                        repr(float(trace.p_series[-1]))]
+                if ker == "dirac" and start is f0:
+                    settled[fam] = (trace.final_state.values,
+                                    float(trace.m_series[-1]))
 
     # the kernel at the density's cell sum total, as run() calls it:
     # _transport(buf, s, window, total, stepper, m, t) on the window
