@@ -60,10 +60,11 @@ A on every edge (gain(mu) * A is bit for bit cumulative(grid.edges,
 mu)), its cell increments dA, the weights dx/dA with 0 on the idle
 cells (dA <= 0, or dx/dA overflows), those idle cells, and the age
 factor at the horizon (times the gain, bit for bit rate(grid.x_max,
-mu)).  The constant and step families give None there and are read per
-edge: their edge_cumulative(mu, out) writes K on the grid's edges past
-0 into out, bit for bit cumulative(grid.edges[1:], mu), and their
-end_rate(mu) is bit for bit rate(grid.x_max, mu).
+mu)).  The constant and step families give None there: their rate is
+one run, 0 below an age T and k past it, and their run(mu) gives
+(T, k), so that max(0, k*(x - T)) is bit for bit cumulative(x, mu) and
+k is rate(grid.x_max, mu) while T < grid.x_max.  The constant family's
+run is (0, k0), the step family's (threshold(mu), 1).
 """
 
 from __future__ import annotations
@@ -157,21 +158,21 @@ class _Stepper:
         return roots[0], _MAX_ITER, "scan"
 
     def separable_profile(self):
-        # the stationary solve reads K per edge, from edge_cumulative
-        # and end_rate, unless a family overrides this
+        # the stationary solve reads the family's run, from run(mu),
+        # unless a family overrides this
         return None
 
 
 class _ConstantStepper(_Stepper):
     """ConstantRate on one grid: the activity map is the one value
-    k0 * total * dx, every cell decays by one factor, and K on the edges
-    is k0 * edges."""
+    k0 * total * dx, every cell decays by one factor, and the stationary
+    run is the rate k0 from age 0 on."""
 
-    __slots__ = ("_model", "_grid", "_dx", "_factor", "_share")
+    __slots__ = ("_model", "_dx", "_factor", "_share")
     one_root = True
 
     def __init__(self, model, grid):
-        self._model, self._grid, self._dx = model, grid, grid.dx
+        self._model, self._dx = model, grid.dx
         # exp(-k0 * dx) and the share 1 - exp(-k0 * dx) that every cell
         # sheds, on the first decay or discharge_floor
         self._factor = self._share = None
@@ -206,13 +207,9 @@ class _ConstantStepper(_Stepper):
             self._bind_factor()
         return self._share * total
 
-    def edge_cumulative(self, mu, out):
+    def run(self, mu):
         _check_mu(mu)
-        return np.multiply(self._grid.edges[1:], self._model.k0, out=out)
-
-    def end_rate(self, mu):
-        _check_mu(mu)
-        return float(self._model.k0)
+        return 0.0, float(self._model.k0)
 
 
 class _SmoothStepper(_Stepper):
@@ -334,8 +331,8 @@ class _StepStepper(_Stepper):
     The map reads the one heads buffer, so it holds until the next bind
     or roots call.  Its solve takes fixed-point steps; the map and decay
     reuse the cell that either last landed in at the same mu, as a warm
-    start or a step after a solve does.  K on the edges is
-    max(edges - threshold, 0)."""
+    start or a step after a solve does.  The stationary run is the rate 1
+    past the threshold."""
 
     __slots__ = ("_model", "_grid", "_threshold", "_mids", "_reach",
                  "_heads", "_dx", "_decay", "_kept", "_mu", "_idx",
@@ -447,14 +444,9 @@ class _StepStepper(_Stepper):
         return (self._kept * shed
                 if self._cell(mu) <= self._fired + 1 else 0.0)
 
-    def edge_cumulative(self, mu, out):
+    def run(self, mu):
         _check_mu(mu)
-        np.subtract(self._grid.edges[1:], self._threshold(mu), out=out)
-        return np.maximum(0.0, out, out=out)
-
-    def end_rate(self, mu):
-        _check_mu(mu)
-        return 1.0 if self._grid.x_max > self._threshold(mu) else 0.0
+        return self._threshold(mu), 1.0
 
 
 @dataclasses.dataclass(frozen=True)

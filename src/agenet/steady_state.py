@@ -18,13 +18,14 @@ cell, so it lists every root down to that width.  On the built-in
 families a search takes 20 to 45 evaluations of g.
 
 Each root search makes one `_Profile` for its model and grid: the
-normalization integral evaluated in buffers allocated once, in the form
-that the model's bound stepper, model.stepper(grid), gives.  The smooth
-rate is separable, K = gain(lam*M) * A(x), so its evaluation is one exp
-and one expm1 of gain-scaled vectors, one product and one dot product
-over age pieces bound once; the constant and step families are read per
-edge, from K on the mesh edges, in twelve or thirteen passes.  The profile F at a
-root and both residual diagnostics come from the formula that the
+normalization integral evaluated in the form that the model's bound
+stepper, model.stepper(grid), gives.  The smooth rate is separable,
+K = gain(lam*M) * A(x), so its evaluation is one exp and one expm1 of
+gain-scaled vectors, one product and one dot product over age pieces
+bound once, into buffers allocated once; the constant and step rates
+are one run, 0 below an age T and k past it, so the cell integrals
+telescope and an evaluation is a few scalar operations.  The profile F
+at a root and both residual diagnostics come from the formula that the
 search evaluates (steady_state_at), so each form is written once.
 """
 
@@ -56,91 +57,73 @@ class SteadyState:
 
 
 class _Profile:
-    """The normalization integral of one model on one grid, in place.
+    """The normalization integral of one model on one grid.
 
     Each cell integral is the exact single-exponential integral of
-    exp(-K) for the cell's mean rate, kc = (K(x_j+1) - K(x_j))/dx, with
-    K on the mesh edges: exact where the rate is constant in a cell and
+    exp(-K) for the cell's mean rate, (K(x_j+1) - K(x_j))/dx, with K on
+    the mesh edges: exact where the rate is constant in a cell and
     O(dx^2) in a cell that holds a rate jump.  A cell with no rate
-    (kc <= 0, below a step threshold) holds dx*E at its left edge, with
+    (below a step threshold) holds dx*E at its left edge, with
     E = exp(-K).  The horizon tail extends the profile past x_max with
     the frozen rate k(x_max) (the natural choice for rates that have
     saturated in age by the horizon), E(x_max)/k(x_max).
 
     The model's stepper, model.stepper(grid), gives K in one of two
-    forms, and buffers allocated once hold the last evaluation's parts:
+    forms:
       - separable: its separable_profile() gives K = g * A(x) with
         g = gain(lam*M), as A on the edges, its cell increments dA, the
         weights dx/dA and the age factor at the horizon, bound once.
-        An evaluation makes six passes over the mesh: E = exp(-g*A) on
-        the edges (a scaling and an exp), dE = E * expm1(-g*dA) on the
-        cells (a scaling, an expm1 and a product), then one dot
-        product, I = dot(dE, dx/dA) / (-g) + tail.  A cell with
-        dA <= 0 has no rate and holds dx*E;
-      - per edge: K on the edges from its edge_cumulative, the rates kc,
-        E, the shed factors -expm1(-kc*dx) and the cell integrals
-        E * shed / kc, and the horizon rate from its end_rate: eleven
-        passes over the mesh besides edge_cumulative's one (constant)
-        or two (step), with one exp and one expm1.
+        An evaluation makes six passes over the mesh, into buffers
+        allocated once: E = exp(-g*A) on the edges (a scaling and an
+        exp), dE = E * expm1(-g*dA) on the cells (a scaling, an expm1
+        and a product), then one dot product,
+        I = dot(dE, dx/dA) / (-g) + tail.  A cell with dA <= 0 has no
+        rate and holds dx*E;
+      - run: its run(M) gives the rate as 0 below an age T and k past
+        it.  With j the cell where x_j <= T < x_j+1 (0 when T < 0) and
+        r = x_j+1 - T, the cells below j hold dx each, cell j has the
+        mean rate k*r/dx, and the cells past it and the tail telescope:
+        I = j*dx + dx*(1 - exp(-k*r))/(k*r) + exp(-k*r)/k, in O(1).
+        When T lies at or past x_max no cell fires, the horizon rate is
+        0 and I is infinite.
     """
 
     def __init__(self, model, grid):
-        n = grid.n_cells
         self.model, self.grid = model, grid
         self.stepper = model.stepper(grid)
         self.separable = self.stepper.separable_profile()
-        self.E = np.empty(n + 1)
-        if self.separable is None:
-            self.K = np.zeros(n + 1)
-            self.kc, self.shed, self.cell_int = (np.empty(n) for _ in range(3))
-            self.fires = np.empty(n, dtype=bool)
-        else:
-            self.dE = np.empty(n)
-        self.tail = math.nan
+        if self.separable is not None:
+            n = grid.n_cells
+            self.E, self.dE = np.empty(n + 1), np.empty(n)
 
     def couple(self, model):
         """Rebind to model, the same family at another coupling lam.  No
         buffer or separable age piece depends on lam, only the gain, so
-        the per-edge form takes model's stepper and the separable form
-        its gain."""
+        the run form takes model's stepper and the separable form its
+        gain."""
         self.model = model
         self.stepper = model.stepper(self.grid)
         if self.separable is not None:
             self.separable = (model.gain,) + self.separable[1:]
 
-    def parts(self, M):
-        """The per-edge form: fill its buffers for activity M and return
-        (cell_int, tail)."""
-        dx = self.grid.dx
-        K, E, kc, shed, cell_int = (self.K, self.E, self.kc, self.shed,
-                                    self.cell_int)
-        self.stepper.edge_cumulative(M, K[1:])
-        np.subtract(K[1:], K[:-1], out=kc)
-        kc /= dx
-        np.exp(np.negative(K, out=E), out=E)
-        # -expm1(-kc*dx); kc*(-dx) rounds as (-kc)*dx, negation is exact
-        np.negative(np.expm1(np.multiply(kc, -dx, out=shed), out=shed),
-                    out=shed)
-        np.multiply(E[:-1], shed, out=cell_int)
-        if kc.min() > 0.0:
-            cell_int /= kc
-        else:
-            fires = np.greater(kc, 0.0, out=self.fires)
-            np.divide(cell_int, kc, out=cell_int, where=fires)
-            np.multiply(E[:-1], dx, out=cell_int,
-                        where=np.logical_not(fires, out=fires))
-        self.tail = self._tail(self.stepper.end_rate(M))
-        return cell_int, self.tail
-
-    def _tail(self, k_end):
-        return float(self.E[-1]) / k_end if k_end > 0.0 else math.inf
+    def _run(self, M):
+        # the run (T, k) at M and its threshold cell j, x_j <= T < x_j+1
+        # (0 when T < 0); j is n_cells when T lies at or past x_max
+        T, k = self.stepper.run(M)
+        j = int(self.grid.edges.searchsorted(T, side="right")) - 1
+        return T, k, max(j, 0)
 
     def integral(self, M):
         """I(M) = int exp(-K) dx, with the horizon tail."""
-        if self.separable is None:
-            cell_int, tail = self.parts(M)
-            return float(cell_int.sum()) + tail
-        return self._separable_integral(M)
+        if self.separable is not None:
+            return self._separable_integral(M)
+        T, k, j = self._run(M)
+        if j == self.grid.n_cells:
+            return math.inf
+        dx = self.grid.dx
+        # x_j+1 is (j + 1) * dx, bit for bit grid.edges[j + 1]
+        kr = k * ((j + 1) * dx - T)
+        return j * dx + dx * -math.expm1(-kr) / kr + math.exp(-kr) / k
 
     def _separable_integral(self, M):
         gain, ages, rise, weight, idle, end_age = self.separable
@@ -149,7 +132,8 @@ class _Profile:
         np.exp(np.multiply(ages, -g, out=E), out=E)
         np.expm1(np.multiply(rise, -g, out=dE), out=dE)
         dE *= E[:-1]
-        self.tail = self._tail(g * end_age)
+        k_end = g * end_age
+        self.tail = float(E[-1]) / k_end if k_end > 0.0 else math.inf
         cells = float(np.dot(dE, weight)) / -g
         if idle.size:
             cells += self.grid.dx * float(E[idle].sum())
@@ -157,25 +141,44 @@ class _Profile:
 
     def steady_state(self, M):
         """The stationary pair at a root M, from the formula that
-        integral(M) evaluates: F = M * cell_int / dx, and the activity
-        residual from the mass the cells absorb."""
+        integral(M) evaluates: F = M * (cell integral) / dx, and the
+        activity residual from the mass the cells absorb."""
         dx = self.grid.dx
         if self.separable is None:
-            cell_int, _ = self.parts(M)
-            absorbed = float((self.E[:-1] * self.shed).sum())
+            F, absorbed, end = self._run_profile(M)
         else:
             self._separable_integral(M)
             gain, _, _, weight, idle, _ = self.separable
             cell_int = self.dE * weight / -gain(M)
             cell_int[idle] = dx * self.E[idle]
-            absorbed = -float(self.dE.sum())
-        F = M * cell_int / dx
+            absorbed, end = -float(self.dE.sum()), float(self.E[-1])
+            F = M * cell_int / dx
         # activity consistency: M * (absorbed + exp(-K(x_max))) = M
-        residual_activity = abs(M * (absorbed + float(self.E[-1])) - M)
+        residual_activity = abs(M * (absorbed + end) - M)
         return SteadyState(M=M, F=F, lam=self.model.lam,
                            residual_ode=_residual_ode(self.model, self.grid,
                                                       F, M),
                            residual_activity=residual_activity)
+
+    def _run_profile(self, M):
+        # F from the run form's cell integrals, the share of the mass
+        # that the cells absorb and the share exp(-K(x_max)) left at the
+        # horizon.  F is M below the threshold cell j; past it each cell
+        # holds M*E*(1 - exp(-k*dx))/(k*dx), with E = exp(-k*(x - T)) on
+        # its left edge, bit for bit exp(-K)
+        T, k, j = self._run(M)
+        grid = self.grid
+        F = np.full(grid.n_cells, M)
+        if j == grid.n_cells:
+            return F, 0.0, 1.0
+        dx = grid.dx
+        kr = k * ((j + 1) * dx - T)
+        fired = -math.expm1(-kr)
+        F[j] = M * fired / kr
+        E = np.exp(-(k * (grid.edges[j + 1:] - T)))
+        shed = -math.expm1(-k * dx)
+        F[j + 1:] = M * E[:-1] * shed / (k * dx)
+        return F, fired + shed * float(E[:-1].sum()), float(E[-1])
 
 
 # The coarsest meshes of the root searches.  A root in a mesh cell
@@ -352,11 +355,11 @@ def solve_steady_state(model, grid):
     to a final width of 1/1024 of a mesh cell; on the built-in families
     a solve takes 20 to 45 evaluations of g.  When several roots exist
     a warning lists them all and the smallest is returned.  Every
-    evaluation of g writes into the same buffers, in the form that the
-    model's stepper gives (_Profile): six passes over the mesh for the
-    smooth family's separable rate, twelve or thirteen for the constant
-    and step families.  The pair at the root is steady_state_at's, read from the
-    same formula.
+    evaluation of g takes the form that the model's stepper gives
+    (_Profile): six passes over the mesh, into the same buffers, for the
+    smooth family's separable rate, and O(1) scalar work for the run of
+    the constant and step families.  The pair at the root is
+    steady_state_at's, read from the same formula.
     """
     hi = _upper_end(model)
     profile = _Profile(model, grid)

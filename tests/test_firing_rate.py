@@ -1022,26 +1022,24 @@ def test_step_activity_roots_equal_a_full_mesh_scan(lam):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), dx=st.floats(1e-3, 0.5), n_cells=st.integers(2, 2000),
        mus=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=6))
-def test_edge_cumulative_equals_cumulative_at_the_edges(family, data, dx,
-                                                        n_cells, mus):
-    # the per-edge families' stationary pieces on the bound stepper, bit
-    # for bit the public expressions: K on the edges past 0, written
-    # into the caller's buffer, and the rate at the horizon
+def test_run_is_the_public_cumulative(family, data, dx, n_cells, mus):
+    # the run families' stationary run (T, k) on the bound stepper: the
+    # rate 0 below age T and k past it is bit for bit the public K on
+    # every edge, and k is the rate at the horizon while T lies below it
     model = data.draw(_DRAWN_FAMILIES[family], label="model")
     grid = AgeGrid(dx=dx, n_cells=n_cells)
     stepper = model.stepper(grid)
     assert stepper.separable_profile() is None
-    out = np.empty(n_cells)
     for mu in mus + [0.0]:
-        assert stepper.edge_cumulative(mu, out) is out
-        assert np.array_equal(out, model.cumulative(grid.edges[1:], mu))
-        end = stepper.end_rate(mu)
-        assert type(end) is float and end == model.rate(grid.x_max, mu)
+        T, k = stepper.run(mu)
+        assert type(T) is float and type(k) is float
+        assert np.array_equal(np.maximum(0.0, k * (grid.edges - T)),
+                              model.cumulative(grid.edges, mu))
+        if T < grid.x_max:
+            assert k == model.rate(grid.x_max, mu)
     for bad in (-0.1, math.nan, math.inf, np.array([0.4])):
         with pytest.raises(ValueError, match="^activity mu must be"):
-            stepper.edge_cumulative(bad, out)
-        with pytest.raises(ValueError, match="^activity mu must be"):
-            stepper.end_rate(bad)
+            stepper.run(bad)
 
 
 @settings(max_examples=60, deadline=None)

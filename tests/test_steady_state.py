@@ -132,6 +132,23 @@ def test_a_diverging_integral_is_found_by_the_one_check_at_lo(monkeypatch):
     assert calls == [1e-6]
 
 
+def test_a_threshold_at_or_past_the_horizon():
+    # on 20 cells of 0.01 the step threshold never falls below
+    # sigma_minus = 0.25 > x_max: no cell fires, so the profile is M on
+    # every cell, all the mass leaves at the horizon, and I diverges on
+    # the whole bracket; a threshold exactly on x_max fires no cell either
+    grid = AgeGrid(dx=0.01, n_cells=20)
+    for model in (StepRate(), StepRate(lam=2.0, sigma=lambda u: grid.x_max,
+                                       sigma_modulus=0.0)):
+        ss = steady_state.steady_state_at(model, grid, 0.5)
+        assert np.array_equal(ss.F, np.full(20, 0.5))
+        assert ss.residual_ode == 0.0 and ss.residual_activity == 0.0
+        with pytest.raises(BracketError, match="diverges"):
+            solve_steady_state(model, grid)
+        with pytest.raises(BracketError, match="diverges"):
+            regime_scan(model, [0.0, 1.0], grid)
+
+
 def test_profile_is_a_probability_density():
     grid = _grid(dx=0.01)
     for model in (ConstantRate(k0=1.5),
@@ -272,11 +289,39 @@ def _separable_parts(model, grid, M):
     return integral + tail, cell_int, -float(dE.sum()), tail, E
 
 
+def _run_parts(model, grid, M):
+    # the run families' closed form written out afresh: the run (T, k)
+    # from the model's threshold or k0, its threshold cell j from a
+    # comparison with every edge, and the sums telescoped.  Returns I,
+    # F, the mass share the cells absorb and the share left at x_max
+    T, k = ((model.threshold(M), 1.0) if isinstance(model, StepRate)
+            else (0.0, model.k0))
+    dx, n = grid.dx, grid.n_cells
+    past = np.flatnonzero(grid.edges > T)
+    if not past.size:
+        return math.inf, np.full(n, M), 0.0, 1.0
+    j = max(int(past[0]) - 1, 0)
+    kr = k * (grid.edges[j + 1] - T)
+    integral = j * dx + dx * -math.expm1(-kr) / kr + math.exp(-kr) / k
+    E = np.exp(-(k * (grid.edges[j + 1:] - T)))
+    F = np.full(n, M)
+    F[j] = M * -math.expm1(-kr) / kr
+    shed = -math.expm1(-k * dx)
+    F[j + 1:] = M * E[:-1] * shed / (k * dx)
+    absorbed = -math.expm1(-kr) + shed * float(E[:-1].sum())
+    return integral, F, absorbed, float(E[-1])
+
+
 def _formula_residual(model, grid, M):
     # the residual of the formula that the evaluator implements
     if isinstance(model, SmoothSaturatingRate):
         return M * _separable_parts(model, grid, M)[0] - 1.0
-    return _reference_residual(model, grid, M)
+    return M * _run_parts(model, grid, M)[0] - 1.0
+
+
+def _close(a, b, rel):
+    # equal, infinities included, or within rel of b
+    return a == b or abs(a - b) <= rel * abs(b)
 
 
 @st.composite
@@ -304,6 +349,13 @@ def _same(a, b):
     return np.array_equal(a, b, equal_nan=True)
 
 
+# the relative difference of F in the run form from the per-edge
+# reference, per cell: the reference's mean rate (K(x_j+1) - K(x_j))/dx
+# cancels K, up to k*x_max, to an increment k*dx, so it carries a
+# relative error of a few eps per cell of age
+_F_CELL_EPS = 4.0 * np.finfo(float).eps
+
+
 @settings(max_examples=200, deadline=None)
 @given(model=_families(), dx=st.floats(1e-3, 0.5),
        n_cells=st.integers(2, 400),
@@ -317,18 +369,20 @@ def _same(a, b):
 # the cells below the step threshold have no rate and hold dx * E
 @example(model=StepRate(lam=0.3), dx=0.01, n_cells=300, mus=[0.0, 0.6])
 def test_profile_equals_the_reference_formula(model, dx, n_cells, mus):
-    # the step and constant families evaluate the reference formula bit
-    # for bit; the smooth family evaluates its separable copy bit for bit
+    # the smooth family evaluates its separable copy bit for bit, and the
+    # step and constant families their closed form; both equal the
+    # per-edge reference formula to rounding
     grid = AgeGrid(dx=dx, n_cells=n_cells)
     profile = steady_state._Profile(model, grid)
     for mu in mus + [0.0]:
         cell_int, tail, E, kc, shed = _reference_parts(model, grid, mu)
+        reference = float(cell_int.sum()) + tail
         integral = profile.integral(mu)
         assert _same(mu * integral - 1.0, _formula_residual(model, grid, mu))
-        # exp(-g*A) rounds as exp(-K) with K = g*A from cumulative
-        assert _same(profile.E, E)
         ss = profile.steady_state(mu)
         if profile.separable is not None:
+            # exp(-g*A) rounds as exp(-K) with K = g*A from cumulative
+            assert _same(profile.E, E)
             total, cells, absorbed, tail, _ = _separable_parts(model, grid,
                                                                mu)
             assert _same(integral, total) and _same(profile.tail, tail)
@@ -336,14 +390,13 @@ def test_profile_equals_the_reference_formula(model, dx, n_cells, mus):
             assert _same(ss.residual_activity,
                          abs(mu * (absorbed + E[-1]) - mu))
             continue
-        # K on the edges and the horizon rate come from the stepper
-        assert _same(profile.K[1:], model.cumulative(grid.edges[1:], mu))
-        assert profile.stepper.end_rate(mu) == model.rate(grid.x_max, mu)
-        assert _same(profile.cell_int, cell_int) and _same(profile.tail, tail)
-        assert _same(profile.kc, kc) and _same(profile.shed, shed)
-        assert _same(ss.F, mu * cell_int / dx)
-        assert _same(ss.residual_activity,
-                     abs(mu * (float((E[:-1] * shed).sum()) + E[-1]) - mu))
+        assert _close(integral, reference, 1e-14)
+        total, F, absorbed, end = _run_parts(model, grid, mu)
+        assert _same(integral, total) and _same(ss.F, F)
+        assert _same(ss.residual_activity, abs(mu * (absorbed + end) - mu))
+        assert np.allclose(ss.F, mu * cell_int / dx, atol=1e-300,
+                           rtol=_F_CELL_EPS * (n_cells + 1))
+        assert ss.residual_activity <= 8.0 * np.finfo(float).eps * mu
 
 
 @pytest.mark.parametrize("model, fires_everywhere", [
@@ -353,23 +406,28 @@ def test_profile_equals_the_reference_formula(model, dx, n_cells, mus):
     (SmoothSaturatingRate(k0=0.5, k1=2.0, lam=0.5, x_scale=1e16), False)],
     ids=["smooth", "constant", "step", "smooth-idle"])
 def test_profile_branches(model, fires_everywhere):
-    # the oracles above cover both the unmasked division and the cells
-    # with no rate, which hold dx * E in both forms
+    # the oracles above cover every cell with a rate and the cells with
+    # none, which hold dx * E in the separable form and M below the
+    # threshold cell in the run form
     grid = _grid(dx=0.01, x_max=3.0)
     profile = steady_state._Profile(model, grid)
     F = profile.steady_state(0.6).F
     cell_int, _, E, kc, _ = _reference_parts(model, grid, 0.6)
-    if profile.separable is None:
-        assert bool(profile.kc.min() > 0.0) == fires_everywhere
-        assert np.array_equal(profile.cell_int, cell_int)
-    else:
-        idle = profile.separable[4]
-        assert bool(idle.size == 0) == fires_everywhere
-        assert np.array_equal(F, 0.6 * _separable_parts(model, grid,
-                                                        0.6)[1] / grid.dx)
-        # a cell with dA <= 0 has kc <= 0 in the reference formula too
-        assert np.all(kc[idle] <= 0.0)
     idle = kc <= 0.0
+    if profile.separable is None:
+        _, _, j = profile._run(0.6)
+        assert bool(j == 0) == fires_everywhere
+        assert np.array_equal(F, _run_parts(model, grid, 0.6)[1])
+        # the reference has no rate on exactly the cells below j
+        assert np.array_equal(idle[:j + 1], np.arange(j + 1) < j)
+        assert np.all(F[:j] == 0.6)
+        return
+    idle_cells = profile.separable[4]
+    assert bool(idle_cells.size == 0) == fires_everywhere
+    assert np.array_equal(F, 0.6 * _separable_parts(model, grid,
+                                                    0.6)[1] / grid.dx)
+    # a cell with dA <= 0 has kc <= 0 in the reference formula too
+    assert np.all(kc[idle_cells] <= 0.0)
     assert np.array_equal(F[idle], 0.6 * (grid.dx * E[:-1][idle]) / grid.dx)
 
 
@@ -402,6 +460,51 @@ def test_the_separable_integral_equals_the_reference_formula(
     # to rounding: each I is a sum of rounded terms
     assert all(b <= a * (1.0 + 1e-14)
                for a, b in zip(integrals, integrals[1:]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lam=st.floats(0.0, 5.0), mu=st.floats(0.0, 10.0),
+       dx=st.floats(1e-3, 0.5), n_cells=st.integers(2, 400),
+       more=st.integers(1, 400), k0=st.floats(0.05, 5.0),
+       threshold=st.one_of(st.none(), st.floats(-1.0, 0.0),
+                           st.integers(0, 400)))
+@example(lam=0.0, mu=0.5, dx=0.01, n_cells=300, more=10, k0=1.0,
+         threshold=0)
+@example(lam=0.0, mu=0.5, dx=0.01, n_cells=300, more=10, k0=1.0,
+         threshold=37)
+@example(lam=0.0, mu=0.5, dx=0.01, n_cells=300, more=10, k0=1.0,
+         threshold=-0.3)
+def test_the_run_integral_against_the_continuum(lam, mu, dx, n_cells, more,
+                                                k0, threshold):
+    # the step family's continuum integral is T + 1 for a threshold
+    # T >= 0, and the mean-rate threshold cell falls short of it by at
+    # most dx^2/8; I does not depend on x_max once x_max > T.  The
+    # threshold is the built-in map's, a custom one <= 0, or a custom one
+    # exactly on the edge x_j = j * dx for an integer j.  The constant
+    # family's integral is 1/k0
+    if threshold is None:
+        model = StepRate(lam=lam)
+    else:
+        value = threshold * dx if isinstance(threshold, int) else threshold
+        model = StepRate(lam=lam, sigma=lambda u: value, sigma_modulus=0.0)
+    T = model.threshold(mu)
+    grids = [grid for grid in (AgeGrid(dx=dx, n_cells=n_cells),
+                               AgeGrid(dx=dx, n_cells=n_cells + more))
+             if grid.x_max > T]
+    integrals = {steady_state._Profile(model, grid).integral(mu)
+                 for grid in grids}
+    assert len(integrals) <= 1
+    for integral in integrals:
+        if T >= 0.0:
+            ulps = 4.0 * np.spacing(T + 1.0)
+            assert -dx * dx / 8.0 - ulps <= integral - (T + 1.0) <= ulps
+        else:
+            cell_int, tail, _, _, _ = _reference_parts(model, grids[0], mu)
+            assert _close(integral, float(cell_int.sum()) + tail, 1e-14)
+    constant = ConstantRate(k0=k0, lam=lam)
+    integral = steady_state._Profile(
+        constant, AgeGrid(dx=dx, n_cells=n_cells)).integral(mu)
+    assert abs(k0 * integral - 1.0) <= 4.0 * np.finfo(float).eps
 
 
 def _sign_scan(f, lo, hi, cells, tol):

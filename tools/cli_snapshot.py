@@ -10,7 +10,9 @@ integer and non-integer shape, and the three initial presets, on 1000
 cells (x_max 10).  The step and smooth families under the Dirac kernel
 also run at x_max 5 and 20, so that outputs which depend on the
 horizon, such as the sweep's `xi`, show in a diff: x_max 10 is also
-`estimate_xi`'s default horizon.  Each runs `simulate` then `decay-fit`
+`estimate_xi`'s default horizon.  The step family runs at x_max 0.2
+too, below its threshold at every activity, so that the errors of a
+diverging normalization integral show as well.  Each runs `simulate` then `decay-fit`
 on its trace, `steady-state`, `spectrum` and `sweep`; `--print-defaults`
 and `accept` (the acceptance suite, with its per-criterion CSV) run
 once.  One more job runs `simulate` on `broken.json`, a config with a
@@ -67,8 +69,9 @@ BROKEN = {
 }
 # (name, model, kernel, preset, x_max): each family under the Dirac
 # kernel, the smooth family under each delay kernel, the step family
-# from each preset, and the step and smooth families under the Dirac
-# kernel at two more horizons
+# from each preset, the step and smooth families under the Dirac
+# kernel at two more horizons, and the step family at a horizon below
+# sigma_minus, where no threshold lies on the grid
 CONFIGS = [
     ("constant-dirac-uniform01", "constant", "dirac", "uniform01", 10.0),
     ("step-dirac-uniform01", "step", "dirac", "uniform01", 10.0),
@@ -85,6 +88,7 @@ CONFIGS = [
     ("step-dirac-uniform01-x20", "step", "dirac", "uniform01", 20.0),
     ("smooth-dirac-uniform01-x5", "smooth", "dirac", "uniform01", 5.0),
     ("smooth-dirac-uniform01-x20", "smooth", "dirac", "uniform01", 20.0),
+    ("step-dirac-uniform01-x0.2", "step", "dirac", "uniform01", 0.2),
 ]
 
 

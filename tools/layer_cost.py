@@ -163,8 +163,8 @@ def steady(*, calls=5):
     1000 and 10k cells (x_max 10), on seven models.  The models take
     turns, each timing `calls` calls of each kind after one untimed one.
     `profile_us`: the median microseconds, over 200 calls, to build one
-    `steady_state._Profile` (its stepper and buffers) per model, the
-    binding that each root search makes.  `evaluation_us`: the median
+    `steady_state._Profile` per model (its stepper, and the smooth
+    family's buffers), the binding that each root search makes.  `evaluation_us`: the median
     microseconds, over 2000 calls, of one evaluation of the
     normalization integral (`steady_state._Profile.integral`) per model,
     at the solve's M.  The outputs are M, the scan's roots and the
