@@ -74,7 +74,9 @@ class AmbiguousActivityError(RuntimeError):
 
 
 class ModelInconsistencyError(RuntimeError):
-    """No admissible activity root exists for the given density."""
+    """The model breaks its stated bounds: no admissible activity root
+    exists for the given density, or a custom threshold map gave an age
+    that is not finite."""
 
 
 class InvariantViolationError(RuntimeError):

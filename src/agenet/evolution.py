@@ -233,7 +233,7 @@ def _transport(buf, s, window, total, stepper, m, t, shed=0.0, live=None):
     rest, the survivors that stay on the mesh: the absorbed mass plus
     the outflow, per dx.  shed is what the last call with this stepper
     returned, if the density is that call's new one, and 0 otherwise;
-    the step family's discharge floor reads it.  Returns p, the new
+    the run stepper's discharge floor reads it.  Returns p, the new
     density's cell sum p + rest, which is total up to one rounding, and
     the new shed: p less the density's last cell, the mass that the
     cells which stay on the mesh shed."""

@@ -14,57 +14,39 @@ cumulative K(x, mu) = int_0^x k, activity_slope (the slope of
 K(x_max, .) in the activity, from which estimate_xi takes the regime
 bounds in closed form) and stepper.
 
-stepper(grid) is the one object that binds a family to a grid.  It
-holds the one copy of its activity map G(mu) = int k(x, lam*mu) f dx on
-the midpoint mesh and of its one-step factors exp(-k(x_j, lam*mu) dx).
-Its bind(values, total) returns that map for one density as one call,
-mu -> (G(mu), G'(mu)), with 1.0 in place of the slope where the family
-takes fixed-point steps.  Its solve(values, total, warm) is the
-implicit activity solve, one loop shared by every family: from warm,
-or from G(0), clamped to [0, k1], it takes a Newton step wherever the
-slope is below 1 and a fixed-point step otherwise, until
-|G(mu) - mu| <= _TOL = 1e-12; it returns (m, iterations, method).  Its
-roots(values, total) lists every fixed point of G in [0, k1],
-ascending, with the same arithmetic; solve falls back to that list
-after _MAX_ITER = 200 steps.  Its one_root is true when G has at
-most one fixed point by construction (the constant and smooth maps),
-and false for the step family's staircase, whose settled roots the
-public solve checks against that list.  Its decay(window, mu)
-multiplies the density in place by its factors, bit for bit
-window * np.exp(-rate(midpoints, mu) * dx), on a window that may be a
-prefix of the mesh's cells: run() passes the cells before the
-density's front, and every cell past it is a zero that a factor in
-(0, 1] leaves as it is.  The step family multiplies the cells from its
-threshold cell on by exp(-dx), the constant family makes one scalar
-multiply, and the smooth family builds the factors of the window's
-cells in a bound work buffer, then makes one in-place multiply.  Its
-discharge_floor(values, mu, total, shed) bounds from below, within a
-few roundings of total, the mass that decay(values, mu) sheds,
-sum(values * (1 - factors)), from scalars it already holds: (1 -
-largest factor) * total for the constant and smooth families.  For
-the step family it is exp(-dx) times shed, the mass its last decay
-shed from the cells that stay on the mesh, where values is that
-decayed density one cell older and the threshold cell has moved at
-most one cell on since; else 0 (shed 0 says values has no such
-past).  total is the density's cell sum, grid.cell_sum(values): a
-caller that already holds it passes it, and the stepper does not sum
-the density again.  The step family's map costs one sequential prefix
-sum over the cells below sigma_plus per density, into a buffer bound
-once, then one bisection and one subtraction per mu, and no bisection
-at the mu where it or decay last landed.
+stepper(grid) binds a family to a grid; README's rate family protocol
+states its contract in full.  There are two steppers.  The constant and
+step families are run families: the rate is 0 below a threshold age
+and a run rate k past it (threshold 0 and k = k0 for the constant
+family, sigma and 1 for the step family), so both bind one run stepper,
+with the highest threshold that the family reaches (0, sigma_plus, or
+inf for a custom sigma) as the reach of its prefix sums.  The smooth
+family binds its own.  A stepper holds:
 
-The stepper also serves the stationary solve.  The smooth family's
-separable_profile() gives K = gain(mu) * A(x) in separable form, bound
-on first use as the factors of decay are: the gain, the age integral
-A on every edge (gain(mu) * A is bit for bit cumulative(grid.edges,
-mu)), its cell increments dA, the weights dx/dA with 0 on the idle
-cells (dA <= 0, or dx/dA overflows), those idle cells, and the age
-factor at the horizon (times the gain, bit for bit rate(grid.x_max,
-mu)).  The constant and step families give None there: their rate is
-one run, 0 below an age T and k past it, and their run(mu) gives
-(T, k), so that max(0, k*(x - T)) is bit for bit cumulative(x, mu) and
-k is rate(grid.x_max, mu) while T < grid.x_max.  The constant family's
-run is (0, k0), the step family's (threshold(mu), 1).
+- the activity map G(mu) = int k(x, lam*mu) f dx on the midpoint mesh.
+  bind(values, total) returns mu -> (G(mu), G'(mu)), with 1.0 for the
+  slope where the family takes fixed-point steps.  solve(values, total,
+  warm), one loop for every family, iterates on it until
+  |G(mu) - mu| <= _TOL = 1e-12 and after _MAX_ITER = 200 steps falls
+  back to roots(values, total), every fixed point in [0, k1].  one_root
+  is true when G has at most one fixed point by construction: the
+  smooth map, and a run map whose threshold reaches no midpoint, one
+  plateau (the constant family's among them);
+- the one-step factors exp(-k(x_j, lam*mu) dx).  decay(window, mu)
+  multiplies a prefix of the mesh's cells by them in place, bit for bit
+  the rate expression, and discharge_floor(values, mu, total, shed)
+  bounds from below the mass that it sheds;
+- the rate's stationary and linear forms.  The smooth stepper's
+  separable_profile() gives K = gain(mu) * A(x) in separable pieces.
+  The run stepper's run(mu) gives (T, k), so that max(0, k*(x - T)) is
+  bit for bit cumulative(x, mu), and runs(mu) the rates on the mesh as
+  (rate, cells) runs, ((0.0, j), (k, n - j)) with j the threshold cell
+  and an empty run left out.  The smooth stepper's runs and the run
+  stepper's separable_profile give None.
+
+total is the density's cell sum, grid.cell_sum(values): a caller that
+already holds it passes it.  Each constant is bound on the first call
+that reads it, so a stationary solve binds none of the stepping ones.
 """
 
 from __future__ import annotations
@@ -162,54 +144,10 @@ class _Stepper:
         # unless a family overrides this
         return None
 
-
-class _ConstantStepper(_Stepper):
-    """ConstantRate on one grid: the activity map is the one value
-    k0 * total * dx, every cell decays by one factor, and the stationary
-    run is the rate k0 from age 0 on."""
-
-    __slots__ = ("_model", "_dx", "_factor", "_share")
-    one_root = True
-
-    def __init__(self, model, grid):
-        self._model, self._dx = model, grid.dx
-        # exp(-k0 * dx) and the share 1 - exp(-k0 * dx) that every cell
-        # sheds, on the first decay or discharge_floor
-        self._factor = self._share = None
-
-    def roots(self, values, total=None):
-        if total is None:
-            total = cell_sum(values)
-        return [self._model.k0 * total * self._dx]
-
-    def bind(self, values, total=None):
-        # G is constant: the fixed-point iteration settles at its first
-        # step, its second or never
-        step = self.roots(values, total)[0], 1.0
-        return lambda mu: step
-
-    def _bind_factor(self):
-        # from a vector exp, as the rate expression
-        # np.exp(-rate(midpoints, mu) * dx) takes it in every cell, kept
-        # as a 0-d array: a multiply skips a Python float's conversion
-        self._factor = np.exp(-np.full(1, self._model.k0) * self._dx)
-        self._factor.shape = ()
-        self._share = 1.0 - float(self._factor)
-
-    def decay(self, window, mu):
-        _check_mu(mu)
-        if self._factor is None:
-            self._bind_factor()
-        return np.multiply(window, self._factor, out=window)
-
-    def discharge_floor(self, values, mu, total, shed):
-        if self._share is None:
-            self._bind_factor()
-        return self._share * total
-
-    def run(self, mu):
-        _check_mu(mu)
-        return 0.0, float(self._model.k0)
+    def runs(self, mu):
+        # the spectrum reads the rates per cell unless a family states
+        # them as runs
+        return None
 
 
 class _SmoothStepper(_Stepper):
@@ -248,7 +186,7 @@ class _SmoothStepper(_Stepper):
         if self._shape is None:
             self._bind_shape()
         self._factors = np.empty(self._grid.n_cells)
-        # 0-d arrays, as the constant family's factor: -dx, and the slot
+        # 0-d arrays, as the run stepper's factor: -dx, and the slot
         # each decay writes its gain to
         self._minus_dx = np.array(-self._dx)
         self._scale = np.empty(())
@@ -322,92 +260,98 @@ class _SmoothStepper(_Stepper):
         return self._separable
 
 
-class _StepStepper(_Stepper):
-    """StepRate on one grid: the threshold map is bound, and the cells its
-    prefix sums cover, the midpoints up to them, the buffer of the
-    prefix sums and exp(-dx) on first use.  The activity map is a
-    staircase over threshold cells: while the threshold falls in cell j
-    it takes the plateau mass - heads[j-1]*dx, the mass past cell j.
-    The map reads the one heads buffer, so it holds until the next bind
-    or roots call.  Its solve takes fixed-point steps; the map and decay
-    reuse the cell that either last landed in at the same mu, as a warm
-    start or a step after a solve does.  The stationary run is the rate 1
-    past the threshold."""
+class _RunStepper(_Stepper):
+    """A run family on one grid: the rate is 0 below the threshold map
+    and k past it.  The activity map is a staircase over threshold
+    cells: while the threshold falls in cell j it takes the plateau
+    mass - (k*heads[j-1])*dx, the mass past cell j, with mass
+    (k*total)*dx.  It reads the one heads buffer, so it holds until the
+    next bind or roots call.  Its solve takes fixed-point steps; the map
+    and decay reuse the cell that either last landed in at the same mu,
+    as a warm start or a step after a solve does."""
 
-    __slots__ = ("_model", "_grid", "_threshold", "_mids", "_reach",
-                 "_heads", "_dx", "_decay", "_kept", "_mu", "_idx",
+    __slots__ = ("_model", "_grid", "_threshold", "_k", "_top", "_mids",
+                 "_reach", "_heads", "_dx", "_decay", "_kept", "_mu", "_idx",
                  "_fired")
-    one_root = False    # the staircase can hold several
 
-    def __init__(self, model, grid):
+    def __init__(self, model, grid, threshold, k, top):
         self._model, self._grid = model, grid
-        self._threshold = model.threshold
-        # on the first bind, roots, decay or discharge_floor: the
-        # stationary solve reads none of them
+        self._threshold, self._k, self._top = threshold, float(k), top
+        # on first use by a stepping call: run() reads none of them
         self._reach = self._mids = self._heads = None
         self._dx = grid.dx
-        # exp(-dx), as a 0-d array and a float, on the first decay
+        # exp(-k * dx), as a 0-d array and a float, on the first decay
         self._decay = self._kept = None
         self._mu = self._idx = None     # the last mu and its cell
         self._fired = None              # the last decay's threshold cell
 
     def _bind_cells(self):
-        model, grid = self._model, self._grid
-        # The cells that the prefix sums must cover.  The built-in sigma
-        # is nonincreasing, so no threshold passes threshold(0) and the
-        # sums stop at its cell; a custom sigma may go anywhere and
-        # keeps every cell.
-        self._reach = grid.n_cells if model.sigma is not None else int(
-            grid.midpoints.searchsorted(model.threshold(0.0), side="right"))
+        grid = self._grid
+        # The cells that the prefix sums must cover: no threshold passes
+        # the highest, so the sums stop at its cell (inf keeps every cell)
+        self._reach = int(grid.midpoints.searchsorted(self._top,
+                                                      side="right"))
         self._heads = np.empty(self._reach)
         # bisect_right on these midpoints counts those <= t, as
-        # midpoints.searchsorted(t, side="right") does (a NaN counts them
-        # all in both), at a third of its per-call cost.  No threshold
-        # passes the reach cell's midpoint, and a NaN one lands past the
-        # prefix sums, as on the whole mesh.
+        # midpoints.searchsorted(t, side="right") does, at a third of its
+        # per-call cost.  No threshold passes the reach cell's midpoint.
         cells = min(self._reach + 1, grid.n_cells)
         self._mids = grid.midpoints[:cells].tolist()
 
+    @property
+    def one_root(self):
+        # G is one plateau when no midpoint lies at or below the highest
+        # threshold; a staircase can hold several roots
+        if self._mids is None:
+            self._bind_cells()
+        return not self._reach
+
     def _bind_decay(self):
-        # exp(-1 * dx), taken from a vector exp like the full expression,
-        # kept as a 0-d array for the multiply as the constant family's
-        self._decay = np.exp(-np.ones(1) * self._dx)
+        # exp(-k * dx), taken from a vector exp like the full expression,
+        # kept as a 0-d array: a multiply skips a Python float's conversion
+        self._decay = np.exp(-np.full(1, self._k) * self._dx)
         self._decay.shape = ()
         self._kept = float(self._decay)
         if self._mids is None:
             self._bind_cells()
 
     def _cell(self, mu):
-        # the threshold cell at mu
+        # the threshold cell at mu, 0 when no threshold reaches a midpoint
         if mu != self._mu:
-            self._mu, self._idx = mu, bisect.bisect_right(
-                self._mids, self._threshold(mu))
+            self._mu, self._idx = mu, (bisect.bisect_right(
+                self._mids, self._threshold(mu)) if self._reach else 0)
         return self._idx
 
     def _plateaus(self, values, total):
-        # The mass (the cell sum times dx) and heads, the sequential
-        # prefix sums (cumsum's ufunc, without its dispatch).  The two
-        # sums round differently, so a tail with no mass can come out a
-        # hair below zero; every reader clamps it there.
+        # The mass (k times the cell sum times dx) and heads, the
+        # sequential prefix sums (cumsum's ufunc, without its dispatch).
+        # The two sums round differently, so a tail with no mass can
+        # come out a hair below zero; every reader clamps it there.
         if self._mids is None:
             self._bind_cells()
         if total is None:
             total = cell_sum(values)
-        return total * self._dx, np.add.accumulate(values[:self._reach],
-                                                   out=self._heads)
+        if self._reach:
+            np.add.accumulate(values[:self._reach], out=self._heads)
+        return (self._k * total) * self._dx, self._heads
 
     def roots(self, values, total=None):
         # plateau j is a root exactly when its own threshold falls in
         # cell j too, so j never passes the cells that heads covers
         mass, heads = self._plateaus(values, total)
         threshold, mids = self._threshold, self._mids
-        tails = [mass] + np.maximum(mass - heads * self._dx, 0.0).tolist()
+        tails = [mass] + np.maximum(mass - (self._k * heads) * self._dx,
+                                    0.0).tolist()
         return sorted(tail for j, tail in enumerate(tails)
                       if bisect.bisect_right(mids, threshold(tail)) == j)
 
     def bind(self, values, total=None):
         mass, heads = self._plateaus(values, total)
-        threshold, mids, dx = self._threshold, self._mids, self._dx
+        if not self._reach:
+            # one plateau: G is the mass at every mu
+            step = mass, 1.0
+            return lambda mu: step
+        threshold, mids, k, dx = self._threshold, self._mids, self._k, self._dx
         cell_of = bisect.bisect_right
 
         def G(mu):
@@ -416,37 +360,54 @@ class _StepStepper(_Stepper):
             else:
                 idx = cell_of(mids, threshold(mu))
                 self._mu, self._idx = mu, idx
-            return (max(mass - float(heads[idx - 1]) * dx, 0.0) if idx
+            return (max(mass - (k * float(heads[idx - 1])) * dx, 0.0) if idx
                     else mass), 1.0
         return G
 
     def decay(self, window, mu):
         # cells below the threshold cell keep their value (a factor of
-        # 1), the rest decay by exp(-dx): window * exp(-rate * dx) bit
-        # for bit
+        # 1), the rest decay by exp(-k * dx): window * exp(-rate * dx)
+        # bit for bit
         _check_mu(mu)
         if self._decay is None:
             self._bind_decay()
-        self._fired = self._cell(mu)
-        tail = window[self._fired:]
+        fired = self._fired = (self._idx if mu == self._mu
+                               else self._cell(mu))
+        tail = window[fired:] if fired else window
         np.multiply(tail, self._decay, out=tail)
         return window
 
     def discharge_floor(self, values, mu, total, shed):
         # values is the last decayed density one cell older, and shed the
         # mass that its cells past the threshold cell, less the last one,
-        # shed.  Those cells now lie one cell on; while the threshold
-        # cell lies at most there, they shed exp(-dx) times that again.
+        # shed.  They now lie one cell on; while the threshold cell lies
+        # at most there, they shed exp(-k * dx) times that again.
         if not shed or self._fired is None:
             return 0.0
-        if mu != self._mu:
+        if mu == self._mu:
+            cell = self._idx
+        else:
             _check_mu(mu)
-        return (self._kept * shed
-                if self._cell(mu) <= self._fired + 1 else 0.0)
+            cell = self._cell(mu)
+        return self._kept * shed if cell <= self._fired + 1 else 0.0
 
     def run(self, mu):
         _check_mu(mu)
-        return self._threshold(mu), 1.0
+        return self._threshold(mu), self._k
+
+    def runs(self, mu):
+        # the rates on the mesh as (rate, cells) runs: 0 below the
+        # threshold cell and k from it on, an empty run left out
+        _check_mu(mu)
+        if self._mids is None:
+            self._bind_cells()
+        j, n = self._cell(mu), self._grid.n_cells
+        return tuple(run for run in ((0.0, j), (self._k, n - j)) if run[1])
+
+
+def _from_birth(mu):
+    # the constant family's threshold: every age fires
+    return 0.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -478,7 +439,7 @@ class ConstantRate:
         return 0.0, 0.0, 0.0
 
     def stepper(self, grid):
-        return _ConstantStepper(self, grid)
+        return _RunStepper(self, grid, _from_birth, self.k0, 0.0)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -590,7 +551,13 @@ class StepRate:
         """Firing threshold sigma(lam*mu)."""
         mu_eff = self.lam * float(mu)
         if self.sigma is not None:
-            return float(self.sigma(mu_eff))
+            value = float(self.sigma(mu_eff))
+            if not math.isfinite(value):
+                # rate and cumulative would disagree on it
+                raise ModelInconsistencyError(
+                    f"the custom threshold map gives sigma({mu_eff!r}) = "
+                    f"{value!r}, not a finite age")
+            return value
         span = self.sigma_plus - self.sigma_minus
         return self.sigma_minus + span * math.exp(-self.decay * mu_eff)
 
@@ -621,7 +588,10 @@ class StepRate:
         return onset, self.decay * top, self.decay
 
     def stepper(self, grid):
-        return _StepStepper(self, grid)
+        # a custom sigma may go anywhere; the built-in one is
+        # nonincreasing, so none passes its value at rest
+        top = math.inf if self.sigma is not None else self.threshold(0.0)
+        return _RunStepper(self, grid, self.threshold, 1.0, top)
 
 
 @dataclasses.dataclass(frozen=True)

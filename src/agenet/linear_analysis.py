@@ -19,20 +19,20 @@ renewal characteristic function
 
     chi(lam) = 1 - c^T (lam - L)^{-1} e0,
 
-and (lam - L)^{-1} e0 is one cumulative product.  `_Chi` splits the
-frozen rates into runs of equal value once per search and evaluates
-chi in one of two forms (README's "Linear spectrum" gives the cost of
+and (lam - L)^{-1} e0 is one cumulative product.  `_Chi` evaluates chi
+in one of two forms (README's "Linear spectrum" gives the cost of
 each per call):
 
-- the run form, for rates in at most _RUNS_MAX runs: the constant
-  family (one run) and the step family (two: 0 below the threshold,
-  1 past it).  Within a run the cumulative product is geometric, so
-  chi, chi' and the tail bound are sums of geometric series, O(runs)
-  scalar arithmetic whatever n;
-- the per-cell form, for every other rate array (the smooth family's):
-  the reciprocals, their prefix product and one sum (one prefix sum
-  more for chi', and sum_j |c_j v_j| for the tail bound), in work
-  buffers bound once per search, O(n).
+- the run form, for the rates that the family's stepper states as
+  runs of equal value, stepper.runs(M): the constant family (one run)
+  and the step family (two: 0 below the threshold, 1 past it).  Within
+  a run the cumulative product is geometric, so chi, chi' and the tail
+  bound are sums of geometric series, O(runs) scalar arithmetic
+  whatever n;
+- the per-cell form, where the stepper states no runs (the smooth
+  family's): the reciprocals, their prefix product and one sum (one
+  prefix sum more for chi', and sum_j |c_j v_j| for the tail bound),
+  in work buffers bound once per search, O(n).
 
 Each evaluation computes only what its caller reads, in complex
 arithmetic whether lam is real or not:
@@ -92,8 +92,6 @@ _MAX_TURN = math.pi / 4  # largest turn of arg chi accepted in a step
 _TAIL = 0.5             # past sum_j |c_j v_j| < _TAIL, chi cannot wind
 _ETA = 1e-6             # the rectangles start this far above the axis;
                         # a pair closer to it fails the count check
-_RUNS_MAX = 8           # rates in at most this many runs of equal value
-                        # take chi in closed form per run
 _SERIES = 0.05          # a run's sums from their power series up to
 _TERMS = 10             # |L w| = _SERIES, to this many terms
 
@@ -174,37 +172,37 @@ class _Chi:
     """chi(lam) = 1 - sum_j c_j v_j(lam) with v = (lam - L)^{-1} e0,
     that is v_j = dx prod_{i<=j} 1/(1 + dx (lam + k_i)).
 
-    The rates are split into runs of equal value here.  With at most
-    _RUNS_MAX runs, chi is evaluated in closed form per run, in O(runs)
-    scalar arithmetic; otherwise each evaluation fills work buffers
-    bound here, one term per cell.  Either way lam is evaluated in
-    complex arithmetic, a float as a complex with imaginary part 0.
-    `value` computes chi alone; `at` adds chi' and, when asked, the
-    tail bound."""
+    A family that states its rates as runs, (rate, cells) pairs in age
+    order, gets chi in closed form per run, in O(runs) scalar
+    arithmetic; otherwise each evaluation fills work buffers bound
+    here, one term per cell.  Either way lam is evaluated in complex
+    arithmetic, a float as a complex with imaginary part 0.  `value`
+    computes chi alone; `at` adds chi' and, when asked, the tail
+    bound."""
 
-    def __init__(self, rates, dx):
+    def __init__(self, rates, dx, runs=None):
         self.dx = dx
-        edges = np.concatenate(([0], np.flatnonzero(np.diff(rates)) + 1,
-                                [rates.size]))
-        self._kappa = rates[edges[:-1]]              # each run's rate
-        self._length = np.diff(edges).astype(float)  # and its cells
-        self.pole = -float((1.0 + dx * self._kappa).min()) / dx
-        if self._kappa.size <= _RUNS_MAX:
+        self._runs = None
+        if runs is not None:
+            self._kappa, self._length = np.array(runs, dtype=float).T
             # per run: dx k, its length and the series of its sums
             self._runs = [(dx * k, L, _run_series(int(L)) if k else None)
                           for k, L in zip(self._kappa.tolist(),
                                           self._length.tolist())]
-            return
-        self._runs = None
-        self.one_dxk = 1.0 + dx * rates
-        # the boundary row c (the rates, plus 1/dx in the last cell) times dx
-        self.cdx = np.array(rates, dtype=float)
-        self.cdx[-1] += 1.0 / dx
-        self.cdx *= dx
-        n = self.cdx.size
-        # r, c v and cumsum(r); |c v|
-        self._work = tuple(np.empty(n, complex) for _ in range(3))
-        self._abs = np.empty(n)
+        else:
+            # every cell a run of its own, for floor()
+            self._kappa, self._length = rates, np.ones(rates.size)
+            self.one_dxk = 1.0 + dx * rates
+            # the boundary row c (the rates, plus 1/dx in the last cell)
+            # times dx
+            self.cdx = np.array(rates, dtype=float)
+            self.cdx[-1] += 1.0 / dx
+            self.cdx *= dx
+            n = self.cdx.size
+            # r, c v and cumsum(r); |c v|
+            self._work = tuple(np.empty(n, complex) for _ in range(3))
+            self._abs = np.empty(n)
+        self.pole = -float((1.0 + dx * self._kappa).min()) / dx
 
     def _terms(self, z):
         """The buffers (r, c v, cumsum r), with r = 1/(1 + dx (k + z))
@@ -558,13 +556,14 @@ def _complex_roots(chi, sigma, line):
     return roots
 
 
-def _modes(rates, dx):
+def _modes(rates, dx, runs=None):
     """Every root of chi right of the line the search stopped at, which
     holds at least the _LEADING leading ones, by descending real part
-    with the upper member of a pair first, and that line's sigma.
-    Raises SpectrumCountError unless the located roots match the
+    with the upper member of a pair first, and that line's sigma.  chi
+    takes the rates per cell, or the runs when they are given.  Raises
+    SpectrumCountError unless the located roots match the
     argument-principle count."""
-    chi = _Chi(rates, dx)
+    chi = _Chi(rates, dx, runs)
     sigma, count, line = _half_plane(chi, _LEADING)
     upper = _complex_roots(chi, sigma, line)
     if 1 + 2 * len(upper) != count:
@@ -630,7 +629,7 @@ def spectrum(model, grid, steady):
             f"steady profile has {steady.F.shape[0]} cells but the grid "
             f"has {grid.n_cells}; recompute the steady state on this grid")
     rates = np.asarray(model.rate(grid.midpoints, steady.M), dtype=float)
-    w, _ = _modes(rates, grid.dx)
+    w, _ = _modes(rates, grid.dx, model.stepper(grid).runs(steady.M))
     v = _zero_mode(rates, grid.dx)
     return SpectrumReport(eigenvalues=_leading(w, _LEADING),
                           zero_eigenvalue=0j, gap=_gap(w),

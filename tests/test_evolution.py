@@ -824,7 +824,7 @@ def test_run_steps_on_survival_factors_not_rates(kernel, monkeypatch):
     # once per step, and asks the family itself for nothing per step:
     # no rates, no new stepper
     owners = {"rate": StepRate, "stepper": StepRate,
-              "decay": firing_rate._StepStepper}
+              "decay": firing_rate._RunStepper}
     calls = dict.fromkeys(owners, 0)
 
     def counting(name):

@@ -7,14 +7,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize
 
 from agenet import (AgeGrid, AmbiguousActivityError, ConstantRate,
                     ModelInconsistencyError, SimulationConfig,
                     SmoothSaturatingRate, StepRate, cell_sum, estimate_xi,
-                    half_rate_age, preset_density)
+                    half_rate_age, preset_density, steady_state_at)
 from agenet import _roots, firing_rate
 from agenet.firing_rate import RegimeEstimate
 
@@ -244,6 +244,25 @@ def test_step_rate_custom_threshold_map():
     # lam scales the activity before sigma sees it
     assert model.threshold(1.0) == pytest.approx(0.2)
     assert model.rate(0.25, 1.0) == 1.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_threshold_that_is_not_finite_is_refused(bad):
+    # rate and cumulative would disagree on it: a NaN threshold fires no
+    # age in rate but makes K NaN, and -inf makes K infinite
+    model = StepRate(lam=1.0, sigma=lambda u: bad, sigma_modulus=1.0)
+    grid = AgeGrid(dx=0.01, n_cells=300)
+    values = preset_density(grid, "uniform01").values
+    stepper = model.stepper(grid)
+    calls = [lambda: model.threshold(0.5), lambda: model.rate(0.3, 0.5),
+             lambda: model.cumulative(np.array([0.3, 0.7]), 0.5),
+             lambda: stepper.solve(values),
+             lambda: stepper.decay(values.copy(), 0.5),
+             lambda: stepper.run(0.5),
+             lambda: steady_state_at(model, grid, 0.5)]
+    for call in calls:
+        with pytest.raises(ModelInconsistencyError, match="not a finite age"):
+            call()
 
 
 def test_estimate_xi_constant_rate():
@@ -1040,6 +1059,60 @@ def test_run_is_the_public_cumulative(family, data, dx, n_cells, mus):
     for bad in (-0.1, math.nan, math.inf, np.array([0.4])):
         with pytest.raises(ValueError, match="^activity mu must be"):
             stepper.run(bad)
+
+
+@settings(max_examples=100, deadline=None)
+@given(k0=st.floats(0.01, 10.0), dx=st.floats(1e-3, 0.5),
+       n_cells=st.integers(2, 2000), seed=st.integers(0, 2 ** 32 - 1),
+       mass=st.floats(0.1, 1.0), mu=st.floats(0.0, 10.0))
+def test_the_constant_family_steps_as_a_run_from_age_zero(
+        k0, dx, n_cells, seed, mass, mu):
+    # the run stepper with threshold 0 and rate k0 gives the constant
+    # family's closed forms bit for bit: the map is the one value
+    # (k0 * total) * dx, every cell decays by exp(-k0 dx) from the same
+    # vector exp as the rate expression, and the run is k0 from age 0
+    model = ConstantRate(k0=k0)
+    grid = AgeGrid(dx=dx, n_cells=n_cells)
+    f = np.random.default_rng(seed).gamma(2.0, size=n_cells)
+    f *= mass / (f.sum() * dx)
+    total = cell_sum(f)
+    stepper = model.stepper(grid)
+    mass_k0 = (k0 * total) * dx
+    assert stepper.roots(f) == stepper.roots(f, total) == [mass_k0]
+    # a cold solve settles at the root in one step, clamped to k1 = k0
+    # where the unit mass rounds a hair above 1; a warm one within the
+    # tolerance of it
+    settled = min(mass_k0, k0), 1, "fixed-point"
+    assert stepper.solve(f, total) == stepper.solve(f) == settled
+    assert abs(stepper.solve(f, total, mu)[0] - mass_k0) <= 1e-12
+    expected = f * np.exp(-np.full(1, k0) * dx)
+    assert np.array_equal(stepper.decay(f.copy(), mu), expected)
+    assert stepper.run(mu) == (0.0, k0)
+    assert stepper.runs(mu) == ((k0, n_cells),)
+    assert stepper.one_root
+
+
+@settings(max_examples=60, deadline=None)
+@given(sigma_plus=st.floats(0.02, 0.9), share=st.floats(0.01, 0.99),
+       over=st.floats(1.0 + 1e-9, 3.0), n_cells=st.integers(2, 300),
+       lam=st.floats(0.0, 3.0))
+def test_a_threshold_below_the_first_midpoint_is_one_plateau(
+        sigma_plus, share, over, n_cells, lam):
+    # with sigma_plus below the first midpoint dx/2 no threshold reaches
+    # a midpoint, so the map is one plateau, as the constant family's
+    model = StepRate(sigma_plus=sigma_plus, sigma_minus=share * sigma_plus,
+                     lam=lam)
+    dx = 2.0 * sigma_plus * over
+    grid = AgeGrid(dx=dx, n_cells=n_cells)
+    assume(grid.midpoints[0] > sigma_plus)
+    stepper = model.stepper(grid)
+    assert stepper.one_root
+    f = np.ones(n_cells) / (n_cells * dx)
+    assert stepper.roots(f) == [cell_sum(f) * dx]
+    assert stepper.runs(0.3) == ((1.0, n_cells),)
+    # a threshold that reaches the first midpoint makes a staircase
+    assert not StepRate(sigma_plus=0.5, sigma_minus=0.25).stepper(
+        AgeGrid(dx=0.5, n_cells=4)).one_root
 
 
 @settings(max_examples=60, deadline=None)

@@ -379,7 +379,7 @@ def test_leading_modes_keep_conjugate_pairs_whole():
 # chi in closed form per run of equal rates
 
 def _runs_of(gen):
-    return linear_analysis._Chi(gen.rates, gen.grid.dx)._runs
+    return gen.model.stepper(gen.grid).runs(gen.steady.M)
 
 
 @pytest.mark.parametrize("model, runs", [
@@ -391,10 +391,14 @@ def _runs_of(gen):
               lam=0.7), 2),
 ])
 def test_constant_and_step_generators_take_the_run_form(model, runs):
-    # the frozen rates hold exactly equal values run by run, so a
-    # float-noise rate array cannot silently drop the closed form
+    # the family states its frozen rates as runs, and they are the
+    # rate vector run by run, bit for bit
     gen = _generator(model, 0.01, 10.0)
-    assert len(_runs_of(gen)) == runs
+    stated = _runs_of(gen)
+    assert len(stated) == runs
+    assert np.array_equal(_repeat(stated), gen.rates)
+    chi = linear_analysis._Chi(gen.rates, gen.grid.dx, stated)
+    assert len(chi._runs) == runs
 
 
 def test_smooth_generators_take_the_per_cell_form():
@@ -403,9 +407,10 @@ def test_smooth_generators_take_the_per_cell_form():
 
 
 @st.composite
-def _run_rates(draw):
-    """Piecewise-constant rates: 1-5 runs of 1-40 cells, zero-rate and
-    single-cell runs among them, sometimes a last cell of rate 0."""
+def _drawn_runs(draw):
+    """Piecewise-constant rates as (rate, cells) runs: 1-5 runs of 1-40
+    cells, zero-rate and single-cell runs among them, sometimes a last
+    cell of rate 0."""
     count = draw(st.integers(1, 5))
     values = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 3.0)),
                            min_size=count, max_size=count))
@@ -414,17 +419,26 @@ def _run_rates(draw):
     if draw(st.booleans()):
         values, lengths = values + [0.0], lengths + [1]
     assume(any(values))
-    return np.repeat(np.array(values), lengths)
+    return tuple(zip(values, lengths))
+
+
+def _repeat(runs):
+    return np.repeat([k for k, _ in runs], [L for _, L in runs])
+
+
+def _run_rates():
+    return _drawn_runs().map(_repeat)
 
 
 @settings(max_examples=150, deadline=None)
-@given(rates=_run_rates(), dx=st.floats(0.02, 0.4), data=st.data())
-@example(rates=np.repeat([0.0, 1.0], [25, 75]), dx=0.04, data=None)
-def test_run_form_matches_a_dense_solve(rates, dx, data):
+@given(drawn=_drawn_runs(), dx=st.floats(0.02, 0.4), data=st.data())
+@example(drawn=((0.0, 25), (1.0, 75)), dx=0.04, data=None)
+def test_run_form_matches_a_dense_solve(drawn, dx, data):
     # z right of the floor, up to Re 2.  At the floor itself, a short
     # run can put 1 + dx (k + z) within e^-20 of 0, where neither chi
     # nor the dense oracle resolves it, so z stays 1e-3 of the way off
-    chi = linear_analysis._Chi(rates, dx)
+    rates = _repeat(drawn)
+    chi = linear_analysis._Chi(rates, dx, drawn)
     assert chi._runs is not None
     floor = chi.floor()
     near_floor = floor + 1e-3 * (2.0 - floor)

@@ -14,6 +14,9 @@ differ between rounds, is refused.  A layer that does not read
 `--calls` or `--steps` refuses it.  Prints one JSON object: the host,
 and per SRC the median, quartiles (from two rounds) and per-round value
 of every timing, and the outputs once, so trees compare for equal output.
+A figure that is the median of N calls is the median of the mean call
+time over up to 20 batches that make N calls between them, so the
+clock's own cost stays out of a µs-scale call.
 Each SRC after the first also gets `ratio_to_first`: per round, each
 timing over the first SRC's timing in the same round, summarized the
 same way.  The host's speed moves from round to round, and a ratio of
@@ -42,14 +45,22 @@ def _families():
     }
 
 
+# _median_s times at most this many batches of calls
+_BATCHES = 20
+
+
 def _median_s(fn, calls):
-    # the median seconds of `calls` single calls of fn
+    # the median seconds per call of fn over the batches that make
+    # `calls` calls between them: a batch of many fast calls keeps the
+    # clock's own cost out of each call's time
     from statistics import median
+    size = max(1, calls // _BATCHES)
     times = []
-    for _ in range(calls):
+    for _ in range(calls // size):
         t = perf_counter()
-        fn()
-        times.append(perf_counter() - t)
+        for _ in range(size):
+            fn()
+        times.append((perf_counter() - t) / size)
     return median(times)
 
 
@@ -157,14 +168,16 @@ def step(*, steps=2000):
             {"last_m_p": last, "warm_solve": warm})
 
 
-def steady(*, calls=5):
+def steady(*, calls=5, turn=0):
     """steady: milliseconds per `solve_steady_state` call and per
     `regime_scan(model, [lam], grid)` row, both with their defaults, at
     1000 and 10k cells (x_max 10), on seven models.  The models take
-    turns, each timing `calls` calls of each kind after one untimed one.
-    `profile_us`: the median microseconds, over 200 calls, to build one
-    `steady_state._Profile` per model (its stepper, and the smooth
-    family's buffers), the binding that each root search makes.  `evaluation_us`: the median
+    turns, each timing `calls` calls of each kind after one untimed one;
+    round `turn` starts from the model `turn` places down the list, so
+    no model always follows the same one.  `profile_us`: the median
+    microseconds, over 200 calls, to build one `steady_state._Profile`
+    per model (its stepper, and the smooth family's buffers), the
+    binding that each root search makes.  `evaluation_us`: the median
     microseconds, over 2000 calls, of one evaluation of the
     normalization integral (`steady_state._Profile.integral`) per model,
     at the solve's M.  The outputs are M, the scan's roots and the
@@ -181,6 +194,9 @@ def steady(*, calls=5):
               "smooth-3": smooth(k1=2.0, lam=3.0),
               "smooth-8": smooth(k1=2.0, lam=8.0),
               "smooth-k1-6": smooth(k1=6.0, lam=0.6)}
+    names = list(models)
+    shift = turn % len(names)
+    models = {name: models[name] for name in names[shift:] + names[:shift]}
     kinds = {
         "solve": lambda m, g: agenet.solve_steady_state(m, g).M,
         "scan_row": lambda m, g: agenet.regime_scan(m, [m.lam], g)[0].roots,
@@ -369,7 +385,10 @@ def main(argv=None):
     parser.add_argument("--calls", type=int)
     parser.add_argument("--steps", type=int)
     args = parser.parse_args(argv)
+    # a layer that reads `turn` gets the round number, not an option
     settings = dict(LAYERS[args.layer].__kwdefaults__ or {})
+    turns = "turn" in settings
+    settings.pop("turn", None)
     given = {name: getattr(args, name) for name in ("calls", "steps")
              if getattr(args, name) is not None}
     for name in sorted(given.keys() - settings.keys()):
@@ -391,8 +410,9 @@ def main(argv=None):
     order = list(range(len(trees)))
     for r in range(args.rounds):
         for i in order[r % len(trees):] + order[:r % len(trees)]:
-            numpy_version, timings, out = _measure(args.layer, trees[i],
-                                                   settings)
+            numpy_version, timings, out = _measure(
+                args.layer, trees[i], {**settings, "turn": r} if turns
+                else settings)
             if outputs.setdefault(i, out) != out:
                 raise SystemExit(f"{trees[i]} gave different {args.layer} "
                                  "outputs in different rounds")
