@@ -316,10 +316,10 @@ class _RunStepper(_Stepper):
             self._bind_cells()
 
     def _cell(self, mu):
-        # the threshold cell at mu, 0 when no threshold reaches a midpoint
+        # the threshold cell at mu
         if mu != self._mu:
-            self._mu, self._idx = mu, (bisect.bisect_right(
-                self._mids, self._threshold(mu)) if self._reach else 0)
+            self._mu, self._idx = mu, bisect.bisect_right(
+                self._mids, self._threshold(mu))
         return self._idx
 
     def _plateaus(self, values, total):
@@ -331,9 +331,8 @@ class _RunStepper(_Stepper):
             self._bind_cells()
         if total is None:
             total = cell_sum(values)
-        if self._reach:
-            np.add.accumulate(values[:self._reach], out=self._heads)
-        return (self._k * total) * self._dx, self._heads
+        return (self._k * total) * self._dx, np.add.accumulate(
+            values[:self._reach], out=self._heads)
 
     def roots(self, values, total=None):
         # plateau j is a root exactly when its own threshold falls in
@@ -347,10 +346,6 @@ class _RunStepper(_Stepper):
 
     def bind(self, values, total=None):
         mass, heads = self._plateaus(values, total)
-        if not self._reach:
-            # one plateau: G is the mass at every mu
-            step = mass, 1.0
-            return lambda mu: step
         threshold, mids, k, dx = self._threshold, self._mids, self._k, self._dx
         cell_of = bisect.bisect_right
 
@@ -371,9 +366,8 @@ class _RunStepper(_Stepper):
         _check_mu(mu)
         if self._decay is None:
             self._bind_decay()
-        fired = self._fired = (self._idx if mu == self._mu
-                               else self._cell(mu))
-        tail = window[fired:] if fired else window
+        self._fired = self._cell(mu)
+        tail = window[self._fired:]
         np.multiply(tail, self._decay, out=tail)
         return window
 
@@ -384,12 +378,10 @@ class _RunStepper(_Stepper):
         # at most there, they shed exp(-k * dx) times that again.
         if not shed or self._fired is None:
             return 0.0
-        if mu == self._mu:
-            cell = self._idx
-        else:
+        if mu != self._mu:
             _check_mu(mu)
-            cell = self._cell(mu)
-        return self._kept * shed if cell <= self._fired + 1 else 0.0
+        return (self._kept * shed
+                if self._cell(mu) <= self._fired + 1 else 0.0)
 
     def run(self, mu):
         _check_mu(mu)

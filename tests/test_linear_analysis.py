@@ -134,11 +134,14 @@ _MODELS = {
 
 
 class _Generator(NamedTuple):
-    """A model's stationary pair on a grid and the rates frozen at it."""
+    """A model's stationary pair on a grid, the rates frozen at it and
+    the runs its stepper states them in (None for the smooth family),
+    as spectrum reads them."""
     model: object
     grid: AgeGrid
     steady: SteadyState
     rates: np.ndarray
+    runs: object
 
     def spectrum(self):
         return spectrum(self.model, self.grid, self.steady)
@@ -150,7 +153,8 @@ class _Generator(NamedTuple):
 def _generator(model, dx, x_max):
     grid = AgeGrid(dx=dx, n_cells=int(round(x_max / dx)))
     ss = solve_steady_state(model, grid)
-    return _Generator(model, grid, ss, _frozen_rates(model, grid, ss))
+    return _Generator(model, grid, ss, _frozen_rates(model, grid, ss),
+                      model.stepper(grid).runs(ss.M))
 
 
 def _dense_sorted(A):
@@ -196,9 +200,9 @@ def test_a_crowded_count_line_is_moved_right(monkeypatch):
     # at x_max = 50 the floor line holds about 45 modes; with no room to
     # spare the last step is bisected towards the first 16
     gen = _generator(ConstantRate(k0=1.0), 0.1, 50.0)
-    crowded, floor = linear_analysis._modes(gen.rates, gen.grid.dx)
+    crowded, floor = linear_analysis._modes(gen.rates, gen.grid.dx, gen.runs)
     monkeypatch.setattr(linear_analysis, "_SPARE", 1)
-    w, sigma = linear_analysis._modes(gen.rates, gen.grid.dx)
+    w, sigma = linear_analysis._modes(gen.rates, gen.grid.dx, gen.runs)
     assert floor < sigma and 16 <= w.size < crowded.size
     dense = linalg.eigvals(gen.dense())
     right = dense[dense.real > sigma]
@@ -247,7 +251,7 @@ _RATES = st.one_of(
        depth=st.floats(0.01, 1.0))
 def test_half_plane_count_matches_the_dense_count(model, dx, n, depth):
     gen = _generator(model, dx, n * dx)
-    chi = linear_analysis._Chi(gen.rates, gen.grid.dx)
+    chi = linear_analysis._Chi(gen.rates, gen.grid.dx, gen.runs)
     sigma = depth * chi.floor()
     dense = linalg.eigvals(gen.dense())
     # a mode on the line leaves the count undefined
@@ -263,7 +267,7 @@ def test_half_plane_count_matches_the_dense_count(model, dx, n, depth):
 @example(model=ConstantRate(k0=0.96875), dx=0.11328125, n=72)
 def test_located_modes_are_the_dense_modes_right_of_the_line(model, dx, n):
     gen = _generator(model, dx, n * dx)
-    w, sigma = linear_analysis._modes(gen.rates, gen.grid.dx)
+    w, sigma = linear_analysis._modes(gen.rates, gen.grid.dx, gen.runs)
     dense = linalg.eigvals(gen.dense())
     right = dense[dense.real > sigma]
     assert w.size >= 2 and w.size == right.size
@@ -294,7 +298,7 @@ def test_chi_matches_a_dense_solve(model, dx, n, re, im, on_axis):
     # which chi evaluates in complex arithmetic, or in the box up to
     # Im 20
     gen = _generator(model, dx, n * dx)
-    chi = linear_analysis._Chi(gen.rates, gen.grid.dx)
+    chi = linear_analysis._Chi(gen.rates, gen.grid.dx, gen.runs)
     x = chi.floor() + re * (2.0 - chi.floor())
     z = x if on_axis else complex(x, 20.0 * im)
     f, df, tail = chi.at(z, tail=True)
@@ -328,7 +332,7 @@ class _CountingChi(linear_analysis._Chi):
     (False, 0.3, -1.0, 2.0), (True, -0.4, 0.0, 12.0), (True, -0.4, 0.0, None)])
 def test_phase_reuses_the_walked_samples(vertical, fixed, lo, hi):
     gen = _generator(_MODELS["smooth"], 0.05, 6.0)
-    chi = _CountingChi(gen.rates, gen.grid.dx)
+    chi = _CountingChi(gen.rates, gen.grid.dx, gen.runs)
     path = linear_analysis._Path(chi, fixed, lo, hi, vertical=vertical)
     assert path.s.size >= 3
     chi.evaluations = 0
@@ -340,7 +344,7 @@ def test_phase_reuses_the_walked_samples(vertical, fixed, lo, hi):
     for a, b in zip(path.s[:-1], path.s[1:]):
         s = 0.5 * (a + b)
         fresh = cmath.phase(linear_analysis._Chi(
-            gen.rates, gen.grid.dx).value(path.point(s)))
+            gen.rates, gen.grid.dx, gen.runs).value(path.point(s)))
         turns = (path.phase(s) - fresh) / (2.0 * math.pi)
         assert abs(turns - round(turns)) < 1e-12
     assert chi.evaluations == path.s.size - 1
@@ -378,10 +382,6 @@ def test_leading_modes_keep_conjugate_pairs_whole():
 # ---------------------------------------------------------------------------
 # chi in closed form per run of equal rates
 
-def _runs_of(gen):
-    return gen.model.stepper(gen.grid).runs(gen.steady.M)
-
-
 @pytest.mark.parametrize("model, runs", [
     (ConstantRate(k0=1.0), 1),
     (ConstantRate(k0=0.37, lam=0.8), 1),
@@ -394,7 +394,7 @@ def test_constant_and_step_generators_take_the_run_form(model, runs):
     # the family states its frozen rates as runs, and they are the
     # rate vector run by run, bit for bit
     gen = _generator(model, 0.01, 10.0)
-    stated = _runs_of(gen)
+    stated = gen.runs
     assert len(stated) == runs
     assert np.array_equal(_repeat(stated), gen.rates)
     chi = linear_analysis._Chi(gen.rates, gen.grid.dx, stated)
@@ -403,7 +403,7 @@ def test_constant_and_step_generators_take_the_run_form(model, runs):
 
 def test_smooth_generators_take_the_per_cell_form():
     gen = _generator(_MODELS["smooth"], 0.01, 10.0)
-    assert _runs_of(gen) is None
+    assert gen.runs is None
 
 
 @st.composite
@@ -424,10 +424,6 @@ def _drawn_runs(draw):
 
 def _repeat(runs):
     return np.repeat([k for k, _ in runs], [L for _, L in runs])
-
-
-def _run_rates():
-    return _drawn_runs().map(_repeat)
 
 
 @settings(max_examples=150, deadline=None)
@@ -484,21 +480,25 @@ def test_run_form_matches_a_dense_solve(drawn, dx, data):
 
 def _model_rates(model, dx, n):
     gen = _generator(model, dx, n * dx)
-    return gen.rates, gen.grid.dx
+    return gen.rates, gen.grid.dx, gen.runs
+
+
+def _drawn_rates(drawn, dx):
+    return _repeat(drawn), dx, drawn
 
 
 @settings(max_examples=60, deadline=None)
 @given(rates_dx=st.one_of(
            st.builds(_model_rates, _RATES, st.floats(0.05, 0.4),
                      st.integers(20, 200)),
-           st.tuples(_run_rates(), st.floats(0.02, 0.4))),
+           st.builds(_drawn_rates, _drawn_runs(), st.floats(0.02, 0.4))),
        shares=st.lists(st.floats(1e-3, 0.999), min_size=1, max_size=4))
 def test_chi_rises_along_the_real_axis(rates_dx, shares):
     # right of the poles each v_j > 0 falls as z grows and each c_j >= 0,
     # so chi < 0 < chi' on [floor, 0): no real root but chi(0) = 0
-    rates, dx = rates_dx
+    rates, dx, runs = rates_dx
     assume(rates.size <= 200)
-    chi = linear_analysis._Chi(rates, dx)
+    chi = linear_analysis._Chi(rates, dx, runs)
     floor = chi.floor()
     f, df, _ = chi.at(floor)
     assert f.real < 0.0 < df.real

@@ -15,8 +15,8 @@ differ between rounds, is refused.  A layer that does not read
 and per SRC the median, quartiles (from two rounds) and per-round value
 of every timing, and the outputs once, so trees compare for equal output.
 A figure that is the median of N calls is the median of the mean call
-time over up to 20 batches that make N calls between them, so the
-clock's own cost stays out of a µs-scale call.
+time over min(N, 20) batches that make exactly N calls between them,
+so the clock's own cost stays out of a µs-scale call.
 Each SRC after the first also gets `ratio_to_first`: per round, each
 timing over the first SRC's timing in the same round, summarized the
 same way.  The host's speed moves from round to round, and a ratio of
@@ -33,6 +33,10 @@ from time import perf_counter
 TOOLS = os.path.dirname(os.path.realpath(__file__))
 CHILD = ("import sys; sys.path[:0] = sys.argv[1:3]; import layer_cost; "
          "layer_cost.child(*sys.argv[3:])")
+# the round that this interpreter runs, which child() sets from the
+# `round` that main() passes to every child; a layer may read it to vary
+# its order from round to round
+ROUND = 0
 
 
 def _families():
@@ -50,13 +54,14 @@ _BATCHES = 20
 
 
 def _median_s(fn, calls):
-    # the median seconds per call of fn over the batches that make
-    # `calls` calls between them: a batch of many fast calls keeps the
-    # clock's own cost out of each call's time
+    # the median seconds per call of fn over min(calls, _BATCHES)
+    # batches that make `calls` calls between them: a batch of many fast
+    # calls keeps the clock's own cost out of each call's time
     from statistics import median
-    size = max(1, calls // _BATCHES)
+    batches = min(calls, _BATCHES)
     times = []
-    for _ in range(calls // size):
+    for b in range(batches):
+        size = (calls + b) // batches   # the sizes sum to calls
         t = perf_counter()
         for _ in range(size):
             fn()
@@ -168,13 +173,13 @@ def step(*, steps=2000):
             {"last_m_p": last, "warm_solve": warm})
 
 
-def steady(*, calls=5, turn=0):
+def steady(*, calls=5):
     """steady: milliseconds per `solve_steady_state` call and per
     `regime_scan(model, [lam], grid)` row, both with their defaults, at
     1000 and 10k cells (x_max 10), on seven models.  The models take
     turns, each timing `calls` calls of each kind after one untimed one;
-    round `turn` starts from the model `turn` places down the list, so
-    no model always follows the same one.  `profile_us`: the median
+    round r starts from the model r places down the list, so no model
+    always follows the same one.  `profile_us`: the median
     microseconds, over 200 calls, to build one `steady_state._Profile`
     per model (its stepper, and the smooth family's buffers), the
     binding that each root search makes.  `evaluation_us`: the median
@@ -195,7 +200,7 @@ def steady(*, calls=5, turn=0):
               "smooth-8": smooth(k1=2.0, lam=8.0),
               "smooth-k1-6": smooth(k1=6.0, lam=0.6)}
     names = list(models)
-    shift = turn % len(names)
+    shift = ROUND % len(names)
     models = {name: models[name] for name in names[shift:] + names[:shift]}
     kinds = {
         "solve": lambda m, g: agenet.solve_steady_state(m, g).M,
@@ -327,9 +332,13 @@ LAYERS = {"import": agenet_import, "step": step, "steady": steady, "xi": xi,
 
 def child(layer, *settings):
     """Run one layer here; print agenet's origin, numpy's version, the
-    timings and the outputs as one JSON line."""
-    timings, outputs = LAYERS[layer](**{
-        name: int(value) for name, value in (s.split("=") for s in settings)})
+    timings and the outputs as one JSON line.  The settings hold the
+    layer's own and `round`, the round being run."""
+    global ROUND
+    given = {name: int(value)
+             for name, value in (s.split("=") for s in settings)}
+    ROUND = given.pop("round")
+    timings, outputs = LAYERS[layer](**given)
     import json
     import agenet
     import numpy
@@ -385,10 +394,7 @@ def main(argv=None):
     parser.add_argument("--calls", type=int)
     parser.add_argument("--steps", type=int)
     args = parser.parse_args(argv)
-    # a layer that reads `turn` gets the round number, not an option
     settings = dict(LAYERS[args.layer].__kwdefaults__ or {})
-    turns = "turn" in settings
-    settings.pop("turn", None)
     given = {name: getattr(args, name) for name in ("calls", "steps")
              if getattr(args, name) is not None}
     for name in sorted(given.keys() - settings.keys()):
@@ -410,9 +416,9 @@ def main(argv=None):
     order = list(range(len(trees)))
     for r in range(args.rounds):
         for i in order[r % len(trees):] + order[:r % len(trees)]:
+            # every child learns the round it runs
             numpy_version, timings, out = _measure(
-                args.layer, trees[i], {**settings, "turn": r} if turns
-                else settings)
+                args.layer, trees[i], {**settings, "round": r})
             if outputs.setdefault(i, out) != out:
                 raise SystemExit(f"{trees[i]} gave different {args.layer} "
                                  "outputs in different rounds")
