@@ -1,7 +1,7 @@
 """One bracket loop for every bracketed scalar root: the stationary
 activity M, the smooth family's implicit activity m, the stepper
-equilibrium, the half-rate age and the linear analysis's one bracket,
-the deepest accurate line `chi.floor`, narrowed by halving alone.
+equilibrium and the linear analysis's one bracket, the deepest
+accurate line `chi.floor`, narrowed by halving alone.
 
 The loop never leaves the bracket, because the functions involved
 (step-rate cumulatives and activity maps) are not differentiable in

@@ -309,45 +309,49 @@ def _check_strong_regime_gate(config, k0_mass):
 
 
 def run(config, f0, steady=None):
-    """Integrate the network from f0 up to t_end.
+    """Integrate the network from f0 for t_end time units.
 
     f0 may be a DensityState, an array of cell values, or a callable
     of age.  If steady is given (a SteadyState), the trace records the
-    L1 distance to its profile at every sample.
+    L1 distance to its profile at every sample.  The clock starts at
+    f0.t (0 for an array or a callable), so a run continued from a final
+    state goes on where that one stopped, as a loop of step() does.
 
     A DensityState f0 with a negative cell raises
     InvariantViolationError up front (project() refuses a negative
     array or callable).  From a nonnegative density, survival factors
     in (0, 1] keep every survivor nonnegative, so each step checks only
     p and the last cell kept on the mesh, and that m and p stay finite.
-    Running checks on every recorded sample: unit mass within 1e-10,
-    sup bound, p >= 0 with its absorbed part (p less the outflow past
-    x_max) at most k1, m in [0, k1], and for kappa0 > 0 the uniform
-    activity floor once t passes the half-rate age.  The recorded mass
-    is a fresh sum of the cells, not the cell sum that the steps carry,
-    which they conserve exactly.  Under a delay kernel m is the
-    activity of kernel.history(dt, m0): a recursion over a few running
-    means for the exponential and integer-shape gamma kernels, a dot
-    product of weights(dt) with the past p for the others.  Either way
-    it is a convex mean of m0 and the p pushed so far, so its cap is
-    the largest of those instead of k1.  The trace counts the path each
-    activity solve took.
+    One loop steps every kernel.  With no delay each step solves m with
+    the bound stepper's warm solve, and the trace counts the path each
+    solve took.  Under a delay kernel m is the activity of
+    kernel.history(dt, m0): a recursion over a few running means for
+    the exponential and integer-shape gamma kernels, a dot product of
+    weights(dt) with the past p for the others.  Either way it is a
+    convex mean of m0 and the p pushed so far, so its cap is the
+    largest of those instead of k1.  Each sample is one row (t, m, p,
+    mass, sup, l1q, l1_dist), and the trace's series are its columns.
+    Running checks on every row: unit mass within 1e-10, sup bound,
+    p >= 0 with its absorbed part (p less the outflow past x_max) at
+    most k1, m in [0, cap], and for kappa0 > 0 the uniform activity
+    floor once t - f0.t passes the half-rate age.  The recorded mass is
+    a fresh sum of the cells, not the cell sum that the steps carry,
+    which they conserve exactly.
     """
     grid, model, kernel = config.grid, config.model, config.kernel
     dt = config.dt
     if not isinstance(f0, DensityState):
         f0 = grid.project(f0)
-    state = f0
-    _check_nonnegative(state.values, state.t)
+    _check_nonnegative(f0.values, f0.t)
     k1 = model.k1
     k0 = model.k0
 
-    k0_mass = kappa0(model, grid, state)
+    k0_mass = kappa0(model, grid, f0)
     if k0_mass <= 0.0 and kernel.is_dirac and not config.allow_zero_kappa0:
         _check_strong_regime_gate(config, k0_mass)
 
     x0 = half_rate_age(model)
-    sup_bound = float(np.max(state.values)) + k1 + 10.0 * grid.dx
+    sup_bound = float(np.max(f0.values)) + k1 + 10.0 * grid.dx
     m_floor = min(k0_mass, 0.5 * k0) * math.exp(-k1 * x0) - 10.0 * grid.dx
 
     # initial activity: the self-consistent discharge of f0, which also
@@ -356,8 +360,8 @@ def run(config, f0, steady=None):
     # every solve; _transport returns the next one.
     stepper = model.stepper(grid)
     solve = stepper.solve
-    total = cell_sum(state.values)
-    m0, most_iterations, method = solve(state.values, total)
+    total = cell_sum(f0.values)
+    m0, most_iterations, method = solve(f0.values, total)
     solves = {"fixed-point": 0, "scan": 0, method: 1}
 
     history = None if kernel.is_dirac else kernel.history(dt, m0)
@@ -368,29 +372,19 @@ def run(config, f0, steady=None):
 
     F = steady.F if steady is not None else None
 
-    times = []
-    m_series = []
-    p_series = []
-    mass_series = []
-    linf_series = []
-    l1q_series = []
-    dist_series = None if F is None else []
-
-    # each sample's norms are read through one work buffer; the density
-    # stays nonnegative, so its moment norm needs no abs
+    # one row (t, m, p, mass, sup, l1q, l1_dist) per sample, its norms
+    # read through one work buffer; the density stays nonnegative, so
+    # its moment norm needs no abs
+    rows = []
     weight, work = _moment_weight(grid, config.q), np.empty(grid.n_cells)
 
     def _record(t, values, m, p, absorbed):
         mass = float(_add(values)) * grid.dx
-        times.append(t)
-        m_series.append(m)
-        p_series.append(p)
-        mass_series.append(mass)
         sup = float(_max(values))
-        linf_series.append(sup)
-        l1q_series.append(_weighted_integral(weight, values, grid.dx, work))
-        if dist_series is not None:
-            dist_series.append(_l1_distance(values, F, grid.dx, work))
+        rows.append((t, m, p, mass, sup,
+                     _weighted_integral(weight, values, grid.dx, work),
+                     None if F is None
+                     else _l1_distance(values, F, grid.dx, work)))
         diag = {"t": t, "m": m, "p": p, "mass": mass}
         if not (math.isfinite(m) and math.isfinite(p)
                 and math.isfinite(mass)):
@@ -407,13 +401,14 @@ def run(config, f0, steady=None):
         if m > m_cap * (1.0 + 1e-12) or m < 0.0:
             diag["cap"] = m_cap
             raise InvariantViolationError("activity left [0, cap]", diag)
-        if k0_mass > 0.0 and t >= x0 and m < m_floor:
+        if k0_mass > 0.0 and t - t0 >= x0 and m < m_floor:
             diag["floor"] = m_floor
             raise InvariantViolationError(
                 "activity fell below its uniform lower bound", diag)
 
+    t0 = t = f0.t
     m_cap = k1 if history is None else m0
-    _record(0.0, state.values, m0, m0, m0)
+    _record(t0, f0.values, m0, m0, m0)
 
     # the density is the window buf[s:s + cells]; each step writes p in
     # the cell before it and slides it there, and a window at the start
@@ -423,18 +418,19 @@ def run(config, f0, steady=None):
     cells = grid.n_cells
     buf = np.empty(2 * cells)
     s = cells
-    buf[s:] = state.values
-    live = _front(state.values)
-    t = state.t
+    buf[s:] = f0.values
+    live = _front(f0.values)
     m = p = m0
     shed = 0.0
+    if history is not None:
+        activity, push = history.activity, history.push
     record_every, isfinite = config.record_every, math.isfinite
-    if history is None:
-        for n in range(1, n_steps + 1):
-            if not s:
-                buf[cells:] = buf[:cells]
-                s = cells
-            window = buf[s:s + cells]
+    for n in range(1, n_steps + 1):
+        if not s:
+            buf[cells:] = buf[:cells]
+            s = cells
+        window = buf[s:s + cells]
+        if history is None:
             try:
                 m, iterations, method = solve(window, total, m)
             except AmbiguousActivityError as exc:
@@ -443,49 +439,36 @@ def run(config, f0, steady=None):
             solves[method] += 1
             if iterations > most_iterations:
                 most_iterations = iterations
-            p, total, shed = _transport(buf, s, window, total, stepper, m,
-                                        t, shed, live)
-            s -= 1
-            if live is not None:
-                live = live + 1 if live + 1 < cells else None
-            t = n * dt
-            if not (isfinite(p) and isfinite(m)):
-                raise InvariantViolationError(
-                    "non-finite step output", {"t": t, "m": m, "p": p})
-            if n % record_every == 0 or n == n_steps:
-                _record(t, buf[s:s + cells], m, p, p - float(buf[s + cells]))
-    else:
-        activity, push = history.activity, history.push
-        for n in range(1, n_steps + 1):
-            if not s:
-                buf[cells:] = buf[:cells]
-                s = cells
+        else:
             m = activity()
-            p, total, shed = _transport(buf, s, buf[s:s + cells], total,
-                                        stepper, m, t, shed, live)
-            s -= 1
-            if live is not None:
-                live = live + 1 if live + 1 < cells else None
-            t = n * dt
+        p, total, shed = _transport(buf, s, window, total, stepper, m, t,
+                                    shed, live)
+        s -= 1
+        if live is not None:
+            live = live + 1 if live + 1 < cells else None
+        t = t0 + n * dt
+        if history is not None:
             push(p)
             m_cap = max(m_cap, p)
-            if not (isfinite(p) and isfinite(m)):
-                raise InvariantViolationError(
-                    "non-finite step output", {"t": t, "m": m, "p": p})
-            if n % record_every == 0 or n == n_steps:
-                _record(t, buf[s:s + cells], m, p, p - float(buf[s + cells]))
+        if not (isfinite(p) and isfinite(m)):
+            raise InvariantViolationError(
+                "non-finite step output", {"t": t, "m": m, "p": p})
+        if n % record_every == 0 or n == n_steps:
+            _record(t, buf[s:s + cells], m, p, p - float(buf[s + cells]))
 
     # the last step is always recorded, with a fresh mass
+    times, m_series, p_series, mass_series, linf_series, l1q_series, \
+        dist_series = (np.asarray(column) for column in zip(*rows))
     final = DensityState(values=buf[s:s + cells].copy(),
-                         mass=mass_series[-1], m=m, p=p, t=t)
+                         mass=rows[-1][3], m=m, p=p, t=t)
     return SimulationTrace(
-        times=np.asarray(times),
-        m_series=np.asarray(m_series),
-        p_series=np.asarray(p_series),
-        mass_series=np.asarray(mass_series),
-        linf_series=np.asarray(linf_series),
-        l1q_series=np.asarray(l1q_series),
-        l1_dist_to_F=None if dist_series is None else np.asarray(dist_series),
+        times=times,
+        m_series=m_series,
+        p_series=p_series,
+        mass_series=mass_series,
+        linf_series=linf_series,
+        l1q_series=l1q_series,
+        l1_dist_to_F=None if F is None else dist_series,
         final_state=final,
         kappa0=k0_mass,
         dt=dt,

@@ -12,7 +12,8 @@ and bounded by k1.  k0 is the resting rate of an old neuron
 Each family computes its own closed forms behind one protocol: rate,
 cumulative K(x, mu) = int_0^x k, activity_slope (the slope of
 K(x_max, .) in the activity, from which estimate_xi takes the regime
-bounds in closed form) and stepper.
+bounds in closed form) and stepper; half_rate_age reads the age that
+each family states in closed form.
 
 stepper(grid) binds a family to a grid; README's rate family protocol
 states its contract in full.  There are two steppers.  The constant and
@@ -101,6 +102,8 @@ def _age_integral(x, x_scale):
 # after _MAX_ITER steps, falls back to the stepper's list of roots.
 _TOL = 1e-12
 _MAX_ITER = 200
+# the most floats the smooth family's half-rate age walks from its guess
+_WALK = 64
 
 
 class _Stepper:
@@ -430,6 +433,9 @@ class ConstantRate:
     def activity_slope(self, x_max):
         return 0.0, 0.0, 0.0
 
+    def _half_rate_age(self):
+        return 0.0
+
     def stepper(self, grid):
         return _RunStepper(self, grid, _from_birth, self.k0, 0.0)
 
@@ -479,6 +485,25 @@ class SmoothSaturatingRate:
         age = float(_age_integral(x_max, self.x_scale))
         return (0.0, (self.k1 - self.k0) / self.mu_scale * age,
                 1.0 / self.mu_scale)
+
+    def _half_rate_age(self):
+        # the rest rate k0 (1 - exp(-x/x_scale)) reaches k0/2 at
+        # x_scale ln 2; rounding puts the first float that reaches it a
+        # float or so away while k0/2 is a normal float
+        def reaches(x):
+            return self.rate(x, 0.0) >= self.k0 / 2.0
+        x = self.x_scale * math.log(2.0)
+        for _ in range(_WALK):
+            below = math.nextafter(x, 0.0)
+            if not reaches(x):
+                x = math.nextafter(x, math.inf)
+            elif below < x and reaches(below):
+                x = below
+            else:
+                return x
+        raise ValueError(f"the rest rate's rounding at k0 = {self.k0!r} puts "
+                         f"its half-rate age more than {_WALK} floats from "
+                         "x_scale ln 2")
 
     def stepper(self, grid):
         return _SmoothStepper(self, grid)
@@ -578,6 +603,11 @@ class StepRate:
         onset = math.log((self.sigma_plus - self.sigma_minus) / top) \
             / self.decay
         return onset, self.decay * top, self.decay
+
+    def _half_rate_age(self):
+        # the rest rate is 1 past threshold(0) and 0 up to it
+        rest = self.threshold(0.0)
+        return 0.0 if rest < 0.0 else math.nextafter(rest, math.inf)
 
     def stepper(self, grid):
         # a custom sigma may go anywhere; the built-in one is
@@ -707,25 +737,14 @@ def estimate_xi(model, x_max=10.0, mu_range=(0.0, 1.0), samples=33,
                           lambda_strong=lambda_strong)
 
 
-def _rising_threshold(fn, target, x_cap=1e6):
-    # smallest x with fn(x) >= target, for nondecreasing fn
-    if fn(0.0) >= target:
-        return 0.0
-    hi = 1.0
-    while fn(hi) < target:
-        hi *= 2.0
-        if hi > x_cap:
-            raise ValueError("rate never reaches the requested level")
-    # a sign, not fn - target: fn may sit on target over several floats
-    return _roots.bisect(lambda x: 1.0 if fn(x) >= target else -1.0,
-                         0.0, hi, -1.0)[1]
-
-
 def half_rate_age(model):
-    """Smallest age x0 past which the resting rate stays >= k0/2.
+    """Smallest age x0 past which the resting rate stays >= k0/2, as
+    each family states it: 0 for the constant family, the float just
+    past threshold(0) for the step family (0 when that is negative),
+    and for the smooth family the first float from x_scale ln 2 on
+    which the rate expression reaches k0/2.
 
     Monotonicity in mu extends the floor to every activity: for any
     mu >= 0, k(x, mu) >= k0/2 for x >= x0.
     """
-    return _rising_threshold(lambda x: model.rate(x, 0.0), model.k0 / 2.0)
-
+    return model._half_rate_age()

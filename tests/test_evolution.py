@@ -546,6 +546,60 @@ def _public_steps(model, kernel, f0, cfg, n_steps):
     return ms, ps, state
 
 
+@pytest.mark.parametrize("kernel", [DelayKernel.dirac(),
+                                    DelayKernel.exponential(2.0)],
+                         ids=["dirac", "exponential"])
+def test_a_continued_run_keeps_the_clock_of_public_steps(kernel):
+    # a run from a previous run's final state starts its clock at that
+    # state's t, and goes on as a loop of step() from that state does
+    grid = _grid()
+    model = SmoothSaturatingRate(k0=0.5, k1=2.0, lam=0.6)
+    cfg = SimulationConfig(grid=grid, model=model, kernel=kernel, t_end=1.0,
+                           record_every=1)
+    f0 = run(cfg, preset_density(grid, "exp2")).final_state
+    assert f0.t == 1.0
+    trace = run(cfg, f0)
+    n_steps = trace.times.size - 1
+    assert n_steps == 100
+    _, _, state = _public_steps(model, kernel, f0, cfg, n_steps)
+    # step() adds dx to its state's t
+    clock = [f0.t]
+    for _ in range(n_steps):
+        clock.append(clock[-1] + grid.dx)
+    assert trace.times[0] == f0.t
+    np.testing.assert_allclose(trace.times, clock, rtol=0.0, atol=1e-12)
+    assert trace.final_state.t == trace.times[-1]
+    assert trace.final_state.t == pytest.approx(state.t, abs=1e-12)
+    assert (trace.final_state.values.tobytes()
+            == state.values.tobytes())
+
+
+@pytest.mark.parametrize("k", [2, 5])
+def test_an_ambiguous_solve_in_run_carries_its_step_start_time(k,
+                                                               monkeypatch):
+    # the k-th solve of run(), counting its initial one, is the solve of
+    # step k - 1, which starts at f0.t + (k - 2) dt
+    grid = _grid()
+    model = SmoothSaturatingRate(k0=0.5, k1=2.0, lam=0.6)
+    cfg = SimulationConfig(grid=grid, model=model, t_end=0.5)
+    f0 = run(cfg, preset_density(grid, "uniform01")).final_state
+    stepper_type = type(model.stepper(grid))
+    solve, calls = stepper_type.solve, []
+
+    def ambiguous_on_the_kth(stepper, values, total=None, warm=None):
+        calls.append(warm)
+        if len(calls) == k:
+            raise AmbiguousActivityError.listing([0.25, 0.75])
+        return solve(stepper, values, total, warm)
+    monkeypatch.setattr(stepper_type, "solve", ambiguous_on_the_kth)
+    with pytest.raises(AmbiguousActivityError) as caught:
+        run(cfg, f0)
+    assert len(calls) == k
+    assert caught.value.roots == [0.25, 0.75]
+    assert caught.value.t == f0.t + (k - 2) * grid.dx
+    assert caught.value.t == pytest.approx(0.5 + (k - 2) * grid.dx)
+
+
 _FRONT_MODELS = {
     "constant": ConstantRate(k0=1.0),
     "step": StepRate(sigma_plus=0.5, sigma_minus=0.25, lam=0.3),

@@ -593,6 +593,79 @@ def test_half_rate_age():
     assert half_rate_age(smooth) == pytest.approx(math.log(2.0), abs=1e-9)
 
 
+def _bisected_half_rate_age(model):
+    # the oracle: the smallest x with rate(x, 0) >= k0/2, by doubling an
+    # upper end from 1 and bisecting on the sign of the comparison (the
+    # rate may sit on k0/2 over several floats)
+    target = model.k0 / 2.0
+
+    def fn(x):
+        return model.rate(x, 0.0)
+    if fn(0.0) >= target:
+        return 0.0
+    hi = 1.0
+    while fn(hi) < target:
+        hi *= 2.0
+        if hi > 1e6:
+            raise ValueError("rate never reaches the requested level")
+    return _roots.bisect(lambda x: 1.0 if fn(x) >= target else -1.0,
+                         0.0, hi, -1.0)[1]
+
+
+@st.composite
+def _half_rate_models(draw):
+    # each family, with half-rate ages from 1e-30 to 5e5, where the
+    # oracle's doubling and 200 halvings reach the first float
+    kind = draw(st.sampled_from(["constant", "smooth", "step",
+                                 "step-custom-sigma"]))
+    k0 = draw(st.floats(1e-6, 1e6))
+    if kind == "constant":
+        return ConstantRate(k0=k0)
+    if kind == "smooth":
+        return SmoothSaturatingRate(k0=k0, k1=k0 * draw(st.floats(1.0, 100.0)),
+                                    x_scale=draw(st.floats(1e-6, 1e5)))
+    low = draw(st.floats(0.01, 0.9))
+    high = draw(st.floats(low + 1e-6, 0.999))
+    if kind == "step":
+        return StepRate(sigma_plus=high, sigma_minus=low,
+                        decay=draw(_positive))
+    # a custom threshold may rest at any age, below 0 included
+    rest = draw(st.one_of(st.floats(-2.0, -1e-300), st.floats(1e-30, 5e5)))
+    return StepRate(sigma_plus=high, sigma_minus=low,
+                    sigma=lambda u: rest / (1.0 + u), sigma_modulus=abs(rest))
+
+
+@given(_half_rate_models())
+@settings(max_examples=300, deadline=None)
+@example(SmoothSaturatingRate(k0=0.5, k1=2.0))
+@example(StepRate(sigma_plus=0.5, sigma_minus=0.25))
+def test_half_rate_age_equals_the_bisection_oracle(model):
+    x0 = half_rate_age(model)
+    assert x0 == _bisected_half_rate_age(model)
+    assert model.rate(x0, 0.0) >= model.k0 / 2.0
+    assert x0 == 0.0 or model.rate(math.nextafter(x0, 0.0), 0.0) \
+        < model.k0 / 2.0
+
+
+def test_half_rate_ages_the_bisection_could_not_reach():
+    # the oracle halves 200 times from [0, 1] and refuses an age past
+    # 2**19; the families' closed forms give the first float there too
+    resting = StepRate(sigma=lambda u: 0.0, sigma_modulus=1.0)
+    assert half_rate_age(resting) == math.nextafter(0.0, 1.0)
+    assert _bisected_half_rate_age(resting) == 2.0 ** -200
+    for model in (StepRate(sigma=lambda u: 1e6, sigma_modulus=1.0),
+                  SmoothSaturatingRate(k0=1.0, k1=2.0, x_scale=1e6)):
+        x0 = half_rate_age(model)
+        assert model.rate(x0, 0.0) >= 0.5 > model.rate(
+            math.nextafter(x0, 0.0), 0.0)
+        with pytest.raises(ValueError, match="never reaches"):
+            _bisected_half_rate_age(model)
+    # with k0/2 a few subnormal floats, the rate's rounding moves the
+    # first float that reaches it far from x_scale ln 2: refused
+    with pytest.raises(ValueError, match="half-rate age"):
+        half_rate_age(SmoothSaturatingRate(k0=1e-322, k1=1.0))
+
+
 # ---------------------------------------------------------------------------
 # the per-family fast paths against the scalar and generic definitions
 

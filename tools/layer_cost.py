@@ -87,13 +87,12 @@ def step(*, steps=2000):
     (shape 2, rate 4) kernels, the wall time of `run()` for `steps`
     steps, recording once at the end, over its steps, after one untimed
     run of a tenth as many.  `advance_us`: the median of 500
-    calls of the transport kernel alone, on that density at its
-    activity with the bound stepper, as run() passes them: on trees
-    that have it, `evolution._transport`, which decays the density in
-    place and sums the rest, on a density that decays further with
-    each call, each call handing the next the shed it returns; on older
-    trees, `evolution._advance`, which writes the survivors into a
-    second buffer.
+    calls of the transport kernel alone, `evolution._transport`, on
+    `uniform01` at its activity with the bound stepper, as run() calls
+    it: the density is a window that slides one cell per call through
+    a buffer of 2n cells, decaying further with each call, and each
+    call hands the next the cell sum and shed it returns and the
+    density's front, one cell further on.
     `solve_activity_implicit_us`: the median of 200 cold public calls on
     that density.  `warm_solve_us`: the median of 2000 calls of
     `stepper.solve(values, total, m)` on the Dirac run's final density
@@ -134,27 +133,28 @@ def step(*, steps=2000):
                     settled[fam] = (trace.final_state.values,
                                     float(trace.m_series[-1]))
 
-    # the kernel at the density's cell sum total, as run() calls it:
-    # _transport(buf, s, window, total, stepper, m, t) on the window
-    # buf[s:s + cells], or _advance(values, total, stepper, out, t, m)
-    total = float(f0.values[0]) + float(f0.values[1:].sum())
+    # the kernel as run() calls it: _transport(buf, s, window, total,
+    # stepper, m, t, shed, live) on the window buf[s:s + cells], which
+    # slides one cell toward the start of buf per call (500 calls stay
+    # short of the start), carrying the cell sum, the shed and the front
     advance_us, solve_us = {}, {}
     for fam, model in families.items():
         m = agenet.solve_activity_implicit(model, grid, f0.values).m
         stepper = model.stepper(grid)
-        buf = np.empty(cells + 1)
-        if hasattr(evolution, "_transport"):
-            buf[1:] = f0.values
-            # each call hands the next the shed it returns, as run() does
-            shed = [0.0]
+        buf = np.empty(2 * cells)
+        buf[cells:] = f0.values
+        carried = {"s": cells, "total": agenet.cell_sum(f0.values),
+                   "shed": 0.0, "live": evolution._front(f0.values)}
 
-            def transport():
-                shed[0] = evolution._transport(buf, 1, buf[1:], total,
-                                               stepper, m, 0.0, shed[0])[2]
-            advance_us[fam] = _median_s(transport, 500) * 1e6
-        else:
-            advance_us[fam] = _median_s(lambda: evolution._advance(
-                f0.values, total, stepper, buf, 0.0, m), 500) * 1e6
+        def transport():
+            s, live = carried["s"], carried["live"]
+            _, carried["total"], carried["shed"] = evolution._transport(
+                buf, s, buf[s:s + cells], carried["total"], stepper, m, 0.0,
+                carried["shed"], live)
+            carried["s"] = s - 1
+            if live is not None:
+                carried["live"] = live + 1 if live + 1 < cells else None
+        advance_us[fam] = _median_s(transport, 500) * 1e6
     for fam, model in families.items():
         solve_us[fam] = _median_s(lambda: agenet.solve_activity_implicit(
             model, grid, f0.values), 200) * 1e6
