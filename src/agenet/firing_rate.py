@@ -35,8 +35,7 @@ family binds its own.  A stepper holds:
   plateau (the constant family's among them);
 - the one-step factors exp(-k(x_j, lam*mu) dx).  decay(window, mu)
   multiplies a prefix of the mesh's cells by them in place, bit for bit
-  the rate expression, and discharge_floor(values, mu, total, shed)
-  bounds from below the mass that it sheds;
+  the rate expression;
 - the rate's stationary and linear forms.  The smooth stepper's
   separable_profile() gives K = gain(mu) * A(x) in separable pieces.
   The run stepper's run(mu) gives (T, k), so that max(0, k*(x - T)) is
@@ -161,18 +160,17 @@ class _SmoothStepper(_Stepper):
     separable pieces."""
 
     __slots__ = ("_model", "_grid", "_shape", "_factors", "_minus_dx",
-                 "_scale", "_least", "_dx", "_gain", "_rate", "_span",
-                 "_separable")
+                 "_scale", "_dx", "_gain", "_rate", "_span", "_separable")
     one_root = True     # gain is concave
 
     def __init__(self, model, grid):
         self._model, self._grid = model, grid
         self._separable = None      # on the first separable_profile
-        # the age factor 1 - exp(-x/x_scale), on the first _weight, decay
-        # or discharge_floor, and the work buffer of decay's factors, -dx,
-        # the gain's slot and the least share a cell sheds, on the first
-        # decay or discharge_floor: the stationary solve reads none of them
-        self._shape = self._factors = self._minus_dx = self._least = None
+        # the age factor 1 - exp(-x/x_scale), on the first _weight or
+        # decay, and the work buffer of decay's factors, -dx and the
+        # gain's slot, on the first decay: the stationary solve reads
+        # none of them
+        self._shape = self._factors = self._minus_dx = None
         self._scale = None
         self._dx = grid.dx
         self._gain = model.gain
@@ -193,10 +191,6 @@ class _SmoothStepper(_Stepper):
         # each decay writes its gain to
         self._minus_dx = np.array(-self._dx)
         self._scale = np.empty(())
-        # the shape rises with age and the gain from k0 at rest, so the
-        # youngest cell at rest keeps the largest factor
-        self._least = -math.expm1(
-            -(float(self._shape[0]) * self._model.k0) * self._dx)
 
     def _weight(self, values):
         # the age integral of G = gain(mu) * weight; the cell sum does
@@ -242,11 +236,6 @@ class _SmoothStepper(_Stepper):
         np.exp(factors, out=factors)
         return np.multiply(window, factors, out=window)
 
-    def discharge_floor(self, values, mu, total, shed):
-        if self._least is None:
-            self._bind_decay()
-        return self._least * total
-
     def separable_profile(self):
         # K = gain(mu) * A(x): (gain, A on the edges, dA, dx/dA with 0
         # on the idle cells, the idle cells, A'(x_max)), bound once
@@ -274,8 +263,7 @@ class _RunStepper(_Stepper):
     as a warm start or a step after a solve does."""
 
     __slots__ = ("_model", "_grid", "_threshold", "_k", "_top", "_mids",
-                 "_reach", "_heads", "_dx", "_decay", "_kept", "_mu", "_idx",
-                 "_fired")
+                 "_reach", "_heads", "_dx", "_decay", "_mu", "_idx")
 
     def __init__(self, model, grid, threshold, k, top):
         self._model, self._grid = model, grid
@@ -283,10 +271,8 @@ class _RunStepper(_Stepper):
         # on first use by a stepping call: run() reads none of them
         self._reach = self._mids = self._heads = None
         self._dx = grid.dx
-        # exp(-k * dx), as a 0-d array and a float, on the first decay
-        self._decay = self._kept = None
+        self._decay = None              # exp(-k * dx), on the first decay
         self._mu = self._idx = None     # the last mu and its cell
-        self._fired = None              # the last decay's threshold cell
 
     def _bind_cells(self):
         grid = self._grid
@@ -314,7 +300,6 @@ class _RunStepper(_Stepper):
         # kept as a 0-d array: a multiply skips a Python float's conversion
         self._decay = np.exp(-np.full(1, self._k) * self._dx)
         self._decay.shape = ()
-        self._kept = float(self._decay)
         if self._mids is None:
             self._bind_cells()
 
@@ -369,22 +354,9 @@ class _RunStepper(_Stepper):
         _check_mu(mu)
         if self._decay is None:
             self._bind_decay()
-        self._fired = self._cell(mu)
-        tail = window[self._fired:]
+        tail = window[self._cell(mu):]
         np.multiply(tail, self._decay, out=tail)
         return window
-
-    def discharge_floor(self, values, mu, total, shed):
-        # values is the last decayed density one cell older, and shed the
-        # mass that its cells past the threshold cell, less the last one,
-        # shed.  They now lie one cell on; while the threshold cell lies
-        # at most there, they shed exp(-k * dx) times that again.
-        if not shed or self._fired is None:
-            return 0.0
-        if mu != self._mu:
-            _check_mu(mu)
-        return (self._kept * shed
-                if self._cell(mu) <= self._fired + 1 else 0.0)
 
     def run(self, mu):
         _check_mu(mu)

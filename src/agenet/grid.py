@@ -78,10 +78,10 @@ class AgeGrid:
         return _l1_distance(u, v, self.dx, np.empty(self.n_cells))
 
     def l1q_norm(self, values, q=1.0):
-        """Moment norm integral of (1 + x^q)|f|; diagnostic only."""
+        """Moment norm integral of (1 + x^q)|f|; diagnostic only.  Like
+        integrate, it refuses values that are not one per cell."""
         values = np.asarray(values)
-        if values.shape != (self.n_cells,):
-            raise ValueError("length mismatch")
+        self._check_cells(values.shape)
         return _weighted_integral(_moment_weight(self, q), np.abs(values),
                                   self.dx, np.empty(self.n_cells))
 

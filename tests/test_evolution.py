@@ -687,10 +687,10 @@ def test_every_cell_past_the_front_stays_positive_zero(family, kernel,
 def _two_buffer_run(model, kernel, f0, grid, n_steps):
     # The transport as it stood before the density decayed in place:
     # the survivors, values times the rate expression's factors, go one
-    # cell over into a second buffer, the two buffers swap, and p < 0
-    # is recounted from the sum of the density before the step.
-    # Returns the activities, discharges, final density and the number
-    # of steps that recounted p.
+    # cell over into a second buffer, the two buffers swap, and a p < 0
+    # within the kernel's rounding bound is set to 0.  Returns the
+    # activities, discharges and final density, and for each step that
+    # set p to 0, its bound and its discharge summed exactly.
     stepper = model.stepper(grid)
     cells = grid.n_cells
     cur, nxt = np.empty(cells + 1), np.empty(cells + 1)
@@ -698,7 +698,7 @@ def _two_buffer_run(model, kernel, f0, grid, n_steps):
     total = cell_sum(f0.values)
     m = stepper.solve(f0.values, total)[0]
     history = None if kernel.is_dirac else kernel.history(grid.dx, m)
-    ms, ps, recounts = [m], [m], 0
+    ms, ps, clamped = [m], [m], []
     for _ in range(n_steps):
         values = cur[:cells]
         m = (stepper.solve(values, total, m)[0] if history is None
@@ -709,9 +709,11 @@ def _two_buffer_run(model, kernel, f0, grid, n_steps):
         rest = float(nxt[1:-1].sum())
         p = total - rest
         if p < 0.0:
-            recounts += 1
-            p = ((float(values.sum()) - float(survived.sum()))
-                 + float(survived[-1]))
+            bound = evolution._CLEARANCE * (cells + 2) * total
+            assert p >= -bound
+            clamped.append((bound, math.fsum(np.concatenate(
+                (values, -survived[:-1])))))
+            p = 0.0
         nxt[0] = p
         total = p + rest
         cur, nxt = nxt, cur
@@ -719,25 +721,26 @@ def _two_buffer_run(model, kernel, f0, grid, n_steps):
             history.push(p)
         ms.append(m)
         ps.append(p)
-    return ms, ps, cur[:cells].copy(), recounts
+    return ms, ps, cur[:cells].copy(), clamped
 
 
 @pytest.mark.parametrize("kernel", [DelayKernel.dirac(),
                                     DelayKernel.exponential(2.0)],
                          ids=["dirac", "exponential"])
-def test_a_planted_tail_recounts_p_as_the_two_buffer_step_did(kernel):
+def test_a_planted_tail_clamps_p_as_the_two_buffer_step_does(kernel):
     # Unit mass on the youngest 200 cells, below every threshold, and a
     # tail of 1e-13 to 1e-9 in three cells at age 5: for 150 steps only
     # the tail fires.  Up to a tail of 1e-11 its discharge sits at the
     # rounding of the cell sum, and p = total - rest lands below zero on
-    # about a fifth of the steps.  Each such step must recount p from
-    # the density's sum before the decay, as the two-buffer step did.
+    # about a fifth of the steps.  Each such step must set p to 0, as
+    # the two-buffer step does, and its exact discharge must lie within
+    # the bound that allows it.
     grid = AgeGrid(dx=1e-3, n_cells=10_000)
     model = StepRate(sigma_plus=0.5, sigma_minus=0.25, lam=0.05)
     n_steps = 150
     cfg = SimulationConfig(grid=grid, model=model, kernel=kernel,
                            t_end=n_steps * grid.dx, record_every=1)
-    recounts = {}
+    counts = {}
     for seed in range(3):
         for tail in (1e-13, 1e-12, 1e-11, 1e-10, 1e-9):
             values = np.zeros(grid.n_cells)
@@ -748,14 +751,15 @@ def test_a_planted_tail_recounts_p_as_the_two_buffer_step_did(kernel):
             f0 = DensityState(values=values, mass=grid.integrate(values),
                               m=0.0, p=0.0, t=0.0)
             trace = run(cfg, f0)
-            ms, ps, final, count = _two_buffer_run(model, kernel, f0, grid,
-                                                   n_steps)
+            ms, ps, final, clamped = _two_buffer_run(model, kernel, f0, grid,
+                                                     n_steps)
             assert np.array_equal(trace.m_series, ms)
             assert np.array_equal(trace.p_series, ps)
             assert np.array_equal(trace.final_state.values, final)
-            recounts[seed, tail] = count
-    # the fixture reaches the recount on every small tail
-    assert all(count >= 20 for (_, tail), count in recounts.items()
+            assert all(0.0 <= exact <= bound for bound, exact in clamped)
+            counts[seed, tail] = len(clamped)
+    # the fixture reaches the clamp on every small tail
+    assert all(count >= 20 for (_, tail), count in counts.items()
                if tail <= 1e-11)
 
 
@@ -765,13 +769,15 @@ def test_a_planted_tail_recounts_p_as_the_two_buffer_step_did(kernel):
        dx=st.sampled_from([0.2, 0.05, 0.01, 1e-3]),
        n_cells=st.integers(2, 400),
        support=st.floats(0.0, 1.0),
-       mus=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
-def test_the_discharge_floor_lies_below_the_mass_decay_sheds(
-        model, seed, dx, n_cells, support, mus):
-    # Successive transport steps at the activities mus: at each, the
-    # family's floor (given what the step before shed) lies below the
-    # mass the decay sheds, sum(density) - sum(decayed density) summed
-    # exactly, but for a few roundings of the cell sum
+       mus=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+       excess=st.floats(1e-9, 1.0))
+def test_transport_keeps_p_within_its_rounding_bound_of_the_exact_discharge(
+        model, seed, dx, n_cells, support, mus, excess):
+    # Successive transport steps at the activities mus: each p is
+    # nonnegative and within _CLEARANCE * (n + 2) * total of the
+    # discharge sum(density) - sum(kept survivors) summed exactly, and
+    # the total returned is the new density's cell_sum.  A decay whose
+    # factor passes 1 is refused.
     grid = AgeGrid(dx=dx, n_cells=n_cells)
     rng = np.random.default_rng(seed)
     cells = max(1, int(support * n_cells))
@@ -780,19 +786,31 @@ def test_the_discharge_floor_lies_below_the_mass_decay_sheds(
     buf[s:s + cells] = rng.uniform(0.0, 1.0, cells)
     buf[s] += 1e-3
     buf /= buf.sum() * dx
+    start = buf[s:].copy()
     stepper = model.stepper(grid)
-    total, shed = cell_sum(buf[s:]), 0.0
-    allowance = 4.0 * n_cells * np.finfo(float).eps
+    total = cell_sum(buf[s:])
     for mu in mus:
         mu *= model.k1
         window = buf[s:s + n_cells]
-        before = math.fsum(window)
-        floor = stepper.discharge_floor(window, mu, total, shed)
-        p, total, shed = evolution._transport(buf, s, window, total,
-                                              stepper, mu, 0.0, shed)
-        assert floor <= before - math.fsum(window) + allowance * before
+        bound = evolution._CLEARANCE * (n_cells + 2) * total
+        before = window.copy()
+        p, total = evolution._transport(buf, s, window, total, stepper, mu,
+                                        0.0)
+        exact = math.fsum(np.concatenate((before, -window[:-1])))
         assert p >= 0.0
+        assert abs(p - exact) <= bound
+        assert total == cell_sum(buf[s - 1:s - 1 + n_cells])
         s -= 1
+    # the grown density's last cell is empty, so p is minus the growth
+    start[-1] = 0.0
+    buf = np.concatenate(([0.0], start))
+    growing = SimpleNamespace(
+        decay=lambda window, mu: np.multiply(window, 1.0 + excess,
+                                             out=window))
+    with pytest.raises(InvariantViolationError,
+                       match="negative density produced by a transport step"):
+        evolution._transport(buf, 1, buf[1:], cell_sum(start), growing, 0.0,
+                             0.0)
 
 
 _FAMILIES = st.one_of(
@@ -861,8 +879,7 @@ def test_run_hands_the_stepper_the_exact_cell_sum(family):
         def stepper(self, grid):
             bound = super().stepper(grid)
             return SimpleNamespace(solve=recorded(bound.solve),
-                                   decay=bound.decay,
-                                   discharge_floor=bound.discharge_floor)
+                                   decay=bound.decay)
 
     grid = _grid()
     model = Recording(**dataclasses.asdict(family))
@@ -1021,8 +1038,7 @@ def test_discharge_check_catches_a_rate_above_k1():
 
             def decay(window, mu):
                 return bound.decay(bound.decay(window, mu), mu)
-            return SimpleNamespace(solve=bound.solve, decay=decay,
-                                   discharge_floor=bound.discharge_floor)
+            return SimpleNamespace(solve=bound.solve, decay=decay)
 
     grid = _grid()
     cfg = SimulationConfig(grid=grid, model=Overfiring(k0=1.0), t_end=1.0)

@@ -62,7 +62,7 @@ def test_l1_distance_and_weighted_norm():
     # weight 1 + x at the midpoints: (1.25 + 1.75) * 0.5
     assert grid.l1q_norm(u, q=1.0) == 1.5
     assert grid.l1q_norm(u, q=0.0) == pytest.approx(2.0 * grid.integrate(u))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="expected 4 cell values"):
         grid.l1q_norm(np.ones(3))
 
 

@@ -91,8 +91,8 @@ def step(*, steps=2000):
     `uniform01` at its activity with the bound stepper, as run() calls
     it: the density is a window that slides one cell per call through
     a buffer of 2n cells, decaying further with each call, and each
-    call hands the next the cell sum and shed it returns and the
-    density's front, one cell further on.
+    call hands the next the cell sum it returns and the density's
+    front, one cell further on.
     `solve_activity_implicit_us`: the median of 200 cold public calls on
     that density.  `warm_solve_us`: the median of 2000 calls of
     `stepper.solve(values, total, m)` on the Dirac run's final density
@@ -134,9 +134,9 @@ def step(*, steps=2000):
                                     float(trace.m_series[-1]))
 
     # the kernel as run() calls it: _transport(buf, s, window, total,
-    # stepper, m, t, shed, live) on the window buf[s:s + cells], which
-    # slides one cell toward the start of buf per call (500 calls stay
-    # short of the start), carrying the cell sum, the shed and the front
+    # stepper, m, t, live) on the window buf[s:s + cells], which slides
+    # one cell toward the start of buf per call (500 calls stay short of
+    # the start), carrying the cell sum and the front
     advance_us, solve_us = {}, {}
     for fam, model in families.items():
         m = agenet.solve_activity_implicit(model, grid, f0.values).m
@@ -144,13 +144,13 @@ def step(*, steps=2000):
         buf = np.empty(2 * cells)
         buf[cells:] = f0.values
         carried = {"s": cells, "total": agenet.cell_sum(f0.values),
-                   "shed": 0.0, "live": evolution._front(f0.values)}
+                   "live": evolution._front(f0.values)}
 
         def transport():
             s, live = carried["s"], carried["live"]
-            _, carried["total"], carried["shed"] = evolution._transport(
+            _, carried["total"] = evolution._transport(
                 buf, s, buf[s:s + cells], carried["total"], stepper, m, 0.0,
-                carried["shed"], live)
+                live)
             carried["s"] = s - 1
             if live is not None:
                 carried["live"] = live + 1 if live + 1 < cells else None
