@@ -44,7 +44,11 @@ arithmetic whether lam is real or not:
   iteration;
 - chi, chi' and the tail bound (`at(z, tail=True)`): the count-line
   walks, which stop on it, and the search for the rectangles' right
-  side.
+  side.  Both read it only as `>= _TAIL`.  It is sum_j |c_j v_j|, but
+  where |1 - chi|, a lower bound on the sum, already passes _TAIL the
+  per-cell form gives that instead (`_Chi.at`).
+
+A search computes each point once: `_Chi` keeps its results by z.
 
 The only poles of chi are -1/dx - k_j, left of every line searched
 here, and chi -> 1 as |Im lam| grows.  `spectrum` therefore runs no
@@ -89,11 +93,14 @@ _SPARE = 8              # a line with over _SPARE * need roots right of it
 _SPLITS = 8             # is moved right, by at most _SPLITS bisections
 _THETA = 0.3            # first-order relative change of chi per step
 _MAX_TURN = math.pi / 4  # largest turn of arg chi accepted in a step
-_TAIL = 0.5             # past sum_j |c_j v_j| < _TAIL, chi cannot wind
+_TAIL = 0.5             # past sum_j |c_j v_j| < _TAIL, chi cannot wind;
+                        # at(z, tail=True)[2] is only compared with it
 _ETA = 1e-6             # the rectangles start this far above the axis;
                         # a pair closer to it fails the count check
 _SERIES = 0.05          # a run's sums from their power series up to
 _TERMS = 10             # |L w| = _SERIES, to this many terms
+
+_add = np.add.reduce
 
 
 @dataclasses.dataclass(frozen=True)
@@ -178,11 +185,14 @@ class _Chi:
     here, one term per cell.  Either way lam is evaluated in complex
     arithmetic, a float as a complex with imaginary part 0.  `value`
     computes chi alone; `at` adds chi' and, when asked, the tail
-    bound."""
+    bound.  Both keep their results by z, one memo per search: z
+    enters only as dx z added to a real, so a float x and
+    complex(x, +-0.0), one key, give the same bits."""
 
     def __init__(self, rates, dx, runs=None):
         self.dx = dx
         self._runs = None
+        self._memo = {}   # z: (chi, chi' or None, tail bound or None)
         if runs is not None:
             self._kappa, self._length = np.array(runs, dtype=float).T
             # per run: dx k, its length and the series of its sums
@@ -192,16 +202,20 @@ class _Chi:
         else:
             # every cell a run of its own, for floor()
             self._kappa, self._length = rates, np.ones(rates.size)
-            self.one_dxk = 1.0 + dx * rates
+            # complex, as the ufuncs would cast them on every call
+            self.one_dxk = (1.0 + dx * rates).astype(complex)
             # the boundary row c (the rates, plus 1/dx in the last cell)
             # times dx
-            self.cdx = np.array(rates, dtype=float)
+            self.cdx = np.array(rates, dtype=complex)
             self.cdx[-1] += 1.0 / dx
             self.cdx *= dx
             n = self.cdx.size
             # r, c v and cumsum(r); |c v|
             self._work = tuple(np.empty(n, complex) for _ in range(3))
             self._abs = np.empty(n)
+            # |1 - chi| <= sum_j |c_j v_j|, each rounded within about
+            # (n + 2) eps; the margin of 4 as in evolution._CLEARANCE
+            self._decides = _TAIL * (1.0 + 4.0 * (n + 2) * 2.0 ** -52)
         self.pole = -float((1.0 + dx * self._kappa).min()) / dx
 
     def _terms(self, z):
@@ -264,21 +278,35 @@ class _Chi:
 
     def value(self, z):
         """chi(z) alone, equal to at(z)[0] bit for bit."""
-        if self._runs is not None:
-            return self._closed(z)[0]
-        return complex(1.0 - self._terms(z)[1].sum())
+        known = self._memo.get(z)
+        if known is None:
+            f = self._closed(z)[0] if self._runs is not None \
+                else complex(1.0 - _add(self._terms(z)[1]))
+            known = self._memo[z] = (f, None, None)
+        return known[0]
 
     def at(self, z, tail=False):
-        """chi(z), chi'(z) and, when `tail`, the tail bound
-        sum_j |c_j v_j(z)|, which only falls as Re z or |Im z| grows
-        (None otherwise)."""
+        """chi(z), chi'(z) and, when `tail`, the tail bound (None
+        otherwise): sum_j |c_j v_j(z)|, which only falls as Re z or
+        |Im z| grows.  Where |1 - chi(z)| >= _TAIL (1 + 4 (n + 2) eps),
+        the per-cell form returns |1 - chi(z)|, below the sum but as
+        sure to pass _TAIL."""
+        known = self._memo.get(z)
+        if known is not None and known[1] is not None \
+                and (known[2] is not None or not tail):
+            return known if tail else (known[0], known[1], None)
         if self._runs is not None:
-            return self._closed(z, slope=True, tail=tail)
-        r, cv, sum_r = self._terms(z)
-        np.add.accumulate(r, out=sum_r)
-        bound = float(np.abs(cv, out=self._abs).sum()) if tail else None
-        return (complex(1.0 - cv.sum()), complex(self.dx * (cv @ sum_r)),
-                bound)
+            found = self._closed(z, slope=True, tail=tail)
+        else:
+            r, cv, sum_r = self._terms(z)
+            np.add.accumulate(r, out=sum_r)
+            f = complex(1.0 - _add(cv))
+            bound = abs(1.0 - f) if tail else None
+            if tail and not bound >= self._decides:
+                bound = float(_add(np.abs(cv, out=self._abs)))
+            found = (f, complex(self.dx * (cv @ sum_r)), bound)
+        self._memo[z] = found
+        return found
 
     def floor(self):
         """The deepest line Re = sigma < 0 that lies right of every pole

@@ -34,7 +34,7 @@ def _leaves(tree):
      {"evaluations", "values"}),
     (["xi", "--calls", "1"], {"ms"}, {"estimates"}),
     (["equilibrium", "--calls", "1"], {"ms"}, {"M"}),
-    (["spectrum", "--calls", "1"], {"ms"}, {"gap", "evaluations"}),
+    (["spectrum", "--calls", "1"], {"ms"}, {"gap", "evaluations", "calls"}),
 ], ids=["import", "step", "steady", "xi", "equilibrium", "spectrum"])
 def test_every_layer_runs_and_names_its_figures(argv, timings, outputs,
                                                 capsys):
@@ -76,9 +76,11 @@ def test_every_layer_runs_and_names_its_figures(argv, timings, outputs,
     elif layer == "xi":
         assert set(tree["timings"]["ms"]) == {"regime_draw", "defaults"}
     elif layer == "spectrum":
-        assert set(tree["timings"]["ms"]) == FAMILIES | {"default"}
-        assert set(tree["outputs"]["gap"]) == FAMILIES | {"default"}
-        assert set(tree["outputs"]["evaluations"]) == FAMILIES | {"default"}
+        cases = FAMILIES | {"default", "smooth-10k"}
+        assert set(tree["timings"]["ms"]) == cases
+        assert set(tree["outputs"]["gap"]) == cases
+        assert set(tree["outputs"]["evaluations"]) == cases
+        assert set(tree["outputs"]["calls"]) == cases
     else:
         assert set(tree["timings"]["ms"]) == FAMILIES
 

@@ -17,7 +17,7 @@ from scipy import linalg
 from agenet import (AgeGrid, ConfigError, ConstantRate, SmoothSaturatingRate,
                     SpectrumCountError, SteadyState, StepRate,
                     solve_steady_state, spectrum)
-from agenet import linear_analysis
+from agenet import _roots, linear_analysis
 
 
 def _frozen_rates(model, grid, steady):
@@ -514,3 +514,103 @@ def test_chi_rises_along_the_real_axis(rates_dx, shares):
     w = linalg.eigvals(_dense_generator(rates, dx))
     real = w[w.imag == 0.0].real
     assert not np.any((real > chi.pole) & (real < -1e-8))
+
+
+# ---------------------------------------------------------------------------
+# one search computes each point once, and the tail sum only where it
+# decides
+
+def _called(chi, kind, z):
+    return chi.value(z) if kind == "value" else chi.at(z, kind == "tail")
+
+
+@settings(max_examples=60, deadline=None)
+@given(rates_dx=st.one_of(
+           st.builds(_model_rates, _RATES, st.floats(0.05, 0.4),
+                     st.integers(20, 200)),
+           st.builds(_drawn_rates, _drawn_runs(), st.floats(0.02, 0.4))),
+       per_cell=st.booleans(), data=st.data())
+def test_a_kept_result_is_what_a_fresh_chi_computes(rates_dx, per_cell,
+                                                     data):
+    # a real z, the same z with both signs of a zero imaginary part, and
+    # one off the axis, each asked for again and for more or less; repr
+    # tells the signs of zero apart
+    rates, dx, runs = rates_dx
+    runs = None if per_cell else runs
+    chi = linear_analysis._Chi(rates, dx, runs)
+    floor = chi.floor()
+    points = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        x = floor + data.draw(st.floats(1e-3, 1.0)) * (2.0 - floor)
+        y = data.draw(st.floats(1e-6, 20.0))
+        points += [x, complex(x, 0.0), complex(x, -0.0), complex(x, y)]
+    calls = data.draw(st.lists(
+        st.tuples(st.sampled_from(points),
+                  st.sampled_from(["value", "at", "tail"])),
+        min_size=1, max_size=30))
+    for z, kind in calls:
+        fresh = linear_analysis._Chi(rates, dx, runs)
+        assert repr(_called(chi, kind, z)) == repr(_called(fresh, kind, z))
+
+
+def _today_tail(rates, dx, z):
+    """chi and sum_j |c_j v_j| summed cell by cell, as the per-cell form
+    summed the tail bound at every z before it took |1 - chi| instead."""
+    cdx = np.array(rates, dtype=float)
+    cdx[-1] += 1.0 / dx
+    cdx *= dx
+    # complex, as the per-cell form's buffers are, at a real z too
+    r = ((1.0 + dx * rates) + dx * z).astype(complex)
+    cv = cdx * np.cumprod(1.0 / r)
+    return complex(1.0 - cv.sum()), float(np.abs(cv).sum())
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=_RATES, dx=st.floats(0.05, 0.4), n=st.integers(20, 200),
+       re=st.floats(0.0, 1.0), im=st.floats(0.0, 1.0))
+def test_the_tail_sum_is_taken_wherever_it_decides(model, dx, n, re, im):
+    # per cell, at a drawn z and at the two ends of a real bracket of
+    # 1 - chi = 1/2 narrowed to adjacent floats, where the sum is nearest
+    # _TAIL: `tail >= _TAIL` decides as the sum does, and a tail that is
+    # not the sum is |1 - chi|, past _TAIL by more than both roundings
+    gen = _generator(model, dx, n * dx)
+    rates = gen.rates
+    chi = linear_analysis._Chi(rates, dx)
+    floor = chi.floor()
+    x_hi = 1.0
+    while 1.0 - chi.value(x_hi).real >= 0.5:
+        x_hi *= 2.0
+    ends = _roots.bisect(lambda x: 0.5 - (1.0 - chi.value(x).real),
+                         0.0, x_hi, -0.5)
+    assert all(abs(1.0 - chi.value(x) - 0.5) <= 1e-12 for x in ends)
+    tail_ = linear_analysis._TAIL
+    margin = tail_ * (1.0 + 4.0 * (n + 2) * 2.0 ** -52)
+    for z in [*ends, complex(floor + re * (2.0 - floor), 20.0 * im)]:
+        f, _, tail = linear_analysis._Chi(rates, dx).at(z, tail=True)
+        f_today, total = _today_tail(rates, dx, z)
+        assert f == f_today
+        assert (tail >= tail_) == (total >= tail_)
+        if tail != total:
+            assert tail == abs(1.0 - f) >= margin
+        (_, dense), _ = _dense_chi(rates, dx, z)
+        if abs(dense - tail_) > 1e-10 * dense:
+            assert (tail >= tail_) == (dense >= tail_)
+
+
+@pytest.mark.parametrize("family", ["step", "smooth"])
+def test_a_spectrum_computes_each_point_once(family, monkeypatch):
+    # at 1000 cells: every point asked for is computed once, and some
+    # are asked for again
+    gen = _generator(_MODELS[family], 0.01, 10.0)
+    asked, computed = [], []
+    chi = linear_analysis._Chi
+    for name, into in [("value", asked), ("at", asked),
+                       ("_terms", computed), ("_closed", computed)]:
+        def counted(self, z, *args, _method=getattr(chi, name), _into=into,
+                    **kwargs):
+            _into.append(z)
+            return _method(self, z, *args, **kwargs)
+        monkeypatch.setattr(chi, name, counted)
+    gen.spectrum()
+    assert len(computed) == len(set(computed)) == len(set(asked))
+    assert len(asked) > len(computed)

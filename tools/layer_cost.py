@@ -288,42 +288,54 @@ def equilibrium(*, calls=10):
 def spectrum(*, calls=5):
     """spectrum: milliseconds per `spectrum(model, grid, steady)` call on
     the step layer's family models at 1000 cells (dx 1e-2), as in the
-    spectrum workload, and on the CLI's default config ("default":
-    constant k0 = 1 at 10k cells, dx 1e-3), each timing `calls` calls
-    after one untimed one, at a stationary pair solved once.  The
-    outputs are the gaps and the untimed call's evaluations of chi
-    (calls of `linear_analysis._Chi.value` and `_Chi.at`)."""
+    spectrum workload, on the CLI's default config ("default": constant
+    k0 = 1 at 10k cells, dx 1e-3), and on the smooth model at 10k cells
+    ("smooth-10k", dx 1e-3, a `sweep` row's spectrum), each timing
+    `calls` calls after one untimed one, at a stationary pair solved
+    once.  The outputs are the gaps and, for the untimed call, the
+    evaluations of chi it computed (calls of `linear_analysis._Chi._terms`
+    and `_Chi._closed`) and the calls it made for chi (of `_Chi.value`
+    and `_Chi.at`), which a point already computed answers for free."""
     import agenet
     from agenet import linear_analysis
+    families = _families()
     cases = {fam: (model, agenet.AgeGrid(dx=1e-2, n_cells=1000))
-             for fam, model in _families().items()}
+             for fam, model in families.items()}
     cases["default"] = (agenet.ConstantRate(k0=1.0),
                         agenet.AgeGrid(dx=1e-3, n_cells=10_000))
+    cases["smooth-10k"] = (families["smooth"],
+                           agenet.AgeGrid(dx=1e-3, n_cells=10_000))
     chi = linear_analysis._Chi
-    methods = {"value": chi.value, "at": chi.at}
-    evaluations = [0]
+    counted = {"evaluations": ("_terms", "_closed"),
+               "calls": ("value", "at")}
+    methods = {key: getattr(chi, key)
+               for keys in counted.values() for key in keys}
+    count = dict.fromkeys(counted, 0)
 
-    def counted(method):
+    def counting(name, method):
         def wrapper(*args, **kwargs):
-            evaluations[0] += 1
+            count[name] += 1
             return method(*args, **kwargs)
         return wrapper
 
-    ms, gap, evals = {}, {}, {}
-    for name, (model, grid) in cases.items():
+    ms, gap = {}, {}
+    counts = {name: {} for name in counted}
+    for case, (model, grid) in cases.items():
         steady = agenet.solve_steady_state(model, grid)
 
         def call():
             return agenet.spectrum(model, grid, steady)
-        for key, method in methods.items():
-            setattr(chi, key, counted(method))
-        evaluations[0] = 0
-        gap[name] = repr(call().gap)
+        for name, keys in counted.items():
+            count[name] = 0
+            for key in keys:
+                setattr(chi, key, counting(name, methods[key]))
+        gap[case] = repr(call().gap)
         for key, method in methods.items():
             setattr(chi, key, method)
-        evals[name] = evaluations[0]
-        ms[name] = _median_s(call, calls) * 1e3
-    return {"ms": ms}, {"gap": gap, "evaluations": evals}
+        for name in counted:
+            counts[name][case] = count[name]
+        ms[case] = _median_s(call, calls) * 1e3
+    return {"ms": ms}, {"gap": gap, **counts}
 
 
 LAYERS = {"import": agenet_import, "step": step, "steady": steady, "xi": xi,
