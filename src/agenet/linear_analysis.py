@@ -55,8 +55,8 @@ here, and chi -> 1 as |Im lam| grows.  `spectrum` therefore runs no
 eigensolver:
 
 - it counts the roots with Re > sigma by the argument principle along
-  the line Re = sigma, in steps limited by |chi|/|chi'| over which
-  arg chi turns by less than pi/4;
+  the line Re = sigma, in steps over which chi changes by at most half,
+  so that arg chi turns by at most pi/6;
 - it moves sigma left until enough roots lie right of the line, but
   no further than chi is accurate: v_j grows like e^((-sigma - k) x)
   with the age x, so on a long age horizon the deepest usable line
@@ -91,8 +91,8 @@ _MAX_GROWTH = 20.0      # largest log |v_j| on a count line: bounds the
 _SIGMA_STEP = 0.5       # the first count lines sit at -0.5, -1, -1.5, ...
 _SPARE = 8              # a line with over _SPARE * need roots right of it
 _SPLITS = 8             # is moved right, by at most _SPLITS bisections
-_THETA = 0.3            # first-order relative change of chi per step
-_MAX_TURN = math.pi / 4  # largest turn of arg chi accepted in a step
+_CHANGE = 0.5           # largest |q - 1|, q = chi(next)/chi(here), of a
+                        # walk step; steps are proposed at 90% of it
 _TAIL = 0.5             # past sum_j |c_j v_j| < _TAIL, chi cannot wind;
                         # at(z, tail=True)[2] is only compared with it
 _ETA = 1e-6             # the rectangles start this far above the axis;
@@ -334,13 +334,14 @@ class _Path:
     """arg chi along a horizontal or vertical segment, as a continuous
     function of the moving coordinate s in [lo, hi].
 
-    The segment is walked in steps h = _THETA |chi|/|chi'|, halved
-    until arg chi turns by at most _MAX_TURN and |chi| changes by at
-    most half.  With hi None the walk goes on until the tail bound
-    drops below _TAIL, where |chi - 1| < 1/2 from there on, and hi is
-    where it stopped; only such a walk reads the tail bound.  An
-    unwalked path (walk=False) lies where the tail bound is below
-    _TAIL throughout, so the principal arg is the continuous one.
+    The segment is walked in steps h = 0.9 _CHANGE |chi|/|chi'|,
+    halved until |q - 1| <= _CHANGE for q = chi(next)/chi(here), so
+    arg chi turns by at most arcsin(_CHANGE) = pi/6 in a step.  With hi
+    None the walk goes on until the tail bound drops below _TAIL, where
+    |chi - 1| < 1/2 from there on, and hi is where it stopped; only
+    such a walk reads the tail bound.  An unwalked path (walk=False)
+    lies where the tail bound is below _TAIL throughout, so the
+    principal arg is the continuous one.
     """
 
     def __init__(self, chi, fixed, lo, hi, vertical, walk=True):
@@ -356,7 +357,7 @@ class _Path:
             raise _OnPath
         ss, fs, args = [s], [f], [cmath.phase(f)]
         while (s < hi) if bounded else (tail >= _TAIL):
-            h = _THETA * abs(f) / abs(df) if df else math.inf
+            h = 0.9 * _CHANGE * abs(f) / abs(df) if df else math.inf
             h = min(h, hi - s) if bounded else min(h, max(1.0, s - lo))
             while True:
                 if h <= 1e-12 * max(1.0, abs(self.point(s))):
@@ -365,14 +366,13 @@ class _Path:
                 s_next = hi if bounded and h >= hi - s else s + h
                 g, dg, tail_g = chi.at(self.point(s_next), tail=not bounded)
                 q = g / f
-                turn = cmath.phase(q)
-                if abs(turn) <= _MAX_TURN and abs(q - 1.0) <= 0.5:
+                if abs(q - 1.0) <= _CHANGE:
                     break
                 h *= 0.5
             s, f, df, tail = s_next, g, dg, tail_g
             ss.append(s)
             fs.append(f)
-            args.append(args[-1] + turn)
+            args.append(args[-1] + cmath.phase(q))
         self.hi = s
         self.s, self.f, self.args = np.array(ss), fs, args
 

@@ -34,7 +34,8 @@ def _leaves(tree):
      {"evaluations", "values"}),
     (["xi", "--calls", "1"], {"ms"}, {"estimates"}),
     (["equilibrium", "--calls", "1"], {"ms"}, {"M"}),
-    (["spectrum", "--calls", "1"], {"ms"}, {"gap", "evaluations", "calls"}),
+    (["spectrum", "--calls", "1"], {"ms"},
+     {"gap", "evaluations", "calls", "walk"}),
 ], ids=["import", "step", "steady", "xi", "equilibrium", "spectrum"])
 def test_every_layer_runs_and_names_its_figures(argv, timings, outputs,
                                                 capsys):
@@ -81,6 +82,10 @@ def test_every_layer_runs_and_names_its_figures(argv, timings, outputs,
         assert set(tree["outputs"]["gap"]) == cases
         assert set(tree["outputs"]["evaluations"]) == cases
         assert set(tree["outputs"]["calls"]) == cases
+        walk = tree["outputs"]["walk"]
+        assert set(walk) == cases
+        assert all(0 < steps["kept"] <= steps["proposed"]
+                   for steps in walk.values())
     else:
         assert set(tree["timings"]["ms"]) == FAMILIES
 
@@ -143,3 +148,30 @@ def test_ratios_pair_the_timings_of_one_round(monkeypatch, capsys):
     assert second["timings"]["ms"]["a"]["by_round"] == [1.0, 6.0]
     assert second["ratio_to_first"]["ms"]["a"] == {
         "p25": 0.75, "p50": 1.0, "p75": 1.25, "by_round": [0.5, 1.5]}
+
+
+def test_advance_us_hands_an_old_kernel_its_shed(monkeypatch):
+    # a kernel that takes the shed ahead of the front and returns it as a
+    # third value, as the transport kernel did before it clamped a
+    # negative discharge itself: each call is handed the last one's shed
+    import agenet
+    from agenet import evolution
+    kernel = evolution._transport
+    handed, returned = [], []
+
+    def old_kernel(buf, s, window, total, stepper, m, t, shed=0.0,
+                   live=None):
+        assert live is None or isinstance(live, int)
+        last = float(window[-1])
+        p, total = kernel(buf, s, window, total, stepper, m, t, live)
+        handed.append(shed)
+        returned.append(p - last)
+        return p, total, p - last
+
+    monkeypatch.setattr(evolution, "_transport", old_kernel)
+    grid = agenet.AgeGrid(dx=1e-2, n_cells=1000)
+    us = layer_cost._advance_us(agenet.ConstantRate(k0=1.0), grid,
+                                agenet.preset_density(grid, "exp2").values)
+    assert us > 0 and len(handed) == 500
+    assert handed == [0.0] + returned[:-1]
+    assert any(handed)

@@ -614,3 +614,96 @@ def test_a_spectrum_computes_each_point_once(family, monkeypatch):
     gen.spectrum()
     assert len(computed) == len(set(computed)) == len(set(asked))
     assert len(asked) > len(computed)
+
+
+# the 1000-cell cases of `tools/layer_cost.py spectrum`, with the
+# evaluations that spectrum() computed on each when its walks proposed
+# steps at 0.3 |chi|/|chi'| (constant, step, smooth)
+_LAYER_CASES = {
+    "constant": (ConstantRate(k0=1.0), 1293),
+    "step": (StepRate(sigma_plus=0.5, sigma_minus=0.25, lam=0.3), 1327),
+    "smooth": (SmoothSaturatingRate(k0=0.5, k1=2.0, lam=0.6), 789),
+}
+
+
+def _walked_spectrum(model, monkeypatch):
+    """spectrum() at dx 0.01 and 1000 cells, and what its walks did: the
+    steps they proposed (calls of chi.at after each walk's first), the
+    turns of arg chi over the steps they kept, and the evaluations of
+    chi that the search computed."""
+    gen = _generator(model, 0.01, 10.0)
+    chi, path = linear_analysis._Chi, linear_analysis._Path
+    at, walk = chi.at, path.__init__
+    calls, proposed, computed, turns = [0], [0], [0], []
+
+    def counted_at(self, z, tail=False):
+        calls[0] += 1
+        return at(self, z, tail)
+
+    def walked(self, *args, **kwargs):
+        # a walk that stops on a root proposed steps too, and kept none
+        before = calls[0]
+        try:
+            walk(self, *args, **kwargs)
+        finally:
+            proposed[0] += max(calls[0] - before - 1, 0)
+        if self.s is not None:
+            turns.extend(np.diff(self.args))
+
+    for name in ("_terms", "_closed"):
+        def evaluation(self, *args, _method=getattr(chi, name), **kwargs):
+            computed[0] += 1
+            return _method(self, *args, **kwargs)
+        monkeypatch.setattr(chi, name, evaluation)
+    monkeypatch.setattr(chi, "at", counted_at)
+    monkeypatch.setattr(path, "__init__", walked)
+    gen.spectrum()
+    return proposed[0], np.abs(turns), computed[0]
+
+
+@pytest.mark.parametrize("case", list(_LAYER_CASES))
+def test_walk_steps_are_kept_and_turn_at_most_pi_over_6(case, monkeypatch):
+    # a step proposed at 90% of the change its test allows is almost
+    # always kept, and the test |q - 1| <= 1/2 bounds its turn by
+    # arcsin(1/2)
+    proposed, turns, _ = _walked_spectrum(_LAYER_CASES[case][0], monkeypatch)
+    assert turns.size > 100
+    assert proposed - turns.size <= 0.01 * proposed
+    assert turns.max() <= math.pi / 6 + 1e-12
+
+
+@pytest.mark.parametrize("case", list(_LAYER_CASES))
+def test_a_spectrum_computes_a_fifth_fewer_evaluations(case, monkeypatch):
+    # these counts repeat exactly: walks that propose past what their
+    # test allows have steps halved, and walks that propose far short of
+    # it take more samples than they need, both of which show here
+    model, before = _LAYER_CASES[case]
+    *_, computed = _walked_spectrum(model, monkeypatch)
+    assert computed <= 0.8 * before
+
+
+def test_a_mode_on_a_print_boundary_matches_a_30_digit_root():
+    # the smooth model's leading pair at dx 0.01 and x_max 10 has a real
+    # part whose 16th significant digit moves with the walk's samples;
+    # the oracle is chi per cell on the same double rates, in mpmath
+    mpmath = pytest.importorskip("mpmath")
+    gen = _generator(SmoothSaturatingRate(0.5, 2.0, lam=0.6), 0.01, 10.0)
+    mode, = [z for z in gen.spectrum().eigenvalues
+             if abs(z - complex(-0.8702, 1.9279)) < 1e-3]
+    with mpmath.workdps(30):
+        dx = mpmath.mpf(gen.grid.dx)
+        rates = [mpmath.mpf(k) for k in gen.rates.tolist()]
+        c = rates[:-1] + [rates[-1] + 1 / dx]
+
+        def chi(lam):
+            v, total = dx, 0
+            for k, c_j in zip(rates, c):
+                v /= 1 + dx * (lam + k)
+                total += c_j * v
+            return 1 - total
+
+        root = complex(mpmath.findroot(chi, mpmath.mpc(mode.real,
+                                                       mode.imag)))
+    assert abs(root - complex(-0.87021129516850638,
+                              1.92793934440402702)) < 1e-15
+    assert abs(mode - root) < 1e-13

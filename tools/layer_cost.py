@@ -92,16 +92,21 @@ def step(*, steps=2000):
     it: the density is a window that slides one cell per call through
     a buffer of 2n cells, decaying further with each call, and each
     call hands the next the cell sum it returns and the density's
-    front, one cell further on.
+    front, one cell further on.  A kernel that still takes the shed
+    (`shed` before `live`, returning it as a third value, as before
+    the kernel clamped a negative discharge itself) is read from its
+    signature and handed the shed it returned, so trees of both kinds
+    pair.
     `solve_activity_implicit_us`: the median of 200 cold public calls on
     that density.  `warm_solve_us`: the median of 2000 calls of
     `stepper.solve(values, total, m)` on the Dirac run's final density
     from `uniform01`, its cell sum and last activity, the call run()
     makes on every Dirac step.  The outputs are each run's last activity
-    and discharge, and each warm solve's (m, iterations, method)."""
-    import numpy as np
+    and discharge, and each warm solve's (m, iterations, method).
+    Paired comparisons of this layer need `--rounds 15` or more: on a
+    2-core host the per-round ratios of two trees' `run_step_us` ranged
+    from 0.31 to 2.0 within one 7-round run."""
     import agenet
-    from agenet import evolution
     dx, cells = 1e-3, 10_000
     grid = agenet.AgeGrid(dx=dx, n_cells=cells)
     densities = {name: agenet.preset_density(grid, name)
@@ -133,31 +138,10 @@ def step(*, steps=2000):
                     settled[fam] = (trace.final_state.values,
                                     float(trace.m_series[-1]))
 
-    # the kernel as run() calls it: _transport(buf, s, window, total,
-    # stepper, m, t, live) on the window buf[s:s + cells], which slides
-    # one cell toward the start of buf per call (500 calls stay short of
-    # the start), carrying the cell sum and the front
-    advance_us, solve_us = {}, {}
-    for fam, model in families.items():
-        m = agenet.solve_activity_implicit(model, grid, f0.values).m
-        stepper = model.stepper(grid)
-        buf = np.empty(2 * cells)
-        buf[cells:] = f0.values
-        carried = {"s": cells, "total": agenet.cell_sum(f0.values),
-                   "live": evolution._front(f0.values)}
-
-        def transport():
-            s, live = carried["s"], carried["live"]
-            _, carried["total"] = evolution._transport(
-                buf, s, buf[s:s + cells], carried["total"], stepper, m, 0.0,
-                live)
-            carried["s"] = s - 1
-            if live is not None:
-                carried["live"] = live + 1 if live + 1 < cells else None
-        advance_us[fam] = _median_s(transport, 500) * 1e6
-    for fam, model in families.items():
-        solve_us[fam] = _median_s(lambda: agenet.solve_activity_implicit(
-            model, grid, f0.values), 200) * 1e6
+    advance_us = {fam: _advance_us(model, grid, f0.values)
+                  for fam, model in families.items()}
+    solve_us = {fam: _median_s(lambda: agenet.solve_activity_implicit(
+        model, grid, f0.values), 200) * 1e6 for fam, model in families.items()}
     warm_us, warm = {}, {}
     for fam, model in families.items():
         values, m = settled[fam]
@@ -171,6 +155,42 @@ def step(*, steps=2000):
              "solve_activity_implicit_us": solve_us,
              "warm_solve_us": warm_us},
             {"last_m_p": last, "warm_solve": warm})
+
+
+def _advance_us(model, grid, values):
+    # the median µs of 500 calls of the kernel as run() calls it:
+    # _transport(buf, s, window, total, stepper, m, t, live) on the
+    # window buf[s:s + n], which slides one cell toward the start of buf
+    # per call (500 calls stay short of the start), carrying the cell sum
+    # and the front; a kernel that takes `shed` ahead of `live` carries
+    # that too, the third value it returns
+    import inspect
+    import numpy as np
+    import agenet
+    from agenet import evolution
+    sheds = "shed" in inspect.signature(evolution._transport).parameters
+    cells = grid.n_cells
+    m = agenet.solve_activity_implicit(model, grid, values).m
+    stepper = model.stepper(grid)
+    buf = np.empty(2 * cells)
+    buf[cells:] = values
+    carried = {"s": cells, "total": agenet.cell_sum(values), "shed": 0.0,
+               "live": evolution._front(values)}
+
+    def transport():
+        s, live = carried["s"], carried["live"]
+        if sheds:
+            _, carried["total"], carried["shed"] = evolution._transport(
+                buf, s, buf[s:s + cells], carried["total"], stepper, m, 0.0,
+                carried["shed"], live)
+        else:
+            _, carried["total"] = evolution._transport(
+                buf, s, buf[s:s + cells], carried["total"], stepper, m, 0.0,
+                live)
+        carried["s"] = s - 1
+        if live is not None:
+            carried["live"] = live + 1 if live + 1 < cells else None
+    return _median_s(transport, 500) * 1e6
 
 
 def steady(*, calls=5):
@@ -294,8 +314,12 @@ def spectrum(*, calls=5):
     `calls` calls after one untimed one, at a stationary pair solved
     once.  The outputs are the gaps and, for the untimed call, the
     evaluations of chi it computed (calls of `linear_analysis._Chi._terms`
-    and `_Chi._closed`) and the calls it made for chi (of `_Chi.value`
-    and `_Chi.at`), which a point already computed answers for free."""
+    and `_Chi._closed`), the calls it made for chi (of `_Chi.value`
+    and `_Chi.at`), which a point already computed answers for free,
+    and `walk`: the steps that its walks along paths
+    (`linear_analysis._Path`) proposed, each a call for chi after the
+    walk's first, and the steps they kept, each a sample past the
+    first."""
     import agenet
     from agenet import linear_analysis
     families = _families()
@@ -310,7 +334,7 @@ def spectrum(*, calls=5):
                "calls": ("value", "at")}
     methods = {key: getattr(chi, key)
                for keys in counted.values() for key in keys}
-    count = dict.fromkeys(counted, 0)
+    count = dict.fromkeys([*counted, "proposed", "kept"], 0)
 
     def counting(name, method):
         def wrapper(*args, **kwargs):
@@ -318,24 +342,40 @@ def spectrum(*, calls=5):
             return method(*args, **kwargs)
         return wrapper
 
-    ms, gap = {}, {}
+    path = linear_analysis._Path
+    walk_path = path.__init__
+
+    def walking(self, *args, **kwargs):
+        # a walk that stops on a root proposed steps too, and kept none
+        before = count["calls"]
+        try:
+            walk_path(self, *args, **kwargs)
+        finally:
+            count["proposed"] += max(count["calls"] - before - 1, 0)
+        if self.s is not None:
+            count["kept"] += self.s.size - 1
+
+    ms, gap, walk = {}, {}, {}
     counts = {name: {} for name in counted}
     for case, (model, grid) in cases.items():
         steady = agenet.solve_steady_state(model, grid)
 
         def call():
             return agenet.spectrum(model, grid, steady)
+        count.update(dict.fromkeys(count, 0))
         for name, keys in counted.items():
-            count[name] = 0
             for key in keys:
                 setattr(chi, key, counting(name, methods[key]))
+        path.__init__ = walking
         gap[case] = repr(call().gap)
+        path.__init__ = walk_path
         for key, method in methods.items():
             setattr(chi, key, method)
         for name in counted:
             counts[name][case] = count[name]
+        walk[case] = {"proposed": count["proposed"], "kept": count["kept"]}
         ms[case] = _median_s(call, calls) * 1e3
-    return {"ms": ms}, {"gap": gap, **counts}
+    return {"ms": ms}, {"gap": gap, **counts, "walk": walk}
 
 
 LAYERS = {"import": agenet_import, "step": step, "steady": steady, "xi": xi,
