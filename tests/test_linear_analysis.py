@@ -683,9 +683,11 @@ def test_a_spectrum_computes_a_fifth_fewer_evaluations(case, monkeypatch):
 
 
 def test_a_mode_on_a_print_boundary_matches_a_30_digit_root():
-    # the smooth model's leading pair at dx 0.01 and x_max 10 has a real
-    # part whose 16th significant digit moves with the walk's samples;
-    # the oracle is chi per cell on the same double rates, in mpmath
+    # the real part of the smooth model's leading pair at dx 0.01 and
+    # x_max 10 lies 6.4e-15 left of -0.8702112951685, where the CLI's
+    # 12-digit print rounds the other way, so moving the walk's samples
+    # can flip a printed digit; the oracle is chi per cell on the same
+    # double rates, in mpmath
     mpmath = pytest.importorskip("mpmath")
     gen = _generator(SmoothSaturatingRate(0.5, 2.0, lam=0.6), 0.01, 10.0)
     mode, = [z for z in gen.spectrum().eigenvalues

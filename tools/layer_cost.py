@@ -140,8 +140,10 @@ def step(*, steps=2000):
 
     advance_us = {fam: _advance_us(model, grid, f0.values)
                   for fam, model in families.items()}
-    solve_us = {fam: _median_s(lambda: agenet.solve_activity_implicit(
-        model, grid, f0.values), 200) * 1e6 for fam, model in families.items()}
+    solve_us = {}
+    for fam, model in families.items():
+        solve_us[fam] = _median_s(lambda: agenet.solve_activity_implicit(
+            model, grid, f0.values), 200) * 1e6
     warm_us, warm = {}, {}
     for fam, model in families.items():
         values, m = settled[fam]
