@@ -43,8 +43,9 @@ arithmetic whether lam is real or not:
 - chi and chi' (`_Chi.at`): the walks between two ends and Newton's
   iteration;
 - chi, chi' and the tail bound (`at(z, tail=True)`): the count-line
-  walks, which stop on it, and the search for the rectangles' right
-  side.  Both read it only as `>= _TAIL`.  It is sum_j |c_j v_j|, but
+  walks, which stop on it, and the search for a rectangle's right side,
+  which runs only when no walked line holds the zero mode alone.  Both
+  read it only as `>= _TAIL`.  It is sum_j |c_j v_j|, but
   where |1 - chi|, a lower bound on the sum, already passes _TAIL the
   per-cell form gives that instead (`_Chi.at`).
 
@@ -64,9 +65,13 @@ eigensolver:
 - it needs no search for real roots: right of the poles every v_j is
   positive and falls as lam grows, and every c_j >= 0, so chi rises
   strictly along the real axis and its only real root is chi(0) = 0;
-- it takes the complex roots from argument-principle rectangles,
-  bisected until each holds one root, which Newton's iteration then
-  polishes;
+- it takes the complex roots from argument-principle rectangles, one
+  per strip between two walked count lines whose counts differ, those
+  lines its sides, and one right of the rightmost line only when that
+  line holds more than the zero mode: the generator's columns sum to 0
+  and its off-diagonal entries are nonnegative, so by Gershgorin no
+  other mode has Re >= 0.  Each is bisected until each part holds one
+  root, which Newton's iteration then polishes;
 - it raises SpectrumCountError when the roots it located do not add
   up to the count, or when no mode but 0 lies right of the deepest
   line, so a report always holds certified modes and a finite gap.
@@ -506,9 +511,9 @@ def _count_near(chi, sigma):
 
 
 def _half_plane(chi, need):
-    """(sigma, count, line) for a line Re = sigma with at least `need`
-    roots right of it, or with every root right of chi.floor() when
-    fewer lie there.
+    """The count lines walked, (sigma, count, line) by ascending sigma,
+    from the first with at least `need` roots right of it, or with every
+    root right of chi.floor() when fewer lie there.
 
     The lines step left from 0 by _SIGMA_STEP, the last step stopping
     at the floor.  When the first line with `need` roots holds more
@@ -519,9 +524,11 @@ def _half_plane(chi, need):
     floor = chi.floor()
     step = 0.0
     right = 0.0   # a line with fewer than `need` roots right of it
+    lines = []
     while True:
         step = max(step - _SIGMA_STEP, floor)
         left = _count_near(chi, step)
+        lines.append(left)
         if left[1] >= need or step == floor:
             break
         right = left[0]
@@ -529,6 +536,7 @@ def _half_plane(chi, need):
         if left[1] <= _SPARE * need:
             break
         mid = _count_near(chi, 0.5 * (left[0] + right))
+        lines.append(mid)
         if mid[1] >= need:
             left = mid
         else:
@@ -540,26 +548,44 @@ def _half_plane(chi, need):
             f"it |v_j| passes e^{_MAX_GROWTH:g} (the rightmost pole of chi "
             f"is at -1/dx - min k = {chi.pole:.6g}); the spectral gap is "
             "below it")
-    return left
+    return sorted((line for line in lines if line[0] >= left[0]),
+                  key=lambda line: line[0])
 
 
-def _complex_roots(chi, sigma, line):
-    """The roots of chi with Re > sigma and Im > _ETA, one per box: the
-    rectangle [sigma, x_r] x [_ETA, line.hi] bisected until each part
-    holds one root and Newton's iteration from its middle stays in it.
-    Right of x_r and above line.hi the tail bound is below _TAIL, so
-    those two sides need no walk and no root lies beyond them."""
-    x_r = 1.0
-    while chi.at(complex(x_r), tail=True)[2] >= _TAIL:
-        x_r *= 2.0
-    y_top = line.hi
-    box = _Box(sigma, x_r, _ETA, y_top,
-               bottom=_Path(chi, _ETA, sigma, x_r, vertical=False),
-               right=_Path(chi, x_r, 0.0, y_top, vertical=True, walk=False),
-               top=_Path(chi, y_top, sigma, x_r, vertical=False, walk=False),
-               left=line)
+def _complex_roots(chi, lines):
+    """The roots of chi with Re > lines[0][0] and Im > _ETA, one per box,
+    from the count lines (sigma, count, line) by ascending sigma.  Two
+    adjacent lines whose counts differ bound a strip up to the higher
+    walk's end, which holds half the difference (0 is the only real
+    root; a winding that differs raises SpectrumCountError).  Above a
+    walk's end the tail bound is below _TAIL, so no side needs a walk
+    there.  By Gershgorin on the generator's columns no mode but 0 has
+    Re >= 0, so the rectangle [sigma, x_r] right of the last line, past
+    which the tail bound is below _TAIL, is searched only when that line
+    holds more than the zero mode.  Each box is bisected until each part
+    holds one root and Newton's iteration from its middle stays in it."""
+    if lines[-1][1] > 1:
+        x_r = 1.0
+        while chi.at(complex(x_r), tail=True)[2] >= _TAIL:
+            x_r *= 2.0
+        # unwalked, ending on the axis: its tail bound is below _TAIL
+        lines = [*lines, (x_r, 1, _Path(chi, x_r, 0.0, 0.0, vertical=True,
+                                        walk=False))]
+    stack = []
+    for (x0, n0, left), (x1, n1, right) in zip(lines, lines[1:]):
+        if n0 == n1:
+            continue
+        y1 = max(left.hi, right.hi)
+        box = _Box(x0, x1, _ETA, y1, left=left, right=right,
+                   bottom=_Path(chi, _ETA, x0, x1, vertical=False),
+                   top=_Path(chi, y1, x0, x1, vertical=False, walk=False))
+        n = box.winding()
+        if 2 * n != n0 - n1:
+            raise SpectrumCountError(
+                f"{n0 - n1} roots of chi lie in {x0:.6g} < Re < {x1:.6g}, "
+                f"but arg chi winds {n} times around that strip's upper half")
+        stack.append((box, n))
     roots = []
-    stack = [(box, box.winding())]
     while stack:
         box, n = stack.pop()
         if n == 0:
@@ -592,8 +618,9 @@ def _modes(rates, dx, runs=None):
     SpectrumCountError unless the located roots match the
     argument-principle count."""
     chi = _Chi(rates, dx, runs)
-    sigma, count, line = _half_plane(chi, _LEADING)
-    upper = _complex_roots(chi, sigma, line)
+    lines = _half_plane(chi, _LEADING)
+    sigma, count, _ = lines[0]
+    upper = _complex_roots(chi, lines)
     if 1 + 2 * len(upper) != count:
         raise SpectrumCountError(
             f"the argument principle counts {count} roots of chi with Re > "

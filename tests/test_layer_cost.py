@@ -35,7 +35,7 @@ def _leaves(tree):
     (["xi", "--calls", "1"], {"ms"}, {"estimates"}),
     (["equilibrium", "--calls", "1"], {"ms"}, {"M"}),
     (["spectrum", "--calls", "1"], {"ms"},
-     {"gap", "evaluations", "calls", "walk"}),
+     {"gap", "evaluations", "calls", "walk", "phases"}),
 ], ids=["import", "step", "steady", "xi", "equilibrium", "spectrum"])
 def test_every_layer_runs_and_names_its_figures(argv, timings, outputs,
                                                 capsys):
@@ -86,6 +86,14 @@ def test_every_layer_runs_and_names_its_figures(argv, timings, outputs,
         assert set(walk) == cases
         assert all(0 < steps["kept"] <= steps["proposed"]
                    for steps in walk.values())
+        # every evaluation is made by the count lines or the rectangles
+        phases = tree["outputs"]["phases"]
+        assert set(phases) == cases
+        assert all(set(by_phase) == {"lines", "rectangles"}
+                   and min(by_phase.values()) > 0
+                   and sum(by_phase.values())
+                   == tree["outputs"]["evaluations"][case]
+                   for case, by_phase in phases.items())
     else:
         assert set(tree["timings"]["ms"]) == FAMILIES
 

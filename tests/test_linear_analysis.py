@@ -362,6 +362,101 @@ def test_a_dropped_root_is_an_error(monkeypatch):
         gen.spectrum()
 
 
+@settings(max_examples=40, deadline=None)
+@given(model=_RATES, dx=st.floats(0.05, 0.4), n=st.integers(20, 250))
+def test_every_mode_but_zero_lies_left_of_the_imaginary_axis(model, dx, n):
+    # the columns of A sum to 0 and its off-diagonal entries are >= 0,
+    # so each column's Gershgorin disc, centred at a_jj < 0 with radius
+    # |a_jj|, meets the closed right half-plane only at 0: no strip
+    # right of a count line that holds the zero mode alone needs a search
+    A = _generator(model, dx, n * dx).dense()
+    assert np.all(A - np.diag(np.diag(A)) >= 0.0)
+    assert np.allclose(A.sum(axis=0), 0.0, atol=1e-12 / dx)
+    w = linalg.eigvals(A)
+    w = np.delete(w, np.argmin(np.abs(w)))
+    assert np.all(w.real < 0.0)
+
+
+def _searched(monkeypatch):
+    """The count lines that spectrum() hands _complex_roots, the
+    rectangles whose winding it reads and the points of chi it
+    computes, each as a list filled in as spectrum() runs."""
+    lines, boxes, points = [], [], []
+    rectangle = linear_analysis._Box
+    complex_roots, winding = linear_analysis._complex_roots, rectangle.winding
+
+    def kept_lines(chi, walked):
+        lines.extend(walked)
+        return complex_roots(chi, walked)
+
+    def wound(box):
+        boxes.append(box)
+        return winding(box)
+
+    monkeypatch.setattr(linear_analysis, "_complex_roots", kept_lines)
+    monkeypatch.setattr(rectangle, "winding", wound)
+    chi = linear_analysis._Chi
+    for name in ("_terms", "_closed"):
+        def computed(self, z, *args, _method=getattr(chi, name), **kwargs):
+            points.append(complex(z))
+            return _method(self, z, *args, **kwargs)
+        monkeypatch.setattr(chi, name, computed)
+    return lines, boxes, points
+
+
+def test_a_count_line_on_a_root_is_moved_and_bounds_its_strip(monkeypatch):
+    # a root on the second line walked (Re = -1) moves it right by 1.3%;
+    # the moved line, not -1, is the right side of the strip whose
+    # counts differ (23 roots right of -1.5, 1 right of it)
+    gen = _generator(_MODELS["step"], 0.02, 10.0)
+    count_line, tried = linear_analysis._count_line, []
+
+    def on_a_root(chi, sigma):
+        tried.append(sigma)
+        if len(tried) == 2:
+            raise linear_analysis._OnPath
+        return count_line(chi, sigma)
+
+    monkeypatch.setattr(linear_analysis, "_count_line", on_a_root)
+    lines, boxes, _ = _searched(monkeypatch)
+    rep = gen.spectrum()
+    moved = -1.0 * (1.0 - 0.013)
+    assert tried[1:3] == [-1.0, moved]
+    assert [sigma for sigma, _, _ in lines] == [-1.5, moved, -0.5]
+    assert (boxes[0].x0, boxes[0].x1) == (-1.5, moved)
+    _assert_leading_match(gen, rep)
+
+
+def test_strips_of_equal_count_are_not_searched(monkeypatch):
+    # the constant model's lines at -2, -1.5, -1 and -0.5 each hold the
+    # zero mode alone: only the strip left of -2 is searched, and no
+    # point of chi is computed strictly between those lines
+    gen = _generator(_MODELS["constant"], 0.02, 10.0)
+    lines, boxes, points = _searched(monkeypatch)
+    _assert_leading_match(gen, gen.spectrum())
+    assert [(sigma, count) for sigma, count, _ in lines] == [
+        (-2.5, 23), (-2.0, 1), (-1.5, 1), (-1.0, 1), (-0.5, 1)]
+    assert (boxes[0].x0, boxes[0].x1) == (-2.5, -2.0)
+    assert all(box.x1 <= -2.0 for box in boxes)
+    assert all(z.real <= -2.0 or z.real in (-1.5, -1.0, -0.5)
+               for z in points)
+
+
+def test_a_strip_whose_count_disagrees_with_its_winding_is_an_error(
+        monkeypatch):
+    # two roots too many booked right of the deepest line
+    gen = _generator(_MODELS["step"], 0.02, 10.0)
+    count_line = linear_analysis._count_line
+
+    def miscounted(chi, sigma):
+        count, line = count_line(chi, sigma)
+        return count + 2 * (sigma == -1.5), line
+
+    monkeypatch.setattr(linear_analysis, "_count_line", miscounted)
+    with pytest.raises(SpectrumCountError, match="winds 11 times around"):
+        gen.spectrum()
+
+
 def test_leading_modes_keep_conjugate_pairs_whole():
     # sorted as _modes sorts them: by descending real part, the upper
     # member of a pair first

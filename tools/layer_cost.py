@@ -318,10 +318,13 @@ def spectrum(*, calls=5):
     evaluations of chi it computed (calls of `linear_analysis._Chi._terms`
     and `_Chi._closed`), the calls it made for chi (of `_Chi.value`
     and `_Chi.at`), which a point already computed answers for free,
-    and `walk`: the steps that its walks along paths
+    `walk`: the steps that its walks along paths
     (`linear_analysis._Path`) proposed, each a call for chi after the
     walk's first, and the steps they kept, each a sample past the
-    first."""
+    first, and `phases`: the evaluations computed under
+    `linear_analysis._half_plane` ("lines", the count lines) and under
+    `linear_analysis._complex_roots` ("rectangles", their sides, cuts
+    and Newton's iteration)."""
     import agenet
     from agenet import linear_analysis
     families = _families()
@@ -336,12 +339,25 @@ def spectrum(*, calls=5):
                "calls": ("value", "at")}
     methods = {key: getattr(chi, key)
                for keys in counted.values() for key in keys}
-    count = dict.fromkeys([*counted, "proposed", "kept"], 0)
+    phases = {"lines": "_half_plane", "rectangles": "_complex_roots"}
+    count = dict.fromkeys([*counted, "proposed", "kept", *phases], 0)
+    searches = {key: getattr(linear_analysis, key)
+                for key in phases.values()}
 
     def counting(name, method):
         def wrapper(*args, **kwargs):
             count[name] += 1
             return method(*args, **kwargs)
+        return wrapper
+
+    def in_phase(name, search):
+        # the evaluations computed while the search runs count under name
+        def wrapper(*args, **kwargs):
+            before = count["evaluations"]
+            try:
+                return search(*args, **kwargs)
+            finally:
+                count[name] += count["evaluations"] - before
         return wrapper
 
     path = linear_analysis._Path
@@ -357,7 +373,7 @@ def spectrum(*, calls=5):
         if self.s is not None:
             count["kept"] += self.s.size - 1
 
-    ms, gap, walk = {}, {}, {}
+    ms, gap, walk, by_phase = {}, {}, {}, {}
     counts = {name: {} for name in counted}
     for case, (model, grid) in cases.items():
         steady = agenet.solve_steady_state(model, grid)
@@ -368,16 +384,22 @@ def spectrum(*, calls=5):
         for name, keys in counted.items():
             for key in keys:
                 setattr(chi, key, counting(name, methods[key]))
+        for name, key in phases.items():
+            setattr(linear_analysis, key, in_phase(name, searches[key]))
         path.__init__ = walking
         gap[case] = repr(call().gap)
         path.__init__ = walk_path
         for key, method in methods.items():
             setattr(chi, key, method)
+        for key, search in searches.items():
+            setattr(linear_analysis, key, search)
         for name in counted:
             counts[name][case] = count[name]
         walk[case] = {"proposed": count["proposed"], "kept": count["kept"]}
+        by_phase[case] = {name: count[name] for name in phases}
         ms[case] = _median_s(call, calls) * 1e3
-    return {"ms": ms}, {"gap": gap, **counts, "walk": walk}
+    return {"ms": ms}, {"gap": gap, **counts, "walk": walk,
+                        "phases": by_phase}
 
 
 LAYERS = {"import": agenet_import, "step": step, "steady": steady, "xi": xi,
