@@ -34,20 +34,18 @@ each per call):
   prefix sum more for chi', and sum_j |c_j v_j| for the tail bound),
   in work buffers bound once per search, O(n).
 
-Each evaluation computes only what its caller reads, in complex
-arithmetic whether lam is real or not:
+Each evaluation (`_Chi.at`) computes chi and chi', in complex
+arithmetic whether lam is real or not, in one of two kinds:
 
-- chi alone (`_Chi.value`): the arg of chi on a rectangle's side at a
-  corner that its walk did not pass (at a walked sample the walk's arg
-  is reused);
-- chi and chi' (`_Chi.at`): the walks between two ends and Newton's
-  iteration;
+- chi and chi' (`at(z)`): the walks between two ends, Newton's
+  iteration, and the arg of chi on a rectangle's side at a corner that
+  its walk did not pass (at a walked sample the walk's arg is reused);
 - chi, chi' and the tail bound (`at(z, tail=True)`): the count-line
   walks, which stop on it, and the search for a rectangle's right side,
   which runs only when no walked line holds the zero mode alone.  Both
   read it only as `>= _TAIL`.  It is sum_j |c_j v_j|, but
   where |1 - chi|, a lower bound on the sum, already passes _TAIL the
-  per-cell form gives that instead (`_Chi.at`).
+  per-cell form gives that instead.
 
 A search computes each point once: `_Chi` keeps its results by z.
 
@@ -188,16 +186,16 @@ class _Chi:
     order, gets chi in closed form per run, in O(runs) scalar
     arithmetic; otherwise each evaluation fills work buffers bound
     here, one term per cell.  Either way lam is evaluated in complex
-    arithmetic, a float as a complex with imaginary part 0.  `value`
-    computes chi alone; `at` adds chi' and, when asked, the tail
-    bound.  Both keep their results by z, one memo per search: z
-    enters only as dx z added to a real, so a float x and
-    complex(x, +-0.0), one key, give the same bits."""
+    arithmetic, a float as a complex with imaginary part 0.  `at`
+    computes chi, chi' and, when asked, the tail bound, and keeps its
+    results by z, one memo per search: z enters only as dx z added to
+    a real, so a float x and complex(x, +-0.0), one key, give the same
+    bits."""
 
     def __init__(self, rates, dx, runs=None):
         self.dx = dx
         self._runs = None
-        self._memo = {}   # z: (chi, chi' or None, tail bound or None)
+        self._memo = {}   # z: (chi, chi', tail bound or None)
         if runs is not None:
             self._kappa, self._length = np.array(runs, dtype=float).T
             # per run: dx k, its length and the series of its sums
@@ -233,8 +231,8 @@ class _Chi:
         np.multiply(self.cdx, cv, out=cv)
         return self._work
 
-    def _closed(self, z, slope=False, tail=False):
-        """(chi, chi' or None, tail bound or None) summed run by run.
+    def _closed(self, z, tail=False):
+        """(chi, chi', tail bound or None) summed run by run.
 
         Run r, of L cells at rate k, has w = dx (k + z) and
         rho = 1/(1 + w) = e^-u with u = log1p(w).  Its cells' prefix
@@ -254,41 +252,28 @@ class _Chi:
         for dxk, L, series in self._runs:
             w = dxk + dxz
             u = _log1p(w)
-            if slope:
-                rho = 1.0 / (1.0 + w)
+            rho = 1.0 / (1.0 + w)
             if dxk:
                 q = cmath.exp(-logq)
-                small = abs(L * w) <= _SERIES
-                if small:
+                if abs(L * w) <= _SERIES:
                     G = _horner(series[0], -u)
+                    H = _horner(series[1], -u)
                 else:
                     em = _expm1(-L * u)
                     G = -em / w
+                    H = (G - L * (1.0 + em) * rho) / (w * rho)
                 fired += dxk * q * G
-                if slope:
-                    H = _horner(series[1], -u) if small \
-                        else (G - L * (1.0 + em) * rho) / (w * rho)
-                    steep += dxk * q * (c * G + rho * H)
+                steep += dxk * q * (c * G + rho * H)
                 if tail:
                     a = u.real
                     sums = -math.expm1(-L * a) / math.expm1(a) if a else L
                     bound += abs(dxk) * abs(q) * sums
-            if slope:
-                c += L * rho
+            c += L * rho
             logq += L * u
         q = cmath.exp(-logq)
         return (1.0 - fired - q,
-                self.dx * (steep + q * c) if slope else None,
+                self.dx * (steep + q * c),
                 bound + abs(q) if tail else None)
-
-    def value(self, z):
-        """chi(z) alone, equal to at(z)[0] bit for bit."""
-        known = self._memo.get(z)
-        if known is None:
-            f = self._closed(z)[0] if self._runs is not None \
-                else complex(1.0 - _add(self._terms(z)[1]))
-            known = self._memo[z] = (f, None, None)
-        return known[0]
 
     def at(self, z, tail=False):
         """chi(z), chi'(z) and, when `tail`, the tail bound (None
@@ -297,11 +282,10 @@ class _Chi:
         the per-cell form returns |1 - chi(z)|, below the sum but as
         sure to pass _TAIL."""
         known = self._memo.get(z)
-        if known is not None and known[1] is not None \
-                and (known[2] is not None or not tail):
+        if known is not None and (known[2] is not None or not tail):
             return known if tail else (known[0], known[1], None)
         if self._runs is not None:
-            found = self._closed(z, slope=True, tail=tail)
+            found = self._closed(z, tail=tail)
         else:
             r, cv, sum_r = self._terms(z)
             np.add.accumulate(r, out=sum_r)
@@ -387,13 +371,14 @@ class _Path:
 
     def phase(self, s):
         """The continuous arg chi at coordinate s: the stored one at a
-        walked sample, else one evaluation of chi."""
+        walked sample, else from one evaluation, chi.at, whose chi' it
+        does not read."""
         if self.s is None:
-            return cmath.phase(self.chi.value(self.point(s)))
+            return cmath.phase(self.chi.at(self.point(s))[0])
         i = int(np.searchsorted(self.s, s, side="right")) - 1
         if self.s[i] == s:
             return self.args[i]
-        f = self.chi.value(self.point(s))
+        f = self.chi.at(self.point(s))[0]
         return self.args[i] + cmath.phase(f / self.f[i])
 
 

@@ -309,7 +309,7 @@ def test_chi_matches_a_dense_solve(model, dx, n, re, im, on_axis):
     assert tail >= abs(f - 1.0) * (1.0 - 1e-12)
     # one arithmetic per evaluation: bit for bit, and at(z) without the
     # tail bound computes the same chi and chi'
-    assert chi.value(z) == f and chi.at(z)[:2] == (f, df)
+    assert chi.at(z)[:2] == (f, df)
     assert chi.at(z)[2] is None
     # on the axis every term has imaginary part 0, exactly
     if on_axis:
@@ -318,10 +318,6 @@ def test_chi_matches_a_dense_solve(model, dx, n, re, im, on_axis):
 
 class _CountingChi(linear_analysis._Chi):
     evaluations = 0
-
-    def value(self, z):
-        self.evaluations += 1
-        return super().value(z)
 
     def at(self, z, tail=False):
         self.evaluations += 1
@@ -344,7 +340,7 @@ def test_phase_reuses_the_walked_samples(vertical, fixed, lo, hi):
     for a, b in zip(path.s[:-1], path.s[1:]):
         s = 0.5 * (a + b)
         fresh = cmath.phase(linear_analysis._Chi(
-            gen.rates, gen.grid.dx, gen.runs).value(path.point(s)))
+            gen.rates, gen.grid.dx, gen.runs).at(path.point(s))[0])
         turns = (path.phase(s) - fresh) / (2.0 * math.pi)
         assert abs(turns - round(turns)) < 1e-12
     assert chi.evaluations == path.s.size - 1
@@ -457,6 +453,37 @@ def test_a_strip_whose_count_disagrees_with_its_winding_is_an_error(
         gen.spectrum()
 
 
+def test_a_root_on_every_shifted_count_line_is_an_error(monkeypatch):
+    # the first line, Re = -0.5, and both lines right of it are tried
+    gen = _generator(_MODELS["step"], 0.02, 10.0)
+    tried = []
+
+    def on_a_root(chi, sigma):
+        tried.append(sigma)
+        raise linear_analysis._OnPath
+
+    monkeypatch.setattr(linear_analysis, "_count_line", on_a_root)
+    with pytest.raises(SpectrumCountError,
+                       match="every count line tried near Re = -0.5"):
+        gen.spectrum()
+    assert tried == [-0.5, -0.5 * (1.0 - 0.013), -0.5 * (1.0 - 0.031)]
+
+
+def test_newton_gives_up_where_the_slope_of_chi_vanishes():
+    # one evaluation, at the box's middle, and no step from it
+    asked = []
+
+    class _Flat:
+        def at(self, z):
+            asked.append(z)
+            return 1.0, 0.0, None
+
+    box = linear_analysis._Box(-1.0, 0.0, 1.0, 3.0, bottom=None,
+                               right=None, top=None, left=None)
+    assert linear_analysis._newton(_Flat(), box) is None
+    assert asked == [complex(-0.5, 2.0)]
+
+
 def test_leading_modes_keep_conjugate_pairs_whole():
     # sorted as _modes sorts them: by descending real part, the upper
     # member of a pair first
@@ -564,7 +591,7 @@ def test_run_form_matches_a_dense_solve(drawn, dx, data):
         assert abs(df - df_dense) <= 1e-10 * df_scale
         # the tail bound is sum_j |c_j v_j|, the scale of chi's terms
         assert abs(tail - f_scale) <= 1e-10 * f_scale
-        assert chi.value(z) == f and chi.at(z) == (f, df, None)
+        assert chi.at(z) == (f, df, None)
         # a float z on the axis: every term has imaginary part 0, exactly
         if not isinstance(z, complex):
             assert f.imag == 0.0 and df.imag == 0.0
@@ -615,10 +642,6 @@ def test_chi_rises_along_the_real_axis(rates_dx, shares):
 # one search computes each point once, and the tail sum only where it
 # decides
 
-def _called(chi, kind, z):
-    return chi.value(z) if kind == "value" else chi.at(z, kind == "tail")
-
-
 @settings(max_examples=60, deadline=None)
 @given(rates_dx=st.one_of(
            st.builds(_model_rates, _RATES, st.floats(0.05, 0.4),
@@ -640,12 +663,11 @@ def test_a_kept_result_is_what_a_fresh_chi_computes(rates_dx, per_cell,
         y = data.draw(st.floats(1e-6, 20.0))
         points += [x, complex(x, 0.0), complex(x, -0.0), complex(x, y)]
     calls = data.draw(st.lists(
-        st.tuples(st.sampled_from(points),
-                  st.sampled_from(["value", "at", "tail"])),
+        st.tuples(st.sampled_from(points), st.booleans()),
         min_size=1, max_size=30))
-    for z, kind in calls:
+    for z, tail in calls:
         fresh = linear_analysis._Chi(rates, dx, runs)
-        assert repr(_called(chi, kind, z)) == repr(_called(fresh, kind, z))
+        assert repr(chi.at(z, tail)) == repr(fresh.at(z, tail))
 
 
 def _today_tail(rates, dx, z):
@@ -673,11 +695,11 @@ def test_the_tail_sum_is_taken_wherever_it_decides(model, dx, n, re, im):
     chi = linear_analysis._Chi(rates, dx)
     floor = chi.floor()
     x_hi = 1.0
-    while 1.0 - chi.value(x_hi).real >= 0.5:
+    while 1.0 - chi.at(x_hi)[0].real >= 0.5:
         x_hi *= 2.0
-    ends = _roots.bisect(lambda x: 0.5 - (1.0 - chi.value(x).real),
+    ends = _roots.bisect(lambda x: 0.5 - (1.0 - chi.at(x)[0].real),
                          0.0, x_hi, -0.5)
-    assert all(abs(1.0 - chi.value(x) - 0.5) <= 1e-12 for x in ends)
+    assert all(abs(1.0 - chi.at(x)[0] - 0.5) <= 1e-12 for x in ends)
     tail_ = linear_analysis._TAIL
     margin = tail_ * (1.0 + 4.0 * (n + 2) * 2.0 ** -52)
     for z in [*ends, complex(floor + re * (2.0 - floor), 20.0 * im)]:
@@ -699,8 +721,8 @@ def test_a_spectrum_computes_each_point_once(family, monkeypatch):
     gen = _generator(_MODELS[family], 0.01, 10.0)
     asked, computed = [], []
     chi = linear_analysis._Chi
-    for name, into in [("value", asked), ("at", asked),
-                       ("_terms", computed), ("_closed", computed)]:
+    for name, into in [("at", asked), ("_terms", computed),
+                       ("_closed", computed)]:
         def counted(self, z, *args, _method=getattr(chi, name), _into=into,
                     **kwargs):
             _into.append(z)

@@ -316,9 +316,9 @@ def spectrum(*, calls=5):
     `calls` calls after one untimed one, at a stationary pair solved
     once.  The outputs are the gaps and, for the untimed call, the
     evaluations of chi it computed (calls of `linear_analysis._Chi._terms`
-    and `_Chi._closed`), the calls it made for chi (of `_Chi.value`
-    and `_Chi.at`), which a point already computed answers for free,
-    `walk`: the steps that its walks along paths
+    and `_Chi._closed`), the calls it made for chi (of `_Chi.at`, plus
+    `_Chi.value` on a tree that has it), which a point already computed
+    answers for free, `walk`: the steps that its walks along paths
     (`linear_analysis._Path`) proposed, each a call for chi after the
     walk's first, and the steps they kept, each a sample past the
     first, and `phases`: the evaluations computed under
@@ -335,8 +335,10 @@ def spectrum(*, calls=5):
     cases["smooth-10k"] = (families["smooth"],
                            agenet.AgeGrid(dx=1e-3, n_cells=10_000))
     chi = linear_analysis._Chi
+    # older trees also ask for chi alone, by `value`
     counted = {"evaluations": ("_terms", "_closed"),
-               "calls": ("value", "at")}
+               "calls": tuple(key for key in ("value", "at")
+                              if hasattr(chi, key))}
     methods = {key: getattr(chi, key)
                for keys in counted.values() for key in keys}
     phases = {"lines": "_half_plane", "rectangles": "_complex_roots"}
