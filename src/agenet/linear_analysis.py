@@ -69,7 +69,9 @@ eigensolver:
   line holds more than the zero mode: the generator's columns sum to 0
   and its off-diagonal entries are nonnegative, so by Gershgorin no
   other mode has Re >= 0.  Each is bisected until each part holds one
-  root, which Newton's iteration then polishes;
+  root, which Newton's iteration polishes from the part's first moment,
+  the root by the argument principle, from the samples its sides
+  walked (else from its middle, and a part it leaves is bisected);
 - it raises SpectrumCountError when the roots it located do not add
   up to the count, or when no mode but 0 lies right of the deepest
   line, so a report always holds certified modes and a finite gap.
@@ -80,6 +82,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import math
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -98,6 +101,7 @@ _CHANGE = 0.5           # largest |q - 1|, q = chi(next)/chi(here), of a
                         # walk step; steps are proposed at 90% of it
 _TAIL = 0.5             # past sum_j |c_j v_j| < _TAIL, chi cannot wind;
                         # at(z, tail=True)[2] is only compared with it
+_FLOOR_WIDTH = 1e-9     # chi.floor()'s bisection stops below this width
 _ETA = 1e-6             # the rectangles start this far above the axis;
                         # a pair closer to it fails the count check
 _SERIES = 0.05          # a run's sums from their power series up to
@@ -302,21 +306,27 @@ class _Chi:
         and on which no |v_j| exceeds e^_MAX_GROWTH (the largest are on
         the real axis); every line between it and 0 does too.  On a
         long age horizon this is what bounds the search: left of
-        -k(x), |v_j| grows like e^((-sigma - k) x).  Within a run
-        log |v_j| is linear in j, so its largest value is at the run's
-        first or last cell."""
-        one_dxk, lengths = 1.0 + self.dx * self._kappa, self._length
+        -k(x), |v_j| grows like e^((-sigma - k) x)."""
+        return _roots.bisect(self._excess, self.pole, 0.0, 1.0,
+                             width=_FLOOR_WIDTH)[1]
 
-        def excess(sigma):
-            d = one_dxk + self.dx * sigma
-            if not np.all(d > 0.0):
-                return math.inf
-            log_d = np.log(d)
-            last = np.cumsum(lengths * log_d)
-            first = last - (lengths - 1.0) * log_d
-            return -float(min(last.min(), first.min())) - _MAX_GROWTH
+    def right_of_floor(self, sigma):
+        """Whether floor() lies left of sigma, from one evaluation: the
+        floor ends less than one bisection width right of a point with
+        _excess >= 0, and _excess only grows leftwards."""
+        shift = 2.0 * _FLOOR_WIDTH * max(1.0, abs(sigma))
+        return self._excess(sigma - shift) < 0.0
 
-        return _roots.bisect(excess, self.pole, 0.0, 1.0, width=1e-9)[1]
+    def _excess(self, sigma):
+        """The largest log |v_j| on Re = sigma less _MAX_GROWTH (inf left
+        of a pole); linear in j within a run, it peaks at a run's end."""
+        d = 1.0 + self.dx * self._kappa + self.dx * sigma
+        if not np.all(d > 0.0):
+            return math.inf
+        log_d = np.log(d)
+        last = np.cumsum(self._length * log_d)
+        first = last - (self._length - 1.0) * log_d
+        return -float(min(last.min(), first.min())) - _MAX_GROWTH
 
 
 class _Path:
@@ -330,7 +340,8 @@ class _Path:
     |chi - 1| < 1/2 from there on, and hi is where it stopped; only
     such a walk reads the tail bound.  An unwalked path (walk=False)
     lies where the tail bound is below _TAIL throughout, so the
-    principal arg is the continuous one.
+    principal arg is the continuous one.  A walk keeps, per sample, the
+    prefix sum of z d log chi by the trapezoid rule, for moment().
     """
 
     def __init__(self, chi, fixed, lo, hi, vertical, walk=True):
@@ -344,7 +355,8 @@ class _Path:
         f, df, tail = chi.at(self.point(s), tail=not bounded)
         if f == 0.0:
             raise _OnPath
-        ss, fs, args = [s], [f], [cmath.phase(f)]
+        log_f = complex(math.log(abs(f)), cmath.phase(f))
+        ss, fs, args, sums = [s], [f], [log_f.imag], [0.0]
         while (s < hi) if bounded else (tail >= _TAIL):
             h = 0.9 * _CHANGE * abs(f) / abs(df) if df else math.inf
             h = min(h, hi - s) if bounded else min(h, max(1.0, s - lo))
@@ -358,28 +370,48 @@ class _Path:
                 if abs(q - 1.0) <= _CHANGE:
                     break
                 h *= 0.5
-            s, f, df, tail = s_next, g, dg, tail_g
+            log_g = complex(math.log(abs(g)), args[-1] + cmath.phase(q))
+            sums.append(sums[-1]
+                        + self.point(0.5 * (s + s_next)) * (log_g - log_f))
+            s, f, df, tail, log_f = s_next, g, dg, tail_g, log_g
             ss.append(s)
             fs.append(f)
-            args.append(args[-1] + cmath.phase(q))
+            args.append(log_f.imag)
         self.hi = s
-        self.s, self.f, self.args = np.array(ss), fs, args
+        self.s, self.f, self.args, self.sums = ss, fs, args, sums
 
     def point(self, s):
         return complex(self.fixed, s) if self.vertical \
             else complex(s, self.fixed)
 
-    def phase(self, s):
-        """The continuous arg chi at coordinate s: the stored one at a
-        walked sample, else from one evaluation, chi.at, whose chi' it
-        does not read."""
-        if self.s is None:
-            return cmath.phase(self.chi.at(self.point(s))[0])
-        i = int(np.searchsorted(self.s, s, side="right")) - 1
-        if self.s[i] == s:
-            return self.args[i]
+    def log(self, s):
+        """The continuous log chi at coordinate s, log |chi| + i arg chi:
+        the stored one at a walked sample, else from one evaluation,
+        chi.at, whose chi' it does not read."""
+        i = None if self.s is None else bisect_right(self.s, s) - 1
+        if i is not None and self.s[i] == s:
+            return complex(math.log(abs(self.f[i])), self.args[i])
         f = self.chi.at(self.point(s))[0]
-        return self.args[i] + cmath.phase(f / self.f[i])
+        arg = (cmath.phase(f) if i is None
+               else self.args[i] + cmath.phase(f / self.f[i]))
+        return complex(math.log(abs(f)), arg)
+
+    def phase(self, s):
+        return self.log(s).imag
+
+    def moment(self, a, b):
+        """The integral of z d log chi from s = a to s = b, by the
+        trapezoid rule over the samples walked between them and the two
+        ends: O(log n) for n samples, from the prefix sums."""
+        za, la, zb, lb = self.point(a), self.log(a), self.point(b), self.log(b)
+        i = 0 if self.s is None else bisect_right(self.s, a)
+        j = 0 if self.s is None else bisect_left(self.s, b)
+        if i >= j:   # no sample strictly between a and b
+            return 0.5 * (za + zb) * (lb - la)
+        zi, zj = self.point(self.s[i]), self.point(self.s[j - 1])
+        return (0.5 * (za + zi) * (self.log(self.s[i]) - la)
+                + self.sums[j - 1] - self.sums[i]
+                + 0.5 * (zj + zb) * (lb - self.log(self.s[j - 1])))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -409,6 +441,14 @@ class _Box:
                 f"{self.y1:.6g}], not a whole number of times")
         return n
 
+    def moment(self):
+        """The sum of the roots inside: the integral of z d log chi around
+        the sides over 2 pi i (Delves & Lyness, Math. Comp. 21, 1967)."""
+        return (self.bottom.moment(self.x0, self.x1)
+                + self.right.moment(self.y0, self.y1)
+                - self.top.moment(self.x0, self.x1)
+                - self.left.moment(self.y0, self.y1)) / (2j * math.pi)
+
     def holds(self, z):
         pad = 1e-9 * max(1.0, abs(z))
         return (self.x0 - pad <= z.real <= self.x1 + pad
@@ -417,31 +457,34 @@ class _Box:
     def split(self, chi):
         """The two halves across the longer side.  The cut moves off the
         middle when a root sits on it."""
-        w, h = self.x1 - self.x0, self.y1 - self.y0
+        x0, x1, y0, y1 = self.x0, self.x1, self.y0, self.y1
+        bottom, right, top, left = self.bottom, self.right, self.top, self.left
+        w, h = x1 - x0, y1 - y0
         for share in (0.5, 0.4, 0.6, 0.3, 0.7):
             try:
                 if h >= w:
-                    ym = self.y0 + share * h
-                    cut = _Path(chi, ym, self.x0, self.x1, vertical=False)
-                    return (dataclasses.replace(self, y1=ym, top=cut),
-                            dataclasses.replace(self, y0=ym, bottom=cut))
-                xm = self.x0 + share * w
-                cut = _Path(chi, xm, self.y0, self.y1, vertical=True)
-                return (dataclasses.replace(self, x1=xm, right=cut),
-                        dataclasses.replace(self, x0=xm, left=cut))
+                    ym = y0 + share * h
+                    cut = _Path(chi, ym, x0, x1, vertical=False)
+                    return (_Box(x0, x1, y0, ym, bottom, right, cut, left),
+                            _Box(x0, x1, ym, y1, cut, right, top, left))
+                xm = x0 + share * w
+                cut = _Path(chi, xm, y0, y1, vertical=True)
+                return (_Box(x0, xm, y0, y1, bottom, cut, top, left),
+                        _Box(xm, x1, y0, y1, bottom, right, top, cut))
             except _OnPath:
                 continue
         raise SpectrumCountError(
-            f"roots of chi sit on every cut tried across [{self.x0:.6g}, "
-            f"{self.x1:.6g}] x [{self.y0:.6g}, {self.y1:.6g}]")
+            f"roots of chi sit on every cut tried across [{x0:.6g}, "
+            f"{x1:.6g}] x [{y0:.6g}, {y1:.6g}]")
 
 
-def _newton(chi, box):
-    """Newton's iteration on chi from the middle of the box: the root it
-    settles on, or None when it leaves the box or does not settle.  It
-    stops at a step below 1e-15 relative, or once steps below 1e-9
-    relative stop halving: that is the rounding floor of chi."""
-    z = complex(0.5 * (box.x0 + box.x1), 0.5 * (box.y0 + box.y1))
+def _newton(chi, box, z=None):
+    """Newton's iteration on chi from z, by default the box's middle: the
+    root it settles on, or None when it leaves the box or does not
+    settle.  It stops at a step below 1e-15 relative, or once steps
+    below 1e-9 relative stop halving: that is the rounding floor of chi."""
+    if z is None:
+        z = complex(0.5 * (box.x0 + box.x1), 0.5 * (box.y0 + box.y1))
     last = math.inf
     for _ in range(60):
         f, df, _ = chi.at(z)
@@ -506,11 +549,13 @@ def _half_plane(chi, need):
     a line with at least `need`, so that fewer roots are located.
     Raises SpectrumCountError when only the zero mode lies right of
     the floor, as then no gap can be reported."""
-    floor = chi.floor()
+    floor = -math.inf   # until a line may reach chi.floor()
     step = 0.0
     right = 0.0   # a line with fewer than `need` roots right of it
     lines = []
     while True:
+        if floor == -math.inf and not chi.right_of_floor(step - _SIGMA_STEP):
+            floor = chi.floor()
         step = max(step - _SIGMA_STEP, floor)
         left = _count_near(chi, step)
         lines.append(left)
@@ -540,15 +585,16 @@ def _half_plane(chi, need):
 def _complex_roots(chi, lines):
     """The roots of chi with Re > lines[0][0] and Im > _ETA, one per box,
     from the count lines (sigma, count, line) by ascending sigma.  Two
-    adjacent lines whose counts differ bound a strip up to the higher
+    adjacent lines whose counts differ bound a strip up to the left
     walk's end, which holds half the difference (0 is the only real
-    root; a winding that differs raises SpectrumCountError).  Above a
-    walk's end the tail bound is below _TAIL, so no side needs a walk
-    there.  By Gershgorin on the generator's columns no mode but 0 has
-    Re >= 0, so the rectangle [sigma, x_r] right of the last line, past
-    which the tail bound is below _TAIL, is searched only when that line
-    holds more than the zero mode.  Each box is bisected until each part
-    holds one root and Newton's iteration from its middle stays in it."""
+    root; a winding that differs raises SpectrumCountError).  There the
+    tail bound is below _TAIL, and it falls as Re z grows, so no side
+    needs a walk above it.  By Gershgorin on the generator's columns no
+    mode but 0 has Re >= 0, so the rectangle [sigma, x_r] right of the
+    last line, past which the tail bound is below _TAIL, is searched only
+    when that line holds more than the zero mode.  Each box is bisected
+    until each part holds one root and Newton's iteration, from its
+    first moment or else its middle, stays in it."""
     if lines[-1][1] > 1:
         x_r = 1.0
         while chi.at(complex(x_r), tail=True)[2] >= _TAIL:
@@ -560,7 +606,7 @@ def _complex_roots(chi, lines):
     for (x0, n0, left), (x1, n1, right) in zip(lines, lines[1:]):
         if n0 == n1:
             continue
-        y1 = max(left.hi, right.hi)
+        y1 = left.hi
         box = _Box(x0, x1, _ETA, y1, left=left, right=right,
                    bottom=_Path(chi, _ETA, x0, x1, vertical=False),
                    top=_Path(chi, y1, x0, x1, vertical=False, walk=False))
@@ -576,7 +622,10 @@ def _complex_roots(chi, lines):
         if n == 0:
             continue
         if n == 1:
-            z = _newton(chi, box)
+            start = box.moment()
+            z = _newton(chi, box, start) if box.holds(start) else None
+            if z is None:
+                z = _newton(chi, box)
             if z is not None:
                 roots.append(z)
                 continue

@@ -35,7 +35,7 @@ def _leaves(tree):
     (["xi", "--calls", "1"], {"ms"}, {"estimates"}),
     (["equilibrium", "--calls", "1"], {"ms"}, {"M"}),
     (["spectrum", "--calls", "1"], {"ms"},
-     {"gap", "evaluations", "calls", "walk", "phases"}),
+     {"gap", "evaluations", "calls", "walk", "phases", "newton", "splits"}),
 ], ids=["import", "step", "steady", "xi", "equilibrium", "spectrum"])
 def test_every_layer_runs_and_names_its_figures(argv, timings, outputs,
                                                 capsys):
@@ -94,6 +94,11 @@ def test_every_layer_runs_and_names_its_figures(argv, timings, outputs,
                    and sum(by_phase.values())
                    == tree["outputs"]["evaluations"][case]
                    for case, by_phase in phases.items())
+        # Newton's iteration runs within the rectangles, on every case
+        newton, splits = tree["outputs"]["newton"], tree["outputs"]["splits"]
+        assert set(newton) == set(splits) == cases
+        assert all(0 < newton[case] <= phases[case]["rectangles"]
+                   and splits[case] >= 0 for case in cases)
     else:
         assert set(tree["timings"]["ms"]) == FAMILIES
 

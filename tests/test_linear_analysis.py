@@ -261,6 +261,56 @@ def test_half_plane_count_matches_the_dense_count(model, dx, n, depth):
 
 
 @settings(max_examples=40, deadline=None)
+@given(model=_RATES, dx=st.floats(0.05, 0.4), n=st.integers(20, 250),
+       offset=st.one_of(st.floats(-1e-7, 1e-7), st.floats(-0.5, 0.5),
+                        st.sampled_from([-1e-15, -1e-12])))
+@example(model=ConstantRate(k0=0.1), dx=0.25, n=200, offset=0.0)
+@example(model=ConstantRate(k0=1.0), dx=0.1, n=100, offset=-1e-15)
+def test_a_line_right_of_the_floor_is_told_without_it(model, dx, n, offset):
+    # one evaluation says that floor() lies left of sigma, never wrongly,
+    # also a few ulps left of the floor, where the bisection's last
+    # bracket has excess < 0 too; and says so for every sigma more than
+    # 4e-9 right of it
+    gen = _generator(model, dx, n * dx)
+    chi = linear_analysis._Chi(gen.rates, gen.grid.dx, gen.runs)
+    floor = chi.floor()
+    sigma = floor + offset * max(1.0, abs(floor))
+    assume(chi.pole < sigma < 0.0)
+    if chi.right_of_floor(sigma):
+        assert floor < sigma
+    if offset > 4e-9:
+        assert chi.right_of_floor(sigma)
+
+
+@pytest.mark.parametrize("family, dx, x_max, floors", [
+    ("step", 0.02, 10.0, 0), ("smooth", 0.02, 10.0, 0),
+    ("slow", 0.25, 50.0, 1)])
+def test_the_floor_is_found_only_where_a_line_reaches_it(
+        family, dx, x_max, floors, monkeypatch):
+    # the lines at -0.5, -1 and -1.5 lie right of a floor near -2.8, but
+    # at k0 = 0.1 on a long horizon the floor is the deepest line
+    model = _MODELS.get(family, ConstantRate(k0=0.1))
+    gen = _generator(model, dx, x_max)
+    found, lines = [], []
+    floor, complex_roots = linear_analysis._Chi.floor, linear_analysis._complex_roots
+
+    def counted(chi):
+        found.append(floor(chi))
+        return found[-1]
+
+    def kept_lines(chi, walked):
+        lines.extend(walked)
+        return complex_roots(chi, walked)
+
+    monkeypatch.setattr(linear_analysis._Chi, "floor", counted)
+    monkeypatch.setattr(linear_analysis, "_complex_roots", kept_lines)
+    _assert_leading_match(gen, gen.spectrum())
+    assert len(found) == floors
+    if floors:
+        assert lines[0][0] == found[0]
+
+
+@settings(max_examples=40, deadline=None)
 @given(model=_RATES, dx=st.floats(0.05, 0.4), n=st.integers(20, 250))
 # once failed: a cut across a rectangle ended where s + (hi - s) rounds
 # below hi
@@ -330,7 +380,7 @@ def test_phase_reuses_the_walked_samples(vertical, fixed, lo, hi):
     gen = _generator(_MODELS["smooth"], 0.05, 6.0)
     chi = _CountingChi(gen.rates, gen.grid.dx, gen.runs)
     path = linear_analysis._Path(chi, fixed, lo, hi, vertical=vertical)
-    assert path.s.size >= 3
+    assert len(path.s) >= 3
     chi.evaluations = 0
     assert [path.phase(s) for s in path.s] == path.args
     assert path.phase(lo) == path.args[0]
@@ -343,7 +393,7 @@ def test_phase_reuses_the_walked_samples(vertical, fixed, lo, hi):
             gen.rates, gen.grid.dx, gen.runs).at(path.point(s))[0])
         turns = (path.phase(s) - fresh) / (2.0 * math.pi)
         assert abs(turns - round(turns)) < 1e-12
-    assert chi.evaluations == path.s.size - 1
+    assert chi.evaluations == len(path.s) - 1
 
 
 def test_a_dropped_root_is_an_error(monkeypatch):
@@ -799,17 +849,12 @@ def test_a_spectrum_computes_a_fifth_fewer_evaluations(case, monkeypatch):
     assert computed <= 0.8 * before
 
 
-def test_a_mode_on_a_print_boundary_matches_a_30_digit_root():
-    # the real part of the smooth model's leading pair at dx 0.01 and
-    # x_max 10 lies 6.4e-15 left of -0.8702112951685, where the CLI's
-    # 12-digit print rounds the other way, so moving the walk's samples
-    # can flip a printed digit; the oracle is chi per cell on the same
-    # double rates, in mpmath
+def _mp_root(gen, near, digits):
+    """The mode of gen's spectrum near `near`, and the root of chi per
+    cell on the same double rates from it, in mpmath at `digits`."""
     mpmath = pytest.importorskip("mpmath")
-    gen = _generator(SmoothSaturatingRate(0.5, 2.0, lam=0.6), 0.01, 10.0)
-    mode, = [z for z in gen.spectrum().eigenvalues
-             if abs(z - complex(-0.8702, 1.9279)) < 1e-3]
-    with mpmath.workdps(30):
+    mode, = [z for z in gen.spectrum().eigenvalues if abs(z - near) < 1e-3]
+    with mpmath.workdps(digits):
         dx = mpmath.mpf(gen.grid.dx)
         rates = [mpmath.mpf(k) for k in gen.rates.tolist()]
         c = rates[:-1] + [rates[-1] + 1 / dx]
@@ -823,6 +868,93 @@ def test_a_mode_on_a_print_boundary_matches_a_30_digit_root():
 
         root = complex(mpmath.findroot(chi, mpmath.mpc(mode.real,
                                                        mode.imag)))
+    return mode, root
+
+
+def test_a_mode_on_a_print_boundary_matches_a_30_digit_root():
+    # the real part of the smooth model's leading pair at dx 0.01 and
+    # x_max 10 lies 6.4e-15 left of -0.8702112951685, where the CLI's
+    # 12-digit print rounds the other way, so moving the walk's samples
+    # can flip a printed digit; the oracle is chi per cell on the same
+    # double rates, in mpmath
+    gen = _generator(SmoothSaturatingRate(0.5, 2.0, lam=0.6), 0.01, 10.0)
+    mode, root = _mp_root(gen, complex(-0.8702, 1.9279), 30)
     assert abs(root - complex(-0.87021129516850638,
                               1.92793934440402702)) < 1e-15
     assert abs(mode - root) < 1e-13
+
+
+def test_a_delay_case_mode_on_a_print_boundary_matches_a_40_digit_root():
+    # the spectrum workload's smooth-delay case at seed 4403 (dx 0.016,
+    # 625 cells): the real part lies 1.9e-15 right of -0.8535931996845,
+    # where the CLI's 12-digit print rounds the other way
+    gen = _generator(SmoothSaturatingRate(0.5, 2.0, lam=0.5462828055928575),
+                     0.016, 10.0)
+    assert gen.grid.n_cells == 625
+    mode, root = _mp_root(gen, complex(-0.8536, 2.5463), 40)
+    assert abs(root - complex(-0.85359319968449810677,
+                              2.54625932596036179013)) < 1e-15
+    assert abs(mode - root) < 1e-13
+
+
+# ---------------------------------------------------------------------------
+# Newton's iteration starts at each one-root box's first moment
+
+# the evaluations that spectrum() computed on the 1000-cell cases when
+# Newton's iteration started from each box's middle
+_FROM_THE_MIDDLE = {"constant": 749, "step": 889, "smooth": 454}
+
+
+def _newton_runs(monkeypatch):
+    """Each call of _newton as spectrum() runs: (started from a given
+    point, the root it settled on or None)."""
+    runs, newton = [], linear_analysis._newton
+
+    def recorded(chi, box, z=None):
+        found = newton(chi, box, z)
+        runs.append((z is not None, found))
+        return found
+
+    monkeypatch.setattr(linear_analysis, "_newton", recorded)
+    return runs
+
+
+@pytest.mark.parametrize("case", list(_LAYER_CASES))
+def test_every_one_root_box_settles_from_its_moment(case, monkeypatch):
+    # one run per located root, each from its box's moment: no estimate
+    # outside its box, and no run from one that left its box
+    gen = _generator(_LAYER_CASES[case][0], 0.01, 10.0)
+    runs = _newton_runs(monkeypatch)
+    w, _ = linear_analysis._modes(gen.rates, gen.grid.dx, gen.runs)
+    assert len(runs) == (w.size - 1) // 2 > 0
+    assert all(started and found is not None for started, found in runs)
+
+
+@pytest.mark.parametrize("case", list(_LAYER_CASES))
+def test_moments_save_a_tenth_of_the_evaluations(case, monkeypatch):
+    *_, computed = _walked_spectrum(_LAYER_CASES[case][0], monkeypatch)
+    assert computed <= 0.9 * _FROM_THE_MIDDLE[case]
+
+
+@pytest.mark.parametrize("fault", ["outside", "leaves"])
+def test_a_box_whose_moment_fails_is_searched_from_its_middle(
+        fault, monkeypatch):
+    # an estimate outside its box, or a run from it that gives up, sends
+    # the box to Newton from its middle and to bisection, as before
+    gen = _generator(_MODELS["step"], 0.02, 10.0)
+    if fault == "outside":
+        monkeypatch.setattr(linear_analysis._Box, "moment",
+                            lambda box: complex(box.x1 + 1.0, box.y1))
+    else:
+        newton = linear_analysis._newton
+        monkeypatch.setattr(
+            linear_analysis, "_newton",
+            lambda chi, box, z=None: None if z is not None
+            else newton(chi, box))
+    runs = _newton_runs(monkeypatch)
+    _assert_leading_match(gen, gen.spectrum())
+    started = [found for from_moment, found in runs if from_moment]
+    assert started == ([] if fault == "outside"
+                       else [None] * (len(runs) // 2))
+    assert any(found is None for from_moment, found in runs
+               if not from_moment)

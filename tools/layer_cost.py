@@ -321,10 +321,13 @@ def spectrum(*, calls=5):
     answers for free, `walk`: the steps that its walks along paths
     (`linear_analysis._Path`) proposed, each a call for chi after the
     walk's first, and the steps they kept, each a sample past the
-    first, and `phases`: the evaluations computed under
+    first, `phases`: the evaluations computed under
     `linear_analysis._half_plane` ("lines", the count lines) and under
     `linear_analysis._complex_roots` ("rectangles", their sides, cuts
-    and Newton's iteration)."""
+    and Newton's iteration), `newton`: those of them computed under
+    `linear_analysis._newton`, and `splits`: the calls of
+    `linear_analysis._Box.split`.  Each is wrapped by name, so trees
+    that define these names pair."""
     import agenet
     from agenet import linear_analysis
     families = _families()
@@ -342,9 +345,11 @@ def spectrum(*, calls=5):
     methods = {key: getattr(chi, key)
                for keys in counted.values() for key in keys}
     phases = {"lines": "_half_plane", "rectangles": "_complex_roots"}
-    count = dict.fromkeys([*counted, "proposed", "kept", *phases], 0)
-    searches = {key: getattr(linear_analysis, key)
-                for key in phases.values()}
+    spans = {**phases, "newton": "_newton"}   # newton within rectangles
+    count = dict.fromkeys([*counted, "proposed", "kept", *spans, "splits"], 0)
+    searches = {key: getattr(linear_analysis, key) for key in spans.values()}
+    box = linear_analysis._Box
+    split = box.split
 
     def counting(name, method):
         def wrapper(*args, **kwargs):
@@ -373,9 +378,9 @@ def spectrum(*, calls=5):
         finally:
             count["proposed"] += max(count["calls"] - before - 1, 0)
         if self.s is not None:
-            count["kept"] += self.s.size - 1
+            count["kept"] += len(self.s) - 1
 
-    ms, gap, walk, by_phase = {}, {}, {}, {}
+    ms, gap, walk, by_phase, newton, splits = {}, {}, {}, {}, {}, {}
     counts = {name: {} for name in counted}
     for case, (model, grid) in cases.items():
         steady = agenet.solve_steady_state(model, grid)
@@ -386,11 +391,13 @@ def spectrum(*, calls=5):
         for name, keys in counted.items():
             for key in keys:
                 setattr(chi, key, counting(name, methods[key]))
-        for name, key in phases.items():
+        for name, key in spans.items():
             setattr(linear_analysis, key, in_phase(name, searches[key]))
         path.__init__ = walking
+        box.split = counting("splits", split)
         gap[case] = repr(call().gap)
         path.__init__ = walk_path
+        box.split = split
         for key, method in methods.items():
             setattr(chi, key, method)
         for key, search in searches.items():
@@ -399,9 +406,11 @@ def spectrum(*, calls=5):
             counts[name][case] = count[name]
         walk[case] = {"proposed": count["proposed"], "kept": count["kept"]}
         by_phase[case] = {name: count[name] for name in phases}
+        newton[case], splits[case] = count["newton"], count["splits"]
         ms[case] = _median_s(call, calls) * 1e3
     return {"ms": ms}, {"gap": gap, **counts, "walk": walk,
-                        "phases": by_phase}
+                        "phases": by_phase, "newton": newton,
+                        "splits": splits}
 
 
 LAYERS = {"import": agenet_import, "step": step, "steady": steady, "xi": xi,
