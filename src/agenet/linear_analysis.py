@@ -71,7 +71,7 @@ eigensolver:
   other mode has Re >= 0.  Each is bisected until each part holds one
   root, which Newton's iteration polishes from the part's first moment,
   the root by the argument principle, from the samples its sides
-  walked (else from its middle, and a part it leaves is bisected);
+  walked (a part Newton's iteration leaves is bisected again);
 - it raises SpectrumCountError when the roots it located do not add
   up to the count, or when no mode but 0 lies right of the deepest
   line, so a report always holds certified modes and a finite gap.
@@ -396,9 +396,6 @@ class _Path:
                else self.args[i] + cmath.phase(f / self.f[i]))
         return complex(math.log(abs(f)), arg)
 
-    def phase(self, s):
-        return self.log(s).imag
-
     def moment(self, a, b):
         """The integral of z d log chi from s = a to s = b, by the
         trapezoid rule over the samples walked between them and the two
@@ -429,10 +426,10 @@ class _Box:
 
     def winding(self):
         """The number of roots of chi inside, by the argument principle."""
-        turns = (self.bottom.phase(self.x1) - self.bottom.phase(self.x0)
-                 + self.right.phase(self.y1) - self.right.phase(self.y0)
-                 - self.top.phase(self.x1) + self.top.phase(self.x0)
-                 - self.left.phase(self.y1) + self.left.phase(self.y0))
+        turns = (self.bottom.log(self.x1) - self.bottom.log(self.x0)
+                 + self.right.log(self.y1) - self.right.log(self.y0)
+                 - self.top.log(self.x1) + self.top.log(self.x0)
+                 - self.left.log(self.y1) + self.left.log(self.y0)).imag
         n = round(turns / (2.0 * math.pi))
         if abs(turns - 2.0 * math.pi * n) > 0.5 or n < 0:
             raise SpectrumCountError(
@@ -478,13 +475,11 @@ class _Box:
             f"{x1:.6g}] x [{y0:.6g}, {y1:.6g}]")
 
 
-def _newton(chi, box, z=None):
-    """Newton's iteration on chi from z, by default the box's middle: the
-    root it settles on, or None when it leaves the box or does not
-    settle.  It stops at a step below 1e-15 relative, or once steps
-    below 1e-9 relative stop halving: that is the rounding floor of chi."""
-    if z is None:
-        z = complex(0.5 * (box.x0 + box.x1), 0.5 * (box.y0 + box.y1))
+def _newton(chi, box, z):
+    """Newton's iteration on chi from z: the root it settles on, or None
+    when it leaves the box or does not settle.  It stops at a step below
+    1e-15 relative, or once steps below 1e-9 relative stop halving: that
+    is the rounding floor of chi."""
     last = math.inf
     for _ in range(60):
         f, df, _ = chi.at(z)
@@ -594,7 +589,7 @@ def _complex_roots(chi, lines):
     last line, past which the tail bound is below _TAIL, is searched only
     when that line holds more than the zero mode.  Each box is bisected
     until each part holds one root and Newton's iteration, from its
-    first moment or else its middle, stays in it."""
+    first moment moved to the nearest point of the part, stays in it."""
     if lines[-1][1] > 1:
         x_r = 1.0
         while chi.at(complex(x_r), tail=True)[2] >= _TAIL:
@@ -622,10 +617,9 @@ def _complex_roots(chi, lines):
         if n == 0:
             continue
         if n == 1:
-            start = box.moment()
-            z = _newton(chi, box, start) if box.holds(start) else None
-            if z is None:
-                z = _newton(chi, box)
+            m = box.moment()
+            z = _newton(chi, box, complex(min(max(m.real, box.x0), box.x1),
+                                          min(max(m.imag, box.y0), box.y1)))
             if z is not None:
                 roots.append(z)
                 continue
