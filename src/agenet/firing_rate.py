@@ -36,13 +36,17 @@ family binds its own.  A stepper holds:
 - the one-step factors exp(-k(x_j, lam*mu) dx).  decay(window, mu)
   multiplies a prefix of the mesh's cells by them in place, bit for bit
   the rate expression;
-- the rate's stationary and linear forms.  The smooth stepper's
-  separable_profile() gives K = gain(mu) * A(x) in separable pieces.
-  The run stepper's run(mu) gives (T, k), so that max(0, k*(x - T)) is
-  bit for bit cumulative(x, mu), and runs(mu) the rates on the mesh as
-  (rate, cells) runs, ((0.0, j), (k, n - j)) with j the threshold cell
-  and an empty run left out.  The smooth stepper's runs and the run
-  stepper's separable_profile give None.
+- the rate's stationary and linear forms.  stationary_integral(M) is
+  the normalization integral I(M) = int exp(-K(x, lam*M)) dx on the
+  mesh, with the horizon tail, in the family's closed form, and
+  stationary(M) the profile F at M with the shares of the mass that
+  the cells absorb and that exp(-K(x_max)) leaves at the horizon: the
+  smooth stepper reads K = gain(M) * A(x) from age pieces bound once
+  per grid, the run stepper the run 0 below the threshold, read as 0
+  where the map falls below it, and k past it.  The run stepper's
+  runs(mu) gives the rates on the mesh as (rate, cells) runs,
+  ((0.0, j), (k, n - j)) with j the threshold cell and an empty run
+  left out; the smooth stepper's gives None.
 
 total is the density's cell sum, grid.cell_sum(values): a caller that
 already holds it passes it.  Each constant is bound on the first call
@@ -54,6 +58,7 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import math
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -95,6 +100,22 @@ def _match_shape(x, out):
 def _age_integral(x, x_scale):
     # int_0^x (1 - exp(-y/x_scale)) dy in closed form
     return x + x_scale * np.expm1(-x / x_scale)
+
+
+@lru_cache(maxsize=2)
+def _age_pieces(grid, x_scale):
+    # the smooth family's stationary pieces, which lam does not enter,
+    # read-only: A on the edges, dA, dx/dA with 0 on the idle cells,
+    # the idle cells and A'(x_max)
+    ages = _age_integral(grid.edges, x_scale)
+    rise = np.diff(ages)
+    with np.errstate(divide="ignore", over="ignore"):
+        weight = grid.dx / rise
+    idle = np.flatnonzero((rise <= 0.0) | np.isinf(weight))
+    weight[idle] = 0.0
+    for piece in (ages, rise, weight, idle):
+        piece.flags.writeable = False
+    return ages, rise, weight, idle, float(-np.expm1(-grid.x_max / x_scale))
 
 
 # The implicit activity solve settles at |G(mu) - mu| <= _TOL and,
@@ -141,11 +162,6 @@ class _Stepper:
             raise AmbiguousActivityError.listing(roots)
         return roots[0], _MAX_ITER, "scan"
 
-    def separable_profile(self):
-        # the stationary solve reads the family's run, from run(mu),
-        # unless a family overrides this
-        return None
-
     def runs(self, mu):
         # the spectrum reads the rates per cell unless a family states
         # them as runs
@@ -156,16 +172,19 @@ class _SmoothStepper(_Stepper):
     """SmoothSaturatingRate on one grid: the age shape is bound on first
     use, the activity map is gain(mu) times one dot product per density,
     and each step of its solve is a Newton step on the closed-form
-    slope.  The stationary solve reads K = gain(mu) * A(x) from its
-    separable pieces."""
+    slope.  Its stationary forms read K = gain(mu) * A(x) from the
+    grid's age pieces."""
 
     __slots__ = ("_model", "_grid", "_shape", "_factors", "_minus_dx",
-                 "_scale", "_dx", "_gain", "_rate", "_span", "_separable")
+                 "_scale", "_dx", "_gain", "_rate", "_span", "_ages", "_E",
+                 "_dE")
     one_root = True     # gain is concave
 
     def __init__(self, model, grid):
         self._model, self._grid = model, grid
-        self._separable = None      # on the first separable_profile
+        # the age pieces and the buffers of exp(-K) on the edges and its
+        # cell increments, on the first stationary_integral
+        self._ages = self._E = self._dE = None
         # the age factor 1 - exp(-x/x_scale), on the first _weight or
         # decay, and the work buffer of decay's factors, -dx and the
         # gain's slot, on the first decay: the stationary solve reads
@@ -236,20 +255,39 @@ class _SmoothStepper(_Stepper):
         np.exp(factors, out=factors)
         return np.multiply(window, factors, out=window)
 
-    def separable_profile(self):
-        # K = gain(mu) * A(x): (gain, A on the edges, dA, dx/dA with 0
-        # on the idle cells, the idle cells, A'(x_max)), bound once
-        if self._separable is None:
-            grid, x_scale = self._grid, self._model.x_scale
-            ages = _age_integral(grid.edges, x_scale)
-            rise = np.diff(ages)
-            with np.errstate(divide="ignore", over="ignore"):
-                weight = self._dx / rise
-            idle = np.flatnonzero((rise <= 0.0) | np.isinf(weight))
-            weight[idle] = 0.0
-            end_age = float(-np.expm1(-grid.x_max / x_scale))
-            self._separable = (self._gain, ages, rise, weight, idle, end_age)
-        return self._separable
+    def stationary_integral(self, M):
+        # I(M) with K = g * A(x), g = gain(M): E = exp(-g*A) on the edges
+        # and dE = E * expm1(-g*dA) on the cells, into the buffers, then
+        # I = dot(dE, dx/dA) / (-g) + E(x_max) / (g*A'(x_max)); an idle
+        # cell, dA <= 0, holds dx*E
+        _check_mu(M)
+        if self._E is None:
+            n = self._grid.n_cells
+            self._ages = _age_pieces(self._grid, self._model.x_scale)
+            self._E, self._dE = np.empty(n + 1), np.empty(n)
+        ages, rise, weight, idle, end_age = self._ages
+        g, E, dE = self._gain(M), self._E, self._dE
+        # -g*A and -g*dA round as -(g*A) and -(g*dA): negation is exact
+        np.exp(np.multiply(ages, -g, out=E), out=E)
+        np.expm1(np.multiply(rise, -g, out=dE), out=dE)
+        dE *= E[:-1]
+        k_end = g * end_age
+        tail = float(E[-1]) / k_end if k_end > 0.0 else math.inf
+        cells = float(np.dot(dE, weight)) / -g
+        if idle.size:
+            cells += self._dx * float(E[idle].sum())
+        return cells + tail
+
+    def stationary(self, M):
+        # F = M * (cell integral) / dx from the formula that
+        # stationary_integral(M) evaluates, the mass share that the
+        # cells absorb and exp(-K(x_max))
+        self.stationary_integral(M)
+        _, _, weight, idle, _ = self._ages
+        dx, E, dE = self._dx, self._E, self._dE
+        cell_int = dE * weight / -self._gain(M)
+        cell_int[idle] = dx * E[idle]
+        return M * cell_int / dx, -float(dE.sum()), float(E[-1])
 
 
 class _RunStepper(_Stepper):
@@ -268,7 +306,8 @@ class _RunStepper(_Stepper):
     def __init__(self, model, grid, threshold, k, top):
         self._model, self._grid = model, grid
         self._threshold, self._k, self._top = threshold, float(k), top
-        # on first use by a stepping call: run() reads none of them
+        # on first use by a stepping call: the stationary forms read
+        # none of them
         self._reach = self._mids = self._heads = None
         self._dx = grid.dx
         self._decay = None              # exp(-k * dx), on the first decay
@@ -358,9 +397,46 @@ class _RunStepper(_Stepper):
         np.multiply(tail, self._decay, out=tail)
         return window
 
-    def run(self, mu):
-        _check_mu(mu)
-        return self._threshold(mu), self._k
+    def _stationary_run(self, M):
+        # the run's threshold T at M, read as 0 where the map falls below
+        # it, and its cell j, x_j <= T < x_j+1; j is n_cells when T lies
+        # at or past x_max
+        _check_mu(M)
+        T = max(self._threshold(M), 0.0)
+        return T, int(self._grid.edges.searchsorted(T, side="right")) - 1
+
+    def stationary_integral(self, M):
+        # With r = x_j+1 - T, the cells below j hold dx each, cell j has
+        # the mean rate k*r/dx, and the cells past it and the tail
+        # telescope: I = j*dx + dx*(1 - exp(-k*r))/(k*r) + exp(-k*r)/k.
+        # With j = n_cells no cell fires and I is infinite.
+        T, j = self._stationary_run(M)
+        if j == self._grid.n_cells:
+            return math.inf
+        k, dx = self._k, self._dx
+        # x_j+1 is (j + 1) * dx, bit for bit grid.edges[j + 1]
+        kr = k * ((j + 1) * dx - T)
+        return j * dx + dx * -math.expm1(-kr) / kr + math.exp(-kr) / k
+
+    def stationary(self, M):
+        # F from stationary_integral's cell integrals, the share of the
+        # mass that the cells absorb and the share exp(-K(x_max)) left
+        # at the horizon.  F is M below the threshold cell j; past it
+        # each cell holds M*E*(1 - exp(-k*dx))/(k*dx), with
+        # E = exp(-k*(x - T)) on its left edge, bit for bit exp(-K)
+        T, j = self._stationary_run(M)
+        grid = self._grid
+        F = np.full(grid.n_cells, M)
+        if j == grid.n_cells:
+            return F, 0.0, 1.0
+        k, dx = self._k, self._dx
+        kr = k * ((j + 1) * dx - T)
+        fired = -math.expm1(-kr)
+        F[j] = M * fired / kr
+        E = np.exp(-(k * (grid.edges[j + 1:] - T)))
+        shed = -math.expm1(-k * dx)
+        F[j + 1:] = M * E[:-1] * shed / (k * dx)
+        return F, fired + shed * float(E[:-1].sum()), float(E[-1])
 
     def runs(self, mu):
         # the rates on the mesh as (rate, cells) runs: 0 below the
@@ -495,7 +571,7 @@ class StepRate:
     the regime bounds; the constructor refuses one without the other.
     The map counts in equality and hashing as Python compares it, so a
     function compares by identity.  The indicator is evaluated exactly,
-    never smoothed.
+    never smoothed; a threshold below 0 fires every age.
     """
 
     sigma_plus: float = 0.5
@@ -558,7 +634,8 @@ class StepRate:
     def cumulative(self, x, mu):
         _check_domain(x, mu)
         xs = np.asarray(x, dtype=float)
-        out = np.maximum(0.0, xs - self.threshold(mu))
+        # a threshold below 0 fires every age, as in rate
+        out = np.maximum(0.0, xs - max(self.threshold(mu), 0.0))
         return _match_shape(x, out)
 
     def activity_slope(self, x_max):

@@ -17,16 +17,21 @@ parts it cannot rule out down to the final width, 1/1024 of a mesh
 cell, so it lists every root down to that width.  On the built-in
 families a search takes 20 to 45 evaluations of g.
 
-Each root search makes one `_Profile` for its model and grid: the
-normalization integral evaluated in the form that the model's bound
-stepper, model.stepper(grid), gives.  The smooth rate is separable,
-K = gain(lam*M) * A(x), so its evaluation is one exp and one expm1 of
-gain-scaled vectors, one product and one dot product over age pieces
-bound once, into buffers allocated once; the constant and step rates
-are one run, 0 below an age T and k past it, so the cell integrals
-telescope and an evaluation is a few scalar operations.  The profile F
-at a root and both residual diagnostics come from the formula that the
-search evaluates (steady_state_at), so each form is written once.
+Each cell integral is the exact integral of exp(-K) for the cell's
+mean rate, (K(x_j+1) - K(x_j))/dx, with K on the mesh edges: exact
+where the rate is constant in a cell and O(dx^2) in a cell that holds
+a rate jump.  A cell with no rate holds dx*exp(-K) at its left edge,
+and the horizon tail extends the profile past x_max with the frozen
+rate k(x_max), exp(-K(x_max))/k(x_max).  Each family states I in its
+own closed form, on the stepper that it binds to the grid:
+model.stepper(grid).stationary_integral(M).  The smooth rate is
+separable, K = gain(lam*M) * A(x), so an evaluation is one exp and one
+expm1 of gain-scaled vectors, one product and one dot product over age
+pieces bound once per grid; the constant and step rates are one run, 0
+below an age T and k past it, so the cell integrals telescope and an
+evaluation is a few scalar operations.  The profile F at a root and
+both residual diagnostics come from the stepper's stationary(M), the
+formula that the search evaluates (steady_state_at).
 """
 
 from __future__ import annotations
@@ -56,131 +61,6 @@ class SteadyState:
     residual_activity: float
 
 
-class _Profile:
-    """The normalization integral of one model on one grid.
-
-    Each cell integral is the exact single-exponential integral of
-    exp(-K) for the cell's mean rate, (K(x_j+1) - K(x_j))/dx, with K on
-    the mesh edges: exact where the rate is constant in a cell and
-    O(dx^2) in a cell that holds a rate jump.  A cell with no rate
-    (below a step threshold) holds dx*E at its left edge, with
-    E = exp(-K).  The horizon tail extends the profile past x_max with
-    the frozen rate k(x_max) (the natural choice for rates that have
-    saturated in age by the horizon), E(x_max)/k(x_max).
-
-    The model's stepper, model.stepper(grid), gives K in one of two
-    forms:
-      - separable: its separable_profile() gives K = g * A(x) with
-        g = gain(lam*M), as A on the edges, its cell increments dA, the
-        weights dx/dA and the age factor at the horizon, bound once.
-        An evaluation makes six passes over the mesh, into buffers
-        allocated once: E = exp(-g*A) on the edges (a scaling and an
-        exp), dE = E * expm1(-g*dA) on the cells (a scaling, an expm1
-        and a product), then one dot product,
-        I = dot(dE, dx/dA) / (-g) + tail.  A cell with dA <= 0 has no
-        rate and holds dx*E;
-      - run: its run(M) gives the rate as 0 below an age T and k past
-        it.  With j the cell where x_j <= T < x_j+1 (0 when T < 0) and
-        r = x_j+1 - T, the cells below j hold dx each, cell j has the
-        mean rate k*r/dx, and the cells past it and the tail telescope:
-        I = j*dx + dx*(1 - exp(-k*r))/(k*r) + exp(-k*r)/k, in O(1).
-        When T lies at or past x_max no cell fires, the horizon rate is
-        0 and I is infinite.
-    """
-
-    def __init__(self, model, grid):
-        self.model, self.grid = model, grid
-        self.stepper = model.stepper(grid)
-        self.separable = self.stepper.separable_profile()
-        if self.separable is not None:
-            n = grid.n_cells
-            self.E, self.dE = np.empty(n + 1), np.empty(n)
-
-    def couple(self, model):
-        """Rebind to model, the same family at another coupling lam.  No
-        buffer or separable age piece depends on lam, only the gain, so
-        the run form takes model's stepper and the separable form its
-        gain."""
-        self.model = model
-        self.stepper = model.stepper(self.grid)
-        if self.separable is not None:
-            self.separable = (model.gain,) + self.separable[1:]
-
-    def _run(self, M):
-        # the run (T, k) at M and its threshold cell j, x_j <= T < x_j+1
-        # (0 when T < 0); j is n_cells when T lies at or past x_max
-        T, k = self.stepper.run(M)
-        j = int(self.grid.edges.searchsorted(T, side="right")) - 1
-        return T, k, max(j, 0)
-
-    def integral(self, M):
-        """I(M) = int exp(-K) dx, with the horizon tail."""
-        if self.separable is not None:
-            return self._separable_integral(M)
-        T, k, j = self._run(M)
-        if j == self.grid.n_cells:
-            return math.inf
-        dx = self.grid.dx
-        # x_j+1 is (j + 1) * dx, bit for bit grid.edges[j + 1]
-        kr = k * ((j + 1) * dx - T)
-        return j * dx + dx * -math.expm1(-kr) / kr + math.exp(-kr) / k
-
-    def _separable_integral(self, M):
-        gain, ages, rise, weight, idle, end_age = self.separable
-        g, E, dE = gain(M), self.E, self.dE
-        # -g*A and -g*dA round as -(g*A) and -(g*dA): negation is exact
-        np.exp(np.multiply(ages, -g, out=E), out=E)
-        np.expm1(np.multiply(rise, -g, out=dE), out=dE)
-        dE *= E[:-1]
-        k_end = g * end_age
-        self.tail = float(E[-1]) / k_end if k_end > 0.0 else math.inf
-        cells = float(np.dot(dE, weight)) / -g
-        if idle.size:
-            cells += self.grid.dx * float(E[idle].sum())
-        return cells + self.tail
-
-    def steady_state(self, M):
-        """The stationary pair at a root M, from the formula that
-        integral(M) evaluates: F = M * (cell integral) / dx, and the
-        activity residual from the mass the cells absorb."""
-        dx = self.grid.dx
-        if self.separable is None:
-            F, absorbed, end = self._run_profile(M)
-        else:
-            self._separable_integral(M)
-            gain, _, _, weight, idle, _ = self.separable
-            cell_int = self.dE * weight / -gain(M)
-            cell_int[idle] = dx * self.E[idle]
-            absorbed, end = -float(self.dE.sum()), float(self.E[-1])
-            F = M * cell_int / dx
-        # activity consistency: M * (absorbed + exp(-K(x_max))) = M
-        residual_activity = abs(M * (absorbed + end) - M)
-        return SteadyState(M=M, F=F, lam=self.model.lam,
-                           residual_ode=_residual_ode(self.model, self.grid,
-                                                      F, M),
-                           residual_activity=residual_activity)
-
-    def _run_profile(self, M):
-        # F from the run form's cell integrals, the share of the mass
-        # that the cells absorb and the share exp(-K(x_max)) left at the
-        # horizon.  F is M below the threshold cell j; past it each cell
-        # holds M*E*(1 - exp(-k*dx))/(k*dx), with E = exp(-k*(x - T)) on
-        # its left edge, bit for bit exp(-K)
-        T, k, j = self._run(M)
-        grid = self.grid
-        F = np.full(grid.n_cells, M)
-        if j == grid.n_cells:
-            return F, 0.0, 1.0
-        dx = grid.dx
-        kr = k * ((j + 1) * dx - T)
-        fired = -math.expm1(-kr)
-        F[j] = M * fired / kr
-        E = np.exp(-(k * (grid.edges[j + 1:] - T)))
-        shed = -math.expm1(-k * dx)
-        F[j + 1:] = M * E[:-1] * shed / (k * dx)
-        return F, fired + shed * float(E[:-1].sum()), float(E[-1])
-
-
 # The coarsest meshes of the root searches.  A root in a mesh cell
 # with a sign change is the one a sign scan of this mesh finds, bit for
 # bit.
@@ -196,8 +76,9 @@ _LO = 1e-6
 _TOL = 1e-12
 
 
-def _stationary_roots(profile, lo, hi, cells, tol):
-    """Every root of the normalization residual g on [lo, hi], ascending.
+def _stationary_roots(integral, lo, hi, cells, tol):
+    """Every root of the normalization residual g(M) = M * I(M) - 1 on
+    [lo, hi], ascending, with I evaluated by the callable integral.
 
     I(M) = int exp(-K(x, lam*M)) dx is nonincreasing: rates are
     nondecreasing in activity, every cell integral decreases in both of
@@ -239,13 +120,13 @@ def _stationary_roots(profile, lo, hi, cells, tol):
     def at(M):
         # (I(M), g(M)), each evaluated once
         if M not in seen:
-            integral = profile.integral(M)
-            g = M * integral - 1.0
+            value = integral(M)
+            g = M * value - 1.0
             if not math.isfinite(g):
                 raise BracketError(
                     "normalization integral diverges on the bracket; the "
                     "rate may vanish at the horizon")
-            seen[M] = integral, g
+            seen[M] = value, g
         return seen[M]
 
     def holds_root(a, b):
@@ -342,6 +223,15 @@ def _residual_ode(model, grid, F, M):
     return float(np.max(np.abs(dF + k_mid[1:-1] * F[1:-1])))
 
 
+def _steady_state(model, grid, stepper, M):
+    # the stationary pair at M from the stepper's stationary form
+    F, absorbed, end = stepper.stationary(M)
+    # activity consistency: M * (absorbed + exp(-K(x_max))) = M
+    return SteadyState(M=M, F=F, lam=model.lam,
+                       residual_ode=_residual_ode(model, grid, F, M),
+                       residual_activity=abs(M * (absorbed + end) - M))
+
+
 def solve_steady_state(model, grid):
     """Solve for the stationary pair (F, M) on the given grid.
 
@@ -355,15 +245,16 @@ def solve_steady_state(model, grid):
     to a final width of 1/1024 of a mesh cell; on the built-in families
     a solve takes 20 to 45 evaluations of g.  When several roots exist
     a warning lists them all and the smallest is returned.  Every
-    evaluation of g takes the form that the model's stepper gives
-    (_Profile): six passes over the mesh, into the same buffers, for the
-    smooth family's separable rate, and O(1) scalar work for the run of
-    the constant and step families.  The pair at the root is
+    evaluation of g is the model's stepper's stationary_integral: six
+    passes over the mesh, into the same buffers, for the smooth
+    family's separable rate, and O(1) scalar work for the run of the
+    constant and step families.  The pair at the root is
     steady_state_at's, read from the same formula.
     """
     hi = _upper_end(model)
-    profile = _Profile(model, grid)
-    roots = _stationary_roots(profile, _LO, hi, _SOLVE_CELLS, _TOL)
+    stepper = model.stepper(grid)
+    roots = _stationary_roots(stepper.stationary_integral, _LO, hi,
+                              _SOLVE_CELLS, _TOL)
     if not roots:
         raise BracketError(
             f"no sign change of the normalization residual on "
@@ -373,7 +264,7 @@ def solve_steady_state(model, grid):
             "multiple stationary activities on the bracket: "
             + ", ".join(f"{r:.6g}" for r in roots)
             + "; returning the smallest", stacklevel=2)
-    return profile.steady_state(roots[0])
+    return _steady_state(model, grid, stepper, roots[0])
 
 
 def steady_state_at(model, grid, M):
@@ -383,7 +274,7 @@ def steady_state_at(model, grid, M):
     this at the smallest root it lists."""
     if not 0.0 < M < math.inf:
         raise ValueError("stationary activity M must be positive and finite")
-    return _Profile(model, grid).steady_state(M)
+    return _steady_state(model, grid, model.stepper(grid), M)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -413,11 +304,11 @@ def regime_scan(model, lambdas, grid):
     if not all(0.0 <= l < math.inf for l in lambdas):
         raise ValueError("couplings must be finite and nonnegative")
     hi = _upper_end(model)
-    profile = _Profile(model, grid)
     rows = []
     for lam in lambdas:
-        profile.couple(dataclasses.replace(model, lam=lam))
-        roots = _stationary_roots(profile, _LO, hi, _SCAN_CELLS, _TOL)
+        stepper = dataclasses.replace(model, lam=lam).stepper(grid)
+        roots = _stationary_roots(stepper.stationary_integral, _LO, hi,
+                                  _SCAN_CELLS, _TOL)
         rows.append(ScanRow(lam=lam, roots=tuple(roots),
                             unique=len(roots) == 1))
     return rows

@@ -14,7 +14,8 @@ from scipy import integrate, optimize
 from agenet import (AgeGrid, AmbiguousActivityError, ConstantRate,
                     ModelInconsistencyError, SimulationConfig,
                     SmoothSaturatingRate, StepRate, cell_sum, estimate_xi,
-                    half_rate_age, preset_density, steady_state_at)
+                    half_rate_age, preset_density, regime_scan,
+                    solve_steady_state, steady_state_at)
 from agenet import _roots, firing_rate
 from agenet.firing_rate import RegimeEstimate
 
@@ -238,6 +239,25 @@ def test_step_rate_threshold_and_indicator():
     assert model.k0 == 1.0 and model.k1 == 1.0
 
 
+def test_a_threshold_below_zero_fires_every_age():
+    # sigma(lam*mu) = 0.5 - 5 mu falls below 0 past mu = 0.1, where every
+    # age fires: K(x) = x, I = 1, and the continuum root is M = 1 = k1
+    model = StepRate(sigma=lambda u: 0.5 - u, sigma_modulus=1.0, lam=5.0)
+    grid = AgeGrid(dx=0.01, n_cells=1000)
+    assert abs(solve_steady_state(model, grid).M - 1.0) <= 1e-12
+    row, = regime_scan(model, [5.0], grid)
+    assert len(row.roots) == 1
+    for mu in (0.0, 0.05, 0.1, 0.2, 1.0):
+        assert model.cumulative(0.0, mu) == 0.0
+        # the threshold, where it lies on [0, 10], is a panel edge
+        xs = np.sort(np.concatenate([[max(model.threshold(mu), 0.0)],
+                                     np.linspace(0.01, 10.0, 40)]))
+        np.testing.assert_allclose(
+            model.cumulative(xs, mu),
+            _panel_cumulative(lambda z: model.rate(z, mu), xs),
+            rtol=0.0, atol=1e-12)
+
+
 def test_step_rate_custom_threshold_map():
     model = StepRate(sigma_plus=0.5, sigma_minus=0.25, lam=2.0,
                      sigma=lambda u: 0.6 / (1.0 + u), sigma_modulus=0.6)
@@ -258,7 +278,7 @@ def test_a_threshold_that_is_not_finite_is_refused(bad):
              lambda: model.cumulative(np.array([0.3, 0.7]), 0.5),
              lambda: stepper.solve(values),
              lambda: stepper.decay(values.copy(), 0.5),
-             lambda: stepper.run(0.5),
+             lambda: stepper.stationary_integral(0.5),
              lambda: steady_state_at(model, grid, 0.5)]
     for call in calls:
         with pytest.raises(ModelInconsistencyError, match="not a finite age"):
@@ -1121,9 +1141,8 @@ def test_run_is_the_public_cumulative(family, data, dx, n_cells, mus):
     model = data.draw(_DRAWN_FAMILIES[family], label="model")
     grid = AgeGrid(dx=dx, n_cells=n_cells)
     stepper = model.stepper(grid)
-    assert stepper.separable_profile() is None
     for mu in mus + [0.0]:
-        T, k = stepper.run(mu)
+        T, k = stepper._stationary_run(mu)[0], stepper._k
         assert type(T) is float and type(k) is float
         assert np.array_equal(np.maximum(0.0, k * (grid.edges - T)),
                               model.cumulative(grid.edges, mu))
@@ -1131,7 +1150,9 @@ def test_run_is_the_public_cumulative(family, data, dx, n_cells, mus):
             assert k == model.rate(grid.x_max, mu)
     for bad in (-0.1, math.nan, math.inf, np.array([0.4])):
         with pytest.raises(ValueError, match="^activity mu must be"):
-            stepper.run(bad)
+            stepper.stationary_integral(bad)
+        with pytest.raises(ValueError, match="^activity mu must be"):
+            stepper.stationary(bad)
 
 
 @settings(max_examples=100, deadline=None)
@@ -1160,7 +1181,7 @@ def test_the_constant_family_steps_as_a_run_from_age_zero(
     assert abs(stepper.solve(f, total, mu)[0] - mass_k0) <= 1e-12
     expected = f * np.exp(-np.full(1, k0) * dx)
     assert np.array_equal(stepper.decay(f.copy(), mu), expected)
-    assert stepper.run(mu) == (0.0, k0)
+    assert (stepper._stationary_run(mu)[0], stepper._k) == (0.0, k0)
     assert stepper.runs(mu) == ((k0, n_cells),)
     assert stepper.one_root
 
@@ -1194,16 +1215,20 @@ def test_a_threshold_below_the_first_midpoint_is_one_plateau(
        mus=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=6))
 @example(model=SmoothSaturatingRate(k0=0.5, k1=2.0, x_scale=1e16), dx=0.01,
          n_cells=300, mus=[0.3])
-def test_separable_profile_is_the_public_cumulative(model, dx, n_cells, mus):
-    # the smooth family's stationary pieces, bound once: gain times the
-    # age integral on the edges is bit for bit the public K, gain times
-    # the age factor at x_max is the rate at the horizon, and the weights
-    # are dx/dA on the cells where that is a positive float, 0 elsewhere
+def test_the_age_pieces_are_the_public_cumulative(model, dx, n_cells, mus):
+    # the smooth family's stationary pieces, bound once per grid and
+    # read-only: gain times the age integral on the edges is bit for bit
+    # the public K, gain times the age factor at x_max is the rate at
+    # the horizon, and the weights are dx/dA on the cells where that is
+    # a positive float, 0 elsewhere
     grid = AgeGrid(dx=dx, n_cells=n_cells)
     stepper = model.stepper(grid)
-    pieces = stepper.separable_profile()
-    assert stepper.separable_profile() is pieces
-    gain, ages, rise, weight, idle, end_age = pieces
+    pieces = firing_rate._age_pieces(grid, model.x_scale)
+    stepper.stationary_integral(0.0)
+    assert stepper._ages is pieces
+    assert not any(piece.flags.writeable for piece in pieces[:4])
+    gain = stepper._gain
+    ages, rise, weight, idle, end_age = pieces
     assert np.array_equal(rise, np.diff(ages))
     fires = np.ones(n_cells, dtype=bool)
     fires[idle] = False

@@ -12,7 +12,7 @@ from scipy import integrate, optimize
 from agenet import (AgeGrid, BracketError, ConstantRate, SmoothSaturatingRate,
                     StepRate, regime_scan, solve_steady_state, steady_state,
                     stepper_equilibrium)
-from agenet import _roots
+from agenet import _roots, firing_rate
 
 
 def _grid(dx=1e-3, x_max=10.0):
@@ -98,12 +98,13 @@ def test_smooth_solve_needs_few_residual_evaluations(monkeypatch):
     # mostly from the values it already holds; these are the search's
     # calls of integral, and the pair at the root is read once more
     calls = []
-    integral = steady_state._Profile.integral
+    integral = firing_rate._SmoothStepper.stationary_integral
 
-    def counted(profile, M):
+    def counted(stepper, M):
         calls.append(M)
-        return integral(profile, M)
-    monkeypatch.setattr(steady_state._Profile, "integral", counted)
+        return integral(stepper, M)
+    monkeypatch.setattr(firing_rate._SmoothStepper, "stationary_integral",
+                        counted)
     model = SmoothSaturatingRate(k0=0.5, k1=2.0, lam=0.5)
     solve_steady_state(model, _grid(dx=1e-3))
     assert len(calls) <= 50
@@ -114,12 +115,13 @@ def test_a_diverging_integral_is_found_by_the_one_check_at_lo(monkeypatch):
     # k(x_max) = 0 and the tail is infinite; I is nonincreasing, so the
     # first evaluation, at lo, is the only one needed
     calls = []
-    integral = steady_state._Profile.integral
+    integral = firing_rate._RunStepper.stationary_integral
 
-    def counted(profile, M):
+    def counted(stepper, M):
         calls.append(M)
-        return integral(profile, M)
-    monkeypatch.setattr(steady_state._Profile, "integral", counted)
+        return integral(stepper, M)
+    monkeypatch.setattr(firing_rate._RunStepper, "stationary_integral",
+                        counted)
     grid = AgeGrid(dx=0.01, n_cells=40)
     model = StepRate(sigma_plus=0.5, sigma_minus=0.25, lam=1.0)
     assert model.rate(grid.x_max, 1e-6) == 0.0 < model.rate(grid.x_max, 1.0)
@@ -205,9 +207,9 @@ def test_regime_scan_rows():
     SmoothSaturatingRate(k0=0.5, k1=6.0, lam=0.6, x_scale=0.5)],
     ids=["constant", "step", "smooth", "smooth-k1-6"])
 def test_each_scan_row_is_a_fresh_search_at_its_coupling(model):
-    # the scan binds one evaluator and rebinds only the coupling (the
-    # smooth family's gain, on age pieces bound once); each row lists
-    # bit for bit the roots of an evaluator bound for its coupling alone,
+    # the scan binds the model's stepper at each coupling (the smooth
+    # family's on age pieces bound once per grid); each row lists bit
+    # for bit the roots of a stepper bound for its coupling alone,
     # and its root is solve_steady_state's, whose search starts on a
     # coarser mesh
     grid = _grid(dx=0.01, x_max=6.0)
@@ -216,7 +218,7 @@ def test_each_scan_row_is_a_fresh_search_at_its_coupling(model):
     for row in regime_scan(model, lambdas, grid):
         coupled = dataclasses.replace(model, lam=row.lam)
         fresh = steady_state._stationary_roots(
-            steady_state._Profile(coupled, grid), steady_state._LO, hi,
+            coupled.stepper(grid).stationary_integral, steady_state._LO, hi,
             steady_state._SCAN_CELLS, steady_state._TOL)
         assert row.roots == tuple(fresh)
         assert row.roots[0] == pytest.approx(
@@ -291,11 +293,12 @@ def _separable_parts(model, grid, M):
 
 def _run_parts(model, grid, M):
     # the run families' closed form written out afresh: the run (T, k)
-    # from the model's threshold or k0, its threshold cell j from a
-    # comparison with every edge, and the sums telescoped.  Returns I,
-    # F, the mass share the cells absorb and the share left at x_max
-    T, k = ((model.threshold(M), 1.0) if isinstance(model, StepRate)
-            else (0.0, model.k0))
+    # from the model's threshold, read as 0 below 0, or k0, its
+    # threshold cell j from a comparison with every edge, and the sums
+    # telescoped.  Returns I, F, the mass share the cells absorb and the
+    # share left at x_max
+    T, k = ((max(model.threshold(M), 0.0), 1.0)
+            if isinstance(model, StepRate) else (0.0, model.k0))
     dx, n = grid.dx, grid.n_cells
     past = np.flatnonzero(grid.edges > T)
     if not past.size:
@@ -328,7 +331,8 @@ def _close(a, b, rel):
 def _families(draw):
     positive = st.floats(0.05, 5.0)
     lam = draw(st.floats(0.0, 5.0))
-    kind = draw(st.sampled_from(["constant", "smooth", "step", "custom"]))
+    kind = draw(st.sampled_from(["constant", "smooth", "step", "custom",
+                                 "crossing"]))
     if kind == "constant":
         return ConstantRate(k0=draw(positive), lam=lam)
     if kind == "smooth":
@@ -340,6 +344,10 @@ def _families(draw):
         top = draw(st.floats(0.05, 0.95))
         return StepRate(lam=lam, sigma=lambda u: top / (1.0 + u),
                         sigma_modulus=top)
+    if kind == "crossing":
+        # a custom threshold that falls below 0 at u = top
+        top = draw(st.floats(0.05, 0.95))
+        return StepRate(lam=lam, sigma=lambda u: top - u, sigma_modulus=1.0)
     sigma_minus = draw(st.floats(0.01, 0.5))
     return StepRate(sigma_plus=sigma_minus + draw(st.floats(0.01, 0.48)),
                     sigma_minus=sigma_minus, lam=lam, decay=draw(positive))
@@ -373,19 +381,24 @@ def test_profile_equals_the_reference_formula(model, dx, n_cells, mus):
     # step and constant families their closed form; both equal the
     # per-edge reference formula to rounding
     grid = AgeGrid(dx=dx, n_cells=n_cells)
-    profile = steady_state._Profile(model, grid)
+    stepper = model.stepper(grid)
     for mu in mus + [0.0]:
         cell_int, tail, E, kc, shed = _reference_parts(model, grid, mu)
         reference = float(cell_int.sum()) + tail
-        integral = profile.integral(mu)
+        integral = stepper.stationary_integral(mu)
         assert _same(mu * integral - 1.0, _formula_residual(model, grid, mu))
-        ss = profile.steady_state(mu)
-        if profile.separable is not None:
+        ss = steady_state._steady_state(model, grid, stepper, mu)
+        if isinstance(model, SmoothSaturatingRate):
             # exp(-g*A) rounds as exp(-K) with K = g*A from cumulative
-            assert _same(profile.E, E)
+            assert _same(stepper._E, E)
             total, cells, absorbed, tail, _ = _separable_parts(model, grid,
                                                                mu)
-            assert _same(integral, total) and _same(profile.tail, tail)
+            # the stepper's tail, E(x_max) over g * A'(x_max)
+            k_end = model.gain(mu) * firing_rate._age_pieces(
+                grid, model.x_scale)[4]
+            own_tail = (float(stepper._E[-1]) / k_end if k_end > 0.0
+                        else math.inf)
+            assert _same(integral, total) and _same(own_tail, tail)
             assert _same(ss.F, mu * cells / dx)
             assert _same(ss.residual_activity,
                          abs(mu * (absorbed + E[-1]) - mu))
@@ -410,19 +423,19 @@ def test_profile_branches(model, fires_everywhere):
     # none, which hold dx * E in the separable form and M below the
     # threshold cell in the run form
     grid = _grid(dx=0.01, x_max=3.0)
-    profile = steady_state._Profile(model, grid)
-    F = profile.steady_state(0.6).F
+    stepper = model.stepper(grid)
+    F = stepper.stationary(0.6)[0]
     cell_int, _, E, kc, _ = _reference_parts(model, grid, 0.6)
     idle = kc <= 0.0
-    if profile.separable is None:
-        _, _, j = profile._run(0.6)
+    if not isinstance(model, SmoothSaturatingRate):
+        _, j = stepper._stationary_run(0.6)
         assert bool(j == 0) == fires_everywhere
         assert np.array_equal(F, _run_parts(model, grid, 0.6)[1])
         # the reference has no rate on exactly the cells below j
         assert np.array_equal(idle[:j + 1], np.arange(j + 1) < j)
         assert np.all(F[:j] == 0.6)
         return
-    idle_cells = profile.separable[4]
+    idle_cells = firing_rate._age_pieces(grid, model.x_scale)[3]
     assert bool(idle_cells.size == 0) == fires_everywhere
     assert np.array_equal(F, 0.6 * _separable_parts(model, grid,
                                                     0.6)[1] / grid.dx)
@@ -447,17 +460,31 @@ def test_the_separable_integral_equals_the_reference_formula(
     model = SmoothSaturatingRate(k0=k0, k1=k0 + span, lam=lam,
                                  mu_scale=mu_scale, x_scale=x_scale)
     grid = AgeGrid(dx=dx, n_cells=n_cells)
-    profile = steady_state._Profile(model, grid)
-    idle = profile.separable[2] <= 0.0
+    stepper = model.stepper(grid)
+    idle = firing_rate._age_pieces(grid, x_scale)[1] <= 0.0
     integrals = []
     for mu in sorted(mus):
         cell_int, tail, E, _, _ = _reference_parts(model, grid, mu)
         reference = float(cell_int.sum()) + tail
-        integrals.append(profile.integral(mu))
+        integrals.append(stepper.stationary_integral(mu))
         assert integrals[-1] == pytest.approx(reference, rel=1e-14, abs=0.0)
-        F = profile.steady_state(mu).F
+        F = stepper.stationary(mu)[0]
         assert np.array_equal(F[idle], mu * (dx * E[:-1][idle]) / dx)
     # to rounding: each I is a sum of rounded terms
+    assert all(b <= a * (1.0 + 1e-14)
+               for a, b in zip(integrals, integrals[1:]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=_families(), dx=st.floats(1e-3, 0.5),
+       n_cells=st.integers(2, 400),
+       mus=st.lists(st.floats(0.0, 10.0), min_size=2, max_size=6))
+def test_the_stationary_integral_does_not_increase(model, dx, n_cells, mus):
+    # the premise of the root search's enclosure, for every family: the
+    # stepper's I(M) does not increase in M, to rounding (each I is a
+    # sum of rounded terms); an infinite I may only come first
+    stepper = model.stepper(AgeGrid(dx=dx, n_cells=n_cells))
+    integrals = [stepper.stationary_integral(mu) for mu in sorted(mus)]
     assert all(b <= a * (1.0 + 1e-14)
                for a, b in zip(integrals, integrals[1:]))
 
@@ -491,7 +518,7 @@ def test_the_run_integral_against_the_continuum(lam, mu, dx, n_cells, more,
     grids = [grid for grid in (AgeGrid(dx=dx, n_cells=n_cells),
                                AgeGrid(dx=dx, n_cells=n_cells + more))
              if grid.x_max > T]
-    integrals = {steady_state._Profile(model, grid).integral(mu)
+    integrals = {model.stepper(grid).stationary_integral(mu)
                  for grid in grids}
     assert len(integrals) <= 1
     for integral in integrals:
@@ -502,8 +529,8 @@ def test_the_run_integral_against_the_continuum(lam, mu, dx, n_cells, more,
             cell_int, tail, _, _, _ = _reference_parts(model, grids[0], mu)
             assert _close(integral, float(cell_int.sum()) + tail, 1e-14)
     constant = ConstantRate(k0=k0, lam=lam)
-    integral = steady_state._Profile(
-        constant, AgeGrid(dx=dx, n_cells=n_cells)).integral(mu)
+    integral = constant.stepper(
+        AgeGrid(dx=dx, n_cells=n_cells)).stationary_integral(mu)
     assert abs(k0 * integral - 1.0) <= 4.0 * np.finfo(float).eps
 
 
@@ -535,7 +562,7 @@ def _sign_scan(f, lo, hi, cells, tol):
 def _listed(model, grid, lo, hi, cells):
     try:
         return steady_state._stationary_roots(
-            steady_state._Profile(model, grid), lo, hi, cells, 1e-12)
+            model.stepper(grid).stationary_integral, lo, hi, cells, 1e-12)
     except BracketError:
         return "diverges"
 
@@ -589,25 +616,11 @@ def test_every_brentq_root_of_a_fine_mesh_is_listed(model, dx, n_cells):
         assert min(abs(root - r) for r in found) <= 1e-12
 
 
-class _Monotone:
-    """A stand-in for _Profile: g(M) = M * I(M) - 1 for a given
-    nonincreasing I, with the profile's arithmetic."""
-
-    def __init__(self, integral):
-        self._integral = integral
-
-    def integral(self, M):
-        return self._integral(M)
-
-    def residual(self, M):
-        return M * self.integral(M) - 1.0
-
-
 def test_enclosure_keeps_continuous_roots_and_drops_jumps():
     # I falls from 1/0.3 to 1/0.9 at 0.5: a root at 0.3, a jump of g
     # from +0.67 to -0.44 at 0.5, a root at 0.9
-    profile = _Monotone(lambda M: 1.0 / 0.3 if M < 0.5 else 1.0 / 0.9)
-    roots = steady_state._stationary_roots(profile, 0.0, 1.0, 10, 1e-12)
+    roots = steady_state._stationary_roots(
+        lambda M: 1.0 / 0.3 if M < 0.5 else 1.0 / 0.9, 0.0, 1.0, 10, 1e-12)
     assert len(roots) == 2
     assert roots[0] == pytest.approx(0.3, abs=1e-15)
     assert roots[1] == pytest.approx(0.9, abs=1e-15)
@@ -616,23 +629,25 @@ def test_enclosure_keeps_continuous_roots_and_drops_jumps():
 def test_enclosure_mesh_zeros_and_the_upper_end():
     # exact zeros on mesh points count, lo included: g is
     # (M - 0.25)(M - 0.5) / 2, zero at 0.25 and 0.5 in floating point
-    profile = _Monotone(lambda M: (1.0 + 0.5 * (M - 0.25) * (M - 0.5)) / M)
-    assert steady_state._stationary_roots(profile, 0.25, 1.25, 4,
+    def integral(M):
+        return (1.0 + 0.5 * (M - 0.25) * (M - 0.5)) / M
+    assert steady_state._stationary_roots(integral, 0.25, 1.25, 4,
                                           1e-12) == [0.25, 0.5]
     # the upper end: g = M - 1
-    assert steady_state._stationary_roots(_Monotone(lambda M: 1.0), 0.0,
+    assert steady_state._stationary_roots(lambda M: 1.0, 0.0,
                                           1.0, 4, 1e-12) == [1.0]
     # rounding can hide a root on the upper end: |g(hi)| <= tol keeps it
-    flat = _Monotone(lambda M: (1.0 + 1e-14) / M)
+    def flat(M):
+        return (1.0 + 1e-14) / M
     assert steady_state._stationary_roots(flat, 0.25, 1.0, 3,
                                           1e-12) == [1.0]
     assert steady_state._stationary_roots(flat, 0.25, 1.0, 3, 1e-15) == []
 
 
 def test_enclosure_raises_bracket_error_on_a_non_finite_sample():
-    profile = _Monotone(lambda M: 1.0 / M if M else math.inf)
     with pytest.raises(BracketError, match="diverges"):
-        steady_state._stationary_roots(profile, 0.0, 1.0, 4, 1e-12)
+        steady_state._stationary_roots(
+            lambda M: 1.0 / M if M else math.inf, 0.0, 1.0, 4, 1e-12)
 
 
 def test_two_roots_inside_one_mesh_cell_are_both_listed():
@@ -643,9 +658,9 @@ def test_two_roots_inside_one_mesh_cell_are_both_listed():
         return (1.0 + (M - 0.5) * (M - 0.501)) / M
     ms = np.linspace(0.1, 1.0, 10001)
     assert np.all(np.diff([integral(M) for M in ms]) <= 0.0)
-    profile = _Monotone(integral)
-    assert _sign_scan(profile.residual, 0.1, 1.0, 10, 1e-12) == []
-    roots = steady_state._stationary_roots(profile, 0.1, 1.0, 10, 1e-12)
+    assert _sign_scan(lambda M: M * integral(M) - 1.0, 0.1, 1.0, 10,
+                      1e-12) == []
+    roots = steady_state._stationary_roots(integral, 0.1, 1.0, 10, 1e-12)
     assert len(roots) == 2
     assert roots[0] == pytest.approx(0.5, abs=1e-12)
     assert roots[1] == pytest.approx(0.501, abs=1e-12)

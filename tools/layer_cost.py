@@ -202,13 +202,16 @@ def steady(*, calls=5):
     turns, each timing `calls` calls of each kind after one untimed one;
     round r starts from the model r places down the list, so no model
     always follows the same one.  `profile_us`: the median
-    microseconds, over 200 calls, to build one `steady_state._Profile`
-    per model (its stepper, and the smooth family's buffers), the
-    binding that each root search makes.  `evaluation_us`: the median
-    microseconds, over 2000 calls, of one evaluation of the
-    normalization integral (`steady_state._Profile.integral`) per model,
-    at the solve's M.  The outputs are M, the scan's roots and the
-    untimed call's evaluations (calls of `_Profile.integral`)."""
+    microseconds, over 200 calls, to bind `model.stepper(grid)` per
+    model, the binding that each root search makes.  `evaluation_us`:
+    the median microseconds, over 2000 calls, of one evaluation of the
+    normalization integral (the stepper's `stationary_integral`) per
+    model, at the solve's M.  The outputs are M, the scan's roots and
+    the untimed call's evaluations (the calls of the integral that its
+    root searches make).  On a tree that still has
+    `steady_state._Profile` the binding is a `_Profile`, the integral
+    its `integral` method, and the evaluations its calls, so that
+    paired runs against such a tree compare."""
     import functools
     import agenet
     from agenet import steady_state
@@ -228,25 +231,49 @@ def steady(*, calls=5):
         "solve": lambda m, g: agenet.solve_steady_state(m, g).M,
         "scan_row": lambda m, g: agenet.regime_scan(m, [m.lam], g)[0].roots,
     }
-    integral = steady_state._Profile.integral
     evaluations = [0]
 
-    def counted(profile, M):
-        evaluations[0] += 1
-        return integral(profile, M)
+    def count(fn):
+        def counted(*args):
+            evaluations[0] += 1
+            return fn(*args)
+        return counted
+
+    if hasattr(steady_state, "_Profile"):
+        # a tree from before the steppers held the stationary forms
+        bind = steady_state._Profile
+        owner, attr = steady_state._Profile, "integral"
+        counted = count(steady_state._Profile.integral)
+
+        def integral_of(profile):
+            return profile.integral
+    else:
+        # every root search passes the stepper's integral to
+        # _stationary_roots, which counts the calls of its wrapper
+        search = steady_state._stationary_roots
+        owner, attr = steady_state, "_stationary_roots"
+
+        def bind(model, grid):
+            return model.stepper(grid)
+
+        def counted(integral, *rest):
+            return search(count(integral), *rest)
+
+        def integral_of(stepper):
+            return stepper.stationary_integral
+    uncounted = getattr(owner, attr)
 
     def evaluation(model, grid):
-        profile = steady_state._Profile(model, grid)
+        integral = integral_of(bind(model, grid))
         M = agenet.solve_steady_state(model, grid).M
-        return _median_s(lambda: profile.integral(M), 2000) * 1e6
+        return _median_s(lambda: integral(M), 2000) * 1e6
 
     ms, evals, values, profile_us, evaluation_us = {}, {}, {}, {}, {}
     for cells in (1000, 10000):
         grid = agenet.AgeGrid(dx=10.0 / cells, n_cells=cells)
         ms[cells], evals[cells], values[cells] = {}, {}, {}
         profile_us[cells] = {
-            name: _median_s(lambda: steady_state._Profile(model, grid),
-                            200) * 1e6
+            name: _median_s(lambda: bind(model, grid), 200) * 1e6
             for name, model in models.items()}
         evaluation_us[cells] = {name: evaluation(model, grid)
                                 for name, model in models.items()}
@@ -254,10 +281,10 @@ def steady(*, calls=5):
             ms[cells][kind], evals[cells][kind] = {}, {}
             values[cells][kind] = {}
             for name, model in models.items():
-                steady_state._Profile.integral = counted
+                setattr(owner, attr, counted)
                 evaluations[0] = 0
                 value = fn(model, grid)
-                steady_state._Profile.integral = integral
+                setattr(owner, attr, uncounted)
                 ms[cells][kind][name] = _median_s(
                     lambda: fn(model, grid), calls) * 1e3
                 evals[cells][kind][name] = evaluations[0]
