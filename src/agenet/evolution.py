@@ -5,10 +5,9 @@ Each step: decay the density by the survival factor exp(-k dt), shift
 the survivors one cell toward older ages, and reinject in the youngest
 cell the discharge p, the mass the survivors no longer hold on the
 mesh: the absorbed mass plus the mass advected past the age horizon.
-So p is the cell sum less the survivors that stay, one full sum per
-step, and the new cell sum is p plus those survivors: mass is
-conserved by construction.  step() and run() share one kernel,
-_transport.
+So p is the cell sum less the survivors that stay, and the new cell
+sum is p plus those survivors: mass is conserved by construction.
+step() and run() share one kernel, _transport.
 
 The rate family's bound stepper, model.stepper(grid), holds the one
 copy of the activity map and of the factors exp(-k dt): its solve() is
@@ -19,19 +18,17 @@ and all its steps and carries the cell sum from step to step.  Its
 density is a window of one buffer twice its length: each step decays
 the window in place and writes p in the cell before it, so the window
 slides one cell toward the buffer's start and the shift costs
-nothing; when it reaches the start, it is copied back to the end, once
-per n_cells steps.  Ages advance one cell per step, and so does the
-density's front, past which every cell is zero: run() hands decay()
-only the cells before the front, a prefix of the window, until the
-front reaches the last cell.  A zero times a factor in (0, 1] is that
-zero, so that leaves the bits a whole decay would; every sum still
-reads the whole window.  step() binds one stepper per call, with the same
-kernel, so run() equals a loop of step() and a fresh stepper's solve()
-bit for bit.  solve_activity_implicit() binds one per call too, solves
-from a cold start, and also refuses a settled root of a staircase map
-that holds another.  stepper_equilibrium() builds its profiles from
-one bound stepper too, decaying a vector of ones, so the reference a
-run relaxes to uses the run's own factors.
+nothing; it is copied back to the end once per n_cells steps.  A step
+decays only the cells before the density's front (bit for bit) and
+before a run family's reach: the cells past its highest threshold all
+decay by one factor, so run() keeps them as one scaled tail (_Tail),
+folded back on a schedule of the step count.  Its bits then differ
+from a loop of step() at the rounding of the cell sum (not for the
+smooth family, which has none).  solve_activity_implicit() binds a
+stepper per call, solves from a cold start, and also refuses a settled
+root of a staircase map that holds another.  stepper_equilibrium()
+builds its profiles from one bound stepper too, decaying a vector of
+ones, so the reference a run relaxes to uses the run's own factors.
 """
 
 from __future__ import annotations
@@ -213,38 +210,73 @@ def solve_activity_implicit(model, grid, values):
 # p rounds at most about n eps total below it; the bound leaves a
 # margin of 4 (eps = 2**-52).  Below the bound, p is no rounding.
 _CLEARANCE = 4.0 * 2.0 ** -52
+_FOLD = 2.0 ** -500     # run() folds a tail whose scale falls below it
 
 _add, _max = np.add.reduce, np.maximum.reduce
 
 
-def _transport(buf, s, window, total, stepper, m, t, live=None):
+class _Tail:
+    """A run family's cells from reach on, past its highest threshold,
+    decay by one factor per step: the window holds them raw, scale times
+    raw is the density, raw their sum.  A reach at the end keeps none."""
+
+    __slots__ = ("reach", "factor", "scale", "raw")
+
+    def __init__(self, stepper, window):
+        # a run stepper's, if a step keeps at least half of each cell, so
+        # the scale stays normal between folds; the smooth family's none
+        n = len(window)
+        reach, self.factor = getattr(stepper, "_tail", lambda: (n, 1.0))()
+        self.reach = reach if self.factor >= 0.5 else n
+        self.scale, self.raw = 1.0, float(_add(window[self.reach:]))
+
+    def fold(self, window):
+        cells = window[self.reach:]
+        np.multiply(cells, self.scale, out=cells)
+        self.scale, self.raw = 1.0, float(_add(cells))
+
+    def read(self, window, out):
+        if self.reach == len(window):
+            return window
+        out[:self.reach] = window[:self.reach]
+        np.multiply(window[self.reach:], self.scale, out=out[self.reach:])
+        return out
+
+
+def _transport(buf, s, window, total, stepper, m, t, live=None, tail=None):
     """The transport kernel of step() and run().
 
     The density is window, the view buf[s:s + n] with s >= 1, and total
-    its cell sum, cell_sum(window).  The family's stepper decays it in
-    place by the survival factors at m, and the discharge p goes to
-    buf[s - 1], so buf[s - 1:s - 1 + n] is the new density, one cell
-    older, and buf[s - 1 + n] the outflow past x_max.  live, if given,
-    is the density's front, less than n: every cell from live on is
-    zero, and the stepper decays only window[:live].  That leaves the
-    bits a whole decay would, since a zero times a factor in (0, 1] is
-    that zero.  Every sum still runs over the whole window: a sum's
-    rounding depends on its length.  p is total less
-    rest, the survivors that stay on the mesh: the absorbed mass plus
-    the outflow, per dx.  Where nothing fires, p can round below zero:
-    within the _CLEARANCE bound it is then 0, and below it the step
-    raises InvariantViolationError.  Returns p and the new density's
-    cell sum p + rest, which is total up to one rounding."""
-    stepper.decay(window if live is None else window[:live], m)
-    rest = float(_add(window[:-1]))
+    its cell sum.  The family's stepper decays it in place by the
+    survival factors at m, but only before live, the front past which
+    every cell is zero (bit for bit), and before a tail's reach, whose
+    scale takes their factor.  p goes to buf[s - 1]: the new density is
+    buf[s - 1:s - 1 + n], one cell older, buf[s - 1 + n] the outflow
+    past x_max, and the cell that crosses the reach joins the tail raw.
+    p is total less rest, the survivors kept on the mesh: the cells
+    before the reach plus the scale times the tail's raw sum.  Where
+    nothing fires, p can round below zero: within the _CLEARANCE bound
+    it is then 0, and below it the step raises InvariantViolationError.
+    Returns p and the new cell sum p + rest, total up to one rounding."""
+    n = len(window)
+    reach = n if tail is None else tail.reach
+    stepper.decay(window[:reach if live is None else min(live, reach)], m)
+    rest = float(_add(window[:min(reach, n - 1)]))
+    if reach < n:
+        tail.scale *= tail.factor
+        kept = tail.raw - float(window[-1])
+        rest += tail.scale * kept
     p = total - rest
-    if -_CLEARANCE * (len(window) + 2) * total <= p < 0.0:
+    if -_CLEARANCE * (n + 2) * total <= p < 0.0:
         p = 0.0
     buf[s - 1] = p
     if p < 0.0 or window[-2] < 0.0:
         raise InvariantViolationError(
             "negative density produced by a transport step",
             {"t": t, "p": p, "m": m})
+    if reach < n:
+        buf[s - 1 + reach] = cell = float(buf[s - 1 + reach]) / tail.scale
+        tail.raw = kept + cell
     return p, p + rest
 
 
@@ -272,10 +304,9 @@ def step(state, m, config):
     new state's mass is a fresh sum of its cells.
 
     The new state's time is state.t + dx, one rounding per step, while
-    run() records f0.t + n*dt.  So a loop of step() matches run()'s
-    densities bit for bit but its clock drifts from run()'s by up to a
-    rounding per step: after 3000 steps of dx = 0.01 from 0 it reads
-    30.00000000000189."""
+    run() records f0.t + n*dt: a loop of step() matches run()'s
+    densities (the smooth family's bit for bit), but after 3000 steps of
+    dx = 0.01 from 0 its clock reads 30.00000000000189."""
     grid = config.grid
     values = state.values
     _check_nonnegative(values, state.t)
@@ -332,7 +363,8 @@ def run(config, f0, steady=None):
     most k1, m in [0, cap], and for kappa0 > 0 the uniform activity
     floor once t - f0.t passes the half-rate age.  The recorded mass is
     a fresh sum of the cells, not the cell sum that the steps carry,
-    which they conserve exactly.
+    which they conserve exactly.  A sample reads a run family's tail
+    into a work buffer, so no bit depends on record_every.
     """
     grid, model, kernel = config.grid, config.model, config.kernel
     dt = config.dt
@@ -412,10 +444,11 @@ def run(config, f0, steady=None):
     # Ages advance one cell per step, and so does the density's front
     # live, one past its last nonzero cell: None once it spans the mesh.
     cells = grid.n_cells
-    buf = np.empty(2 * cells)
+    buf, density = np.empty(2 * cells), np.empty(cells)
     s = cells
     buf[s:] = f0.values
     live = _front(f0.values)
+    tail = _Tail(stepper, buf[s:])
     m = p = m0
     if history is not None:
         activity, push = history.activity, history.push
@@ -425,6 +458,8 @@ def run(config, f0, steady=None):
             buf[cells:] = buf[:cells]
             s = cells
         window = buf[s:s + cells]
+        if s == cells or tail.scale < _FOLD:
+            tail.fold(window)
         if history is None:
             try:
                 m, iterations, method = solve(window, total, m)
@@ -436,7 +471,8 @@ def run(config, f0, steady=None):
                 most_iterations = iterations
         else:
             m = activity()
-        p, total = _transport(buf, s, window, total, stepper, m, t, live)
+        p, total = _transport(buf, s, window, total, stepper, m, t, live,
+                              tail)
         s -= 1
         if live is not None:
             live = live + 1 if live + 1 < cells else None
@@ -448,11 +484,13 @@ def run(config, f0, steady=None):
             raise InvariantViolationError(
                 "non-finite step output", {"t": t, "m": m, "p": p})
         if n % record_every == 0 or n == n_steps:
-            _record(t, buf[s:s + cells], m, p, p - float(buf[s + cells]))
+            _record(t, tail.read(buf[s:s + cells], density), m, p,
+                    p - tail.scale * float(buf[s + cells]))
 
     # the last step is always recorded, with a fresh mass
     times, m_series, p_series, mass_series, linf_series, l1q_series, \
         dist_series = (np.asarray(column) for column in zip(*rows))
+    tail.fold(buf[s:s + cells])
     final = DensityState(values=buf[s:s + cells].copy(),
                          mass=rows[-1][3], m=m, p=p, t=t)
     return SimulationTrace(

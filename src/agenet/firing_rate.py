@@ -298,7 +298,9 @@ class _RunStepper(_Stepper):
     (k*total)*dx.  It reads the one heads buffer, so it holds until the
     next bind or roots call.  Its solve takes fixed-point steps; the map
     and decay reuse the cell that either last landed in at the same mu,
-    as a warm start or a step after a solve does."""
+    as a warm start or a step after a solve does.  Every cell from the
+    reach on fires at k at any mu: _tail() gives the reach and
+    exp(-k dx), from which run() keeps those cells as one scaled tail."""
 
     __slots__ = ("_model", "_grid", "_threshold", "_k", "_top", "_mids",
                  "_reach", "_heads", "_dx", "_decay", "_mu", "_idx")
@@ -316,14 +318,15 @@ class _RunStepper(_Stepper):
     def _bind_cells(self):
         grid = self._grid
         # The cells that the prefix sums must cover: no threshold passes
-        # the highest, so the sums stop at its cell (inf keeps every cell)
-        self._reach = int(grid.midpoints.searchsorted(self._top,
-                                                      side="right"))
+        # the highest, so the sums stop at its cell (inf keeps every
+        # cell, and a top of 0, the constant family's, none)
+        self._reach = int(grid.midpoints.searchsorted(
+            self._top, side="right")) if self._top else 0
         self._heads = np.empty(self._reach)
         # bisect_right on these midpoints counts those <= t, as
         # midpoints.searchsorted(t, side="right") does, at a third of its
         # per-call cost.  No threshold passes the reach cell's midpoint.
-        cells = min(self._reach + 1, grid.n_cells)
+        cells = min(self._reach + 1, grid.n_cells) if self._top else 0
         self._mids = grid.midpoints[:cells].tolist()
 
     @property
@@ -358,8 +361,9 @@ class _RunStepper(_Stepper):
             self._bind_cells()
         if total is None:
             total = cell_sum(values)
-        return (self._k * total) * self._dx, np.add.accumulate(
-            values[:self._reach], out=self._heads)
+        if self._reach:
+            np.add.accumulate(values[:self._reach], out=self._heads)
+        return (self._k * total) * self._dx, self._heads
 
     def roots(self, values, total=None):
         # plateau j is a root exactly when its own threshold falls in
@@ -373,6 +377,8 @@ class _RunStepper(_Stepper):
 
     def bind(self, values, total=None):
         mass, heads = self._plateaus(values, total)
+        if not self._reach:     # one plateau: no prefix sum, no lookup
+            return lambda mu: (mass, 1.0)
         threshold, mids, k, dx = self._threshold, self._mids, self._k, self._dx
         cell_of = bisect.bisect_right
 
@@ -396,6 +402,12 @@ class _RunStepper(_Stepper):
         tail = window[self._cell(mu):]
         np.multiply(tail, self._decay, out=tail)
         return window
+
+    def _tail(self):
+        # the reach and exp(-k * dx), the factor of every cell past it
+        if self._decay is None:
+            self._bind_decay()
+        return self._reach, float(self._decay)
 
     def _stationary_run(self, M):
         # the run's threshold T at M, read as 0 where the map falls below

@@ -512,10 +512,28 @@ def test_run_matches_a_loop_of_public_steps(model, kernel):
     trace = run(cfg, f0)
     ms, ps, state = _public_steps(model, kernel, f0, cfg,
                                   trace.times.size - 1)
-    assert np.array_equal(trace.m_series, ms)
-    assert np.array_equal(trace.p_series, ps)
-    assert np.array_equal(trace.final_state.values, state.values)
-    assert trace.final_state.mass == state.mass
+    _assert_matches(trace, ms, ps, state,
+                    isinstance(model, SmoothSaturatingRate))
+
+
+def _assert_matches(trace, ms, ps, state, exact, m_atol=0.0):
+    # A run against a full-mesh reference: bit for bit where exact (the
+    # smooth family and a custom sigma, which keep no tail).  A run
+    # family's scaled tail rounds apart from a full-mesh step: then every
+    # activity and the final mass agree to 1e-13 relative (an activity
+    # also to m_atol), and every discharge and final cell to 1e-14 times
+    # the cell sum.
+    if exact:
+        assert np.array_equal(trace.m_series, ms)
+        assert np.array_equal(trace.p_series, ps)
+        assert np.array_equal(trace.final_state.values, state.values)
+        assert trace.final_state.mass == state.mass
+        return
+    bound = 1e-14 * cell_sum(state.values)
+    np.testing.assert_allclose(trace.m_series, ms, rtol=1e-13, atol=m_atol)
+    assert np.max(np.abs(trace.p_series - ps)) <= bound
+    assert np.max(np.abs(trace.final_state.values - state.values)) <= bound
+    assert trace.final_state.mass == pytest.approx(state.mass, rel=1e-13)
 
 
 def _public_steps(model, kernel, f0, cfg, n_steps):
@@ -624,8 +642,8 @@ def test_a_window_wrapped_three_times_matches_public_steps(kernel):
     # run() slides its density one cell per step toward the start of a
     # buffer twice its length and copies it back to the end at the
     # start, once per n_cells steps: 3.5 times over this run.  It decays
-    # only the cells the density's front has reached, and step() decays
-    # them all.
+    # only the cells the density's front has reached, and for the run
+    # families only those before the reach, and step() decays them all.
     grid = AgeGrid(dx=0.05, n_cells=100)
     n_steps = 350
     for model in _FRONT_MODELS.values():
@@ -636,11 +654,8 @@ def test_a_window_wrapped_three_times_matches_public_steps(kernel):
             trace = run(cfg, f0)
             assert trace.times.size == n_steps + 1
             ms, ps, state = _public_steps(model, kernel, f0, cfg, n_steps)
-            assert np.array_equal(trace.m_series, ms)
-            assert np.array_equal(trace.p_series, ps)
-            assert (trace.final_state.values.tobytes()
-                    == state.values.tobytes())
-            assert trace.final_state.mass == state.mass
+            _assert_matches(trace, ms, ps, state,
+                            isinstance(model, SmoothSaturatingRate))
 
 
 @pytest.mark.parametrize("density", ["spike", "uniform01", "gap"])
@@ -654,9 +669,11 @@ def test_every_cell_past_the_front_stays_positive_zero(family, kernel,
     # ages advance one cell per step, so after step k every cell from
     # min(front + k, n) on, front one past f0's last nonzero cell, is
     # +0.0 with no sign bit, and decay reads only the cells before it
+    # and before a run family's reach: none for the constant family
     grid = AgeGrid(dx=0.05, n_cells=100)
     model = _FRONT_MODELS[family]
     cells, n_steps = grid.n_cells, 250
+    reach = cells if family == "smooth" else model.stepper(grid)._tail()[0]
     f0 = _front_density(grid, density)
     front = int(np.flatnonzero(f0.values)[-1]) + 1
     decayed, windows = [], []
@@ -677,20 +694,21 @@ def test_every_cell_past_the_front_stays_positive_zero(family, kernel,
     cfg = SimulationConfig(grid=grid, model=model, kernel=kernel,
                            t_end=n_steps * grid.dx, record_every=n_steps)
     run(cfg, f0)
-    assert len(windows) == len(decayed) == n_steps
-    for k, (window, length) in enumerate(zip(windows, decayed)):
-        assert length == min(front + k, cells)
+    assert len(windows) == n_steps
+    assert decayed == [min(front + k, reach) for k in range(n_steps)]
+    for k, window in enumerate(windows):
         past = window[min(front + k + 1, cells):]
         assert not past.view(np.uint64).any()
 
 
-def _two_buffer_run(model, kernel, f0, grid, n_steps):
+def _two_buffer_run(model, kernel, f0, grid, n_steps, seen=None):
     # The transport as it stood before the density decayed in place:
     # the survivors, values times the rate expression's factors, go one
     # cell over into a second buffer, the two buffers swap, and a p < 0
     # within the kernel's rounding bound is set to 0.  Returns the
     # activities, discharges and final density, and for each step that
-    # set p to 0, its bound and its discharge summed exactly.
+    # set p to 0, its bound and its discharge summed exactly.  A list
+    # passed as seen gets a copy of the density after each step.
     stepper = model.stepper(grid)
     cells = grid.n_cells
     cur, nxt = np.empty(cells + 1), np.empty(cells + 1)
@@ -721,25 +739,46 @@ def _two_buffer_run(model, kernel, f0, grid, n_steps):
             history.push(p)
         ms.append(m)
         ps.append(p)
+        if seen is not None:
+            seen.append(cur[:cells].copy())
     return ms, ps, cur[:cells].copy(), clamped
 
 
 @pytest.mark.parametrize("kernel", [DelayKernel.dirac(),
                                     DelayKernel.exponential(2.0)],
                          ids=["dirac", "exponential"])
-def test_a_planted_tail_clamps_p_as_the_two_buffer_step_does(kernel):
+def test_a_planted_tail_clamps_p_as_the_two_buffer_step_does(kernel,
+                                                            monkeypatch):
     # Unit mass on the youngest 200 cells, below every threshold, and a
     # tail of 1e-13 to 1e-9 in three cells at age 5: for 150 steps only
     # the tail fires.  Up to a tail of 1e-11 its discharge sits at the
     # rounding of the cell sum, and p = total - rest lands below zero on
     # about a fifth of the steps.  Each such step must set p to 0, as
     # the two-buffer step does, and its exact discharge must lie within
-    # the bound that allows it.
+    # the bound that allows it.  The planted cells lie past the step
+    # family's reach, so run() keeps them in its scaled tail, and its
+    # trajectory agrees with the two-buffer one to the tail's bounds;
+    # the activity, at the rounding of the unit mass, to 1e-14 of it.
     grid = AgeGrid(dx=1e-3, n_cells=10_000)
     model = StepRate(sigma_plus=0.5, sigma_minus=0.25, lam=0.05)
     n_steps = 150
     cfg = SimulationConfig(grid=grid, model=model, kernel=kernel,
                            t_end=n_steps * grid.dx, record_every=1)
+    transport, clamped = evolution._transport, []
+
+    def spy(buf, s, window, total, stepper, m, t, live=None, tail=None):
+        # the exact discharge of each step of run() that set p to 0,
+        # from its densities before and after, the tail scaled in
+        cells = len(window)
+        before = tail.read(window, np.empty(cells))
+        p, after = transport(buf, s, window, total, stepper, m, t, live,
+                             tail)
+        if p == 0.0:
+            kept = tail.read(buf[s - 1:s - 1 + cells], np.empty(cells))
+            clamped.append((evolution._CLEARANCE * (cells + 2) * total,
+                            math.fsum(np.concatenate((before, -kept[1:])))))
+        return p, after
+    monkeypatch.setattr(evolution, "_transport", spy)
     counts = {}
     for seed in range(3):
         for tail in (1e-13, 1e-12, 1e-11, 1e-10, 1e-9):
@@ -750,16 +789,18 @@ def test_a_planted_tail_clamps_p_as_the_two_buffer_step_does(kernel):
             values[5000:5003] = tail
             f0 = DensityState(values=values, mass=grid.integrate(values),
                               m=0.0, p=0.0, t=0.0)
+            clamped.clear()
             trace = run(cfg, f0)
-            ms, ps, final, clamped = _two_buffer_run(model, kernel, f0, grid,
-                                                     n_steps)
-            assert np.array_equal(trace.m_series, ms)
-            assert np.array_equal(trace.p_series, ps)
-            assert np.array_equal(trace.final_state.values, final)
-            assert all(0.0 <= exact <= bound for bound, exact in clamped)
-            counts[seed, tail] = len(clamped)
+            ms, ps, final, reference = _two_buffer_run(model, kernel, f0,
+                                                       grid, n_steps)
+            _assert_matches(trace, ms, ps, SimpleNamespace(
+                values=final, mass=grid.integrate(final)), False,
+                m_atol=1e-14)
+            for steps in (clamped, reference):
+                assert all(0.0 <= exact <= bound for bound, exact in steps)
+            counts[seed, tail] = len(clamped), len(reference)
     # the fixture reaches the clamp on every small tail
-    assert all(count >= 20 for (_, tail), count in counts.items()
+    assert all(min(count) >= 20 for (_, tail), count in counts.items()
                if tail <= 1e-11)
 
 
@@ -850,10 +891,113 @@ def test_run_keeps_p_and_mass_and_matches_public_steps(model, seed, dx,
     assert np.all(trace.p_series >= 0.0)
     assert np.max(np.abs(trace.mass_series - 1.0)) <= 1e-12
     ms, ps, state = _public_steps(model, kernel, f0, cfg, n_steps)
-    assert np.array_equal(trace.m_series, ms)
-    assert np.array_equal(trace.p_series, ps)
-    assert np.array_equal(trace.final_state.values, state.values)
-    assert trace.final_state.mass == state.mass
+    # where f0 lies short of every threshold, an activity is the unit
+    # mass less nearly all of it (the staircase's plateau), or a mean of
+    # discharges at the rounding of the cell sum: it agrees to 1e-14 of
+    # the mass then
+    _assert_matches(trace, ms, ps, state,
+                    isinstance(model, SmoothSaturatingRate), m_atol=1e-14)
+
+
+_RUN_FAMILIES = {"constant": ConstantRate(k0=1.0),
+                 "step": StepRate(sigma_plus=0.5, sigma_minus=0.25, lam=0.3)}
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
+@pytest.mark.parametrize("family", list(_RUN_FAMILIES))
+def test_a_run_family_trajectory_does_not_depend_on_record_every(family,
+                                                                 kernel):
+    # a sample reads the scaled tail into a work buffer and writes
+    # nothing back, and the tail is folded on a schedule of the step
+    # count alone, so every sample a coarser schedule shares with
+    # record_every = 1 holds the same bits, and so does the final state
+    grid = AgeGrid(dx=0.05, n_cells=100)
+    n_steps = 350
+    traces = {every: run(SimulationConfig(
+        grid=grid, model=_RUN_FAMILIES[family], kernel=kernel,
+        t_end=n_steps * grid.dx, record_every=every),
+        preset_density(grid, "exp2")) for every in (1, 7, 10)}
+    full = traces.pop(1)
+    for every, trace in traces.items():
+        steps = [*range(0, n_steps, every), n_steps]
+        for series in ("m_series", "p_series", "mass_series",
+                       "l1q_series"):
+            assert np.array_equal(getattr(trace, series),
+                                  getattr(full, series)[steps])
+        assert (trace.final_state.values.tobytes()
+                == full.final_state.values.tobytes())
+
+
+def test_a_tail_scale_that_would_underflow_is_folded_first():
+    # k0 * x_max = 900: a scale folded only at the buffer's wrap, every
+    # 3000 steps, would reach exp(-900) and underflow; the run folds it
+    # before it passes 2**-500 and agrees with the full-mesh reference
+    grid = AgeGrid(dx=0.1, n_cells=3000)
+    model = ConstantRate(k0=3.0)
+    n_steps = 3000
+    cfg = SimulationConfig(grid=grid, model=model, t_end=n_steps * grid.dx,
+                           record_every=n_steps + 1)
+    f0 = preset_density(grid, "exp2")
+    trace = run(cfg, f0)
+    assert trace.times.size == 2
+    ms, ps, final, _ = _two_buffer_run(model, DelayKernel.dirac(), f0, grid,
+                                       n_steps)
+    assert np.all(np.isfinite(trace.final_state.values))
+    bound = 1e-14 * cell_sum(f0.values)
+    np.testing.assert_allclose(trace.m_series, [ms[0], ms[-1]], rtol=1e-13,
+                               atol=0.0)
+    assert np.max(np.abs(trace.p_series - [ps[0], ps[-1]])) <= bound
+    assert np.max(np.abs(trace.final_state.values - final)) <= bound
+
+
+def test_a_step_that_keeps_less_than_half_of_a_cell_keeps_no_tail():
+    # k0 dx = 1.5: between folds the tail's scale could fall past the
+    # normal floats, so run() keeps every cell on the full mesh and
+    # equals a loop of public steps bit for bit
+    grid = AgeGrid(dx=0.5, n_cells=40)
+    model = ConstantRate(k0=3.0)
+    cfg = SimulationConfig(grid=grid, model=model, t_end=60 * grid.dx,
+                           record_every=1)
+    f0 = preset_density(grid, "exp2")
+    assert evolution._Tail(model.stepper(grid), f0.values).reach == 40
+    ms, ps, state = _public_steps(model, DelayKernel.dirac(), f0, cfg, 60)
+    _assert_matches(run(cfg, f0), ms, ps, state, True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=st.one_of(
+           st.builds(ConstantRate, k0=st.floats(0.1, 3.0)),
+           st.builds(StepRate, sigma_plus=st.floats(0.3, 0.9),
+                     sigma_minus=st.floats(0.05, 0.29),
+                     lam=st.floats(0.0, 0.9), decay=st.floats(0.2, 3.0))),
+       kernel=st.sampled_from(KERNELS),
+       preset=st.sampled_from(["uniform01", "exp2", "spike"]),
+       dx=st.sampled_from([0.05, 0.02, 0.01]),
+       x_max=st.floats(3.0, 6.0),
+       steps=st.floats(1.05, 2.5))
+def test_a_run_family_run_agrees_with_the_full_mesh(model, kernel, preset,
+                                                    dx, x_max, steps):
+    # run() against the two-buffer full-mesh run, over the wrap of its
+    # buffer: every recorded activity, mass and moment norm to 1e-13
+    # relative, every discharge and final cell to 1e-14 times the cell
+    # sum
+    grid = AgeGrid(dx=dx, n_cells=round(x_max / dx))
+    f0 = preset_density(grid, preset)
+    n_steps = max(1, round(steps * grid.n_cells))
+    cfg = SimulationConfig(grid=grid, model=model, kernel=kernel,
+                           t_end=n_steps * dx, record_every=1,
+                           allow_zero_kappa0=True)
+    trace = run(cfg, f0)
+    seen = []
+    ms, ps, final, _ = _two_buffer_run(model, kernel, f0, grid, n_steps,
+                                       seen)
+    densities = [f0.values, *seen]
+    _assert_matches(trace, ms, ps, SimpleNamespace(
+        values=final, mass=grid.integrate(final)), False)
+    for series, reference in (
+            (trace.mass_series, [grid.integrate(v) for v in densities]),
+            (trace.l1q_series, [grid.l1q_norm(v) for v in densities])):
+        np.testing.assert_allclose(series, reference, rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("family", [

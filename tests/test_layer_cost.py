@@ -163,28 +163,28 @@ def test_ratios_pair_the_timings_of_one_round(monkeypatch, capsys):
         "p25": 0.75, "p50": 1.0, "p75": 1.25, "by_round": [0.5, 1.5]}
 
 
-def test_advance_us_hands_an_old_kernel_its_shed(monkeypatch):
-    # a kernel that takes the shed ahead of the front and returns it as a
-    # third value, as the transport kernel did before it clamped a
-    # negative discharge itself: each call is handed the last one's shed
+def test_advance_us_hands_a_tail_only_to_a_kernel_that_takes_one(
+        monkeypatch):
+    # a kernel without `tail`, as before run() kept a run family's cells
+    # past its reach as one scaled tail, is called without one; a kernel
+    # that takes it gets the tail that run() binds, for the constant
+    # family the whole window, on every call
     import agenet
     from agenet import evolution
-    kernel = evolution._transport
-    handed, returned = [], []
+    kernel, tails = evolution._transport, []
 
-    def old_kernel(buf, s, window, total, stepper, m, t, shed=0.0,
-                   live=None):
-        assert live is None or isinstance(live, int)
-        last = float(window[-1])
-        p, total = kernel(buf, s, window, total, stepper, m, t, live)
-        handed.append(shed)
-        returned.append(p - last)
-        return p, total, p - last
+    def old_kernel(buf, s, window, total, stepper, m, t, live=None):
+        return kernel(buf, s, window, total, stepper, m, t, live)
 
-    monkeypatch.setattr(evolution, "_transport", old_kernel)
+    def new_kernel(buf, s, window, total, stepper, m, t, live=None,
+                   tail=None):
+        tails.append(tail)
+        return kernel(buf, s, window, total, stepper, m, t, live, tail)
     grid = agenet.AgeGrid(dx=1e-2, n_cells=1000)
-    us = layer_cost._advance_us(agenet.ConstantRate(k0=1.0), grid,
-                                agenet.preset_density(grid, "exp2").values)
-    assert us > 0 and len(handed) == 500
-    assert handed == [0.0] + returned[:-1]
-    assert any(handed)
+    values = agenet.preset_density(grid, "exp2").values
+    for fake in (old_kernel, new_kernel):
+        monkeypatch.setattr(evolution, "_transport", fake)
+        assert layer_cost._advance_us(agenet.ConstantRate(k0=1.0), grid,
+                                      values) > 0
+    assert len(tails) == 500 and tails[0].reach == 0
+    assert all(tail is tails[0] for tail in tails)

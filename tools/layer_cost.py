@@ -92,11 +92,9 @@ def step(*, steps=2000):
     it: the density is a window that slides one cell per call through
     a buffer of 2n cells, decaying further with each call, and each
     call hands the next the cell sum it returns and the density's
-    front, one cell further on.  A kernel that still takes the shed
-    (`shed` before `live`, returning it as a third value, as before
-    the kernel clamped a negative discharge itself) is read from its
-    signature and handed the shed it returned, so trees of both kinds
-    pair.
+    front, one cell further on.  A kernel that takes a run family's
+    `tail` after `live` is read from its signature and handed the tail
+    that run() would bind, so trees with and without it pair.
     `solve_activity_implicit_us`: the median of 200 cold public calls on
     that density.  `warm_solve_us`: the median of 2000 calls of
     `stepper.solve(values, total, m)` on the Dirac run's final density
@@ -163,32 +161,28 @@ def _advance_us(model, grid, values):
     # the median µs of 500 calls of the kernel as run() calls it:
     # _transport(buf, s, window, total, stepper, m, t, live) on the
     # window buf[s:s + n], which slides one cell toward the start of buf
-    # per call (500 calls stay short of the start), carrying the cell sum
-    # and the front; a kernel that takes `shed` ahead of `live` carries
-    # that too, the third value it returns
+    # per call (500 calls stay short of the start, and of a tail's
+    # fold), carrying the cell sum and the front; a kernel that takes
+    # `tail` after `live` carries the tail that run() binds
     import inspect
     import numpy as np
     import agenet
     from agenet import evolution
-    sheds = "shed" in inspect.signature(evolution._transport).parameters
     cells = grid.n_cells
     m = agenet.solve_activity_implicit(model, grid, values).m
     stepper = model.stepper(grid)
     buf = np.empty(2 * cells)
     buf[cells:] = values
-    carried = {"s": cells, "total": agenet.cell_sum(values), "shed": 0.0,
+    carried = {"s": cells, "total": agenet.cell_sum(values),
                "live": evolution._front(values)}
+    tail = (evolution._Tail(stepper, buf[cells:]),) if "tail" in \
+        inspect.signature(evolution._transport).parameters else ()
 
     def transport():
         s, live = carried["s"], carried["live"]
-        if sheds:
-            _, carried["total"], carried["shed"] = evolution._transport(
-                buf, s, buf[s:s + cells], carried["total"], stepper, m, 0.0,
-                carried["shed"], live)
-        else:
-            _, carried["total"] = evolution._transport(
-                buf, s, buf[s:s + cells], carried["total"], stepper, m, 0.0,
-                live)
+        _, carried["total"] = evolution._transport(
+            buf, s, buf[s:s + cells], carried["total"], stepper, m, 0.0,
+            live, *tail)
         carried["s"] = s - 1
         if live is not None:
             carried["live"] = live + 1 if live + 1 < cells else None
@@ -208,10 +202,7 @@ def steady(*, calls=5):
     normalization integral (the stepper's `stationary_integral`) per
     model, at the solve's M.  The outputs are M, the scan's roots and
     the untimed call's evaluations (the calls of the integral that its
-    root searches make).  On a tree that still has
-    `steady_state._Profile` the binding is a `_Profile`, the integral
-    its `integral` method, and the evaluations its calls, so that
-    paired runs against such a tree compare."""
+    root searches make)."""
     import functools
     import agenet
     from agenet import steady_state
@@ -239,32 +230,15 @@ def steady(*, calls=5):
             return fn(*args)
         return counted
 
-    if hasattr(steady_state, "_Profile"):
-        # a tree from before the steppers held the stationary forms
-        bind = steady_state._Profile
-        owner, attr = steady_state._Profile, "integral"
-        counted = count(steady_state._Profile.integral)
+    # every root search passes the stepper's integral to
+    # _stationary_roots, which counts the calls of its wrapper
+    uncounted = steady_state._stationary_roots
 
-        def integral_of(profile):
-            return profile.integral
-    else:
-        # every root search passes the stepper's integral to
-        # _stationary_roots, which counts the calls of its wrapper
-        search = steady_state._stationary_roots
-        owner, attr = steady_state, "_stationary_roots"
-
-        def bind(model, grid):
-            return model.stepper(grid)
-
-        def counted(integral, *rest):
-            return search(count(integral), *rest)
-
-        def integral_of(stepper):
-            return stepper.stationary_integral
-    uncounted = getattr(owner, attr)
+    def counted(integral, *rest):
+        return uncounted(count(integral), *rest)
 
     def evaluation(model, grid):
-        integral = integral_of(bind(model, grid))
+        integral = model.stepper(grid).stationary_integral
         M = agenet.solve_steady_state(model, grid).M
         return _median_s(lambda: integral(M), 2000) * 1e6
 
@@ -273,7 +247,7 @@ def steady(*, calls=5):
         grid = agenet.AgeGrid(dx=10.0 / cells, n_cells=cells)
         ms[cells], evals[cells], values[cells] = {}, {}, {}
         profile_us[cells] = {
-            name: _median_s(lambda: bind(model, grid), 200) * 1e6
+            name: _median_s(lambda: model.stepper(grid), 200) * 1e6
             for name, model in models.items()}
         evaluation_us[cells] = {name: evaluation(model, grid)
                                 for name, model in models.items()}
@@ -281,10 +255,10 @@ def steady(*, calls=5):
             ms[cells][kind], evals[cells][kind] = {}, {}
             values[cells][kind] = {}
             for name, model in models.items():
-                setattr(owner, attr, counted)
+                steady_state._stationary_roots = counted
                 evaluations[0] = 0
                 value = fn(model, grid)
-                setattr(owner, attr, uncounted)
+                steady_state._stationary_roots = uncounted
                 ms[cells][kind][name] = _median_s(
                     lambda: fn(model, grid), calls) * 1e3
                 evals[cells][kind][name] = evaluations[0]
@@ -343,12 +317,11 @@ def spectrum(*, calls=5):
     `calls` calls after one untimed one, at a stationary pair solved
     once.  The outputs are the gaps and, for the untimed call, the
     evaluations of chi it computed (calls of `linear_analysis._Chi._terms`
-    and `_Chi._closed`), the calls it made for chi (of `_Chi.at`, plus
-    `_Chi.value` on a tree that has it), which a point already computed
-    answers for free, `walk`: the steps that its walks along paths
-    (`linear_analysis._Path`) proposed, each a call for chi after the
-    walk's first, and the steps they kept, each a sample past the
-    first, `phases`: the evaluations computed under
+    and `_Chi._closed`), the calls it made for chi (of `_Chi.at`), which
+    a point already computed answers for free, `walk`: the steps that
+    its walks along paths (`linear_analysis._Path`) proposed, each a
+    call for chi after the walk's first, and the steps they kept, each
+    a sample past the first, `phases`: the evaluations computed under
     `linear_analysis._half_plane` ("lines", the count lines) and under
     `linear_analysis._complex_roots` ("rectangles", their sides, cuts
     and Newton's iteration), `newton`: those of them computed under
@@ -365,10 +338,7 @@ def spectrum(*, calls=5):
     cases["smooth-10k"] = (families["smooth"],
                            agenet.AgeGrid(dx=1e-3, n_cells=10_000))
     chi = linear_analysis._Chi
-    # older trees also ask for chi alone, by `value`
-    counted = {"evaluations": ("_terms", "_closed"),
-               "calls": tuple(key for key in ("value", "at")
-                              if hasattr(chi, key))}
+    counted = {"evaluations": ("_terms", "_closed"), "calls": ("at",)}
     methods = {key: getattr(chi, key)
                for keys in counted.values() for key in keys}
     phases = {"lines": "_half_plane", "rectangles": "_complex_roots"}
