@@ -19,14 +19,21 @@ density is a window of one buffer twice its length: each step decays
 the window in place and writes p in the cell before it, so the window
 slides one cell toward the buffer's start and the shift costs
 nothing; it is copied back to the end once per n_cells steps.  A step
-decays only the cells before the density's front (bit for bit) and
-before a run family's reach: the cells past its highest threshold all
-decay by one factor, so run() keeps them as one scaled tail (_Tail),
-folded back on a schedule of the step count.  Its bits then differ
-from a loop of step() at the rounding of the cell sum (not for the
-smooth family, which has none).  solve_activity_implicit() binds a
-stepper per call, solves from a cold start, and also refuses a settled
-root of a staircase map that holds another.  stepper_equilibrium()
+of the smooth family decays only the cells before the density's front
+(bit for bit).  A run family's cells from the threshold cell of the
+step's activity on all decay by one factor, and the cells below it
+keep their value, so run() keeps the density as a tail (_Tail): the
+cells from its cut, the threshold cell, raw times one running scale,
+with their raw sum, and the sum of the cells below the cut, both
+carried as scalars.  Its steps then decay and sum no cell, whatever
+the threshold; the activity map reads the carried head sum, the cut
+moves by the few cells a threshold passes, and both sums are taken
+afresh when the scale is folded back, on a schedule of the step
+count.  Its bits then differ from a loop of step() at the rounding of
+the cell sum (not for the smooth family, which keeps no tail).
+solve_activity_implicit() binds a stepper per call, solves from a cold
+start, and also refuses a settled root of a staircase map that holds
+another.  stepper_equilibrium()
 builds its profiles from one bound stepper too, decaying a vector of
 ones, so the reference a run relaxes to uses the run's own factors.
 """
@@ -216,56 +223,107 @@ _add, _max = np.add.reduce, np.maximum.reduce
 
 
 class _Tail:
-    """A run family's cells from reach on, past its highest threshold,
-    decay by one factor per step: the window holds them raw, scale times
-    raw is the density, raw their sum.  A reach at the end keeps none."""
+    """A run family's density in run(), split at its cut, the threshold
+    cell of the last step's activity.  Every cell from the cut on fires
+    at k and decays by one factor per step: the window holds those cells
+    raw, scale times raw being the density, and raw is their sum.  The
+    cells below the cut keep their value, and head is their sum.  A cut
+    at the end of the window keeps no raw cell."""
 
-    __slots__ = ("reach", "factor", "scale", "raw")
+    __slots__ = ("cell_of", "factor", "cut", "scale", "raw", "head", "out")
 
-    def __init__(self, stepper, window):
-        # a run stepper's, if a step keeps at least half of each cell, so
-        # the scale stays normal between folds; the smooth family's none
-        n = len(window)
-        reach, self.factor = getattr(stepper, "_tail", lambda: (n, 1.0))()
-        self.reach = reach if self.factor >= 0.5 else n
-        self.scale, self.raw = 1.0, float(_add(window[self.reach:]))
+    def __init__(self, cell_of, factor, window, m):
+        self.cell_of, self.factor = cell_of, factor
+        self.cut = cut = cell_of(m)
+        self.scale, self.head = 1.0, float(_add(window[:cut]))
+        self.raw = float(_add(window[cut:]))
+        self.out = np.empty(len(window))    # the density that read() writes
 
     def fold(self, window):
-        cells = window[self.reach:]
+        # the scale into the cells, and both sums afresh
+        cut = self.cut
+        cells = window[cut:]
         np.multiply(cells, self.scale, out=cells)
-        self.scale, self.raw = 1.0, float(_add(cells))
+        self.scale = 1.0
+        self.head, self.raw = float(_add(window[:cut])), float(_add(cells))
 
-    def read(self, window, out):
-        if self.reach == len(window):
-            return window
-        out[:self.reach] = window[:self.reach]
-        np.multiply(window[self.reach:], self.scale, out=out[self.reach:])
+    def below(self, window, idx):
+        # the sum of the idx cells below cell idx: the head, moved by the
+        # cells between idx and the cut
+        cut = self.cut
+        if idx == cut:
+            return self.head
+        if idx > cut:
+            return self.head + self.scale * float(_add(window[cut:idx]))
+        return self.head - float(_add(window[idx:cut]))
+
+    def move(self, window, m):
+        # the cut to the threshold cell at m: the cells that cross it
+        # are scaled in or out of the raw tail
+        cut, idx = self.cut, self.cell_of(m)
+        if idx > cut:
+            cells = window[cut:idx]
+            raw = float(_add(cells))
+            self.head += self.scale * raw
+            self.raw -= raw
+            np.multiply(cells, self.scale, out=cells)
+        elif idx < cut:
+            cells = window[idx:cut]
+            self.head -= float(_add(cells))
+            np.divide(cells, self.scale, out=cells)
+            self.raw += float(_add(cells))
+        self.cut = idx
+        return idx
+
+    def read(self, window):
+        # the density, into the tail's own buffer
+        out, cut = self.out, self.cut
+        out[:cut] = window[:cut]
+        np.multiply(window[cut:], self.scale, out=out[cut:])
         return out
+
+
+def _bind_tail(stepper, window, m):
+    """The tail that run() keeps of a run stepper's density at activity
+    m, where a step keeps at least half of each cell, so the scale
+    stays normal between folds; None for the smooth family."""
+    hook = getattr(stepper, "_tail", None)
+    if hook is None:
+        return None
+    cell_of, factor = hook()
+    return _Tail(cell_of, factor, window, m) if factor >= 0.5 else None
 
 
 def _transport(buf, s, window, total, stepper, m, t, live=None, tail=None):
     """The transport kernel of step() and run().
 
     The density is window, the view buf[s:s + n] with s >= 1, and total
-    its cell sum.  The family's stepper decays it in place by the
-    survival factors at m, but only before live, the front past which
-    every cell is zero (bit for bit), and before a tail's reach, whose
-    scale takes their factor.  p goes to buf[s - 1]: the new density is
-    buf[s - 1:s - 1 + n], one cell older, buf[s - 1 + n] the outflow
-    past x_max, and the cell that crosses the reach joins the tail raw.
-    p is total less rest, the survivors kept on the mesh: the cells
-    before the reach plus the scale times the tail's raw sum.  Where
-    nothing fires, p can round below zero: within the _CLEARANCE bound
-    it is then 0, and below it the step raises InvariantViolationError.
-    Returns p and the new cell sum p + rest, total up to one rounding."""
+    its cell sum.  With no tail, the family's stepper decays it in place
+    by the survival factors at m, but only before live, the front past
+    which every cell is zero (bit for bit).  With a tail, the tail's cut
+    moves to the threshold cell at m and its scale takes the factor of
+    every cell from there on, so no cell is decayed.  p goes to
+    buf[s - 1]: the new density is buf[s - 1:s - 1 + n], one cell
+    older, and buf[s - 1 + n] the outflow past x_max.  p is total less
+    rest, the survivors kept on the mesh: the sum of the window but its
+    last cell, or with a tail its head plus the scale times the raw sum
+    but the last cell.  p then joins the head, and the cell that crosses
+    the cut joins the raw tail.  Where nothing fires, p can round below
+    zero: within the _CLEARANCE bound it is then 0, and below it the
+    step raises InvariantViolationError.  Returns p and the new cell sum
+    p + rest, total up to one rounding."""
     n = len(window)
-    reach = n if tail is None else tail.reach
-    stepper.decay(window[:reach if live is None else min(live, reach)], m)
-    rest = float(_add(window[:min(reach, n - 1)]))
-    if reach < n:
-        tail.scale *= tail.factor
-        kept = tail.raw - float(window[-1])
-        rest += tail.scale * kept
+    if tail is None:
+        stepper.decay(window[:live], m)
+        rest = float(_add(window[:-1]))
+    else:
+        cut = tail.move(window, m)
+        if cut < n:
+            tail.scale *= tail.factor
+            kept = tail.raw - float(window[-1])
+            rest = tail.head + tail.scale * kept
+        else:
+            rest = tail.head - float(window[-1])
     p = total - rest
     if -_CLEARANCE * (n + 2) * total <= p < 0.0:
         p = 0.0
@@ -274,9 +332,12 @@ def _transport(buf, s, window, total, stepper, m, t, live=None, tail=None):
         raise InvariantViolationError(
             "negative density produced by a transport step",
             {"t": t, "p": p, "m": m})
-    if reach < n:
-        buf[s - 1 + reach] = cell = float(buf[s - 1 + reach]) / tail.scale
-        tail.raw = kept + cell
+    if tail is not None:
+        cell = float(buf[s - 1 + cut])
+        tail.head = (tail.head + p) - cell
+        if cut < n:
+            buf[s - 1 + cut] = cell = cell / tail.scale
+            tail.raw = kept + cell
     return p, p + rest
 
 
@@ -364,7 +425,8 @@ def run(config, f0, steady=None):
     floor once t - f0.t passes the half-rate age.  The recorded mass is
     a fresh sum of the cells, not the cell sum that the steps carry,
     which they conserve exactly.  A sample reads a run family's tail
-    into a work buffer, so no bit depends on record_every.
+    into the tail's own buffer, and takes its distance to F in place
+    there, so no bit depends on record_every.
     """
     grid, model, kernel = config.grid, config.model, config.kernel
     dt = config.dt
@@ -400,19 +462,20 @@ def run(config, f0, steady=None):
 
     F = steady.F if steady is not None else None
 
-    # one row (t, m, p, mass, sup, l1q, l1_dist) per sample, its norms
-    # read through one work buffer; the density stays nonnegative, so
-    # its moment norm needs no abs
+    # one row (t, m, p, mass, sup, l1q, l1_dist) per sample, its moment
+    # norm read through one work buffer and its distance through scratch,
+    # which may be values itself; the density stays nonnegative, so its
+    # moment norm needs no abs
     rows = []
     weight, work = _moment_weight(grid, config.q), np.empty(grid.n_cells)
 
-    def _record(t, values, m, p, absorbed):
+    def _record(t, values, m, p, absorbed, scratch=work):
         mass = float(_add(values)) * grid.dx
         sup = float(_max(values))
         rows.append((t, m, p, mass, sup,
                      _weighted_integral(weight, values, grid.dx, work),
                      None if F is None
-                     else _l1_distance(values, F, grid.dx, work)))
+                     else _l1_distance(values, F, grid.dx, scratch)))
         diag = {"t": t, "m": m, "p": p, "mass": mass}
         if not (math.isfinite(m) and math.isfinite(p)
                 and math.isfinite(mass)):
@@ -441,14 +504,17 @@ def run(config, f0, steady=None):
     # the density is the window buf[s:s + cells]; each step writes p in
     # the cell before it and slides it there, and a window at the start
     # is copied back to the end, so the loop allocates no cell arrays.
-    # Ages advance one cell per step, and so does the density's front
-    # live, one past its last nonzero cell: None once it spans the mesh.
+    # A run family's density is kept as a tail, cut at the threshold
+    # cell of m0, and a sample reads it into the tail's own buffer.
+    # Otherwise ages advance one cell per step, and so does the
+    # density's front live, one past its last nonzero cell: None once
+    # it spans the mesh.
     cells = grid.n_cells
-    buf, density = np.empty(2 * cells), np.empty(cells)
+    buf = np.empty(2 * cells)
     s = cells
     buf[s:] = f0.values
-    live = _front(f0.values)
-    tail = _Tail(stepper, buf[s:])
+    tail = _bind_tail(stepper, buf[s:], m0)
+    live = _front(f0.values) if tail is None else None
     m = p = m0
     if history is not None:
         activity, push = history.activity, history.push
@@ -458,11 +524,11 @@ def run(config, f0, steady=None):
             buf[cells:] = buf[:cells]
             s = cells
         window = buf[s:s + cells]
-        if s == cells or tail.scale < _FOLD:
+        if tail is not None and (s == cells or tail.scale < _FOLD):
             tail.fold(window)
         if history is None:
             try:
-                m, iterations, method = solve(window, total, m)
+                m, iterations, method = solve(window, total, m, tail)
             except AmbiguousActivityError as exc:
                 exc.t = t
                 raise
@@ -484,13 +550,20 @@ def run(config, f0, steady=None):
             raise InvariantViolationError(
                 "non-finite step output", {"t": t, "m": m, "p": p})
         if n % record_every == 0 or n == n_steps:
-            _record(t, tail.read(buf[s:s + cells], density), m, p,
-                    p - tail.scale * float(buf[s + cells]))
+            outflow = float(buf[s + cells])
+            if tail is None:
+                _record(t, buf[s:s + cells], m, p, p - outflow)
+            else:
+                if tail.cut < cells:
+                    outflow *= tail.scale
+                density = tail.read(buf[s:s + cells])
+                _record(t, density, m, p, p - outflow, density)
 
     # the last step is always recorded, with a fresh mass
     times, m_series, p_series, mass_series, linf_series, l1q_series, \
         dist_series = (np.asarray(column) for column in zip(*rows))
-    tail.fold(buf[s:s + cells])
+    if tail is not None:
+        tail.fold(buf[s:s + cells])
     final = DensityState(values=buf[s:s + cells].copy(),
                          mass=rows[-1][3], m=m, p=p, t=t)
     return SimulationTrace(

@@ -25,11 +25,14 @@ inf for a custom sigma) as the reach of its prefix sums.  The smooth
 family binds its own.  A stepper holds:
 
 - the activity map G(mu) = int k(x, lam*mu) f dx on the midpoint mesh.
-  bind(values, total) returns mu -> (G(mu), G'(mu)), with 1.0 for the
-  slope where the family takes fixed-point steps.  solve(values, total,
-  warm), one loop for every family, iterates on it until
+  bind(values, total, tail) returns mu -> (G(mu), G'(mu)), with 1.0 for
+  the slope where the family takes fixed-point steps.  solve(values,
+  total, warm, tail), one loop for every family, iterates on it until
   |G(mu) - mu| <= _TOL = 1e-12 and after _MAX_ITER = 200 steps falls
-  back to roots(values, total), every fixed point in [0, k1].  one_root
+  back to roots(values, total), every fixed point in [0, k1].  run()
+  passes the tail it keeps of a run family's density: the run map then
+  reads the tail's carried head sum for its prefix sums, and roots()
+  the density that the tail reads.  one_root
   is true when G has at most one fixed point by construction: the
   smooth map, and a run map whose threshold reaches no midpoint, one
   plateau (the constant family's among them);
@@ -128,17 +131,21 @@ _WALK = 64
 
 class _Stepper:
     """The implicit activity solve, one loop for every family.  A
-    family's stepper supplies roots() and bind(values, total), the map
-    mu -> (G(mu), G'(mu)) for that density, with 1.0 for the slope
-    where the family takes fixed-point steps."""
+    family's stepper supplies roots() and bind(values, total, tail), the
+    map mu -> (G(mu), G'(mu)) for that density, with 1.0 for the slope
+    where the family takes fixed-point steps.  run() passes the tail
+    that it keeps of a run family's density (evolution._Tail): the map
+    then reads its carried sums, and a stalled solve reads the density
+    from tail.read(values)."""
 
     __slots__ = ()
 
-    def solve(self, values, total=None, warm=None):
-        G = self.bind(values, total)
+    def solve(self, values, total=None, warm=None, tail=None):
+        G = self.bind(values, total, tail)
         k1, tol = self._model.k1, _TOL
         mu = G(0.0)[0] if warm is None else float(warm)
-        mu = min(max(mu, 0.0), k1)
+        # min(max(mu, 0.0), k1), bit for bit, without two calls
+        mu = 0.0 if mu < 0.0 else k1 if mu > k1 else mu
         for it in range(1, _MAX_ITER + 1):
             target, slope = G(mu)
             settled = abs(target - mu) <= tol
@@ -148,12 +155,13 @@ class _Stepper:
                 target = mu + (target - mu) / (1.0 - slope)
             elif settled:
                 return mu, it, "fixed-point"
-            mu = min(max(target, 0.0), k1)
+            mu = 0.0 if target < 0.0 else k1 if target > k1 else target
             if settled:
                 return mu, it, "fixed-point"
-        # the iteration has not settled: the list of every root also
-        # detects ambiguity
-        roots = self.roots(values, total)
+        # the iteration has not settled: the list of every root, read
+        # from the density itself, also detects ambiguity
+        roots = self.roots(values if tail is None else tail.read(values),
+                           total)
         if not roots:
             raise ModelInconsistencyError(
                 "no solution of m = int k(x, lam*m) f dx in "
@@ -228,7 +236,8 @@ class _SmoothStepper(_Stepper):
                              gain(0.0) * weight)
         return [0.5 * (a + b)]
 
-    def bind(self, values, total=None):
+    def bind(self, values, total=None, tail=None):
+        # a run keeps no tail of this family
         gain, rate = self._gain, self._rate
         weight = self._weight(values)
         scale = self._span * (gain(0.0) * weight / self._model.k0)
@@ -294,13 +303,16 @@ class _RunStepper(_Stepper):
     """A run family on one grid: the rate is 0 below the threshold map
     and k past it.  The activity map is a staircase over threshold
     cells: while the threshold falls in cell j it takes the plateau
-    mass - (k*heads[j-1])*dx, the mass past cell j, with mass
-    (k*total)*dx.  It reads the one heads buffer, so it holds until the
-    next bind or roots call.  Its solve takes fixed-point steps; the map
-    and decay reuse the cell that either last landed in at the same mu,
+    mass - (k*head)*dx, the mass past cell j, with mass (k*total)*dx
+    and head the sum of the cells below j: heads[j-1] of the one heads
+    buffer, so the map holds until the next bind or roots call, or in
+    run() the tail's carried head sum, moved to j by the few cells
+    between.  Its solve takes fixed-point steps; the map, decay and the
+    tail reuse the cell that one of them last landed in at the same mu,
     as a warm start or a step after a solve does.  Every cell from the
-    reach on fires at k at any mu: _tail() gives the reach and
-    exp(-k dx), from which run() keeps those cells as one scaled tail."""
+    threshold cell on fires at k: _tail() gives the threshold cell's
+    lookup and exp(-k dx), from which run() keeps those cells as one
+    scaled tail."""
 
     __slots__ = ("_model", "_grid", "_threshold", "_k", "_top", "_mids",
                  "_reach", "_heads", "_dx", "_decay", "_mu", "_idx")
@@ -346,8 +358,10 @@ class _RunStepper(_Stepper):
             self._bind_cells()
 
     def _cell(self, mu):
-        # the threshold cell at mu
+        # the threshold cell at mu, which run()'s tail reads with no
+        # decay call to check mu
         if mu != self._mu:
+            _check_mu(mu)
             self._mu, self._idx = mu, bisect.bisect_right(
                 self._mids, self._threshold(mu))
         return self._idx
@@ -375,8 +389,20 @@ class _RunStepper(_Stepper):
         return sorted(tail for j, tail in enumerate(tails)
                       if bisect.bisect_right(mids, threshold(tail)) == j)
 
-    def bind(self, values, total=None):
-        mass, heads = self._plateaus(values, total)
+    def bind(self, values, total=None, tail=None):
+        # one plateau formula, whose head below(idx), the sum of the idx
+        # cells below the threshold cell, comes from the prefix sums or
+        # from a run's tail
+        if tail is None:
+            mass, heads = self._plateaus(values, total)
+
+            def below(idx):
+                return float(heads[idx - 1])
+        else:
+            mass = (self._k * total) * self._dx
+
+            def below(idx):
+                return tail.below(values, idx)
         if not self._reach:     # one plateau: no prefix sum, no lookup
             return lambda mu: (mass, 1.0)
         threshold, mids, k, dx = self._threshold, self._mids, self._k, self._dx
@@ -388,8 +414,11 @@ class _RunStepper(_Stepper):
             else:
                 idx = cell_of(mids, threshold(mu))
                 self._mu, self._idx = mu, idx
-            return (max(mass - (k * float(heads[idx - 1])) * dx, 0.0) if idx
-                    else mass), 1.0
+            if not idx:
+                return mass, 1.0
+            # max(plateau, 0.0), bit for bit, without the call
+            plateau = mass - (k * below(idx)) * dx
+            return (0.0 if plateau < 0.0 else plateau), 1.0
         return G
 
     def decay(self, window, mu):
@@ -404,10 +433,11 @@ class _RunStepper(_Stepper):
         return window
 
     def _tail(self):
-        # the reach and exp(-k * dx), the factor of every cell past it
+        # the threshold cell's lookup and exp(-k * dx), the factor of
+        # every cell from it on
         if self._decay is None:
             self._bind_decay()
-        return self._reach, float(self._decay)
+        return self._cell, float(self._decay)
 
     def _stationary_run(self, M):
         # the run's threshold T at M, read as 0 where the map falls below

@@ -518,8 +518,8 @@ def test_run_matches_a_loop_of_public_steps(model, kernel):
 
 def _assert_matches(trace, ms, ps, state, exact, m_atol=0.0):
     # A run against a full-mesh reference: bit for bit where exact (the
-    # smooth family and a custom sigma, which keep no tail).  A run
-    # family's scaled tail rounds apart from a full-mesh step: then every
+    # smooth family, which keeps no tail).  A run family's scaled tail
+    # and carried head sum round apart from a full-mesh step: then every
     # activity and the final mass agree to 1e-13 relative (an activity
     # also to m_atol), and every discharge and final cell to 1e-14 times
     # the cell sum.
@@ -604,11 +604,12 @@ def test_an_ambiguous_solve_in_run_carries_its_step_start_time(k,
     stepper_type = type(model.stepper(grid))
     solve, calls = stepper_type.solve, []
 
-    def ambiguous_on_the_kth(stepper, values, total=None, warm=None):
+    def ambiguous_on_the_kth(stepper, values, total=None, warm=None,
+                             tail=None):
         calls.append(warm)
         if len(calls) == k:
             raise AmbiguousActivityError.listing([0.25, 0.75])
-        return solve(stepper, values, total, warm)
+        return solve(stepper, values, total, warm, tail)
     monkeypatch.setattr(stepper_type, "solve", ambiguous_on_the_kth)
     with pytest.raises(AmbiguousActivityError) as caught:
         run(cfg, f0)
@@ -643,7 +644,8 @@ def test_a_window_wrapped_three_times_matches_public_steps(kernel):
     # buffer twice its length and copies it back to the end at the
     # start, once per n_cells steps: 3.5 times over this run.  It decays
     # only the cells the density's front has reached, and for the run
-    # families only those before the reach, and step() decays them all.
+    # families none (their tail's scale takes the factor), and step()
+    # decays them all.
     grid = AgeGrid(dx=0.05, n_cells=100)
     n_steps = 350
     for model in _FRONT_MODELS.values():
@@ -668,12 +670,11 @@ def test_every_cell_past_the_front_stays_positive_zero(family, kernel,
                                                        monkeypatch):
     # ages advance one cell per step, so after step k every cell from
     # min(front + k, n) on, front one past f0's last nonzero cell, is
-    # +0.0 with no sign bit, and decay reads only the cells before it
-    # and before a run family's reach: none for the constant family
+    # +0.0 with no sign bit, raw or not.  The smooth family's decay reads
+    # only the cells before it, and a run family's tail decays no cell.
     grid = AgeGrid(dx=0.05, n_cells=100)
     model = _FRONT_MODELS[family]
     cells, n_steps = grid.n_cells, 250
-    reach = cells if family == "smooth" else model.stepper(grid)._tail()[0]
     f0 = _front_density(grid, density)
     front = int(np.flatnonzero(f0.values)[-1]) + 1
     decayed, windows = [], []
@@ -695,7 +696,8 @@ def test_every_cell_past_the_front_stays_positive_zero(family, kernel,
                            t_end=n_steps * grid.dx, record_every=n_steps)
     run(cfg, f0)
     assert len(windows) == n_steps
-    assert decayed == [min(front + k, reach) for k in range(n_steps)]
+    assert decayed == ([min(front + k, cells) for k in range(n_steps)]
+                       if family == "smooth" else [])
     for k, window in enumerate(windows):
         past = window[min(front + k + 1, cells):]
         assert not past.view(np.uint64).any()
@@ -756,9 +758,10 @@ def test_a_planted_tail_clamps_p_as_the_two_buffer_step_does(kernel,
     # about a fifth of the steps.  Each such step must set p to 0, as
     # the two-buffer step does, and its exact discharge must lie within
     # the bound that allows it.  The planted cells lie past the step
-    # family's reach, so run() keeps them in its scaled tail, and its
-    # trajectory agrees with the two-buffer one to the tail's bounds;
-    # the activity, at the rounding of the unit mass, to 1e-14 of it.
+    # family's threshold cell, so run() keeps them in its scaled tail,
+    # and its trajectory agrees with the two-buffer one to the tail's
+    # bounds; the activity, at the rounding of the unit mass, to 1e-14
+    # of it.
     grid = AgeGrid(dx=1e-3, n_cells=10_000)
     model = StepRate(sigma_plus=0.5, sigma_minus=0.25, lam=0.05)
     n_steps = 150
@@ -770,11 +773,11 @@ def test_a_planted_tail_clamps_p_as_the_two_buffer_step_does(kernel,
         # the exact discharge of each step of run() that set p to 0,
         # from its densities before and after, the tail scaled in
         cells = len(window)
-        before = tail.read(window, np.empty(cells))
+        before = tail.read(window).copy()
         p, after = transport(buf, s, window, total, stepper, m, t, live,
                              tail)
         if p == 0.0:
-            kept = tail.read(buf[s - 1:s - 1 + cells], np.empty(cells))
+            kept = tail.read(buf[s - 1:s - 1 + cells])
             clamped.append((evolution._CLEARANCE * (cells + 2) * total,
                             math.fsum(np.concatenate((before, -kept[1:])))))
         return p, after
@@ -928,6 +931,31 @@ def test_a_run_family_trajectory_does_not_depend_on_record_every(family,
                 == full.final_state.values.tobytes())
 
 
+@pytest.mark.parametrize("kernel", [DelayKernel.dirac(),
+                                    DelayKernel.exponential(2.0)],
+                         ids=["dirac", "exponential"])
+@pytest.mark.parametrize("family", list(_RUN_FAMILIES))
+def test_a_run_family_sample_takes_its_distance_in_place(family, kernel):
+    # a sample reads the tail into the tail's own buffer, takes its
+    # mass, sup and moment norm there, then its distance to F in place:
+    # every other column is the run's without F, bit for bit, and the
+    # last distance is the final state's, whose fold multiplies the
+    # cells by the scale as the read does
+    grid = AgeGrid(dx=0.05, n_cells=100)
+    model = _RUN_FAMILIES[family]
+    cfg = SimulationConfig(grid=grid, model=model, kernel=kernel,
+                           t_end=350 * grid.dx, record_every=7)
+    f0 = preset_density(grid, "exp2")
+    steady = stepper_equilibrium(model, grid)
+    with_F, without = run(cfg, f0, steady=steady), run(cfg, f0)
+    for series in ("m_series", "p_series", "mass_series", "linf_series",
+                   "l1q_series"):
+        assert np.array_equal(getattr(with_F, series),
+                              getattr(without, series))
+    assert with_F.l1_dist_to_F[-1] == grid.l1_distance(
+        with_F.final_state.values, steady.F)
+
+
 def test_a_tail_scale_that_would_underflow_is_folded_first():
     # k0 * x_max = 900: a scale folded only at the buffer's wrap, every
     # 3000 steps, would reach exp(-900) and underflow; the run folds it
@@ -959,9 +987,14 @@ def test_a_step_that_keeps_less_than_half_of_a_cell_keeps_no_tail():
     cfg = SimulationConfig(grid=grid, model=model, t_end=60 * grid.dx,
                            record_every=1)
     f0 = preset_density(grid, "exp2")
-    assert evolution._Tail(model.stepper(grid), f0.values).reach == 40
+    assert evolution._bind_tail(model.stepper(grid), f0.values, 0.0) is None
     ms, ps, state = _public_steps(model, DelayKernel.dirac(), f0, cfg, 60)
     _assert_matches(run(cfg, f0), ms, ps, state, True)
+
+
+def _crossing_step(top, lam):
+    # a custom threshold that falls below 0 at u = top
+    return StepRate(lam=lam, sigma=lambda u: top - u, sigma_modulus=1.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -969,7 +1002,9 @@ def test_a_step_that_keeps_less_than_half_of_a_cell_keeps_no_tail():
            st.builds(ConstantRate, k0=st.floats(0.1, 3.0)),
            st.builds(StepRate, sigma_plus=st.floats(0.3, 0.9),
                      sigma_minus=st.floats(0.05, 0.29),
-                     lam=st.floats(0.0, 0.9), decay=st.floats(0.2, 3.0))),
+                     lam=st.floats(0.0, 0.9), decay=st.floats(0.2, 3.0)),
+           st.builds(_crossing_step, st.floats(0.05, 0.95),
+                     st.floats(0.0, 3.0))),
        kernel=st.sampled_from(KERNELS),
        preset=st.sampled_from(["uniform01", "exp2", "spike"]),
        dx=st.sampled_from([0.05, 0.02, 0.01]),
@@ -980,7 +1015,8 @@ def test_a_run_family_run_agrees_with_the_full_mesh(model, kernel, preset,
     # run() against the two-buffer full-mesh run, over the wrap of its
     # buffer: every recorded activity, mass and moment norm to 1e-13
     # relative, every discharge and final cell to 1e-14 times the cell
-    # sum
+    # sum.  The draws include a custom threshold that crosses 0, whose
+    # tail's cut falls to cell 0.
     grid = AgeGrid(dx=dx, n_cells=round(x_max / dx))
     f0 = preset_density(grid, preset)
     n_steps = max(1, round(steps * grid.n_cells))
@@ -1000,46 +1036,76 @@ def test_a_run_family_run_agrees_with_the_full_mesh(model, kernel, preset,
         np.testing.assert_allclose(series, reference, rtol=1e-13, atol=0.0)
 
 
+def test_a_stalled_warm_solve_reads_the_roots_of_the_tail_scaled_in():
+    # One iteration cannot settle the step family's warm solve as its
+    # activity moves, so every step's falls back to roots(), on the
+    # density that the tail reads, not on the raw window, and finds the
+    # full-mesh run's one root to the tail's bounds.
+    grid = _grid()
+    model = StepRate(sigma_plus=0.5, sigma_minus=0.25, lam=0.05)
+    f0 = preset_density(grid, "uniform01")
+    n_steps = 500
+    cfg = SimulationConfig(grid=grid, model=model, t_end=n_steps * grid.dx,
+                           record_every=1)
+    with mock.patch.object(firing_rate, "_MAX_ITER", 1):
+        trace = run(cfg, f0)
+        ms, ps, final, _ = _two_buffer_run(model, DelayKernel.dirac(), f0,
+                                           grid, n_steps)
+    assert trace.activity_solves.scan == n_steps
+    _assert_matches(trace, ms, ps, SimpleNamespace(
+        values=final, mass=grid.integrate(final)), False)
+
+
 @pytest.mark.parametrize("family", [
     StepRate(sigma_plus=0.5, sigma_minus=0.25, lam=0.3),
     SmoothSaturatingRate(k0=0.5, k1=2.0, lam=0.6),
-    ConstantRate(k0=1.0)], ids=["step", "smooth", "constant"])
-def test_run_hands_the_stepper_the_exact_cell_sum(family):
-    # the transport step builds the new density's cell sum from its
-    # discharge and its survivors; each Dirac step hands that very sum
-    # to the stepper's activity solve, and it is the sum that cell_sum
-    # takes of the density
-    sums = []
+    ConstantRate(k0=1.0),
+    _crossing_step(0.3, 0.6)],
+    ids=["step", "smooth", "constant", "crossing"])
+def test_run_hands_the_stepper_the_exact_cell_sum(family, monkeypatch):
+    # The transport step builds the new density's cell sum from its
+    # discharge and its survivors, and each Dirac step hands that very
+    # sum to the stepper's activity solve.  With no tail (the smooth
+    # family, and f0's solve) it is the sum that cell_sum takes of the
+    # density, bit for bit.  A run family's solve also gets the tail
+    # that run() keeps: its carried cell sum and its carried head sum,
+    # of the cells below the tail's cut, equal exact sums of the density
+    # that the tail reads to 1e-14 times the cell sum, over 2.5 wraps of
+    # the buffer.
+    solve, tails = firing_rate._Stepper.solve, []
 
-    def recorded(solve):
-        def recording(values, total, *args):
+    def recording(stepper, values, total=None, warm=None, tail=None):
+        if tail is None:
             assert total == values[0] + float(values[1:].sum())
             assert total == cell_sum(values)
-            sums.append(total)
-            return solve(values, total, *args)
-        return recording
-
-    class Recording(type(family)):
-        def stepper(self, grid):
-            bound = super().stepper(grid)
-            return SimpleNamespace(solve=recorded(bound.solve),
-                                   decay=bound.decay)
-
+        else:
+            density = tail.read(values)
+            bound = 1e-14 * math.fsum(density)
+            assert abs(total - math.fsum(density)) <= bound
+            assert abs(tail.head - math.fsum(density[:tail.cut])) <= bound
+        tails.append(tail)
+        return solve(stepper, values, total, warm, tail)
+    monkeypatch.setattr(firing_rate._Stepper, "solve", recording)
     grid = _grid()
-    model = Recording(**dataclasses.asdict(family))
-    cfg = SimulationConfig(grid=grid, model=model, t_end=1.0)
+    cfg = SimulationConfig(grid=grid, model=family, t_end=10.0)
     run(cfg, preset_density(grid, "exp2"))
-    # the initial solve and one per step
-    assert len(sums) == 1 + round(cfg.t_end / grid.dx)
+    # the initial solve and one per step, each step's with the run's one
+    # tail, or none
+    assert len(tails) == 1 + round(cfg.t_end / grid.dx)
+    assert tails[0] is None
+    smooth = isinstance(family, SmoothSaturatingRate)
+    assert all((tail is None) == smooth and tail is tails[1]
+               for tail in tails[1:])
 
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
 def test_run_steps_on_survival_factors_not_rates(kernel, monkeypatch):
-    # the step loop has the family's bound stepper decay its density
-    # once per step, and asks the family itself for nothing per step:
-    # no rates, no new stepper
+    # the step loop moves the tail that it keeps of the density to the
+    # bound stepper's threshold cell once per step, decays no cell, and
+    # asks the family itself for nothing per step: no rates, no new
+    # stepper
     owners = {"rate": StepRate, "stepper": StepRate,
-              "decay": firing_rate._RunStepper}
+              "decay": firing_rate._RunStepper, "move": evolution._Tail}
     calls = dict.fromkeys(owners, 0)
 
     def counting(name):
@@ -1062,9 +1128,10 @@ def test_run_steps_on_survival_factors_not_rates(kernel, monkeypatch):
         return dict(calls)
 
     short, long = calls_over(0.5), calls_over(1.0)
-    assert short["decay"] == 50 and long["decay"] == 100
-    for name in ("rate", "stepper"):
+    assert short["move"] == 50 and long["move"] == 100
+    for name in ("rate", "stepper", "decay"):
         assert long[name] == short[name]
+    assert long["decay"] == 0
 
 
 def test_models_that_differ_only_in_their_sigma_run_apart():
@@ -1093,12 +1160,12 @@ def test_models_that_differ_only_in_their_sigma_run_apart():
     assert not np.array_equal(before.m_series, other.m_series)
     assert np.array_equal(before.m_series, after.m_series)
     assert np.array_equal(before.p_series, after.p_series)
-    # the public steps bind their own stepper per call
+    # the public steps bind their own stepper per call; the run keeps
+    # a tail, so they agree to its bounds
     for model, trace in ((second, other), (first, after)):
         ms, ps, state = _public_steps(model, DelayKernel.dirac(), f0,
                                       config(model), trace.times.size - 1)
-        assert np.array_equal(trace.m_series, ms)
-        assert np.array_equal(trace.p_series, ps)
+        _assert_matches(trace, ms, ps, state, False)
 
 
 _NEGATIVE_CELLS = pytest.mark.parametrize(

@@ -163,28 +163,27 @@ def test_ratios_pair_the_timings_of_one_round(monkeypatch, capsys):
         "p25": 0.75, "p50": 1.0, "p75": 1.25, "by_round": [0.5, 1.5]}
 
 
-def test_advance_us_hands_a_tail_only_to_a_kernel_that_takes_one(
-        monkeypatch):
-    # a kernel without `tail`, as before run() kept a run family's cells
-    # past its reach as one scaled tail, is called without one; a kernel
-    # that takes it gets the tail that run() binds, for the constant
-    # family the whole window, on every call
+def test_advance_us_hands_the_kernel_the_tail_that_run_keeps(monkeypatch):
+    # the kernel gets the tail that run() keeps, the same one on every
+    # call: for the constant family cut at cell 0 with an empty head,
+    # and for the smooth family none
     import agenet
     from agenet import evolution
     kernel, tails = evolution._transport, []
 
-    def old_kernel(buf, s, window, total, stepper, m, t, live=None):
-        return kernel(buf, s, window, total, stepper, m, t, live)
-
-    def new_kernel(buf, s, window, total, stepper, m, t, live=None,
-                   tail=None):
+    def spy(buf, s, window, total, stepper, m, t, live=None, tail=None):
         tails.append(tail)
         return kernel(buf, s, window, total, stepper, m, t, live, tail)
+    monkeypatch.setattr(evolution, "_transport", spy)
     grid = agenet.AgeGrid(dx=1e-2, n_cells=1000)
     values = agenet.preset_density(grid, "exp2").values
-    for fake in (old_kernel, new_kernel):
-        monkeypatch.setattr(evolution, "_transport", fake)
-        assert layer_cost._advance_us(agenet.ConstantRate(k0=1.0), grid,
-                                      values) > 0
-    assert len(tails) == 500 and tails[0].reach == 0
+    assert layer_cost._advance_us(agenet.ConstantRate(k0=1.0), grid,
+                                  values) > 0
+    assert len(tails) == 500
+    assert tails[0].cut == 0 and tails[0].head == 0.0
     assert all(tail is tails[0] for tail in tails)
+    tails.clear()
+    assert layer_cost._advance_us(
+        agenet.SmoothSaturatingRate(k0=0.5, k1=2.0, lam=0.6), grid,
+        values) > 0
+    assert tails == [None] * 500

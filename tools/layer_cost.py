@@ -92,19 +92,20 @@ def step(*, steps=2000):
     it: the density is a window that slides one cell per call through
     a buffer of 2n cells, decaying further with each call, and each
     call hands the next the cell sum it returns and the density's
-    front, one cell further on.  A kernel that takes a run family's
-    `tail` after `live` is read from its signature and handed the tail
-    that run() would bind, so trees with and without it pair.
+    front, one cell further on, with the tail that run() keeps of a
+    run family's density (none for the smooth family).
     `solve_activity_implicit_us`: the median of 200 cold public calls on
     that density.  `warm_solve_us`: the median of 2000 calls of
-    `stepper.solve(values, total, m)` on the Dirac run's final density
-    from `uniform01`, its cell sum and last activity, the call run()
-    makes on every Dirac step.  The outputs are each run's last activity
+    `stepper.solve(values, total, m, tail)` on the Dirac run's final
+    density from `uniform01`, its cell sum and last activity, with the
+    tail that run() would keep of it, the call run() makes on every
+    Dirac step.  The outputs are each run's last activity
     and discharge, and each warm solve's (m, iterations, method).
     Paired comparisons of this layer need `--rounds 15` or more: on a
     2-core host the per-round ratios of two trees' `run_step_us` ranged
     from 0.31 to 2.0 within one 7-round run."""
     import agenet
+    from agenet import evolution
     dx, cells = 1e-3, 10_000
     grid = agenet.AgeGrid(dx=dx, n_cells=cells)
     densities = {name: agenet.preset_density(grid, name)
@@ -146,10 +147,12 @@ def step(*, steps=2000):
     for fam, model in families.items():
         values, m = settled[fam]
         total = agenet.cell_sum(values)
-        solve = model.stepper(grid).solve
-        m_warm, iterations, method = solve(values, total, m)
+        stepper = model.stepper(grid)
+        solve = stepper.solve
+        tail = evolution._bind_tail(stepper, values, m)
+        m_warm, iterations, method = solve(values, total, m, tail)
         warm[fam] = [repr(float(m_warm)), iterations, method]
-        warm_us[fam] = _median_s(lambda: solve(values, total, m),
+        warm_us[fam] = _median_s(lambda: solve(values, total, m, tail),
                                  2000) * 1e6
     return ({"run_step_us": step_us, "advance_us": advance_us,
              "solve_activity_implicit_us": solve_us,
@@ -159,12 +162,11 @@ def step(*, steps=2000):
 
 def _advance_us(model, grid, values):
     # the median µs of 500 calls of the kernel as run() calls it:
-    # _transport(buf, s, window, total, stepper, m, t, live) on the
-    # window buf[s:s + n], which slides one cell toward the start of buf
-    # per call (500 calls stay short of the start, and of a tail's
-    # fold), carrying the cell sum and the front; a kernel that takes
-    # `tail` after `live` carries the tail that run() binds
-    import inspect
+    # _transport(buf, s, window, total, stepper, m, t, live, tail) on
+    # the window buf[s:s + n], which slides one cell toward the start of
+    # buf per call (500 calls stay short of the start, and of a tail's
+    # fold), carrying the cell sum, the front and the tail that run()
+    # keeps
     import numpy as np
     import agenet
     from agenet import evolution
@@ -175,14 +177,13 @@ def _advance_us(model, grid, values):
     buf[cells:] = values
     carried = {"s": cells, "total": agenet.cell_sum(values),
                "live": evolution._front(values)}
-    tail = (evolution._Tail(stepper, buf[cells:]),) if "tail" in \
-        inspect.signature(evolution._transport).parameters else ()
+    tail = evolution._bind_tail(stepper, buf[cells:], m)
 
     def transport():
         s, live = carried["s"], carried["live"]
         _, carried["total"] = evolution._transport(
             buf, s, buf[s:s + cells], carried["total"], stepper, m, 0.0,
-            live, *tail)
+            live, tail)
         carried["s"] = s - 1
         if live is not None:
             carried["live"] = live + 1 if live + 1 < cells else None
