@@ -19,9 +19,9 @@ density is a window of one buffer twice its length: each step decays
 the window in place and writes p in the cell before it, so the window
 slides one cell toward the buffer's start and the shift costs
 nothing; it is copied back to the end once per n_cells steps.  A step
-of the smooth family decays only the cells before the density's front
-(bit for bit).  A run family's cells from the threshold cell of the
-step's activity on all decay by one factor, and the cells below it
+that decays the window decays only the cells before the density's
+front (bit for bit).  A run family's cells from the threshold cell of
+the step's activity on all decay by one factor, and the cells below it
 keep their value, so run() keeps the density as a tail (_Tail): the
 cells from its cut, the threshold cell, raw times one running scale,
 with their raw sum, and the sum of the cells below the cut, both
@@ -29,8 +29,12 @@ carried as scalars.  Its steps then decay and sum no cell, whatever
 the threshold; the activity map reads the carried head sum, the cut
 moves by the few cells a threshold passes, and both sums are taken
 afresh when the scale is folded back, on a schedule of the step
-count.  Its bits then differ from a loop of step() at the rounding of
-the cell sum (not for the smooth family, which keeps no tail).
+count.  The smooth family's rate is separable, so run() steps it in
+blocks (_Block): a short series in moments of the cells' age factor,
+taken once per block, gives each step's survivors, and the window is
+written once per block.  Where a block would hold one step, run()
+decays the window as step() does, bit for bit; otherwise its bits
+differ from a loop of step() at the rounding of the cell sum.
 solve_activity_implicit() binds a stepper per call, solves from a cold
 start, and also refuses a settled root of a staircase map that holds
 another.  stepper_equilibrium()
@@ -219,6 +223,18 @@ def solve_activity_implicit(model, grid, values):
 _CLEARANCE = 4.0 * 2.0 ** -52
 _FOLD = 2.0 ** -500     # run() folds a tail whose scale falls below it
 
+# A smooth block of K steps has K dx k1 <= _TAU, so dx T <= _TAU, and
+# its series takes the fewest terms whose remainder, at most
+# _TAU**Q/Q!/(1 - _TAU/(Q + 1)) times M_0, is 2**-56 M_0 or less: 9.
+# At dx k1 >= _TAU/2 a block holds one step; past _MOST_STEPS steps
+# its per-step slot sums would cost more than its moments save.
+_TAU = 0.0390625
+_TERMS = next(q for q in range(1, 64) if _TAU ** q / math.factorial(q)
+              / (1.0 - _TAU / (q + 1)) <= 2.0 ** -56)
+_FACTORIALS = tuple(float(math.factorial(q)) for q in range(_TERMS))
+_MOST_STEPS = 32
+_CHUNK = 128            # cells per chunk of a block's moment sums
+
 _add, _max = np.add.reduce, np.maximum.reduce
 
 
@@ -231,6 +247,7 @@ class _Tail:
     at the end of the window keeps no raw cell."""
 
     __slots__ = ("cell_of", "factor", "cut", "scale", "raw", "head", "out")
+    is_block = False
 
     def __init__(self, cell_of, factor, window, m):
         self.cell_of, self.factor = cell_of, factor
@@ -282,16 +299,178 @@ class _Tail:
         np.multiply(window[cut:], self.scale, out=out[cut:])
         return out
 
+    def outflow(self, cell):
+        # the density of the raw cell past x_max
+        return cell * self.scale if self.cut < len(self.out) else cell
+
+
+def _series(terms, a):
+    # sum_q terms[-1 - q] a^q by Horner's rule, the highest power first
+    total = 0.0
+    for term in terms:
+        total = total * a + term
+    return total
+
+
+class _Block:
+    """The smooth family's density in run(), stepped in blocks of K
+    steps.  Its rate g(m) (1 - e_j), e_j = exp(-x_j/x_scale), is
+    separable, and i cells older e is e_j r^i, r = exp(-dx/x_scale): after
+    c steps of a block, a cell that began it at cell j holds
+    exp(dx (e_j T - S)) of its value, S the sum of the gains g_i and T
+    that of g_i r^i.  The window keeps those cells raw; their moments
+    M_q = sum f_j e_j^q, taken once, give the survivors of the cells
+    that stay on the mesh all block, exp(-dx S) sum_q (dx T)^q/q! M_q.
+    Slot z holds the cell that leaves past x_max at step z, then the
+    cell that step makes of p, e = e_0 r^-(z+1): each is
+    coef exp(dx (e T - S)).  The map's weight is dx (total - E1), E1 =
+    sum e f from M_1.. and the slots.  At its last step the block writes
+    the window (one exp pass) and takes the next moments; a sample reads
+    the density into scratch.  Cells from front on are zero."""
+
+    __slots__ = ("gain", "e", "e0", "r", "dx", "steps", "scratch",
+                 "front", "within", "starts", "sums", "coefs", "es",
+                 "values", "born", "m0", "terms", "firsts", "done", "S",
+                 "T", "rho", "shrink", "out")
+    is_block = True
+
+    def __init__(self, gain, e, r, dx, steps, scratch, window):
+        self.gain, self.e, self.e0, self.r = gain, e, float(e[0]), r
+        self.dx, self.steps, self.scratch = dx, steps, scratch
+        front = _front(window)
+        self.front = len(window) if front is None else front
+        # in the chunk of B = min(_CHUNK, n) cells from cell c B on,
+        # e_j^q is starts[c, q - 2] within[q - 2, j - c B]
+        powers = np.arange(2, _TERMS + 1)
+        self.within = (e[:_CHUNK] / e[0]) ** powers[:, None]
+        self.starts = e[::self.within.shape[1], None] ** powers
+        self.sums = np.empty_like(self.starts)
+        # the slots' coefs and e, their values over exp(-dx S) at the
+        # last step, and the cells that a read makes of them
+        self.coefs, self.es, self.values, self.born = (
+            np.empty(steps) for _ in range(4))
+        self.open(window)
+
+    def open(self, window):
+        # M_0 a pairwise sum, as every cell sum; M_1, which E1 reads as
+        # it is, a dot product; M_2.. each chunk's dot products with the
+        # table's rows (a matrix product would take OpenBLAS buffers, 0.3
+        # MB more peak RSS), which round e^q a few ulps apart.  The cells
+        # that leave go to the slots.
+        n, steps, width = len(window), self.steps, self.within.shape[1]
+        stay = min(self.front, n - steps)
+        chunks, last = divmod(stay, width)
+        sums = self.sums[:chunks + 1]
+        np.vecdot(window[:chunks * width].reshape(chunks, 1, width),
+                  self.within, out=sums[:chunks])
+        np.vecdot(window[chunks * width:stay], self.within[:, :last],
+                  out=sums[chunks])
+        f = window[:stay]
+        high = np.vecdot(sums, self.starts[:chunks + 1], axis=0)
+        moments = [float(_add(f)), float(np.dot(f, self.e[:stay])),
+                   *high.tolist()]
+        # Horner's coefficients, the highest power first
+        self.m0 = moments[0]
+        self.terms = [moments[q] / _FACTORIALS[q]
+                      for q in range(_TERMS - 1, 0, -1)]
+        self.firsts = [moments[q + 1] / _FACTORIALS[q]
+                       for q in range(_TERMS - 1, -1, -1)]
+        self.coefs[:] = window[:n - steps - 1:-1]
+        self.es[:] = self.e[:n - steps - 1:-1]
+        self.values[:] = self.coefs
+        self.done, self.S, self.T = 0, 0.0, 0.0
+        self.rho = self.shrink = 1.0
+
+    def weight(self, total):
+        # dx (total - E1), E1 = sum e f over the window
+        first = (_series(self.firsts, self.dx * self.T)
+                 + float(np.dot(self.values, self.es)))
+        return (total - self.rho * self.shrink * first) * self.dx
+
+    def rest(self, m):
+        # the survivors kept on the mesh after a step at m; the slot of
+        # the cell that leaves holds the outflow
+        g, rho = self.gain(m), self.rho
+        self.S = S = self.S + g
+        self.T = T = self.T + g * rho
+        self.rho = rho * self.r
+        a, b = self.dx * T, self.dx * S
+        values, z = self.values, self.done
+        np.multiply(self.es, a, values)
+        np.exp(values, values)
+        np.multiply(values, self.coefs, values)
+        self.shrink = shrink = math.exp(-b)
+        self.out = shrink * float(values[z])
+        values[z] = 0.0
+        # M_0 plus a change that rounds at its own size, so p rounds
+        # within an ulp of total, as a full-mesh step's does
+        m0 = self.m0
+        return m0 + (m0 * math.expm1(-b) + shrink * (
+            a * _series(self.terms, a) + float(_add(values))))
+
+    def settle(self, buf, s, p):
+        # p to the slot of the cell that left; the block's last step
+        # writes the window and opens the next block
+        z = self.done
+        self.es[z] = e = self.e0 / self.rho
+        self.coefs[z] = p * math.exp(self.dx * (self.S - e * self.T))
+        self.values[z] = p / self.shrink
+        self.done = z = z + 1
+        if z == self.steps:
+            window = buf[s - 1:s - 1 + len(self.e)]
+            self.fold(window)
+            self.open(window)
+
+    def _cells(self, window, out):
+        # the density after the block's steps so far into out: the raw
+        # cells times exp(dx (e T - S)), and the slots' cells made of p,
+        # the youngest first
+        done, a, b = self.done, self.dx * self.T, self.dx * self.S
+        live = min(self.front, len(window) - done)
+        cells, born = self.scratch[done:done + live], self.born[:done]
+        for x, e in ((cells, self.e[:live]), (born, self.es[:done])):
+            np.multiply(e, a, out=x)
+            np.subtract(x, b, out=x)
+            np.exp(x, out=x)
+        np.multiply(cells, window[done:done + live],
+                    out=out[done:done + live])
+        np.multiply(born, self.coefs[:done], out=born)
+        out[:done] = born[::-1]
+        return live
+
+    def read(self, window):
+        # the density, into the scratch buffer
+        out = self.scratch
+        out[self.done + self._cells(window, out):] = 0.0
+        return out
+
+    def fold(self, window):
+        # the density into the window; the front moves by the steps done
+        self._cells(window, window)
+        self.front = min(self.front + self.done, len(window))
+
+    def outflow(self, cell):
+        # the cell past x_max, which the last step's slot held
+        return self.out
+
 
 def _bind_tail(stepper, window, m):
-    """The tail that run() keeps of a run stepper's density at activity
-    m, where a step keeps at least half of each cell, so the scale
-    stays normal between folds; None for the smooth family."""
+    """The form in which run() keeps a stepper's density at activity m:
+    for a run family the tail, where a step keeps at least half of each
+    cell, so the scale stays normal between folds; for the smooth family
+    the block, where one holds at least two steps.  Otherwise None."""
     hook = getattr(stepper, "_tail", None)
+    if hook is not None:
+        cell_of, factor = hook()
+        return _Tail(cell_of, factor, window, m) if factor >= 0.5 else None
+    hook = getattr(stepper, "_block", None)
     if hook is None:
         return None
-    cell_of, factor = hook()
-    return _Tail(cell_of, factor, window, m) if factor >= 0.5 else None
+    gain, e, r, dx, k1, scratch = hook()
+    steps = min(int(_TAU / (dx * k1)), _MOST_STEPS, len(window) - 1)
+    if steps < 2:
+        return None
+    return _Block(gain, e, r, dx, steps, scratch, window)
 
 
 def _transport(buf, s, window, total, stepper, m, t, live=None, tail=None):
@@ -302,20 +481,26 @@ def _transport(buf, s, window, total, stepper, m, t, live=None, tail=None):
     by the survival factors at m, but only before live, the front past
     which every cell is zero (bit for bit).  With a tail, the tail's cut
     moves to the threshold cell at m and its scale takes the factor of
-    every cell from there on, so no cell is decayed.  p goes to
-    buf[s - 1]: the new density is buf[s - 1:s - 1 + n], one cell
-    older, and buf[s - 1 + n] the outflow past x_max.  p is total less
-    rest, the survivors kept on the mesh: the sum of the window but its
-    last cell, or with a tail its head plus the scale times the raw sum
-    but the last cell.  p then joins the head, and the cell that crosses
-    the cut joins the raw tail.  Where nothing fires, p can round below
+    every cell from there on, so no cell is decayed; with a block (its
+    is_block true), the block takes the step and no cell is decayed
+    either.  p goes to buf[s - 1]: the new density is
+    buf[s - 1:s - 1 + n], one cell older, and buf[s - 1 + n] the
+    outflow past x_max.  p is total less rest, the survivors kept on the
+    mesh: the sum of the window but its last cell, with a tail its head
+    plus the scale times the raw sum but the last cell, and with a block
+    its series and scalar cells.  p then joins the head, and the cell
+    that crosses the cut joins the raw tail, or p takes the slot of the
+    block's cell that left.  Where nothing fires, p can round below
     zero: within the _CLEARANCE bound it is then 0, and below it the
     step raises InvariantViolationError.  Returns p and the new cell sum
     p + rest, total up to one rounding."""
     n = len(window)
+    block = tail is not None and tail.is_block
     if tail is None:
         stepper.decay(window[:live], m)
         rest = float(_add(window[:-1]))
+    elif block:
+        rest = tail.rest(m)
     else:
         cut = tail.move(window, m)
         if cut < n:
@@ -332,7 +517,9 @@ def _transport(buf, s, window, total, stepper, m, t, live=None, tail=None):
         raise InvariantViolationError(
             "negative density produced by a transport step",
             {"t": t, "p": p, "m": m})
-    if tail is not None:
+    if block:
+        tail.settle(buf, s, p)
+    elif tail is not None:
         cell = float(buf[s - 1 + cut])
         tail.head = (tail.head + p) - cell
         if cut < n:
@@ -424,9 +611,9 @@ def run(config, f0, steady=None):
     most k1, m in [0, cap], and for kappa0 > 0 the uniform activity
     floor once t - f0.t passes the half-rate age.  The recorded mass is
     a fresh sum of the cells, not the cell sum that the steps carry,
-    which they conserve exactly.  A sample reads a run family's tail
-    into the tail's own buffer, and takes its distance to F in place
-    there, so no bit depends on record_every.
+    which they conserve exactly.  A sample reads a run family's tail,
+    or a smooth block, into its own buffer, and takes its distance to F
+    in place there, so no bit depends on record_every.
     """
     grid, model, kernel = config.grid, config.model, config.kernel
     dt = config.dt
@@ -505,16 +692,19 @@ def run(config, f0, steady=None):
     # the cell before it and slides it there, and a window at the start
     # is copied back to the end, so the loop allocates no cell arrays.
     # A run family's density is kept as a tail, cut at the threshold
-    # cell of m0, and a sample reads it into the tail's own buffer.
-    # Otherwise ages advance one cell per step, and so does the
-    # density's front live, one past its last nonzero cell: None once
-    # it spans the mesh.
+    # cell of m0, and the smooth family's as a block where one holds two
+    # steps; a sample reads either into its own buffer.  Otherwise ages
+    # advance one cell per step, and so does the density's front live,
+    # one past its last nonzero cell: None once it spans the mesh.
     cells = grid.n_cells
     buf = np.empty(2 * cells)
     s = cells
     buf[s:] = f0.values
     tail = _bind_tail(stepper, buf[s:], m0)
     live = _front(f0.values) if tail is None else None
+    # a run family's tail folds on a schedule of the step count, and a
+    # block folds itself as its steps end
+    folds = tail is not None and not tail.is_block
     m = p = m0
     if history is not None:
         activity, push = history.activity, history.push
@@ -524,7 +714,7 @@ def run(config, f0, steady=None):
             buf[cells:] = buf[:cells]
             s = cells
         window = buf[s:s + cells]
-        if tail is not None and (s == cells or tail.scale < _FOLD):
+        if folds and (s == cells or tail.scale < _FOLD):
             tail.fold(window)
         if history is None:
             try:
@@ -554,8 +744,7 @@ def run(config, f0, steady=None):
             if tail is None:
                 _record(t, buf[s:s + cells], m, p, p - outflow)
             else:
-                if tail.cut < cells:
-                    outflow *= tail.scale
+                outflow = tail.outflow(outflow)
                 density = tail.read(buf[s:s + cells])
                 _record(t, density, m, p, p - outflow, density)
 

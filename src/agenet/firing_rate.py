@@ -30,15 +30,17 @@ family binds its own.  A stepper holds:
   total, warm, tail), one loop for every family, iterates on it until
   |G(mu) - mu| <= _TOL = 1e-12 and after _MAX_ITER = 200 steps falls
   back to roots(values, total), every fixed point in [0, k1].  run()
-  passes the tail it keeps of a run family's density: the run map then
-  reads the tail's carried head sum for its prefix sums, and roots()
-  the density that the tail reads.  one_root
+  passes the form it keeps of the density: the run map then reads a
+  run family's tail's carried head sum for its prefix sums, the smooth
+  map its block's weight, and roots() the density that either reads.
+  one_root
   is true when G has at most one fixed point by construction: the
   smooth map, and a run map whose threshold reaches no midpoint, one
   plateau (the constant family's among them);
 - the one-step factors exp(-k(x_j, lam*mu) dx).  decay(window, mu)
   multiplies a prefix of the mesh's cells by them in place, bit for bit
-  the rate expression;
+  the rate expression, where run() keeps no tail (_tail()) or block
+  (_block()) of the density;
 - the rate's stationary and linear forms.  stationary_integral(M) is
   the normalization integral I(M) = int exp(-K(x, lam*M)) dx on the
   mesh, with the horizon tail, in the family's closed form, and
@@ -133,10 +135,11 @@ class _Stepper:
     """The implicit activity solve, one loop for every family.  A
     family's stepper supplies roots() and bind(values, total, tail), the
     map mu -> (G(mu), G'(mu)) for that density, with 1.0 for the slope
-    where the family takes fixed-point steps.  run() passes the tail
-    that it keeps of a run family's density (evolution._Tail): the map
-    then reads its carried sums, and a stalled solve reads the density
-    from tail.read(values)."""
+    where the family takes fixed-point steps.  run() passes the form
+    that it keeps of the density, a run family's tail (evolution._Tail)
+    or the smooth family's block (evolution._Block): the map then reads
+    its carried sums or its weight, and a stalled solve reads the
+    density from tail.read(values)."""
 
     __slots__ = ()
 
@@ -179,9 +182,10 @@ class _Stepper:
 class _SmoothStepper(_Stepper):
     """SmoothSaturatingRate on one grid: the age shape is bound on first
     use, the activity map is gain(mu) times one dot product per density,
-    and each step of its solve is a Newton step on the closed-form
-    slope.  Its stationary forms read K = gain(mu) * A(x) from the
-    grid's age pieces."""
+    or the weight of run()'s block, and each step of its solve is a
+    Newton step on the closed-form slope.  The rate is separable, and
+    _block() gives what run() steps in blocks from.  Its stationary
+    forms read K = gain(mu) * A(x) from the grid's age pieces."""
 
     __slots__ = ("_model", "_grid", "_shape", "_factors", "_minus_dx",
                  "_scale", "_dx", "_gain", "_rate", "_span", "_ages", "_E",
@@ -237,9 +241,9 @@ class _SmoothStepper(_Stepper):
         return [0.5 * (a + b)]
 
     def bind(self, values, total=None, tail=None):
-        # a run keeps no tail of this family
+        # run() passes the block that it keeps of the density
         gain, rate = self._gain, self._rate
-        weight = self._weight(values)
+        weight = self._weight(values) if tail is None else tail.weight(total)
         scale = self._span * (gain(0.0) * weight / self._model.k0)
         if not scale:
             # G is constant: fixed-point steps
@@ -263,6 +267,21 @@ class _SmoothStepper(_Stepper):
         np.multiply(factors, self._minus_dx, out=factors)
         np.exp(factors, out=factors)
         return np.multiply(window, factors, out=window)
+
+    def _gain_at(self, mu):
+        _check_mu(mu)
+        return self._gain(mu)
+
+    def _block(self):
+        # run()'s blocks: the checked gain, exp(-x/x_scale) on the
+        # midpoints and exp(-dx/x_scale), dx, k1, and decay's buffer as
+        # scratch
+        if self._factors is None:
+            self._bind_decay()
+        x_scale = self._model.x_scale
+        e = np.divide(self._grid.midpoints, -x_scale)
+        return (self._gain_at, np.exp(e, out=e), math.exp(-self._dx / x_scale),
+                self._dx, self._model.k1, self._factors)
 
     def stationary_integral(self, M):
         # I(M) with K = g * A(x), g = gain(M): E = exp(-g*A) on the edges

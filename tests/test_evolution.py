@@ -516,13 +516,21 @@ def test_run_matches_a_loop_of_public_steps(model, kernel):
                     isinstance(model, SmoothSaturatingRate))
 
 
+def _cell_by_cell(model, grid):
+    # a smooth run whose block would hold one step decays every cell
+    return (isinstance(model, SmoothSaturatingRate)
+            and evolution._bind_tail(model.stepper(grid),
+                                     np.ones(grid.n_cells), 0.0) is None)
+
+
 def _assert_matches(trace, ms, ps, state, exact, m_atol=0.0):
     # A run against a full-mesh reference: bit for bit where exact (the
-    # smooth family, which keeps no tail).  A run family's scaled tail
-    # and carried head sum round apart from a full-mesh step: then every
-    # activity and the final mass agree to 1e-13 relative (an activity
-    # also to m_atol), and every discharge and final cell to 1e-14 times
-    # the cell sum.
+    # smooth family stepping cell by cell, which keeps no tail).  A run
+    # family's scaled tail and carried head sum, and a smooth block's
+    # moments, round apart from a full-mesh step: then every activity and
+    # the final mass agree to 1e-13 relative (an activity also to
+    # m_atol), and every discharge and final cell to 1e-14 times the
+    # cell sum.
     if exact:
         assert np.array_equal(trace.m_series, ms)
         assert np.array_equal(trace.p_series, ps)
@@ -897,9 +905,10 @@ def test_run_keeps_p_and_mass_and_matches_public_steps(model, seed, dx,
     # where f0 lies short of every threshold, an activity is the unit
     # mass less nearly all of it (the staircase's plateau), or a mean of
     # discharges at the rounding of the cell sum: it agrees to 1e-14 of
-    # the mass then
-    _assert_matches(trace, ms, ps, state,
-                    isinstance(model, SmoothSaturatingRate), m_atol=1e-14)
+    # the mass then.  The smooth family matches bit for bit where it
+    # steps cell by cell, and to the same bounds where it steps in blocks.
+    _assert_matches(trace, ms, ps, state, _cell_by_cell(model, grid),
+                    m_atol=1e-14)
 
 
 _RUN_FAMILIES = {"constant": ConstantRate(k0=1.0),
@@ -907,19 +916,29 @@ _RUN_FAMILIES = {"constant": ConstantRate(k0=1.0),
 
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
-@pytest.mark.parametrize("family", list(_RUN_FAMILIES))
+@pytest.mark.parametrize("family", [*_RUN_FAMILIES, "smooth"])
 def test_a_run_family_trajectory_does_not_depend_on_record_every(family,
                                                                  kernel):
-    # a sample reads the scaled tail into a work buffer and writes
-    # nothing back, and the tail is folded on a schedule of the step
-    # count alone, so every sample a coarser schedule shares with
-    # record_every = 1 holds the same bits, and so does the final state
-    grid = AgeGrid(dx=0.05, n_cells=100)
-    n_steps = 350
+    # a sample reads the scaled tail, or the smooth family's block, into
+    # a work buffer and writes nothing back, and the tail is folded and
+    # the blocks end on a schedule of the step count alone, so every
+    # sample a coarser schedule shares with record_every = 1 holds the
+    # same bits, and so does the final state.  The smooth run steps in
+    # blocks of 19 steps (dx 1e-3, k1 2) over 3.5 wraps of its buffer.
+    if family == "smooth":
+        grid = AgeGrid(dx=1e-3, n_cells=2000)
+        model = SmoothSaturatingRate(k0=0.5, k1=2.0, lam=0.6)
+        assert evolution._bind_tail(model.stepper(grid), np.ones(2000),
+                                    0.0).steps == 19
+        n_steps = 7000
+    else:
+        grid = AgeGrid(dx=0.05, n_cells=100)
+        model = _RUN_FAMILIES[family]
+        n_steps = 350
     traces = {every: run(SimulationConfig(
-        grid=grid, model=_RUN_FAMILIES[family], kernel=kernel,
+        grid=grid, model=model, kernel=kernel,
         t_end=n_steps * grid.dx, record_every=every),
-        preset_density(grid, "exp2")) for every in (1, 7, 10)}
+        preset_density(grid, "exp2")) for every in (1, 7, 10, 1000)}
     full = traces.pop(1)
     for every, trace in traces.items():
         steps = [*range(0, n_steps, every), n_steps]
@@ -954,6 +973,76 @@ def test_a_run_family_sample_takes_its_distance_in_place(family, kernel):
                               getattr(without, series))
     assert with_F.l1_dist_to_F[-1] == grid.l1_distance(
         with_F.final_state.values, steady.F)
+
+
+@pytest.mark.filterwarnings("ignore:initial datum carries")
+@settings(max_examples=60, deadline=None)
+@given(k0=st.floats(0.1, 2.0), spread=st.floats(0.0, 2.0),
+       lam=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+       mu_scale=st.floats(0.5, 2.0), x_scale=st.floats(0.1, 2.0),
+       kernel=st.sampled_from(KERNELS),
+       preset=st.sampled_from(["uniform01", "exp2", "spike"]),
+       dx=st.sampled_from([5e-4, 1e-3, 2e-3]),
+       n_cells=st.integers(100, 200),
+       steps=st.floats(1.05, 1.5))
+def test_a_smooth_block_run_agrees_with_the_full_mesh(
+        k0, spread, lam, mu_scale, x_scale, kernel, preset, dx, n_cells,
+        steps):
+    # run() in blocks against the two-buffer full-mesh run, over the wrap
+    # of its buffer: every recorded activity to 1e-13 relative or 1e-14,
+    # every discharge and final cell to 1e-14 times the cell sum, and
+    # every mass and moment norm to 1e-13 relative.  The runs stay short
+    # of 300 steps: a full-mesh step's factors round with a bias, so a
+    # spike that it decays for 500 steps drifts 7e-15 off its exact
+    # survival (where the block's stays within 4e-16 of it), and at
+    # dx 5e-4 its discharge moves a delayed activity by 1e-14.  The gain's
+    # slope lam (k1 - k0)/mu_scale stays at most 4: at 16, one early
+    # discharge moved by an ulp of the cell sum, as any two steppers
+    # round apart, moves later activities by 6e-15 in the full-mesh run
+    # itself, and a run's worth of such ulps by 2e-14.
+    model = SmoothSaturatingRate(k0=k0, k1=k0 + spread, lam=lam,
+                                 mu_scale=mu_scale, x_scale=x_scale)
+    grid = AgeGrid(dx=dx, n_cells=n_cells)
+    f0 = preset_density(grid, preset)
+    assert evolution._bind_tail(model.stepper(grid), f0.values,
+                                0.0).is_block
+    n_steps = round(steps * grid.n_cells)
+    cfg = SimulationConfig(grid=grid, model=model, kernel=kernel,
+                           t_end=n_steps * dx, record_every=1,
+                           allow_zero_kappa0=True)
+    trace = run(cfg, f0)
+    seen = []
+    ms, ps, final, _ = _two_buffer_run(model, kernel, f0, grid, n_steps,
+                                       seen)
+    _assert_matches(trace, ms, ps, SimpleNamespace(
+        values=final, mass=grid.integrate(final)), False, m_atol=1e-14)
+    densities = [f0.values, *seen]
+    for series, reference in (
+            (trace.mass_series, [grid.integrate(v) for v in densities]),
+            (trace.l1q_series, [grid.l1q_norm(v) for v in densities])):
+        np.testing.assert_allclose(series, reference, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("preset", ["spike", "uniform01", "exp2"])
+def test_the_block_series_at_its_largest_argument_sums_the_exponentials(
+        preset):
+    # dx T reaches at most _TAU in a block; there the series of the
+    # moments that the block takes, sum_q (dx T)^q/q! M_q, equals the
+    # exponentials f_j exp(dx T e_j) summed exactly to 2**-52 M_0, and
+    # so does the series of E1, with e_j f_j for f_j.  A spike, whose e
+    # is nearly 1, puts the largest remainder on the truncation.
+    grid = AgeGrid(dx=1e-3, n_cells=3000)
+    model = SmoothSaturatingRate(k0=0.5, k1=2.0, x_scale=0.5)
+    f = preset_density(grid, preset).values
+    block = evolution._bind_tail(model.stepper(grid), f, 0.0)
+    stay = len(f) - block.steps
+    e = np.exp(-grid.midpoints[:stay] / model.x_scale)
+    tau, series = evolution._TAU, evolution._series
+    for value, weights in (
+            (block.m0 + tau * series(block.terms, tau), f[:stay]),
+            (series(block.firsts, tau), e * f[:stay])):
+        exact = math.fsum(w * math.exp(tau * x) for w, x in zip(weights, e))
+        assert abs(value - exact) <= 2.0 ** -52 * math.fsum(f[:stay])
 
 
 def test_a_tail_scale_that_would_underflow_is_folded_first():

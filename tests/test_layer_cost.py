@@ -164,9 +164,10 @@ def test_ratios_pair_the_timings_of_one_round(monkeypatch, capsys):
 
 
 def test_advance_us_hands_the_kernel_the_tail_that_run_keeps(monkeypatch):
-    # the kernel gets the tail that run() keeps, the same one on every
-    # call: for the constant family cut at cell 0 with an empty head,
-    # and for the smooth family none
+    # the kernel gets the form that run() keeps of the density, the same
+    # one on every call: for the constant family a tail cut at cell 0
+    # with an empty head, and for the smooth family none at dx 1e-2,
+    # where a block would hold one step, and its block at dx 1e-3
     import agenet
     from agenet import evolution
     kernel, tails = evolution._transport, []
@@ -183,7 +184,12 @@ def test_advance_us_hands_the_kernel_the_tail_that_run_keeps(monkeypatch):
     assert tails[0].cut == 0 and tails[0].head == 0.0
     assert all(tail is tails[0] for tail in tails)
     tails.clear()
-    assert layer_cost._advance_us(
-        agenet.SmoothSaturatingRate(k0=0.5, k1=2.0, lam=0.6), grid,
-        values) > 0
+    smooth = agenet.SmoothSaturatingRate(k0=0.5, k1=2.0, lam=0.6)
+    assert layer_cost._advance_us(smooth, grid, values) > 0
     assert tails == [None] * 500
+    tails.clear()
+    grid = agenet.AgeGrid(dx=1e-3, n_cells=2000)
+    values = agenet.preset_density(grid, "uniform01").values
+    assert layer_cost._advance_us(smooth, grid, values) > 0
+    assert len(tails) == 500 and tails[0].is_block
+    assert all(tail is tails[0] for tail in tails)

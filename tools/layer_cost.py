@@ -92,14 +92,21 @@ def step(*, steps=2000):
     it: the density is a window that slides one cell per call through
     a buffer of 2n cells, decaying further with each call, and each
     call hands the next the cell sum it returns and the density's
-    front, one cell further on, with the tail that run() keeps of a
-    run family's density (none for the smooth family).
+    front, one cell further on, with the form that run() keeps of the
+    density.  So each figure times what run() does per step: for a run
+    family a step of its scaled tail, which decays no cell; for the
+    smooth family a step of its block (19 steps here), the series of
+    its moments and its scalar cells, with every 19th call also writing
+    the window and taking the next block's moments.  On a grid where a
+    smooth block would hold one step, run() and this figure decay the
+    cells before the front instead.
     `solve_activity_implicit_us`: the median of 200 cold public calls on
     that density.  `warm_solve_us`: the median of 2000 calls of
     `stepper.solve(values, total, m, tail)` on the Dirac run's final
     density from `uniform01`, its cell sum and last activity, with the
     tail that run() would keep of it, the call run() makes on every
-    Dirac step.  The outputs are each run's last activity
+    Dirac step (for the smooth family the weight of its block).  The
+    outputs are each run's last activity
     and discharge, and each warm solve's (m, iterations, method).
     Paired comparisons of this layer need `--rounds 15` or more: on a
     2-core host the per-round ratios of two trees' `run_step_us` ranged
@@ -165,8 +172,8 @@ def _advance_us(model, grid, values):
     # _transport(buf, s, window, total, stepper, m, t, live, tail) on
     # the window buf[s:s + n], which slides one cell toward the start of
     # buf per call (500 calls stay short of the start, and of a tail's
-    # fold), carrying the cell sum, the front and the tail that run()
-    # keeps
+    # fold), carrying the cell sum, the front and the tail or block that
+    # run() keeps
     import numpy as np
     import agenet
     from agenet import evolution
